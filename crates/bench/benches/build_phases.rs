@@ -24,7 +24,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// The 300 users × 250 resources × 15k assignments preset shared with the
-/// tucker/query benches.
+/// tucker bench.
 fn corpus() -> GeneratedDataset {
     generate(&GeneratorConfig {
         users: 300,

@@ -55,8 +55,8 @@ pub struct CubeLsiConfig {
     pub exhaustive_spectral: bool,
     /// Pruning strategy of the online query engine built by
     /// [`crate::CubeLsi::build`]. Both strategies are exact and
-    /// bit-identical; `MaxScore` is the previous-generation reference
-    /// path, `BlockMax` (default) the block-skipping fast path.
+    /// bit-identical; `BlockMax` (default) scans the exact id arrays,
+    /// `CompressedBlockMax` the compressed posting mirror.
     pub pruning: PruningStrategy,
 }
 
@@ -83,14 +83,12 @@ impl Default for CubeLsiConfig {
 impl CubeLsiConfig {
     /// Switches every offline kernel to its reference (pre-overhaul)
     /// implementation: naive Lloyd's, materialized Gram products, and the
-    /// exhaustive spectral eigensolver — and the online engine to the
-    /// MaxScore reference pruning loop. This is the slow side of the
+    /// exhaustive spectral eigensolver. This is the slow side of the
     /// `build_phases` bench and the baseline of the equivalence tests.
     pub fn with_reference_kernels(mut self) -> Self {
         self.naive_kmeans = true;
         self.materialized_gram = true;
         self.exhaustive_spectral = true;
-        self.pruning = PruningStrategy::MaxScore;
         self
     }
 

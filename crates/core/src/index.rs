@@ -561,7 +561,7 @@ mod simd {
 
 /// Derives the compressed block mirror from impact-ordered SoA posting
 /// arrays. This is the single source of the compressed layout: the index
-/// build, the v1/uncompressed-artifact load paths, and shard
+/// build, the uncompressed-artifact load path, and shard
 /// partitioning all route through it, so `CompressedBlockMax` is
 /// available on every index regardless of provenance.
 pub(crate) fn compress_postings(
@@ -650,8 +650,7 @@ fn f32_at_most(x: f64) -> f32 {
 /// The contract — `offset + scale · q ≥ score`, evaluated in f64 — is
 /// enforced per posting by construction (and re-checked by the persist
 /// validator on load). Non-finite impacts (possible only from hostile
-/// v1 artifacts, which the persist validator rejects after this runs)
-/// saturate harmlessly instead of panicking.
+/// artifacts) saturate harmlessly instead of panicking.
 fn quantize_block(scores: &[f64], quant: &mut Vec<u8>) -> (f32, f32) {
     // Impact order: the block's max is its first score, min its last.
     let max = scores[0];
@@ -822,10 +821,11 @@ impl ConceptIndex {
     }
 
     /// Assembles the SoA layout from per-list vectors. This is the single
-    /// place the block structure is derived, shared by [`Self::build`] and
-    /// the legacy (format v1) artifact decoder; posting lists must already
-    /// be impact-ordered. Block maxima and per-list maxima are derived
-    /// from the sorted lists (the first impact of each block / list).
+    /// place the block structure is derived, shared by [`Self::build`],
+    /// [`Self::partition_by_resource`] and [`Self::coalesce`]; posting
+    /// lists must already be impact-ordered. Block maxima and per-list
+    /// maxima are derived from the sorted lists (the first impact of each
+    /// block / list).
     pub(crate) fn from_lists(
         num_resources: usize,
         num_concepts: usize,
@@ -1193,13 +1193,6 @@ impl ConceptIndex {
     /// (indexes the per-posting `quant` array of the compressed mirror).
     pub(crate) fn posting_start(&self, concept: usize) -> usize {
         self.post_offsets[concept] as usize
-    }
-
-    /// Decodes the bit-packed resource ids of global block `blk` into
-    /// `out[..len]` (see [`CompressedPostings::decode_block_ids`]).
-    #[inline]
-    pub(crate) fn decode_block_ids(&self, blk: usize, len: usize, out: &mut [u32]) {
-        self.compressed.decode_block_ids(blk, len, out)
     }
 
     /// Bytes the compressed query path keeps hot per steady-state scan:
@@ -1667,7 +1660,7 @@ mod tests {
                 let lo = local * BLOCK_LEN;
                 let hi = (lo + BLOCK_LEN).min(list.len());
                 let blk = first_blk + local;
-                index.decode_block_ids(blk, hi - lo, &mut buf);
+                index.compressed.decode_block_ids(blk, hi - lo, &mut buf);
                 assert_eq!(&buf[..hi - lo], &list.ids[lo..hi], "block {blk}");
                 let scale = c.blk_scale[blk] as f64;
                 let offset = c.blk_offset[blk] as f64;
@@ -1706,7 +1699,7 @@ mod tests {
                 continue;
             }
             let blk = index.block_offsets[l] as usize;
-            index.decode_block_ids(blk, list.len(), &mut buf);
+            index.compressed.decode_block_ids(blk, list.len(), &mut buf);
             assert_eq!(&buf[..list.len()], list.ids);
         }
     }

@@ -20,9 +20,10 @@
 //!   per-pair evaluation, and the brute-force `F̂` reference (tests only);
 //! * [`concepts`] — §V concept distillation;
 //! * [`index`] — §III bag-of-concepts tf-idf index and cosine ranking;
-//! * [`query`] — the online top-k engine: exact block-max / MaxScore
-//!   pruning over impact-ordered SoA postings, bounded-heap selection,
-//!   zero-allocation sessions, and parallel batched search;
+//! * [`query`] — the online top-k engine: one exact block-max pruning
+//!   skeleton over impact-ordered SoA postings (raw or compressed ids),
+//!   bounded-heap selection, zero-allocation sessions, and parallel
+//!   batched search;
 //! * [`slab`] — hybrid owned/borrowed storage backing the index arrays,
 //!   so a loaded artifact can serve straight out of its file buffer;
 //! * [`pipeline`] — the [`CubeLsi`] facade wiring everything, with

@@ -102,9 +102,10 @@
 //! identical to format v2, and loaders of either version rederive the
 //! mirror from the exact arrays.
 //!
-//! Format-v1 files (per-posting pair encoding in section id 6) are still
-//! readable; v1 artifacts load through the legacy decoder into the same
-//! SoA in-memory layout.
+//! Only versions 2 and 3 are read: anything else — a future version, a
+//! zero-stamped header, or a format-v1 file (per-posting pair encoding,
+//! never written outside tests) — is rejected with
+//! [`PersistError::UnsupportedVersion`].
 //!
 //! # Guarantees
 //!
@@ -139,9 +140,12 @@ use crate::slab::{AlignedBytes, Pod, Slab};
 pub const MAGIC: [u8; 8] = *b"CUBELSI\0";
 
 /// Current artifact format version. Bump on any layout change; readers
-/// reject files from the future with [`PersistError::UnsupportedVersion`]
-/// and keep reading all older versions.
+/// accept [`MIN_FORMAT_VERSION`]`..=FORMAT_VERSION` and reject everything
+/// else with [`PersistError::UnsupportedVersion`].
 pub const FORMAT_VERSION: u32 = 3;
+
+/// Oldest format version still read (the SoA index section).
+const MIN_FORMAT_VERSION: u32 = 2;
 
 /// Byte length of the fixed file header (magic + version + count).
 pub const HEADER_LEN: usize = 16;
@@ -154,8 +158,6 @@ const SECTION_FOLKSONOMY: u32 = 2;
 const SECTION_TUCKER: u32 = 3;
 const SECTION_DISTANCES: u32 = 4;
 const SECTION_CONCEPTS: u32 = 5;
-/// Legacy (format v1) per-posting index section; still readable.
-const SECTION_INDEX_V1: u32 = 6;
 /// The SoA index section written by format v2.
 pub const SECTION_INDEX_SOA: u32 = 7;
 /// The compressed posting mirror written by format v3 when compression
@@ -177,7 +179,8 @@ pub enum PersistError {
     Io(std::io::Error),
     /// The file does not start with the CubeLSI magic bytes.
     BadMagic,
-    /// The file's format version is newer than this reader understands.
+    /// The file's format version is outside the range this reader
+    /// understands (newer, or older than the oldest still read).
     UnsupportedVersion {
         /// Version found in the file.
         found: u32,
@@ -238,7 +241,8 @@ impl std::fmt::Display for PersistError {
             }
             PersistError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "artifact format version {found} is newer than the supported version {supported}"
+                "artifact format version {found} is not supported (this build reads versions \
+                 {MIN_FORMAT_VERSION} to {supported})"
             ),
             PersistError::Truncated { context } => {
                 write!(f, "artifact truncated while reading {context}")
@@ -505,17 +509,6 @@ impl<'a> Decoder<'a> {
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.f64()?);
-        }
-        Ok(out)
-    }
-
-    fn pairs(&mut self) -> Result<Vec<(u32, f64)>, PersistError> {
-        let n = self.len_prefix(12)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = self.u32()?;
-            let w = self.f64()?;
-            out.push((id, w));
         }
         Ok(out)
     }
@@ -833,7 +826,7 @@ fn encode_index_compressed(ix: &ConceptIndex) -> Vec<u8> {
 
 /// Serialized byte size of the index section(s) an artifact would carry
 /// for this index: the exact SoA section plus, with `compress`, the
-/// compressed mirror. Exposed so the query bench can report artifact
+/// compressed mirror. Exposed so the benchmark can report artifact
 /// footprint for synthetic indexes that have no full model around them.
 pub fn index_artifact_bytes(ix: &ConceptIndex, compress: bool) -> usize {
     let mut n = encode_index_soa(ix).len();
@@ -1040,8 +1033,6 @@ fn load_impl(bytes: &[u8], owner: Option<&Arc<AlignedBytes>>) -> Result<Artifact
             meta.num_resources,
             concepts.num_concepts(),
         )?
-    } else if let Some((_, p)) = find(SECTION_INDEX_V1) {
-        decode_index_v1(p, meta.num_resources, concepts.num_concepts())?
     } else {
         return Err(PersistError::MissingSection(SECTION_INDEX_SOA));
     };
@@ -1074,7 +1065,7 @@ fn parse_sections(bytes: &[u8]) -> Result<Vec<SectionView<'_>>, PersistError> {
     }
     let header = |at: usize| le_u32(bytes, at).ok_or(PersistError::Truncated { context: "header" });
     let version = header(8)?;
-    if version > FORMAT_VERSION {
+    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
         return Err(PersistError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
@@ -1350,6 +1341,42 @@ impl LeScalar for f64 {
     }
 }
 
+/// One index section being carved into its arrays.
+struct SectionArrays<'a> {
+    section: u32,
+    payload: &'a [u8],
+    file_offset: usize,
+    owner: Option<&'a Arc<AlignedBytes>>,
+}
+
+impl SectionArrays<'_> {
+    /// Carves one array out of the payload: bulk-copied for the owned
+    /// load path, borrowed from the file buffer when `owner` is given
+    /// (zero-copy).
+    fn slab<T: Pod + LeScalar>(&self, span: ArraySpan) -> Result<Slab<T>, PersistError> {
+        // The decoders check the layout's `total_len == payload.len()`
+        // equality first, but carve with checked arithmetic anyway.
+        let bytes = span
+            .len
+            .checked_mul(std::mem::size_of::<T>())
+            .and_then(|n| span.offset.checked_add(n))
+            .and_then(|end| self.payload.get(span.offset..end))
+            .ok_or(PersistError::Truncated {
+                context: "index array",
+            })?;
+        let at = self.file_offset + span.offset;
+        match self.owner {
+            None => Ok(Slab::Owned(bulk_owned(bytes))),
+            Some(arc) => {
+                Slab::borrowed(arc.clone(), at, span.len).ok_or(PersistError::MisalignedSection {
+                    section: self.section,
+                    offset: at as u64,
+                })
+            }
+        }
+    }
+}
+
 fn decode_index_soa(
     payload: &[u8],
     file_offset: usize,
@@ -1405,47 +1432,25 @@ fn decode_index_soa(
         )));
     }
 
-    fn slab<T: Pod + LeScalar>(
-        payload: &[u8],
-        file_offset: usize,
-        owner: Option<&Arc<AlignedBytes>>,
-        span: ArraySpan,
-    ) -> Result<Slab<T>, PersistError> {
-        // The layout's `total_len == payload.len()` equality was checked
-        // above, but carve with checked arithmetic anyway.
-        let bytes = span
-            .len
-            .checked_mul(std::mem::size_of::<T>())
-            .and_then(|n| span.offset.checked_add(n))
-            .and_then(|end| payload.get(span.offset..end))
-            .ok_or(PersistError::Truncated {
-                context: "index array",
-            })?;
-        match owner {
-            None => Ok(Slab::Owned(bulk_owned(bytes))),
-            Some(arc) => Slab::borrowed(arc.clone(), file_offset + span.offset, span.len).ok_or(
-                PersistError::MisalignedSection {
-                    section: SECTION_INDEX_SOA,
-                    offset: (file_offset + span.offset) as u64,
-                },
-            ),
-        }
-    }
-
-    let idf: Slab<f64> = slab(payload, file_offset, owner, layout.idf)?;
-    let resource_norms: Slab<f64> = slab(payload, file_offset, owner, layout.resource_norms)?;
-    let rv_offsets: Slab<u64> = slab(payload, file_offset, owner, layout.rv_offsets)?;
-    let rv_concepts: Slab<u32> = slab(payload, file_offset, owner, layout.rv_concepts)?;
-    let rv_weights: Slab<f64> = slab(payload, file_offset, owner, layout.rv_weights)?;
-    let post_offsets: Slab<u64> = slab(payload, file_offset, owner, layout.post_offsets)?;
-    let post_ids: Slab<u32> = slab(payload, file_offset, owner, layout.post_ids)?;
-    let post_scores: Slab<f64> = slab(payload, file_offset, owner, layout.post_scores)?;
-    let block_offsets: Slab<u64> = slab(payload, file_offset, owner, layout.block_offsets)?;
-    let block_max: Slab<f64> = slab(payload, file_offset, owner, layout.block_max)?;
-    let max_impact: Slab<f64> = slab(payload, file_offset, owner, layout.max_impact)?;
+    let arrays = SectionArrays {
+        section: SECTION_INDEX_SOA,
+        payload,
+        file_offset,
+        owner,
+    };
+    let idf: Slab<f64> = arrays.slab(layout.idf)?;
+    let resource_norms: Slab<f64> = arrays.slab(layout.resource_norms)?;
+    let rv_offsets: Slab<u64> = arrays.slab(layout.rv_offsets)?;
+    let rv_concepts: Slab<u32> = arrays.slab(layout.rv_concepts)?;
+    let rv_weights: Slab<f64> = arrays.slab(layout.rv_weights)?;
+    let post_offsets: Slab<u64> = arrays.slab(layout.post_offsets)?;
+    let post_ids: Slab<u32> = arrays.slab(layout.post_ids)?;
+    let post_scores: Slab<f64> = arrays.slab(layout.post_scores)?;
+    let block_offsets: Slab<u64> = arrays.slab(layout.block_offsets)?;
+    let block_max: Slab<f64> = arrays.slab(layout.block_max)?;
+    let max_impact: Slab<f64> = arrays.slab(layout.max_impact)?;
 
     validate_index_arrays(
-        SECTION_INDEX_SOA,
         num_resources,
         num_concepts,
         rv_nnz,
@@ -1555,41 +1560,20 @@ fn decode_index_compressed(
         )));
     }
 
-    fn slab<T: Pod + LeScalar>(
-        payload: &[u8],
-        file_offset: usize,
-        owner: Option<&Arc<AlignedBytes>>,
-        span: ArraySpan,
-    ) -> Result<Slab<T>, PersistError> {
-        // The layout's `total_len == payload.len()` equality was checked
-        // above, but carve with checked arithmetic anyway.
-        let bytes = span
-            .len
-            .checked_mul(std::mem::size_of::<T>())
-            .and_then(|n| span.offset.checked_add(n))
-            .and_then(|end| payload.get(span.offset..end))
-            .ok_or(PersistError::Truncated {
-                context: "index array",
-            })?;
-        match owner {
-            None => Ok(Slab::Owned(bulk_owned(bytes))),
-            Some(arc) => Slab::borrowed(arc.clone(), file_offset + span.offset, span.len).ok_or(
-                PersistError::MisalignedSection {
-                    section: SECTION_INDEX_COMPRESSED,
-                    offset: (file_offset + span.offset) as u64,
-                },
-            ),
-        }
-    }
-
+    let arrays = SectionArrays {
+        section: SECTION_INDEX_COMPRESSED,
+        payload,
+        file_offset,
+        owner,
+    };
     Ok(CompressedPostings {
-        blk_pack_start: slab(payload, file_offset, owner, layout.blk_pack_start)?,
-        blk_base: slab(payload, file_offset, owner, layout.blk_base)?,
-        blk_scale: slab(payload, file_offset, owner, layout.blk_scale)?,
-        blk_offset: slab(payload, file_offset, owner, layout.blk_offset)?,
-        blk_bits: slab(payload, file_offset, owner, layout.blk_bits)?,
-        quant: slab(payload, file_offset, owner, layout.quant)?,
-        packed_ids: slab(payload, file_offset, owner, layout.packed_ids)?,
+        blk_pack_start: arrays.slab(layout.blk_pack_start)?,
+        blk_base: arrays.slab(layout.blk_base)?,
+        blk_scale: arrays.slab(layout.blk_scale)?,
+        blk_offset: arrays.slab(layout.blk_offset)?,
+        blk_bits: arrays.slab(layout.blk_bits)?,
+        quant: arrays.slab(layout.quant)?,
+        packed_ids: arrays.slab(layout.packed_ids)?,
     })
 }
 
@@ -1716,7 +1700,6 @@ fn validate_compressed_postings(
 /// silently.
 #[allow(clippy::too_many_arguments)]
 fn validate_index_arrays(
-    section: u32,
     num_resources: usize,
     num_concepts: usize,
     rv_nnz: usize,
@@ -1733,7 +1716,10 @@ fn validate_index_arrays(
     block_max: &[f64],
     max_impact: &[f64],
 ) -> Result<(), PersistError> {
-    let err = |detail: String| PersistError::Malformed { section, detail };
+    let err = |detail: String| PersistError::Malformed {
+        section: SECTION_INDEX_SOA,
+        detail,
+    };
     let check_offsets = |offsets: &[u64], total: usize, what: &str| -> Result<(), PersistError> {
         if offsets.first() != Some(&0) {
             return Err(err(format!("{what} offsets must start at 0")));
@@ -1872,102 +1858,6 @@ fn validate_index_arrays(
     Ok(())
 }
 
-/// Legacy format-v1 index section: per-posting `(u32, f64)` pair lists.
-/// Decoded into the same SoA in-memory layout (block maxima derived from
-/// the sorted lists).
-// xtask:hostile-input:begin — v1 artifact decoding, untrusted bytes.
-fn decode_index_v1(
-    payload: &[u8],
-    num_resources: usize,
-    num_concepts: usize,
-) -> Result<ConceptIndex, PersistError> {
-    let mut d = Decoder::new(payload, SECTION_INDEX_V1);
-    let stored_resources = d.usize()?;
-    let stored_concepts = d.usize()?;
-    if stored_resources != num_resources || stored_concepts != num_concepts {
-        return Err(d.err(format!(
-            "index is {stored_resources}x{stored_concepts}, model is {num_resources}x{num_concepts}"
-        )));
-    }
-    let n_idf = d.len_prefix(8)?;
-    if n_idf != num_concepts {
-        return Err(d.err(format!("{n_idf} idf entries for {num_concepts} concepts")));
-    }
-    let mut idf = Vec::with_capacity(n_idf);
-    for _ in 0..n_idf {
-        idf.push(d.f64()?);
-    }
-    let n_res = d.len_prefix(8)?;
-    if n_res != num_resources {
-        return Err(d.err(format!("{n_res} vectors for {num_resources} resources")));
-    }
-    let mut resource_vectors = Vec::with_capacity(n_res);
-    let mut resource_norms = Vec::with_capacity(n_res);
-    for r in 0..n_res {
-        let vector = d.pairs()?;
-        if let Some(&(l, _)) = vector.iter().find(|&&(l, _)| widen(l) >= num_concepts) {
-            return Err(d.err(format!("resource {r} references unknown concept {l}")));
-        }
-        resource_vectors.push(vector);
-        resource_norms.push(d.f64()?);
-    }
-    let n_post = d.len_prefix(8)?;
-    if n_post != num_concepts {
-        return Err(d.err(format!(
-            "{n_post} posting lists for {num_concepts} concepts"
-        )));
-    }
-    let mut postings = Vec::with_capacity(n_post);
-    for l in 0..n_post {
-        let list = d.pairs()?;
-        if let Some(&(r, _)) = list.iter().find(|&&(r, _)| widen(r) >= num_resources) {
-            return Err(d.err(format!("concept {l} posts unknown resource {r}")));
-        }
-        let stored_max = d.f64()?;
-        let head = list.first().map_or(0.0, |&(_, w)| w);
-        if stored_max.to_bits() != head.to_bits() {
-            return Err(d.err(format!(
-                "concept {l} stored max impact {stored_max} disagrees with list head {head}"
-            )));
-        }
-        postings.push(list);
-    }
-    d.finish()?;
-    let index = ConceptIndex::from_lists(
-        num_resources,
-        num_concepts,
-        idf,
-        resource_vectors,
-        resource_norms,
-        postings,
-    );
-    // A v1 file carries the same semantic obligations as a v2 file (the
-    // engine it feeds is the same); run the full validation on the
-    // assembled arrays. Block geometry is correct by construction here,
-    // but impact order and posting ↔ vector consistency are not.
-    let a = index.as_arrays();
-    validate_index_arrays(
-        SECTION_INDEX_V1,
-        num_resources,
-        num_concepts,
-        a.rv_concepts.len(),
-        a.post_ids.len(),
-        a.block_max.len(),
-        a.rv_offsets,
-        a.rv_concepts,
-        a.rv_weights,
-        a.resource_norms,
-        a.post_offsets,
-        a.post_ids,
-        a.post_scores,
-        a.block_offsets,
-        a.block_max,
-        a.max_impact,
-    )?;
-    Ok(index)
-}
-// xtask:hostile-input:end — tests below build their own trusted bytes.
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1986,53 +1876,6 @@ mod tests {
         };
         let model = CubeLsi::build(&f, &cfg).unwrap();
         (f, model)
-    }
-
-    /// Format-v1 encoder for the legacy index section (per-posting
-    /// pairs), used to synthesize v1 artifacts for the back-compat test.
-    fn encode_index_v1(ix: &ConceptIndex) -> Vec<u8> {
-        let mut e = Encoder::default();
-        e.put_usize(ix.num_resources());
-        e.put_usize(ix.num_concepts());
-        e.put_usize(ix.num_concepts());
-        for l in 0..ix.num_concepts() {
-            e.put_f64(ix.idf(l));
-        }
-        e.put_usize(ix.num_resources());
-        for r in 0..ix.num_resources() {
-            let v = ix.resource_vector(r);
-            e.put_usize(v.len());
-            for (l, w) in v.iter() {
-                e.put_u32(l);
-                e.put_f64(w);
-            }
-            e.put_f64(ix.resource_norm(r));
-        }
-        e.put_usize(ix.num_concepts());
-        for l in 0..ix.num_concepts() {
-            let p = ix.postings(l);
-            e.put_usize(p.len());
-            for (r, w) in p.iter() {
-                e.put_u32(r);
-                e.put_f64(w);
-            }
-            e.put_f64(ix.max_impact(l));
-        }
-        e.buf
-    }
-
-    fn save_to_vec_v1(model: &CubeLsi, folksonomy: &Folksonomy) -> Vec<u8> {
-        assemble_file(
-            1,
-            vec![
-                (SECTION_META, encode_meta(model, folksonomy)),
-                (SECTION_FOLKSONOMY, encode_folksonomy(folksonomy)),
-                (SECTION_TUCKER, encode_tucker(model.decomposition())),
-                (SECTION_DISTANCES, encode_distances(model.distances())),
-                (SECTION_CONCEPTS, encode_concepts(model.concepts())),
-                (SECTION_INDEX_V1, encode_index_v1(model.index())),
-            ],
-        )
     }
 
     #[test]
@@ -2147,66 +1990,6 @@ mod tests {
                 for (x, y) in a.iter().zip(b.iter()) {
                     assert_eq!(x.resource, y.resource);
                     assert_eq!(x.score.to_bits(), y.score.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn format_v1_artifacts_still_load() {
-        let (f, model) = built();
-        let v1 = save_to_vec_v1(&model, &f);
-        assert_eq!(u32::from_le_bytes(v1[8..12].try_into().unwrap()), 1);
-        let loaded = load_from_bytes(&v1).unwrap();
-        for name in ["folk", "people", "laptop"] {
-            let a = model.search(&[name], 0);
-            let b = loaded.model.search(&[name], 0);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.resource, y.resource);
-                assert_eq!(x.score.to_bits(), y.score.to_bits());
-            }
-        }
-        // A v1 artifact also loads zero-copy-requested (falling back to
-        // owned arrays — there is nothing aligned to borrow).
-        let buf = Arc::new(AlignedBytes::from_bytes(&v1));
-        let zc = load_zero_copy(buf).unwrap();
-        assert!(!zc.model.index().is_zero_copy());
-    }
-
-    /// The exhaustive hostile-byte sweep for the legacy decoder: a v1
-    /// artifact (tiny figure-2 corpus) with one byte flipped at every
-    /// offset must load to a typed error or to a bit-identical engine —
-    /// never panic. Companion to the v2/v3 sweep in
-    /// `tests/persist_roundtrip.rs`; this one lives here because only the
-    /// test module can synthesize v1 bytes.
-    #[test]
-    fn exhaustive_single_byte_flips_never_panic_v1() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-
-        let (f, model) = built();
-        let v1 = save_to_vec_v1(&model, &f);
-        let queries = ["folk", "people", "laptop"];
-        let expect: Vec<_> = queries.iter().map(|q| model.search(&[*q], 0)).collect();
-        for pos in 0..v1.len() {
-            let mut bad = v1.clone();
-            bad[pos] ^= 1u8 << (pos % 8);
-            let outcome = catch_unwind(AssertUnwindSafe(|| load_from_bytes(&bad)))
-                .unwrap_or_else(|_| panic!("v1 loader panicked at offset {pos}"));
-            match outcome {
-                Err(e) => assert!(!e.to_string().is_empty(), "offset {pos}: empty error"),
-                Ok(loaded) => {
-                    for (q, expect) in queries.iter().zip(&expect) {
-                        let got = loaded.model.search(&[*q], 0);
-                        assert_eq!(got.len(), expect.len(), "offset {pos}: count diverged");
-                        for (g, e) in got.iter().zip(expect.iter()) {
-                            assert_eq!(
-                                (g.resource, g.score.to_bits()),
-                                (e.resource, e.score.to_bits()),
-                                "offset {pos}: ranking diverged"
-                            );
-                        }
-                    }
                 }
             }
         }

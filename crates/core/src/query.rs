@@ -1,5 +1,5 @@
-//! The online top-k query engine: exact block-max / MaxScore pruning over
-//! impact-ordered SoA postings, bounded-heap selection, and reusable
+//! The online top-k query engine: one exact block-max pruning skeleton
+//! over impact-ordered SoA postings, bounded-heap selection, and reusable
 //! zero-allocation scratch.
 //!
 //! # Why this exists
@@ -22,49 +22,50 @@
 //! * **[`QueryEngine::search_batch`]**: fans a slice of queries across
 //!   worker threads (one session per worker), for throughput workloads.
 //!
-//! # Pruning strategies
+//! # One skeleton, two posting sources
 //!
-//! Three exact strategies share the same query preparation and suffix
-//! bounds, selected by [`PruningStrategy`]:
+//! Every pruned query runs the same accumulation skeleton
+//! (`QueryEngine::accumulate`), generic over a private `PostingSource`
+//! and monomorphised once per [`PruningStrategy`]; the exhaustive
+//! [`ConceptIndex::rank_exact`] is the oracle both are tested against.
+//! The skeleton:
 //!
-//! * [`PruningStrategy::MaxScore`] — the PR-1 reference path, kept
-//!   verbatim as the correctness and performance baseline: per-posting
-//!   admission bound checks, break to update-only mode at the first
-//!   posting whose bound cannot beat the threshold, resource-indexed
-//!   accumulators, full-division selection.
-//! * [`PruningStrategy::BlockMax`] (default) — the optimized exact path:
-//!   * **block-granular bounds**: one admission check per
-//!     [`BLOCK_LEN`]-posting block against the block's own maximum; a
-//!     failing block ends admission for the whole remaining list (block
-//!     maxima only decrease down an impact-ordered list), and passing
-//!     blocks run tight loops with **no per-posting bound checks**;
-//!   * **dense accumulators**: one `(epoch, slot)` word per resource
-//!     maps into a compact per-query score array, so accumulation costs
-//!     one random cache line per posting instead of two and every
-//!     candidate-wide pass (k-th-partial selection, final top-k
-//!     selection) is a dense scan;
-//!   * **an admission heap**: the k largest admission contributions form
-//!     a continuously-valid threshold that improves *mid-list* — the
-//!     first processed term seeds it from its first k postings (its
-//!     contributions only descend, so later offers are skipped), its
-//!     remaining admissions are bulk copies with vectorized products,
-//!     and at the second term the heap minimum *is* the exact k-th
-//!     partial, replacing the O(touched) selection;
-//!   * **candidate-side updates**: a term that can no longer admit
-//!     anything updates the touched set through per-resource vector
-//!     lookups instead of scanning its posting list when the touched set
-//!     is far smaller (`w/‖r‖` recomputed from the stored vector is the
-//!     bitwise-identical division the index build performed);
-//!   * **division-filtered selection**: candidates are compared against
-//!     a conservative undivided bound first, so only near-top-k
-//!     candidates pay the `acc/norm` division.
-//! * [`PruningStrategy::CompressedBlockMax`] — the block-max skeleton
-//!   run over the compressed posting mirror
-//!   ([`crate::index`]'s bit-packed frame-of-reference ids plus 8-bit
-//!   block-quantized impact upper bounds, ~4 bytes per posting instead
-//!   of 12): admitted blocks decode their ids into a per-session
-//!   buffer, *fresh* candidates are additionally gated per posting by
-//!   the quantized bound, and every accumulated contribution reads the
+//! * **block-granular bounds**: one admission check per
+//!   [`BLOCK_LEN`]-posting block against the block's own maximum; a
+//!   failing block ends admission for the whole remaining list (block
+//!   maxima only decrease down an impact-ordered list);
+//! * **dense accumulators**: one `(epoch, slot)` word per resource maps
+//!   into a compact per-query score array, so accumulation costs one
+//!   random cache line per posting and every candidate-wide pass
+//!   (k-th-partial selection, final top-k selection) is a dense scan;
+//! * **an admission heap**: the k largest admission contributions form
+//!   a continuously-valid threshold that improves *mid-list* — the
+//!   first processed term seeds it from its first k postings (its
+//!   contributions only descend, so later offers are skipped), its
+//!   remaining admissions are bulk copies with vectorized products,
+//!   and at the second term the heap minimum *is* the exact k-th
+//!   partial, replacing the O(touched) selection;
+//! * **candidate-side updates**: a term that can no longer admit
+//!   anything updates the touched set through per-resource vector
+//!   lookups instead of scanning its posting list when the touched set
+//!   is far smaller (`w/‖r‖` recomputed from the stored vector is the
+//!   bitwise-identical division the index build performed);
+//! * **division-filtered selection**: candidates are compared against
+//!   a conservative undivided bound first, so only near-top-k
+//!   candidates pay the `acc/norm` division.
+//!
+//! The two sources differ only in how a block's resource ids are read
+//! and in whether a fresh candidate passes one more gate:
+//!
+//! * [`PruningStrategy::BlockMax`] (default) reads the exact `u32` id
+//!   array; passing blocks run tight loops with **no per-posting bound
+//!   checks**.
+//! * [`PruningStrategy::CompressedBlockMax`] reads the compressed
+//!   posting mirror ([`crate::index`]'s bit-packed frame-of-reference
+//!   ids plus 8-bit block-quantized impact upper bounds, ~4 bytes per
+//!   posting instead of 12): admitted blocks decode their ids on the
+//!   fly, *fresh* candidates are additionally gated per posting by the
+//!   quantized bound, and every accumulated contribution reads the
 //!   exact f64 impact — "quantize to reject, rescore to accept". A
 //!   skipped posting satisfies the same proof obligation as a skipped
 //!   block (its dequantized bound dominates its impact), so results
@@ -83,12 +84,11 @@
 //!    `threshold`, no new resource can enter the top k; stop admitting new
 //!    accumulators (existing ones still receive every update).
 //! 2. **In-list prune**: within an impact-ordered list, once the admission
-//!    bound (`wq·impact + rest_bound` per posting for MaxScore,
-//!    `wq·block_max + rest_bound` per block for block-max) drops below
+//!    bound (`wq·block_max + rest_bound` per block) drops below
 //!    `threshold`, no later posting can admit a new resource either
 //!    (impacts and block maxima only decrease); the rest of the list is
-//!    scanned in update-only mode, which touches only the 4-byte id array
-//!    for misses.
+//!    scanned in update-only mode, which touches only the id stream for
+//!    misses.
 //!
 //! Bound comparisons require the candidate's upper bound to be *relatively*
 //! below the threshold (`bound · (1 + 1e-9) < threshold`), which absorbs
@@ -96,23 +96,26 @@
 //! therefore never pruned, and a pruned resource is strictly below the
 //! k-th result even after the final division by the query norm.
 //!
-//! The strategies admit slightly different candidate sets: inside a
-//! block whose max passes the bound, block-max admits postings the
-//! per-posting check would have rejected, while the compressed path's
-//! quantized per-posting gate rejects some of them again. Either way a
-//! skipped-or-spurious resource's upper bound is strictly below the
-//! final k-th score (the bound that skipped it — block max or
-//! dequantized impact — dominates its total), so it can never displace a
-//! true top-k member in the final heap — and whenever a threshold exists,
-//! at least `k` touched resources already exist, so spurious admissions
-//! can only occur in the heap-selection regime, never in the
-//! emit-everything regime. Because pruning never changes the order or the
-//! set of additions applied to a resource that reaches the output, every
-//! pruned path returns bit-identical scores — and an identical ranked
-//! list, including tie-breaks — to [`ConceptIndex::rank_exact`]. The
-//! four-way equivalence (exhaustive ≡ MaxScore ≡ block-max ≡ compressed)
-//! is enforced by the `query_engine_equivalence` integration test over
-//! randomized corpora.
+//! The two sources admit slightly different candidate sets: inside a
+//! block whose max passes the bound, the raw source admits every fresh
+//! posting, while the compressed source's quantized per-posting gate
+//! rejects some of them again. Either way a skipped-or-spurious
+//! resource's upper bound is strictly below the final k-th score (the
+//! bound that skipped it — block max or dequantized impact — dominates
+//! its total), so it can never displace a true top-k member in the final
+//! heap. A resource skipped by one term may be admitted by a *later*
+//! term with an incomplete (smaller) accumulator; the same argument
+//! covers it, and every true top-k member keeps a complete accumulator
+//! (its bound can never lose to the threshold). Whenever a threshold
+//! exists, at least `k` touched resources already exist, so spurious or
+//! missing admissions can only occur in the heap-selection regime, never
+//! in the emit-everything regime. Because pruning never changes the
+//! order or the set of additions applied to a resource that reaches the
+//! output, both instantiations return bit-identical scores — and an
+//! identical ranked list, including tie-breaks — to
+//! [`ConceptIndex::rank_exact`]. The three-way equivalence (exhaustive ≡
+//! block-max ≡ compressed) is enforced by the `query_engine_equivalence`
+//! integration test over randomized corpora.
 //!
 //! A query whose terms may carry negative **or non-finite** weights
 //! (possible through the raw [`QueryEngine::search_weighted`] entry
@@ -125,34 +128,31 @@
 
 use crate::exec;
 use crate::index::{
-    CompressedPostings, ConceptAssignment, ConceptIndex, PostingsRef, RankedResource, BLOCK_LEN,
+    CompressedPostings, ConceptAssignment, ConceptIndex, RankedResource, BLOCK_LEN,
 };
 use cubelsi_folksonomy::{ResourceId, TagId};
 use cubelsi_linalg::parallel;
+use std::ops::Range;
 
 /// Relative slack applied to upper bounds before pruning: a candidate is
 /// discarded only when `bound * PRUNE_SLACK < threshold`, so accumulated
 /// float rounding (≈1e-16 per op) can never prune a true top-k member.
 const PRUNE_SLACK: f64 = 1.0 + 1e-9;
 
-/// Which exact pruning loop the engine runs. All strategies return
-/// bit-identical results; the knob exists so the previous-generation
-/// paths stay selectable as references for equivalence tests and
-/// benchmarks, and so serving can trade the exact posting streams for
-/// the compressed mirror.
+/// Which posting source the block-max skeleton reads. Both return
+/// bit-identical results; the knob lets serving trade the exact id
+/// stream for the compressed mirror.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PruningStrategy {
-    /// Per-posting MaxScore admission checks (the PR-1 path).
-    MaxScore,
-    /// Per-block admission checks against block maxima, tight inner loop
-    /// (the default).
+    /// The exact `u32` id array: per-block admission checks against
+    /// block maxima, tight inner loop (the default).
     #[default]
     BlockMax,
-    /// The block-max skeleton over the compressed posting mirror: ids
-    /// decoded per block from the bit-packed stream, fresh candidates
-    /// gated by 8-bit quantized impact upper bounds, and every accepted
-    /// contribution read from the exact f64 impact array — "quantize to
-    /// reject, rescore to accept", still bit-identical.
+    /// The compressed posting mirror: ids decoded per block from the
+    /// bit-packed stream, fresh candidates gated by 8-bit quantized
+    /// impact upper bounds, and every accepted contribution read from
+    /// the exact f64 impact array — "quantize to reject, rescore to
+    /// accept", still bit-identical.
     CompressedBlockMax,
 }
 
@@ -175,16 +175,13 @@ pub struct QuerySession {
     concept_epoch: Vec<u32>,
     concept_touched: Vec<u32>,
     concept_cur: u32,
-    // Resource-space scratch (accumulation). The MaxScore reference path
-    // uses the two resource-indexed arrays (`acc` + `res_epoch`); the
-    // block-max path instead keeps one combined `(epoch << 32) | slot`
-    // word per resource and accumulates into `acc_dense[slot]`, where
-    // `slot` is the admission index into `touched` — one random cache
-    // line per posting instead of two, and every candidate-wide pass
-    // (k-th partial selection, final selection) runs over the compact
-    // dense array instead of gathering across the full resource space.
-    acc: Vec<f64>,
-    res_epoch: Vec<u32>,
+    // Resource-space scratch (accumulation): one combined
+    // `(epoch << 32) | slot` word per resource, accumulating into
+    // `acc_dense[slot]`, where `slot` is the admission index into
+    // `touched` — one random cache line per posting, and every
+    // candidate-wide pass (k-th partial selection, final selection) runs
+    // over the compact dense array instead of gathering across the full
+    // resource space.
     slot_map: Vec<u64>,
     acc_dense: Vec<f64>,
     touched: Vec<u32>,
@@ -194,9 +191,9 @@ pub struct QuerySession {
     suffix: Vec<f64>,
     select_scratch: Vec<f64>,
     heap: Vec<(f64, u32)>,
-    // Block-max path: bounded min-heap of the top-k admission-time
-    // contributions, maintained while scanning so the pruning threshold
-    // improves *mid-list* instead of only between terms.
+    // Bounded min-heap of the top-k admission-time contributions,
+    // maintained while scanning so the pruning threshold improves
+    // *mid-list* instead of only between terms.
     cand_heap: Vec<f64>,
 }
 
@@ -205,8 +202,6 @@ impl QuerySession {
         QuerySession {
             concept_weight: vec![0.0; index.num_concepts()],
             concept_epoch: vec![0; index.num_concepts()],
-            acc: vec![0.0; index.num_resources()],
-            res_epoch: vec![0; index.num_resources()],
             slot_map: vec![0; index.num_resources()],
             ..QuerySession::default()
         }
@@ -219,10 +214,8 @@ impl QuerySession {
     fn begin(&mut self) {
         self.concept_cur = bump_epoch(self.concept_cur, &mut self.concept_epoch);
         self.res_cur = if self.res_cur == u32::MAX {
-            // Wraparound (once per 2^32 queries): hard-reset both the
-            // epoch tags and the slot words (their high 32 bits carry the
-            // same epoch counter).
-            self.res_epoch.fill(0);
+            // Wraparound (once per 2^32 queries): hard-reset the slot
+            // words (their high 32 bits carry the epoch counter).
             self.slot_map.fill(0);
             1
         } else {
@@ -246,10 +239,6 @@ impl QuerySession {
             self.concept_weight.resize(index.num_concepts(), 0.0);
             self.concept_epoch.resize(index.num_concepts(), 0);
         }
-        if self.res_epoch.len() < index.num_resources() {
-            self.acc.resize(index.num_resources(), 0.0);
-            self.res_epoch.resize(index.num_resources(), 0);
-        }
         if self.slot_map.len() < index.num_resources() {
             self.slot_map.resize(index.num_resources(), 0);
         }
@@ -268,17 +257,13 @@ impl QuerySession {
     /// downstream assumes the tags, the touched lists, and the slot
     /// words agree. Checks, returning the first violation:
     ///
-    /// * no epoch tag (concept, resource, or slot-word high bits) is
-    ///   ever ahead of its counter;
+    /// * no epoch tag (concept, or slot-word high bits) is ever ahead
+    ///   of its counter;
     /// * `concept_touched` lists exactly the concepts whose tag equals
     ///   the current epoch, with no duplicates;
-    /// * `acc_dense` is either empty (MaxScore path) or exactly
-    ///   parallel to `touched` (block-max paths);
-    /// * on the block-max paths, `slot_map[touched[s]]` is exactly
-    ///   `(res_cur << 32) | s` and no *other* resource carries a
-    ///   current-epoch slot word;
-    /// * on the MaxScore path, `res_epoch[touched[s]]` is current and
-    ///   no other resource's tag is.
+    /// * `acc_dense` is exactly parallel to `touched`;
+    /// * `slot_map[touched[s]]` is exactly `(res_cur << 32) | s` and no
+    ///   *other* resource carries a current-epoch slot word.
     pub(crate) fn check_epochs(&self) -> Result<(), String> {
         if let Some(c) = self
             .concept_epoch
@@ -287,13 +272,6 @@ impl QuerySession {
         {
             return Err(format!("concept {c} epoch tag is ahead of the counter"));
         }
-        let live = |epochs: &[u32], cur: u32| -> usize {
-            if cur == 0 {
-                0
-            } else {
-                epochs.iter().filter(|&&e| e == cur).count()
-            }
-        };
         for &c in &self.concept_touched {
             let c = c as usize;
             if self.concept_epoch.get(c) != Some(&self.concept_cur) {
@@ -302,13 +280,18 @@ impl QuerySession {
                 ));
             }
         }
-        if live(&self.concept_epoch, self.concept_cur) != self.concept_touched.len() {
+        let live_concepts = if self.concept_cur == 0 {
+            0
+        } else {
+            self.concept_epoch
+                .iter()
+                .filter(|&&e| e == self.concept_cur)
+                .count()
+        };
+        if live_concepts != self.concept_touched.len() {
             return Err("concept_touched and current-epoch tags disagree".to_owned());
         }
 
-        if let Some(r) = self.res_epoch.iter().position(|&e| e > self.res_cur) {
-            return Err(format!("resource {r} epoch tag is ahead of the counter"));
-        }
         if let Some(r) = self
             .slot_map
             .iter()
@@ -316,46 +299,27 @@ impl QuerySession {
         {
             return Err(format!("resource {r} slot word is ahead of the counter"));
         }
-        if !self.acc_dense.is_empty() {
-            // Block-max paths: slot words index the dense accumulator.
-            if self.acc_dense.len() != self.touched.len() {
-                return Err("acc_dense and touched lengths diverge".to_owned());
+        if self.acc_dense.len() != self.touched.len() {
+            return Err("acc_dense and touched lengths diverge".to_owned());
+        }
+        for (slot, &r) in self.touched.iter().enumerate() {
+            if self.slot_map.get(r as usize) != Some(&self.slot_word(slot)) {
+                return Err(format!(
+                    "touched resource {r} slot word does not point back at slot {slot}"
+                ));
             }
-            for (slot, &r) in self.touched.iter().enumerate() {
-                let want = ((self.res_cur as u64) << 32) | slot as u64;
-                if self.slot_map.get(r as usize) != Some(&want) {
-                    return Err(format!(
-                        "touched resource {r} slot word does not point back at slot {slot}"
-                    ));
-                }
-            }
-            let current = if self.res_cur == 0 {
-                0
-            } else {
-                let bits = (self.res_cur as u64) << 32;
-                self.slot_map
-                    .iter()
-                    .filter(|&&w| w & 0xFFFF_FFFF_0000_0000 == bits)
-                    .count()
-            };
-            if current != self.touched.len() {
-                return Err(
-                    "a resource outside touched carries a current-epoch slot word".to_owned(),
-                );
-            }
+        }
+        let current = if self.res_cur == 0 {
+            0
         } else {
-            // MaxScore path (or an empty query): the per-resource epoch
-            // tags are the admission record.
-            for &r in &self.touched {
-                if self.res_epoch.get(r as usize) != Some(&self.res_cur) {
-                    return Err(format!(
-                        "touched resource {r} does not carry the current epoch"
-                    ));
-                }
-            }
-            if live(&self.res_epoch, self.res_cur) != self.touched.len() {
-                return Err("touched and current-epoch resource tags disagree".to_owned());
-            }
+            let bits = (self.res_cur as u64) << 32;
+            self.slot_map
+                .iter()
+                .filter(|&&w| w & 0xFFFF_FFFF_0000_0000 == bits)
+                .count()
+        };
+        if current != self.touched.len() {
+            return Err("a resource outside touched carries a current-epoch slot word".to_owned());
         }
         Ok(())
     }
@@ -744,90 +708,34 @@ impl QueryEngine {
         }
 
         match self.strategy {
-            PruningStrategy::MaxScore => {
-                self.accumulate_maxscore(session, top_k);
-                select_emit_sparse(session, norm, top_k, out);
-            }
             PruningStrategy::BlockMax => {
-                self.accumulate_blockmax(session, top_k);
-                select_emit_dense(session, norm, top_k, out);
+                self.accumulate(session, top_k, |l| RawIds(self.index.postings(l).ids))
             }
             PruningStrategy::CompressedBlockMax => {
-                self.accumulate_compressed(session, top_k);
-                select_emit_dense(session, norm, top_k, out);
+                self.accumulate(session, top_k, |l| PackedIds::open(&self.index, l))
             }
         }
+        select_emit(session, norm, top_k, out);
     }
 
-    /// The PR-1 reference accumulation loop: per-posting admission bound
-    /// checks, break to update-only mode at the first failing posting.
-    fn accumulate_maxscore(&self, session: &mut QuerySession, top_k: usize) {
-        let m = session.terms.len();
-        let mut admitting = true;
-        for i in 0..m {
-            let (l, wq) = session.terms[i];
-            let list = self.index.postings(l as usize);
-            // Threshold = k-th largest partial score so far (a lower bound
-            // on the final k-th score, since scores only grow).
-            let threshold = if top_k > 0 {
-                kth_partial(session, top_k)
-            } else {
-                None
-            };
-            if admitting {
-                if let Some(th) = threshold {
-                    if session.suffix[i] * PRUNE_SLACK < th {
-                        admitting = false;
-                    }
-                }
-            }
-            if !admitting {
-                update_only(session, list.ids, list.scores, wq);
-                continue;
-            }
-            let rest = session.suffix[i + 1];
-            let mut j = 0;
-            while j < list.len() {
-                let r = list.ids[j] as usize;
-                let w = list.scores[j];
-                if session.res_epoch[r] == session.res_cur {
-                    session.acc[r] += wq * w;
-                } else {
-                    if let Some(th) = threshold {
-                        // Impacts only decrease down the list: once a new
-                        // resource's best case can't reach the threshold,
-                        // none below it can either.
-                        if (wq * w + rest) * PRUNE_SLACK < th {
-                            break;
-                        }
-                    }
-                    session.res_epoch[r] = session.res_cur;
-                    session.acc[r] = wq * w;
-                    session.touched.push(r as u32);
-                }
-                j += 1;
-            }
-            if j < list.len() {
-                update_only(session, &list.ids[j..], &list.scores[j..], wq);
-            }
-        }
-    }
-
-    /// The block-max accumulation loop (see the module docs for the full
-    /// list of refinements over the MaxScore reference). The admitted
-    /// candidate set is a superset of the MaxScore path's — block
-    /// granularity admits postings a per-posting check would reject — but
-    /// every spurious candidate is strictly below the final k-th score,
-    /// so the emitted ranking is bit-identical. A bounded min-heap of the
-    /// top-k admission contributions provides a threshold that is valid
-    /// at any instant (k distinct resources each have a final score at or
-    /// above the heap minimum) and improves *while* a list is scanned —
-    /// in particular the first term establishes a threshold after its
-    /// k-th posting instead of admitting its whole list, and once a block
+    /// The block-max accumulation skeleton, monomorphised per posting
+    /// source (see the module docs for the full list of refinements
+    /// over a per-posting scan). `open` yields the source for one
+    /// concept's list. A bounded min-heap of the top-k admission
+    /// contributions provides a threshold that is valid at any instant
+    /// (k distinct resources each have a final score at or above the
+    /// heap minimum) and improves *while* a list is scanned — in
+    /// particular the first term establishes a threshold after its k-th
+    /// posting instead of admitting its whole list, and once a block
     /// bound falls below the threshold the rest of the first term's list
     /// is skipped outright (no earlier term exists whose accumulators
     /// could need the tail).
-    fn accumulate_blockmax(&self, session: &mut QuerySession, top_k: usize) {
+    fn accumulate<S: PostingSource>(
+        &self,
+        session: &mut QuerySession,
+        top_k: usize,
+        open: impl Fn(usize) -> S,
+    ) {
         let m = session.terms.len();
         // The admission heap only pays off when k is small relative to
         // the corpus — when most matches end up in the top k anyway,
@@ -843,20 +751,27 @@ impl QueryEngine {
         for i in 0..m {
             let (l, wq) = session.terms[i];
             let l = l as usize;
-            let list = self.index.postings(l);
-            let n = list.len();
+            let rest = session.suffix[i + 1];
+            let term = Term {
+                src: open(l),
+                scores: self.index.postings(l).scores,
+                wq,
+                rest,
+                heap_k,
+            };
+            let n = term.scores.len();
             // Strongest threshold at term start: the k-th largest current
-            // partial (includes growth from updates), as in MaxScore —
-            // computed over the compact dense accumulator array. After
-            // exactly one processed term the partials *are* the admission
-            // values, so a full admission heap already holds the answer
-            // and the O(touched) selection is skipped.
+            // partial (includes growth from updates), computed over the
+            // compact dense accumulator array. After exactly one
+            // processed term the partials *are* the admission values, so
+            // a full admission heap already holds the answer and the
+            // O(touched) selection is skipped.
             let mut threshold = if top_k == 0 {
                 None
             } else if i == 1 && session.cand_heap.len() == top_k {
                 Some(session.cand_heap[0])
             } else {
-                kth_partial_dense(session, top_k)
+                kth_partial(session, top_k)
             };
             raise_to_heap_threshold(session, heap_k, &mut threshold);
             if admitting {
@@ -866,12 +781,11 @@ impl QueryEngine {
                     }
                 }
             }
+            let start_len = session.touched.len();
             if !admitting {
-                self.update_candidates_or_scan(session, l, wq, list, session.touched.len());
+                self.update_touched(session, l, &term, start_len);
                 continue;
             }
-            let rest = session.suffix[i + 1];
-            let start_len = session.touched.len();
             let blocks = self.index.block_maxima(l);
 
             // Conservative admission cut under the start-of-term
@@ -892,69 +806,46 @@ impl QueryEngine {
                 }
             };
 
-            if start_len * 8 + cut < n {
-                // Candidate-side mode: the admitting prefix plus the
-                // touched set is far smaller than the list. Settle every
-                // previously-touched resource through its concept vector
-                // (covers its posting wherever it sits in the list), then
-                // scan only the prefix for *fresh* admissions — touched
-                // resources are skipped there, and the dead tail is never
-                // read at all.
+            // Candidate-side mode: the admitting prefix plus the touched
+            // set is far smaller than the list. Settle every
+            // previously-touched resource through its concept vector
+            // (covers its posting wherever it sits in the list), then
+            // scan only the prefix for *fresh* admissions — touched
+            // resources are skipped there, and the dead tail is never
+            // read at all. List-scan mode otherwise: admit + update in
+            // one pass over the whole list.
+            let candidate_side = start_len * 8 + cut < n;
+            let end = if candidate_side {
                 self.update_candidates(session, l, wq, start_len);
-                let mut pos = 0usize;
-                for &bm in &blocks[..cut.div_ceil(BLOCK_LEN)] {
-                    raise_to_heap_threshold(session, heap_k, &mut threshold);
-                    if let Some(th) = threshold {
-                        if (wq * bm + rest) * PRUNE_SLACK < th {
-                            break;
-                        }
-                    }
-                    let block_end = (pos + BLOCK_LEN).min(cut);
-                    admit_fresh(session, list, pos, block_end, wq, heap_k);
-                    pos = block_end;
-                }
+                cut
             } else {
-                // List-scan mode: admit + update in one pass over the
-                // live region, with one bound check per block.
-                let mut pos = 0usize;
-                for &bm in blocks {
-                    raise_to_heap_threshold(session, heap_k, &mut threshold);
-                    if let Some(th) = threshold {
-                        if (wq * bm + rest) * PRUNE_SLACK < th {
-                            // No posting from here on can admit. Resources
-                            // admitted earlier in *this* list cannot
-                            // reappear in its tail, so with no earlier
-                            // touched resources the tail is dead weight;
-                            // otherwise it is update-only.
-                            if pos == 0 {
-                                self.update_candidates_or_scan(session, l, wq, list, start_len);
-                            } else if start_len > 0 {
-                                update_only_dense(
-                                    session,
-                                    &list.ids[pos..],
-                                    &list.scores[pos..],
-                                    wq,
-                                );
-                            }
-                            pos = n;
-                            break;
-                        }
+                n
+            };
+            let mut pos = 0usize;
+            for &bm in &blocks[..end.div_ceil(BLOCK_LEN)] {
+                raise_to_heap_threshold(session, heap_k, &mut threshold);
+                if threshold.is_some_and(|th| (wq * bm + rest) * PRUNE_SLACK < th) {
+                    // No posting from here on can admit. In list-scan
+                    // mode the touched set still needs the tail — except
+                    // resources admitted earlier in *this* list, which
+                    // cannot reappear in it, so with no earlier touched
+                    // resources the tail is dead weight.
+                    if !candidate_side && start_len > 0 {
+                        term.update_only(session, pos);
                     }
-                    let block_end = (pos + BLOCK_LEN).min(n);
-                    if start_len == 0 {
-                        // First processed term: every posting is a fresh
-                        // admission (a resource appears once per list), so
-                        // the slot word is written without being read, and
-                        // past the k-th posting the descending
-                        // contributions can never displace the admission
-                        // heap's minimum — no offers needed.
-                        admit_block_first(session, list, pos, block_end, wq, heap_k);
-                    } else {
-                        admit_block(session, list, pos, block_end, wq, heap_k);
-                    }
-                    pos = block_end;
+                    break;
                 }
-                debug_assert!(pos == n);
+                let block = pos..(pos + BLOCK_LEN).min(end);
+                pos = block.end;
+                if candidate_side {
+                    term.scan_block::<false>(session, block, threshold);
+                } else if start_len == 0 {
+                    // First processed term: every posting is a fresh
+                    // admission (a resource appears once per list).
+                    term.admit_first(session, block);
+                } else {
+                    term.scan_block::<true>(session, block, threshold);
+                }
             }
         }
     }
@@ -982,270 +873,24 @@ impl QueryEngine {
     /// term's posting list, or — when the touched set is far smaller —
     /// candidate-side vector lookups. The factor 8 keeps the lookup path
     /// (a handful of binary-search probes plus a division per hit) to
-    /// cases where it wins decisively over `len` id loads.
-    fn update_candidates_or_scan(
+    /// cases where it wins decisively over `len` id reads.
+    fn update_touched<S: PostingSource>(
         &self,
         session: &mut QuerySession,
         l: usize,
-        wq: f64,
-        list: PostingsRef<'_>,
+        term: &Term<'_, S>,
         count: usize,
     ) {
-        if count * 8 < list.len() {
-            self.update_candidates(session, l, wq, count);
+        if count * 8 < term.scores.len() {
+            self.update_candidates(session, l, term.wq, count);
         } else {
-            update_only_dense(session, list.ids, list.scores, wq);
-        }
-    }
-
-    /// The compressed decode-and-admit loop: the block-max skeleton —
-    /// same thresholds, same exact block-maxima cuts, same candidate-side
-    /// escape — run over the compressed posting mirror instead of the
-    /// exact id array. Per admitted block the bit-packed ids are decoded
-    /// into the session's reusable buffer; *fresh* candidates are gated
-    /// per posting by the quantized impact upper bound
-    /// (`(wq · dequant + rest) · PRUNE_SLACK < threshold` → skip), and
-    /// every contribution that is actually accumulated reads the exact
-    /// f64 impact — "quantize to reject, rescore to accept".
-    ///
-    /// Why gating is exact: `dequant ≥ impact` (a build/load invariant),
-    /// so a skipped posting satisfies the same proof obligation as a
-    /// skipped block — the resource's best possible final score is
-    /// strictly below the final k-th. It may be admitted by a *later*
-    /// term with an incomplete (smaller) accumulator, exactly like a
-    /// resource skipped by a block cut, and the same argument shows it
-    /// can never displace a true top-k member: whenever a threshold
-    /// exists at least k touched resources already exist, so spurious or
-    /// missing admissions never reach the emit-everything regime, and in
-    /// the heap regime every true top-k member keeps a complete
-    /// accumulator (its bound can never lose to the threshold). The
-    /// emitted ranking is therefore bit-identical to the uncompressed
-    /// paths — enforced three-way by `query_engine_equivalence`.
-    fn accumulate_compressed(&self, session: &mut QuerySession, top_k: usize) {
-        let m = session.terms.len();
-        let heap_k = if top_k > 0 && top_k * 4 <= self.index.num_resources() {
-            top_k
-        } else {
-            0
-        };
-        let c = self.index.compressed();
-        let mut admitting = true;
-        for i in 0..m {
-            let (l, wq) = session.terms[i];
-            let l = l as usize;
-            let list = self.index.postings(l);
-            let n = list.len();
-            let mut threshold = if top_k == 0 {
-                None
-            } else if i == 1 && session.cand_heap.len() == top_k {
-                Some(session.cand_heap[0])
-            } else {
-                kth_partial_dense(session, top_k)
-            };
-            raise_to_heap_threshold(session, heap_k, &mut threshold);
-            if admitting {
-                if let Some(th) = threshold {
-                    if session.suffix[i] * PRUNE_SLACK < th {
-                        admitting = false;
-                    }
-                }
-            }
-            if !admitting {
-                let count = session.touched.len();
-                self.update_compressed_or_candidates(session, l, wq, count);
-                continue;
-            }
-            let rest = session.suffix[i + 1];
-            let start_len = session.touched.len();
-            let blocks = self.index.block_maxima(l);
-            let blk0 = self.index.first_block(l);
-            let post0 = self.index.posting_start(l);
-
-            // Conservative admission cut, identical to the block-max
-            // path (the cut bound uses the exact block maxima, which
-            // stay hot in both modes).
-            let cut = match threshold {
-                None => n,
-                Some(th) => {
-                    let mut c = 0usize;
-                    for &bm in blocks {
-                        if (wq * bm + rest) * PRUNE_SLACK < th {
-                            break;
-                        }
-                        c = (c + BLOCK_LEN).min(n);
-                    }
-                    c
-                }
-            };
-
-            if start_len * 8 + cut < n {
-                // Candidate-side mode (same shape as block-max): settle
-                // the touched set through resource vectors, then decode
-                // only the admitting prefix for fresh candidates.
-                self.update_candidates(session, l, wq, start_len);
-                let mut pos = 0usize;
-                for (bi, &bm) in blocks[..cut.div_ceil(BLOCK_LEN)].iter().enumerate() {
-                    raise_to_heap_threshold(session, heap_k, &mut threshold);
-                    if let Some(th) = threshold {
-                        if (wq * bm + rest) * PRUNE_SLACK < th {
-                            break;
-                        }
-                    }
-                    let block_end = (pos + BLOCK_LEN).min(cut);
-                    let blk = blk0 + bi;
-                    // Bit-packing is sequential from the block start, so
-                    // streaming the first `take` ids of a cut block works.
-                    admit_fresh_compressed(
-                        session,
-                        c,
-                        blk,
-                        &list.scores[pos..block_end],
-                        &c.quant[post0 + pos..post0 + block_end],
-                        wq,
-                        rest,
-                        threshold,
-                        heap_k,
-                    );
-                    pos = block_end;
-                }
-            } else {
-                // List-scan mode: decode + admit + update in one pass.
-                let mut pos = 0usize;
-                for (bi, &bm) in blocks.iter().enumerate() {
-                    raise_to_heap_threshold(session, heap_k, &mut threshold);
-                    if let Some(th) = threshold {
-                        if (wq * bm + rest) * PRUNE_SLACK < th {
-                            if pos == 0 {
-                                self.update_compressed_or_candidates(session, l, wq, start_len);
-                            } else if start_len > 0 {
-                                self.update_only_compressed(session, l, pos, wq);
-                            }
-                            pos = n;
-                            break;
-                        }
-                    }
-                    let block_end = (pos + BLOCK_LEN).min(n);
-                    let blk = blk0 + bi;
-                    let take = block_end - pos;
-                    if start_len == 0 {
-                        // The first term admits every posting, so the
-                        // decoded ids ARE the touched tail — decode
-                        // straight into it and skip the staging buffer.
-                        let dst0 = session.touched.len();
-                        session.touched.resize(dst0 + take, 0);
-                        self.index
-                            .decode_block_ids(blk, take, &mut session.touched[dst0..]);
-                        admit_block_first_compressed(
-                            session,
-                            dst0,
-                            &list.scores[pos..block_end],
-                            wq,
-                            heap_k,
-                        );
-                    } else {
-                        admit_block_compressed(
-                            session,
-                            c,
-                            blk,
-                            &list.scores[pos..block_end],
-                            &c.quant[post0 + pos..post0 + block_end],
-                            wq,
-                            rest,
-                            threshold,
-                            heap_k,
-                        );
-                    }
-                    pos = block_end;
-                }
-                debug_assert!(pos == n);
-            }
-        }
-    }
-
-    /// Compressed analogue of [`Self::update_candidates_or_scan`]:
-    /// candidate-side vector lookups when the touched set is far smaller
-    /// than the list, else a decode-scan of the whole list in
-    /// update-only mode.
-    fn update_compressed_or_candidates(
-        &self,
-        session: &mut QuerySession,
-        l: usize,
-        wq: f64,
-        count: usize,
-    ) {
-        if count * 8 < self.index.postings(l).len() {
-            self.update_candidates(session, l, wq, count);
-        } else {
-            self.update_only_compressed(session, l, 0, wq);
-        }
-    }
-
-    /// Compressed update-only tail: adds term `l`'s contributions to
-    /// already-touched resources over postings `[from, len)` (with
-    /// `from` on a block boundary), streaming decoded ids straight into
-    /// the slot-map probe; only hits read the exact impact array.
-    fn update_only_compressed(&self, session: &mut QuerySession, l: usize, from: usize, wq: f64) {
-        let list = self.index.postings(l);
-        let c = self.index.compressed();
-        let n = list.len();
-        let blk0 = self.index.first_block(l);
-        let epoch_bits = (session.res_cur as u64) << 32;
-        debug_assert!(from.is_multiple_of(BLOCK_LEN));
-        let (slot_map, acc_dense) = (&session.slot_map, &mut session.acc_dense);
-        let mut pos = from;
-        while pos < n {
-            let block_end = (pos + BLOCK_LEN).min(n);
-            let scores = &list.scores[pos..block_end];
-            c.for_each_block_id(blk0 + pos / BLOCK_LEN, block_end - pos, |j, r| {
-                let word = slot_map[r as usize];
-                if word & 0xFFFF_FFFF_0000_0000 == epoch_bits {
-                    acc_dense[(word & 0xFFFF_FFFF) as usize] += wq * scores[j];
-                }
-            });
-            pos = block_end;
+            term.update_only(session, 0);
         }
     }
 }
 
-/// Emits the MaxScore path's results from the resource-indexed
-/// accumulators: bounded min-heap over final (divided) scores when k is
-/// limiting, else collect-and-sort. The PR-1 loop, kept verbatim as the
-/// reference.
-fn select_emit_sparse(
-    session: &mut QuerySession,
-    norm: f64,
-    top_k: usize,
-    out: &mut Vec<RankedResource>,
-) {
-    let matched = session.touched.len();
-    if top_k == 0 || matched <= top_k {
-        out.extend(session.touched.iter().map(|&r| RankedResource {
-            resource: ResourceId::from_index(r as usize),
-            score: session.acc[r as usize] / norm,
-        }));
-        sort_ranked(out);
-        return;
-    }
-    session.heap.clear();
-    for idx in 0..matched {
-        let r = session.touched[idx];
-        let cand = (session.acc[r as usize] / norm, r);
-        if session.heap.len() < top_k {
-            heap_push(&mut session.heap, cand);
-        } else if worse(session.heap[0], cand) {
-            session.heap[0] = cand;
-            heap_sift_down(&mut session.heap, 0);
-        }
-    }
-    out.extend(session.heap.iter().map(|&(s, r)| RankedResource {
-        resource: ResourceId::from_index(r as usize),
-        score: s,
-    }));
-    sort_ranked(out);
-}
-
-/// Emits the block-max path's results from the dense accumulators. The
-/// heap pre-filters in *undivided* space: a candidate is divided (and
+/// Emits the results from the dense accumulators. The heap pre-filters
+/// in *undivided* space: a candidate is divided (and
 /// exactly compared) only when its raw accumulator could possibly reach
 /// the heap minimum. `reject_bound = heap_min · norm · (1 − 1e-9)` is
 /// conservative: any candidate whose divided score ties or beats the
@@ -1255,12 +900,7 @@ fn select_emit_sparse(
 /// them anyway. This removes the per-candidate division — a dominant
 /// selection cost on large candidate sets — and scans only the compact
 /// dense array.
-fn select_emit_dense(
-    session: &mut QuerySession,
-    norm: f64,
-    top_k: usize,
-    out: &mut Vec<RankedResource>,
-) {
+fn select_emit(session: &mut QuerySession, norm: f64, top_k: usize, out: &mut Vec<RankedResource>) {
     let matched = session.touched.len();
     if top_k == 0 || matched <= top_k {
         out.extend(
@@ -1333,239 +973,237 @@ fn accumulate_concept(session: &mut QuerySession, l: usize, w: f64) -> bool {
     fresh
 }
 
-/// Scans postings `[lo, hi)` of `list` with no admission bound checks:
-/// update touched resources (through their slot word), admit the rest
-/// (feeding each admission's contribution into the bounded threshold
-/// heap when enabled). The tight inner loop of the block-max list-scan
-/// mode — one random cache line (`slot_map[r]`) per posting; the
-/// accumulator itself lives in the compact dense array.
-#[inline]
-fn admit_block(
-    session: &mut QuerySession,
-    list: PostingsRef<'_>,
-    lo: usize,
-    hi: usize,
-    wq: f64,
-    heap_k: usize,
-) {
-    let epoch_bits = (session.res_cur as u64) << 32;
-    for (&r, &s) in list.ids[lo..hi].iter().zip(&list.scores[lo..hi]) {
-        let r = r as usize;
-        let contribution = wq * s;
-        let word = session.slot_map[r];
-        if word & 0xFFFF_FFFF_0000_0000 == epoch_bits {
-            session.acc_dense[(word & 0xFFFF_FFFF) as usize] += contribution;
-        } else {
-            session.slot_map[r] = session.slot_word(session.touched.len());
-            session.touched.push(r as u32);
-            session.acc_dense.push(contribution);
-            if heap_k > 0 {
-                offer_admission(&mut session.cand_heap, heap_k, contribution);
-            }
-        }
-    }
-}
-
-/// First-term admission of postings `[lo, hi)`: nothing is touched yet,
-/// so every posting admits without reading its slot word, and because
-/// contributions arrive in descending order the admission heap is
-/// exactly the first `heap_k` of them — later postings are at most the
-/// heap minimum and are not offered.
-#[inline]
-fn admit_block_first(
-    session: &mut QuerySession,
-    list: PostingsRef<'_>,
-    lo: usize,
-    hi: usize,
-    wq: f64,
-    heap_k: usize,
-) {
-    let mut j = lo;
-    while j < hi && session.cand_heap.len() < heap_k {
-        let contribution = wq * list.scores[j];
-        session.slot_map[list.ids[j] as usize] = session.slot_word(session.touched.len());
-        session.touched.push(list.ids[j]);
-        session.acc_dense.push(contribution);
-        offer_admission(&mut session.cand_heap, heap_k, contribution);
-        j += 1;
-    }
-    // Bulk admission of the rest: id copy is a memcpy, the contribution
-    // products vectorize, and only the slot writes need a scalar pass.
-    let ids = &list.ids[j..hi];
-    let scores = &list.scores[j..hi];
-    let base = session.touched.len();
-    session.touched.extend_from_slice(ids);
-    session.acc_dense.extend(scores.iter().map(|&s| wq * s));
-    let epoch_bits = (session.res_cur as u64) << 32;
-    for (ofs, &r) in ids.iter().enumerate() {
-        session.slot_map[r as usize] = epoch_bits | (base + ofs) as u64;
-    }
-}
-
-/// Scans postings `[lo, hi)` admitting only resources not touched yet —
-/// the candidate-side mode already settled every previously-touched
-/// resource through its vector, so touched postings are skipped here.
-#[inline]
-fn admit_fresh(
-    session: &mut QuerySession,
-    list: PostingsRef<'_>,
-    lo: usize,
-    hi: usize,
-    wq: f64,
-    heap_k: usize,
-) {
-    let epoch_bits = (session.res_cur as u64) << 32;
-    for (&r, &s) in list.ids[lo..hi].iter().zip(&list.scores[lo..hi]) {
-        let r = r as usize;
-        if session.slot_map[r] & 0xFFFF_FFFF_0000_0000 != epoch_bits {
-            let contribution = wq * s;
-            session.slot_map[r] = session.slot_word(session.touched.len());
-            session.touched.push(r as u32);
-            session.acc_dense.push(contribution);
-            if heap_k > 0 {
-                offer_admission(&mut session.cand_heap, heap_k, contribution);
-            }
-        }
-    }
-}
-
-/// Compressed admit-or-update over one decoded block (the list-scan
-/// inner loop): touched resources take the exact update unconditionally;
-/// fresh resources are admitted only when their quantized upper bound
-/// clears the threshold. The exact impact is read *after* the gate, so
-/// rejected fresh postings never touch the 8-byte score array.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn admit_block_compressed(
-    session: &mut QuerySession,
-    c: &CompressedPostings,
-    blk: usize,
-    scores: &[f64],
-    quant: &[u8],
-    wq: f64,
-    rest: f64,
-    threshold: Option<f64>,
-    heap_k: usize,
-) {
-    let epoch_bits = (session.res_cur as u64) << 32;
-    let dq_scale = c.blk_scale[blk] as f64;
-    let dq_offset = c.blk_offset[blk] as f64;
-    c.for_each_block_id(blk, scores.len(), |j, r| {
-        let r = r as usize;
-        let word = session.slot_map[r];
-        if word & 0xFFFF_FFFF_0000_0000 == epoch_bits {
-            session.acc_dense[(word & 0xFFFF_FFFF) as usize] += wq * scores[j];
-        } else {
-            if let Some(th) = threshold {
-                let bound = dq_offset + dq_scale * quant[j] as f64;
-                if (wq * bound + rest) * PRUNE_SLACK < th {
-                    return;
-                }
-            }
-            let contribution = wq * scores[j];
-            session.slot_map[r] = session.slot_word(session.touched.len());
-            session.touched.push(r as u32);
-            session.acc_dense.push(contribution);
-            if heap_k > 0 {
-                offer_admission(&mut session.cand_heap, heap_k, contribution);
-            }
-        }
-    });
-}
-
-/// First-term admission of one block whose ids were already decoded into
-/// `session.touched[dst0..]`, mirroring the exact path's
-/// [`admit_block_first`] shape: nothing is touched yet, so every posting
-/// admits without reading its slot word, and because contributions
-/// arrive in descending impact order the admission heap is exactly the
-/// first `heap_k` of them — later postings are never offered. The
-/// quantized gate is deliberately *not* applied here: with every posting
-/// fresh there is no cold score read to save (each admission reads its
-/// exact impact anyway), and skipping the gate keeps the bulk admission
-/// (in-place decode + vectorized products) that makes the first term
-/// cheap; it also admits exactly the set the uncompressed path admits,
-/// so the accumulator state stays identical.
-#[inline]
-fn admit_block_first_compressed(
-    session: &mut QuerySession,
-    dst0: usize,
-    scores: &[f64],
-    wq: f64,
-    heap_k: usize,
-) {
-    debug_assert_eq!(dst0, session.acc_dense.len());
-    let mut j = 0;
-    while j < scores.len() && session.cand_heap.len() < heap_k {
-        offer_admission(&mut session.cand_heap, heap_k, wq * scores[j]);
-        j += 1;
-    }
-    session.acc_dense.extend(scores.iter().map(|&s| wq * s));
-    let epoch_bits = (session.res_cur as u64) << 32;
-    let (touched, slot_map) = (&session.touched, &mut session.slot_map);
-    for (ofs, &r) in touched[dst0..].iter().enumerate() {
-        slot_map[r as usize] = epoch_bits | (dst0 + ofs) as u64;
-    }
-}
-
-/// Candidate-side fresh admission over one decoded block: touched
-/// resources were already settled through their vectors, so they are
-/// skipped; fresh ones pass the quantized gate before the exact read.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn admit_fresh_compressed(
-    session: &mut QuerySession,
-    c: &CompressedPostings,
-    blk: usize,
-    scores: &[f64],
-    quant: &[u8],
-    wq: f64,
-    rest: f64,
-    threshold: Option<f64>,
-    heap_k: usize,
-) {
-    let epoch_bits = (session.res_cur as u64) << 32;
-    let dq_scale = c.blk_scale[blk] as f64;
-    let dq_offset = c.blk_offset[blk] as f64;
-    c.for_each_block_id(blk, scores.len(), |j, r| {
-        let r = r as usize;
-        if session.slot_map[r] & 0xFFFF_FFFF_0000_0000 != epoch_bits {
-            if let Some(th) = threshold {
-                let bound = dq_offset + dq_scale * quant[j] as f64;
-                if (wq * bound + rest) * PRUNE_SLACK < th {
-                    return;
-                }
-            }
-            let contribution = wq * scores[j];
-            session.slot_map[r] = session.slot_word(session.touched.len());
-            session.touched.push(r as u32);
-            session.acc_dense.push(contribution);
-            if heap_k > 0 {
-                offer_admission(&mut session.cand_heap, heap_k, contribution);
-            }
-        }
-    });
-}
-
 // xtask:no-alloc:begin — per-query inner-loop helpers: scratch buffers
 // reach steady capacity after warmup; growth here would defeat session
 // reuse. Escapes below are grow-only appends into retained buffers.
-/// Adds a term's contributions to already-touched resources only (the
-/// block-max tail scan): one random 8-byte read per posting, with hits
-/// accumulating into the dense array.
-fn update_only_dense(session: &mut QuerySession, ids: &[u32], scores: &[f64], wq: f64) {
-    let epoch_bits = (session.res_cur as u64) << 32;
-    for (&r, &s) in ids.iter().zip(scores) {
-        let word = session.slot_map[r as usize];
-        if word & 0xFFFF_FFFF_0000_0000 == epoch_bits {
-            session.acc_dense[(word & 0xFFFF_FFFF) as usize] += wq * s;
+/// How the block-max skeleton reads one concept's posting ids. The exact
+/// f64 impacts are always read from the index's score array; a source
+/// supplies the ids and, optionally, a cheaper per-posting impact bound.
+trait PostingSource: Copy {
+    /// Streams `f(j, id)` over postings `range` of the list, `j` counted
+    /// from `range.start`, which must sit on a block boundary.
+    fn for_each_id(self, range: Range<usize>, f: impl FnMut(usize, u32));
+
+    /// Appends the ids of postings `range` (at most one block, starting
+    /// on a block boundary) to `out`.
+    fn append_ids(self, range: Range<usize>, out: &mut Vec<u32>);
+
+    /// Upper bounds on the impacts of block `range`, indexed like
+    /// [`Self::for_each_id`]'s `j`, for gating *fresh* candidates before
+    /// their exact impact is read; `None` when the source has no bound
+    /// cheaper than the impact itself. Why gating is exact: the bound
+    /// dominates the impact, so a skipped posting satisfies the same
+    /// proof obligation as a skipped block — the resource's best
+    /// possible final score is strictly below the final k-th.
+    fn impact_bounds(self, range: Range<usize>) -> Option<impl Fn(usize) -> f64>;
+}
+
+/// The exact `u32` id array of one list ([`PruningStrategy::BlockMax`]).
+#[derive(Clone, Copy)]
+struct RawIds<'a>(&'a [u32]);
+
+impl PostingSource for RawIds<'_> {
+    #[inline]
+    fn for_each_id(self, range: Range<usize>, mut f: impl FnMut(usize, u32)) {
+        for (j, &r) in self.0[range].iter().enumerate() {
+            f(j, r);
+        }
+    }
+
+    #[inline]
+    fn append_ids(self, range: Range<usize>, out: &mut Vec<u32>) {
+        out.extend_from_slice(&self.0[range]); // ALLOC-OK: grow-only reused scratch.
+    }
+
+    #[inline]
+    fn impact_bounds(self, _: Range<usize>) -> Option<impl Fn(usize) -> f64> {
+        None::<fn(usize) -> f64>
+    }
+}
+
+/// One list of the compressed posting mirror
+/// ([`PruningStrategy::CompressedBlockMax`]): frame-of-reference ids
+/// decoded per block, with the 8-bit quantized impacts as the gate.
+#[derive(Clone, Copy)]
+struct PackedIds<'a> {
+    mirror: &'a CompressedPostings,
+    /// Global index of the list's first block.
+    first_block: usize,
+    /// The list's per-posting quantized impacts.
+    quant: &'a [u8],
+}
+
+impl<'a> PackedIds<'a> {
+    fn open(index: &'a ConceptIndex, l: usize) -> Self {
+        let mirror = index.compressed();
+        let lo = index.posting_start(l);
+        PackedIds {
+            mirror,
+            first_block: index.first_block(l),
+            quant: &mirror.quant[lo..lo + index.postings(l).len()],
         }
     }
 }
 
-/// K-th largest dense partial score, or `None` while fewer than `k`
-/// resources are touched. Operates on the compact per-query accumulator
-/// array (a bulk copy + select, no gathers).
-fn kth_partial_dense(session: &mut QuerySession, k: usize) -> Option<f64> {
+impl PostingSource for PackedIds<'_> {
+    #[inline]
+    fn for_each_id(self, range: Range<usize>, mut f: impl FnMut(usize, u32)) {
+        debug_assert!(range.start.is_multiple_of(BLOCK_LEN));
+        let mut pos = range.start;
+        while pos < range.end {
+            let block_end = (pos + BLOCK_LEN).min(range.end);
+            let base = pos - range.start;
+            // Bit-packing is sequential from the block start, so
+            // streaming only the first ids of a block works.
+            self.mirror.for_each_block_id(
+                self.first_block + pos / BLOCK_LEN,
+                block_end - pos,
+                |j, r| f(base + j, r),
+            );
+            pos = block_end;
+        }
+    }
+
+    #[inline]
+    fn append_ids(self, range: Range<usize>, out: &mut Vec<u32>) {
+        let at = out.len();
+        out.resize(at + range.len(), 0); // ALLOC-OK: grow-only reused scratch.
+        self.mirror.decode_block_ids(
+            self.first_block + range.start / BLOCK_LEN,
+            range.len(),
+            &mut out[at..],
+        );
+    }
+
+    #[inline]
+    fn impact_bounds(self, range: Range<usize>) -> Option<impl Fn(usize) -> f64> {
+        let blk = self.first_block + range.start / BLOCK_LEN;
+        let scale = self.mirror.blk_scale[blk] as f64;
+        let offset = self.mirror.blk_offset[blk] as f64;
+        let quant = &self.quant[range];
+        Some(move |j: usize| offset + scale * quant[j] as f64)
+    }
+}
+
+/// Admits `r` as a fresh candidate with its first contribution, feeding
+/// the bounded threshold heap when enabled.
+#[inline]
+fn admit(session: &mut QuerySession, r: u32, contribution: f64, heap_k: usize) {
+    session.slot_map[r as usize] = session.slot_word(session.touched.len());
+    session.touched.push(r); // ALLOC-OK: grow-only reused scratch.
+    session.acc_dense.push(contribution); // ALLOC-OK: grow-only reused scratch.
+    if heap_k > 0 {
+        offer_admission(&mut session.cand_heap, heap_k, contribution);
+    }
+}
+
+/// One query term as the skeleton's inner loops see it.
+struct Term<'a, S> {
+    /// The list's resource ids.
+    src: S,
+    /// The list's exact impacts, parallel to the ids.
+    scores: &'a [f64],
+    /// The term's query weight.
+    wq: f64,
+    /// Summed bound of the terms after this one.
+    rest: f64,
+    /// Capacity of the admission heap (0 = disabled).
+    heap_k: usize,
+}
+
+impl<S: PostingSource> Term<'_, S> {
+    /// The skeleton's inner loop over one `block` of the list, with no
+    /// block bound check: fresh resources are admitted — after the
+    /// source's per-posting gate, when it has one and a threshold exists
+    /// — and touched ones take the exact update when `UPDATE` (list-scan
+    /// mode) or are skipped (candidate-side mode already settled them
+    /// through their vectors). One random cache line (`slot_map[r]`) per
+    /// posting; the exact impact is read *after* the gate, so rejected
+    /// fresh postings never touch the 8-byte score array.
+    #[inline]
+    fn scan_block<const UPDATE: bool>(
+        &self,
+        session: &mut QuerySession,
+        block: Range<usize>,
+        threshold: Option<f64>,
+    ) {
+        let (wq, rest, heap_k) = (self.wq, self.rest, self.heap_k);
+        let epoch_bits = (session.res_cur as u64) << 32;
+        let scores = &self.scores[block.start..block.end];
+        let gate = threshold.and_then(|th| {
+            let bound = self.src.impact_bounds(block.start..block.end)?;
+            Some((th, bound))
+        });
+        self.src.for_each_id(block, |j, r| {
+            let word = session.slot_map[r as usize];
+            if word & 0xFFFF_FFFF_0000_0000 == epoch_bits {
+                if UPDATE {
+                    session.acc_dense[(word & 0xFFFF_FFFF) as usize] += wq * scores[j];
+                }
+                return;
+            }
+            if let Some((th, bound)) = &gate {
+                if (wq * bound(j) + rest) * PRUNE_SLACK < *th {
+                    return;
+                }
+            }
+            admit(session, r, wq * scores[j], heap_k);
+        });
+    }
+
+    /// First-term admission of one `block`: nothing is touched yet, so
+    /// every posting admits without reading its slot word — the ids land
+    /// in `touched` as one bulk copy (or one in-place decode), the
+    /// contribution products vectorize, and only the slot writes need a
+    /// scalar pass. Because contributions arrive in descending order the
+    /// admission heap is exactly the first `heap_k` of them; later
+    /// postings are at most the heap minimum and are not offered. The
+    /// source's gate is deliberately *not* applied: with every posting
+    /// fresh there is no cold score read to save, and both sources then
+    /// admit the identical set.
+    #[inline]
+    fn admit_first(&self, session: &mut QuerySession, block: Range<usize>) {
+        let base = session.touched.len();
+        debug_assert_eq!(base, session.acc_dense.len());
+        let scores = &self.scores[block.start..block.end];
+        self.src.append_ids(block, &mut session.touched);
+        let mut j = 0;
+        while j < scores.len() && session.cand_heap.len() < self.heap_k {
+            offer_admission(&mut session.cand_heap, self.heap_k, self.wq * scores[j]);
+            j += 1;
+        }
+        session
+            .acc_dense
+            .extend(scores.iter().map(|&s| self.wq * s)); // ALLOC-OK: grow-only reused scratch.
+        let epoch_bits = (session.res_cur as u64) << 32;
+        let (touched, slot_map) = (&session.touched, &mut session.slot_map);
+        for (ofs, &r) in touched[base..].iter().enumerate() {
+            slot_map[r as usize] = epoch_bits | (base + ofs) as u64;
+        }
+    }
+
+    /// Adds the term's contributions to already-touched resources only,
+    /// over postings `from..` of the list (`from` on a block boundary):
+    /// one random 8-byte read per posting, with hits accumulating into
+    /// the dense array; misses read nothing but the id stream.
+    fn update_only(&self, session: &mut QuerySession, from: usize) {
+        let wq = self.wq;
+        let epoch_bits = (session.res_cur as u64) << 32;
+        let scores = &self.scores[from..];
+        let (slot_map, acc_dense) = (&session.slot_map, &mut session.acc_dense);
+        self.src.for_each_id(from..self.scores.len(), |j, r| {
+            let word = slot_map[r as usize];
+            if word & 0xFFFF_FFFF_0000_0000 == epoch_bits {
+                acc_dense[(word & 0xFFFF_FFFF) as usize] += wq * scores[j];
+            }
+        });
+    }
+}
+
+/// K-th largest partial score, or `None` while fewer than `k` resources
+/// are touched. Operates on the compact per-query accumulator array (a
+/// bulk copy + select, no gathers).
+fn kth_partial(session: &mut QuerySession, k: usize) -> Option<f64> {
     if session.acc_dense.len() < k {
         return None;
     }
@@ -1624,34 +1262,6 @@ fn min_sift_down(heap: &mut [f64], mut i: usize) {
         heap.swap(i, smallest);
         i = smallest;
     }
-}
-
-/// Adds a term's contributions to already-touched resources only. Misses
-/// read nothing but the 4-byte id array.
-fn update_only(session: &mut QuerySession, ids: &[u32], scores: &[f64], wq: f64) {
-    for (j, &r) in ids.iter().enumerate() {
-        let r = r as usize;
-        if session.res_epoch[r] == session.res_cur {
-            session.acc[r] += wq * scores[j];
-        }
-    }
-}
-
-/// K-th largest partial score among touched resources, or `None` while
-/// fewer than `k` resources are touched.
-fn kth_partial(session: &mut QuerySession, k: usize) -> Option<f64> {
-    if session.touched.len() < k {
-        return None;
-    }
-    session.select_scratch.clear();
-    session
-        .select_scratch
-        .extend(session.touched.iter().map(|&r| session.acc[r as usize])); // ALLOC-OK: grow-only reused scratch.
-    let idx = k - 1;
-    session.select_scratch.select_nth_unstable_by(idx, |a, b| {
-        b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    Some(session.select_scratch[idx])
 }
 
 /// Final result order: the shared ranking comparator.
@@ -1733,10 +1343,11 @@ mod tests {
     fn default_strategy_is_blockmax_and_switchable() {
         let (_, _, mut engine) = engine();
         assert_eq!(engine.strategy(), PruningStrategy::BlockMax);
-        engine.set_strategy(PruningStrategy::MaxScore);
-        assert_eq!(engine.strategy(), PruningStrategy::MaxScore);
-        let e2 = QueryEngine::with_strategy(engine.index().clone(), PruningStrategy::MaxScore);
-        assert_eq!(e2.strategy(), PruningStrategy::MaxScore);
+        engine.set_strategy(PruningStrategy::CompressedBlockMax);
+        assert_eq!(engine.strategy(), PruningStrategy::CompressedBlockMax);
+        let e2 =
+            QueryEngine::with_strategy(engine.index().clone(), PruningStrategy::CompressedBlockMax);
+        assert_eq!(e2.strategy(), PruningStrategy::CompressedBlockMax);
     }
 
     #[test]
@@ -1753,7 +1364,6 @@ mod tests {
             ],
         ];
         for strategy in [
-            PruningStrategy::MaxScore,
             PruningStrategy::BlockMax,
             PruningStrategy::CompressedBlockMax,
         ] {
@@ -1880,41 +1490,88 @@ mod tests {
 
     #[test]
     fn blockmax_handles_multi_block_lists() {
-        // Lists far longer than BLOCK_LEN with heavy tie groups: the
-        // block loop must cross block boundaries and agree with exact.
+        // Three lists far longer than BLOCK_LEN (a: 1000 postings,
+        // b: 667, neither a multiple of it) and a short one (c: 40), with
+        // impacts spread by varying tag counts and a filler concept.
+        // Repeating a tag in the query shifts weight between the terms,
+        // which is what steers the skeleton: traced once by hand, for
+        // both sources,
+        //   * `[b, b, b, c, a]` at k ≤ 10 admits c, then takes b in
+        //     candidate-side mode (40 touched, cut after 1–3 blocks),
+        //     then settles a without admitting;
+        //   * `[a, b, c]` / `[c, a]` / `[b, c]` at k = 65 admit c, then
+        //     list-scan the next term until the admission heap — which
+        //     fills part-way through a block — ends admission mid-list
+        //     (after 10, 9 and 1 blocks) and the tail is update-only;
+        //   * `[a, b]` breaks off the *first* term's list the same way,
+        //     and `[a, b, c]` at small k settles both long lists through
+        //     candidate vectors without admitting anything.
         let mut b = FolksonomyBuilder::new();
-        for r in 0..400 {
-            b.add("u1", "common", &format!("r{r}"));
-            if r % 5 == 0 {
-                b.add("u1", "rare", &format!("r{r}"));
-            }
+        for r in 0..2000usize {
+            let name = format!("r{r}");
+            let mut tag = |t: &str, users: usize| {
+                for u in 0..users {
+                    b.add(&format!("u{u}"), t, &name);
+                }
+            };
             if r % 2 == 0 {
-                b.add("u2", "common", &format!("r{r}"));
+                tag("a", 1 + r % 7);
+            }
+            if r % 3 == 0 {
+                tag("b", 1 + r % 5);
+            }
+            if r % 50 == 0 {
+                tag("c", 1 + r % 3);
+            }
+            if r % 2 == 1 || r % 7 == 0 {
+                tag("z", 1 + r % 4);
             }
         }
         let f = b.build();
-        let model = ConceptModel::from_assignments(vec![0, 1], 1.0);
+        let model = ConceptModel::from_assignments(vec![0, 1, 2, 3], 1.0);
         let mut engine = QueryEngine::new(ConceptIndex::build(&f, &model));
-        let common = f.tag_id("common").unwrap();
-        let rare = f.tag_id("rare").unwrap();
+        let [a, b, c] = ["a", "b", "c"].map(|t| f.tag_id(t).unwrap());
+        let candidate_side = vec![b, b, b, c, a];
+        let queries = [
+            vec![a, b],
+            vec![a, b, c],
+            vec![c, a],
+            vec![b, c],
+            vec![b, b, b, b, c, a],
+            candidate_side.clone(),
+            vec![a],
+        ];
+        let mut session = engine.session();
+        let mut pruned = Vec::new();
+        // Candidates the candidate-side query admits at k = 10, per source.
+        let mut admitted = Vec::new();
         for strategy in [
-            PruningStrategy::MaxScore,
             PruningStrategy::BlockMax,
             PruningStrategy::CompressedBlockMax,
         ] {
             engine.set_strategy(strategy);
             for k in [1usize, 3, 10, 64, 65, 128, 0] {
-                for tags in [vec![common, rare], vec![rare, common], vec![common]] {
-                    let exact = engine.search_tags_exact(&model, &tags, k);
-                    let pruned = engine.search_tags(&model, &tags, k);
+                for tags in &queries {
+                    let exact = engine.search_tags_exact(&model, tags, k);
+                    engine.search_tags_with(&mut session, &model, tags, k, &mut pruned);
                     assert_eq!(pruned.len(), exact.len(), "{strategy:?} k={k}");
                     for (p, e) in pruned.iter().zip(exact.iter()) {
                         assert_eq!(p.resource, e.resource, "{strategy:?} k={k}");
                         assert_eq!(p.score.to_bits(), e.score.to_bits(), "{strategy:?} k={k}");
                     }
+                    if k == 10 && *tags == candidate_side {
+                        admitted.push(session.touched.len());
+                    }
                 }
             }
         }
+        // The cut really skipped postings, and the compressed source's
+        // per-posting gate rejected fresh candidates the raw one admits.
+        let matches = engine.search_tags_exact(&model, &candidate_side, 0).len();
+        assert!(
+            admitted[1] < admitted[0] && admitted[0] < matches,
+            "{admitted:?} of {matches}"
+        );
     }
 
     #[test]
@@ -1950,7 +1607,6 @@ mod tests {
         let mut out = Vec::new();
         let tags = [f.tag_id("audio").unwrap(), f.tag_id("laptop").unwrap()];
         for strategy in [
-            PruningStrategy::MaxScore,
             PruningStrategy::BlockMax,
             PruningStrategy::CompressedBlockMax,
         ] {
@@ -1983,7 +1639,7 @@ mod tests {
         assert_eq!(session.check_epochs(), Ok(()));
 
         // An epoch tag from the future (counter rolled back / stale
-        // session state) on each of the three tag arrays.
+        // session state) on either tag array.
         let saved = session.concept_epoch[0];
         session.concept_epoch[0] = session.concept_cur + 1;
         assert!(session
@@ -1991,13 +1647,13 @@ mod tests {
             .unwrap_err()
             .contains("ahead of the counter"));
         session.concept_epoch[0] = saved;
-        let saved = session.res_epoch[0];
-        session.res_epoch[0] = session.res_cur + 1;
+        let saved = session.slot_map[0];
+        session.slot_map[0] = (session.res_cur as u64 + 1) << 32;
         assert!(session
             .check_epochs()
             .unwrap_err()
             .contains("ahead of the counter"));
-        session.res_epoch[0] = saved;
+        session.slot_map[0] = saved;
 
         // A touched concept whose tag was invalidated.
         session.concept_epoch[session.concept_touched[0] as usize] = 0;

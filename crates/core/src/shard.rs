@@ -831,19 +831,6 @@ impl ShardSet {
         });
     }
 
-    /// Convenience single query: allocates a fresh session.
-    pub fn search_tags(
-        &self,
-        concepts: &dyn ConceptAssignment,
-        tags: &[TagId],
-        top_k: usize,
-    ) -> Vec<RankedResource> {
-        let mut session = self.session();
-        let mut out = Vec::new();
-        self.search_tags_with(&mut session, concepts, tags, top_k, &mut out);
-        out
-    }
-
     /// Scatter-gather with the per-shard top-k fanned across the
     /// persistent worker pool (one task per shard, pool-cached
     /// sessions): same preparation and global term order as
@@ -862,20 +849,6 @@ impl ShardSet {
         out: &mut Vec<RankedResource>,
     ) {
         self.search_shards(session, concepts, tags, top_k, out, Dispatch::Scatter);
-    }
-
-    /// Convenience pooled scatter on a fresh session; prefer
-    /// [`Self::search_tags_scatter_with`] in serving loops.
-    pub fn search_tags_scatter(
-        &self,
-        concepts: &dyn ConceptAssignment,
-        tags: &[TagId],
-        top_k: usize,
-    ) -> Vec<RankedResource> {
-        let mut session = self.session();
-        let mut out = Vec::new();
-        self.search_tags_scatter_with(&mut session, concepts, tags, top_k, &mut out);
-        out
     }
 
     /// One query answered entirely on the current thread: through the
@@ -1253,14 +1226,6 @@ impl ShardedEngine {
         let set = generation.set();
         set.search_tags_auto(session, set.concepts(), tags, top_k, out);
     }
-
-    /// Convenience single query on a fresh session.
-    pub fn search_tags(&self, tags: &[TagId], top_k: usize) -> Vec<RankedResource> {
-        let mut session = self.session();
-        let mut out = Vec::new();
-        self.search_tags_with(&mut session, tags, top_k, &mut out);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -1413,11 +1378,13 @@ mod tests {
                 f.tag_id("alpha").unwrap(),
             ],
         ];
+        let mut session = set.session();
+        let (mut merged, mut scattered) = (Vec::new(), Vec::new());
         for q in &tags {
             for k in [0usize, 1, 5, 100] {
                 let single = engine.search_tags(&model, q, k);
-                let merged = set.search_tags(&model, q, k);
-                let scattered = set.search_tags_scatter(&model, q, k);
+                set.search_tags_with(&mut session, &model, q, k, &mut merged);
+                set.search_tags_scatter_with(&mut session, &model, q, k, &mut scattered);
                 assert_eq!(merged.len(), single.len(), "k={k} q={q:?}");
                 for (m, s) in merged.iter().zip(single.iter()) {
                     assert_eq!(m.resource, s.resource, "k={k}");
@@ -1462,7 +1429,10 @@ mod tests {
         // The drained generation still answers (in-flight queries hold
         // its Arc)...
         assert_eq!(old.set().num_shards(), 2);
-        assert_eq!(old.set().search_tags(&model, &q, 5), want);
+        let mut old_session = old.set().session();
+        old.set()
+            .search_tags_with(&mut old_session, &model, &q, 5, &mut out);
+        assert_eq!(out, want);
         // ...while the same warmed session now serves the new one.
         engine.search_tags_with(&mut session, &q, 5, &mut out);
         assert_eq!(out, want);

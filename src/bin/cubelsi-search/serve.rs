@@ -53,7 +53,7 @@ use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -320,6 +320,18 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Admitted connections waiting for a handler, and the handlers waiting
+/// for them. One lock guards both, so the accept loop's grow-or-wake
+/// decision compares them at one instant: a parked handler that was
+/// notified and has not woken yet is still counted in `parked` exactly
+/// as long as the connection it will take is still counted in `conns`.
+#[derive(Default)]
+struct ConnQueue {
+    conns: VecDeque<TcpStream>,
+    /// Handlers blocked on `queue_cv`.
+    parked: usize,
+}
+
 /// Everything the accept loop and the handler pool share. Borrowed (not
 /// `Arc`ed) across the scoped threads of [`run_serve`].
 struct Server<'a> {
@@ -331,14 +343,8 @@ struct Server<'a> {
     /// Set by `SHUTDOWN`: stops admission, aborts idle reads, and ends
     /// handler loops once the queue is drained.
     stop: AtomicBool,
-    /// Admitted connections waiting for a handler.
-    queue: Mutex<VecDeque<TcpStream>>,
+    queue: Mutex<ConnQueue>,
     queue_cv: Condvar,
-    /// Handlers currently parked on `queue_cv` — the accept loop spawns
-    /// a new handler only when this is zero (and the pool is below its
-    /// cap), so the pool grows to the offered concurrency and no
-    /// further.
-    idle_handlers: AtomicUsize,
     /// A handler caught a panic; surfaced as the server's exit error
     /// after the drain (the pool itself survives).
     panicked: AtomicBool,
@@ -639,19 +645,15 @@ impl Server<'_> {
                     if self.stop.load(Ordering::SeqCst) {
                         break None;
                     }
-                    if let Some(conn) = queue.pop_front() {
+                    if let Some(conn) = queue.conns.pop_front() {
                         break Some(conn);
                     }
-                    // ORDER: SeqCst pool gauge — the accept loop's
-                    // spawn decision and this park/unpark pair sit in
-                    // one total order with the queue push, so a parked
-                    // handler is never miscounted as busy.
-                    self.idle_handlers.fetch_add(1, Ordering::SeqCst);
+                    queue.parked += 1;
                     queue = self
                         .queue_cv
                         .wait(queue) // HOLDS-LOCK: condvar wait releases the guard.
                         .unwrap_or_else(PoisonError::into_inner);
-                    self.idle_handlers.fetch_sub(1, Ordering::SeqCst); // ORDER: SeqCst pool gauge; see above.
+                    queue.parked -= 1;
                 }
             };
             let Some(conn) = conn else { return };
@@ -723,9 +725,8 @@ pub fn run_serve(
         limits,
         faults,
         stop: AtomicBool::new(false),
-        queue: Mutex::new(VecDeque::new()),
+        queue: Mutex::new(ConnQueue::default()),
         queue_cv: Condvar::new(),
-        idle_handlers: AtomicUsize::new(0),
         panicked: AtomicBool::new(false),
         latency: Mutex::new(LatencyStats::default()),
         counters: ServerCounters::default(),
@@ -769,16 +770,19 @@ pub fn run_serve(
                 .counters
                 .active_connections
                 .fetch_add(1, Ordering::SeqCst); // ORDER: SeqCst admission gauge; see the gate.
-            lock(&server.queue).push_back(stream);
-            // Grow the pool only when no handler is parked: if every
-            // handler is busy and the queue is non-empty, the number of
-            // handlers is below the number of admitted connections,
-            // which the gate already capped at max_conns — so a queued
-            // connection always has a handler coming.
-            // ORDER: SeqCst pool gauge; totally ordered with the
-            // park/unpark pair in `handler_loop`.
-            if server.idle_handlers.load(Ordering::SeqCst) == 0 && spawned < server.limits.max_conns
-            {
+
+            // Grow the pool when the queued connections outnumber the
+            // parked handlers: each parked handler takes one of them, so
+            // the excess has nobody coming unless a handler is spawned.
+            // Busy handlers are not counted, so the pool can grow to the
+            // number of admitted connections, which the gate already
+            // capped at max_conns.
+            let outnumbered = {
+                let mut queue = lock(&server.queue);
+                queue.conns.push_back(stream);
+                queue.conns.len() > queue.parked
+            };
+            if outnumbered && spawned < server.limits.max_conns {
                 spawned += 1;
                 let srv = &server;
                 if let Err(e) = std::thread::Builder::new()
@@ -800,7 +804,7 @@ pub fn run_serve(
         // while connections still queued get an explicit reply instead
         // of a silent close.
         server.queue_cv.notify_all();
-        let leftovers: Vec<TcpStream> = lock(&server.queue).drain(..).collect();
+        let leftovers: Vec<TcpStream> = lock(&server.queue).conns.drain(..).collect();
         for mut stream in leftovers {
             stream.set_write_timeout(Some(SHED_WRITE_TIMEOUT)).ok();
             stream.write_all(b"ERR server shutting down\n").ok();

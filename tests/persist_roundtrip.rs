@@ -712,18 +712,24 @@ fn wrong_magic_is_rejected() {
     ));
 }
 
+/// Only versions 2..=3 are read. A future stamp, a zeroed one, and a
+/// format-v1 stamp (whose index section no longer has a decoder) must all
+/// be refused at the header — by both loaders, before any section is
+/// looked at — with the found and the newest supported version named.
 #[test]
 fn future_version_is_rejected_with_both_versions_named() {
     let (folksonomy, model) = build_random(8);
     let mut bytes = persist::save_to_vec(&model, &folksonomy);
-    // The version field is bytes 8..12 (after the 8-byte magic).
-    bytes[8..12].copy_from_slice(&(persist::FORMAT_VERSION + 1).to_le_bytes());
-    match persist::load_from_bytes(&bytes) {
-        Err(PersistError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, persist::FORMAT_VERSION + 1);
-            assert_eq!(supported, persist::FORMAT_VERSION);
+    for stamp in [persist::FORMAT_VERSION + 1, 0, 1] {
+        // The version field is bytes 8..12 (after the 8-byte magic).
+        bytes[8..12].copy_from_slice(&stamp.to_le_bytes());
+        match assert_both_loaders_reject(&bytes, &format!("version {stamp}")) {
+            PersistError::UnsupportedVersion { found, supported } => {
+                assert_eq!(found, stamp);
+                assert_eq!(supported, persist::FORMAT_VERSION);
+            }
+            other => panic!("version {stamp}: expected UnsupportedVersion, got {other:?}"),
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 }
 

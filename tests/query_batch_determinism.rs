@@ -60,7 +60,10 @@ fn search_batch_is_bit_identical_across_thread_counts() {
             })
             .collect();
 
-        for strategy in [PruningStrategy::MaxScore, PruningStrategy::BlockMax] {
+        for strategy in [
+            PruningStrategy::BlockMax,
+            PruningStrategy::CompressedBlockMax,
+        ] {
             engine.set_strategy(strategy);
             for &k in &[1usize, 10, 0] {
                 parallel::set_num_threads(1);

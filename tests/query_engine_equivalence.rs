@@ -1,10 +1,9 @@
 //! Property-style equivalence tests for the pruned top-k query engine:
-//! over randomized corpora (via `cubelsi-datagen`), a **four-way**
-//! bitwise equivalence must hold — the exhaustive reference path, the
-//! MaxScore per-posting path ([`PruningStrategy::MaxScore`], the PR-1
-//! engine kept selectable as the reference pruned path), the default
-//! block-max path ([`PruningStrategy::BlockMax`]), and the compressed
-//! decode-and-admit path ([`PruningStrategy::CompressedBlockMax`]) must
+//! over randomized corpora (via `cubelsi-datagen`), a **three-way**
+//! bitwise equivalence must hold — the exhaustive reference path and the
+//! two instantiations of the block-max skeleton, over the exact id
+//! arrays ([`PruningStrategy::BlockMax`], the default) and over the
+//! compressed mirror ([`PruningStrategy::CompressedBlockMax`]), must
 //! return *exactly* the same ranked list — scores (bit-for-bit), order,
 //! and tie-breaks — for hard and soft concept assignments and
 //! k ∈ {1, 5, all}.
@@ -23,8 +22,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Every pruned strategy, checked against the exhaustive path in turn.
-const STRATEGIES: [PruningStrategy; 3] = [
-    PruningStrategy::MaxScore,
+const STRATEGIES: [PruningStrategy; 2] = [
     PruningStrategy::BlockMax,
     PruningStrategy::CompressedBlockMax,
 ];
@@ -86,7 +84,7 @@ fn assert_identical(pruned: &[RankedResource], exact: &[RankedResource], context
     }
 }
 
-/// Three-way check: exhaustive ≡ MaxScore ≡ block-max, for every query
+/// Three-way check: exhaustive ≡ block-max ≡ compressed, for every query
 /// and k, on the sequential and the batched path.
 fn check_engine(
     engine: &mut QueryEngine,

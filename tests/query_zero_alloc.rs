@@ -1,8 +1,8 @@
 //! Proves the steady-state serving claim: once a [`QuerySession`] and the
 //! output buffer are warmed, `search_tags_with` performs **zero heap
-//! allocations** per query — under every pruning strategy (the MaxScore
-//! reference, the default block-max loop, and the compressed
-//! decode-and-admit loop), and on an engine serving zero-copy out of a
+//! allocations** per query — under both pruning strategies (the
+//! block-max skeleton over the exact id arrays and over the compressed
+//! mirror), and on an engine serving zero-copy out of a
 //! loaded artifact buffer (including the compressed mirror borrowed
 //! straight from a format-v3 artifact).
 //!
@@ -110,17 +110,16 @@ fn steady_state_search_allocates_nothing() {
         })
         .collect();
 
-    // Every pruning strategy on the freshly built engine.
+    // Both pruning strategies on the freshly built engine.
     for strategy in [
         PruningStrategy::BlockMax,
-        PruningStrategy::MaxScore,
         PruningStrategy::CompressedBlockMax,
     ] {
         engine.set_strategy(strategy);
         assert_steady_state_alloc_free(&engine, &model, &queries);
     }
 
-    // And every strategy on an engine serving zero-copy out of a
+    // And both strategies on an engine serving zero-copy out of a
     // compressed (format v3) artifact buffer: the Slab-borrowed arrays —
     // exact and compressed mirror alike — must change nothing about the
     // steady-state allocation profile.
@@ -141,7 +140,6 @@ fn steady_state_search_allocates_nothing() {
     assert!(zc_engine.index().is_zero_copy());
     for strategy in [
         PruningStrategy::BlockMax,
-        PruningStrategy::MaxScore,
         PruningStrategy::CompressedBlockMax,
     ] {
         zc_engine.set_strategy(strategy);

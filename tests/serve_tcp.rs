@@ -179,6 +179,45 @@ fn tcp_serve_end_to_end() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Connections opened back to back must each get a handler while the
+/// earlier ones stay open. The accept loop used to skip the spawn
+/// whenever its gauge still showed a parked handler — including one
+/// already notified for an earlier connection and not yet awake — so a
+/// burst one larger than the parked pool stranded its last connection
+/// until some other client disconnected.
+#[test]
+fn back_to_back_connections_all_get_handlers() {
+    const PARKED: usize = 8;
+    let dir = scratch_dir("serve-burst");
+    let manifest = build_sharded(&dir, 2);
+    let server = start_server(&manifest);
+
+    // Grow the pool to PARKED handlers, then park them all.
+    let mut warm: Vec<_> = (0..PARKED).map(|_| connect(&server.addr)).collect();
+    for conn in &mut warm {
+        assert!(roundtrip(conn, "people").starts_with("OK\t"));
+    }
+    for mut conn in warm {
+        conn.write_all(b"QUIT\n").unwrap();
+        read_to_end(&mut conn);
+    }
+    // A handler parks microseconds after its client's close; nothing
+    // client-visible marks the moment.
+    std::thread::sleep(Duration::from_millis(200));
+
+    // One connection more than there are parked handlers, none of them
+    // sending anything until all are open.
+    let mut burst: Vec<_> = (0..=PARKED).map(|_| connect(&server.addr)).collect();
+    for conn in &mut burst {
+        // A stranded connection fails the read here instead of hanging.
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert!(roundtrip(conn, "people").starts_with("OK\t"));
+    }
+
+    assert_eq!(roundtrip(&mut burst[0], "SHUTDOWN"), "OK shutting down");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A failed reload (manifest swapped for garbage) must leave the old
 /// generation serving.
 #[test]

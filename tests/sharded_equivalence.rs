@@ -19,8 +19,7 @@ use cubelsi::linalg::{parallel, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const STRATEGIES: [PruningStrategy; 3] = [
-    PruningStrategy::MaxScore,
+const STRATEGIES: [PruningStrategy; 2] = [
     PruningStrategy::BlockMax,
     PruningStrategy::CompressedBlockMax,
 ];
@@ -103,9 +102,9 @@ fn check_sharded(
                     &single,
                     &format!("seed={seed} shards={n} k={k} query#{qi} {q:?}"),
                 );
-                let scattered = set.search_tags_scatter(model, q, k);
+                set.search_tags_scatter_with(&mut session, model, q, k, &mut out);
                 assert_identical(
-                    &scattered,
+                    &out,
                     &single,
                     &format!("scatter seed={seed} shards={n} k={k} query#{qi}"),
                 );
