@@ -77,8 +77,8 @@ fn bench_ttm_kernel(c: &mut Criterion) {
 
 fn bench_hosvd_unfold(c: &mut Criterion) {
     let tensor = corpus_tensor(300, 250, 15_000);
-    c.bench_function("unfold_csr_mode2", |bencher| {
-        bencher.iter(|| black_box(tensor.unfold_csr(2)));
+    c.bench_function("unfold_csr_compact_mode2", |bencher| {
+        bencher.iter(|| black_box(tensor.unfold_csr_compact(2)));
     });
 }
 

@@ -1247,6 +1247,7 @@ fn decode_tucker(payload: &[u8]) -> Result<TuckerDecomposition, PersistError> {
         fit,
         iterations,
         fit_history,
+        trace: Default::default(),
     })
 }
 

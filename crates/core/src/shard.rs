@@ -600,34 +600,39 @@ impl ShardSet {
         })
     }
 
-    /// Assembles a shard set from loaded artifacts (shard `i` of
-    /// `artifacts.len()` at index `i`), validating that all shards were
-    /// cut from the same corpus and concept model.
-    pub fn from_artifacts(artifacts: Vec<Artifact>) -> Result<Self, PersistError> {
-        let mut artifacts = artifacts;
-        if artifacts.is_empty() {
-            return Err(shard_err("no shard artifacts"));
-        }
-        let first_stats = artifacts[0].folksonomy.stats();
-        for (i, a) in artifacts.iter().enumerate().skip(1) {
+    /// Assembles a shard set from loaded artifacts (shard `i` at position
+    /// `i`), validating that all shards were cut from the same corpus and
+    /// concept model. The artifacts are taken one at a time, and each is
+    /// cut down to its engine as soon as it is checked: every shard file
+    /// carries the whole folksonomy and model, and holding those copies
+    /// until the last shard is in would make the loader's peak — which is
+    /// a server's peak — grow with the shard count.
+    pub fn from_artifacts(
+        artifacts: impl IntoIterator<Item = Result<Artifact, PersistError>>,
+    ) -> Result<Self, PersistError> {
+        let mut artifacts = artifacts.into_iter();
+        let first = artifacts
+            .next()
+            .ok_or_else(|| shard_err("no shard artifacts"))??;
+        let folksonomy = first.folksonomy;
+        let concepts = first.model.concepts().clone();
+        let first_stats = folksonomy.stats();
+        let mut engines = vec![first.model.into_engine()];
+        for (i, a) in artifacts.enumerate() {
+            let (i, a) = (i + 1, a?);
             if a.folksonomy.stats() != first_stats {
                 return Err(shard_err(format!(
                     "shard {i} corpus ({}) disagrees with shard 0's ({first_stats})",
                     a.folksonomy.stats()
                 )));
             }
-            if a.model.concepts().assignments() != artifacts[0].model.concepts().assignments() {
+            if a.model.concepts().assignments() != concepts.assignments() {
                 return Err(shard_err(format!(
                     "shard {i} concept assignments disagree with shard 0's"
                 )));
             }
+            engines.push(a.model.into_engine());
         }
-        let first = artifacts.remove(0);
-        let folksonomy = first.folksonomy;
-        let concepts = first.model.concepts().clone();
-        let mut engines = Vec::with_capacity(artifacts.len() + 1);
-        engines.push(first.model.into_engine());
-        engines.extend(artifacts.into_iter().map(|a| a.model.into_engine()));
         Self::from_parts(engines, folksonomy, concepts)
     }
 
@@ -1032,24 +1037,13 @@ fn merge_ranked(
 pub fn load_source(path: impl AsRef<Path>, mode: LoadMode) -> Result<ShardSet, PersistError> {
     let path = path.as_ref();
     match sniff_source(path)? {
-        SourceKind::Artifact => {
-            let artifact = load_artifact_file(path, mode)?;
-            ShardSet::from_artifacts(vec![artifact])
-        }
+        SourceKind::Artifact => ShardSet::from_artifacts([load_artifact_file(path, mode)]),
         SourceKind::Manifest => {
             let manifest = load_manifest(path)?;
             let dir = path.parent().unwrap_or(Path::new("."));
-            let mut artifacts = Vec::with_capacity(manifest.entries.len());
-            for (shard, entry) in manifest.entries.iter().enumerate() {
-                let shard_path = dir.join(&entry.file_name);
-                artifacts.push(load_checked_artifact(
-                    &shard_path,
-                    entry,
-                    shard as u32,
-                    mode,
-                )?);
-            }
-            ShardSet::from_artifacts(artifacts)
+            ShardSet::from_artifacts(manifest.entries.iter().enumerate().map(|(shard, entry)| {
+                load_checked_artifact(&dir.join(&entry.file_name), entry, shard as u32, mode)
+            }))
         }
     }
 }

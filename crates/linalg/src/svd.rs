@@ -2,12 +2,13 @@
 //!
 //! Two paths are provided:
 //!
-//! * [`jacobi_svd`] — a one-sided Jacobi SVD for small dense matrices.
-//!   Used for the factor-matrix updates on the (small) projected unfoldings
-//!   inside Tucker ALS and as the reference implementation in tests.
+//! * [`jacobi_svd`] — a one-sided Jacobi SVD for small dense matrices; the
+//!   reference implementation in tests.
 //! * [`truncated_svd`] — top-`k` singular triplets of a large (possibly
 //!   sparse, possibly implicit) operator via subspace iteration on the Gram
-//!   operator. Used by the LSI baseline on the tag×resource matrix.
+//!   operator. Used by every HOOI factor update of Tucker ALS (on the
+//!   `Iₙ × ∏Jₘ` product matrices) and by the LSI baseline on the
+//!   tag×resource matrix.
 
 use crate::error::LinAlgError;
 use crate::matrix::{norm2, Matrix};
@@ -135,7 +136,6 @@ pub fn jacobi_svd(a: &Matrix) -> Result<Svd> {
     let mut v = Matrix::identity(n);
     let tol = 1e-14;
     let max_sweeps = 60;
-    let mut converged = false;
     for _sweep in 0..max_sweeps {
         let mut off = 0.0f64;
         for p in 0..n.saturating_sub(1) {
@@ -179,14 +179,8 @@ pub fn jacobi_svd(a: &Matrix) -> Result<Svd> {
             }
         }
         if off < tol * 10.0 {
-            converged = true;
             break;
         }
-    }
-    if !converged && n > 1 {
-        // One-sided Jacobi converges in practice; if we ever land here the
-        // result is still usable but we surface the residual to the caller.
-        // (Tolerance is extremely tight, so treat near-convergence as done.)
     }
     // Extract singular values (column norms) and normalize U.
     let mut triplets: Vec<(f64, usize)> = (0..n)

@@ -6,8 +6,8 @@
 //! tensor-decomposition crates exist for Rust, this crate implements the
 //! whole stack:
 //!
-//! * [`SparseTensor3`] — coordinate-format sparse tensor with mode
-//!   unfoldings exposed as [`cubelsi_linalg::CsrMatrix`] and fused
+//! * [`SparseTensor3`] — coordinate-format sparse tensor with (compacted)
+//!   mode unfoldings exposed as [`cubelsi_linalg::CsrMatrix`] and fused
 //!   tensor-times-matrix (TTM) kernels that never densify `F`;
 //! * [`DenseTensor3`] — small dense tensors (core tensors, test fixtures)
 //!   with n-mode products and unfoldings;
@@ -24,4 +24,4 @@ pub mod tucker;
 
 pub use dense::DenseTensor3;
 pub use sparse::SparseTensor3;
-pub use tucker::{tucker_als, TuckerConfig, TuckerDecomposition};
+pub use tucker::{tucker_als, ModeInit, TuckerConfig, TuckerDecomposition, TuckerTrace};

@@ -8,7 +8,8 @@
 //! For each mode the constructor builds a CSR-style grouping of the
 //! non-zeros by that mode's index. This gives two things:
 //!
-//! * mode-n unfoldings as [`CsrMatrix`] (for the HOSVD Gram operators), and
+//! * mode-n unfoldings as [`CsrMatrix`] — full width, or compacted to the
+//!   non-empty columns for the HOSVD Gram operators — and
 //! * fused tensor-times-matrix kernels ([`SparseTensor3::ttm_except_unfolded`])
 //!   whose output rows are disjoint per mode index, enabling clean
 //!   fork–join parallelism.
@@ -146,22 +147,90 @@ impl SparseTensor3 {
         t
     }
 
+    /// Number of columns of the full mode-n unfolding, `∏ₘ≠ₙ Iₘ`. Taken in
+    /// `u64`: at 10⁵ resources × 10⁵ users it no longer fits 32 bits.
+    pub fn unfold_width(&self, mode: usize) -> u64 {
+        let (d1, d2, d3) = self.dims;
+        let (a, b) = match mode {
+            1 => (d2, d3),
+            2 => (d1, d3),
+            3 => (d1, d2),
+            _ => panic!("mode must be 1, 2 or 3, got {mode}"),
+        };
+        a as u64 * b as u64
+    }
+
+    /// Kolda–Bader column of an entry in the mode-n unfolding.
+    #[inline]
+    fn unfold_key(&self, mode: usize, e: &Entry) -> u64 {
+        let (d1, d2, _) = self.dims;
+        match mode {
+            1 => e.j as u64 + e.k as u64 * d2 as u64,
+            2 => e.i as u64 + e.k as u64 * d1 as u64,
+            3 => e.i as u64 + e.j as u64 * d1 as u64,
+            _ => panic!("mode must be 1, 2 or 3, got {mode}"),
+        }
+    }
+
     /// Mode-n unfolding as a sparse CSR matrix (Kolda–Bader column order,
     /// identical to [`DenseTensor3::unfold`]).
+    ///
+    /// The matrix is as wide as the product of the other two dimensions,
+    /// and anything dense over its columns costs that width whatever the
+    /// data holds; the solver works on [`Self::unfold_csr_compact`]. Fails
+    /// with `InvalidArgument` when the width does not fit the 32-bit column
+    /// index of [`CsrMatrix`].
+    pub fn unfold_csr(&self, mode: usize) -> Result<CsrMatrix, LinAlgError> {
+        let width = self.unfold_width(mode);
+        if width > u32::MAX as u64 {
+            return Err(LinAlgError::InvalidArgument(format!(
+                "mode-{mode} unfolding of a {:?} tensor is {width} columns wide, \
+                 more than a CSR column index holds; use the compacted unfolding",
+                self.dims
+            )));
+        }
+        Ok(self.unfold_with(mode, width as usize, |key| key as u32))
+    }
+
+    /// The mode-n unfolding with its empty columns dropped: the non-empty
+    /// columns keep their relative order and are renumbered `0..cols`, so
+    /// `cols ≤ nnz` however wide [`Self::unfold_width`] is.
+    ///
+    /// The rows of `A Aᵀ` only ever meet in columns that hold a non-zero,
+    /// and an order-preserving renumbering leaves every row's entries in
+    /// the same sequence: `A(AᵀX)` accumulates the same terms in the same
+    /// order as on the full unfolding and is bit-identical to it, over a
+    /// `cols × block` intermediate instead of a `∏Iₘ × block` one.
+    pub fn unfold_csr_compact(&self, mode: usize) -> CsrMatrix {
+        let mut occupied: Vec<u64> = self
+            .entries
+            .iter()
+            .map(|e| self.unfold_key(mode, e))
+            .collect();
+        occupied.sort_unstable();
+        occupied.dedup();
+        self.unfold_with(mode, occupied.len(), |key| {
+            occupied
+                .binary_search(&key)
+                .expect("every entry's column is occupied") as u32
+        })
+    }
+
+    /// Assembles a mode-n unfolding whose column of an entry is
+    /// `col_of(unfold_key)`; `col_of` must be strictly increasing.
     ///
     /// Rows are assembled directly from the per-mode index — no COO
     /// round-trip and no global sort — with the per-row column sorts fanned
     /// out across parallel row bands. Each row is computed identically no
     /// matter how the bands fall, so the result is independent of the
-    /// thread count and bit-identical to the former triples-based path.
-    pub fn unfold_csr(&self, mode: usize) -> CsrMatrix {
-        let (d1, d2, _) = self.dims;
-        let (rows, cols): (usize, usize) = match mode {
-            1 => (d1, d2 * self.dims.2),
-            2 => (d2, d1 * self.dims.2),
-            3 => (self.dims.2, d1 * d2),
-            _ => panic!("mode must be 1, 2 or 3, got {mode}"),
-        };
+    /// thread count.
+    fn unfold_with(
+        &self,
+        mode: usize,
+        cols: usize,
+        col_of: impl Fn(u64) -> u32 + Sync,
+    ) -> CsrMatrix {
+        let rows = self.dim(mode);
         let idx = &self.mode_index[mode - 1];
         let entries = &self.entries;
         let nnz = entries.len();
@@ -180,13 +249,7 @@ impl SparseTensor3 {
                 scratch.clear();
                 for &pos in &idx.order[start..end] {
                     let e = &entries[pos as usize];
-                    let col = match mode {
-                        1 => e.j as usize + e.k as usize * d2,
-                        2 => e.i as usize + e.k as usize * d1,
-                        3 => e.i as usize + e.j as usize * d1,
-                        _ => unreachable!(),
-                    };
-                    scratch.push((col as u32, e.v));
+                    scratch.push((col_of(self.unfold_key(mode, e)), e.v));
                 }
                 // Distinct coordinates map to distinct columns within a
                 // row, so an unstable sort is deterministic here.
@@ -471,7 +534,7 @@ mod tests {
         let t = figure2_tensor();
         let dense = t.to_dense();
         for mode in 1..=3 {
-            let sparse_unf = t.unfold_csr(mode).to_dense();
+            let sparse_unf = t.unfold_csr(mode).unwrap().to_dense();
             let dense_unf = dense.unfold(mode);
             assert!(
                 sparse_unf.approx_eq(&dense_unf, 0.0),
@@ -568,31 +631,81 @@ mod tests {
         assert!(scratch.approx_eq(&reference, 0.0));
     }
 
-    #[test]
-    fn unfold_csr_identical_across_thread_counts() {
-        // Large enough to cross the parallel banding threshold.
+    /// 6 000 seeded draws: large enough to cross the parallel banding
+    /// threshold of the unfoldings.
+    fn seeded_tensor(dims: (usize, usize, usize)) -> SparseTensor3 {
         let mut quads = Vec::new();
         let mut state = 0xfeedu64;
         for _ in 0..6000 {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let i = (state >> 7) as usize % 40;
-            let j = (state >> 23) as usize % 30;
-            let k = (state >> 41) as usize % 25;
+            let i = (state >> 7) as usize % dims.0;
+            let j = (state >> 23) as usize % dims.1;
+            let k = (state >> 41) as usize % dims.2;
             quads.push((i, j, k, ((state >> 11) as f64 / (1u64 << 53) as f64) + 0.1));
         }
-        let t = SparseTensor3::from_entries((40, 30, 25), &quads).unwrap();
+        SparseTensor3::from_entries(dims, &quads).unwrap()
+    }
+
+    #[test]
+    fn unfold_csr_identical_across_thread_counts() {
+        let t = seeded_tensor((40, 30, 25));
         for mode in 1..=3 {
             cubelsi_linalg::parallel::set_num_threads(1);
-            let serial = t.unfold_csr(mode);
+            let serial = t.unfold_csr(mode).unwrap();
             cubelsi_linalg::parallel::set_num_threads(4);
-            let par = t.unfold_csr(mode);
+            let par = t.unfold_csr(mode).unwrap();
             cubelsi_linalg::parallel::set_num_threads(0);
             assert_eq!(serial, par, "mode {mode} unfolding depends on thread count");
             // And the fast path still matches the dense reference.
             assert!(serial.to_dense().approx_eq(&t.to_dense().unfold(mode), 0.0));
         }
+    }
+
+    #[test]
+    fn compact_unfolding_gram_apply_bit_identical_to_full_width() {
+        use cubelsi_linalg::{GramOp, SymOp};
+        // Resources ≫ users: most columns of every unfolding are empty.
+        let t = seeded_tensor((60, 50, 900));
+        for mode in 1..=3 {
+            let x = Matrix::from_fn(t.dim(mode), 5, |i, j| ((i * 7 + j * 3) % 11) as f64 - 4.5);
+            for threads in [1, 4] {
+                cubelsi_linalg::parallel::set_num_threads(threads);
+                let full = t.unfold_csr(mode).unwrap();
+                let compact = t.unfold_csr_compact(mode);
+                cubelsi_linalg::parallel::set_num_threads(0);
+                assert_eq!(full.cols() as u64, t.unfold_width(mode));
+                assert!(compact.cols() < full.cols() && compact.cols() <= t.nnz());
+                assert_eq!(compact.nnz(), full.nnz());
+                let wide = GramOp::outer(&full).apply_block(&x);
+                let narrow = GramOp::outer(&compact).apply_block(&x);
+                assert!(
+                    narrow.approx_eq(&wide, 0.0),
+                    "mode {mode}, {threads} thread(s): compacted apply differs"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn compact_unfolding_keeps_column_order() {
+        // Columns 1, 4 and 7 of the mode-1 unfolding (j + 3k) are occupied;
+        // they become 0, 1, 2 in that order.
+        let t = SparseTensor3::from_entries(
+            (2, 3, 3),
+            &[
+                (0, 1, 2, 7.0),
+                (0, 1, 0, 1.0),
+                (1, 1, 1, 4.0),
+                (1, 1, 2, 5.0),
+            ],
+        )
+        .unwrap();
+        let compact = t.unfold_csr_compact(1);
+        assert_eq!(compact.shape(), (2, 3));
+        let expected = Matrix::from_rows(&[vec![1.0, 0.0, 7.0], vec![0.0, 4.0, 5.0]]).unwrap();
+        assert!(compact.to_dense().approx_eq(&expected, 0.0));
     }
 
     #[test]

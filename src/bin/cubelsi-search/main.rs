@@ -107,6 +107,7 @@ fn build_model(corpus: &Folksonomy, opts: &BuildOpts) -> Result<CubeLsi, String>
         "offline tensor {:?} | tucker {:?} | distances {:?} | clustering {:?} | indexing {:?} | total {:?}",
         t.tensor_build, t.tucker, t.distances, t.clustering, t.indexing, t.total()
     );
+    eprintln!("tucker  {}", model.decomposition().trace);
     Ok(model)
 }
 

@@ -6,9 +6,10 @@
 //! loaded artifact buffer (including the compressed mirror borrowed
 //! straight from a format-v3 artifact).
 //!
-//! A counting global allocator wraps the system allocator; the test warms
-//! the session over the query set, snapshots the allocation counter, runs
-//! every query again, and asserts the counter did not move. The same
+//! A counting global allocator (`tests/common/counting_alloc.rs`) wraps the
+//! system allocator; the test warms the session over the query set,
+//! snapshots the allocation counter, runs every query again, and asserts
+//! the counter did not move. The same
 //! contract is then proven for sharded scatter-gather — sequential and
 //! fanned across the persistent worker pool (pool-cached sessions make
 //! the pooled steady state allocation-free too). This file holds exactly
@@ -17,43 +18,11 @@
 use cubelsi::core::{persist, ConceptIndex, ConceptModel, PruningStrategy, QueryEngine};
 use cubelsi::datagen::{generate, GeneratorConfig};
 use cubelsi::folksonomy::TagId;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: delegates directly to the system allocator; the counter is a
-// relaxed atomic with no other side effects.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: forwards the caller's layout contract to `System.alloc`.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as ours, passed through unchanged.
-        unsafe { System.alloc(layout) }
-    }
-    // SAFETY: forwards the caller's ptr/layout contract to `System.dealloc`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: same contract as ours, passed through unchanged.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    // SAFETY: forwards the caller's realloc contract to `System.realloc`.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as ours, passed through unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    // SAFETY: forwards the caller's layout contract to `System.alloc_zeroed`.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as ours, passed through unchanged.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::ALLOCATIONS;
 
 fn assert_steady_state_alloc_free(
     engine: &QueryEngine,
