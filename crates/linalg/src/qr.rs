@@ -144,7 +144,7 @@ pub fn orthonormalize_columns(a: &mut Matrix) {
             }
         }
     }
-    *a = at.transpose();
+    at.transpose_into(a);
 }
 
 /// Measures how far the columns of `q` are from orthonormal:

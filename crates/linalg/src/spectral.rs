@@ -115,6 +115,9 @@ pub struct SpectralResult {
     pub sigma: f64,
     /// The normalized spectral embedding (rows = items).
     pub embedding: Matrix,
+    /// `false` when the embedding's eigensolve stopped at its iteration
+    /// budget instead of converging.
+    pub eig_converged: bool,
 }
 
 /// Runs Ng–Jordan–Weiss spectral clustering on a symmetric distance matrix.
@@ -139,6 +142,7 @@ pub fn spectral_clustering(distances: &Matrix, config: &SpectralConfig) -> Resul
             k: 1,
             sigma: config.sigma.unwrap_or(1.0),
             embedding: Matrix::from_rows(&[vec![1.0]]).expect("1x1"),
+            eig_converged: true,
         });
     }
 
@@ -263,6 +267,7 @@ pub fn spectral_clustering(distances: &Matrix, config: &SpectralConfig) -> Resul
         k: km_cfg.k,
         sigma,
         embedding,
+        eig_converged: eigs.converged,
     })
 }
 

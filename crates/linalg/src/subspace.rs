@@ -8,6 +8,50 @@
 //!
 //! The operator abstraction [`SymOp`] takes a whole `n x b` block at a time,
 //! which lets implementations amortize sparse traversals across the block.
+//!
+//! One loop serves every caller: orthonormalise the block, project
+//! (Rayleigh–Ritz: `B = Qᵀ A Q`, dense eigensolve, `Q ← A Q U`), stop when two
+//! consecutive projections agree to `tol`. The callers differ in what
+//! advances the block *between* two projections:
+//!
+//! * [`sym_eigs_topk`] — nothing: every apply is a projection (HOOI's mode
+//!   updates and LSI converge in 2–6 of them).
+//! * [`sym_eigs_stabilized`] — `rr_period − 1` plain power steps on
+//!   column-normalised iterates (the spectral solver).
+//! * [`sym_eigs_filtered`] — a Chebyshev filter (HOSVD). A flat spectral
+//!   tail (`λ_k / λ_{b+1}` a few percent above 1, what a folksonomy's mode-3
+//!   unfolding has) makes a power step gain those few percent on the last
+//!   wanted vector; `T_m` of the operator mapped so that the unwanted
+//!   interval `[0, c]` lands on `[−1, 1]` stays bounded by 1 there and grows
+//!   like `e^{m·acosh(2λ/c − 1)}` above it — per apply `e^{acosh(…)}`, about
+//!   `1 + 2·√(λ/c − 1)` near the cut, instead of `λ/c`.
+//!
+//!   *The cut* `c` is the smallest Ritz value of the block at the last
+//!   projection. The operator is PSD, so 0 is an exact lower edge, and the
+//!   `b`-th Ritz value never exceeds `λ_b` (Cauchy interlacing), so the
+//!   damped interval never reaches a direction the block is after, however
+//!   rough the estimates are — no spectrum bound is estimated.
+//!
+//!   *The degree* is chosen each cycle from the same Ritz values: the largest
+//!   `m ≤ CHEBYSHEV_MAX_DEGREE` with `T_m(x₁) / T_m(x_k) ≤ CHEBYSHEV_RANGE`,
+//!   `x_j = 2θ_j/c − 1`. Every column carries some of
+//!   the leading eigenvector, and the filter grows that part `T_m(x₁)/T_m(x_k)`
+//!   times faster than what column `k` is there for; the Gram–Schmidt that
+//!   follows subtracts it again and keeps `16 − log₁₀(ratio)` of column
+//!   `k`'s digits. At 1e8 half of them survive a cycle that starts from a
+//!   column with an `O(1)` share of `v₁` (the first ones do), which the
+//!   next cycles then refine. The degree moves with the constant's
+//!   logarithm, so the work barely depends on it: on the benchmark's mode-3
+//!   unfolding 48 applies at 1e6, 46 at 1e8, 45 at 1e10, 42 at 1e12 (12, 8,
+//!   7 and 6 projections), and 57 / 19 only at 1e4. Degree 1, a block as
+//!   wide as the operator (nothing to damp), a non-positive cut (rank
+//!   below the block width) and the first cycle from the random start (no
+//!   Ritz values yet) run the plain power step.
+//!
+//!   The three-term recurrence needs the two previous iterates and the
+//!   applied block: exactly the three `n × b` buffers the projection owns
+//!   (block, applied block, Ritz-rotation target), so filtering allocates
+//!   nothing.
 
 use crate::eigen::jacobi_eigen;
 use crate::error::LinAlgError;
@@ -156,15 +200,24 @@ impl SymOp for GramOp<'_> {
     }
 }
 
-/// Result of [`sym_eigs_topk`].
+/// Result of [`sym_eigs_topk`] and its siblings.
 #[derive(Debug, Clone)]
 pub struct TopkEigen {
     /// Leading eigenvalues in descending order (length `k`).
     pub values: Vec<f64>,
     /// `n x k` matrix of corresponding orthonormal eigenvectors.
     pub vectors: Matrix,
-    /// Number of subspace iterations performed.
+    /// Operator applies of the iteration (the closing Rayleigh–Ritz's one
+    /// is not counted), projections and the steps between them alike.
     pub iterations: usize,
+    /// How many of those applies were Rayleigh–Ritz projections.
+    pub projections: usize,
+    /// The Chebyshev degree run before each projection that had one, in
+    /// order; empty unless the solve was [`sym_eigs_filtered`].
+    pub degrees: Vec<usize>,
+    /// `false` when the iteration ran into `max_iters` instead of meeting
+    /// the stop rule; the pairs are then the best the budget bought.
+    pub converged: bool,
 }
 
 /// Options controlling [`sym_eigs_topk`].
@@ -202,9 +255,9 @@ pub fn sym_eigs_topk(op: &dyn SymOp, k: usize, opts: &SubspaceOptions) -> Result
 }
 
 /// Block subspace iteration with **periodic** Rayleigh–Ritz and an adaptive
-/// stop rule — the engine behind [`sym_eigs_topk`] (which is exactly
-/// `rr_period = 1` with the constant stop rule `|_| k`, reproducing the
-/// original iterate trajectory bit for bit).
+/// stop rule ([`sym_eigs_topk`] is exactly `rr_period = 1` with the constant
+/// stop rule `|_| k`, reproducing the original iterate trajectory bit for
+/// bit).
 ///
 /// * Between projections the block advances as plain power steps with
 ///   column-normalised iterates (`Q ← A Q`, columns rescaled), skipping the
@@ -226,6 +279,119 @@ pub fn sym_eigs_stabilized(
     rr_period: usize,
     needed: &dyn Fn(&[f64]) -> usize,
 ) -> Result<TopkEigen> {
+    let period = rr_period.max(1);
+    subspace_iterate(op, k, opts, Between::Power { period }, needed)
+}
+
+/// Block subspace iteration with a **Chebyshev filter** between projections
+/// (module docs: the cut, the degree, the cases that fall back to the power
+/// step). Same start block, tolerance, stop rule and closing Rayleigh–Ritz
+/// as [`sym_eigs_topk`], a fraction of its operator applies and projections
+/// when the spectrum's tail is flat. For PSD operators only: the damped
+/// interval's lower edge is taken to be 0.
+pub fn sym_eigs_filtered(op: &dyn SymOp, k: usize, opts: &SubspaceOptions) -> Result<TopkEigen> {
+    subspace_iterate(op, k, opts, Between::Chebyshev, &|_| k)
+}
+
+/// What advances the block between two Rayleigh–Ritz projections.
+#[derive(Clone, Copy)]
+enum Between {
+    /// `period − 1` power steps.
+    Power { period: usize },
+    /// A Chebyshev filter planned from the last projection's Ritz values.
+    Chebyshev,
+}
+
+/// Largest Chebyshev degree a cycle takes. The range rule decides below it;
+/// the cap bounds a cycle when the wanted values are well apart from the cut
+/// and the ratio grows slowly. A degree is planned from one projection's
+/// Ritz values and the first ones are rough (after the first projection the
+/// cut is far below `λ_b` and the filter is little more than that many
+/// power steps), so applies past 8 mostly go to a plan the next projection
+/// would have corrected: at 12 the benchmark's mode 2 takes 26 applies for
+/// 19, the 137 332-row mode 3 of README's hand run 42 for 38.
+const CHEBYSHEV_MAX_DEGREE: usize = 8;
+
+/// Largest `T_m(x₁) / T_m(x_k)` a cycle may reach (module docs: half of a
+/// double's digits left for column `k` after the Gram–Schmidt).
+const CHEBYSHEV_RANGE: f64 = 1e8;
+
+/// Largest `ln T_m(x₁)`: the iterates grow by up to `T_m(x₁)` and
+/// orthonormalisation squares them, so 1e100 keeps both finite.
+const CHEBYSHEV_LN_GROWTH: f64 = 230.0;
+
+/// Degree and cut of the next filter from all `block` Ritz values of a
+/// projection (descending) — degree 1 stands for the plain power step and
+/// is what every degenerate input comes out as: a zero or negative cut
+/// (rank below the block width, to round-off) makes `acosh` infinite or NaN
+/// and every comparison below false.
+fn plan_filter(ritz: &[f64], k: usize) -> (usize, f64) {
+    let cut = ritz[ritz.len() - 1];
+    // ln T_m(x) = ln cosh(m·acosh x) for x ≥ 1, without forming cosh.
+    let ln_t = |m: usize, acosh_x: f64| {
+        let t = m as f64 * acosh_x;
+        t + (-2.0 * t).exp().ln_1p() - std::f64::consts::LN_2
+    };
+    let a1 = (2.0 * ritz[0] / cut - 1.0).acosh();
+    let ak = (2.0 * ritz[k - 1] / cut - 1.0).acosh();
+    let mut degree = 1;
+    while degree < CHEBYSHEV_MAX_DEGREE
+        && ln_t(degree + 1, a1) - ln_t(degree + 1, ak) <= CHEBYSHEV_RANGE.ln()
+        && ln_t(degree + 1, a1) <= CHEBYSHEV_LN_GROWTH
+    {
+        degree += 1;
+    }
+    (degree, cut)
+}
+
+/// `q ← T_m((2/c)·A − I) q`, `m = degree ≥ 2`, by the three-term recurrence
+/// `Y₁ = L Y₀`, `Yⱼ₊₁ = 2 L Yⱼ − Yⱼ₋₁` with `L = (2/c)·A − I`. `z` receives
+/// every applied block and `prev` holds `Yⱼ₋₁` (overwritten in place by
+/// `Yⱼ₊₁`, then swapped with `q`); both are left with unspecified contents.
+fn chebyshev_filter(
+    op: &dyn SymOp,
+    degree: usize,
+    cut: f64,
+    q: &mut Matrix,
+    z: &mut Matrix,
+    prev: &mut Matrix,
+) {
+    let s = 2.0 / cut;
+    debug_assert_eq!(prev.shape(), q.shape());
+    op.apply_block_into(q, z);
+    for ((y1, &az), &y0) in prev
+        .as_mut_slice()
+        .iter_mut()
+        .zip(z.as_slice())
+        .zip(q.as_slice())
+    {
+        *y1 = s * az - y0;
+    }
+    std::mem::swap(q, prev);
+    for _ in 1..degree {
+        op.apply_block_into(q, z);
+        for ((y, &az), &y1) in prev
+            .as_mut_slice()
+            .iter_mut()
+            .zip(z.as_slice())
+            .zip(q.as_slice())
+        {
+            *y = 2.0 * (s * az - y1) - *y;
+        }
+        std::mem::swap(q, prev);
+    }
+}
+
+/// The one iteration behind [`sym_eigs_topk`], [`sym_eigs_stabilized`] and
+/// [`sym_eigs_filtered`]: they share the start block, the projection, the
+/// stop rule and the closing Rayleigh–Ritz, and differ in `between`.
+fn subspace_iterate(
+    op: &dyn SymOp,
+    k: usize,
+    opts: &SubspaceOptions,
+    between: Between,
+    needed: &dyn Fn(&[f64]) -> usize,
+) -> Result<TopkEigen> {
     let n = op.dim();
     if k == 0 {
         return Err(LinAlgError::InvalidArgument("k must be > 0".into()));
@@ -235,14 +401,14 @@ pub fn sym_eigs_stabilized(
             "requested {k} eigenpairs of a dimension-{n} operator"
         )));
     }
-    let rr_period = rr_period.max(1);
     let block = (k + opts.oversample).min(n);
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut q = Matrix::from_fn(n, block, |_, _| rng.gen::<f64>() - 0.5);
     orthonormalize_columns(&mut q);
 
     // Scratch reused across every iteration: the applied block, the Ritz
-    // rotation target, and the two small projected matrices.
+    // rotation target (between projections, the filter's third block), and
+    // the two small projected matrices.
     let mut z = Matrix::zeros(n, block);
     let mut zu = Matrix::zeros(n, block);
     let mut b = Matrix::zeros(block, block);
@@ -251,24 +417,49 @@ pub fn sym_eigs_stabilized(
     let mut prev_ritz = vec![f64::INFINITY; k];
     let mut prev_needed = usize::MAX;
     let mut iterations = 0;
-    // Whether `q` currently has orthonormal columns. Power steps only
-    // rescale column norms, and so does a projection that a power step
-    // follows: the twice-applied Gram–Schmidt is paid once a period, right
-    // before the projection that needs `B = Qᵀ A Q`. Basis conditioning
-    // degrades at most by (λ₁/λ_b)^rr_period across a period, which that
-    // Gram–Schmidt absorbs for the moderate periods used here. At period 1
-    // every step is a projection and the block is re-orthonormalized after
-    // each, the arithmetic `sym_eigs_topk` has always done.
+    let mut projections = 0;
+    let mut degrees = Vec::new();
+    let mut converged = false;
+    // Applies to run before the next projection, and the cut they filter
+    // below. The filter has no Ritz values to plan from until the first
+    // projection, so its first cycle is that projection alone.
+    let filtered = matches!(between, Between::Chebyshev);
+    let (mut steps, mut cut) = match between {
+        Between::Power { period } => (period - 1, 0.0),
+        Between::Chebyshev => (0, 0.0),
+    };
+    // Whether `q` currently has orthonormal columns. The steps between
+    // projections only rescale column norms, and so does a projection that
+    // such a step follows: the twice-applied Gram–Schmidt is paid once a
+    // cycle, right before the projection that needs `B = Qᵀ A Q`. Basis
+    // conditioning degrades at most by (λ₁/λ_b)^period across a period of
+    // power steps, by the filter's range constant across a filter, which
+    // that Gram–Schmidt absorbs. With no steps in between every apply is a
+    // projection and the block is re-orthonormalized after each, the
+    // arithmetic `sym_eigs_topk` has always done.
     let mut q_orthonormal = true;
-    for it in 0..opts.max_iters {
-        iterations = it + 1;
-        if (it + 1) % rr_period != 0 {
-            // Power step: advance the subspace, skip the projection.
-            op.apply_block_into(&q, &mut z);
-            std::mem::swap(&mut q, &mut z);
-            normalize_columns(&mut q);
+    while iterations < opts.max_iters {
+        let run = steps.min(opts.max_iters - iterations);
+        if run > 0 {
+            if filtered {
+                degrees.push(run);
+            }
+            if filtered && run > 1 {
+                chebyshev_filter(op, run, cut, &mut q, &mut z, &mut zu);
+                normalize_columns(&mut q);
+            } else {
+                // Power steps: advance the subspace, skip the projection.
+                for _ in 0..run {
+                    op.apply_block_into(&q, &mut z);
+                    std::mem::swap(&mut q, &mut z);
+                    normalize_columns(&mut q);
+                }
+            }
             q_orthonormal = false;
-            continue;
+            iterations += run;
+            if iterations == opts.max_iters {
+                break;
+            }
         }
         if !q_orthonormal {
             orthonormalize_columns(&mut q);
@@ -282,10 +473,12 @@ pub fn sym_eigs_stabilized(
         // Rotate the block onto the Ritz vectors and advance: Q ← Z U.
         z.matmul_into(&eig.vectors, &mut zu)?;
         std::mem::swap(&mut q, &mut zu);
+        iterations += 1;
+        projections += 1;
 
         let needed_k = needed(&eig.values).clamp(1, k);
         let ritz: Vec<f64> = eig.values.iter().take(k).copied().collect();
-        let converged = needed_k == prev_needed
+        let agree = needed_k == prev_needed
             && ritz
                 .iter()
                 .take(needed_k)
@@ -296,14 +489,22 @@ pub fn sym_eigs_stabilized(
                 });
         prev_ritz = ritz;
         prev_needed = needed_k;
-        let stop = converged && it > 0;
-        q_orthonormal = stop || (it + 2) % rr_period == 0;
+        converged = agree && iterations > 1;
+        if filtered {
+            // A block as wide as the operator has nothing below it to damp.
+            (steps, cut) = if block == n {
+                (1, 0.0)
+            } else {
+                plan_filter(&eig.values, k)
+            };
+        }
+        q_orthonormal = converged || steps == 0;
         if q_orthonormal {
             orthonormalize_columns(&mut q);
         } else {
             normalize_columns(&mut q);
         }
-        if stop {
+        if converged {
             break;
         }
     }
@@ -324,6 +525,9 @@ pub fn sym_eigs_stabilized(
         values,
         vectors,
         iterations,
+        projections,
+        degrees,
+        converged,
     })
 }
 
@@ -596,6 +800,131 @@ mod tests {
             }
             assert!(orthonormality_error(&top.vectors) < 1e-8);
         }
+    }
+
+    /// Symmetric matrix with exactly the given eigenvalues: `H D H` for a
+    /// Householder reflector `H` (orthogonal and symmetric).
+    fn with_spectrum(eigs: &[f64]) -> Matrix {
+        let n = eigs.len();
+        let v: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.7).sin()).collect();
+        let vv: f64 = v.iter().map(|x| x * x).sum();
+        let h = Matrix::from_fn(n, n, |i, j| {
+            (if i == j { 1.0 } else { 0.0 }) - 2.0 * v[i] * v[j] / vv
+        });
+        h.matmul(&Matrix::from_diag(eigs))
+            .unwrap()
+            .matmul(&h)
+            .unwrap()
+    }
+
+    /// Runs the filtered solve and holds it against the dense eigensolve:
+    /// converged, finite, orthonormal, the leading values to 1e-6 of λ₁.
+    fn filtered_matches_jacobi(a: &Matrix, k: usize, oversample: usize) -> TopkEigen {
+        let opts = SubspaceOptions {
+            oversample,
+            ..Default::default()
+        };
+        let top = sym_eigs_filtered(&DenseSymOp::new(a), k, &opts).unwrap();
+        let full = jacobi_eigen(a, 1e-13).unwrap();
+        assert!(top.converged, "stopped at {} iterations", top.iterations);
+        assert!(top.vectors.as_slice().iter().all(|x| x.is_finite()));
+        assert!(orthonormality_error(&top.vectors) < 1e-8);
+        for i in 0..k {
+            assert!(
+                (top.values[i] - full.values[i]).abs() <= 1e-6 * full.values[0],
+                "eigenvalue {i}: {} vs {}",
+                top.values[i],
+                full.values[i]
+            );
+        }
+        assert_eq!(
+            top.iterations,
+            top.projections + top.degrees.iter().sum::<usize>()
+        );
+        top
+    }
+
+    #[test]
+    fn filter_survives_rank_below_the_block_width() {
+        // Rank 3 under a block of 11: the smallest Ritz value — the cut —
+        // is zero to round-off, of either sign.
+        let g = Matrix::from_fn(20, 3, |i, j| {
+            ((i * i + 7 * j * j + i * j) as f64 * 0.37).sin()
+        });
+        let top = filtered_matches_jacobi(&g.gram_t(), 3, 8);
+        assert!(top.values[2] > 1e-3);
+    }
+
+    #[test]
+    fn filter_plan_degrades_to_the_power_step() {
+        // Cuts a rank-deficient block can produce: zero, round-off of
+        // either sign, NaN. Never a division by zero, never a NaN degree.
+        for cut in [0.0, -1e-17, f64::NAN] {
+            assert_eq!(plan_filter(&[4.0, 3.0, 2.0, cut], 3).0, 1, "cut {cut}");
+        }
+        // A tiny positive cut: the range rule alone would allow the cap
+        // (x₁/x_k ≈ 2), the growth bound keeps T_m(x₁)² finite.
+        let (degree, cut) = plan_filter(&[4.0, 3.0, 2.0, 1e-30], 3);
+        assert!((2..CHEBYSHEV_MAX_DEGREE).contains(&degree), "{degree}");
+        let growth = (degree as f64 * (8.0 / cut - 1.0).acosh()).exp();
+        assert!((growth * growth).is_finite());
+        // A well-separated block runs the cap.
+        assert_eq!(
+            plan_filter(&[4.0, 3.9, 3.8, 1.0], 3).0,
+            CHEBYSHEV_MAX_DEGREE
+        );
+    }
+
+    #[test]
+    fn filter_degree_falls_to_one_on_a_steep_spectrum() {
+        // λ₁/λ_b = 1e12 and λ₁/λ_k = 1e6: degree 2 would put 1e12 between
+        // column 1 and column k, so every cycle is a power step.
+        let mut eigs = vec![1e12, 1e6, 1e4, 1e2, 10.0, 1.0];
+        eigs.extend((1..=18).map(|i| 0.5 / i as f64));
+        let top = filtered_matches_jacobi(&with_spectrum(&eigs), 2, 4);
+        assert!(top.degrees.iter().all(|&d| d == 1), "{:?}", top.degrees);
+    }
+
+    #[test]
+    fn filter_has_nothing_to_damp_when_the_block_spans_the_space() {
+        let top = filtered_matches_jacobi(&spd_matrix(), 2, 8);
+        assert!(top.degrees.iter().all(|&d| d == 1), "{:?}", top.degrees);
+    }
+
+    #[test]
+    fn filter_handles_a_flat_spectrum() {
+        // Every eigenvalue equal: x₁ = x_k = 1, the filter is the identity.
+        let top = filtered_matches_jacobi(&with_spectrum(&[3.0; 12]), 2, 4);
+        assert!((top.values[1] - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn filtered_solve_reports_an_exhausted_budget() {
+        let mut eigs: Vec<f64> = (0..40).map(|i| 1.0 + 0.01 * (40 - i) as f64).collect();
+        eigs[0] = 2.0;
+        let a = with_spectrum(&eigs);
+        let opts = SubspaceOptions {
+            oversample: 2,
+            max_iters: 7,
+            ..Default::default()
+        };
+        for top in [
+            sym_eigs_filtered(&DenseSymOp::new(&a), 4, &opts).unwrap(),
+            sym_eigs_stabilized(&DenseSymOp::new(&a), 4, &opts, 3, &|_| 4).unwrap(),
+        ] {
+            assert!(!top.converged);
+            assert_eq!(top.iterations, 7);
+            assert!(orthonormality_error(&top.vectors) < 1e-8);
+        }
+        assert!(
+            sym_eigs_topk(
+                &DenseSymOp::new(&spd_matrix()),
+                2,
+                &SubspaceOptions::default()
+            )
+            .unwrap()
+            .converged
+        );
     }
 
     #[test]

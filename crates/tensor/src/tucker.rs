@@ -9,9 +9,15 @@
 //! Modes 2 and 3 are initialised by HOSVD — the leading eigenvectors of
 //! `Aₙ Aₙᵀ` over the *compacted* mode-n unfolding (empty columns dropped, so
 //! a step costs `O(nnz · block)` in time and memory however wide `∏Iₘ` is),
-//! with a Rayleigh–Ritz projection every 8th subspace iteration. Mode 1 is
-//! not initialised: the first HOOI update computes `Y⁽¹⁾` from the other
-//! two before anything reads it.
+//! by [`sym_eigs_filtered`]: between two Rayleigh–Ritz projections the block
+//! goes through a Chebyshev filter that damps everything below the block's
+//! smallest Ritz value, at a degree the solver picks each cycle from those
+//! Ritz values. The mode-3 unfolding of a folksonomy (resources ≫ users) has
+//! a flat tail — neighbouring eigenvalues a few percent apart around the
+//! cut — where plain power steps need three times the operator applies and
+//! twice the projections; HOOI's own solves converge in 2–6 projections and
+//! take none of this. Mode 1 is not initialised: the first HOOI update
+//! computes `Y⁽¹⁾` from the other two before anything reads it.
 //!
 //! Two properties the rest of the pipeline depends on:
 //!
@@ -24,7 +30,7 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use cubelsi_linalg::subspace::{sym_eigs_stabilized, SubspaceOptions};
+use cubelsi_linalg::subspace::{sym_eigs_filtered, SubspaceOptions, SymOp, TopkEigen};
 use cubelsi_linalg::svd::truncated_svd;
 use cubelsi_linalg::{GramOp, LinAlgError, Matrix};
 
@@ -123,23 +129,37 @@ pub struct ModeInit {
     pub mode: usize,
     /// Unfolding, eigensolve and all.
     pub time: Duration,
-    /// Subspace iterations the eigensolver ran.
+    /// Operator applies the eigensolver ran.
     pub eig_iterations: usize,
+    /// Rayleigh–Ritz projections among them.
+    pub eig_projections: usize,
+    /// Chebyshev degree of each filter between two projections, in order.
+    pub eig_degrees: Vec<usize>,
+    /// `false`: the eigensolver stopped at its iteration budget.
+    pub eig_converged: bool,
     /// Columns of the unfolding the solver worked on (the non-empty ones).
     pub compact_cols: usize,
     /// Columns of the full Kolda–Bader unfolding, `∏ₘ≠ₙ Iₘ`.
     pub full_cols: u64,
 }
 
-/// One line: `init mode2 31ms/24it 50898/2363994 cols | … | 3 sweeps 110ms 98ms 97ms`.
+/// One line: `init mode2 31ms/12it/4rr deg 4,3,2 50898/2363994 cols | … | 3
+/// sweeps 110ms 98ms 97ms` — time / operator applies / projections, the
+/// filter degrees between them, compacted-of-full columns. `200it!` marks a
+/// solve that stopped at its iteration budget.
 impl fmt::Display for TuckerTrace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for m in &self.init {
+            let budget_mark = if m.eig_converged { "" } else { "!" };
             write!(
                 f,
-                "init mode{} {:.1?}/{}it {}/{} cols | ",
-                m.mode, m.time, m.eig_iterations, m.compact_cols, m.full_cols
+                "init mode{} {:.1?}/{}it{budget_mark}/{}rr deg",
+                m.mode, m.time, m.eig_iterations, m.eig_projections
             )?;
+            for (i, d) in m.eig_degrees.iter().enumerate() {
+                write!(f, "{}{d}", if i == 0 { ' ' } else { ',' })?;
+            }
+            write!(f, " {}/{} cols | ", m.compact_cols, m.full_cols)?;
         }
         write!(f, "{} sweeps", self.sweeps.len())?;
         self.sweeps.iter().try_for_each(|t| write!(f, " {t:.1?}"))
@@ -199,22 +219,18 @@ pub fn tucker_als(
     f: &SparseTensor3,
     config: &TuckerConfig,
 ) -> Result<TuckerDecomposition, LinAlgError> {
-    tucker_als_with(f, config, HOSVD_RR_PERIOD)
+    tucker_als_with(f, config, sym_eigs_filtered)
 }
 
-/// Subspace iterations between two Rayleigh–Ritz projections of an HOSVD
-/// eigensolve. The solves that need on the order of a hundred iterations
-/// (resources ≫ users, a flat spectrum) spend more in the projection and
-/// its Gram–Schmidt than in applying the operator; HOOI's own solves take
-/// 2–6 iterations and keep projecting every step.
-const HOSVD_RR_PERIOD: usize = 8;
+/// The eigensolver of the HOSVD initialisation.
+type HosvdSolve = fn(&dyn SymOp, usize, &SubspaceOptions) -> Result<TopkEigen, LinAlgError>;
 
-/// [`tucker_als`] with the HOSVD projection period as a parameter, so the
-/// tests can hold the amortised solve against the project-every-step one.
+/// [`tucker_als`] with the HOSVD eigensolver as a parameter, so the tests
+/// can hold the filtered solve against the project-every-step one.
 fn tucker_als_with(
     f: &SparseTensor3,
     config: &TuckerConfig,
-    hosvd_rr_period: usize,
+    hosvd_solve: HosvdSolve,
 ) -> Result<TuckerDecomposition, LinAlgError> {
     let dims = f.dims();
     let mut j1 = config.core_dims.0.clamp(1, dims.0);
@@ -247,8 +263,8 @@ fn tucker_als_with(
     let mut trace = TuckerTrace::default();
     let mut factors: [Matrix; 3] = [
         Matrix::zeros(0, 0),
-        hosvd_factor(f, 2, j2, config, hosvd_rr_period, &mut trace)?,
-        hosvd_factor(f, 3, j3, config, hosvd_rr_period, &mut trace)?,
+        hosvd_factor(f, 2, j2, config, hosvd_solve, &mut trace)?,
+        hosvd_factor(f, 3, j3, config, hosvd_solve, &mut trace)?,
     ];
 
     let norm_f_sq = f.frobenius_norm_sq();
@@ -378,17 +394,20 @@ fn hosvd_factor(
     mode: usize,
     k: usize,
     config: &TuckerConfig,
-    rr_period: usize,
+    solve: HosvdSolve,
     trace: &mut TuckerTrace,
 ) -> Result<Matrix, LinAlgError> {
     let start = Instant::now();
     let unfolding = f.unfold_csr_compact(mode);
     let op = GramOp::outer(&unfolding).with_fused(config.fused_gram);
-    let eigs = sym_eigs_stabilized(&op, k, &config.subspace, rr_period, &|_| k)?;
+    let eigs = solve(&op, k, &config.subspace)?;
     trace.init.push(ModeInit {
         mode,
         time: start.elapsed(),
         eig_iterations: eigs.iterations,
+        eig_projections: eigs.projections,
+        eig_degrees: eigs.degrees,
+        eig_converged: eigs.converged,
         compact_cols: unfolding.cols(),
         full_cols: f.unfold_width(mode),
     });
@@ -399,6 +418,7 @@ fn hosvd_factor(
 mod tests {
     use super::*;
     use cubelsi_linalg::qr::orthonormality_error;
+    use cubelsi_linalg::subspace::{sym_eigs_stabilized, sym_eigs_topk};
 
     fn figure2_tensor() -> SparseTensor3 {
         let quads = [
@@ -582,21 +602,52 @@ mod tests {
         assert!((unfolding.cols() as u64) < f.unfold_width(3));
         let op = GramOp::outer(&unfolding);
         // Converge well past the default tolerance: the two solves stop at
-        // different iterations, and the comparison should see the period,
+        // different iterations, and the comparison should see the filter,
         // not where each happened to stop.
         let opts = SubspaceOptions {
             tol: 1e-13,
             max_iters: 400,
             ..Default::default()
         };
-        let every_step = sym_eigs_stabilized(&op, 6, &opts, 1, &|_| 6).unwrap();
-        let amortised = sym_eigs_stabilized(&op, 6, &opts, HOSVD_RR_PERIOD, &|_| 6).unwrap();
+        let every_step = sym_eigs_topk(&op, 6, &opts).unwrap();
+        let amortised = sym_eigs_filtered(&op, 6, &opts).unwrap();
+        assert!(every_step.converged && amortised.converged);
         assert!(orthonormality_error(&amortised.vectors) < 1e-10);
         let sin = sin_largest_principal_angle(&every_step.vectors, &amortised.vectors);
         assert!(sin < 1e-6, "largest principal angle {sin:e}");
         for (a, b) in every_step.values.iter().zip(&amortised.values) {
             assert!((a - b).abs() <= 1e-9 * a.abs(), "eigenvalue {a} vs {b}");
         }
+    }
+
+    #[test]
+    fn filtered_hosvd_solve_halves_the_operator_applies() {
+        // Counts, not times: both repeat exactly for the seeded tensor.
+        // 24 pairs reach past the six planted blocks into the noise tail
+        // (λ₂₂…λ₂₄ = 701, 676, 625), the spectrum the filter is there for.
+        let f = long_tail_tensor();
+        let unfolding = f.unfold_csr_compact(3);
+        let op = GramOp::outer(&unfolding);
+        let opts = SubspaceOptions {
+            tol: 1e-13,
+            max_iters: 400,
+            ..Default::default()
+        };
+        let power = sym_eigs_stabilized(&op, 24, &opts, 8, &|_| 24).unwrap();
+        let filtered = sym_eigs_filtered(&op, 24, &opts).unwrap();
+        assert!(power.converged && filtered.converged);
+        assert!(
+            2 * filtered.iterations <= power.iterations,
+            "{} filtered applies (degrees {:?}) vs {} power applies",
+            filtered.iterations,
+            filtered.degrees,
+            power.iterations
+        );
+        assert!(filtered.projections < power.projections);
+        assert_eq!(
+            filtered.iterations,
+            filtered.projections + filtered.degrees.iter().sum::<usize>()
+        );
     }
 
     #[test]
@@ -610,7 +661,7 @@ mod tests {
             fit_tol: 1e-9,
             ..Default::default()
         };
-        let every_step = tucker_als_with(&f, &config, 1).unwrap();
+        let every_step = tucker_als_with(&f, &config, sym_eigs_topk).unwrap();
         let amortised = tucker_als(&f, &config).unwrap();
         for (n, y) in amortised.factors.iter().enumerate() {
             assert_eq!(y.shape(), (f.dim(n + 1), 6));
@@ -636,9 +687,34 @@ mod tests {
         assert_eq!(modes, [2, 3]);
         for m in &amortised.trace.init {
             assert!(m.compact_cols as u64 <= m.full_cols && m.compact_cols <= f.nnz());
-            assert!(m.eig_iterations > 0);
+            assert!(m.eig_converged && m.eig_projections > 0);
+            assert_eq!(
+                m.eig_iterations,
+                m.eig_projections + m.eig_degrees.iter().sum::<usize>()
+            );
         }
         assert_eq!(amortised.trace.sweeps.len(), amortised.iterations);
+    }
+
+    #[test]
+    fn trace_line_marks_a_solve_out_of_budget() {
+        let config = TuckerConfig {
+            subspace: SubspaceOptions {
+                max_iters: 2,
+                ..Default::default()
+            },
+            ..default_config((6, 6, 6))
+        };
+        let d = tucker_als(&long_tail_tensor(), &config).unwrap();
+        assert!(d.trace.init.iter().all(|m| !m.eig_converged));
+        let line = d.trace.to_string();
+        assert!(
+            line.starts_with("init mode2 ") && line.contains("/2it!/1rr deg 1 "),
+            "{line}"
+        );
+        // The default budget converges, and says so by saying nothing.
+        let d = tucker_als(&long_tail_tensor(), &default_config((6, 6, 6))).unwrap();
+        assert!(!d.trace.to_string().contains('!'));
     }
 
     #[test]

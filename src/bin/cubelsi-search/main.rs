@@ -107,7 +107,21 @@ fn build_model(corpus: &Folksonomy, opts: &BuildOpts) -> Result<CubeLsi, String>
         "offline tensor {:?} | tucker {:?} | distances {:?} | clustering {:?} | indexing {:?} | total {:?}",
         t.tensor_build, t.tucker, t.distances, t.clustering, t.indexing, t.total()
     );
-    eprintln!("tucker  {}", model.decomposition().trace);
+    let trace = &model.decomposition().trace;
+    eprintln!("tucker  {trace}");
+    // An eigensolve that ran out of iterations still returns its best
+    // subspace; the model is usable, but whoever rebuilds should know.
+    let warn = |solve: &str| {
+        eprintln!(
+            "warning: the {solve} eigensolve stopped at its iteration budget before converging"
+        );
+    };
+    for m in trace.init.iter().filter(|m| !m.eig_converged) {
+        warn(&format!("HOSVD mode {}", m.mode));
+    }
+    if !model.concepts().eigensolve_converged() {
+        warn("spectral");
+    }
     Ok(model)
 }
 
