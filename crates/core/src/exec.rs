@@ -1,30 +1,29 @@
 //! Persistent query executor: a long-lived worker pool with cached
-//! per-worker query sessions.
+//! per-worker query sessions, fed by one queue.
 //!
-//! Every concurrent serving path before this module paid per-call setup:
-//! a fresh `thread::scope`, fresh thread stacks, and a fresh
-//! [`QuerySession`] per worker per call — tens of microseconds of
-//! overhead against queries that finish in single-digit microseconds on
-//! small corpora. This module replaces that with the standard pool
-//! topology:
+//! A `thread::scope` per call costs fresh thread stacks and a fresh
+//! [`QuerySession`] per worker — tens of microseconds against queries
+//! that finish in single-digit microseconds on small corpora. Instead:
 //!
 //! * one process-wide [`Executor`] (lazily created, never torn down)
 //!   owning **parked** std threads that live for the process;
-//! * a shared [`Injector`] FIFO plus one work-stealing deque per worker
-//!   (`crossbeam::deque`): submitted batches land in the injector,
-//!   workers drain it in bounded batches into their local LIFO deque,
-//!   and idle workers (or the submitting caller) steal from stragglers;
+//! * one `Mutex<Queue>` of *open batches*, oldest first, which is also
+//!   the mutex of the one condvar workers park on: a submitted batch is
+//!   one entry (control block, next unclaimed index, task count), every
+//!   participant takes the next index of the oldest batch under the
+//!   lock, and the entry leaves the queue with its last index. Push and
+//!   "nothing to claim, wait" are ordered by that lock, so no wake-up
+//!   can be lost; the worker count lives under it too;
 //! * a [`WorkerScratch`] — a cached [`QuerySession`] + `ShardedSession`
 //!   — owned by each worker thread and by each calling thread
 //!   (thread-local), so steady-state pooled queries **spawn zero
 //!   threads and allocate nothing**: session scratch is epoch-tagged
 //!   and grow-only, which also means a cached session survives a hot
 //!   reload — the next query lazily re-validates it against whatever
-//!   generation's index it meets ([`QuerySession::ensure_capacity`]),
-//!   mirroring `ShardedEngine`'s drain semantics;
-//! * counters (queued, stolen, executed, inline/fanout dispatch
-//!   decisions) surfaced through [`stats`] for the `serve` STATS
-//!   command and the bench report's `inline_dispatch_ratio`.
+//!   generation's index it meets ([`QuerySession::ensure_capacity`]);
+//! * counters (queued, executed, inline/fanout dispatch decisions)
+//!   surfaced through [`stats`] for the `serve` STATS command and the
+//!   benchmark's `exec.*` rows.
 //!
 //! # Batch protocol
 //!
@@ -32,51 +31,43 @@
 //! and **blocks until all of them finished** (join-before-return, even
 //! on panic — a drop guard waits out the batch before unwinding
 //! continues, so borrowed data can never be observed after free). The
-//! submitting caller does not idle: it executes tasks itself alongside
+//! submitting caller does not idle: it claims tasks itself alongside
 //! the pool, using its own thread-local scratch. Task closures run
 //! under `catch_unwind`; a panicking task marks the batch and the panic
 //! resurfaces on the caller once the batch has drained.
 //!
-//! Tasks carry a pointer to the stack-allocated batch control block
-//! with its lifetime erased (deques are `'static`-typed); soundness is
-//! exactly the join-before-return guarantee above, see the ledgered
-//! SAFETY arguments inline.
+//! Queue entries carry a pointer to the stack-allocated batch control
+//! block with its lifetime erased (the queue is `'static`-typed);
+//! soundness is exactly the join-before-return guarantee above, see the
+//! ledgered SAFETY arguments inline.
 //!
-//! Results are written through [`DisjointSlots`], a bounds-checked
-//! disjoint-write view: each task writes only its own output slot, so
-//! no ordering pass is needed and output arrives allocation-free in
-//! query order.
-//!
-//! Dispatch policy lives at the call sites (`query.rs` / `shard.rs`):
-//! cheap work runs inline on the caller (recorded via
-//! [`Executor::note_inline`]); the pool is engaged only when the work
-//! amortizes the handoff. A task that itself calls `run_tasks` (nested
-//! fan-out) degrades to inline execution on the worker — the pool never
-//! blocks one of its own threads on a sub-batch.
+//! [`Executor::run_chunked`] is the entry point the query paths use: it
+//! fills a result slice, one slot per index, and owns the dispatch
+//! decision (width clamp, oversplit, inline fallback) and the one
+//! `unsafe` hand-out of disjoint slots, so output arrives
+//! allocation-free in index order with no ordering pass. A task that
+//! itself calls `run_tasks` (nested fan-out) degrades to inline
+//! execution on the worker — the pool never blocks one of its own
+//! threads on a sub-batch. A pool that cannot grow (the OS refuses the
+//! thread) serves the batch with the workers it has, or inline.
 //!
 //! # Deadlines
 //!
-//! Serving paths can bound a query's latency budget with
-//! [`scoped_deadline`]: the deadline is carried in a thread-local for
-//! the scope of the closure, captured by `run_tasks` at submission,
-//! and re-established on whichever participant (pool worker or
-//! stealing caller) executes each task — so [`current_deadline`] /
-//! [`deadline_exceeded`] answer correctly from inside task bodies and
-//! nested dispatches. Dispatch is deadline-aware: a batch submitted
-//! *after* its deadline already passed still produces its results
-//! (callers may discard them), but runs sequentially on the caller —
-//! waking the pool for work whose budget is already spent would only
-//! steal threads from queries that can still make theirs. Such
-//! degradations are counted in [`ExecutorStats::late_dispatch`].
+//! [`scoped_deadline`] carries a latency budget in a thread-local;
+//! `run_tasks` captures it at submission and re-establishes it on
+//! whichever participant executes each task, so [`current_deadline`] /
+//! [`deadline_exceeded`] answer correctly from inside task bodies. A
+//! batch submitted *after* its deadline still produces its results but
+//! runs sequentially on the caller, counted in
+//! [`ExecutorStats::late_dispatch`].
 
 use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
-
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 
 use crate::query::QuerySession;
 use crate::shard::ShardedSession;
@@ -116,8 +107,8 @@ struct BatchCtl<'a> {
 }
 
 /// One unit of pool work: which batch, which task index. The control
-/// pointer's lifetime is erased so tasks can sit in `'static`-typed
-/// deques; validity is the batch protocol's join-before-return
+/// pointer's lifetime is erased so tasks can sit in the `'static`-typed
+/// queue; validity is the batch protocol's join-before-return
 /// guarantee (see the module docs).
 #[derive(Clone, Copy)]
 struct Task {
@@ -136,7 +127,7 @@ unsafe impl Send for Task {}
 /// A bounds-checked disjoint-write view over a result slice: tasks
 /// write concurrently, each only to the slot indices it owns, so the
 /// caller gets results in order with no post-hoc sorting pass.
-pub(crate) struct DisjointSlots<'a, T> {
+struct DisjointSlots<'a, T> {
     ptr: *mut T,
     len: usize,
     _marker: PhantomData<&'a mut [T]>,
@@ -161,8 +152,8 @@ pub struct ExecutorStats {
     pub queued: u64,
     /// Tasks executed by any participant (workers + calling threads).
     pub executed: u64,
-    /// Tasks taken from another worker's deque rather than the
-    /// injector or the thief's own deque.
+    /// Always 0: with one shared queue no task changes hands. The field
+    /// stays until the benchmark that reads it can drop it.
     pub stolen: u64,
     /// Dispatch decisions that stayed on the caller thread.
     pub inline: u64,
@@ -174,30 +165,26 @@ pub struct ExecutorStats {
     pub late_dispatch: u64,
 }
 
-/// Park-state shared between submitters and workers: a classic
-/// eventcount. Workers snapshot `wake_epoch` before searching for work
-/// and only park while it is unchanged; submitters bump it (under the
-/// lock) after pushing, so a push can never slip between a worker's
-/// failed search and its park.
-struct ParkState {
-    wake_epoch: u64,
+/// Everything submitters and workers share, under the one lock the
+/// workers' condvar waits on.
+struct Queue {
+    /// Open batches, oldest first: the next unclaimed task of each and
+    /// the batch's task count. An entry leaves with its last index.
+    open: VecDeque<(Task, usize)>,
+    /// Worker threads alive in the pool (grow-only).
+    workers: usize,
     /// Set only by `Executor::drop` (test instances); the global
     /// executor lives for the process.
     stopping: bool,
 }
 
 struct Inner {
-    injector: Injector<Task>,
-    /// Steal handles of every spawned worker, in slot order. Also the
-    /// spawn lock: workers are only added while this is held.
-    stealers: Mutex<Vec<Stealer<Task>>>,
-    park: Mutex<ParkState>,
+    queue: Mutex<Queue>,
     work_cv: Condvar,
-    /// Published worker count (mirrors `stealers.len()`).
-    spawned: AtomicUsize,
+    /// Ceiling on pool threads ([`MAX_POOL_WORKERS`] outside tests).
+    worker_cap: usize,
     queued: AtomicU64,
     executed: AtomicU64,
-    stolen: AtomicU64,
     inline: AtomicU64,
     fanout: AtomicU64,
     late_dispatch: AtomicU64,
@@ -317,7 +304,7 @@ fn run_inline(tasks: usize, run: TaskFn<'_>) {
     });
 }
 
-// xtask:no-alloc:begin — steady-state task execution and stealing:
+// xtask:no-alloc:begin — steady-state task execution and claiming:
 // the pooled hot path performs no allocation (the dynamic sampling in
 // tests/query_zero_alloc.rs becomes a static fence here).
 
@@ -333,7 +320,7 @@ fn execute(inner: &Inner, task: Task, scratch: &mut WorkerScratch) {
     let ctl = unsafe { &*task.ctl };
     // The batch runs under its *submitter's* deadline — replace (not
     // tighten) whatever deadline the executing thread happens to carry,
-    // since a stealing participant may belong to an unrelated scope.
+    // since the claiming participant may belong to an unrelated scope.
     let _deadline = install_deadline(ctl.deadline, false);
     if panic::catch_unwind(AssertUnwindSafe(|| (ctl.run)(task.index, scratch))).is_err() {
         // ORDER: flag only; the `done` mutex handoff below publishes it
@@ -352,79 +339,43 @@ fn execute(inner: &Inner, task: Task, scratch: &mut WorkerScratch) {
     }
 }
 
-/// A worker's search order: own deque (LIFO), then a bounded batch off
-/// the injector, then a steal from a sibling.
-fn find_task(inner: &Inner, local: &Worker<Task>, slot: usize) -> Option<Task> {
-    if let Some(task) = local.pop() {
-        return Some(task);
-    }
-    if let Steal::Success(task) = inner.injector.steal_batch_and_pop(local) {
-        return Some(task);
-    }
-    let stealers = lock(&inner.stealers);
-    for (i, stealer) in stealers.iter().enumerate() {
-        if i == slot {
-            continue;
+impl Queue {
+    /// Hands out the next task of the oldest open batch.
+    fn claim(&mut self) -> Option<Task> {
+        let (next, tasks) = self.open.front_mut()?;
+        let task = *next;
+        next.index += 1;
+        if next.index == *tasks {
+            self.open.pop_front();
         }
-        if let Steal::Success(task) = stealer.steal() {
-            inner.stolen.fetch_add(1, Ordering::Relaxed); // ORDER: stats counter; Relaxed default.
-            return Some(task);
-        }
+        Some(task)
     }
-    None
-}
-
-/// The submitting caller's search order while participating in its own
-/// batch: the injector, then worker deques (it owns no deque).
-fn grab_external(inner: &Inner) -> Option<Task> {
-    if let Steal::Success(task) = inner.injector.steal() {
-        return Some(task);
-    }
-    let stealers = lock(&inner.stealers);
-    for stealer in stealers.iter() {
-        if let Steal::Success(task) = stealer.steal() {
-            inner.stolen.fetch_add(1, Ordering::Relaxed); // ORDER: stats counter; Relaxed default.
-            return Some(task);
-        }
-    }
-    None
 }
 
 // xtask:no-alloc:end
 
-fn worker_loop(inner: Arc<Inner>, local: Worker<Task>, slot: usize) {
+fn worker_loop(inner: Arc<Inner>) {
     IS_POOL_WORKER.with(|flag| flag.set(true));
     let mut scratch = WorkerScratch::default();
     loop {
-        // Eventcount: snapshot the epoch *before* searching, so a push
-        // during the search forces a re-check instead of a lost wakeup.
-        let seen_epoch = {
-            let park = lock(&inner.park);
-            if park.stopping {
-                return;
-            }
-            park.wake_epoch
-        };
-        let mut found = false;
-        while let Some(task) = find_task(&inner, &local, slot) {
-            found = true;
-            execute(&inner, task, &mut scratch);
-        }
-        if !found {
-            let mut park = lock(&inner.park);
-            while park.wake_epoch == seen_epoch && !park.stopping {
-                // `Condvar::wait` atomically releases `park` while
-                // parked; holding it here is the eventcount protocol,
-                // not a stall.
-                park = inner
+        let task = {
+            let mut queue = lock(&inner.queue);
+            loop {
+                if queue.stopping {
+                    return;
+                }
+                if let Some(task) = queue.claim() {
+                    break task;
+                }
+                // Submitters push under this lock, so a push cannot
+                // slip between the failed claim and the park.
+                queue = inner
                     .work_cv
-                    .wait(park) // HOLDS-LOCK: condvar wait releases the guard.
+                    .wait(queue) // HOLDS-LOCK: condvar wait releases the guard.
                     .unwrap_or_else(PoisonError::into_inner);
             }
-            if park.stopping {
-                return;
-            }
-        }
+        };
+        execute(&inner, task, &mut scratch);
     }
 }
 
@@ -452,19 +403,21 @@ impl Drop for WaitGuard<'_, '_> {
 
 impl Executor {
     pub(crate) fn new() -> Executor {
+        Executor::with_worker_cap(MAX_POOL_WORKERS)
+    }
+
+    fn with_worker_cap(worker_cap: usize) -> Executor {
         Executor {
             inner: Arc::new(Inner {
-                injector: Injector::new(),
-                stealers: Mutex::new(Vec::new()),
-                park: Mutex::new(ParkState {
-                    wake_epoch: 0,
+                queue: Mutex::new(Queue {
+                    open: VecDeque::new(),
+                    workers: 0,
                     stopping: false,
                 }),
                 work_cv: Condvar::new(),
-                spawned: AtomicUsize::new(0),
+                worker_cap,
                 queued: AtomicU64::new(0),
                 executed: AtomicU64::new(0),
-                stolen: AtomicU64::new(0),
                 inline: AtomicU64::new(0),
                 fanout: AtomicU64::new(0),
                 late_dispatch: AtomicU64::new(0),
@@ -478,19 +431,16 @@ impl Executor {
     }
 
     /// Records a dispatch decision that engaged the pool.
-    pub(crate) fn note_fanout(&self) {
+    fn note_fanout(&self) {
         self.inner.fanout.fetch_add(1, Ordering::Relaxed); // ORDER: stats counter; Relaxed default.
     }
 
     pub(crate) fn snapshot(&self) -> ExecutorStats {
         ExecutorStats {
-            // ORDER: Acquire pairs with the Release store in
-            // `ensure_workers` — a snapshot never reports a pool size
-            // ahead of the workers actually being registered.
-            pool_size: self.inner.spawned.load(Ordering::Acquire),
+            pool_size: lock(&self.inner.queue).workers,
             queued: self.inner.queued.load(Ordering::Relaxed), // ORDER: stats counter; Relaxed default.
             executed: self.inner.executed.load(Ordering::Relaxed), // ORDER: stats counter; Relaxed default.
-            stolen: self.inner.stolen.load(Ordering::Relaxed), // ORDER: stats counter; Relaxed default.
+            stolen: 0,
             inline: self.inner.inline.load(Ordering::Relaxed), // ORDER: stats counter; Relaxed default.
             fanout: self.inner.fanout.load(Ordering::Relaxed), // ORDER: stats counter; Relaxed default.
             late_dispatch: self.inner.late_dispatch.load(Ordering::Relaxed), // ORDER: stats counter; Relaxed default.
@@ -502,7 +452,7 @@ impl Executor {
     /// blocks until every task finished. Degenerate shapes — one task,
     /// width ≤ 1, or a call from inside a pool task — run inline on the
     /// current thread. Steady-state fan-out performs no allocation.
-    pub(crate) fn run_tasks(&self, width: usize, tasks: usize, run: TaskFn<'_>) {
+    fn run_tasks(&self, width: usize, tasks: usize, run: TaskFn<'_>) {
         if tasks == 0 {
             return;
         }
@@ -521,7 +471,6 @@ impl Executor {
             run_inline(tasks, run);
             return;
         }
-        self.ensure_workers(width.min(tasks).saturating_sub(1));
         let ctl = BatchCtl {
             run,
             deadline,
@@ -530,23 +479,33 @@ impl Executor {
             done: Mutex::new(false),
             done_cv: Condvar::new(),
         };
-        // Lifetime erasure: the deques are 'static-typed, but `ctl`
+        // Lifetime erasure: the queue is 'static-typed, but `ctl`
         // lives on this stack frame. The WaitGuard below re-establishes
         // the lifetime discipline dynamically — this frame cannot be
         // left until `pending` hits zero, so every Task pointer dies
         // before its pointee. (A plain pointer cast: the erased type is
         // layout-identical, only the lifetime parameter changes.)
         let ctl_ptr = (&ctl as *const BatchCtl<'_>).cast::<BatchCtl<'static>>();
-        let guard = WaitGuard { ctl: &ctl };
-        for index in 0..tasks {
-            self.inner.injector.push(Task {
-                ctl: ctl_ptr,
-                index,
-            });
+        let mut queue = lock(&self.inner.queue);
+        self.grow(&mut queue, width.min(tasks).saturating_sub(1));
+        if queue.workers == 0 {
+            // No thread to be had. The pool cannot drain the batch and
+            // this thread's scratch may be borrowed by an outer batch,
+            // so "push and wait" could wait forever; `run_inline` copes.
+            drop(queue);
+            run_inline(tasks, run);
+            return;
         }
+        let guard = WaitGuard { ctl: &ctl };
+        let first = Task {
+            ctl: ctl_ptr,
+            index: 0,
+        };
+        queue.open.push_back((first, tasks));
+        drop(queue);
+        self.inner.work_cv.notify_all();
         // ORDER: stats counter; Relaxed default.
         self.inner.queued.fetch_add(tasks as u64, Ordering::Relaxed);
-        self.wake_workers();
         // Participate instead of idling (skipped only in the re-entrant
         // corner where an outer batch already borrowed this thread's
         // scratch — then the pool alone drains the batch).
@@ -556,10 +515,11 @@ impl Executor {
                 // `execute` — observing 0 implies every finisher's
                 // writes are visible to this participant.
                 while ctl.pending.load(Ordering::Acquire) > 0 {
-                    match grab_external(&self.inner) {
-                        Some(task) => execute(&self.inner, task, &mut scratch),
-                        None => break,
-                    }
+                    // Statement-scoped guard: not held while the task runs.
+                    let Some(task) = lock(&self.inner.queue).claim() else {
+                        break;
+                    };
+                    execute(&self.inner, task, &mut scratch);
                 }
             }
         });
@@ -571,36 +531,63 @@ impl Executor {
         }
     }
 
-    /// Grows the pool to at least `target` workers (capped, grow-only;
-    /// threads are never torn down while the executor lives).
-    fn ensure_workers(&self, target: usize) {
-        let target = target.min(MAX_POOL_WORKERS);
-        // ORDER: Acquire pairs with the Release store below — a caller
-        // that observes a satisfied count also observes the stealers
-        // those workers registered.
-        if self.inner.spawned.load(Ordering::Acquire) >= target {
-            return;
-        }
-        let mut stealers = lock(&self.inner.stealers);
-        while stealers.len() < target {
-            let local = Worker::new_lifo();
-            stealers.push(local.stealer());
-            let slot = stealers.len() - 1;
+    /// Grows the pool towards `target` workers (capped, grow-only;
+    /// threads are never torn down while the executor lives) and stops
+    /// at the first spawn the OS refuses — a thread limit reached beside
+    /// the server's connection handlers must cost parallelism, not
+    /// panic inside a query.
+    fn grow(&self, queue: &mut Queue, target: usize) {
+        while queue.workers < target.min(self.inner.worker_cap) {
             let inner = Arc::clone(&self.inner);
-            std::thread::Builder::new()
-                .name(format!("cubelsi-exec-{slot}"))
-                .spawn(move || worker_loop(inner, local, slot))
-                .expect("spawn executor worker");
+            let spawned = std::thread::Builder::new()
+                .name(format!("cubelsi-exec-{}", queue.workers))
+                .spawn(move || worker_loop(inner));
+            if spawned.is_err() {
+                return;
+            }
+            queue.workers += 1;
         }
-        // ORDER: Release publishes the grown pool to the Acquire loads
-        // above and in `snapshot`.
-        self.inner.spawned.store(stealers.len(), Ordering::Release);
     }
 
-    fn wake_workers(&self) {
-        let mut park = lock(&self.inner.park);
-        park.wake_epoch = park.wake_epoch.wrapping_add(1);
-        self.inner.work_cv.notify_all();
+    /// Fills every `out[i]` through `fill(i, scratch, &mut out[i])` on
+    /// up to `threads` participants and returns when all are written.
+    /// Up to `min_per_task` slots (or one thread) stay on the caller
+    /// with its cached scratch; otherwise the slots are split into
+    /// index ranges, four per participant so a slow range does not
+    /// leave the others idle. Either way the decision is counted.
+    pub(crate) fn run_chunked<T: Send>(
+        &self,
+        threads: usize,
+        min_per_task: usize,
+        out: &mut [T],
+        fill: impl Fn(usize, &mut WorkerScratch, &mut T) + Sync,
+    ) {
+        let n = out.len();
+        if n == 0 {
+            return;
+        }
+        // Clamped to the work: slots too few to amortize a handoff must
+        // never engage idle workers.
+        let width = threads.min(n.div_ceil(min_per_task)).max(1);
+        let task_size = if width == 1 {
+            self.note_inline();
+            n
+        } else {
+            self.note_fanout();
+            n.div_ceil(width * 4)
+        };
+        let slots = DisjointSlots::new(out);
+        self.run_tasks(width, n.div_ceil(task_size), &|task, scratch| {
+            let lo = task * task_size;
+            for index in lo..(lo + task_size).min(n) {
+                // SAFETY: tasks cover disjoint index ranges of 0..n, so
+                // each slot is claimed by exactly one task, and `out`
+                // stays mutably borrowed by `slots` (nobody else can
+                // touch it) until `run_tasks` has joined the batch.
+                let slot = unsafe { slots.slot(index) };
+                fill(index, scratch, slot);
+            }
+        });
     }
 }
 
@@ -608,14 +595,13 @@ impl Drop for Executor {
     fn drop(&mut self) {
         // Only test instances drop; their parked workers exit instead
         // of leaking a parked thread per constructed pool.
-        let mut park = lock(&self.inner.park);
-        park.stopping = true;
+        lock(&self.inner.queue).stopping = true;
         self.inner.work_cv.notify_all();
     }
 }
 
 impl<'a, T> DisjointSlots<'a, T> {
-    pub(crate) fn new(slots: &'a mut [T]) -> Self {
+    fn new(slots: &'a mut [T]) -> Self {
         DisjointSlots {
             ptr: slots.as_mut_ptr(),
             len: slots.len(),
@@ -632,7 +618,7 @@ impl<'a, T> DisjointSlots<'a, T> {
     /// slice while tasks hold slots — both are what make the returned
     /// `&mut` unaliased.
     #[allow(clippy::mut_from_ref)] // disjoint-write view: &mut per index is the point
-    pub(crate) unsafe fn slot(&self, index: usize) -> &mut T {
+    unsafe fn slot(&self, index: usize) -> &mut T {
         assert!(index < self.len, "slot {index} out of {}", self.len);
         // SAFETY: in-bounds by the assert above (ptr/len came from a
         // live &mut slice); unaliased by the method's one-task-per-index
@@ -644,6 +630,7 @@ impl<'a, T> DisjointSlots<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
     use std::time::Duration;
 
     fn fill_batch(exec: &Executor, width: usize, tasks: usize) -> Vec<u64> {
@@ -820,5 +807,144 @@ mod tests {
             assert_eq!(current_deadline(), Some(soon));
         });
         assert_eq!(current_deadline(), None);
+    }
+
+    fn assert_filled(out: &[u64]) {
+        for (i, &v) in out.iter().enumerate() {
+            assert_eq!(v, (i as u64) * 3 + 1, "slot {i}");
+        }
+    }
+
+    #[test]
+    fn run_chunked_fills_every_slot_and_counts_the_decision() {
+        let exec = Executor::new();
+        for (threads, n) in [(1, 40), (4, 8), (4, 9), (4, 97), (4, 0)] {
+            let mut out = vec![0u64; n];
+            exec.run_chunked(threads, 8, &mut out, |i, _scratch, slot| {
+                *slot = (i as u64) * 3 + 1;
+            });
+            assert_filled(&out);
+        }
+        // One thread and one task's worth stay inline; an empty batch
+        // is no decision at all.
+        let stats = exec.snapshot();
+        assert_eq!((stats.inline, stats.fanout), (2, 2));
+        assert_eq!(stats.queued, 5 + 14, "9 slots in twos, 97 in sevens");
+    }
+
+    #[test]
+    fn pool_that_cannot_grow_runs_the_batch_inline() {
+        let exec = Executor::with_worker_cap(0);
+        assert_filled(&fill_batch(&exec, 4, 32));
+        let stats = exec.snapshot();
+        assert_eq!(stats.pool_size, 0);
+        assert_eq!(stats.queued, 0);
+    }
+
+    #[test]
+    fn concurrent_submitters_share_one_pool() {
+        let exec = Executor::new();
+        std::thread::scope(|scope| {
+            for submitter in 0..4 {
+                let exec = &exec;
+                scope.spawn(move || {
+                    for round in 0..50 {
+                        assert_filled(&fill_batch(exec, 4, 5 + (submitter + round) % 23));
+                    }
+                });
+            }
+        });
+        let stats = exec.snapshot();
+        assert_eq!(stats.executed, stats.queued);
+        assert!(stats.queued >= 4 * 50 * 5);
+        assert!(lock(&exec.inner.queue).open.is_empty());
+    }
+
+    #[test]
+    fn panic_stays_with_its_own_submitter() {
+        let exec = Executor::new();
+        // Both batches are in flight when the panic happens: task 0 of
+        // each waits for task 0 of the other.
+        let both_running = Barrier::new(2);
+        std::thread::scope(|scope| {
+            let doomed = scope.spawn(|| {
+                panic::catch_unwind(AssertUnwindSafe(|| {
+                    exec.run_tasks(4, 16, &|i, _scratch| {
+                        if i == 0 {
+                            both_running.wait();
+                            panic!("task 0 boom");
+                        }
+                    });
+                }))
+            });
+            let healthy = scope.spawn(|| {
+                let mut out = vec![0u64; 16];
+                exec.run_chunked(4, 1, &mut out, |i, _scratch, slot| {
+                    if i == 0 {
+                        both_running.wait();
+                    }
+                    *slot = (i as u64) * 3 + 1;
+                });
+                out
+            });
+            assert!(doomed.join().unwrap().is_err(), "the submitter re-raises");
+            assert_filled(&healthy.join().expect("the other batch is untouched"));
+        });
+        assert!(lock(&exec.inner.queue).open.is_empty());
+    }
+
+    #[test]
+    fn older_batches_are_claimed_first() {
+        let exec = Executor::new();
+        let log = Mutex::new(Vec::new());
+        // Rendezvous points: (task side, test side) pairs.
+        let (gate_in, gate_out) = (Barrier::new(3), Barrier::new(3));
+        let (first_in, first_out) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|scope| {
+            // Park the pool's one worker and this batch's caller.
+            scope.spawn(|| {
+                exec.run_tasks(2, 2, &|_, _scratch| {
+                    gate_in.wait();
+                    gate_out.wait();
+                });
+            });
+            gate_in.wait();
+            // The older batch: its caller sticks in task 0, so tasks
+            // 1..4 stay queued with nobody free to claim them.
+            scope.spawn(|| {
+                exec.run_tasks(2, 4, &|i, _scratch| {
+                    if i == 0 {
+                        first_in.wait();
+                        first_out.wait();
+                    } else {
+                        lock(&log).push(('a', i));
+                    }
+                });
+            });
+            first_in.wait();
+            // The younger batch's caller is the only free participant:
+            // it must drain the older batch before touching its own.
+            scope
+                .spawn(|| exec.run_tasks(2, 3, &|i, _scratch| lock(&log).push(('b', i))))
+                .join()
+                .unwrap();
+            let expect = [('a', 1), ('a', 2), ('a', 3), ('b', 0), ('b', 1), ('b', 2)];
+            assert_eq!(*lock(&log), expect);
+            first_out.wait();
+            gate_out.wait();
+        });
+        assert_eq!(exec.snapshot().pool_size, 1);
+    }
+
+    #[test]
+    fn no_open_batch_outlives_its_frame() {
+        let exec = Executor::new();
+        fill_batch(&exec, 4, 33);
+        assert!(lock(&exec.inner.queue).open.is_empty());
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            exec.run_tasks(4, 33, &|i, _scratch| assert_ne!(i % 8, 7, "boom"));
+        }));
+        assert!(caught.is_err());
+        assert!(lock(&exec.inner.queue).open.is_empty());
     }
 }

@@ -37,7 +37,7 @@
 //!   bit-identical to a single engine) with hot generation-swapped
 //!   artifact reload under live traffic;
 //! * [`exec`] — the persistent query executor: a parked worker pool with
-//!   per-worker cached sessions and work-stealing deques behind every
+//!   per-worker cached sessions and one shared batch queue behind every
 //!   batched/scattered serving path, plus the adaptive-dispatch counters
 //!   surfaced by the `serve` STATS command.
 

@@ -139,6 +139,11 @@ use std::ops::Range;
 /// float rounding (≈1e-16 per op) can never prune a true top-k member.
 const PRUNE_SLACK: f64 = 1.0 + 1e-9;
 
+/// Fewest queries of a batch worth one pool task: the handoff costs ~a
+/// microsecond per task (no thread spawn), so a small chunk already
+/// amortizes it.
+pub(crate) const MIN_QUERIES_PER_TASK: usize = 8;
+
 /// Which posting source the block-max skeleton reads. Both return
 /// bit-identical results; the knob lets serving trade the exact id
 /// stream for the compressed mirror.
@@ -528,8 +533,8 @@ impl QueryEngine {
     /// [`QuerySession`] and writes straight into each query's own result
     /// slot, so results come back in query order and are bit-identical
     /// at any pool size. With one thread (or a batch too small to
-    /// amortize the handoff) this degrades to a sequential loop with a
-    /// single session, spawning nothing.
+    /// amortize the handoff) this degrades to a sequential loop on the
+    /// calling thread's cached session, spawning nothing.
     pub fn search_batch<Q>(
         &self,
         concepts: &dyn ConceptAssignment,
@@ -539,50 +544,22 @@ impl QueryEngine {
     where
         Q: AsRef<[TagId]> + Sync,
     {
-        let n = queries.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Pool handoff costs ~a microsecond per task (no thread spawn),
-        // so a small chunk already amortizes it. Clamp to the batch
-        // size: a batch smaller than the pool must never engage idle
-        // workers (each would get an empty range).
-        const MIN_QUERIES_PER_TASK: usize = 8;
-        let width = parallel::num_threads()
-            .min(n.div_ceil(MIN_QUERIES_PER_TASK))
-            .min(n)
-            .max(1);
-        if width == 1 {
-            exec::global().note_inline();
-            let mut session = self.session();
-            return queries
-                .iter()
-                .map(|q| {
-                    let mut out = Vec::new();
-                    self.search_tags_with(&mut session, concepts, q.as_ref(), top_k, &mut out);
-                    out
-                })
-                .collect();
-        }
-        exec::global().note_fanout();
         let mut results: Vec<Vec<RankedResource>> = Vec::new();
-        results.resize_with(n, Vec::new);
-        // Oversplit relative to the width so work stealing can rebalance
-        // straggler ranges.
-        let task_size = n.div_ceil(width * 4).max(1);
-        let tasks = n.div_ceil(task_size);
-        let slots = exec::DisjointSlots::new(&mut results);
-        exec::global().run_tasks(width, tasks, &|task, scratch| {
-            let lo = task * task_size;
-            let hi = (lo + task_size).min(n);
-            for (offset, q) in queries[lo..hi].iter().enumerate() {
-                // SAFETY: tasks cover disjoint index ranges of 0..n, so
-                // each slot is claimed by exactly one task; `results` is
-                // not touched until the executor joins the batch.
-                let out = unsafe { slots.slot(lo + offset) };
-                self.search_tags_with(&mut scratch.query, concepts, q.as_ref(), top_k, out);
-            }
-        });
+        results.resize_with(queries.len(), Vec::new);
+        exec::global().run_chunked(
+            parallel::num_threads(),
+            MIN_QUERIES_PER_TASK,
+            &mut results,
+            |i, scratch, out| {
+                self.search_tags_with(
+                    &mut scratch.query,
+                    concepts,
+                    queries[i].as_ref(),
+                    top_k,
+                    out,
+                );
+            },
+        );
         results
     }
 

@@ -90,7 +90,7 @@ use crate::concepts::ConceptModel;
 use crate::exec;
 use crate::index::{cmp_ranked, order_terms_with, ConceptAssignment, ConceptIndex, RankedResource};
 use crate::persist::{crc32, load_from_bytes, load_zero_copy, widen, Artifact, PersistError};
-use crate::query::{PruningStrategy, QueryEngine, QuerySession};
+use crate::query::{PruningStrategy, QueryEngine, QuerySession, MIN_QUERIES_PER_TASK};
 use crate::slab::AlignedBytes;
 
 /// Shard-manifest magic bytes (distinct from the artifact magic
@@ -781,8 +781,9 @@ impl ShardSet {
         terms.clear();
         terms.extend_from_slice(prep.terms());
         order_terms_with(terms, &self.global_max_impact);
-        let width = parallel::num_threads().min(n).max(1);
-        let fan_out = width > 1
+        let threads = parallel::num_threads();
+        let fan_out = threads > 1
+            && n > 1
             && match mode {
                 Dispatch::Sequential => false,
                 Dispatch::Scatter => true,
@@ -790,17 +791,17 @@ impl ShardSet {
                     self.estimate_postings(terms) / n as u64 >= FANOUT_MIN_POSTINGS_PER_SHARD
                 }
             };
-        if matches!(mode, Dispatch::Auto) {
-            let exec = exec::global();
-            if fan_out {
-                exec.note_fanout();
-            } else {
-                exec.note_inline();
-            }
-        }
         if fan_out {
-            self.scatter_shards(terms, norm, top_k, width, results);
+            // One slot per shard, each scored on a pool-cached session
+            // (counted as a fan-out decision by the executor).
+            let engines = &self.engines;
+            exec::global().run_chunked(threads, 1, results, |shard, scratch, shard_out| {
+                engines[shard].run_with_terms(&mut scratch.query, terms, norm, top_k, shard_out);
+            });
         } else {
+            if matches!(mode, Dispatch::Auto) {
+                exec::global().note_inline();
+            }
             for ((engine, shard_session), shard_out) in self
                 .engines
                 .iter()
@@ -811,29 +812,6 @@ impl ShardSet {
             }
         }
         merge_ranked(results, cursors, top_k, out);
-    }
-
-    /// Fans per-shard scoring across the worker pool: one task per
-    /// shard, each scoring into its own result slot on a pool-cached
-    /// session. Blocks until every shard finished (the executor joins
-    /// the batch before returning).
-    fn scatter_shards(
-        &self,
-        terms: &[(u32, f64)],
-        norm: f64,
-        top_k: usize,
-        width: usize,
-        results: &mut [Vec<RankedResource>],
-    ) {
-        let slots = exec::DisjointSlots::new(results);
-        let engines = &self.engines;
-        exec::global().run_tasks(width, engines.len(), &|shard, scratch| {
-            // SAFETY: one task per shard index, so each result slot is
-            // claimed by exactly one task, and this frame's borrow of
-            // `results` is held (not used) until the executor joins.
-            let shard_out = unsafe { slots.slot(shard) };
-            engines[shard].run_with_terms(&mut scratch.query, terms, norm, top_k, shard_out);
-        });
     }
 
     /// Scatter-gather with the per-shard top-k fanned across the
@@ -889,50 +867,17 @@ impl ShardSet {
     where
         Q: AsRef<[TagId]> + Sync,
     {
-        let n = queries.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Pool handoff costs ~a microsecond per task (no thread spawn),
-        // so the fan-out bar is much lower than the old scoped-thread
-        // path's — but still nonzero. Clamp to the batch size: a batch
-        // smaller than the pool must never engage idle workers.
-        const MIN_QUERIES_PER_TASK: usize = 8;
-        let width = parallel::num_threads()
-            .min(n.div_ceil(MIN_QUERIES_PER_TASK))
-            .min(n)
-            .max(1);
-        if width == 1 {
-            exec::global().note_inline();
-            let mut session = self.session();
-            return queries
-                .iter()
-                .map(|q| {
-                    let mut out = Vec::new();
-                    self.search_query_inline(&mut session, concepts, q.as_ref(), top_k, &mut out);
-                    out
-                })
-                .collect();
-        }
-        exec::global().note_fanout();
         let mut results: Vec<Vec<RankedResource>> = Vec::new();
-        results.resize_with(n, Vec::new);
-        // Oversplit relative to the width so work stealing can rebalance
-        // straggler ranges.
-        let task_size = n.div_ceil(width * 4).max(1);
-        let tasks = n.div_ceil(task_size);
-        let slots = exec::DisjointSlots::new(&mut results);
-        exec::global().run_tasks(width, tasks, &|task, scratch| {
-            let lo = task * task_size;
-            let hi = (lo + task_size).min(n);
-            for (offset, q) in queries[lo..hi].iter().enumerate() {
-                // SAFETY: tasks cover disjoint index ranges of 0..n, so
-                // each slot is claimed by exactly one task; `results` is
-                // not touched until the executor joins the batch.
-                let out = unsafe { slots.slot(lo + offset) };
-                self.search_query_inline(&mut scratch.sharded, concepts, q.as_ref(), top_k, out);
-            }
-        });
+        results.resize_with(queries.len(), Vec::new);
+        exec::global().run_chunked(
+            parallel::num_threads(),
+            MIN_QUERIES_PER_TASK,
+            &mut results,
+            |i, scratch, out| {
+                let tags = queries[i].as_ref();
+                self.search_query_inline(&mut scratch.sharded, concepts, tags, top_k, out);
+            },
+        );
         results
     }
 }

@@ -153,8 +153,8 @@ impl ServerCounters {
 pub fn executor_summary() -> String {
     let s = cubelsi::core::exec::stats();
     format!(
-        "pool {} workers | inline {} | fanout {} | stolen {} | queued {} | late_dispatch {}",
-        s.pool_size, s.inline, s.fanout, s.stolen, s.queued, s.late_dispatch
+        "pool {} workers | inline {} | fanout {} | queued {} | late_dispatch {}",
+        s.pool_size, s.inline, s.fanout, s.queued, s.late_dispatch
     )
 }
 
@@ -281,14 +281,8 @@ pub fn prometheus_exposition(
     );
     put_counter(
         &mut out,
-        "cubelsi_exec_stolen_total",
-        "Tasks stolen across worker deques.",
-        exec.stolen,
-    );
-    put_counter(
-        &mut out,
         "cubelsi_exec_queued_total",
-        "Tasks pushed through the executor injector.",
+        "Tasks submitted to the executor queue.",
         exec.queued,
     );
     put_counter(

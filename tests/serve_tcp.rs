@@ -82,7 +82,7 @@ fn tcp_serve_end_to_end() {
     for field in ["p50", "p95", "p99", "queries/s"] {
         assert!(stats.contains(field), "missing {field}: {stats:?}");
     }
-    for field in ["pool", "workers", "inline", "fanout", "stolen", "queued"] {
+    for field in ["pool", "workers", "inline", "fanout", "queued"] {
         assert!(stats.contains(field), "missing {field}: {stats:?}");
     }
     for field in [
