@@ -25,14 +25,17 @@
 //!   top-k threshold. Per-list maxima (`max_impact`) remain as the
 //!   MaxScore term-ordering metadata.
 //!
-//! All arrays are [`crate::slab::Slab`]s: owned for freshly built indexes,
-//! or borrowed straight out of a loaded artifact buffer by the zero-copy
-//! persist path. The actual pruned query engine lives in [`crate::query`];
-//! this module keeps the exhaustive [`ConceptIndex::rank_exact`] path as
-//! the reference implementation the engine is tested against.
+//! All arrays are plain `Vec`s, whether the index was just built or
+//! restored from an artifact, and one validator guards them
+//! (`IndexArrays::validate` plus its mirror half,
+//! `CompressedPostings::validate_against`): the artifact loader runs it on
+//! every restored index before the index may serve, and debug builds run
+//! it on every assembled one. The actual pruned query engine lives in
+//! [`crate::query`]; this module keeps the exhaustive
+//! [`ConceptIndex::rank_exact`] path as the reference implementation the
+//! engine is tested against.
 
 use crate::concepts::ConceptModel;
-use crate::slab::Slab;
 use cubelsi_folksonomy::{Folksonomy, ResourceId, TagId};
 
 /// Number of postings per block-max block. 64 keeps a block's ids within a
@@ -222,21 +225,21 @@ impl<'a> ResourceVectorRef<'a> {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CompressedPostings {
     /// Per-block minimum resource id (the frame of reference).
-    pub blk_base: Slab<u32>,
+    pub blk_base: Vec<u32>,
     /// Per-block packed bit width, `0..=32`.
-    pub blk_bits: Slab<u8>,
+    pub blk_bits: Vec<u8>,
     /// Per-block quantization scale (f32, widened to f64 at use).
-    pub blk_scale: Slab<f32>,
+    pub blk_scale: Vec<f32>,
     /// Per-block quantization offset (f32, widened to f64 at use).
-    pub blk_offset: Slab<f32>,
+    pub blk_offset: Vec<f32>,
     /// Byte offset of each block's packed run inside `packed_ids`;
     /// `n_blocks + 1` entries, monotone, last = used bytes (excluding
     /// the guard bytes).
-    pub blk_pack_start: Slab<u64>,
+    pub blk_pack_start: Vec<u64>,
     /// Per-posting 8-bit quantized impact (upper bound when dequantized).
-    pub quant: Slab<u8>,
+    pub quant: Vec<u8>,
     /// Bit-packed id deltas, plus 8 zero guard bytes.
-    pub packed_ids: Slab<u8>,
+    pub packed_ids: Vec<u8>,
 }
 
 impl CompressedPostings {
@@ -249,10 +252,10 @@ impl CompressedPostings {
     /// (holding `len ≤ BLOCK_LEN` postings) into `out[..len]`.
     /// `wrapping_add` keeps a hostile id payload free of arithmetic
     /// panics; the reads themselves rely on the pack-run-chain + guard
-    /// invariant (see [`window_unchecked`]), which the persist
-    /// validator establishes on a loaded section before its first
-    /// decode and then uses to reject any section whose decoded ids
-    /// differ from the exact id array.
+    /// invariant (see [`window_unchecked`]), which
+    /// [`Self::validate_against`] establishes on a loaded mirror before
+    /// its first decode and then uses to reject any mirror whose decoded
+    /// ids differ from the exact id array.
     #[inline]
     pub fn decode_block_ids(&self, blk: usize, len: usize, out: &mut [u32]) {
         let base = self.blk_base[blk];
@@ -333,9 +336,9 @@ impl CompressedPostings {
 /// windows starting inside the run (`bit < len·bits`); the run is
 /// always followed by at least 8 readable bytes because
 /// [`compress_postings`] appends 8 zero guard bytes after the final
-/// run, and the persist validator re-establishes the identical
-/// pack-run-chain + guard-tail invariant on every loaded artifact
-/// before its first decode.
+/// run, and [`CompressedPostings::validate_against`] re-establishes
+/// the identical pack-run-chain + guard-tail invariant on every loaded
+/// artifact before its first decode.
 #[inline]
 unsafe fn window_unchecked(bytes: &[u8], bit: usize) -> u64 {
     let byte = bit >> 3;
@@ -436,7 +439,7 @@ fn unpack_simd_if_supported(bytes: &[u8], bits: usize, base: u32, out: &mut [u32
     {
         // SAFETY: feature checked above; the byte-range invariant is the
         // callers' (established at build by `compress_postings`, on load
-        // by the persist validator — see `window_unchecked`).
+        // by `validate_against` — see `window_unchecked`).
         unsafe { simd::unpack(bytes, bits, base, out) };
         return true;
     }
@@ -559,21 +562,26 @@ mod simd {
     }
 }
 
-/// Derives the compressed block mirror from impact-ordered SoA posting
-/// arrays. This is the single source of the compressed layout: the index
-/// build, the uncompressed-artifact load path, and shard
-/// partitioning all route through it, so `CompressedBlockMax` is
-/// available on every index regardless of provenance.
-pub(crate) fn compress_postings(
-    num_concepts: usize,
-    post_offsets: &[u64],
-    post_ids: &[u32],
-    post_scores: &[f64],
-) -> CompressedPostings {
-    let n_postings = post_ids.len();
-    let n_blocks: usize = (0..num_concepts)
-        .map(|l| ((post_offsets[l + 1] - post_offsets[l]) as usize).div_ceil(BLOCK_LEN))
-        .sum();
+/// The posting range of every block, in global block order: each list of
+/// (valid) posting offsets carved into [`BLOCK_LEN`]-posting blocks, the
+/// last of a list possibly short.
+fn block_ranges(post_offsets: &[u64]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    post_offsets.windows(2).flat_map(|w| {
+        let (lo, hi) = (w[0] as usize, w[1] as usize);
+        (lo..hi)
+            .step_by(BLOCK_LEN)
+            .map(move |b| b..(b + BLOCK_LEN).min(hi))
+    })
+}
+
+/// Derives the compressed block mirror from (valid) exact arrays. This
+/// is the single source of the compressed layout: the index build, the
+/// uncompressed-artifact load path, and shard partitioning all route
+/// through it, so `CompressedBlockMax` is available on every index
+/// regardless of provenance.
+fn compress_postings(exact: &IndexArrays) -> CompressedPostings {
+    let n_postings = exact.post_ids.len();
+    let n_blocks = exact.block_max.len();
     let mut blk_base = Vec::with_capacity(n_blocks);
     let mut blk_bits = Vec::with_capacity(n_blocks);
     let mut blk_scale = Vec::with_capacity(n_blocks);
@@ -582,34 +590,28 @@ pub(crate) fn compress_postings(
     let mut quant = Vec::with_capacity(n_postings);
     let mut packed: Vec<u8> = Vec::new();
     blk_pack_start.push(0u64);
-    for l in 0..num_concepts {
-        let hi = post_offsets[l + 1] as usize;
-        let mut b = post_offsets[l] as usize;
-        while b < hi {
-            let e = (b + BLOCK_LEN).min(hi);
-            let ids = &post_ids[b..e];
-            let base = ids.iter().copied().min().unwrap();
-            let max_delta = ids.iter().map(|&r| r - base).max().unwrap();
-            let bits = (32 - max_delta.leading_zeros()) as usize;
-            blk_base.push(base);
-            blk_bits.push(bits as u8);
-            pack_block_ids(&mut packed, ids, base, bits);
-            blk_pack_start.push(packed.len() as u64);
-            let (scale, offset) = quantize_block(&post_scores[b..e], &mut quant);
-            blk_scale.push(scale);
-            blk_offset.push(offset);
-            b = e;
-        }
+    for range in block_ranges(&exact.post_offsets) {
+        let ids = &exact.post_ids[range.clone()];
+        let base = ids.iter().copied().min().unwrap();
+        let max_delta = ids.iter().map(|&r| r - base).max().unwrap();
+        let bits = (32 - max_delta.leading_zeros()) as usize;
+        blk_base.push(base);
+        blk_bits.push(bits as u8);
+        pack_block_ids(&mut packed, ids, base, bits);
+        blk_pack_start.push(packed.len() as u64);
+        let (scale, offset) = quantize_block(&exact.post_scores[range], &mut quant);
+        blk_scale.push(scale);
+        blk_offset.push(offset);
     }
     packed.extend_from_slice(&[0u8; 8]);
     CompressedPostings {
-        blk_base: blk_base.into(),
-        blk_bits: blk_bits.into(),
-        blk_scale: blk_scale.into(),
-        blk_offset: blk_offset.into(),
-        blk_pack_start: blk_pack_start.into(),
-        quant: quant.into(),
-        packed_ids: packed.into(),
+        blk_base,
+        blk_bits,
+        blk_scale,
+        blk_offset,
+        blk_pack_start,
+        quant,
+        packed_ids: packed,
     }
 }
 
@@ -648,9 +650,10 @@ fn f32_at_most(x: f64) -> f32 {
 /// Quantizes one block of exact impacts to 8-bit per-posting upper
 /// bounds, appending to `quant`; returns the block's `(scale, offset)`.
 /// The contract — `offset + scale · q ≥ score`, evaluated in f64 — is
-/// enforced per posting by construction (and re-checked by the persist
-/// validator on load). Non-finite impacts (possible only from hostile
-/// artifacts) saturate harmlessly instead of panicking.
+/// enforced per posting by construction (and re-checked by
+/// [`CompressedPostings::validate_against`] on load). Non-finite impacts
+/// (possible only from hostile artifacts) saturate harmlessly instead of
+/// panicking.
 fn quantize_block(scores: &[f64], quant: &mut Vec<u8>) -> (f32, f32) {
     // Impact order: the block's max is its first score, min its last.
     let max = scores[0];
@@ -679,55 +682,360 @@ fn quantize_block(scores: &[f64], quant: &mut Vec<u8>) -> (f32, f32) {
     (scale, offset)
 }
 
-/// The raw SoA arrays of an index — the unit the persist layer serializes
-/// and the zero-copy loader reconstructs. Offsets are `u64` so the
-/// in-memory shape matches the on-disk shape exactly.
-pub(crate) struct IndexArrays<'a> {
-    pub idf: &'a [f64],
-    pub resource_norms: &'a [f64],
-    pub rv_offsets: &'a [u64],
-    pub rv_concepts: &'a [u32],
-    pub rv_weights: &'a [f64],
-    pub post_offsets: &'a [u64],
-    pub post_ids: &'a [u32],
-    pub post_scores: &'a [f64],
-    pub block_offsets: &'a [u64],
-    pub block_max: &'a [f64],
-    pub max_impact: &'a [f64],
+/// The exact SoA arrays of an index: what a build assembles, what the
+/// persist layer writes and reads back, and what [`Self::validate`]
+/// guards. Offsets are `u64` so the in-memory shape matches the on-disk
+/// shape exactly.
+#[derive(Debug, Clone)]
+pub(crate) struct IndexArrays {
+    pub num_resources: usize,
+    pub num_concepts: usize,
+    /// `idf[l] = log(N / n_l)`; 0 for unseen concepts (Eq. 1).
+    pub idf: Vec<f64>,
+    /// Per-resource vector L2 norms (denominator of Eq. 4).
+    pub resource_norms: Vec<f64>,
+    /// Resource tf-idf vectors, ragged SoA: resource `r` owns
+    /// `rv_concepts/rv_weights[rv_offsets[r]..rv_offsets[r+1]]`,
+    /// ascending concept id.
+    pub rv_offsets: Vec<u64>,
+    pub rv_concepts: Vec<u32>,
+    pub rv_weights: Vec<f64>,
+    /// Inverted index, ragged SoA: concept `l` owns
+    /// `post_ids/post_scores[post_offsets[l]..post_offsets[l+1]]`,
+    /// descending impact (ties by ascending resource id).
+    pub post_offsets: Vec<u64>,
+    pub post_ids: Vec<u32>,
+    pub post_scores: Vec<f64>,
+    /// Block maxima, ragged per concept: concept `l` owns
+    /// `block_max[block_offsets[l]..block_offsets[l+1]]`, one entry per
+    /// [`BLOCK_LEN`] postings (the last block may be short). Because the
+    /// list is impact-descending, block `b`'s max is the impact at the
+    /// block's first posting.
+    pub block_offsets: Vec<u64>,
+    pub block_max: Vec<f64>,
+    /// Per-posting-list maximum impact (upper-bound metadata and the
+    /// term-ordering key); 0 for empty lists.
+    pub max_impact: Vec<f64>,
+}
+
+/// Which half of an index failed validation, with a description of the
+/// first violation. The persist layer maps the halves to the artifact
+/// sections they were read from.
+#[derive(Debug, PartialEq)]
+pub(crate) enum IndexDefect {
+    /// The exact arrays break an invariant of their own.
+    Exact(String),
+    /// The compressed mirror is malformed or disagrees with the exact
+    /// arrays.
+    Mirror(String),
+}
+
+// The two validators below take typed arrays of any content — a hostile
+// artifact's included. Shape coherence is checked first, and every index
+// after it is in bounds on the strength of an earlier check; that
+// arithmetic is proven by the exhaustive byte-flip sweeps in
+// tests/persist_roundtrip.rs.
+
+impl IndexArrays {
+    /// The one validator of the exact arrays, run by the artifact loader
+    /// on every restored index and by debug builds on every assembled
+    /// one: shape coherence, offset monotonicity, id ranges, finite
+    /// non-negative idf / weights / norms (the pruned engine's bounds
+    /// assume non-negative term weights), per-list impact order (the
+    /// pruning loops' exactness relies on it), block geometry, block-max
+    /// / max-impact consistency with the score arrays, and posting ↔
+    /// resource-vector cross-consistency (the block-max engine's
+    /// candidate-side updates recompute `w/‖r‖` from the vectors, so the
+    /// two representations must agree bit for bit). A CRC-valid but
+    /// semantically hostile file fails here and can therefore never
+    /// misrank silently. Returns a description of the first violation.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let IndexArrays {
+            num_resources,
+            num_concepts,
+            idf,
+            resource_norms,
+            rv_offsets,
+            rv_concepts,
+            rv_weights,
+            post_offsets,
+            post_ids,
+            post_scores,
+            block_offsets,
+            block_max,
+            max_impact,
+        } = self;
+        let (num_resources, num_concepts) = (*num_resources, *num_concepts);
+
+        // Shape coherence first: everything below indexes on the
+        // strength of it. (A count that equals a `Vec` length cannot
+        // overflow the `+ 1` after it.)
+        if idf.len() != num_concepts
+            || max_impact.len() != num_concepts
+            || post_offsets.len() != num_concepts + 1
+            || block_offsets.len() != num_concepts + 1
+            || post_ids.len() != post_scores.len()
+        {
+            return Err("posting arrays out of shape".to_owned());
+        }
+        if resource_norms.len() != num_resources
+            || rv_offsets.len() != num_resources + 1
+            || rv_concepts.len() != rv_weights.len()
+        {
+            return Err("resource-vector arrays out of shape".to_owned());
+        }
+        let check_offsets = |offsets: &[u64], total: usize, what: &str| -> Result<(), String> {
+            if offsets.first() != Some(&0) {
+                return Err(format!("{what} offsets must start at 0"));
+            }
+            if offsets.last() != Some(&(total as u64)) {
+                return Err(format!(
+                    "{what} offsets must end at {total}, found {:?}",
+                    offsets.last()
+                ));
+            }
+            for w in offsets.windows(2) {
+                if w[0] > w[1] {
+                    return Err(format!("{what} offsets decrease ({} > {})", w[0], w[1]));
+                }
+            }
+            Ok(())
+        };
+        check_offsets(rv_offsets, rv_concepts.len(), "resource-vector")?;
+        check_offsets(post_offsets, post_ids.len(), "posting")?;
+        check_offsets(block_offsets, block_max.len(), "block")?;
+
+        if let Some(&l) = rv_concepts.iter().find(|&&l| l as usize >= num_concepts) {
+            return Err(format!(
+                "resource vector references unknown concept {l} of {num_concepts}"
+            ));
+        }
+        if let Some(&r) = post_ids.iter().find(|&&r| r as usize >= num_resources) {
+            return Err(format!(
+                "posting references unknown resource {r} of {num_resources}"
+            ));
+        }
+        for (what, xs) in [
+            ("idf", idf),
+            ("resource-vector weight", rv_weights),
+            ("resource norm", resource_norms),
+        ] {
+            if let Some(x) = xs.iter().find(|x| !x.is_finite() || **x < 0.0) {
+                return Err(format!("{what} {x} is negative or not finite"));
+            }
+        }
+
+        // Resource vectors must be strictly ascending in concept id: the
+        // candidate-side update path binary-searches them.
+        for r in 0..num_resources {
+            let lo = rv_offsets[r] as usize;
+            let hi = rv_offsets[r + 1] as usize;
+            for j in lo + 1..hi {
+                if rv_concepts[j - 1] >= rv_concepts[j] {
+                    return Err(format!(
+                        "resource {r} vector concepts not strictly ascending"
+                    ));
+                }
+            }
+        }
+        // Every posting of a resource must correspond to one of its
+        // vector entries with the bitwise-identical normalized impact;
+        // together with the count equality below this makes postings ↔
+        // vector entries a bijection for resources with a positive norm,
+        // so candidate-side updates and posting-list scans are
+        // interchangeable.
+        let expected_postings: u64 = (0..num_resources)
+            .filter(|&r| resource_norms[r] > 0.0)
+            .map(|r| rv_offsets[r + 1] - rv_offsets[r])
+            .sum();
+        if expected_postings != post_ids.len() as u64 {
+            return Err(format!(
+                "{} postings for {expected_postings} vector entries of positive-norm resources",
+                post_ids.len()
+            ));
+        }
+
+        for l in 0..num_concepts {
+            let lo = post_offsets[l] as usize;
+            let hi = post_offsets[l + 1] as usize;
+            let blo = block_offsets[l] as usize;
+            let bhi = block_offsets[l + 1] as usize;
+            if bhi - blo != (hi - lo).div_ceil(BLOCK_LEN) {
+                return Err(format!(
+                    "concept {l} has {} postings but {} blocks",
+                    hi - lo,
+                    bhi - blo
+                ));
+            }
+            // Impact order: score descending, ties by ascending resource
+            // id (the shared ranking tie-break). NaN scores fail both
+            // branches.
+            for j in lo + 1..hi {
+                let ordered = post_scores[j - 1] > post_scores[j]
+                    || (post_scores[j - 1] == post_scores[j] && post_ids[j - 1] < post_ids[j]);
+                if !ordered {
+                    return Err(format!(
+                        "concept {l} postings out of impact order at position {}",
+                        j - lo
+                    ));
+                }
+            }
+            // Block maxima must equal the head impact of their block
+            // (lists are descending), and the list max must equal the
+            // first impact.
+            for (bi, b) in (blo..bhi).enumerate() {
+                let head = post_scores[lo + bi * BLOCK_LEN];
+                if block_max[b].to_bits() != head.to_bits() {
+                    return Err(format!(
+                        "concept {l} block {bi} max {} disagrees with head impact {head}",
+                        block_max[b]
+                    ));
+                }
+            }
+            let expect_max = if hi > lo { post_scores[lo] } else { 0.0 };
+            if max_impact[l].to_bits() != expect_max.to_bits() {
+                return Err(format!(
+                    "concept {l} max impact {} disagrees with list head {expect_max}",
+                    max_impact[l]
+                ));
+            }
+            // Posting ↔ vector cross-check (see above).
+            for j in lo..hi {
+                let r = post_ids[j] as usize;
+                let rlo = rv_offsets[r] as usize;
+                let rhi = rv_offsets[r + 1] as usize;
+                let Ok(p) = rv_concepts[rlo..rhi].binary_search(&(l as u32)) else {
+                    return Err(format!(
+                        "concept {l} posts resource {r} whose vector lacks the concept"
+                    ));
+                };
+                let norm = resource_norms[r];
+                if norm <= 0.0 {
+                    return Err(format!("posted resource {r} has non-positive norm {norm}"));
+                }
+                let recomputed = rv_weights[rlo + p] / norm;
+                if recomputed.to_bits() != post_scores[j].to_bits() {
+                    return Err(format!(
+                        "concept {l} posting for resource {r}: impact {} disagrees with \
+                         vector-derived {recomputed}",
+                        post_scores[j]
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl CompressedPostings {
+    /// The mirror half of the validator: proves a compressed mirror
+    /// honest against exact arrays that already passed
+    /// [`IndexArrays::validate`]. Order matters: shapes and the
+    /// packed-run chain are verified first — `blk_pack_start` starts at
+    /// 0, each block's run is exactly `ceil(len·bits / 8)` bytes, the
+    /// chain's end plus 8 zero guard bytes is the whole stream — so the
+    /// id decode below (and every `window_unchecked` load after it) can
+    /// never leave the buffer; then every decoded id must equal its
+    /// exact counterpart bitwise and every dequantized impact must
+    /// upper-bound its exact impact — exactly the two properties the
+    /// `CompressedBlockMax` strategy's bit-identity argument rests on.
+    pub(crate) fn validate_against(&self, exact: &IndexArrays) -> Result<(), String> {
+        let IndexArrays {
+            post_offsets,
+            post_ids,
+            post_scores,
+            ..
+        } = exact;
+        let n_blocks = exact.block_max.len();
+        if self.num_blocks() != n_blocks {
+            return Err(format!(
+                "{} blocks, index has {n_blocks}",
+                self.num_blocks()
+            ));
+        }
+        if self.quant.len() != post_ids.len() {
+            return Err(format!(
+                "{} quantized impacts for {} postings",
+                self.quant.len(),
+                post_ids.len()
+            ));
+        }
+        if self.blk_bits.len() != n_blocks
+            || self.blk_scale.len() != n_blocks
+            || self.blk_offset.len() != n_blocks
+            || self.blk_pack_start.len() != n_blocks + 1
+        {
+            return Err("per-block arrays out of shape".to_owned());
+        }
+        let Some(packed_used) = self.packed_ids.len().checked_sub(8) else {
+            return Err(format!(
+                "packed id stream of {} bytes lacks the 8 guard bytes",
+                self.packed_ids.len()
+            ));
+        };
+        if self.blk_pack_start[0] != 0 {
+            return Err("packed runs must start at 0".to_owned());
+        }
+        // Pass 1: the packed-run chain. Fixing each run's length also
+        // forces monotonicity.
+        for (blk, range) in block_ranges(post_offsets).enumerate() {
+            let bits = self.blk_bits[blk] as usize;
+            if bits > 32 {
+                return Err(format!("block {blk} packed at {bits} bits"));
+            }
+            let expect = (range.len() * bits).div_ceil(8) as u64;
+            if self.blk_pack_start[blk + 1] != self.blk_pack_start[blk] + expect {
+                return Err(format!(
+                    "block {blk} packed run is {} bytes, {bits}-bit packing of {} ids needs {expect}",
+                    self.blk_pack_start[blk + 1].wrapping_sub(self.blk_pack_start[blk]),
+                    range.len()
+                ));
+            }
+        }
+        if self.blk_pack_start[n_blocks] != packed_used as u64 {
+            return Err(format!(
+                "packed runs end at {}, stream has {packed_used} used bytes",
+                self.blk_pack_start[n_blocks]
+            ));
+        }
+        if self.packed_ids[packed_used..].iter().any(|&g| g != 0) {
+            return Err("nonzero guard bytes".to_owned());
+        }
+        // Pass 2: decoded ids must equal the exact ids bitwise, and
+        // every dequantized impact must upper-bound its exact impact,
+        // evaluated in f64 exactly as the query path evaluates it.
+        let mut ids = [0u32; BLOCK_LEN];
+        for (blk, range) in block_ranges(post_offsets).enumerate() {
+            self.decode_block_ids(blk, range.len(), &mut ids);
+            if ids[..range.len()] != post_ids[range.clone()] {
+                return Err(format!("block {blk} ids decode differently"));
+            }
+            let scale = self.blk_scale[blk];
+            let offset = self.blk_offset[blk];
+            if !scale.is_finite() || !offset.is_finite() || scale < 0.0 {
+                return Err(format!(
+                    "block {blk} quantization scale {scale} / offset {offset} out of range"
+                ));
+            }
+            for j in range {
+                let bound = offset as f64 + scale as f64 * self.quant[j] as f64;
+                if bound < post_scores[j] {
+                    return Err(format!(
+                        "posting {j} dequantized bound {bound} below exact impact {}",
+                        post_scores[j]
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The offline concept index: tf-idf resource vectors plus a
 /// block-structured SoA inverted index from concepts to resources.
 #[derive(Debug, Clone)]
 pub struct ConceptIndex {
-    num_resources: usize,
-    num_concepts: usize,
-    /// `idf[l] = log(N / n_l)`; 0 for unseen concepts (Eq. 1).
-    idf: Slab<f64>,
-    /// Per-resource vector L2 norms (denominator of Eq. 4).
-    resource_norms: Slab<f64>,
-    /// Resource tf-idf vectors, ragged SoA: resource `r` owns
-    /// `rv_concepts/rv_weights[rv_offsets[r]..rv_offsets[r+1]]`,
-    /// ascending concept id.
-    rv_offsets: Slab<u64>,
-    rv_concepts: Slab<u32>,
-    rv_weights: Slab<f64>,
-    /// Inverted index, ragged SoA: concept `l` owns
-    /// `post_ids/post_scores[post_offsets[l]..post_offsets[l+1]]`,
-    /// descending impact (ties by ascending resource id).
-    post_offsets: Slab<u64>,
-    post_ids: Slab<u32>,
-    post_scores: Slab<f64>,
-    /// Block maxima, ragged per concept: concept `l` owns
-    /// `block_max[block_offsets[l]..block_offsets[l+1]]`, one entry per
-    /// [`BLOCK_LEN`] postings (the last block may be short). Because the
-    /// list is impact-descending, block `b`'s max is the impact at the
-    /// block's first posting.
-    block_offsets: Slab<u64>,
-    block_max: Slab<f64>,
-    /// Per-posting-list maximum impact (MaxScore upper-bound metadata);
-    /// 0 for empty lists.
-    max_impact: Slab<f64>,
+    exact: IndexArrays,
     /// Compressed hot mirror of the posting arrays (bit-packed ids,
     /// quantized impact bounds), always present — derived at build/load
     /// or restored verbatim from a compressed artifact.
@@ -834,11 +1142,6 @@ impl ConceptIndex {
         resource_norms: Vec<f64>,
         postings: Vec<Vec<(u32, f64)>>,
     ) -> Self {
-        debug_assert_eq!(idf.len(), num_concepts);
-        debug_assert_eq!(resource_vectors.len(), num_resources);
-        debug_assert_eq!(resource_norms.len(), num_resources);
-        debug_assert_eq!(postings.len(), num_concepts);
-
         let rv_nnz: usize = resource_vectors.iter().map(Vec::len).sum();
         let mut rv_offsets = Vec::with_capacity(num_resources + 1);
         let mut rv_concepts = Vec::with_capacity(rv_nnz);
@@ -876,71 +1179,7 @@ impl ConceptIndex {
             max_impact.push(list.first().map_or(0.0, |&(_, w)| w));
         }
 
-        let compressed = compress_postings(num_concepts, &post_offsets, &post_ids, &post_scores);
-        let index = ConceptIndex {
-            num_resources,
-            num_concepts,
-            idf: idf.into(),
-            resource_norms: resource_norms.into(),
-            rv_offsets: rv_offsets.into(),
-            rv_concepts: rv_concepts.into(),
-            rv_weights: rv_weights.into(),
-            post_offsets: post_offsets.into(),
-            post_ids: post_ids.into(),
-            post_scores: post_scores.into(),
-            block_offsets: block_offsets.into(),
-            block_max: block_max.into(),
-            max_impact: max_impact.into(),
-            compressed,
-        };
-        debug_assert_eq!(index.check_structure(), Ok(()));
-        index
-    }
-
-    /// Reassembles an index directly from SoA slabs, exactly as a previous
-    /// build laid them out. Used by `crate::persist` to restore a saved
-    /// artifact — owned or borrowed from the file buffer: because every
-    /// array (including the impact-sorted posting order, the block maxima,
-    /// and the precomputed norms) is restored verbatim, a loaded index
-    /// answers queries bit-identically to the one that was saved. The
-    /// caller (the deserializer) is responsible for structural validation;
-    /// this constructor only debug-asserts shapes.
-    ///
-    /// `compressed` is `Some` when the artifact carried a compressed
-    /// posting section (restored verbatim, zero-copy capable); `None`
-    /// rederives the compressed mirror from the exact arrays, so every
-    /// restored index serves `CompressedBlockMax` either way.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_soa_parts(
-        num_resources: usize,
-        num_concepts: usize,
-        idf: Slab<f64>,
-        resource_norms: Slab<f64>,
-        rv_offsets: Slab<u64>,
-        rv_concepts: Slab<u32>,
-        rv_weights: Slab<f64>,
-        post_offsets: Slab<u64>,
-        post_ids: Slab<u32>,
-        post_scores: Slab<f64>,
-        block_offsets: Slab<u64>,
-        block_max: Slab<f64>,
-        max_impact: Slab<f64>,
-        compressed: Option<CompressedPostings>,
-    ) -> Self {
-        debug_assert_eq!(idf.len(), num_concepts);
-        debug_assert_eq!(resource_norms.len(), num_resources);
-        debug_assert_eq!(rv_offsets.len(), num_resources + 1);
-        debug_assert_eq!(rv_concepts.len(), rv_weights.len());
-        debug_assert_eq!(post_offsets.len(), num_concepts + 1);
-        debug_assert_eq!(post_ids.len(), post_scores.len());
-        debug_assert_eq!(block_offsets.len(), num_concepts + 1);
-        debug_assert_eq!(max_impact.len(), num_concepts);
-        let compressed = compressed.unwrap_or_else(|| {
-            compress_postings(num_concepts, &post_offsets, &post_ids, &post_scores)
-        });
-        debug_assert_eq!(compressed.num_blocks(), block_max.len());
-        debug_assert_eq!(compressed.quant.len(), post_ids.len());
-        let index = ConceptIndex {
+        let exact = IndexArrays {
             num_resources,
             num_concepts,
             idf,
@@ -954,213 +1193,99 @@ impl ConceptIndex {
             block_offsets,
             block_max,
             max_impact,
-            compressed,
         };
-        debug_assert_eq!(index.check_structure(), Ok(()));
+        let compressed = compress_postings(&exact);
+        let index = ConceptIndex { exact, compressed };
+        debug_assert_eq!(index.validate(), Ok(()));
         index
     }
 
-    /// Debug-build structural validator, shared between the
-    /// `debug_assert!`s in the constructors and the test suite. Checks
-    /// the three invariants the unsafe decode kernels and the pruning
-    /// strategies lean on, returning a description of the first
-    /// violation:
-    ///
-    /// * **pack-run chain** — `blk_pack_start` is monotone, each block's
-    ///   run is exactly `ceil(len·bits / 8)` bytes, the chain's end plus
-    ///   the 8 guard bytes equals `packed_ids.len()`, and the guard
-    ///   bytes are zero (this is what makes every `window_unchecked`
-    ///   load in-bounds);
-    /// * **block-max consistency** — `block_offsets` is monotone with
-    ///   `ceil(len / BLOCK_LEN)` blocks per concept, every `block_max`
-    ///   entry equals its block's first (maximum) impact, posting lists
-    ///   are impact-descending with ties ascending by id, and
-    ///   `max_impact` mirrors each list head;
-    /// * **shape coherence** — every parallel array has the advertised
-    ///   length and `post_offsets`/`rv_offsets` are monotone and end at
-    ///   their arrays' lengths.
-    pub(crate) fn check_structure(&self) -> Result<(), String> {
-        let fail = |what: String| -> Result<(), String> { Err(what) };
-        // Shape coherence.
-        if self.idf.len() != self.num_concepts {
-            return fail(format!(
-                "idf len {} != {}",
-                self.idf.len(),
-                self.num_concepts
-            ));
-        }
-        if self.resource_norms.len() != self.num_resources
-            || self.rv_offsets.len() != self.num_resources + 1
-            || self.rv_concepts.len() != self.rv_weights.len()
-        {
-            return fail("resource-vector arrays out of shape".to_owned());
-        }
-        if self.post_offsets.len() != self.num_concepts + 1
-            || self.post_ids.len() != self.post_scores.len()
-            || self.block_offsets.len() != self.num_concepts + 1
-            || self.max_impact.len() != self.num_concepts
-        {
-            return fail("posting arrays out of shape".to_owned());
-        }
-        let monotone_to = |offsets: &[u64], end: usize, what: &str| -> Result<(), String> {
-            if offsets.windows(2).any(|w| w[0] > w[1]) {
-                return Err(format!("{what} offsets not monotone"));
+    /// The checked constructor behind every artifact load: restores an
+    /// index from exact arrays exactly as a previous build laid them out
+    /// — every array (including the impact-sorted posting order, the
+    /// block maxima, and the precomputed norms) verbatim, so a loaded
+    /// index answers queries bit-identically to the one that was saved —
+    /// after [`IndexArrays::validate`] accepted them. `mirror` is `Some`
+    /// when the artifact carried a compressed posting section (restored
+    /// verbatim once proven honest against the exact arrays); `None`
+    /// rederives the mirror from the validated arrays, so every restored
+    /// index serves `CompressedBlockMax` either way.
+    pub(crate) fn from_arrays(
+        exact: IndexArrays,
+        mirror: Option<CompressedPostings>,
+    ) -> Result<Self, IndexDefect> {
+        exact.validate().map_err(IndexDefect::Exact)?;
+        let compressed = match mirror {
+            Some(mirror) => {
+                mirror
+                    .validate_against(&exact)
+                    .map_err(IndexDefect::Mirror)?;
+                mirror
             }
-            if offsets.last().copied() != Some(end as u64) {
-                return Err(format!("{what} offsets do not end at {end}"));
-            }
-            Ok(())
+            None => compress_postings(&exact),
         };
-        monotone_to(&self.rv_offsets, self.rv_concepts.len(), "resource-vector")?;
-        monotone_to(&self.post_offsets, self.post_ids.len(), "posting")?;
-        monotone_to(&self.block_offsets, self.block_max.len(), "block")?;
-
-        // Block-max consistency + impact order.
-        for l in 0..self.num_concepts {
-            let lo = self.post_offsets[l] as usize;
-            let hi = self.post_offsets[l + 1] as usize;
-            let list_ids = &self.post_ids[lo..hi];
-            let list_scores = &self.post_scores[lo..hi];
-            for j in 1..list_scores.len() {
-                if cmp_ranked(
-                    list_scores[j - 1],
-                    list_ids[j - 1],
-                    list_scores[j],
-                    list_ids[j],
-                ) == std::cmp::Ordering::Greater
-                {
-                    return fail(format!("concept {l} posting {j} out of impact order"));
-                }
-            }
-            let head = list_scores.first().copied().unwrap_or(0.0);
-            if self.max_impact[l].to_bits() != head.to_bits() {
-                return fail(format!("concept {l} max_impact disagrees with list head"));
-            }
-            let blo = self.block_offsets[l] as usize;
-            let bhi = self.block_offsets[l + 1] as usize;
-            if bhi - blo != list_ids.len().div_ceil(BLOCK_LEN) {
-                return fail(format!(
-                    "concept {l} owns {} blocks, expected ceil",
-                    bhi - blo
-                ));
-            }
-            for (b, block) in (blo..bhi).zip(list_scores.chunks(BLOCK_LEN)) {
-                let first = block.first().copied().unwrap_or(0.0);
-                if self.block_max[b].to_bits() != first.to_bits() {
-                    return fail(format!("block {b} max disagrees with its first impact"));
-                }
-            }
-        }
-
-        // Pack-run chain over the compressed mirror.
-        let c = &self.compressed;
-        let n_blocks = self.block_max.len();
-        if c.blk_base.len() != n_blocks
-            || c.blk_bits.len() != n_blocks
-            || c.blk_scale.len() != n_blocks
-            || c.blk_offset.len() != n_blocks
-            || c.blk_pack_start.len() != n_blocks + 1
-            || c.quant.len() != self.post_ids.len()
-        {
-            return fail("compressed arrays out of shape".to_owned());
-        }
-        let mut block = 0usize;
-        for l in 0..self.num_concepts {
-            let mut len = (self.post_offsets[l + 1] - self.post_offsets[l]) as usize;
-            while len > 0 {
-                let blk_len = len.min(BLOCK_LEN);
-                let start = c.blk_pack_start[block] as usize;
-                let end = c.blk_pack_start[block + 1] as usize;
-                let bits = c.blk_bits[block] as usize;
-                if end < start || end - start != (blk_len * bits).div_ceil(8) {
-                    return fail(format!("block {block} packed run has wrong length"));
-                }
-                block += 1;
-                len -= blk_len;
-            }
-        }
-        let used = c.blk_pack_start.last().copied().unwrap_or(0) as usize;
-        if c.packed_ids.len() != used + 8 {
-            return fail(format!(
-                "packed id stream is {} bytes, chain + guard require {}",
-                c.packed_ids.len(),
-                used + 8
-            ));
-        }
-        if self.compressed.packed_ids[used..].iter().any(|&b| b != 0) {
-            return fail("guard bytes are not zero".to_owned());
-        }
-        Ok(())
+        Ok(ConceptIndex { exact, compressed })
     }
 
-    /// The raw SoA arrays (for serialization).
-    pub(crate) fn as_arrays(&self) -> IndexArrays<'_> {
-        IndexArrays {
-            idf: &self.idf,
-            resource_norms: &self.resource_norms,
-            rv_offsets: &self.rv_offsets,
-            rv_concepts: &self.rv_concepts,
-            rv_weights: &self.rv_weights,
-            post_offsets: &self.post_offsets,
-            post_ids: &self.post_ids,
-            post_scores: &self.post_scores,
-            block_offsets: &self.block_offsets,
-            block_max: &self.block_max,
-            max_impact: &self.max_impact,
-        }
+    /// Both halves of the validator over an assembled index — what
+    /// [`Self::from_arrays`] establishes, re-checked.
+    pub(crate) fn validate(&self) -> Result<(), IndexDefect> {
+        self.exact.validate().map_err(IndexDefect::Exact)?;
+        self.compressed
+            .validate_against(&self.exact)
+            .map_err(IndexDefect::Mirror)
     }
 
-    /// Whether the hot arrays are served zero-copy out of an artifact
-    /// buffer (true only for indexes restored via the borrowed load path).
-    pub fn is_zero_copy(&self) -> bool {
-        self.post_scores.is_borrowed()
+    /// The exact SoA arrays (for serialization).
+    pub(crate) fn as_arrays(&self) -> &IndexArrays {
+        &self.exact
     }
 
     /// Number of indexed resources.
     pub fn num_resources(&self) -> usize {
-        self.num_resources
+        self.exact.num_resources
     }
 
     /// Number of concepts in the space.
     pub fn num_concepts(&self) -> usize {
-        self.num_concepts
+        self.exact.num_concepts
     }
 
     /// Total number of postings across all concepts.
     pub fn num_postings(&self) -> usize {
-        self.post_ids.len()
+        self.exact.post_ids.len()
     }
 
     /// `idf` of a concept (Eq. 1's `log(N/n_l)`).
     pub fn idf(&self, concept: usize) -> f64 {
-        self.idf[concept]
+        self.exact.idf[concept]
     }
 
     /// The sparse tf-idf vector of a resource (Eq. 3), ascending concept
     /// id.
     pub fn resource_vector(&self, r: usize) -> ResourceVectorRef<'_> {
-        let lo = self.rv_offsets[r] as usize;
-        let hi = self.rv_offsets[r + 1] as usize;
+        let lo = self.exact.rv_offsets[r] as usize;
+        let hi = self.exact.rv_offsets[r + 1] as usize;
         ResourceVectorRef {
-            concepts: &self.rv_concepts[lo..hi],
-            weights: &self.rv_weights[lo..hi],
+            concepts: &self.exact.rv_concepts[lo..hi],
+            weights: &self.exact.rv_weights[lo..hi],
         }
     }
 
     /// L2 norm of a resource's tf-idf vector.
     pub fn resource_norm(&self, r: usize) -> f64 {
-        self.resource_norms[r]
+        self.exact.resource_norms[r]
     }
 
     /// The impact-ordered posting list of a concept: parallel
     /// `(resource, impact)` arrays with `impact = w(l, r) / ‖r‖`,
     /// descending.
     pub fn postings(&self, concept: usize) -> PostingsRef<'_> {
-        let lo = self.post_offsets[concept] as usize;
-        let hi = self.post_offsets[concept + 1] as usize;
+        let lo = self.exact.post_offsets[concept] as usize;
+        let hi = self.exact.post_offsets[concept + 1] as usize;
         PostingsRef {
-            ids: &self.post_ids[lo..hi],
-            scores: &self.post_scores[lo..hi],
+            ids: &self.exact.post_ids[lo..hi],
+            scores: &self.exact.post_scores[lo..hi],
         }
     }
 
@@ -1168,14 +1293,14 @@ impl ConceptIndex {
     /// maximum impact among postings `[b·BLOCK_LEN, (b+1)·BLOCK_LEN)` of
     /// the list (the last block may be short).
     pub fn block_maxima(&self, concept: usize) -> &[f64] {
-        let lo = self.block_offsets[concept] as usize;
-        let hi = self.block_offsets[concept + 1] as usize;
-        &self.block_max[lo..hi]
+        let lo = self.exact.block_offsets[concept] as usize;
+        let hi = self.exact.block_offsets[concept + 1] as usize;
+        &self.exact.block_max[lo..hi]
     }
 
     /// Maximum impact in a concept's posting list (0 if empty).
     pub fn max_impact(&self, concept: usize) -> f64 {
-        self.max_impact[concept]
+        self.exact.max_impact[concept]
     }
 
     /// The compressed hot mirror of the posting arrays.
@@ -1186,13 +1311,13 @@ impl ConceptIndex {
     /// Global index of a concept's first block (its block-maxima slice
     /// and its compressed per-block metadata start here).
     pub(crate) fn first_block(&self, concept: usize) -> usize {
-        self.block_offsets[concept] as usize
+        self.exact.block_offsets[concept] as usize
     }
 
     /// Offset of a concept's first posting in the flat posting arrays
     /// (indexes the per-posting `quant` array of the compressed mirror).
     pub(crate) fn posting_start(&self, concept: usize) -> usize {
-        self.post_offsets[concept] as usize
+        self.exact.post_offsets[concept] as usize
     }
 
     /// Bytes the compressed query path keeps hot per steady-state scan:
@@ -1215,8 +1340,8 @@ impl ConceptIndex {
     /// Bytes the uncompressed paths stream per steady-state scan: the
     /// exact id and impact arrays (12 bytes per posting).
     pub fn uncompressed_hot_bytes(&self) -> usize {
-        self.post_ids.len() * std::mem::size_of::<u32>()
-            + self.post_scores.len() * std::mem::size_of::<f64>()
+        self.exact.post_ids.len() * std::mem::size_of::<u32>()
+            + self.exact.post_scores.len() * std::mem::size_of::<f64>()
     }
 
     /// Maps query tags to a [`PreparedQuery`]: each tag occurrence counts
@@ -1228,7 +1353,7 @@ impl ConceptIndex {
         concepts: &dyn ConceptAssignment,
         tags: &[TagId],
     ) -> Option<PreparedQuery> {
-        let mut counts = vec![0.0f64; self.num_concepts];
+        let mut counts = vec![0.0f64; self.exact.num_concepts];
         let mut total = 0.0;
         for t in tags {
             if t.index() < concepts.num_tags() {
@@ -1245,7 +1370,7 @@ impl ConceptIndex {
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0.0)
-            .map(|(l, &c)| (l as u32, (c / total) * self.idf[l]))
+            .map(|(l, &c)| (l as u32, (c / total) * self.exact.idf[l]))
             .filter(|&(_, w)| w != 0.0)
             .collect();
         self.prepare_weighted(&terms)
@@ -1259,7 +1384,7 @@ impl ConceptIndex {
     pub fn prepare_weighted(&self, terms: &[(u32, f64)]) -> Option<PreparedQuery> {
         let mut terms: Vec<(u32, f64)> = terms
             .iter()
-            .filter(|&&(l, _)| (l as usize) < self.num_concepts)
+            .filter(|&&(l, _)| (l as usize) < self.exact.num_concepts)
             .copied()
             .collect();
         terms.sort_unstable_by_key(|&(l, _)| l);
@@ -1277,7 +1402,7 @@ impl ConceptIndex {
     /// floating-point accumulation sequences — and hence scores —
     /// identical for every surviving resource.
     pub(crate) fn order_terms(&self, terms: &mut [(u32, f64)]) {
-        order_terms_with(terms, &self.max_impact);
+        order_terms_with(terms, &self.exact.max_impact);
     }
 
     /// Copies out the shard of this index owned by `shard` of
@@ -1292,7 +1417,7 @@ impl ConceptIndex {
     /// vector, zero norm, no postings). Per-list metadata — block
     /// structure, block maxima, per-list maxima — is rederived from the
     /// filtered lists, whose impact order is inherited from the full
-    /// index, so every per-shard structural invariant the persist
+    /// index, so every per-shard structural invariant the index
     /// validator checks holds by construction. Kept impacts are the
     /// full index's bytes, untouched: a resource scores bit-identically
     /// in its shard and in the full index.
@@ -1300,9 +1425,9 @@ impl ConceptIndex {
         assert!(num_shards >= 1, "num_shards must be >= 1");
         assert!(shard < num_shards, "shard {shard} out of {num_shards}");
         let member = |r: usize| r % num_shards == shard;
-        let mut resource_vectors = Vec::with_capacity(self.num_resources);
-        let mut resource_norms = Vec::with_capacity(self.num_resources);
-        for r in 0..self.num_resources {
+        let mut resource_vectors = Vec::with_capacity(self.exact.num_resources);
+        let mut resource_norms = Vec::with_capacity(self.exact.num_resources);
+        for r in 0..self.exact.num_resources {
             if member(r) {
                 resource_vectors.push(self.resource_vector(r).iter().collect());
                 resource_norms.push(self.resource_norm(r));
@@ -1311,7 +1436,7 @@ impl ConceptIndex {
                 resource_norms.push(0.0);
             }
         }
-        let postings: Vec<Vec<(u32, f64)>> = (0..self.num_concepts)
+        let postings: Vec<Vec<(u32, f64)>> = (0..self.exact.num_concepts)
             .map(|l| {
                 self.postings(l)
                     .iter()
@@ -1320,9 +1445,9 @@ impl ConceptIndex {
             })
             .collect();
         Self::from_lists(
-            self.num_resources,
-            self.num_concepts,
-            self.idf.to_vec(),
+            self.exact.num_resources,
+            self.exact.num_concepts,
+            self.exact.idf.clone(),
             resource_vectors,
             resource_norms,
             postings,
@@ -1348,8 +1473,8 @@ impl ConceptIndex {
     pub(crate) fn coalesce(shards: &[&ConceptIndex]) -> ConceptIndex {
         assert!(!shards.is_empty(), "coalesce needs at least one shard");
         let n = shards.len();
-        let num_resources = shards[0].num_resources;
-        let num_concepts = shards[0].num_concepts;
+        let num_resources = shards[0].num_resources();
+        let num_concepts = shards[0].num_concepts();
         let mut resource_vectors = Vec::with_capacity(num_resources);
         let mut resource_norms = Vec::with_capacity(num_resources);
         for r in 0..num_resources {
@@ -1368,7 +1493,7 @@ impl ConceptIndex {
         Self::from_lists(
             num_resources,
             num_concepts,
-            shards[0].idf.to_vec(),
+            shards[0].exact.idf.clone(),
             resource_vectors,
             resource_norms,
             postings,
@@ -1380,7 +1505,7 @@ impl ConceptIndex {
     /// matches. This is the path the paper describes (Eq. 4 over the
     /// inverted index) and the ground truth for the pruned engine.
     pub fn rank_exact(&self, query: &PreparedQuery, top_k: usize) -> Vec<RankedResource> {
-        let mut scores = vec![0.0f64; self.num_resources];
+        let mut scores = vec![0.0f64; self.exact.num_resources];
         for &(l, wq) in &query.terms {
             let p = self.postings(l as usize);
             for (r, w) in p.iter() {
@@ -1445,12 +1570,12 @@ impl ConceptIndex {
 
     /// Size of the index in `f64`-equivalents (for memory accounting).
     pub fn footprint_len(&self) -> usize {
-        let vectors = 2 * self.rv_concepts.len();
-        let postings = 2 * self.post_ids.len();
-        self.idf.len()
-            + self.resource_norms.len()
-            + self.max_impact.len()
-            + self.block_max.len()
+        let vectors = 2 * self.exact.rv_concepts.len();
+        let postings = 2 * self.exact.post_ids.len();
+        self.exact.idf.len()
+            + self.exact.resource_norms.len()
+            + self.exact.max_impact.len()
+            + self.exact.block_max.len()
             + vectors
             + postings
     }
@@ -1643,7 +1768,7 @@ mod tests {
         let concepts = ConceptModel::from_assignments(vec![0, 1], 1.0);
         let index = ConceptIndex::build(&f, &concepts);
         let c = index.compressed();
-        assert_eq!(c.num_blocks(), index.block_max.len());
+        assert_eq!(c.num_blocks(), index.exact.block_max.len());
         assert_eq!(c.quant.len(), index.num_postings());
         assert_eq!(c.blk_pack_start.len(), c.num_blocks() + 1);
         assert_eq!(
@@ -1654,8 +1779,8 @@ mod tests {
         let mut buf = [0u32; BLOCK_LEN];
         for l in 0..index.num_concepts() {
             let list = index.postings(l);
-            let first_blk = index.block_offsets[l] as usize;
-            let base_post = index.post_offsets[l] as usize;
+            let first_blk = index.exact.block_offsets[l] as usize;
+            let base_post = index.exact.post_offsets[l] as usize;
             for local in 0..list.len().div_ceil(BLOCK_LEN) {
                 let lo = local * BLOCK_LEN;
                 let hi = (lo + BLOCK_LEN).min(list.len());
@@ -1698,7 +1823,7 @@ mod tests {
             if list.is_empty() {
                 continue;
             }
-            let blk = index.block_offsets[l] as usize;
+            let blk = index.exact.block_offsets[l] as usize;
             index.compressed.decode_block_ids(blk, list.len(), &mut buf);
             assert_eq!(&buf[..list.len()], list.ids);
         }
@@ -1798,59 +1923,66 @@ mod tests {
     fn structural_validator_accepts_builds_and_flags_corruption() {
         let (f, concepts) = corpus();
         let index = ConceptIndex::build(&f, &concepts);
-        assert_eq!(index.check_structure(), Ok(()));
+        assert_eq!(index.validate(), Ok(()));
+        let exact_err = |bad: &ConceptIndex| match bad.validate() {
+            Err(IndexDefect::Exact(err)) => err,
+            other => panic!("expected an exact-array defect, got {other:?}"),
+        };
+        let mirror_err = |bad: &ConceptIndex| match bad.validate() {
+            Err(IndexDefect::Mirror(err)) => err,
+            other => panic!("expected a mirror defect, got {other:?}"),
+        };
 
         // Block-max drift: one cached maximum no longer matches its
         // block's first impact.
         let mut bad = index.clone();
-        let mut bm: Vec<f64> = bad.block_max.to_vec();
-        bm[0] += 1.0;
-        bad.block_max = bm.into();
-        let err = bad.check_structure().unwrap_err();
-        assert!(err.contains("disagrees with its first impact"), "{err}");
+        bad.exact.block_max[0] += 1.0;
+        let err = exact_err(&bad);
+        assert!(err.contains("disagrees with head impact"), "{err}");
 
         // Stale per-concept bound.
         let mut bad = index.clone();
-        let mut mi: Vec<f64> = bad.max_impact.to_vec();
-        mi[0] *= 0.5;
-        bad.max_impact = mi.into();
-        let err = bad.check_structure().unwrap_err();
+        bad.exact.max_impact[0] *= 0.5;
+        let err = exact_err(&bad);
         assert!(err.contains("disagrees with list head"), "{err}");
 
         // Impact order broken: reverse one posting list in place.
         let mut bad = index.clone();
-        let mut scores: Vec<f64> = bad.post_scores.to_vec();
-        let (lo, hi) = (bad.post_offsets[0] as usize, bad.post_offsets[1] as usize);
-        if hi - lo >= 2 && scores[lo] != scores[hi - 1] {
-            scores[lo..hi].reverse();
-            bad.post_scores = scores.into();
-            let err = bad.check_structure().unwrap_err();
-            assert!(err.contains("out of impact order"), "{err}");
-        }
+        let (lo, hi) = (
+            bad.exact.post_offsets[0] as usize,
+            bad.exact.post_offsets[1] as usize,
+        );
+        assert!(hi - lo >= 2 && bad.exact.post_scores[lo] != bad.exact.post_scores[hi - 1]);
+        bad.exact.post_scores[lo..hi].reverse();
+        let err = exact_err(&bad);
+        assert!(err.contains("out of impact order"), "{err}");
 
         // Pack-run chain: dropping a byte breaks the chain-end + guard
         // accounting the unchecked window reads rely on.
         let mut bad = index.clone();
-        let mut packed: Vec<u8> = bad.compressed.packed_ids.to_vec();
-        packed.pop();
-        bad.compressed.packed_ids = packed.into();
-        let err = bad.check_structure().unwrap_err();
-        assert!(err.contains("chain + guard require"), "{err}");
+        bad.compressed.packed_ids.pop();
+        let err = mirror_err(&bad);
+        assert!(err.contains("packed runs end at"), "{err}");
 
         // Dirty guard byte.
         let mut bad = index.clone();
-        let mut packed: Vec<u8> = bad.compressed.packed_ids.to_vec();
-        *packed.last_mut().unwrap() = 1;
-        bad.compressed.packed_ids = packed.into();
-        let err = bad.check_structure().unwrap_err();
-        assert!(err.contains("guard bytes are not zero"), "{err}");
+        *bad.compressed.packed_ids.last_mut().unwrap() = 1;
+        let err = mirror_err(&bad);
+        assert!(err.contains("nonzero guard bytes"), "{err}");
 
         // Non-monotone offsets.
         let mut bad = index.clone();
-        let mut po: Vec<u64> = bad.post_offsets.to_vec();
-        po[1] = po[po.len() - 1] + 1;
-        bad.post_offsets = po.into();
-        let err = bad.check_structure().unwrap_err();
+        let end = *bad.exact.post_offsets.last().unwrap();
+        bad.exact.post_offsets[1] = end + 1;
+        let err = exact_err(&bad);
         assert!(err.contains("posting offsets"), "{err}");
+
+        // Term weights the pruned engine's bounds do not survive.
+        for hostile in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut bad = index.clone();
+            bad.exact.idf[0] = hostile;
+            let err = exact_err(&bad);
+            assert!(err.contains("idf"), "{err}");
+        }
     }
 }

@@ -24,14 +24,12 @@
 //!   skeleton over impact-ordered SoA postings (raw or compressed ids),
 //!   bounded-heap selection, zero-allocation sessions, and parallel
 //!   batched search;
-//! * [`slab`] — hybrid owned/borrowed storage backing the index arrays,
-//!   so a loaded artifact can serve straight out of its file buffer;
 //! * [`pipeline`] — the [`CubeLsi`] facade wiring everything, with
 //!   per-phase timings for the efficiency experiments (Tables V–VII);
 //! * [`persist`] — versioned, checksummed binary save/load of a complete
-//!   built engine (with an aligned SoA index section supporting owned and
-//!   zero-copy loads), splitting the expensive offline build from cheap
-//!   online serving across process lifetimes;
+//!   built engine (one load path, one index validator), splitting the
+//!   expensive offline build from cheap online serving across process
+//!   lifetimes;
 //! * [`shard`] — sharded scatter-gather serving over resource-partitioned
 //!   shard artifacts (versioned manifest + exact k-way merge,
 //!   bit-identical to a single engine) with hot generation-swapped
@@ -50,7 +48,6 @@ pub mod persist;
 pub mod pipeline;
 pub mod query;
 pub mod shard;
-pub mod slab;
 pub mod soft;
 pub mod tensor_build;
 
@@ -68,9 +65,7 @@ pub use persist::{Artifact, PersistError};
 pub use pipeline::{CubeLsi, PhaseTimings};
 pub use query::{PruningStrategy, QueryEngine, QuerySession};
 pub use shard::{
-    LoadMode, ShardEntry, ShardGeneration, ShardManifest, ShardSet, ShardedEngine, ShardedSession,
-    SourceKind,
+    ShardEntry, ShardGeneration, ShardManifest, ShardSet, ShardedEngine, ShardedSession, SourceKind,
 };
-pub use slab::{AlignedBytes, Slab};
 pub use soft::{SoftConceptModel, SoftConfig};
 pub use tensor_build::build_tensor;

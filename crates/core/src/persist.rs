@@ -59,20 +59,17 @@
 //!   max_impact      f64 × num_concepts
 //! ```
 //!
-//! Because the section payload itself starts 8-aligned in the file, every
-//! array is correctly aligned *in the file buffer*, which enables the
-//! **zero-copy load path** ([`load_zero_copy`] /
-//! [`load_from_path_zero_copy`]): the hot arrays are borrowed straight
-//! out of a shared [`AlignedBytes`] buffer — no per-posting decoding,
-//! allocation, or copying. The owned path ([`load_from_bytes`] /
-//! [`load_from_path`], the portable default) bulk-copies the same
-//! arrays. Both paths deliberately still run the full read-only semantic
-//! validation (offset monotonicity, id ranges, impact order, block-max
-//! consistency, posting ↔ vector cross-checks) before the index is
-//! allowed to serve — a linear scan of the postings, accepted so that a
-//! checksummed-but-hostile file can never misrank; what the zero-copy
-//! path removes is the per-posting materialization, not that safety
-//! pass.
+//! There is one load path ([`load_from_bytes`] / [`load_from_path`]): it
+//! bulk-copies each array into a `Vec` and hands them to the index's one
+//! checked constructor, which runs the full read-only semantic
+//! validation (offset monotonicity, id ranges, finite non-negative
+//! weights, impact order, block-max consistency, posting ↔ vector
+//! cross-checks; see `crate::index`) before the index is allowed to
+//! serve — a linear scan of the postings, accepted so that a
+//! checksummed-but-hostile file can never misrank. The section payload
+//! starts 8-aligned in the file and so does every array inside it; the
+//! loader still insists on that ([`PersistError::MisalignedSection`]),
+//! which keeps the arrays viewable in place by any reader of the format.
 //!
 //! ## The compressed index section (format v3)
 //!
@@ -113,9 +110,8 @@
 //!   order, block maxima, norms, idf, concept assignment, tag-name
 //!   lookup) is restored verbatim, so a loaded engine's
 //!   [`CubeLsi::search_ids`] output — scores, order, and tie-breaks — is
-//!   bit-for-bit identical to the engine that was saved, under both load
-//!   modes. Enforced by the `persist_roundtrip` integration tests over
-//!   randomized corpora.
+//!   bit-for-bit identical to the engine that was saved. Enforced by the
+//!   `persist_roundtrip` integration tests over randomized corpora.
 //! * **No panics on bad input.** Corrupt, truncated, misaligned, or
 //!   version-mismatched files return a typed [`PersistError`]; every
 //!   length is bounds-checked before allocation and every id is validated
@@ -123,7 +119,6 @@
 
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
 
 use cubelsi_folksonomy::{Folksonomy, Interner, ResourceId, TagAssignment, TagId, UserId};
@@ -132,9 +127,8 @@ use cubelsi_tensor::{DenseTensor3, TuckerDecomposition};
 
 use crate::concepts::ConceptModel;
 use crate::distance::TagDistances;
-use crate::index::{CompressedPostings, ConceptIndex, BLOCK_LEN};
+use crate::index::{CompressedPostings, ConceptIndex, IndexArrays, IndexDefect, BLOCK_LEN};
 use crate::pipeline::{CubeLsi, PhaseTimings};
-use crate::slab::{AlignedBytes, Pod, Slab};
 
 /// File magic: identifies a CubeLSI artifact regardless of extension.
 pub const MAGIC: [u8; 8] = *b"CUBELSI\0";
@@ -205,8 +199,8 @@ pub enum PersistError {
     /// A required section is absent from the section table.
     MissingSection(u32),
     /// A section that must start at an 8-byte-aligned file offset (the
-    /// SoA index section, whose arrays are viewed in place by the
-    /// zero-copy path) does not.
+    /// index sections, whose arrays the format keeps viewable in place)
+    /// does not.
     MisalignedSection {
         /// Section id with the misaligned payload.
         section: u32,
@@ -583,8 +577,8 @@ pub fn save_to_vec_with(model: &CubeLsi, folksonomy: &Folksonomy, compress: bool
 }
 
 /// Lays out header + table + payloads, starting every payload at an
-/// 8-byte-aligned file offset (zero padding in between). The alignment is
-/// what lets the zero-copy loader view the SoA index arrays in place.
+/// 8-byte-aligned file offset (zero padding in between), so the index
+/// arrays are aligned in the file as they are in memory.
 fn assemble_file(version: u32, sections: Vec<(u32, Vec<u8>)>) -> Vec<u8> {
     let table_len = sections.len() * TABLE_ENTRY_LEN;
     let payload_base = HEADER_LEN + table_len;
@@ -751,41 +745,41 @@ fn encode_index_soa(ix: &ConceptIndex) -> Vec<u8> {
     e.put_usize(a.post_ids.len());
     e.put_usize(a.block_max.len());
     for xs in [
-        a.idf,
-        a.resource_norms,
+        &a.idf,
+        &a.resource_norms,
         // rv_offsets interleaves below (u64), keep field order explicit.
     ] {
         for &x in xs {
             e.put_f64(x);
         }
     }
-    for &x in a.rv_offsets {
+    for &x in &a.rv_offsets {
         e.put_u64(x);
     }
-    for &x in a.rv_concepts {
+    for &x in &a.rv_concepts {
         e.put_u32(x);
     }
     e.pad_to_8();
-    for &x in a.rv_weights {
+    for &x in &a.rv_weights {
         e.put_f64(x);
     }
-    for &x in a.post_offsets {
+    for &x in &a.post_offsets {
         e.put_u64(x);
     }
-    for &x in a.post_ids {
+    for &x in &a.post_ids {
         e.put_u32(x);
     }
     e.pad_to_8();
-    for &x in a.post_scores {
+    for &x in &a.post_scores {
         e.put_f64(x);
     }
-    for &x in a.block_offsets {
+    for &x in &a.block_offsets {
         e.put_u64(x);
     }
-    for &x in a.block_max {
+    for &x in &a.block_max {
         e.put_f64(x);
     }
-    for &x in a.max_impact {
+    for &x in &a.max_impact {
         e.put_f64(x);
     }
     e.buf
@@ -800,18 +794,18 @@ fn encode_index_compressed(ix: &ConceptIndex) -> Vec<u8> {
     e.put_usize(c.quant.len());
     e.put_usize(c.packed_ids.len());
     e.put_usize(BLOCK_LEN);
-    for &x in c.blk_pack_start.as_slice() {
+    for &x in &c.blk_pack_start {
         e.put_u64(x);
     }
-    for &x in c.blk_base.as_slice() {
+    for &x in &c.blk_base {
         e.put_u32(x);
     }
     e.pad_to_8();
-    for &x in c.blk_scale.as_slice() {
+    for &x in &c.blk_scale {
         e.put_f32(x);
     }
     e.pad_to_8();
-    for &x in c.blk_offset.as_slice() {
+    for &x in &c.blk_offset {
         e.put_f32(x);
     }
     e.pad_to_8();
@@ -840,11 +834,11 @@ pub fn index_artifact_bytes(ix: &ConceptIndex, compress: bool) -> usize {
 // SoA index section layout
 // ---------------------------------------------------------------------------
 
-/// Byte offset + element count of one array inside the SoA payload.
-#[derive(Debug, Clone, Copy)]
 // xtask:hostile-input:begin — layout arithmetic and the load path run
 // on untrusted header counts and raw artifact bytes.
 
+/// Byte offset + element count of one array inside an index payload.
+#[derive(Debug, Clone, Copy)]
 struct ArraySpan {
     offset: usize,
     len: usize,
@@ -852,8 +846,8 @@ struct ArraySpan {
 
 /// The computed layout of every array in the SoA index payload. A single
 /// source of truth shared by the encoder (implicitly, via field order) and
-/// both decoders; all arithmetic is checked so hostile header counts
-/// cannot overflow.
+/// the decoder; all arithmetic is checked so hostile header counts cannot
+/// overflow.
 struct SoaLayout {
     idf: ArraySpan,
     resource_norms: ArraySpan,
@@ -965,47 +959,9 @@ fn compressed_layout(
 // Load
 // ---------------------------------------------------------------------------
 
-/// Parses an artifact from bytes already in memory, copying every array
-/// into owned buffers (the portable default).
+/// Parses an artifact from bytes already in memory; nothing in the
+/// returned artifact borrows from `bytes`.
 pub fn load_from_bytes(bytes: &[u8]) -> Result<Artifact, PersistError> {
-    load_impl(bytes, None)
-}
-
-/// Reads an artifact from an arbitrary source.
-pub fn load(reader: &mut impl Read) -> Result<Artifact, PersistError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    load_from_bytes(&bytes)
-}
-
-/// Reads an artifact from a file path (owned buffers).
-pub fn load_from_path(path: impl AsRef<Path>) -> Result<Artifact, PersistError> {
-    let bytes = std::fs::read(path)?;
-    load_from_bytes(&bytes)
-}
-
-/// Parses an artifact from a shared aligned buffer, borrowing the hot
-/// index arrays (posting ids/scores, block maxima, offsets, norms, idf)
-/// straight out of it — no per-posting deserialization. The buffer stays
-/// alive for as long as any loaded structure does (each borrowed array
-/// holds an `Arc` to it). Validation still runs in full; only the copy is
-/// skipped.
-pub fn load_zero_copy(buf: Arc<AlignedBytes>) -> Result<Artifact, PersistError> {
-    // The byte slice borrows from `buf`, but nothing in the returned
-    // artifact borrows from the slice itself — borrowed slabs carry their
-    // own `Arc<AlignedBytes>` clones.
-    let bytes: &[u8] = buf.as_slice();
-    load_impl(bytes, Some(&buf))
-}
-
-/// Reads an artifact from a file path into an aligned buffer and serves
-/// the index zero-copy out of it.
-pub fn load_from_path_zero_copy(path: impl AsRef<Path>) -> Result<Artifact, PersistError> {
-    let buf = Arc::new(AlignedBytes::read_file(path)?);
-    load_zero_copy(buf)
-}
-
-fn load_impl(bytes: &[u8], owner: Option<&Arc<AlignedBytes>>) -> Result<Artifact, PersistError> {
     let sections = parse_sections(bytes)?;
     let find = |id: u32| -> Option<(usize, &[u8])> {
         sections
@@ -1028,7 +984,6 @@ fn load_impl(bytes: &[u8], owner: Option<&Arc<AlignedBytes>>) -> Result<Artifact
         decode_index_soa(
             p,
             offset,
-            owner,
             find(SECTION_INDEX_COMPRESSED),
             meta.num_resources,
             concepts.num_concepts(),
@@ -1046,6 +1001,27 @@ fn load_impl(bytes: &[u8], owner: Option<&Arc<AlignedBytes>>) -> Result<Artifact
         &folksonomy,
     );
     Ok(Artifact { model, folksonomy })
+}
+
+/// Reads an artifact from an arbitrary source.
+pub fn load(reader: &mut impl Read) -> Result<Artifact, PersistError> {
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    load_from_bytes(&bytes)
+}
+
+/// Reads an artifact from a file path.
+pub fn load_from_path(path: impl AsRef<Path>) -> Result<Artifact, PersistError> {
+    let bytes = std::fs::read(path)?;
+    load_from_bytes(&bytes)
+}
+
+/// Shim for the frozen `perfbench/`, whose `persist.load_zero_copy_ms`
+/// row still calls this name; it is [`load_from_path`]. Goes with that
+/// row in the next benchmark PR.
+#[doc(hidden)]
+pub fn load_from_path_zero_copy(path: impl AsRef<Path>) -> Result<Artifact, PersistError> {
+    load_from_path(path)
 }
 
 /// One parsed section-table row: `(id, file offset, payload)` with a
@@ -1300,20 +1276,30 @@ fn decode_concepts(payload: &[u8], num_tags: usize) -> Result<ConceptModel, Pers
     Ok(ConceptModel::from_parts(assignments, num_concepts, sigma))
 }
 
-/// Converts raw LE bytes into an owned `Vec<T>` (bulk array read for the
-/// portable load path). `bytes.len()` must be `count * size_of::<T>()`.
-fn bulk_owned<T: Pod + LeScalar>(bytes: &[u8]) -> Vec<T> {
-    bytes
+/// Carves one array out of an index payload, bulk-decoding its LE
+/// elements into a `Vec`.
+fn carve<T: LeScalar>(payload: &[u8], span: ArraySpan) -> Result<Vec<T>, PersistError> {
+    // The decoders check the layout's `total_len == payload.len()`
+    // equality first, but carve with checked arithmetic anyway.
+    let bytes = span
+        .len
+        .checked_mul(std::mem::size_of::<T>())
+        .and_then(|n| span.offset.checked_add(n))
+        .and_then(|end| payload.get(span.offset..end))
+        .ok_or(PersistError::Truncated {
+            context: "index array",
+        })?;
+    Ok(bytes
         .chunks_exact(std::mem::size_of::<T>())
         .map(T::from_le_chunk)
-        .collect()
+        .collect())
 }
 
 /// LE decoding for the SoA and compressed-mirror scalar shapes.
 trait LeScalar: Sized {
     fn from_le_chunk(chunk: &[u8]) -> Self;
 }
-// `bulk_owned` feeds these via `chunks_exact(size_of::<T>())`, so every
+// `carve` feeds these via `chunks_exact(size_of::<T>())`, so every
 // chunk is full; the `map_or` defaults keep the parsing layer panic-free
 // without an unreachable unwrap.
 impl LeScalar for u8 {
@@ -1342,46 +1328,9 @@ impl LeScalar for f64 {
     }
 }
 
-/// One index section being carved into its arrays.
-struct SectionArrays<'a> {
-    section: u32,
-    payload: &'a [u8],
-    file_offset: usize,
-    owner: Option<&'a Arc<AlignedBytes>>,
-}
-
-impl SectionArrays<'_> {
-    /// Carves one array out of the payload: bulk-copied for the owned
-    /// load path, borrowed from the file buffer when `owner` is given
-    /// (zero-copy).
-    fn slab<T: Pod + LeScalar>(&self, span: ArraySpan) -> Result<Slab<T>, PersistError> {
-        // The decoders check the layout's `total_len == payload.len()`
-        // equality first, but carve with checked arithmetic anyway.
-        let bytes = span
-            .len
-            .checked_mul(std::mem::size_of::<T>())
-            .and_then(|n| span.offset.checked_add(n))
-            .and_then(|end| self.payload.get(span.offset..end))
-            .ok_or(PersistError::Truncated {
-                context: "index array",
-            })?;
-        let at = self.file_offset + span.offset;
-        match self.owner {
-            None => Ok(Slab::Owned(bulk_owned(bytes))),
-            Some(arc) => {
-                Slab::borrowed(arc.clone(), at, span.len).ok_or(PersistError::MisalignedSection {
-                    section: self.section,
-                    offset: at as u64,
-                })
-            }
-        }
-    }
-}
-
 fn decode_index_soa(
     payload: &[u8],
     file_offset: usize,
-    owner: Option<&Arc<AlignedBytes>>,
     compressed_section: Option<(usize, &[u8])>,
     num_resources: usize,
     num_concepts: usize,
@@ -1433,88 +1382,45 @@ fn decode_index_soa(
         )));
     }
 
-    let arrays = SectionArrays {
-        section: SECTION_INDEX_SOA,
-        payload,
-        file_offset,
-        owner,
+    let exact = IndexArrays {
+        num_resources,
+        num_concepts,
+        idf: carve(payload, layout.idf)?,
+        resource_norms: carve(payload, layout.resource_norms)?,
+        rv_offsets: carve(payload, layout.rv_offsets)?,
+        rv_concepts: carve(payload, layout.rv_concepts)?,
+        rv_weights: carve(payload, layout.rv_weights)?,
+        post_offsets: carve(payload, layout.post_offsets)?,
+        post_ids: carve(payload, layout.post_ids)?,
+        post_scores: carve(payload, layout.post_scores)?,
+        block_offsets: carve(payload, layout.block_offsets)?,
+        block_max: carve(payload, layout.block_max)?,
+        max_impact: carve(payload, layout.max_impact)?,
     };
-    let idf: Slab<f64> = arrays.slab(layout.idf)?;
-    let resource_norms: Slab<f64> = arrays.slab(layout.resource_norms)?;
-    let rv_offsets: Slab<u64> = arrays.slab(layout.rv_offsets)?;
-    let rv_concepts: Slab<u32> = arrays.slab(layout.rv_concepts)?;
-    let rv_weights: Slab<f64> = arrays.slab(layout.rv_weights)?;
-    let post_offsets: Slab<u64> = arrays.slab(layout.post_offsets)?;
-    let post_ids: Slab<u32> = arrays.slab(layout.post_ids)?;
-    let post_scores: Slab<f64> = arrays.slab(layout.post_scores)?;
-    let block_offsets: Slab<u64> = arrays.slab(layout.block_offsets)?;
-    let block_max: Slab<f64> = arrays.slab(layout.block_max)?;
-    let max_impact: Slab<f64> = arrays.slab(layout.max_impact)?;
-
-    validate_index_arrays(
-        num_resources,
-        num_concepts,
-        rv_nnz,
-        n_postings,
-        n_blocks,
-        &rv_offsets,
-        &rv_concepts,
-        &rv_weights,
-        &resource_norms,
-        &post_offsets,
-        &post_ids,
-        &post_scores,
-        &block_offsets,
-        &block_max,
-        &max_impact,
-    )?;
-
-    // The compressed mirror, if present, is decoded only after the exact
-    // arrays passed validation: its own validator proves it honest
-    // *against* them (decoded ids bitwise-equal, dequantized impacts
-    // upper-bounding), so a hostile mirror can never make the compressed
-    // strategy disagree with the exact ones.
-    let compressed = compressed_section
-        .map(|(off, p)| {
-            let c = decode_index_compressed(p, off, owner)?;
-            validate_compressed_postings(
-                &c,
-                num_concepts,
-                &post_offsets,
-                &post_ids,
-                &post_scores,
-                n_blocks,
-            )?;
-            Ok::<_, PersistError>(c)
-        })
+    let mirror = compressed_section
+        .map(|(off, p)| decode_index_compressed(p, off))
         .transpose()?;
-
-    Ok(ConceptIndex::from_soa_parts(
-        num_resources,
-        num_concepts,
-        idf,
-        resource_norms,
-        rv_offsets,
-        rv_concepts,
-        rv_weights,
-        post_offsets,
-        post_ids,
-        post_scores,
-        block_offsets,
-        block_max,
-        max_impact,
-        compressed,
-    ))
+    // The checked constructor validates the exact arrays first, then
+    // proves a restored mirror honest *against* them (decoded ids
+    // bitwise-equal, dequantized impacts upper-bounding) or derives the
+    // missing one from them — so neither hostile arrays nor a hostile
+    // mirror can make any strategy disagree with the exhaustive ranking.
+    ConceptIndex::from_arrays(exact, mirror).map_err(|defect| {
+        let (section, detail) = match defect {
+            IndexDefect::Exact(detail) => (SECTION_INDEX_SOA, detail),
+            IndexDefect::Mirror(detail) => (SECTION_INDEX_COMPRESSED, detail),
+        };
+        PersistError::Malformed { section, detail }
+    })
 }
 
-/// Decodes the compressed posting mirror's header and arrays (owned or
-/// borrowed from the file buffer). Structural honesty against the exact
-/// posting arrays is checked separately by
-/// [`validate_compressed_postings`].
+/// Decodes the compressed posting mirror's header and arrays. Honesty
+/// against the exact posting arrays is checked separately, by
+/// `CompressedPostings::validate_against` inside the index's checked
+/// constructor.
 fn decode_index_compressed(
     payload: &[u8],
     file_offset: usize,
-    owner: Option<&Arc<AlignedBytes>>,
 ) -> Result<CompressedPostings, PersistError> {
     let err = |detail: String| PersistError::Malformed {
         section: SECTION_INDEX_COMPRESSED,
@@ -1561,303 +1467,19 @@ fn decode_index_compressed(
         )));
     }
 
-    let arrays = SectionArrays {
-        section: SECTION_INDEX_COMPRESSED,
-        payload,
-        file_offset,
-        owner,
-    };
     Ok(CompressedPostings {
-        blk_pack_start: arrays.slab(layout.blk_pack_start)?,
-        blk_base: arrays.slab(layout.blk_base)?,
-        blk_scale: arrays.slab(layout.blk_scale)?,
-        blk_offset: arrays.slab(layout.blk_offset)?,
-        blk_bits: arrays.slab(layout.blk_bits)?,
-        quant: arrays.slab(layout.quant)?,
-        packed_ids: arrays.slab(layout.packed_ids)?,
+        blk_pack_start: carve(payload, layout.blk_pack_start)?,
+        blk_base: carve(payload, layout.blk_base)?,
+        blk_scale: carve(payload, layout.blk_scale)?,
+        blk_offset: carve(payload, layout.blk_offset)?,
+        blk_bits: carve(payload, layout.blk_bits)?,
+        quant: carve(payload, layout.quant)?,
+        packed_ids: carve(payload, layout.packed_ids)?,
     })
 }
 
-// xtask:hostile-input:end — the validators below run on typed arrays
-// whose lengths the layout equations already pinned down; their
-// in-bounds index arithmetic is proven by the exhaustive byte-flip
-// sweep in tests/persist_roundtrip.rs rather than by the lexical lint.
-
-/// Proves a restored compressed mirror honest against the (already
-/// validated) exact posting arrays. Order matters: the packed-run chain
-/// is verified first, so the id decode below can never index out of
-/// bounds; then every decoded id must equal its exact counterpart
-/// bitwise and every dequantized impact must upper-bound its exact
-/// impact — exactly the two properties the `CompressedBlockMax`
-/// strategy's bit-identity argument rests on. A mirror that fails any
-/// check is rejected as [`PersistError::Malformed`]; it can never serve.
-fn validate_compressed_postings(
-    c: &CompressedPostings,
-    num_concepts: usize,
-    post_offsets: &[u64],
-    post_ids: &[u32],
-    post_scores: &[f64],
-    n_blocks_expected: usize,
-) -> Result<(), PersistError> {
-    let err = |detail: String| PersistError::Malformed {
-        section: SECTION_INDEX_COMPRESSED,
-        detail,
-    };
-    if c.num_blocks() != n_blocks_expected {
-        return Err(err(format!(
-            "{} blocks, index has {n_blocks_expected}",
-            c.num_blocks()
-        )));
-    }
-    if c.quant.len() != post_ids.len() {
-        return Err(err(format!(
-            "{} quantized impacts for {} postings",
-            c.quant.len(),
-            post_ids.len()
-        )));
-    }
-    let packed_used = c.packed_ids.len() - 8;
-    if c.blk_pack_start[0] != 0 {
-        return Err(err("packed runs must start at 0".to_owned()));
-    }
-    // Pass 1: the packed-run chain. Each block's run length must be
-    // exactly ceil(len·bits / 8) bytes, which also forces monotonicity.
-    let mut blk = 0usize;
-    for l in 0..num_concepts {
-        let lo = post_offsets[l] as usize;
-        let hi = post_offsets[l + 1] as usize;
-        let mut b = lo;
-        while b < hi {
-            let e = (b + BLOCK_LEN).min(hi);
-            let bits = c.blk_bits[blk] as usize;
-            if bits > 32 {
-                return Err(err(format!("block {blk} packed at {bits} bits")));
-            }
-            let expect = ((e - b) * bits).div_ceil(8) as u64;
-            if c.blk_pack_start[blk + 1] != c.blk_pack_start[blk] + expect {
-                return Err(err(format!(
-                    "block {blk} packed run is {} bytes, {bits}-bit packing of {} ids needs {expect}",
-                    c.blk_pack_start[blk + 1].wrapping_sub(c.blk_pack_start[blk]),
-                    e - b
-                )));
-            }
-            blk += 1;
-            b = e;
-        }
-    }
-    if c.blk_pack_start[blk] != packed_used as u64 {
-        return Err(err(format!(
-            "packed runs end at {}, stream has {packed_used} used bytes",
-            c.blk_pack_start[blk]
-        )));
-    }
-    if c.packed_ids[packed_used..].iter().any(|&g| g != 0) {
-        return Err(err("nonzero guard bytes".to_owned()));
-    }
-    // Pass 2: decoded ids must equal the exact ids bitwise, and every
-    // dequantized impact must upper-bound its exact impact, evaluated in
-    // f64 exactly as the query path evaluates it.
-    let mut ids = [0u32; BLOCK_LEN];
-    let mut blk = 0usize;
-    for l in 0..num_concepts {
-        let lo = post_offsets[l] as usize;
-        let hi = post_offsets[l + 1] as usize;
-        let mut b = lo;
-        while b < hi {
-            let e = (b + BLOCK_LEN).min(hi);
-            c.decode_block_ids(blk, e - b, &mut ids);
-            if ids[..e - b] != post_ids[b..e] {
-                return Err(err(format!("block {blk} ids decode differently")));
-            }
-            let scale = c.blk_scale[blk];
-            let offset = c.blk_offset[blk];
-            if !scale.is_finite() || !offset.is_finite() || scale < 0.0 {
-                return Err(err(format!(
-                    "block {blk} quantization scale {scale} / offset {offset} out of range"
-                )));
-            }
-            for (j, &exact) in post_scores.iter().enumerate().take(e).skip(b) {
-                let bound = offset as f64 + scale as f64 * c.quant[j] as f64;
-                if bound < exact {
-                    return Err(err(format!(
-                        "posting {j} dequantized bound {bound} below exact impact {exact}"
-                    )));
-                }
-            }
-            blk += 1;
-            b = e;
-        }
-    }
-    Ok(())
-}
-
-/// Structural validation of the index arrays: offset monotonicity, id
-/// ranges, per-list impact order (the pruning loops' exactness relies on
-/// it), block geometry, block-max / max-impact consistency with the score
-/// arrays, and posting ↔ resource-vector cross-consistency (the block-max
-/// engine's candidate-side updates recompute `w/‖r‖` from the vectors, so
-/// the two representations must agree bit for bit). A CRC-valid but
-/// semantically hostile file fails here and can therefore never misrank
-/// silently.
-#[allow(clippy::too_many_arguments)]
-fn validate_index_arrays(
-    num_resources: usize,
-    num_concepts: usize,
-    rv_nnz: usize,
-    n_postings: usize,
-    n_blocks: usize,
-    rv_offsets: &[u64],
-    rv_concepts: &[u32],
-    rv_weights: &[f64],
-    resource_norms: &[f64],
-    post_offsets: &[u64],
-    post_ids: &[u32],
-    post_scores: &[f64],
-    block_offsets: &[u64],
-    block_max: &[f64],
-    max_impact: &[f64],
-) -> Result<(), PersistError> {
-    let err = |detail: String| PersistError::Malformed {
-        section: SECTION_INDEX_SOA,
-        detail,
-    };
-    let check_offsets = |offsets: &[u64], total: usize, what: &str| -> Result<(), PersistError> {
-        if offsets.first() != Some(&0) {
-            return Err(err(format!("{what} offsets must start at 0")));
-        }
-        if offsets.last() != Some(&(total as u64)) {
-            return Err(err(format!(
-                "{what} offsets must end at {total}, found {:?}",
-                offsets.last()
-            )));
-        }
-        for w in offsets.windows(2) {
-            if w[0] > w[1] {
-                return Err(err(format!(
-                    "{what} offsets decrease ({} > {})",
-                    w[0], w[1]
-                )));
-            }
-        }
-        Ok(())
-    };
-    check_offsets(rv_offsets, rv_nnz, "resource-vector")?;
-    check_offsets(post_offsets, n_postings, "posting")?;
-    check_offsets(block_offsets, n_blocks, "block")?;
-
-    if let Some(&l) = rv_concepts.iter().find(|&&l| l as usize >= num_concepts) {
-        return Err(err(format!(
-            "resource vector references unknown concept {l} of {num_concepts}"
-        )));
-    }
-    if let Some(&r) = post_ids.iter().find(|&&r| r as usize >= num_resources) {
-        return Err(err(format!(
-            "posting references unknown resource {r} of {num_resources}"
-        )));
-    }
-
-    // Resource vectors must be strictly ascending in concept id: the
-    // candidate-side update path binary-searches them.
-    for r in 0..num_resources {
-        let lo = rv_offsets[r] as usize;
-        let hi = rv_offsets[r + 1] as usize;
-        for j in lo + 1..hi {
-            if rv_concepts[j - 1] >= rv_concepts[j] {
-                return Err(err(format!(
-                    "resource {r} vector concepts not strictly ascending"
-                )));
-            }
-        }
-    }
-    // Every posting of a resource must correspond to one of its vector
-    // entries with the bitwise-identical normalized impact; together with
-    // the count equality below this makes postings ↔ vector entries a
-    // bijection for resources with a positive norm, so candidate-side
-    // updates and posting-list scans are interchangeable.
-    let expected_postings: u64 = (0..num_resources)
-        .filter(|&r| resource_norms[r] > 0.0)
-        .map(|r| rv_offsets[r + 1] - rv_offsets[r])
-        .sum();
-    if expected_postings != n_postings as u64 {
-        return Err(err(format!(
-            "{n_postings} postings for {expected_postings} vector entries of positive-norm resources"
-        )));
-    }
-
-    for l in 0..num_concepts {
-        let lo = post_offsets[l] as usize;
-        let hi = post_offsets[l + 1] as usize;
-        let blo = block_offsets[l] as usize;
-        let bhi = block_offsets[l + 1] as usize;
-        if bhi - blo != (hi - lo).div_ceil(BLOCK_LEN) {
-            return Err(err(format!(
-                "concept {l} has {} postings but {} blocks",
-                hi - lo,
-                bhi - blo
-            )));
-        }
-        // Impact order: score descending, ties by ascending resource id
-        // (the shared ranking tie-break). NaN scores fail both branches.
-        for j in lo + 1..hi {
-            let ordered = post_scores[j - 1] > post_scores[j]
-                || (post_scores[j - 1] == post_scores[j] && post_ids[j - 1] < post_ids[j]);
-            if !ordered {
-                return Err(err(format!(
-                    "concept {l} postings out of impact order at position {}",
-                    j - lo
-                )));
-            }
-        }
-        // Block maxima must equal the head impact of their block (lists
-        // are descending), and the list max must equal the first impact.
-        for (bi, b) in (blo..bhi).enumerate() {
-            let head = post_scores[lo + bi * BLOCK_LEN];
-            if block_max[b].to_bits() != head.to_bits() {
-                return Err(err(format!(
-                    "concept {l} block {bi} max {} disagrees with head impact {head}",
-                    block_max[b]
-                )));
-            }
-        }
-        let expect_max = if hi > lo { post_scores[lo] } else { 0.0 };
-        if max_impact[l].to_bits() != expect_max.to_bits() {
-            return Err(err(format!(
-                "concept {l} max impact {} disagrees with list head {expect_max}",
-                max_impact[l]
-            )));
-        }
-        // Posting ↔ vector cross-check (see above).
-        for j in lo..hi {
-            let r = post_ids[j] as usize;
-            let rlo = rv_offsets[r] as usize;
-            let rhi = rv_offsets[r + 1] as usize;
-            let p = match rv_concepts[rlo..rhi].binary_search(&(l as u32)) {
-                Ok(p) => p,
-                Err(_) => {
-                    return Err(err(format!(
-                        "concept {l} posts resource {r} whose vector lacks the concept"
-                    )))
-                }
-            };
-            let norm = resource_norms[r];
-            // `norm > 0.0` is false for NaN too; both must be rejected.
-            if norm.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                return Err(err(format!(
-                    "posted resource {r} has non-positive norm {norm}"
-                )));
-            }
-            let recomputed = rv_weights[rlo + p] / norm;
-            if recomputed.to_bits() != post_scores[j].to_bits() {
-                return Err(err(format!(
-                    "concept {l} posting for resource {r}: impact {} disagrees with \
-                     vector-derived {recomputed}",
-                    post_scores[j]
-                )));
-            }
-        }
-    }
-    Ok(())
-}
+// xtask:hostile-input:end — from here the bytes are typed arrays, and
+// `crate::index` validates them.
 
 #[cfg(test)]
 mod tests {
@@ -1915,31 +1537,11 @@ mod tests {
         assert_eq!(loaded.model.timings().total(), model.timings().total());
         assert_eq!(loaded.model.num_users(), model.num_users());
         assert_eq!(loaded.model.num_resources(), model.num_resources());
-        assert!(!loaded.model.index().is_zero_copy());
 
         // Search results must be bit-identical, by name and by id.
         for name in ["folk", "people", "laptop"] {
             let a = model.search(&[name], 0);
             let b = loaded.model.search(&[name], 0);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.resource, y.resource);
-                assert_eq!(x.score.to_bits(), y.score.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn zero_copy_round_trip_matches_owned() {
-        let (f, model) = built();
-        let bytes = save_to_vec(&model, &f);
-        let buf = Arc::new(AlignedBytes::from_bytes(&bytes));
-        let zc = load_zero_copy(buf).unwrap();
-        assert!(zc.model.index().is_zero_copy(), "hot arrays must borrow");
-        let owned = load_from_bytes(&bytes).unwrap();
-        for name in ["folk", "people", "laptop"] {
-            let a = owned.model.search(&[name], 0);
-            let b = zc.model.search(&[name], 0);
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b.iter()) {
                 assert_eq!(x.resource, y.resource);
@@ -1965,33 +1567,24 @@ mod tests {
 
         let baseline = load_from_bytes(&plain).unwrap();
         let owned = load_from_bytes(&compressed).unwrap();
-        let zc = load_zero_copy(Arc::new(AlignedBytes::from_bytes(&compressed))).unwrap();
-        assert!(zc.model.index().is_zero_copy());
-        assert!(
-            zc.model.index().compressed().packed_ids.is_borrowed(),
-            "the compressed mirror must serve zero-copy too"
-        );
-        assert!(!owned.model.index().compressed().packed_ids.is_borrowed());
         // The restored mirror is the same mirror the uncompressed load
         // derives (compression is deterministic), so every strategy sees
         // identical bytes regardless of artifact flavor.
         assert_eq!(
-            &*owned.model.index().compressed().quant,
-            &*baseline.model.index().compressed().quant
+            owned.model.index().compressed().quant,
+            baseline.model.index().compressed().quant
         );
         assert_eq!(
-            &*owned.model.index().compressed().packed_ids,
-            &*baseline.model.index().compressed().packed_ids
+            owned.model.index().compressed().packed_ids,
+            baseline.model.index().compressed().packed_ids
         );
         for name in ["folk", "people", "laptop"] {
             let a = baseline.model.search(&[name], 0);
-            for m in [&owned.model, &zc.model] {
-                let b = m.search(&[name], 0);
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(b.iter()) {
-                    assert_eq!(x.resource, y.resource);
-                    assert_eq!(x.score.to_bits(), y.score.to_bits());
-                }
+            let b = owned.model.search(&[name], 0);
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(b.iter()) {
+                assert_eq!(x.resource, y.resource);
+                assert_eq!(x.score.to_bits(), y.score.to_bits());
             }
         }
     }
@@ -2017,11 +1610,8 @@ mod tests {
         ));
         save_to_path(&path, &model, &f).unwrap();
         let loaded = load_from_path(&path).unwrap();
-        let zc = load_from_path_zero_copy(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded.folksonomy.stats(), f.stats());
-        assert_eq!(zc.folksonomy.stats(), f.stats());
-        assert!(zc.model.index().is_zero_copy());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::concepts::ConceptModel;
 use crate::config::CubeLsiConfig;
 use crate::distance::{pairwise_distances_from_embedding, tag_embedding, TagDistances};
 use crate::index::{ConceptIndex, RankedResource};
-use crate::query::{PruningStrategy, QueryEngine, QuerySession};
+use crate::query::{QueryEngine, QuerySession};
 use crate::tensor_build::build_tensor;
 
 /// Wall-clock durations of the offline phases — the quantities behind
@@ -178,22 +178,10 @@ impl CubeLsi {
     }
 
     /// Consumes the pipeline, yielding its query engine without cloning
-    /// the index arrays — the shard loader uses this so an owned-mode
-    /// artifact load does not pay for a full index copy.
+    /// the index arrays — the shard loader uses this so an artifact load
+    /// does not pay for a full index copy.
     pub fn into_engine(self) -> QueryEngine {
         self.engine
-    }
-
-    /// The engine's active pruning strategy.
-    pub fn pruning_strategy(&self) -> PruningStrategy {
-        self.engine.strategy()
-    }
-
-    /// Switches the online pruning strategy (results are bit-identical
-    /// under every strategy; this selects the reference path for tests
-    /// and benchmarks).
-    pub fn set_pruning_strategy(&mut self, strategy: PruningStrategy) {
-        self.engine.set_strategy(strategy);
     }
 
     /// The Tucker decomposition (for diagnostics and the memory tables).

@@ -5,8 +5,8 @@
 //! posting of a resource lives in exactly one shard, so a shard's
 //! ranking over its resources is a disjoint slice of the global ranking
 //! and a k-way merge of per-shard top-k lists *is* the global top-k.
-//! This module turns the PR-2 artifact substrate into that serving
-//! topology:
+//! This module turns the `.cubelsi` artifact (`crate::persist`) into
+//! that serving topology:
 //!
 //! * [`ConceptIndex::partition_by_resource`] splits a built index into
 //!   `N` shard indices under the deterministic modulo partition
@@ -37,7 +37,8 @@
 //!    shard 0, whose idf array is the global one) and the resulting
 //!    terms are broadcast to every shard, so weights and the query norm
 //!    are the same bytes everywhere.
-//! 2. **One global term order.** Terms are put in MaxScore order using
+//! 2. **One global term order.** Terms are sorted by descending
+//!    `weight × max impact` (`order_terms_with`) using
 //!    the *global* per-concept maximum impact — reconstructed exactly as
 //!    `max` over the shards' per-list maxima — and every shard consumes
 //!    them in that order. (Shard-local suffix bounds stay exact: a
@@ -52,9 +53,9 @@
 //! order; the merge then only interleaves disjoint, already-sorted
 //! slices under the shared ranking comparator. The
 //! `sharded_equivalence` integration test enforces the end result over
-//! randomized corpora: shard counts ∈ {1, 2, 7}, both pruning
-//! strategies, hard + soft assignments, owned and zero-copy loads, and
-//! immediately after a hot reload.
+//! randomized corpora: shard counts ∈ {1, 2, 7}, raw and compressed
+//! posting sources, hard + soft assignments, artifacts written plain and
+//! compressed, and immediately after a hot reload.
 //!
 //! # Manifest format (`.cubelsi` shard manifest)
 //!
@@ -89,9 +90,8 @@ use cubelsi_linalg::parallel;
 use crate::concepts::ConceptModel;
 use crate::exec;
 use crate::index::{cmp_ranked, order_terms_with, ConceptAssignment, ConceptIndex, RankedResource};
-use crate::persist::{crc32, load_from_bytes, load_zero_copy, widen, Artifact, PersistError};
+use crate::persist::{crc32, load_from_bytes, load_from_path, widen, Artifact, PersistError};
 use crate::query::{PruningStrategy, QueryEngine, QuerySession, MIN_QUERIES_PER_TASK};
-use crate::slab::AlignedBytes;
 
 /// Shard-manifest magic bytes (distinct from the artifact magic
 /// `"CUBELSI\0"`, so the two file kinds are sniffable from their first
@@ -115,13 +115,14 @@ pub const MAX_SHARDS: usize = 1024;
 /// itself (the artifact section ids 1–7 are taken by `persist`).
 pub const SECTION_MANIFEST: u32 = 9;
 
-/// How shard artifacts are materialized in memory.
+/// Shim for the frozen `perfbench/`, which passes `LoadMode::Owned` as
+/// [`load_source`]'s second argument in its `shard.load_source_ms` row;
+/// there is one way to load. Goes with that call in the next benchmark
+/// PR.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadMode {
-    /// Copy every array into owned buffers (the portable default).
     Owned,
-    /// Borrow the hot index arrays straight out of the artifact buffer.
-    ZeroCopy,
 }
 
 /// One shard entry of a parsed manifest.
@@ -666,11 +667,6 @@ impl ShardSet {
         &self.engines
     }
 
-    /// Whether the shards serve zero-copy out of artifact buffers.
-    pub fn is_zero_copy(&self) -> bool {
-        self.engines.iter().all(|e| e.index().is_zero_copy())
-    }
-
     /// The active pruning strategy (uniform across shards).
     pub fn strategy(&self) -> PruningStrategy {
         self.engines[0].strategy()
@@ -686,12 +682,6 @@ impl ShardSet {
         if let Some(co) = &mut self.coalesced {
             co.set_strategy(strategy);
         }
-    }
-
-    /// Whether this set carries a coalesced single-engine mirror (built
-    /// for small corpora; see [`Self::search_tags_auto`]).
-    pub fn has_coalesced(&self) -> bool {
-        self.coalesced.is_some()
     }
 
     /// Creates a reusable scatter-gather scratch session. The session
@@ -979,24 +969,17 @@ fn merge_ranked(
 /// against the manifest entry before parsing, so a swapped or damaged
 /// shard file is rejected with [`PersistError::ChecksumMismatch`]
 /// (`section` = the shard ordinal) and can never serve.
-pub fn load_source(path: impl AsRef<Path>, mode: LoadMode) -> Result<ShardSet, PersistError> {
+pub fn load_source(path: impl AsRef<Path>, _mode: LoadMode) -> Result<ShardSet, PersistError> {
     let path = path.as_ref();
     match sniff_source(path)? {
-        SourceKind::Artifact => ShardSet::from_artifacts([load_artifact_file(path, mode)]),
+        SourceKind::Artifact => ShardSet::from_artifacts([load_from_path(path)]),
         SourceKind::Manifest => {
             let manifest = load_manifest(path)?;
             let dir = path.parent().unwrap_or(Path::new("."));
             ShardSet::from_artifacts(manifest.entries.iter().enumerate().map(|(shard, entry)| {
-                load_checked_artifact(&dir.join(&entry.file_name), entry, shard as u32, mode)
+                load_checked_artifact(&dir.join(&entry.file_name), entry, shard as u32)
             }))
         }
-    }
-}
-
-fn load_artifact_file(path: &Path, mode: LoadMode) -> Result<Artifact, PersistError> {
-    match mode {
-        LoadMode::Owned => crate::persist::load_from_path(path),
-        LoadMode::ZeroCopy => crate::persist::load_from_path_zero_copy(path),
     }
 }
 
@@ -1004,36 +987,22 @@ fn load_checked_artifact(
     path: &Path,
     entry: &ShardEntry,
     shard: u32,
-    mode: LoadMode,
 ) -> Result<Artifact, PersistError> {
-    let check = |bytes: &[u8]| -> Result<(), PersistError> {
-        if bytes.len() as u64 != entry.file_len {
-            return Err(PersistError::Truncated {
-                context: "shard artifact",
-            });
-        }
-        let got = crc32(bytes);
-        if got != entry.crc32 {
-            return Err(PersistError::ChecksumMismatch {
-                section: shard,
-                expected: entry.crc32,
-                got,
-            });
-        }
-        Ok(())
-    };
-    match mode {
-        LoadMode::Owned => {
-            let bytes = std::fs::read(path)?;
-            check(&bytes)?;
-            load_from_bytes(&bytes)
-        }
-        LoadMode::ZeroCopy => {
-            let buf = Arc::new(AlignedBytes::read_file(path)?);
-            check(buf.as_slice())?;
-            load_zero_copy(buf)
-        }
+    let bytes = std::fs::read(path)?;
+    if bytes.len() as u64 != entry.file_len {
+        return Err(PersistError::Truncated {
+            context: "shard artifact",
+        });
     }
+    let got = crc32(&bytes);
+    if got != entry.crc32 {
+        return Err(PersistError::ChecksumMismatch {
+            section: shard,
+            expected: entry.crc32,
+            got,
+        });
+    }
+    load_from_bytes(&bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -1074,7 +1043,7 @@ pub struct ShardedEngine {
     state: RwLock<Arc<ShardGeneration>>,
     next_generation: AtomicU64,
     strategy: PruningStrategy,
-    source: Option<(PathBuf, LoadMode)>,
+    source: Option<PathBuf>,
 }
 
 impl ShardedEngine {
@@ -1092,8 +1061,8 @@ impl ShardedEngine {
 
     /// Records where this engine was loaded from, enabling
     /// [`Self::reload`].
-    pub fn with_source(mut self, path: impl Into<PathBuf>, mode: LoadMode) -> Self {
-        self.source = Some((path.into(), mode));
+    pub fn with_source(mut self, path: impl Into<PathBuf>) -> Self {
+        self.source = Some(path.into());
         self
     }
 
@@ -1132,11 +1101,11 @@ impl ShardedEngine {
     /// it as the next generation. On error the current generation keeps
     /// serving, untouched.
     pub fn reload(&self) -> Result<Arc<ShardGeneration>, PersistError> {
-        let (path, mode) = self
+        let path = self
             .source
             .as_ref()
             .ok_or_else(|| shard_err("engine has no reload source path"))?;
-        let set = load_source(path, *mode)?;
+        let set = load_source(path, LoadMode::Owned)?;
         Ok(self.install(set))
     }
 

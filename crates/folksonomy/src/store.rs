@@ -283,16 +283,6 @@ impl FolksonomyBuilder {
         self
     }
 
-    /// Records an assignment by pre-interned ids (used by generators).
-    pub fn add_ids(&mut self, user: UserId, tag: TagId, resource: ResourceId) -> &mut Self {
-        self.assignments.push(TagAssignment {
-            user,
-            tag,
-            resource,
-        });
-        self
-    }
-
     /// Pre-registers an entity name so ids are stable even for entities
     /// that end up with no assignments.
     pub fn intern_user(&mut self, name: &str) -> UserId {

@@ -129,11 +129,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow of row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {

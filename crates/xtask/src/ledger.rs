@@ -15,9 +15,9 @@
 //! Entry format (one per `##` heading):
 //!
 //! ```markdown
-//! ## `crates/core/src/slab.rs` · `as_slice` — 2 sites
+//! ## `crates/core/src/index.rs` · `window_unchecked` — 2 sites
 //! - invariant: ...prose...
-//! - test: `borrowed_views_read_le_values`, `pod_casts_roundtrip`
+//! - test: `compressed_blocks_decode_exactly_and_bound_impacts`
 //! ```
 
 use std::collections::BTreeMap;

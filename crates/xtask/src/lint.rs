@@ -85,7 +85,7 @@ pub struct Policy {
 
 /// The repo's actual policy, shared by `check` and the selftest.
 pub const POLICY: Policy = Policy {
-    unchecked_allowlist: &["crates/core/src/slab.rs", "crates/core/src/index.rs"],
+    unchecked_allowlist: &["crates/core/src/index.rs"],
     hostile_required: &[
         "crates/core/src/persist.rs",
         "crates/core/src/shard.rs",

@@ -11,8 +11,8 @@ use std::time::Duration;
 
 pub const USAGE: &str = "usage:
   cubelsi-search build [--concepts K] [--ratio C] [--seed S] [--threads N] [--no-clean] [--shards N] [--compress] DATA.tsv OUT
-  cubelsi-search query [--top N] [--repeat N] [--zero-copy] [--threads N] MODEL QUERY_TAG...
-  cubelsi-search serve [--top N] [--zero-copy] [--threads N] [--listen ADDR] [--max-conns N]
+  cubelsi-search query [--top N] [--repeat N] [--threads N] MODEL QUERY_TAG...
+  cubelsi-search serve [--top N] [--threads N] [--listen ADDR] [--max-conns N]
                        [--deadline-ms D] [--write-timeout-ms W] [--idle-timeout-ms I] MODEL
   cubelsi-search [build+query options] DATA.tsv QUERY_TAG...   (one-shot, nothing persisted)
 
@@ -29,8 +29,6 @@ options:
   --top N        results per query (N >= 1; default 10)
   --repeat N     run the query N times on the warm session and report
                  latency stats (N >= 1; default 1; `query` only)
-  --zero-copy    serve the index arrays straight out of the artifact
-                 buffer instead of copying them (`query`/`serve` only)
   --listen ADDR  TCP listen address (default 127.0.0.1:7878; `serve` only;
                  port 0 picks a free port, printed as `listening ADDR`)
   --max-conns N  admit at most N simultaneous connections; excess clients
@@ -162,7 +160,6 @@ pub enum Command {
         tags: Vec<String>,
         top_k: usize,
         repeat: usize,
-        zero_copy: bool,
         threads: Option<usize>,
     },
     /// Serve an artifact or shard manifest over a TCP line protocol
@@ -171,7 +168,6 @@ pub enum Command {
     Serve {
         index: String,
         top_k: usize,
-        zero_copy: bool,
         listen: String,
         threads: Option<usize>,
         limits: ServeLimits,
@@ -197,7 +193,6 @@ struct RawFlags {
     ratio: Option<f64>,
     top: Option<usize>,
     repeat: Option<usize>,
-    zero_copy: bool,
     seed: Option<u64>,
     threads: Option<usize>,
     no_clean: bool,
@@ -256,7 +251,6 @@ pub fn parse_command(args: impl IntoIterator<Item = String>) -> Result<Command, 
                 }
                 flags.repeat = Some(n);
             }
-            "--zero-copy" => flags.zero_copy = true,
             "--shards" => {
                 let v = args.next().ok_or("--shards needs a value")?;
                 let n: usize = v
@@ -353,7 +347,6 @@ pub fn parse_command(args: impl IntoIterator<Item = String>) -> Result<Command, 
     let reject_serve_flags = |flags: &RawFlags, cmd: &str| -> Result<(), String> {
         for (set, name) in [
             (flags.repeat.is_some(), "--repeat"),
-            (flags.zero_copy, "--zero-copy"),
             (flags.listen.is_some(), "--listen"),
         ] {
             if set {
@@ -413,7 +406,6 @@ pub fn parse_command(args: impl IntoIterator<Item = String>) -> Result<Command, 
                 tags: rest.collect(),
                 top_k,
                 repeat: flags.repeat.unwrap_or(1),
-                zero_copy: flags.zero_copy,
                 threads: flags.threads,
             })
         }
@@ -427,7 +419,6 @@ pub fn parse_command(args: impl IntoIterator<Item = String>) -> Result<Command, 
             Ok(Command::Serve {
                 index,
                 top_k,
-                zero_copy: flags.zero_copy,
                 listen: flags.listen.unwrap_or_else(|| "127.0.0.1:7878".to_owned()),
                 threads: flags.threads,
                 limits: ServeLimits {
@@ -563,7 +554,6 @@ mod tests {
                 tags: vec!["jazz".into(), "piano".into()],
                 top_k: 3,
                 repeat: 1,
-                zero_copy: false,
                 threads: None,
             }
         );
@@ -573,7 +563,6 @@ mod tests {
             Command::Serve {
                 index: "m.cubelsi".into(),
                 top_k: 10,
-                zero_copy: false,
                 listen: "127.0.0.1:7878".into(),
                 threads: None,
                 limits: ServeLimits::default(),
@@ -586,33 +575,13 @@ mod tests {
     #[test]
     fn repeat_and_zero_copy_flags() {
         assert_eq!(
-            parse(&[
-                "query",
-                "--repeat",
-                "50",
-                "--zero-copy",
-                "m.cubelsi",
-                "jazz"
-            ])
-            .unwrap(),
+            parse(&["query", "--repeat", "50", "m.cubelsi", "jazz"]).unwrap(),
             Command::Query {
                 index: "m.cubelsi".into(),
                 tags: vec!["jazz".into()],
                 top_k: 10,
                 repeat: 50,
-                zero_copy: true,
                 threads: None,
-            }
-        );
-        assert_eq!(
-            parse(&["serve", "--zero-copy", "m.cubelsi"]).unwrap(),
-            Command::Serve {
-                index: "m.cubelsi".into(),
-                top_k: 10,
-                zero_copy: true,
-                listen: "127.0.0.1:7878".into(),
-                threads: None,
-                limits: ServeLimits::default(),
             }
         );
         // Validation: integer >= 1.
@@ -623,15 +592,9 @@ mod tests {
         assert!(parse(&["query", "--repeat"]).is_err(), "missing value");
         // Serving-only flags are rejected where there is no artifact —
         // and `serve` has no single query to repeat.
-        assert!(parse(&["build", "--zero-copy", "d.tsv", "m.cubelsi"])
-            .unwrap_err()
-            .contains("--zero-copy"));
         assert!(parse(&["build", "--repeat", "3", "d.tsv", "m.cubelsi"])
             .unwrap_err()
             .contains("--repeat"));
-        assert!(parse(&["--zero-copy", "d.tsv", "jazz"])
-            .unwrap_err()
-            .contains("--zero-copy"));
         assert!(parse(&["--repeat", "3", "d.tsv", "jazz"])
             .unwrap_err()
             .contains("--repeat"));

@@ -20,9 +20,8 @@
 //! `build` accepts `--concepts K`, `--ratio C`, `--seed S`, `--no-clean`,
 //! and `--shards N` (emit a shard manifest plus `N` resource-partitioned
 //! artifacts instead of one file); `query`/`serve` accept a single
-//! artifact **or** a shard manifest (sniffed from the magic bytes),
-//! `--top N`, and `--zero-copy` (serve the index straight out of the
-//! artifact buffer); `query` additionally accepts `--repeat N` for quick
+//! artifact **or** a shard manifest (sniffed from the magic bytes) and
+//! `--top N`; `query` additionally accepts `--repeat N` for quick
 //! micro-measurement.
 //!
 //! `serve` is a concurrent multi-client TCP line-protocol server (one
@@ -126,23 +125,14 @@ fn build_model(corpus: &Folksonomy, opts: &BuildOpts) -> Result<CubeLsi, String>
 }
 
 /// Loads a serving source — a single artifact or a shard manifest — into
-/// a validated [`ShardSet`], reporting load time, shard count, and load
-/// mode. The cheap path that replaces a full offline rebuild.
-fn load_shard_set(path: &str, zero_copy: bool) -> Result<ShardSet, String> {
-    let mode = if zero_copy {
-        LoadMode::ZeroCopy
-    } else {
-        LoadMode::Owned
-    };
+/// a validated [`ShardSet`], reporting load time and shard count. The
+/// cheap path that replaces a full offline rebuild.
+fn load_shard_set(path: &str) -> Result<ShardSet, String> {
     let t0 = Instant::now();
-    let set = shard::load_source(path, mode).map_err(|e| format!("loading {path}: {e}"))?;
-    let index_mode = if set.is_zero_copy() {
-        "zero-copy index"
-    } else {
-        "owned index"
-    };
+    let set =
+        shard::load_source(path, LoadMode::Owned).map_err(|e| format!("loading {path}: {e}"))?;
     eprintln!(
-        "loaded  {} in {:?} ({} shard(s); {} concepts; {index_mode})",
+        "loaded  {} in {:?} ({} shard(s); {} concepts)",
         set.folksonomy().stats(),
         t0.elapsed(),
         set.num_shards(),
@@ -216,11 +206,10 @@ fn run_query(
     tags: &[String],
     top_k: usize,
     repeat: usize,
-    zero_copy: bool,
     threads: Option<usize>,
 ) -> Result<(), String> {
     configure_threads(threads)?;
-    let set = load_shard_set(index, zero_copy)?;
+    let set = load_shard_set(index)?;
     let mut session = set.session();
     let mut stats = LatencyStats::default();
     // Resolve names exactly once, so an unknown tag warns once however
@@ -274,17 +263,15 @@ fn main() -> ExitCode {
             tags,
             top_k,
             repeat,
-            zero_copy,
             threads,
-        }) => run_query(&index, &tags, top_k, repeat, zero_copy, threads),
+        }) => run_query(&index, &tags, top_k, repeat, threads),
         Ok(Command::Serve {
             index,
             top_k,
-            zero_copy,
             listen,
             threads,
             limits,
-        }) => serve::run_serve(&index, top_k, zero_copy, &listen, threads, &limits),
+        }) => serve::run_serve(&index, top_k, &listen, threads, &limits),
         Ok(Command::OneShot {
             opts,
             data,

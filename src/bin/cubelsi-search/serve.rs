@@ -46,7 +46,7 @@
 use crate::cli::{configure_threads, resolve_limits, ResolvedLimits, ServeLimits};
 use crate::stats::{executor_summary, prometheus_exposition, LatencyStats, ServerCounters};
 use cubelsi::core::exec;
-use cubelsi::core::shard::{LoadMode, ShardedEngine, ShardedSession};
+use cubelsi::core::shard::{ShardedEngine, ShardedSession};
 use cubelsi::core::{PruningStrategy, RankedResource};
 use cubelsi::folksonomy::{Folksonomy, TagId};
 use std::collections::VecDeque;
@@ -681,21 +681,14 @@ impl Server<'_> {
 pub fn run_serve(
     index: &str,
     top_k: usize,
-    zero_copy: bool,
     listen: &str,
     threads: Option<usize>,
     limits: &ServeLimits,
 ) -> Result<(), String> {
     configure_threads(threads)?;
     let limits = resolve_limits(limits, |name| std::env::var(name).ok())?;
-    let mode = if zero_copy {
-        LoadMode::ZeroCopy
-    } else {
-        LoadMode::Owned
-    };
-    let set = crate::load_shard_set(index, zero_copy)?;
-    let engine =
-        ShardedEngine::new(set, PruningStrategy::default()).with_source(index.to_owned(), mode);
+    let set = crate::load_shard_set(index)?;
+    let engine = ShardedEngine::new(set, PruningStrategy::default()).with_source(index);
     let listener = TcpListener::bind(listen).map_err(|e| format!("binding {listen}: {e}"))?;
     let addr = listener
         .local_addr()

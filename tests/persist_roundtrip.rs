@@ -2,25 +2,28 @@
 //!
 //! 1. **Round-trip bit-identity** — over randomized small corpora, a
 //!    saved-then-loaded engine's `search_ids` output (resources, scores,
-//!    tie-breaks) is bit-for-bit identical to the freshly built engine's,
-//!    under both the owned and the zero-copy load paths. This is what
-//!    makes `build` + `query` a pure deployment split, never an
-//!    approximation.
+//!    tie-breaks) is bit-for-bit identical to the freshly built engine's.
+//!    This is what makes `build` + `query` a pure deployment split, never
+//!    an approximation.
 //! 2. **Adversarial robustness** — truncated files, flipped bytes (CRC
 //!    failure), CRC-repaired semantic corruption inside the SoA index
 //!    section (broken impact order, falsified block maxima) and inside
 //!    the format-v3 compressed mirror (flipped bit widths, out-of-range
-//!    quantization scales, understated impact bounds), misaligned
-//!    sections, wrong magic, and future format versions each yield a
-//!    descriptive typed [`PersistError`], never a panic or a silent
-//!    misranking.
+//!    quantization scales, understated impact bounds), negative or
+//!    non-finite term weights, misaligned sections, wrong magic, and
+//!    future format versions each yield a descriptive typed
+//!    [`PersistError`], never a panic or a silent misranking.
+//! 3. **Degenerate corpora** — a single assignment, all-zero idf, more
+//!    shards than resources, more concepts requested than tags: a typed
+//!    error or an artifact that reloads and answers like the engine it
+//!    was saved from.
 
-use cubelsi::core::{persist, AlignedBytes, CubeLsi, CubeLsiConfig, PersistError};
+use cubelsi::core::shard::{self, LoadMode};
+use cubelsi::core::{persist, CubeLsi, CubeLsiConfig, PersistError, RankedResource};
 use cubelsi::datagen::{generate, GeneratorConfig};
-use cubelsi::folksonomy::{Folksonomy, TagId};
+use cubelsi::folksonomy::{Folksonomy, FolksonomyBuilder, TagId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 fn build_random(seed: u64) -> (Folksonomy, CubeLsi) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA57F_AC75);
@@ -52,8 +55,8 @@ fn random_query(rng: &mut StdRng, num_tags: usize) -> Vec<TagId> {
 }
 
 /// Proptest-style sweep: many seeds, many queries, several k values; the
-/// loaded engine — through the owned *and* the zero-copy path — must be
-/// indistinguishable from the built one down to the last score bit.
+/// loaded engine must be indistinguishable from the built one down to
+/// the last score bit.
 #[test]
 fn round_trip_search_is_bit_identical_on_random_corpora() {
     for seed in 0..8u64 {
@@ -61,39 +64,29 @@ fn round_trip_search_is_bit_identical_on_random_corpora() {
         let bytes = persist::save_to_vec(&built, &folksonomy);
         let loaded = persist::load_from_bytes(&bytes)
             .unwrap_or_else(|e| panic!("seed {seed}: load failed: {e}"));
-        let zero_copy = persist::load_zero_copy(Arc::new(AlignedBytes::from_bytes(&bytes)))
-            .unwrap_or_else(|e| panic!("seed {seed}: zero-copy load failed: {e}"));
-        assert!(
-            zero_copy.model.index().is_zero_copy(),
-            "seed {seed}: hot arrays must borrow from the file buffer"
-        );
-        assert!(!loaded.model.index().is_zero_copy());
 
         assert_eq!(loaded.folksonomy.stats(), folksonomy.stats());
-        assert_eq!(zero_copy.folksonomy.stats(), folksonomy.stats());
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0D0_F00D);
         for case in 0..25 {
             let query = random_query(&mut rng, folksonomy.num_tags());
             for k in [1usize, 5, 0] {
                 let expect = built.search_ids(&query, k);
-                for (mode, artifact) in [("owned", &loaded), ("zero-copy", &zero_copy)] {
-                    let got = artifact.model.search_ids(&query, k);
+                let got = loaded.model.search_ids(&query, k);
+                assert_eq!(
+                    got.len(),
+                    expect.len(),
+                    "seed {seed} case {case} k {k}: result count"
+                );
+                for (rank, (g, e)) in got.iter().zip(expect.iter()).enumerate() {
                     assert_eq!(
-                        got.len(),
-                        expect.len(),
-                        "{mode} seed {seed} case {case} k {k}: result count"
+                        g.resource, e.resource,
+                        "seed {seed} case {case} k {k} rank {rank}: resource"
                     );
-                    for (rank, (g, e)) in got.iter().zip(expect.iter()).enumerate() {
-                        assert_eq!(
-                            g.resource, e.resource,
-                            "{mode} seed {seed} case {case} k {k} rank {rank}: resource"
-                        );
-                        assert_eq!(
-                            g.score.to_bits(),
-                            e.score.to_bits(),
-                            "{mode} seed {seed} case {case} k {k} rank {rank}: score bits"
-                        );
-                    }
+                    assert_eq!(
+                        g.score.to_bits(),
+                        e.score.to_bits(),
+                        "seed {seed} case {case} k {k} rank {rank}: score bits"
+                    );
                 }
             }
         }
@@ -146,9 +139,6 @@ fn truncated_files_error_at_every_length() {
             "prefix {cut}: unexpected error {err}"
         );
         assert!(!err.to_string().is_empty());
-        // The zero-copy loader must fail just as gracefully.
-        let zc = persist::load_zero_copy(Arc::new(AlignedBytes::from_bytes(&bytes[..cut])));
-        assert!(zc.is_err(), "zero-copy prefix of {cut} bytes must not load");
     }
 }
 
@@ -229,17 +219,14 @@ fn soa_offsets(payload: &[u8]) -> SoaOffsets {
     }
 }
 
-fn assert_both_loaders_reject(bytes: &[u8], what: &str) -> PersistError {
-    let err = persist::load_from_bytes(bytes)
+fn assert_load_rejects(bytes: &[u8], what: &str) -> PersistError {
+    persist::load_from_bytes(bytes)
         .err()
-        .unwrap_or_else(|| panic!("{what}: owned load must fail"));
-    let zc = persist::load_zero_copy(Arc::new(AlignedBytes::from_bytes(bytes)));
-    assert!(zc.is_err(), "{what}: zero-copy load must fail");
-    err
+        .unwrap_or_else(|| panic!("{what}: load must fail"))
 }
 
 /// Truncating the file at (and just past) every SoA array boundary must
-/// produce a typed error from both loaders — never a panic.
+/// produce a typed error — never a panic.
 #[test]
 fn truncation_at_every_soa_array_boundary_errors() {
     let (folksonomy, model) = build_random(31);
@@ -254,7 +241,7 @@ fn truncation_at_every_soa_array_boundary_errors() {
             if cut >= off + len {
                 continue;
             }
-            let err = assert_both_loaders_reject(&bytes[..cut], &format!("cut at {cut}"));
+            let err = assert_load_rejects(&bytes[..cut], &format!("cut at {cut}"));
             assert!(
                 matches!(
                     err,
@@ -283,7 +270,7 @@ fn flipped_block_max_bytes_are_detected() {
         // CRC catches the raw flip.
         let mut bad = bytes.clone();
         bad[pos] ^= 0x5A;
-        match assert_both_loaders_reject(&bad, &format!("block {block} flip")) {
+        match assert_load_rejects(&bad, &format!("block {block} flip")) {
             PersistError::ChecksumMismatch { section, .. } => {
                 assert_eq!(section, persist::SECTION_INDEX_SOA);
             }
@@ -291,7 +278,7 @@ fn flipped_block_max_bytes_are_detected() {
         }
         // The semantic validator catches the CRC-repaired flip.
         refresh_crc(&mut bad, entry, off, len);
-        match assert_both_loaders_reject(&bad, &format!("block {block} flip + CRC fix")) {
+        match assert_load_rejects(&bad, &format!("block {block} flip + CRC fix")) {
             PersistError::Malformed { section, detail } => {
                 assert_eq!(section, persist::SECTION_INDEX_SOA);
                 assert!(!detail.is_empty());
@@ -315,7 +302,7 @@ fn broken_impact_order_is_rejected_after_crc_repair() {
     let pos = off + offsets.post_scores;
     bytes[pos..pos + 8].copy_from_slice(&0.0f64.to_le_bytes());
     refresh_crc(&mut bytes, entry, off, len);
-    match assert_both_loaders_reject(&bytes, "zeroed head score") {
+    match assert_load_rejects(&bytes, "zeroed head score") {
         PersistError::Malformed { section, .. } => {
             assert_eq!(section, persist::SECTION_INDEX_SOA);
         }
@@ -323,10 +310,46 @@ fn broken_impact_order_is_rejected_after_crc_repair() {
     }
 }
 
+/// CRC-repaired corruption of the `idf` array (the first array of the SoA
+/// payload, right after the 48-byte header): negated, NaN or infinite
+/// term weights break the non-negative-weight premise of the pruned
+/// engine's bounds — negated, the pruned path returns negative-score hits
+/// the exhaustive path drops; non-finite, both emit NaN scores — so the
+/// validator must refuse them.
+#[test]
+fn hostile_idf_is_rejected_after_crc_repair() {
+    let (folksonomy, model) = build_random(39);
+    let bytes = persist::save_to_vec(&model, &folksonomy);
+    let (entry, off, len) = find_section(&bytes, persist::SECTION_INDEX_SOA);
+    let idf = off + 48;
+    let num_concepts = model.index().num_concepts();
+    assert!((0..num_concepts).any(|l| model.index().idf(l) > 0.0));
+
+    let mut negated = bytes.clone();
+    for l in 0..num_concepts {
+        negated[idf + l * 8 + 7] ^= 0x80;
+    }
+    let mut patched = vec![("negated idf", negated)];
+    for (what, value) in [("NaN idf", f64::NAN), ("infinite idf", f64::INFINITY)] {
+        let mut bad = bytes.clone();
+        bad[idf..idf + 8].copy_from_slice(&value.to_le_bytes());
+        patched.push((what, bad));
+    }
+    for (what, mut bad) in patched {
+        refresh_crc(&mut bad, entry, off, len);
+        match assert_load_rejects(&bad, what) {
+            PersistError::Malformed { section, detail } => {
+                assert_eq!(section, persist::SECTION_INDEX_SOA, "{what}");
+                assert!(detail.contains("idf"), "{what}: {detail}");
+            }
+            other => panic!("{what}: expected Malformed, got {other}"),
+        }
+    }
+}
+
 /// A section table pointing the SoA payload at a non-8-aligned offset is
-/// a typed [`PersistError::MisalignedSection`] from both loaders — the
-/// zero-copy path must never view misaligned floats, and the owned path
-/// enforces the same contract for format strictness.
+/// a typed [`PersistError::MisalignedSection`]: the format promises
+/// arrays viewable in place, and the loader holds writers to it.
 #[test]
 fn misaligned_soa_section_is_a_typed_error() {
     let (folksonomy, model) = build_random(34);
@@ -338,7 +361,7 @@ fn misaligned_soa_section_is_a_typed_error() {
     let new_off = off - 4;
     bytes[entry + 4..entry + 12].copy_from_slice(&(new_off as u64).to_le_bytes());
     refresh_crc(&mut bytes, entry, new_off, len);
-    match assert_both_loaders_reject(&bytes, "shifted section offset") {
+    match assert_load_rejects(&bytes, "shifted section offset") {
         PersistError::MisalignedSection { section, offset } => {
             assert_eq!(section, persist::SECTION_INDEX_SOA);
             assert_eq!(offset as usize, new_off);
@@ -396,8 +419,8 @@ fn compressed_offsets(payload: &[u8]) -> CompressedOffsets {
 }
 
 /// Compressed (format v3) artifacts round-trip deterministically and
-/// byte-stably, and both load paths answer bit-identically to the
-/// uncompressed artifact over random corpora.
+/// byte-stably, and the loaded engine answers bit-identically to the
+/// built one over random corpora.
 #[test]
 fn compressed_round_trip_is_bit_identical_and_byte_stable() {
     for seed in [13u64, 14, 15] {
@@ -414,25 +437,16 @@ fn compressed_round_trip_is_bit_identical_and_byte_stable() {
             persist::save_to_vec_with(&loaded.model, &loaded.folksonomy, true),
             "seed {seed}: compressed double round-trip must be byte-stable"
         );
-        let zero_copy =
-            persist::load_zero_copy(Arc::new(AlignedBytes::from_bytes(&bytes))).unwrap();
-        assert!(zero_copy.model.index().is_zero_copy());
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC0_FFEE);
         for _ in 0..15 {
             let query = random_query(&mut rng, folksonomy.num_tags());
             for k in [1usize, 5, 0] {
                 let expect = built.search_ids(&query, k);
-                for (mode, artifact) in [("owned", &loaded), ("zero-copy", &zero_copy)] {
-                    let got = artifact.model.search_ids(&query, k);
-                    assert_eq!(got.len(), expect.len(), "{mode} seed {seed} k {k}");
-                    for (g, e) in got.iter().zip(expect.iter()) {
-                        assert_eq!(g.resource, e.resource, "{mode} seed {seed} k {k}");
-                        assert_eq!(
-                            g.score.to_bits(),
-                            e.score.to_bits(),
-                            "{mode} seed {seed} k {k}"
-                        );
-                    }
+                let got = loaded.model.search_ids(&query, k);
+                assert_eq!(got.len(), expect.len(), "seed {seed} k {k}");
+                for (g, e) in got.iter().zip(expect.iter()) {
+                    assert_eq!(g.resource, e.resource, "seed {seed} k {k}");
+                    assert_eq!(g.score.to_bits(), e.score.to_bits(), "seed {seed} k {k}");
                 }
             }
         }
@@ -440,8 +454,8 @@ fn compressed_round_trip_is_bit_identical_and_byte_stable() {
 }
 
 /// Truncating the file at (and just past) every compressed-array boundary
-/// must produce a typed error from both loaders — never a panic or an
-/// OOM-sized allocation.
+/// must produce a typed error — never a panic or an OOM-sized
+/// allocation.
 #[test]
 fn truncation_at_every_compressed_array_boundary_errors() {
     let (folksonomy, model) = build_random(35);
@@ -453,7 +467,7 @@ fn truncation_at_every_compressed_array_boundary_errors() {
             if cut >= off + len {
                 continue;
             }
-            let err = assert_both_loaders_reject(&bytes[..cut], &format!("cut at {cut}"));
+            let err = assert_load_rejects(&bytes[..cut], &format!("cut at {cut}"));
             assert!(
                 matches!(
                     err,
@@ -491,14 +505,14 @@ fn flipped_bit_width_byte_is_rejected() {
     ] {
         let mut bad = bytes.clone();
         bad[pos] = patch;
-        match assert_both_loaders_reject(&bad, what) {
+        match assert_load_rejects(&bad, what) {
             PersistError::ChecksumMismatch { section, .. } => {
                 assert_eq!(section, persist::SECTION_INDEX_COMPRESSED, "{what}");
             }
             other => panic!("{what}: expected ChecksumMismatch, got {other}"),
         }
         refresh_crc(&mut bad, entry, off, len);
-        match assert_both_loaders_reject(&bad, &format!("{what} + CRC fix")) {
+        match assert_load_rejects(&bad, &format!("{what} + CRC fix")) {
             PersistError::Malformed { section, detail } => {
                 assert_eq!(section, persist::SECTION_INDEX_COMPRESSED, "{what}");
                 assert!(!detail.is_empty());
@@ -532,7 +546,7 @@ fn out_of_range_quantization_is_rejected_after_crc_repair() {
         let mut bad = bytes.clone();
         bad[pos..pos + 4].copy_from_slice(&patch);
         refresh_crc(&mut bad, entry, off, len);
-        match assert_both_loaders_reject(&bad, what) {
+        match assert_load_rejects(&bad, what) {
             PersistError::Malformed { section, detail } => {
                 assert_eq!(section, persist::SECTION_INDEX_COMPRESSED, "{what}");
                 assert!(!detail.is_empty());
@@ -551,7 +565,7 @@ fn out_of_range_quantization_is_rejected_after_crc_repair() {
     let mut bad = bytes.clone();
     bad[pos] = 0;
     refresh_crc(&mut bad, entry, off, len);
-    match assert_both_loaders_reject(&bad, "understated quantized impact") {
+    match assert_load_rejects(&bad, "understated quantized impact") {
         PersistError::Malformed { section, detail } => {
             assert_eq!(section, persist::SECTION_INDEX_COMPRESSED);
             assert!(detail.contains("bound"), "detail: {detail}");
@@ -605,7 +619,7 @@ fn every_flipped_byte_is_detected() {
 
 /// The *exhaustive* hostile-byte sweep: over a deliberately tiny corpus
 /// (so the O(len²) total work stays fast), flip one byte at **every**
-/// offset of a v2 and a v3 artifact and feed the mutant to both loaders
+/// offset of a v2 and a v3 artifact and feed the mutant to the loader
 /// under `catch_unwind`. Each mutant must either return a typed error
 /// with a non-empty message, or — possible only where the flip lands in
 /// bytes the format does not interpret, such as inter-section padding
@@ -645,33 +659,27 @@ fn exhaustive_single_byte_flips_never_panic_either_loader() {
             // Rotate the flipped bit with the offset so the sweep probes
             // every bit lane, not just one mask.
             bad[pos] ^= 1u8 << (pos % 8);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let owned = persist::load_from_bytes(&bad);
-                let zc = persist::load_zero_copy(Arc::new(AlignedBytes::from_bytes(&bad)));
-                (owned, zc)
-            }))
-            .unwrap_or_else(|_| panic!("{format}: loader panicked at offset {pos}"));
-            for (mode, result) in [("owned", outcome.0), ("zero-copy", outcome.1)] {
-                match result {
-                    Err(e) => assert!(
-                        !e.to_string().is_empty(),
-                        "{format} {mode} offset {pos}: empty error message"
-                    ),
-                    Ok(loaded) => {
-                        for (query, expect) in queries.iter().zip(&expect) {
-                            let got = loaded.model.search_ids(query, 5);
+            let outcome = catch_unwind(AssertUnwindSafe(|| persist::load_from_bytes(&bad)))
+                .unwrap_or_else(|_| panic!("{format}: loader panicked at offset {pos}"));
+            match outcome {
+                Err(e) => assert!(
+                    !e.to_string().is_empty(),
+                    "{format} offset {pos}: empty error message"
+                ),
+                Ok(loaded) => {
+                    for (query, expect) in queries.iter().zip(&expect) {
+                        let got = loaded.model.search_ids(query, 5);
+                        assert_eq!(
+                            got.len(),
+                            expect.len(),
+                            "{format} offset {pos}: result count diverged"
+                        );
+                        for (g, e) in got.iter().zip(expect.iter()) {
                             assert_eq!(
-                                got.len(),
-                                expect.len(),
-                                "{format} {mode} offset {pos}: result count diverged"
+                                (g.resource, g.score.to_bits()),
+                                (e.resource, e.score.to_bits()),
+                                "{format} offset {pos}: ranking diverged"
                             );
-                            for (g, e) in got.iter().zip(expect.iter()) {
-                                assert_eq!(
-                                    (g.resource, g.score.to_bits()),
-                                    (e.resource, e.score.to_bits()),
-                                    "{format} {mode} offset {pos}: ranking diverged"
-                                );
-                            }
                         }
                     }
                 }
@@ -714,8 +722,8 @@ fn wrong_magic_is_rejected() {
 
 /// Only versions 2..=3 are read. A future stamp, a zeroed one, and a
 /// format-v1 stamp (whose index section no longer has a decoder) must all
-/// be refused at the header — by both loaders, before any section is
-/// looked at — with the found and the newest supported version named.
+/// be refused at the header — before any section is looked at — with the
+/// found and the newest supported version named.
 #[test]
 fn future_version_is_rejected_with_both_versions_named() {
     let (folksonomy, model) = build_random(8);
@@ -723,7 +731,7 @@ fn future_version_is_rejected_with_both_versions_named() {
     for stamp in [persist::FORMAT_VERSION + 1, 0, 1] {
         // The version field is bytes 8..12 (after the 8-byte magic).
         bytes[8..12].copy_from_slice(&stamp.to_le_bytes());
-        match assert_both_loaders_reject(&bytes, &format!("version {stamp}")) {
+        match assert_load_rejects(&bytes, &format!("version {stamp}")) {
             PersistError::UnsupportedVersion { found, supported } => {
                 assert_eq!(found, stamp);
                 assert_eq!(supported, persist::FORMAT_VERSION);
@@ -752,4 +760,111 @@ fn file_round_trip_through_disk() {
         assert_eq!(x.resource, y.resource);
         assert_eq!(x.score.to_bits(), y.score.to_bits());
     }
+}
+
+// ---------------------------------------------------------------------------
+// Degenerate corpora
+// ---------------------------------------------------------------------------
+
+/// Corpora at the edges of the model: each must either fail to build with
+/// a typed error or produce an artifact — plain, compressed, and sharded
+/// across more shards than it has resources — that reloads and answers
+/// bit-identically to the in-memory engine. Never a panic or a NaN score.
+#[test]
+fn degenerate_corpora_round_trip_or_fail_typed() {
+    let corpus = |rows: &[(&str, &str, &str)]| {
+        let mut b = FolksonomyBuilder::new();
+        for &(u, t, r) in rows {
+            b.add(u, t, r);
+        }
+        b.build()
+    };
+    let identical_tags: Vec<(&str, &str, &str)> = ["r0", "r1", "r2", "r3", "r4", "r5"]
+        .into_iter()
+        .enumerate()
+        .flat_map(|(i, r)| ["x", "y"].map(|t| (["u0", "u1"][i % 2], t, r)))
+        .collect();
+    let two_resources = [
+        ("u1", "a", "r1"),
+        ("u2", "a", "r1"),
+        ("u1", "b", "r2"),
+        ("u2", "c", "r2"),
+    ];
+    let cases: [(&str, Folksonomy, Option<usize>); 5] = [
+        ("single assignment", corpus(&[("u", "t", "r")]), None),
+        (
+            "one assignment repeated",
+            corpus(&[("u", "t", "r"), ("u", "t", "r"), ("u", "t", "r")]),
+            None,
+        ),
+        // Every concept annotates every resource: all idf 0, no postings.
+        (
+            "identical tags everywhere",
+            corpus(&identical_tags),
+            Some(2),
+        ),
+        ("two resources", corpus(&two_resources), Some(2)),
+        ("more concepts than tags", corpus(&two_resources), Some(10)),
+    ];
+
+    let dir = std::env::temp_dir().join(format!("cubelsi-degenerate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (what, folksonomy, num_concepts) in cases {
+        let config = CubeLsiConfig {
+            num_concepts,
+            max_als_iters: 4,
+            ..Default::default()
+        };
+        let built = match CubeLsi::build(&folksonomy, &config) {
+            Ok(built) => built,
+            Err(e) => {
+                assert!(!e.to_string().is_empty(), "{what}: empty build error");
+                continue;
+            }
+        };
+        let tags: Vec<TagId> = (0..folksonomy.num_tags()).map(TagId::from_index).collect();
+        let mut queries: Vec<Vec<TagId>> = tags.iter().map(|&t| vec![t]).collect();
+        queries.push(tags.clone());
+        let check = |got: &[RankedResource], q: &[TagId], k: usize, how: &str| {
+            let expect = built.search_ids(q, k);
+            assert_eq!(got.len(), expect.len(), "{what} {how} {q:?} k {k}");
+            for (g, e) in got.iter().zip(&expect) {
+                assert!(!g.score.is_nan(), "{what} {how} {q:?} k {k}: NaN score");
+                assert_eq!(
+                    (g.resource, g.score.to_bits()),
+                    (e.resource, e.score.to_bits()),
+                    "{what} {how} {q:?} k {k}"
+                );
+            }
+        };
+
+        for compress in [false, true] {
+            let how = if compress { "v3" } else { "v2" };
+            let bytes = persist::save_to_vec_with(&built, &folksonomy, compress);
+            let loaded = persist::load_from_bytes(&bytes)
+                .unwrap_or_else(|e| panic!("{what} {how}: load failed: {e}"));
+            for q in &queries {
+                for k in [0usize, 1, 10] {
+                    check(&loaded.model.search_ids(q, k), q, k, how);
+                }
+            }
+
+            // More shards than resources: some shards index nothing.
+            let shards = folksonomy.num_resources() + 3;
+            let manifest = dir.join(format!("{}-{how}.shards", what.replace(' ', "-")));
+            shard::save_sharded_with(&manifest, &built, &folksonomy, shards, compress).unwrap();
+            let set = shard::load_source(&manifest, LoadMode::Owned)
+                .unwrap_or_else(|e| panic!("{what} {how}: sharded load failed: {e}"));
+            assert_eq!(set.num_shards(), shards);
+            let mut session = set.session();
+            let mut out = Vec::new();
+            for q in &queries {
+                for k in [0usize, 1, 10] {
+                    set.search_tags_with(&mut session, set.concepts(), q, k, &mut out);
+                    check(&out, q, k, &format!("{how} {shards} shards"));
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,9 +2,7 @@
 //! output buffer are warmed, `search_tags_with` performs **zero heap
 //! allocations** per query — under both pruning strategies (the
 //! block-max skeleton over the exact id arrays and over the compressed
-//! mirror), and on an engine serving zero-copy out of a
-//! loaded artifact buffer (including the compressed mirror borrowed
-//! straight from a format-v3 artifact).
+//! mirror).
 //!
 //! A counting global allocator (`tests/common/counting_alloc.rs`) wraps the
 //! system allocator; the test warms the session over the query set,
@@ -15,7 +13,7 @@
 //! the pooled steady state allocation-free too). This file holds exactly
 //! one test so no concurrent test pollutes the counter.
 
-use cubelsi::core::{persist, ConceptIndex, ConceptModel, PruningStrategy, QueryEngine};
+use cubelsi::core::{ConceptIndex, ConceptModel, PruningStrategy, QueryEngine};
 use cubelsi::datagen::{generate, GeneratorConfig};
 use cubelsi::folksonomy::TagId;
 use std::sync::atomic::Ordering;
@@ -86,33 +84,6 @@ fn steady_state_search_allocates_nothing() {
     ] {
         engine.set_strategy(strategy);
         assert_steady_state_alloc_free(&engine, &model, &queries);
-    }
-
-    // And both strategies on an engine serving zero-copy out of a
-    // compressed (format v3) artifact buffer: the Slab-borrowed arrays —
-    // exact and compressed mirror alike — must change nothing about the
-    // steady-state allocation profile.
-    let cfg = cubelsi::core::CubeLsiConfig {
-        core_dims: Some((8, 8, 8)),
-        num_concepts: Some(8),
-        max_als_iters: 4,
-        ..Default::default()
-    };
-    let built = cubelsi::core::CubeLsi::build(f, &cfg).unwrap();
-    let bytes = persist::save_to_vec_with(&built, f, true);
-    let buf = std::sync::Arc::new(cubelsi::core::AlignedBytes::from_bytes(&bytes));
-    let loaded = persist::load_zero_copy(buf).unwrap();
-    assert!(loaded.model.index().is_zero_copy());
-    // Cloning the index clones `Arc`s, not arrays: the rebuilt engine
-    // still serves out of the file buffer.
-    let mut zc_engine = QueryEngine::new(loaded.model.index().clone());
-    assert!(zc_engine.index().is_zero_copy());
-    for strategy in [
-        PruningStrategy::BlockMax,
-        PruningStrategy::CompressedBlockMax,
-    ] {
-        zc_engine.set_strategy(strategy);
-        assert_steady_state_alloc_free(&zc_engine, &model, &queries);
     }
 
     // Sharded scatter-gather steady state: after warm-up, per-shard

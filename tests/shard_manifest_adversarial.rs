@@ -36,16 +36,14 @@ fn sharded_fixture(tag: &str) -> (PathBuf, PathBuf) {
     (dir, manifest)
 }
 
-fn load_both_modes(path: &Path) -> [Result<(), PersistError>; 2] {
-    [LoadMode::Owned, LoadMode::ZeroCopy].map(|mode| shard::load_source(path, mode).map(|_| ()))
+fn load(path: &Path) -> Result<(), PersistError> {
+    shard::load_source(path, LoadMode::Owned).map(|_| ())
 }
 
 #[test]
 fn valid_fixture_loads() {
     let (dir, manifest) = sharded_fixture("ok");
-    for result in load_both_modes(&manifest) {
-        result.unwrap();
-    }
+    load(&manifest).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -58,15 +56,13 @@ fn truncated_manifest_is_typed_error() {
     for cut in [0usize, 4, 10, 14, 20, bytes.len() - 3, bytes.len() - 1] {
         let cut = cut.min(bytes.len() - 1);
         std::fs::write(&manifest, &bytes[..cut]).unwrap();
-        for result in load_both_modes(&manifest) {
-            match result {
-                Err(
-                    PersistError::Truncated { .. }
-                    | PersistError::BadMagic
-                    | PersistError::Malformed { .. },
-                ) => {}
-                other => panic!("cut at {cut}: expected typed truncation error, got {other:?}"),
-            }
+        match load(&manifest) {
+            Err(
+                PersistError::Truncated { .. }
+                | PersistError::BadMagic
+                | PersistError::Malformed { .. },
+            ) => {}
+            other => panic!("cut at {cut}: expected typed truncation error, got {other:?}"),
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -90,15 +86,13 @@ fn wrong_shard_count_is_typed_error() {
             bad[end - 4..].copy_from_slice(&crc.to_le_bytes());
         }
         std::fs::write(&manifest, &bad).unwrap();
-        for result in load_both_modes(&manifest) {
-            match result {
-                Err(
-                    PersistError::Malformed { .. }
-                    | PersistError::ChecksumMismatch { .. }
-                    | PersistError::Truncated { .. },
-                ) => {}
-                other => panic!("count={count} fix_crc={fix_crc}: got {other:?}"),
-            }
+        match load(&manifest) {
+            Err(
+                PersistError::Malformed { .. }
+                | PersistError::ChecksumMismatch { .. }
+                | PersistError::Truncated { .. },
+            ) => {}
+            other => panic!("count={count} fix_crc={fix_crc}: got {other:?}"),
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -115,13 +109,11 @@ fn shard_artifact_checksum_mismatch_is_typed_error() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(&shard_path, &bytes).unwrap();
-    for result in load_both_modes(&manifest) {
-        match result {
-            Err(PersistError::ChecksumMismatch { section, .. }) => {
-                assert_eq!(section, 1, "the failing shard ordinal is reported");
-            }
-            other => panic!("expected ChecksumMismatch, got {other:?}"),
+    match load(&manifest) {
+        Err(PersistError::ChecksumMismatch { section, .. }) => {
+            assert_eq!(section, 1, "the failing shard ordinal is reported");
         }
+        other => panic!("expected ChecksumMismatch, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -143,11 +135,9 @@ fn manifest_entry_checksum_mismatch_is_typed_error() {
     let end = bytes.len();
     bytes[end - 4..].copy_from_slice(&crc.to_le_bytes());
     std::fs::write(&manifest, &bytes).unwrap();
-    for result in load_both_modes(&manifest) {
-        match result {
-            Err(PersistError::ChecksumMismatch { section, .. }) => assert_eq!(section, 0),
-            other => panic!("expected ChecksumMismatch, got {other:?}"),
-        }
+    match load(&manifest) {
+        Err(PersistError::ChecksumMismatch { section, .. }) => assert_eq!(section, 0),
+        other => panic!("expected ChecksumMismatch, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -156,13 +146,11 @@ fn manifest_entry_checksum_mismatch_is_typed_error() {
 fn missing_shard_artifact_is_typed_error() {
     let (dir, manifest) = sharded_fixture("missing");
     std::fs::remove_file(dir.join("model.shards.shard2")).unwrap();
-    for result in load_both_modes(&manifest) {
-        match result {
-            Err(PersistError::Io(e)) => {
-                assert_eq!(e.kind(), std::io::ErrorKind::NotFound);
-            }
-            other => panic!("expected Io(NotFound), got {other:?}"),
+    match load(&manifest) {
+        Err(PersistError::Io(e)) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::NotFound);
         }
+        other => panic!("expected Io(NotFound), got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -173,11 +161,9 @@ fn truncated_shard_artifact_is_typed_error() {
     let shard_path = dir.join("model.shards.shard0");
     let bytes = std::fs::read(&shard_path).unwrap();
     std::fs::write(&shard_path, &bytes[..bytes.len() / 2]).unwrap();
-    for result in load_both_modes(&manifest) {
-        match result {
-            Err(PersistError::Truncated { .. }) => {}
-            other => panic!("expected Truncated, got {other:?}"),
-        }
+    match load(&manifest) {
+        Err(PersistError::Truncated { .. }) => {}
+        other => panic!("expected Truncated, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -203,11 +189,9 @@ fn swapped_shard_artifacts_are_rejected() {
     m.entries[0].file_name = names_back[0].clone();
     m.entries[1].file_name = names_back[1].clone();
     std::fs::write(&manifest, shard::encode_manifest(&m)).unwrap();
-    for result in load_both_modes(&manifest) {
-        match result {
-            Err(PersistError::Shard { .. }) => {}
-            other => panic!("expected Shard mismatch, got {other:?}"),
-        }
+    match load(&manifest) {
+        Err(PersistError::Shard { .. }) => {}
+        other => panic!("expected Shard mismatch, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -218,11 +202,9 @@ fn unsupported_manifest_version_is_typed_error() {
     let mut bytes = std::fs::read(&manifest).unwrap();
     bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
     std::fs::write(&manifest, &bytes).unwrap();
-    for result in load_both_modes(&manifest) {
-        match result {
-            Err(PersistError::UnsupportedVersion { found, .. }) => assert_eq!(found, 99),
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
-        }
+    match load(&manifest) {
+        Err(PersistError::UnsupportedVersion { found, .. }) => assert_eq!(found, 99),
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,7 +3,7 @@
 //! tie-breaks — to a single unsharded [`QueryEngine`] over the same
 //! corpus, for every shard count, every pruning strategy, hard and soft
 //! concept assignments, sequential/scatter/adaptive/batched execution at
-//! pool sizes {1, 2, 8}, artifacts loaded owned and zero-copy, and
+//! pool sizes {1, 2, 8}, artifacts written plain and compressed, and
 //! immediately after a hot reload (including the pooled paths across the
 //! generation swap). This is what makes sharding a pure scaling move,
 //! never an approximation.
@@ -229,9 +229,8 @@ fn build_small_model(seed: u64) -> (Folksonomy, CubeLsi) {
 }
 
 /// End-to-end through the persistence layer: `save_sharded` manifests —
-/// plain and compressed (format v3 shards) — loaded owned and zero-copy
-/// answer bit-identically to the unsharded artifact, under every
-/// strategy.
+/// plain and compressed (format v3 shards) — answer bit-identically to
+/// the unsharded artifact, under every strategy.
 #[test]
 fn sharded_artifacts_round_trip_owned_and_zero_copy() {
     let (f, model) = build_small_model(41);
@@ -255,25 +254,20 @@ fn sharded_artifacts_round_trip_owned_and_zero_copy() {
                 model.index().num_postings(),
                 "shards must partition the postings exactly"
             );
-            for mode in [LoadMode::Owned, LoadMode::ZeroCopy] {
-                let mut set = shard::load_source(&manifest_path, mode).unwrap();
-                assert_eq!(set.num_shards(), n);
-                assert_eq!(set.is_zero_copy(), mode == LoadMode::ZeroCopy);
-                for strategy in STRATEGIES {
-                    set.set_strategy(strategy);
-                    let mut session = set.session();
-                    let mut out = Vec::new();
-                    for (qi, q) in queries.iter().enumerate() {
-                        let single = model.search_ids(q, 10);
-                        set.search_tags_with(&mut session, set.concepts(), q, 10, &mut out);
-                        assert_identical(
-                            &out,
-                            &single,
-                            &format!(
-                                "persist shards={n} compress={compress} {mode:?} {strategy:?} q#{qi}"
-                            ),
-                        );
-                    }
+            let mut set = shard::load_source(&manifest_path, LoadMode::Owned).unwrap();
+            assert_eq!(set.num_shards(), n);
+            for strategy in STRATEGIES {
+                set.set_strategy(strategy);
+                let mut session = set.session();
+                let mut out = Vec::new();
+                for (qi, q) in queries.iter().enumerate() {
+                    let single = model.search_ids(q, 10);
+                    set.search_tags_with(&mut session, set.concepts(), q, 10, &mut out);
+                    assert_identical(
+                        &out,
+                        &single,
+                        &format!("persist shards={n} compress={compress} {strategy:?} q#{qi}"),
+                    );
                 }
             }
         }
@@ -296,8 +290,7 @@ fn hot_reload_swaps_models_under_warm_sessions() {
 
     shard::save_sharded(&manifest_path, &model_a, &f_a, 2).unwrap();
     let set = shard::load_source(&manifest_path, LoadMode::Owned).unwrap();
-    let engine = ShardedEngine::new(set, PruningStrategy::BlockMax)
-        .with_source(&manifest_path, LoadMode::Owned);
+    let engine = ShardedEngine::new(set, PruningStrategy::BlockMax).with_source(&manifest_path);
 
     let mut rng = StdRng::seed_from_u64(51);
     let queries: Vec<Vec<TagId>> = (0..10)
