@@ -177,13 +177,6 @@ impl CubeLsi {
         &self.engine
     }
 
-    /// Consumes the pipeline, yielding its query engine without cloning
-    /// the index arrays — the shard loader uses this so an artifact load
-    /// does not pay for a full index copy.
-    pub fn into_engine(self) -> QueryEngine {
-        self.engine
-    }
-
     /// The Tucker decomposition (for diagnostics and the memory tables).
     pub fn decomposition(&self) -> &TuckerDecomposition {
         &self.decomposition

@@ -14,7 +14,8 @@
 //!   space and the global idf array so per-resource scores are
 //!   bit-identical to the unsharded index;
 //! * [`save_sharded`] writes `N` ordinary `.cubelsi` artifacts (each
-//!   independently loadable and checksummed) plus a versioned
+//!   independently loadable and checksummed; the model sections they
+//!   share are encoded once and written `N` times) plus a versioned
 //!   **shard manifest** listing them with per-shard file checksums;
 //! * [`ShardSet`] is a loaded generation of shards: per-shard
 //!   [`QueryEngine`]s plus the shared corpus/model, answering queries
@@ -79,6 +80,20 @@
 //! artifact file, or shards that disagree on corpus/model/partition all
 //! yield a typed [`PersistError`] and **never a partial engine** —
 //! enforced by the `shard_manifest_adversarial` integration tests.
+//!
+//! # What a load reads
+//!
+//! [`load_source`] reads what serving uses (the section table is in
+//! `crate::persist`). Every shard file is held to its manifest entry —
+//! length, then CRC-32 of the whole file. Shard 0 then gets the serving
+//! load: meta, folksonomy, concepts and index sections checksummed and
+//! decoded, Tucker and distances left alone. Shard `i > 0` decodes its
+//! meta counts and its index; its folksonomy and concepts sections are
+//! not decoded a second time but compared **byte for byte** with shard
+//! 0's, so shards cut from different corpora — or from the same corpus
+//! under other names, which no comparison of counts can see — are a
+//! [`PersistError::Shard`]. The returned [`ShardSet`] carries shard 0's
+//! complete folksonomy, assignments included.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,7 +105,7 @@ use cubelsi_linalg::parallel;
 use crate::concepts::ConceptModel;
 use crate::exec;
 use crate::index::{cmp_ranked, order_terms_with, ConceptAssignment, ConceptIndex, RankedResource};
-use crate::persist::{crc32, load_from_bytes, load_from_path, widen, Artifact, PersistError};
+use crate::persist::{crc32, load_serving, load_shard_index, widen, ModelSections, PersistError};
 use crate::query::{PruningStrategy, QueryEngine, QuerySession, MIN_QUERIES_PER_TASK};
 
 /// Shard-manifest magic bytes (distinct from the artifact magic
@@ -393,6 +408,9 @@ pub fn save_sharded_with(
         .ok_or_else(|| manifest_err("manifest path has no UTF-8 file name"))?;
     let dir = manifest_path.parent().unwrap_or(Path::new("."));
 
+    // Everything but the index is the same in every shard file: encoded
+    // and checksummed once, not once a shard.
+    let shared = ModelSections::encode(model, folksonomy);
     let mut entries = Vec::with_capacity(num_shards);
     let mut report = ShardedSaveReport {
         manifest_path: manifest_path.to_path_buf(),
@@ -409,15 +427,7 @@ pub fn save_sharded_with(
                 .filter(|&r| index.resource_norm(r) > 0.0)
                 .count(),
         );
-        let shard_model = crate::pipeline::CubeLsi::from_restored(
-            model.decomposition().clone(),
-            model.distances().clone(),
-            model.concepts().clone(),
-            index,
-            *model.timings(),
-            folksonomy,
-        );
-        let bytes = crate::persist::save_to_vec_with(&shard_model, folksonomy, compress);
+        let bytes = shared.with_index(&index, compress);
         let file_name = format!("{manifest_name}.shard{shard}");
         let path = dir.join(&file_name);
         write_atomic(&path, &bytes)?;
@@ -601,40 +611,33 @@ impl ShardSet {
         })
     }
 
-    /// Assembles a shard set from loaded artifacts (shard `i` at position
-    /// `i`), validating that all shards were cut from the same corpus and
-    /// concept model. The artifacts are taken one at a time, and each is
-    /// cut down to its engine as soon as it is checked: every shard file
-    /// carries the whole folksonomy and model, and holding those copies
-    /// until the last shard is in would make the loader's peak — which is
-    /// a server's peak — grow with the shard count.
+    /// Assembles a shard set from the bytes of its artifact files (shard
+    /// `i` at position `i`; under a manifest, already checked against the
+    /// manifest's length and CRC). Shard 0 gets the serving load — meta,
+    /// folksonomy, concepts, index — and supplies the set's corpus and
+    /// concept model. Every later shard decodes its meta counts and its
+    /// index only: its folksonomy and concepts sections must equal shard
+    /// 0's byte for byte, which is how shards cut from different corpora
+    /// or models are told apart. The files are taken one at a time, so
+    /// the loader's peak — which is a server's peak — is shard 0's file,
+    /// one decoded corpus and one more file, whatever the shard count.
     pub fn from_artifacts(
-        artifacts: impl IntoIterator<Item = Result<Artifact, PersistError>>,
+        files: impl IntoIterator<Item = Result<Vec<u8>, PersistError>>,
     ) -> Result<Self, PersistError> {
-        let mut artifacts = artifacts.into_iter();
-        let first = artifacts
+        let mut files = files.into_iter();
+        let first_bytes = files
             .next()
             .ok_or_else(|| shard_err("no shard artifacts"))??;
-        let folksonomy = first.folksonomy;
-        let concepts = first.model.concepts().clone();
-        let first_stats = folksonomy.stats();
-        let mut engines = vec![first.model.into_engine()];
-        for (i, a) in artifacts.enumerate() {
-            let (i, a) = (i + 1, a?);
-            if a.folksonomy.stats() != first_stats {
-                return Err(shard_err(format!(
-                    "shard {i} corpus ({}) disagrees with shard 0's ({first_stats})",
-                    a.folksonomy.stats()
-                )));
-            }
-            if a.model.concepts().assignments() != concepts.assignments() {
-                return Err(shard_err(format!(
-                    "shard {i} concept assignments disagree with shard 0's"
-                )));
-            }
-            engines.push(a.model.into_engine());
-        }
-        Self::from_parts(engines, folksonomy, concepts)
+        let first = load_serving(&first_bytes)?;
+        let rest = files
+            .enumerate()
+            .map(|(i, bytes)| load_shard_index(&bytes?, &first, i + 1))
+            .collect::<Result<Vec<ConceptIndex>, PersistError>>()?;
+        let engines = std::iter::once(first.index)
+            .chain(rest)
+            .map(QueryEngine::new)
+            .collect();
+        Self::from_parts(engines, first.folksonomy, first.concepts)
     }
 
     /// Number of shards in the set.
@@ -964,35 +967,50 @@ fn merge_ranked(
 
 /// Loads a serving source — a single `.cubelsi` artifact **or** a shard
 /// manifest, sniffed from the magic bytes — into a validated
-/// [`ShardSet`] (a single artifact becomes a one-shard set). For a
-/// manifest, every referenced artifact's length and CRC-32 are verified
-/// against the manifest entry before parsing, so a swapped or damaged
-/// shard file is rejected with [`PersistError::ChecksumMismatch`]
+/// [`ShardSet`] (a single artifact becomes a one-shard set). This is the
+/// one function behind `query`, `serve` start-up and `RELOAD`, and it
+/// reads what serving uses: the Tucker and distances sections are
+/// neither checksummed nor decoded (see [`ShardSet::from_artifacts`]).
+/// For a manifest, every referenced artifact's length and CRC-32 are
+/// verified against the manifest entry before parsing, so a swapped or
+/// damaged shard file is rejected with [`PersistError::ChecksumMismatch`]
 /// (`section` = the shard ordinal) and can never serve.
 pub fn load_source(path: impl AsRef<Path>, _mode: LoadMode) -> Result<ShardSet, PersistError> {
     let path = path.as_ref();
     match sniff_source(path)? {
-        SourceKind::Artifact => ShardSet::from_artifacts([load_from_path(path)]),
+        SourceKind::Artifact => ShardSet::from_artifacts([std::fs::read(path).map_err(Into::into)]),
         SourceKind::Manifest => {
             let manifest = load_manifest(path)?;
             let dir = path.parent().unwrap_or(Path::new("."));
             ShardSet::from_artifacts(manifest.entries.iter().enumerate().map(|(shard, entry)| {
-                load_checked_artifact(&dir.join(&entry.file_name), entry, shard as u32)
+                read_checked_artifact(&dir.join(&entry.file_name), entry, shard as u32)
             }))
         }
     }
 }
 
-fn load_checked_artifact(
+// xtask:hostile-input:begin — a shard file is as untrusted as the
+// manifest that names it.
+
+/// Reads one shard artifact and holds it to its manifest entry: the
+/// recorded length, then the recorded CRC-32 of the whole file.
+fn read_checked_artifact(
     path: &Path,
     entry: &ShardEntry,
     shard: u32,
-) -> Result<Artifact, PersistError> {
+) -> Result<Vec<u8>, PersistError> {
     let bytes = std::fs::read(path)?;
-    if bytes.len() as u64 != entry.file_len {
+    let len = bytes.len() as u64;
+    if len < entry.file_len {
         return Err(PersistError::Truncated {
             context: "shard artifact",
         });
+    }
+    if len > entry.file_len {
+        return Err(shard_err(format!(
+            "shard {shard} artifact is {len} bytes, its manifest entry records {}",
+            entry.file_len
+        )));
     }
     let got = crc32(&bytes);
     if got != entry.crc32 {
@@ -1002,8 +1020,10 @@ fn load_checked_artifact(
             got,
         });
     }
-    load_from_bytes(&bytes)
+    Ok(bytes)
 }
+
+// xtask:hostile-input:end
 
 // ---------------------------------------------------------------------------
 // ShardedEngine: atomic generation swap (hot reload)
@@ -1202,6 +1222,47 @@ mod tests {
                 "{hostile} must be rejected"
             );
         }
+    }
+
+    /// `save_sharded_with` encodes the model sections once and varies the
+    /// index per shard; every file must still be what a whole save of
+    /// that shard's model — the composition it used to clone its way to —
+    /// writes.
+    #[test]
+    fn shard_files_equal_whole_saves_of_the_per_shard_models() {
+        use crate::pipeline::CubeLsi;
+        let f = cubelsi_folksonomy::store::figure2_example();
+        let cfg = crate::config::CubeLsiConfig {
+            core_dims: Some((3, 3, 2)),
+            num_concepts: Some(2),
+            sigma: Some(1.0),
+            max_als_iters: 30,
+            ..Default::default()
+        };
+        let model = CubeLsi::build(&f, &cfg).unwrap();
+        let dir = std::env::temp_dir().join(format!("cubelsi-shard-bytes-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let n = 3;
+        for compress in [false, true] {
+            let manifest = dir.join(format!("m{}.shards", compress as u8));
+            let report = save_sharded_with(&manifest, &model, &f, n, compress).unwrap();
+            for (shard, path) in report.shard_paths.iter().enumerate() {
+                let shard_model = CubeLsi::from_restored(
+                    model.decomposition().clone(),
+                    model.distances().clone(),
+                    model.concepts().clone(),
+                    model.index().partition_by_resource(shard, n),
+                    *model.timings(),
+                    &f,
+                );
+                assert_eq!(
+                    std::fs::read(path).unwrap(),
+                    crate::persist::save_to_vec_with(&shard_model, &f, compress),
+                    "compress {compress} shard {shard}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -573,7 +573,7 @@ mod tests {
     }
 
     #[test]
-    fn repeat_and_zero_copy_flags() {
+    fn repeat_flag_parses_and_is_query_only() {
         assert_eq!(
             parse(&["query", "--repeat", "50", "m.cubelsi", "jazz"]).unwrap(),
             Command::Query {

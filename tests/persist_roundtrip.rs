@@ -13,7 +13,13 @@
 //!    non-finite term weights, misaligned sections, wrong magic, and
 //!    future format versions each yield a descriptive typed
 //!    [`PersistError`], never a panic or a silent misranking.
-//! 3. **Degenerate corpora** — a single assignment, all-zero idf, more
+//! 3. **The serving load reads what serving uses** — `shard::load_source`
+//!    checksums and decodes meta, folksonomy, concepts and the index
+//!    sections only: damage inside the Tucker or distances payload (or
+//!    their absence) does not fail it, damage anywhere it reads does, an
+//!    entry of theirs running past the file still does, and whatever it
+//!    accepts answers bit-identically to the undamaged artifact.
+//! 4. **Degenerate corpora** — a single assignment, all-zero idf, more
 //!    shards than resources, more concepts requested than tags: a typed
 //!    error or an artifact that reloads and answers like the engine it
 //!    was saved from.
@@ -759,6 +765,222 @@ fn file_round_trip_through_disk() {
     for (x, y) in a.iter().zip(b.iter()) {
         assert_eq!(x.resource, y.resource);
         assert_eq!(x.score.to_bits(), y.score.to_bits());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The serving load
+// ---------------------------------------------------------------------------
+
+/// The two sections only the full load reads.
+const SECTION_TUCKER: u32 = 3;
+const SECTION_DISTANCES: u32 = 4;
+
+/// A deliberately tiny model (every-offset sweeps are O(len²)) and a
+/// fixed query mix over it.
+fn tiny_model() -> (Folksonomy, CubeLsi, Vec<Vec<TagId>>) {
+    let ds = generate(&GeneratorConfig {
+        users: 8,
+        resources: 10,
+        concepts: 3,
+        assignments: 120,
+        seed: 43,
+        ..Default::default()
+    });
+    let config = CubeLsiConfig {
+        core_dims: Some((3, 3, 3)),
+        num_concepts: Some(3),
+        max_als_iters: 3,
+        seed: 43,
+        ..Default::default()
+    };
+    let model = CubeLsi::build(&ds.folksonomy, &config).unwrap();
+    let tags = ds.folksonomy.num_tags();
+    let queries = (0..6usize)
+        .map(|q| {
+            (0..=q % 3)
+                .map(|j| TagId::from_index((q + 5 * j) % tags))
+                .collect()
+        })
+        .collect();
+    (ds.folksonomy, model, queries)
+}
+
+/// A scratch file the serving loader — which takes a path — reads from.
+struct ServedFile(std::path::PathBuf);
+
+impl ServedFile {
+    fn new(tag: &str) -> Self {
+        ServedFile(std::env::temp_dir().join(format!(
+            "cubelsi-serving-load-{tag}-{}.cubelsi",
+            std::process::id()
+        )))
+    }
+
+    fn load(&self, bytes: &[u8]) -> Result<shard::ShardSet, PersistError> {
+        std::fs::write(&self.0, bytes).unwrap();
+        shard::load_source(&self.0, LoadMode::Owned)
+    }
+}
+
+impl Drop for ServedFile {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
+}
+
+/// The query mix's answers, all matches and top-3, down to the score bits.
+fn answers(set: &shard::ShardSet, queries: &[Vec<TagId>]) -> Vec<Vec<(usize, u64)>> {
+    let mut session = set.session();
+    let mut out = Vec::new();
+    let mut all = Vec::new();
+    for q in queries {
+        for k in [0usize, 3] {
+            set.search_tags_with(&mut session, set.concepts(), q, k, &mut out);
+            all.push(
+                out.iter()
+                    .map(|h| (h.resource.index(), h.score.to_bits()))
+                    .collect(),
+            );
+        }
+    }
+    all
+}
+
+/// The fault sweep of the exhaustive test above, through the serving
+/// load: cut a v2 and a v3 artifact at every length and flip one bit at
+/// every offset. A cut is always a typed error. A flip is a typed error
+/// or — where it lands in bytes the serving load does not read: the
+/// Tucker and distances payloads, their table rows, padding — a set that
+/// answers the query mix exactly as the undamaged artifact does. Never a
+/// panic, never another ranking. And the flips it tolerates inside the
+/// two model payloads are exactly the ones the full load still refuses.
+#[test]
+fn serving_load_fault_sweep() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let (folksonomy, model, queries) = tiny_model();
+    let file = ServedFile::new("sweep");
+    for (format, compress) in [("v2", false), ("v3", true)] {
+        let bytes = persist::save_to_vec_with(&model, &folksonomy, compress);
+        let expect = answers(&file.load(&bytes).unwrap(), &queries);
+        assert!(expect.iter().any(|hits| !hits.is_empty()));
+        let guarded = |bad: &[u8], what: &str| {
+            catch_unwind(AssertUnwindSafe(|| file.load(bad)))
+                .unwrap_or_else(|_| panic!("{format}: serving load panicked, {what}"))
+        };
+
+        for cut in 0..bytes.len() {
+            match guarded(&bytes[..cut], &format!("cut at {cut}")) {
+                Err(e) => assert!(!e.to_string().is_empty(), "{format} cut {cut}"),
+                Ok(_) => panic!("{format}: a prefix of {cut} bytes must not load"),
+            }
+        }
+
+        let unread: Vec<std::ops::Range<usize>> = [SECTION_TUCKER, SECTION_DISTANCES]
+            .iter()
+            .map(|&id| {
+                let (_, off, len) = find_section(&bytes, id);
+                off..off + len
+            })
+            .collect();
+        for pos in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[pos] ^= 1u8 << (pos % 8);
+            let in_unread_payload = unread.iter().any(|r| r.contains(&pos));
+            match guarded(&bad, &format!("flip at {pos}")) {
+                Err(e) => {
+                    assert!(!e.to_string().is_empty(), "{format} offset {pos}");
+                    assert!(
+                        !in_unread_payload,
+                        "{format} offset {pos}: the serving load read a model payload: {e}"
+                    );
+                }
+                Ok(set) => {
+                    assert_eq!(
+                        answers(&set, &queries),
+                        expect,
+                        "{format} offset {pos}: ranking diverged"
+                    );
+                    if in_unread_payload {
+                        match persist::load_from_bytes(&bad) {
+                            Err(PersistError::ChecksumMismatch { section, .. }) => assert!(
+                                section == SECTION_TUCKER || section == SECTION_DISTANCES,
+                                "{format} offset {pos}: section {section}"
+                            ),
+                            other => panic!(
+                                "{format} offset {pos}: the full load must refuse, got {:?}",
+                                other.map(|_| ())
+                            ),
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A table entry is bounds-checked whether or not its section is read:
+/// the Tucker row made to run past the end of the file is `Truncated` for
+/// the serving load as for the full load.
+#[test]
+fn unread_section_running_past_eof_is_truncated_in_both_loads() {
+    let (folksonomy, model, _) = tiny_model();
+    let file = ServedFile::new("past-eof");
+    for compress in [false, true] {
+        let mut bytes = persist::save_to_vec_with(&model, &folksonomy, compress);
+        let (entry, _, _) = find_section(&bytes, SECTION_TUCKER);
+        let file_len = bytes.len() as u64;
+        bytes[entry + 12..entry + 20].copy_from_slice(&file_len.to_le_bytes());
+        for (load, got) in [
+            ("serving", file.load(&bytes).map(|_| ())),
+            ("full", persist::load_from_bytes(&bytes).map(|_| ())),
+        ] {
+            assert!(
+                matches!(got, Err(PersistError::Truncated { .. })),
+                "{load} load, compress {compress}: got {got:?}"
+            );
+        }
+    }
+}
+
+/// The serving load does not require the two sections it does not read:
+/// with Tucker and distances taken out of the table (payloads left where
+/// they were) the artifact serves the same answers, and the full load
+/// reports the first of them missing.
+#[test]
+fn serving_load_does_not_need_the_model_sections() {
+    let (folksonomy, model, queries) = tiny_model();
+    let file = ServedFile::new("no-model");
+    for compress in [false, true] {
+        let bytes = persist::save_to_vec_with(&model, &folksonomy, compress);
+        let expect = answers(&file.load(&bytes).unwrap(), &queries);
+
+        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let table_end = persist::HEADER_LEN + count * persist::TABLE_ENTRY_LEN;
+        let mut cut = bytes[..persist::HEADER_LEN].to_vec();
+        let mut kept = 0u32;
+        for row in bytes[persist::HEADER_LEN..table_end].chunks(persist::TABLE_ENTRY_LEN) {
+            let id = u32::from_le_bytes(row[..4].try_into().unwrap());
+            if id != SECTION_TUCKER && id != SECTION_DISTANCES {
+                cut.extend_from_slice(row);
+                kept += 1;
+            }
+        }
+        assert_eq!(kept as usize, count - 2);
+        cut[12..16].copy_from_slice(&kept.to_le_bytes());
+        // The two vacated rows become slack in front of the payloads,
+        // whose absolute offsets therefore still hold.
+        cut.resize(table_end, 0);
+        cut.extend_from_slice(&bytes[table_end..]);
+
+        let set = file.load(&cut).unwrap();
+        assert_eq!(answers(&set, &queries), expect, "compress {compress}");
+        assert_eq!(set.folksonomy().assignments(), folksonomy.assignments());
+        assert!(matches!(
+            persist::load_from_bytes(&cut),
+            Err(PersistError::MissingSection(SECTION_TUCKER))
+        ));
     }
 }
 

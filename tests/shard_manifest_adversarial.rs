@@ -6,11 +6,14 @@
 use cubelsi::core::shard::{self, LoadMode};
 use cubelsi::core::{persist, CubeLsi, CubeLsiConfig, PersistError};
 use cubelsi::folksonomy::store::figure2_example;
-use cubelsi::folksonomy::Folksonomy;
+use cubelsi::folksonomy::{Folksonomy, FolksonomyBuilder};
 use std::path::{Path, PathBuf};
 
 fn built() -> (Folksonomy, CubeLsi) {
-    let f = figure2_example();
+    build(figure2_example())
+}
+
+fn build(f: Folksonomy) -> (Folksonomy, CubeLsi) {
     let cfg = CubeLsiConfig {
         core_dims: Some((3, 3, 2)),
         num_concepts: Some(2),
@@ -164,6 +167,84 @@ fn truncated_shard_artifact_is_typed_error() {
     match load(&manifest) {
         Err(PersistError::Truncated { .. }) => {}
         other => panic!("expected Truncated, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A shard file longer than its manifest entry says is not "truncated":
+/// the error names both lengths.
+#[test]
+fn overlong_shard_artifact_is_a_shard_error_naming_both_lengths() {
+    let (dir, manifest) = sharded_fixture("shardlong");
+    let shard_path = dir.join("model.shards.shard2");
+    let mut bytes = std::fs::read(&shard_path).unwrap();
+    let recorded = bytes.len();
+    bytes.extend_from_slice(&[0u8; 8]);
+    std::fs::write(&shard_path, &bytes).unwrap();
+    match load(&manifest) {
+        Err(PersistError::Shard { detail }) => {
+            assert!(detail.contains(&recorded.to_string()), "{detail}");
+            assert!(detail.contains(&bytes.len().to_string()), "{detail}");
+        }
+        other => panic!("expected Shard, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Re-records the manifest's entry for `shard` after its file was
+/// replaced, so what is left to catch is semantic, not a checksum.
+fn rerecord(manifest: &Path, shard: usize, bytes: &[u8]) {
+    let mut m = shard::decode_manifest(&std::fs::read(manifest).unwrap()).unwrap();
+    m.entries[shard].file_len = bytes.len() as u64;
+    m.entries[shard].crc32 = persist::crc32(bytes);
+    std::fs::write(manifest, shard::encode_manifest(&m)).unwrap();
+}
+
+/// Shard 0 from one build, shard 1 from a build of the same corpus with
+/// every resource renamed: same counts, same concept assignment, same
+/// index — and shard 1's resources would be served under shard 0's
+/// names. The shards' folksonomy sections are compared byte for byte, so
+/// the set is refused.
+#[test]
+fn shards_cut_from_a_renamed_corpus_are_rejected() {
+    let original = figure2_example();
+    let mut renamed = FolksonomyBuilder::new();
+    for a in original.assignments() {
+        renamed.add(
+            original.user_name(a.user),
+            original.tag_name(a.tag),
+            &format!("{}-MOVED", original.resource_name(a.resource)),
+        );
+    }
+    let (f, model) = built();
+    let (moved_f, moved_model) = build(renamed.build());
+    assert_eq!(moved_f.stats(), f.stats());
+    assert_eq!(
+        moved_model.concepts().assignments(),
+        model.concepts().assignments()
+    );
+
+    let dir = std::env::temp_dir().join(format!(
+        "cubelsi-shard-adversarial-renamed-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("model.shards");
+    let moved_manifest = dir.join("moved.shards");
+    shard::save_sharded(&manifest, &model, &f, 3).unwrap();
+    shard::save_sharded(&moved_manifest, &moved_model, &moved_f, 3).unwrap();
+    load(&manifest).unwrap();
+    load(&moved_manifest).unwrap();
+
+    let foreign = std::fs::read(dir.join("moved.shards.shard1")).unwrap();
+    std::fs::write(dir.join("model.shards.shard1"), &foreign).unwrap();
+    rerecord(&manifest, 1, &foreign);
+    match load(&manifest) {
+        Err(PersistError::Shard { detail }) => {
+            assert!(detail.contains("shard 1"), "{detail}");
+            assert!(detail.contains("folksonomy"), "{detail}");
+        }
+        other => panic!("expected Shard mismatch, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
 }

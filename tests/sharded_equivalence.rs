@@ -232,7 +232,7 @@ fn build_small_model(seed: u64) -> (Folksonomy, CubeLsi) {
 /// plain and compressed (format v3 shards) — answer bit-identically to
 /// the unsharded artifact, under every strategy.
 #[test]
-fn sharded_artifacts_round_trip_owned_and_zero_copy() {
+fn sharded_artifacts_round_trip() {
     let (f, model) = build_small_model(41);
     let dir = std::env::temp_dir().join(format!("cubelsi-sharded-rt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
