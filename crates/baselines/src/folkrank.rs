@@ -164,11 +164,6 @@ impl FolkRank {
         }
         w
     }
-
-    /// The converged query-independent weights (diagnostics).
-    pub fn baseline_weights(&self) -> &[f64] {
-        &self.baseline
-    }
 }
 
 impl Ranker for FolkRank {
@@ -271,7 +266,7 @@ mod tests {
     fn baseline_weights_sum_to_about_one() {
         let f = figure2_example();
         let fr = FolkRank::build(&f, &FolkRankConfig::default());
-        let total: f64 = fr.baseline_weights().iter().sum();
+        let total: f64 = fr.baseline.iter().sum();
         assert!((total - 1.0).abs() < 1e-6, "total baseline mass {total}");
     }
 

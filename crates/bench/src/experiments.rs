@@ -20,7 +20,8 @@ pub const DEFAULT_SCALE: f64 = 0.02;
 /// Default master seed.
 pub const DEFAULT_SEED: u64 = 2011; // the paper's year
 
-/// Command-line options shared by all experiment binaries.
+/// What every experiment is parameterised by (the `paper` binary parses
+/// it from the command line).
 #[derive(Debug, Clone, Copy)]
 pub struct RunOptions {
     /// Dataset scale factor.
@@ -35,44 +36,6 @@ impl Default for RunOptions {
             scale: DEFAULT_SCALE,
             seed: DEFAULT_SEED,
         }
-    }
-}
-
-impl RunOptions {
-    /// Parses `--scale X` / `--seed N` from `std::env::args`, falling back
-    /// to `CUBELSI_SCALE` / `CUBELSI_SEED` environment variables.
-    pub fn from_args() -> Self {
-        let mut opts = RunOptions::default();
-        if let Ok(s) = std::env::var("CUBELSI_SCALE") {
-            if let Ok(v) = s.parse() {
-                opts.scale = v;
-            }
-        }
-        if let Ok(s) = std::env::var("CUBELSI_SEED") {
-            if let Ok(v) = s.parse() {
-                opts.seed = v;
-            }
-        }
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i + 1 < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    if let Ok(v) = args[i + 1].parse() {
-                        opts.scale = v;
-                    }
-                    i += 2;
-                }
-                "--seed" => {
-                    if let Ok(v) = args[i + 1].parse() {
-                        opts.seed = v;
-                    }
-                    i += 2;
-                }
-                _ => i += 1,
-            }
-        }
-        opts
     }
 }
 

@@ -1,15 +1,11 @@
 //! Experiment harness for the CubeLSI reproduction.
 //!
-//! One binary per table/figure of the paper's §VI lives in `src/bin/`
-//! (`table1` … `table7`, `figure4`, `figure5`, plus `run_all`); they are
-//! thin wrappers over [`experiments`], which is also exercised at tiny
-//! scale by the workspace integration tests. Criterion micro-benches live
-//! in `benches/`.
+//! [`experiments`] implements every table and figure of the paper's §VI;
+//! the one binary, `paper <table1..7|figure4|figure5|all>`, prints them.
 //!
-//! All experiments accept a `--scale` argument (or the `CUBELSI_SCALE`
-//! environment variable) that multiplies the Table II dataset sizes;
-//! the default of 0.02 keeps every experiment laptop-sized while
-//! preserving the evaluation's shape. `--seed` overrides the master seed.
+//! `--scale` multiplies the Table II dataset sizes; the default of 0.02
+//! keeps every experiment laptop-sized while preserving the evaluation's
+//! shape. `--seed` overrides the master seed.
 
 pub mod experiments;
 

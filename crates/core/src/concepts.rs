@@ -1,7 +1,8 @@
 //! Concept distillation (§V): spectral clustering of tags on the purified
 //! distance matrix. Each cluster of semantically related tags is a
 //! *concept*; hard clustering assigns every tag to exactly one concept
-//! (the paper notes soft clustering as future work).
+//! (the paper leaves soft clustering as future work; README's
+//! "Reproduction status" table records what it measured here).
 
 use crate::distance::TagDistances;
 use cubelsi_folksonomy::{Folksonomy, TagId};

@@ -1,7 +1,7 @@
 //! Configuration of the CubeLSI pipeline.
 
 use crate::query::PruningStrategy;
-use cubelsi_linalg::kmeans::{KMeansAlgorithm, KMeansConfig};
+use cubelsi_linalg::kmeans::KMeansConfig;
 use cubelsi_linalg::spectral::{KSelection, SpectralConfig, SpectralSolver};
 use cubelsi_linalg::subspace::SubspaceOptions;
 use cubelsi_linalg::LinAlgError;
@@ -41,18 +41,6 @@ pub struct CubeLsiConfig {
     pub sigma: Option<f64>,
     /// Seed for all stochastic components.
     pub seed: u64,
-    /// Run k-means as textbook naive Lloyd's instead of the bounds-pruned
-    /// variant. Both are bit-identical; the naive path is the reference for
-    /// equivalence tests and the slow side of the build-phase bench.
-    pub naive_kmeans: bool,
-    /// Apply the HOSVD Gram operators as two materialized sparse products
-    /// instead of the fused single-pass kernel. Bit-identical reference
-    /// path, same purpose as `naive_kmeans`.
-    pub materialized_gram: bool,
-    /// Drive concept distillation with the legacy exhaustive eigensolver
-    /// (Rayleigh–Ritz every iteration, full-block convergence) instead of
-    /// the adaptive periodic-projection solver.
-    pub exhaustive_spectral: bool,
     /// Pruning strategy of the online query engine built by
     /// [`crate::CubeLsi::build`]. Both strategies are exact and
     /// bit-identical; `BlockMax` (default) scans the exact id arrays,
@@ -72,26 +60,12 @@ impl Default for CubeLsiConfig {
             max_concepts: 64,
             sigma: None,
             seed: 0xc0be_15e1,
-            naive_kmeans: false,
-            materialized_gram: false,
-            exhaustive_spectral: false,
             pruning: PruningStrategy::default(),
         }
     }
 }
 
 impl CubeLsiConfig {
-    /// Switches every offline kernel to its reference (pre-overhaul)
-    /// implementation: naive Lloyd's, materialized Gram products, and the
-    /// exhaustive spectral eigensolver. This is the slow side of the
-    /// `build_phases` bench and the baseline of the equivalence tests.
-    pub fn with_reference_kernels(mut self) -> Self {
-        self.naive_kmeans = true;
-        self.materialized_gram = true;
-        self.exhaustive_spectral = true;
-        self
-    }
-
     /// Resolves the Tucker configuration for a tensor of the given dims.
     pub fn tucker_config(&self, dims: (usize, usize, usize)) -> Result<TuckerConfig, LinAlgError> {
         let mut cfg = match self.core_dims {
@@ -110,7 +84,6 @@ impl CubeLsiConfig {
             seed: self.seed ^ 0x717c_4e12,
             ..Default::default()
         };
-        cfg.fused_gram = !self.materialized_gram;
         Ok(cfg)
     }
 
@@ -127,22 +100,13 @@ impl CubeLsiConfig {
             },
             kmeans: KMeansConfig {
                 seed: self.seed ^ 0x6b6d,
-                algorithm: if self.naive_kmeans {
-                    KMeansAlgorithm::NaiveLloyd
-                } else {
-                    KMeansAlgorithm::BoundsPruned
-                },
                 ..Default::default()
             },
             subspace: SubspaceOptions {
                 seed: self.seed ^ 0x5bc7,
                 ..Default::default()
             },
-            solver: if self.exhaustive_spectral {
-                SpectralSolver::Exhaustive
-            } else {
-                SpectralSolver::default()
-            },
+            solver: SpectralSolver::default(),
         }
     }
 }

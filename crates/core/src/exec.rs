@@ -55,11 +55,10 @@
 //!
 //! [`scoped_deadline`] carries a latency budget in a thread-local;
 //! `run_tasks` captures it at submission and re-establishes it on
-//! whichever participant executes each task, so [`current_deadline`] /
-//! [`deadline_exceeded`] answer correctly from inside task bodies. A
-//! batch submitted *after* its deadline still produces its results but
-//! runs sequentially on the caller, counted in
-//! [`ExecutorStats::late_dispatch`].
+//! whichever participant executes each task, so the budget seen inside a
+//! task body is the submitting scope's. A batch submitted *after* its
+//! deadline still produces its results but runs sequentially on the
+//! caller, counted in [`ExecutorStats::late_dispatch`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -254,14 +253,8 @@ pub fn scoped_deadline<R>(deadline: Option<Instant>, f: impl FnOnce() -> R) -> R
 
 /// The deadline governing the current scope (a [`scoped_deadline`]
 /// closure, or a task executed on behalf of one), if any.
-pub fn current_deadline() -> Option<Instant> {
+pub(crate) fn current_deadline() -> Option<Instant> {
     TASK_DEADLINE.with(Cell::get)
-}
-
-/// True when the current scope's deadline has already passed — a
-/// cooperative cancellation check long-running task bodies can poll.
-pub fn deadline_exceeded() -> bool {
-    current_deadline().is_some_and(|d| Instant::now() >= d)
 }
 
 static GLOBAL: OnceLock<Executor> = OnceLock::new();
@@ -749,7 +742,6 @@ mod tests {
         let missing = AtomicU64::new(0);
         scoped_deadline(Some(far), || {
             assert_eq!(current_deadline(), Some(far));
-            assert!(!deadline_exceeded());
             exec.run_tasks(4, 32, &|_, _scratch| {
                 // Whether this task ran on a pool worker or on the
                 // participating caller, it must observe the submitting

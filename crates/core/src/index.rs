@@ -43,19 +43,23 @@ use cubelsi_folksonomy::{Folksonomy, ResourceId, TagId};
 /// check and one branch over 64 postings.
 pub const BLOCK_LEN: usize = 64;
 
-/// Abstraction over hard and soft tag→concept mappings, so one index and
-/// one query path serve both the paper's hard clustering and the
-/// soft-clustering extension (footnote 5).
+/// A tag→concepts mapping as the index build and the query paths see it:
+/// every tag belongs to one or more concepts with a weight each. The
+/// paper's hard clustering ([`ConceptModel`]) is the one-concept,
+/// weight-1 case.
 ///
 /// `Sync` is required so the batched query engine can share an assignment
-/// across worker threads; both implementations are plain owned data.
+/// across worker threads.
 pub trait ConceptAssignment: Sync {
     /// Number of concepts in the space.
     fn num_concepts(&self) -> usize;
     /// Number of tags covered.
     fn num_tags(&self) -> usize;
     /// Calls `f(concept, weight)` for every concept the tag belongs to;
-    /// weights sum to 1 per tag.
+    /// weights sum to 1 per tag. Every weight must be finite and ≥ 0 and
+    /// every concept `< num_concepts()`: the pruned query paths' bounds
+    /// rest on non-negative term weights, and nothing downstream
+    /// re-checks them.
     fn for_each_weight(&self, tag: usize, f: &mut dyn FnMut(usize, f64));
 }
 
@@ -1045,8 +1049,8 @@ pub struct ConceptIndex {
 impl ConceptIndex {
     /// Builds the index: for every resource, tag occurrence counts
     /// `c(t, r)` are aggregated into concept counts `c(l, r)`, normalized
-    /// to `tf` (Eq. 2) and weighted by `idf` (Eq. 1). Accepts hard or soft
-    /// assignments through [`ConceptAssignment`].
+    /// to `tf` (Eq. 2) and weighted by `idf` (Eq. 1). A tag's count is
+    /// spread over its concepts by their [`ConceptAssignment`] weights.
     pub fn build(folksonomy: &Folksonomy, concepts: &dyn ConceptAssignment) -> Self {
         let n_resources = folksonomy.num_resources();
         let n_concepts = concepts.num_concepts();
@@ -1345,8 +1349,8 @@ impl ConceptIndex {
     }
 
     /// Maps query tags to a [`PreparedQuery`]: each tag occurrence counts
-    /// 1, spread over its concept memberships (hard or soft), normalized
-    /// and idf-weighted exactly like resource vectors. Returns `None` when
+    /// 1, spread over its concept memberships, normalized and idf-weighted
+    /// exactly like resource vectors. Returns `None` when
     /// no known tag or no positively-weighted concept survives.
     pub fn prepare_query(
         &self,
@@ -1366,28 +1370,16 @@ impl ConceptIndex {
         if total == 0.0 {
             return None;
         }
-        let terms: Vec<(u32, f64)> = counts
+        // Terms — and the norm's sum — run in ascending concept order, so
+        // every query path sums the norm identically; the MaxScore term
+        // order is applied after.
+        let mut terms: Vec<(u32, f64)> = counts
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0.0)
             .map(|(l, &c)| (l as u32, (c / total) * self.exact.idf[l]))
             .filter(|&(_, w)| w != 0.0)
             .collect();
-        self.prepare_weighted(&terms)
-    }
-
-    /// Builds a [`PreparedQuery`] from raw `(concept, weight)` pairs:
-    /// computes the norm (in ascending concept order, so every query path
-    /// sums it identically) and applies the MaxScore term order.
-    /// Out-of-range concept ids are dropped defensively, mirroring how
-    /// unknown tags are ignored.
-    pub fn prepare_weighted(&self, terms: &[(u32, f64)]) -> Option<PreparedQuery> {
-        let mut terms: Vec<(u32, f64)> = terms
-            .iter()
-            .filter(|&&(l, _)| (l as usize) < self.exact.num_concepts)
-            .copied()
-            .collect();
-        terms.sort_unstable_by_key(|&(l, _)| l);
         let norm: f64 = terms.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
         if norm == 0.0 {
             return None;
@@ -1552,32 +1544,6 @@ impl ConceptIndex {
             Some(query) => self.rank_exact(&query, top_k),
             None => Vec::new(),
         }
-    }
-
-    /// Ranks resources against a raw query vector of `(concept, weight)`
-    /// pairs (Eq. 4) via the exact reference path.
-    pub fn query_weighted_concepts(
-        &self,
-        query: &[(usize, f64)],
-        top_k: usize,
-    ) -> Vec<RankedResource> {
-        let terms: Vec<(u32, f64)> = query.iter().map(|&(l, w)| (l as u32, w)).collect();
-        match self.prepare_weighted(&terms) {
-            Some(query) => self.rank_exact(&query, top_k),
-            None => Vec::new(),
-        }
-    }
-
-    /// Size of the index in `f64`-equivalents (for memory accounting).
-    pub fn footprint_len(&self) -> usize {
-        let vectors = 2 * self.exact.rv_concepts.len();
-        let postings = 2 * self.exact.post_ids.len();
-        self.exact.idf.len()
-            + self.exact.resource_norms.len()
-            + self.exact.max_impact.len()
-            + self.exact.block_max.len()
-            + vectors
-            + postings
     }
 }
 
@@ -1846,16 +1812,6 @@ mod tests {
             let b1 = w[1].1 * index.max_impact(w[1].0 as usize);
             assert!(b0 >= b1, "terms must be in descending bound order");
         }
-    }
-
-    #[test]
-    fn footprint_is_positive_and_bounded() {
-        let (f, concepts) = corpus();
-        let index = ConceptIndex::build(&f, &concepts);
-        let fp = index.footprint_len();
-        assert!(fp > 0);
-        // Sanity: strictly less than a dense resources×concepts matrix + slack.
-        assert!(fp <= 2 * (index.num_resources() * index.num_concepts() + 10) * 2);
     }
 
     #[test]

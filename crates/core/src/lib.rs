@@ -48,7 +48,6 @@ pub mod persist;
 pub mod pipeline;
 pub mod query;
 pub mod shard;
-pub mod soft;
 pub mod tensor_build;
 
 pub use concepts::{ConceptModel, TagClusterSummary};
@@ -67,5 +66,4 @@ pub use query::{PruningStrategy, QueryEngine, QuerySession};
 pub use shard::{
     ShardEntry, ShardGeneration, ShardManifest, ShardSet, ShardedEngine, ShardedSession, SourceKind,
 };
-pub use soft::{SoftConceptModel, SoftConfig};
 pub use tensor_build::build_tensor;

@@ -117,14 +117,11 @@
 //! block-max ≡ compressed) is enforced by the `query_engine_equivalence`
 //! integration test over randomized corpora.
 //!
-//! A query whose terms may carry negative **or non-finite** weights
-//! (possible through the raw [`QueryEngine::search_weighted`] entry
-//! point) falls back to the exact path, where no bound argument is
-//! needed. NaN is the subtle case: it fails a `w < 0.0` test *and* passes
-//! a `w != 0.0` test, so an explicit `is_finite` guard is required to
-//! keep it out of the dense accumulators and the query norm — without it,
-//! the pruned path would silently diverge from
-//! [`ConceptIndex::query_weighted_concepts`].
+//! Tags are the one way to ask. Every term weight is a sum of
+//! [`ConceptAssignment::for_each_weight`] weights (finite and ≥ 0 by that
+//! trait's contract) scaled by an `idf` the index validated as finite and
+//! ≥ 0, so the non-negativity the bounds above rest on holds for every
+//! query the engine can be handed.
 
 use crate::exec;
 use crate::index::{
@@ -467,52 +464,6 @@ impl QueryEngine {
         debug_assert_eq!(session.check_epochs(), Ok(()));
     }
 
-    /// Ranks resources against raw `(concept, weight)` pairs. Finite
-    /// non-negative weights use the pruned path; any negative or
-    /// non-finite weight — or a duplicated concept id, which the exact
-    /// reference keeps as separate terms while the session scratch would
-    /// merge — falls back to the exact reference path so results always
-    /// match [`ConceptIndex::query_weighted_concepts`]. The non-finite
-    /// guard matters: NaN fails `w < 0.0` and passes `w != 0.0`, so
-    /// without it a hostile weight would poison the dense accumulators
-    /// and the query norm and the pruned results would silently diverge
-    /// from the exact reference.
-    pub fn search_weighted(
-        &self,
-        session: &mut QuerySession,
-        terms: &[(u32, f64)],
-        top_k: usize,
-        out: &mut Vec<RankedResource>,
-    ) {
-        out.clear();
-        if terms.iter().any(|&(_, w)| w < 0.0 || !w.is_finite()) {
-            if let Some(q) = self.index.prepare_weighted(terms) {
-                *out = self.index.rank_exact(&q, top_k)
-            }
-            return;
-        }
-        session.begin();
-        session.ensure_capacity(&self.index);
-        let mut duplicate = false;
-        for &(l, w) in terms {
-            if (l as usize) < self.index.num_concepts() && w != 0.0 {
-                duplicate |= !accumulate_concept(session, l as usize, w);
-            }
-        }
-        if duplicate {
-            if let Some(q) = self.index.prepare_weighted(terms) {
-                *out = self.index.rank_exact(&q, top_k)
-            }
-            return;
-        }
-        let Some(norm) = self.finalize_terms(session, |_, w| w) else {
-            return;
-        };
-        self.index.order_terms(&mut session.terms);
-        self.run_pruned(session, norm, top_k, out);
-        debug_assert_eq!(session.check_epochs(), Ok(()));
-    }
-
     /// The exact reference path behind the engine API: identical term
     /// preparation, exhaustive accumulation, full sort.
     pub fn search_tags_exact(
@@ -588,33 +539,20 @@ impl QueryEngine {
         }
         // tf normalization + idf weighting, with the same float ops
         // (`c / total`, not `c * (1/total)`) as
-        // `ConceptIndex::prepare_query`, so terms match it bit-for-bit.
-        self.finalize_terms(session, |l, c| {
-            if c > 0.0 {
-                (c / total) * self.index.idf(l)
-            } else {
-                0.0
-            }
-        })
-    }
-
-    /// Shared tail of query preparation: converts the accumulated concept
-    /// scratch into the term list. `weight_of(concept, raw)` maps an
-    /// accumulated raw weight to the final term weight (0 → dropped).
-    /// Terms are emitted — and the norm summed — in ascending concept
-    /// order, matching `ConceptIndex::prepare_weighted` bit-for-bit.
-    /// Callers apply a MaxScore processing order afterwards (the local
-    /// one via [`ConceptIndex::order_terms`], or a shared global one in
-    /// the sharded engine). Returns the query norm (`None` → empty).
-    fn finalize_terms(
-        &self,
-        session: &mut QuerySession,
-        weight_of: impl Fn(usize, f64) -> f64,
-    ) -> Option<f64> {
+        // `ConceptIndex::prepare_query`; terms are emitted — and the norm
+        // summed — in ascending concept order, so they match it
+        // bit-for-bit. Callers apply a MaxScore processing order
+        // afterwards (the local one via `ConceptIndex::order_terms`, or
+        // a shared global one in the sharded engine).
         session.concept_touched.sort_unstable();
         for i in 0..session.concept_touched.len() {
             let l = session.concept_touched[i] as usize;
-            let wq = weight_of(l, session.concept_weight[l]);
+            let c = session.concept_weight[l];
+            let wq = if c > 0.0 {
+                (c / total) * self.index.idf(l)
+            } else {
+                0.0
+            };
             if wq != 0.0 {
                 session.terms.push((l as u32, wq));
             }
@@ -937,17 +875,14 @@ fn raise_to_heap_threshold(session: &QuerySession, top_k: usize, threshold: &mut
     }
 }
 
-/// Adds `w` to concept `l`'s scratch weight; returns `false` when the
-/// concept was already touched this query (i.e. this was a merge).
-fn accumulate_concept(session: &mut QuerySession, l: usize, w: f64) -> bool {
-    let fresh = session.concept_epoch[l] != session.concept_cur;
-    if fresh {
+/// Adds `w` to concept `l`'s scratch weight.
+fn accumulate_concept(session: &mut QuerySession, l: usize, w: f64) {
+    if session.concept_epoch[l] != session.concept_cur {
         session.concept_epoch[l] = session.concept_cur;
         session.concept_weight[l] = 0.0;
         session.concept_touched.push(l as u32);
     }
     session.concept_weight[l] += w;
-    fresh
 }
 
 // xtask:no-alloc:begin — per-query inner-loop helpers: scratch buffers
@@ -1397,38 +1332,6 @@ mod tests {
         for (q, got) in queries.iter().zip(batch.iter()) {
             let want = engine.search_tags(&concepts, q, 2);
             assert_eq!(got, &want);
-        }
-    }
-
-    #[test]
-    fn weighted_negative_falls_back_to_exact() {
-        let (_, _, engine) = engine();
-        let mut session = engine.session();
-        let mut out = Vec::new();
-        engine.search_weighted(&mut session, &[(0, 0.7), (1, -0.2)], 0, &mut out);
-        let exact = engine
-            .index()
-            .query_weighted_concepts(&[(0, 0.7), (1, -0.2)], 0);
-        assert_eq!(out, exact);
-    }
-
-    #[test]
-    fn weighted_duplicate_concepts_match_exact() {
-        // The exact reference keeps duplicated concept ids as separate
-        // terms; the engine must not silently merge them into a
-        // different-normed query.
-        let (_, _, engine) = engine();
-        let mut session = engine.session();
-        let mut out = Vec::new();
-        let terms = [(0u32, 0.5), (1, 0.25), (0, 0.5)];
-        engine.search_weighted(&mut session, &terms, 0, &mut out);
-        let exact = engine
-            .index()
-            .query_weighted_concepts(&[(0, 0.5), (1, 0.25), (0, 0.5)], 0);
-        assert_eq!(out.len(), exact.len());
-        for (p, e) in out.iter().zip(exact.iter()) {
-            assert_eq!(p.resource, e.resource);
-            assert_eq!(p.score.to_bits(), e.score.to_bits());
         }
     }
 

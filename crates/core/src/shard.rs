@@ -55,8 +55,8 @@
 //! slices under the shared ranking comparator. The
 //! `sharded_equivalence` integration test enforces the end result over
 //! randomized corpora: shard counts ∈ {1, 2, 7}, raw and compressed
-//! posting sources, hard + soft assignments, artifacts written plain and
-//! compressed, and immediately after a hot reload.
+//! posting sources, one and several concepts per tag, artifacts written
+//! plain and compressed, and immediately after a hot reload.
 //!
 //! # Manifest format (`.cubelsi` shard manifest)
 //!
@@ -1100,7 +1100,7 @@ impl ShardedEngine {
     /// write lock, so concurrent installs are serialized: the highest
     /// number is always the last one stored and can never be
     /// overwritten by a straggler that loaded earlier.
-    pub fn install(&self, mut set: ShardSet) -> Arc<ShardGeneration> {
+    pub(crate) fn install(&self, mut set: ShardSet) -> Arc<ShardGeneration> {
         set.set_strategy(self.strategy);
         let mut slot = self
             .state

@@ -5,7 +5,7 @@
 //! designed to strip: system-generated tags, mixed-case duplicates of real
 //! tags, and long tails of singleton users/tags/resources.
 
-use cubelsi_folksonomy::{Folksonomy, FolksonomyBuilder, TagId};
+use cubelsi_folksonomy::{Folksonomy, FolksonomyBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -96,12 +96,6 @@ fn mangle_case(tag: &str, rng: &mut StdRng) -> String {
         .collect()
 }
 
-/// Returns `true` if the tag name looks system-generated (shared with the
-/// cleaning default).
-pub fn is_system_tag(f: &Folksonomy, t: TagId) -> bool {
-    f.tag_name(t).starts_with("system:")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,19 +160,5 @@ mod tests {
         let a = rawify(&base, &RawNoiseConfig::default());
         let b = rawify(&base, &RawNoiseConfig::default());
         assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn is_system_tag_predicate() {
-        let base = clean_dataset();
-        let raw = rawify(&base, &RawNoiseConfig::default());
-        let sys = raw
-            .tag_id("system:imported")
-            .or(raw.tag_id("system:unfiled"));
-        if let Some(t) = sys {
-            assert!(is_system_tag(&raw, t));
-        }
-        let normal = TagId::from_index(0);
-        let _ = is_system_tag(&raw, normal); // must not panic
     }
 }

@@ -54,43 +54,6 @@ impl MemoryAccounting {
         let factors = i1 as u128 * j1 as u128 + i2 as u128 * j2 as u128 + i3 as u128 * j3 as u128;
         (core + factors) * F64_BYTES
     }
-
-    /// Compression ratio dense/compressed (Table VII's implicit headline).
-    pub fn compression_ratio(&self) -> f64 {
-        self.dense_purified_bytes() as f64 / self.sigma_y2_bytes().max(1) as f64
-    }
-}
-
-/// Reads one `kB`-denominated field from `/proc/self/status`.
-fn proc_status_bytes(field: &str) -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix(field) {
-            let kb: u64 = rest
-                .trim_start_matches(':')
-                .split_whitespace()
-                .next()?
-                .parse()
-                .ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
-}
-
-/// The process's current resident set (`VmRSS`), in bytes — the measured
-/// counterpart to the analytical accounting above, used by the query
-/// bench's memory columns. `None` on platforms without procfs.
-pub fn current_rss_bytes() -> Option<u64> {
-    proc_status_bytes("VmRSS")
-}
-
-/// The process's peak resident set (`VmHWM`), in bytes. Monotonic over
-/// the process lifetime (the kernel's high-water mark), so successive
-/// readings report "the peak so far", not a per-phase peak. `None` on
-/// platforms without procfs.
-pub fn peak_rss_bytes() -> Option<u64> {
-    proc_status_bytes("VmHWM")
 }
 
 /// Formats a byte count the way the paper's Table VII does
@@ -158,7 +121,7 @@ mod tests {
         // either way the compressed form wins by >10⁴× (the table's point).
         let decimal_mb = m.sigma_y2_bytes() as f64 / 1e6;
         assert!((decimal_mb - 3.6).abs() < 0.7, "decimal MB = {decimal_mb}"); // paper: 3.0 MB
-        assert!(m.compression_ratio() > 1e4);
+        assert!(m.dense_purified_bytes() as f64 / m.sigma_y2_bytes() as f64 > 1e4);
     }
 
     #[test]
@@ -175,15 +138,6 @@ mod tests {
         assert_eq!(format_bytes(5 * 1024 * 1024), "5.0 MB");
         assert_eq!(format_bytes(3 * (1u128 << 40)), "3.0 TB");
         assert_eq!(format_bytes(150 * (1u128 << 30)), "150 GB");
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn rss_readings_are_present_and_ordered() {
-        let rss = current_rss_bytes().expect("VmRSS on linux");
-        let peak = peak_rss_bytes().expect("VmHWM on linux");
-        assert!(rss > 0);
-        assert!(peak >= rss, "high-water mark below current RSS");
     }
 
     #[test]

@@ -27,12 +27,6 @@ impl Table {
         self
     }
 
-    /// Convenience for string-slice rows.
-    pub fn row_strs(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn num_rows(&self) -> usize {
         self.rows.len()
@@ -67,18 +61,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as GitHub-flavored markdown.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("### {}\n\n", self.title));
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!("|{}\n", "---|".repeat(self.headers.len())));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
 }
 
 /// Formats a float with `digits` decimal places.
@@ -109,8 +91,8 @@ mod tests {
     #[test]
     fn text_rendering_aligns_columns() {
         let mut t = Table::new("Demo", &["method", "score"]);
-        t.row_strs(&["CubeLSI", "0.9"]);
-        t.row_strs(&["BOW", "0.5"]);
+        t.row(&["CubeLSI".into(), "0.9".into()]);
+        t.row(&["BOW".into(), "0.5".into()]);
         let text = t.to_text();
         assert!(text.contains("== Demo =="));
         assert!(text.contains("CubeLSI"));
@@ -120,22 +102,11 @@ mod tests {
     }
 
     #[test]
-    fn markdown_rendering() {
-        let mut t = Table::new("Demo", &["a", "b"]);
-        t.row_strs(&["1", "2"]);
-        let md = t.to_markdown();
-        assert!(md.contains("| a | b |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| 1 | 2 |"));
-    }
-
-    #[test]
     fn short_rows_padded() {
         let mut t = Table::new("x", &["a", "b", "c"]);
-        t.row_strs(&["only"]);
+        t.row(&["only".into()]);
         assert_eq!(t.num_rows(), 1);
-        let md = t.to_markdown();
-        assert!(md.contains("| only |  |  |"));
+        assert_eq!(t.to_text().lines().last(), Some("only"));
     }
 
     #[test]

@@ -57,14 +57,6 @@ pub struct Query {
 }
 
 impl Query {
-    /// Maps a ranked list of resource indexes to their grades.
-    pub fn grades_of(&self, ranked_resources: &[usize]) -> Vec<u8> {
-        ranked_resources
-            .iter()
-            .map(|&r| self.relevance.get(r).copied().unwrap_or(0))
-            .collect()
-    }
-
     /// Number of resources with a positive grade.
     pub fn num_relevant(&self) -> usize {
         self.relevance.iter().filter(|&&g| g > 0).count()
@@ -230,26 +222,6 @@ mod tests {
             "{with_relevant}/{} queries have relevant resources",
             queries.len()
         );
-    }
-
-    #[test]
-    fn grades_of_maps_rankings() {
-        let ds = dataset();
-        let queries = generate_workload(
-            &ds,
-            &WorkloadConfig {
-                num_queries: 1,
-                assessor_noise: 0.0,
-                ..Default::default()
-            },
-        );
-        let q = &queries[0];
-        let ranking = vec![0, 1, 2];
-        let grades = q.grades_of(&ranking);
-        assert_eq!(grades.len(), 3);
-        assert_eq!(grades[0], q.relevance[0]);
-        // Out-of-range resources grade 0 defensively.
-        assert_eq!(q.grades_of(&[999_999])[0], 0);
     }
 
     #[test]

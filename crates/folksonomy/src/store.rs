@@ -171,28 +171,6 @@ impl Folksonomy {
         out
     }
 
-    /// `|users(t, r)|`: how many users annotated `r` with `t`.
-    pub fn user_count(&self, t: TagId, r: ResourceId) -> usize {
-        self.resource_assignments(r)
-            .iter()
-            .filter(|a| a.tag == t)
-            .count()
-    }
-
-    /// Number of assignments a user participates in.
-    pub fn user_assignment_count(&self, u: UserId) -> usize {
-        // Users have no dedicated index; this is an O(|Y|) scan used only by
-        // the cleaning pipeline, which recomputes all three counts in one
-        // pass anyway. Kept for tests and ad-hoc inspection.
-        self.by_resource.iter().filter(|a| a.user == u).count()
-    }
-
-    /// Document frequency of a tag: number of distinct resources it
-    /// annotates (the `n_l` of Eq. 1 at tag granularity).
-    pub fn tag_document_frequency(&self, t: TagId) -> usize {
-        self.tag_resource_counts(t).len()
-    }
-
     /// Binary tensor entries per Eq. 5: one `(u, t, r, 1.0)` per assignment.
     pub fn tensor_entries(&self) -> Vec<(usize, usize, usize, f64)> {
         self.by_resource
@@ -401,28 +379,8 @@ mod tests {
             .map(|&(r, c)| (f.resource_name(r), c))
             .collect();
         assert_eq!(by_name, vec![("r1", 1), ("r2", 3)]);
-        assert_eq!(f.tag_document_frequency(folk), 2);
         let laptop = f.tag_id("laptop").unwrap();
-        assert_eq!(f.tag_document_frequency(laptop), 1);
-    }
-
-    #[test]
-    fn user_count_matches_figure2() {
-        let f = figure2_example();
-        let folk = f.tag_id("folk").unwrap();
-        let r2 = f.resource_id("r2").unwrap();
-        assert_eq!(f.user_count(folk, r2), 3);
-        let people = f.tag_id("people").unwrap();
-        assert_eq!(f.user_count(people, r2), 0);
-    }
-
-    #[test]
-    fn user_assignment_counts() {
-        let f = figure2_example();
-        let u1 = f.user_id("u1").unwrap();
-        assert_eq!(f.user_assignment_count(u1), 3);
-        let u3 = f.user_id("u3").unwrap();
-        assert_eq!(f.user_assignment_count(u3), 2);
+        assert_eq!(f.tag_resource_counts(laptop).len(), 1);
     }
 
     #[test]
@@ -479,7 +437,7 @@ mod tests {
         b.add("u", "used", "r");
         let f = b.build();
         assert_eq!(f.num_tags(), 2);
-        assert_eq!(f.tag_document_frequency(lonely), 0);
+        assert!(f.tag_resource_counts(lonely).is_empty());
         assert!(f.tag_assignments(lonely).is_empty());
     }
 

@@ -33,8 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Which exact k-means implementation to run. Both produce bit-identical
-/// results; the naive variant exists as the equivalence-test reference and
-/// the slow side of the build-phase bench.
+/// results; the naive variant exists as the equivalence-test reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KMeansAlgorithm {
     /// Hamerly-style bounds-pruned Lloyd's (default).

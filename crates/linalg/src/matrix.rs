@@ -528,11 +528,6 @@ impl Matrix {
         self.submatrix(0, self.rows, 0, k.min(self.cols))
     }
 
-    /// Maximum absolute entry, or 0 for an empty matrix.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, x| m.max(x.abs()))
-    }
-
     /// `true` when every corresponding entry differs by at most `tol`.
     pub fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
         self.shape() == other.shape()
@@ -718,7 +713,6 @@ mod tests {
         let a = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]).unwrap();
         assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
         assert!((a.frobenius_norm_sq() - 25.0).abs() < 1e-12);
-        assert_eq!(a.max_abs(), 4.0);
     }
 
     #[test]

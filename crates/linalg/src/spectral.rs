@@ -55,7 +55,7 @@ pub enum SpectralSolver {
     },
     /// The legacy solver: Rayleigh–Ritz every iteration, full-block
     /// convergence at the subspace tolerance. Kept as the reference path
-    /// for equivalence tests and the build-phase bench.
+    /// for equivalence tests.
     Exhaustive,
 }
 

@@ -150,7 +150,7 @@ impl<'a> GramOp<'a> {
 
     /// Selects between the fused apply (default) and the materialized
     /// two-matmul reference path. Both produce bit-identical results; the
-    /// reference exists for equivalence tests and the build-phase bench.
+    /// reference exists for equivalence tests.
     pub fn with_fused(mut self, fused: bool) -> Self {
         self.fused = fused;
         self

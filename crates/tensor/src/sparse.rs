@@ -130,12 +130,6 @@ impl SparseTensor3 {
         self.frobenius_norm_sq().sqrt()
     }
 
-    /// Number of non-zeros whose mode-`mode` index equals `x`.
-    pub fn mode_fiber_nnz(&self, mode: usize, x: usize) -> usize {
-        let idx = &self.mode_index[mode - 1];
-        (idx.ptr[x + 1] - idx.ptr[x]) as usize
-    }
-
     /// Materializes the tensor densely (tests / tiny fixtures only).
     pub fn to_dense(&self) -> DenseTensor3 {
         let (d1, d2, d3) = self.dims;
@@ -516,9 +510,6 @@ mod tests {
         assert_eq!(t.dims(), (3, 3, 3));
         assert_eq!(t.nnz(), 7);
         assert_eq!(t.frobenius_norm_sq(), 7.0);
-        assert_eq!(t.mode_fiber_nnz(2, 0), 4); // tag t1 has 4 assignments
-        assert_eq!(t.mode_fiber_nnz(2, 1), 1);
-        assert_eq!(t.mode_fiber_nnz(2, 2), 2);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub struct TuckerConfig {
     /// Use the fused single-pass Gram apply for the HOSVD initialization
     /// (default). `false` selects the materialized two-matmul reference
     /// path; both are bit-identical, the reference exists for equivalence
-    /// tests and the build-phase bench.
+    /// tests.
     pub fused_gram: bool,
 }
 
@@ -184,14 +184,6 @@ impl TuckerDecomposition {
     pub fn sigma_from_core(&self) -> Result<Matrix, LinAlgError> {
         let s2 = self.core.unfold(2);
         Ok(s2.gram_t())
-    }
-
-    /// `Σ = ((Λ₂)₁:J₂,₁:J₂)²` from the ALS by-product (Theorem 2). Equal to
-    /// [`Self::sigma_from_core`] at an exact ALS fixed point; cheaper
-    /// because no core unfolding product is needed.
-    pub fn sigma_from_lambda2(&self) -> Matrix {
-        let sq: Vec<f64> = self.lambda2.iter().map(|l| l * l).collect();
-        Matrix::from_diag(&sq)
     }
 
     /// Number of `f64` values needed to store the compressed representation
@@ -541,7 +533,8 @@ mod tests {
         let f = figure2_tensor();
         let d = tucker_als(&f, &default_config((3, 3, 2))).unwrap();
         let a = d.sigma_from_core().unwrap();
-        let b = d.sigma_from_lambda2();
+        let squares: Vec<f64> = d.lambda2.iter().map(|l| l * l).collect();
+        let b = Matrix::from_diag(&squares);
         assert!(a.approx_eq(&b, 1e-7), "Theorem 2: Σ_core ≠ Σ_Λ₂");
     }
 

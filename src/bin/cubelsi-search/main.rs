@@ -61,17 +61,21 @@ use std::time::Instant;
 fn load_corpus(path: &str, do_clean: bool) -> Result<Folksonomy, String> {
     let raw = read_tsv_file(path).map_err(|e| format!("reading {path}: {e}"))?;
     eprintln!("loaded  {}", raw.stats());
-    let corpus = if do_clean {
-        let (cleaned, report) = clean(&raw, &CleaningConfig::default());
-        eprintln!("cleaned {} ({} rounds)", report.cleaned, report.rounds);
-        cleaned
-    } else {
-        raw
-    };
-    if corpus.num_assignments() == 0 {
-        return Err("no assignments survive; try --no-clean".to_owned());
+    if raw.num_assignments() == 0 {
+        return Err(format!("{path} holds no assignments"));
     }
-    Ok(corpus)
+    if !do_clean {
+        return Ok(raw);
+    }
+    let (cleaned, report) = clean(&raw, &CleaningConfig::default());
+    eprintln!("cleaned {} ({} rounds)", report.cleaned, report.rounds);
+    if cleaned.num_assignments() == 0 {
+        return Err(format!(
+            "cleaning removed all {} assignments; try --no-clean",
+            raw.num_assignments()
+        ));
+    }
+    Ok(cleaned)
 }
 
 /// Runs the offline pipeline and prints per-phase timings (the Table V

@@ -3,10 +3,13 @@
 //! `serve` on an ephemeral port with arbitrary extra flags / env vars
 //! (the fault-injection knobs), and drives it over real sockets. The
 //! chaos helpers (trickle writers, metric scrapes, busy-retry connects)
-//! live here so both suites degrade clients the same way.
+//! live here so both suites degrade clients the same way. The
+//! equivalence suites take [`membership::RandomMembership`] from here.
 
 // Each test binary uses a subset of these helpers.
 #![allow(dead_code)]
+
+pub mod membership;
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;

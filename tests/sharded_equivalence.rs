@@ -1,21 +1,24 @@
 //! The sharded-serving correctness contract: a [`ShardSet`]'s
 //! scatter-gather answers must be **bit-identical** — scores, order,
 //! tie-breaks — to a single unsharded [`QueryEngine`] over the same
-//! corpus, for every shard count, every pruning strategy, hard and soft
-//! concept assignments, sequential/scatter/adaptive/batched execution at
+//! corpus, for every shard count, every pruning strategy, one concept per
+//! tag and several weighted ones, sequential/scatter/adaptive/batched execution at
 //! pool sizes {1, 2, 8}, artifacts written plain and compressed, and
 //! immediately after a hot reload (including the pooled paths across the
 //! generation swap). This is what makes sharding a pure scaling move,
 //! never an approximation.
 
+mod common;
+
+use common::membership::RandomMembership;
 use cubelsi::core::shard::{self, LoadMode, ShardSet, ShardedEngine};
 use cubelsi::core::{
     persist, ConceptAssignment, ConceptIndex, ConceptModel, CubeLsi, CubeLsiConfig,
-    PruningStrategy, QueryEngine, RankedResource, SoftConceptModel, SoftConfig,
+    PruningStrategy, QueryEngine, RankedResource,
 };
 use cubelsi::datagen::{generate, GeneratorConfig};
 use cubelsi::folksonomy::{Folksonomy, TagId};
-use cubelsi::linalg::{parallel, Matrix};
+use cubelsi::linalg::parallel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,13 +45,6 @@ fn random_hard_model(rng: &mut StdRng, num_tags: usize, num_concepts: usize) -> 
         .map(|_| rng.gen_range(0..num_concepts))
         .collect();
     ConceptModel::from_assignments(assignments, 1.0)
-}
-
-fn random_soft_model(rng: &mut StdRng, num_tags: usize, num_concepts: usize) -> SoftConceptModel {
-    let d = 3;
-    let embedding = Matrix::from_fn(num_tags, d, |_, _| rng.gen::<f64>());
-    let centroids = Matrix::from_fn(num_concepts, d, |_, _| rng.gen::<f64>());
-    SoftConceptModel::from_embedding(&embedding, &centroids, &SoftConfig::default())
 }
 
 fn random_query(rng: &mut StdRng, num_tags: usize) -> Vec<TagId> {
@@ -140,14 +136,16 @@ fn sharded_equals_single_engine_hard_assignments() {
 }
 
 #[test]
-fn sharded_equals_single_engine_soft_assignments() {
+fn sharded_equals_single_engine_multi_membership() {
     let f = random_corpus(21, 40, 60, 2_000);
     let mut rng = StdRng::seed_from_u64(77);
-    let soft = random_soft_model(&mut rng, f.num_tags(), 5);
-    let hard = soft.harden();
+    let multi = RandomMembership::new(&mut rng, f.num_tags(), 5);
+    // The set's own (hard) model only has to span the same concept space;
+    // every query below names `multi`.
+    let hard = random_hard_model(&mut rng, f.num_tags(), 5);
     for strategy in STRATEGIES {
-        let engine = QueryEngine::with_strategy(ConceptIndex::build(&f, &soft), strategy);
-        check_sharded(&f, &engine, &hard, &soft, 21);
+        let engine = QueryEngine::with_strategy(ConceptIndex::build(&f, &multi), strategy);
+        check_sharded(&f, &engine, &hard, &multi, 21);
     }
 }
 
