@@ -20,7 +20,6 @@ use crate::Ranker;
 use cubelsi_core::{build_tensor, ConceptIndex, ConceptModel, RankedResource, TagDistances};
 use cubelsi_folksonomy::{Folksonomy, TagId};
 use cubelsi_linalg::spectral::{KSelection, SpectralConfig};
-use cubelsi_linalg::subspace::SubspaceOptions;
 use cubelsi_linalg::{LinAlgError, Matrix};
 use cubelsi_tensor::SparseTensor3;
 use std::collections::HashMap;
@@ -117,11 +116,6 @@ impl CubeSim {
                 seed: config.seed ^ 0x6b6d,
                 ..Default::default()
             },
-            subspace: SubspaceOptions {
-                seed: config.seed ^ 0x5bc7,
-                ..Default::default()
-            },
-            solver: cubelsi_linalg::spectral::SpectralSolver::default(),
         };
         let concepts = ConceptModel::distill(&distances, &spectral)?;
         let index = ConceptIndex::build(f, &concepts);

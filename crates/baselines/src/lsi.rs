@@ -75,11 +75,6 @@ impl LsiRanker {
                 seed: config.seed ^ 0x6b6d,
                 ..Default::default()
             },
-            subspace: SubspaceOptions {
-                seed: config.seed ^ 0x5bc7,
-                ..Default::default()
-            },
-            solver: cubelsi_linalg::spectral::SpectralSolver::default(),
         };
         let concepts = ConceptModel::distill(&distances, &spectral)?;
         let index = ConceptIndex::build(f, &concepts);

@@ -18,17 +18,13 @@ pub struct ConceptModel {
     clusters: Vec<Vec<usize>>,
     /// σ used by the affinity kernel.
     sigma: f64,
-    /// Whether the spectral eigensolve behind the assignment converged.
-    eig_converged: bool,
 }
 
 impl ConceptModel {
     /// Runs §V steps 1–4 on a purified distance matrix.
     pub fn distill(distances: &TagDistances, config: &SpectralConfig) -> Result<Self, LinAlgError> {
         let result = spectral_clustering(distances.matrix(), config)?;
-        let mut model = Self::from_assignments(result.assignments, result.sigma);
-        model.eig_converged = result.eig_converged;
-        Ok(model)
+        Ok(Self::from_assignments(result.assignments, result.sigma))
     }
 
     /// Builds a model from a precomputed hard assignment (used by the LSI
@@ -56,16 +52,7 @@ impl ConceptModel {
             assignments,
             clusters,
             sigma,
-            eig_converged: true,
         }
-    }
-
-    /// `false` when [`Self::distill`]'s eigensolve stopped at its iteration
-    /// budget: the clusters come from an embedding that was still moving.
-    /// Not persisted — a model restored or built from assignments has no
-    /// solve to report and says `true`.
-    pub fn eigensolve_converged(&self) -> bool {
-        self.eig_converged
     }
 
     /// The full `tag index → concept index` assignment (serialization
@@ -175,16 +162,6 @@ mod tests {
         assert!(model.same_concept(0, 2));
         assert!(model.same_concept(3, 4));
         assert!(!model.same_concept(0, 3));
-        assert!(model.eigensolve_converged());
-    }
-
-    #[test]
-    fn distill_reports_an_eigensolve_out_of_budget() {
-        let mut config = fixed_config(2);
-        config.subspace.max_iters = 1;
-        let model = ConceptModel::distill(&block_distances(), &config).unwrap();
-        assert!(!model.eigensolve_converged());
-        assert_eq!(model.num_tags(), 5);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::query::PruningStrategy;
 use cubelsi_linalg::kmeans::KMeansConfig;
-use cubelsi_linalg::spectral::{KSelection, SpectralConfig, SpectralSolver};
+use cubelsi_linalg::spectral::{KSelection, SpectralConfig};
 use cubelsi_linalg::subspace::SubspaceOptions;
 use cubelsi_linalg::LinAlgError;
 use cubelsi_tensor::TuckerConfig;
@@ -102,11 +102,6 @@ impl CubeLsiConfig {
                 seed: self.seed ^ 0x6b6d,
                 ..Default::default()
             },
-            subspace: SubspaceOptions {
-                seed: self.seed ^ 0x5bc7,
-                ..Default::default()
-            },
-            solver: SpectralSolver::default(),
         }
     }
 }

@@ -85,15 +85,16 @@
 //!
 //! [`load_source`] reads what serving uses (the section table is in
 //! `crate::persist`). Every shard file is held to its manifest entry —
-//! length, then CRC-32 of the whole file. Shard 0 then gets the serving
-//! load: meta, folksonomy, concepts and index sections checksummed and
-//! decoded, Tucker and distances left alone. Shard `i > 0` decodes its
-//! meta counts and its index; its folksonomy and concepts sections are
-//! not decoded a second time but compared **byte for byte** with shard
-//! 0's, so shards cut from different corpora — or from the same corpus
-//! under other names, which no comparison of counts can see — are a
-//! [`PersistError::Shard`]. The returned [`ShardSet`] carries shard 0's
-//! complete folksonomy, assignments included.
+//! the lengths of all files first, then each file's CRC-32 as it is read.
+//! Shard 0 then gets the serving load: meta, folksonomy, concepts and
+//! index sections checksummed and decoded, Tucker and distances left
+//! alone. Shard `i > 0` decodes its meta counts and its index; its
+//! folksonomy and concepts sections are not decoded a second time but
+//! compared **byte for byte** with shard 0's, so shards cut from different
+//! corpora — or from the same corpus under other names, which no
+//! comparison of counts can see — are a [`PersistError::Shard`]. The
+//! returned [`ShardSet`] carries shard 0's complete folksonomy,
+//! assignments included.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,7 +106,9 @@ use cubelsi_linalg::parallel;
 use crate::concepts::ConceptModel;
 use crate::exec;
 use crate::index::{cmp_ranked, order_terms_with, ConceptAssignment, ConceptIndex, RankedResource};
-use crate::persist::{crc32, load_serving, load_shard_index, widen, ModelSections, PersistError};
+use crate::persist::{
+    crc32, load_serving, load_shard_index, widen, ModelSections, PersistError, Serving,
+};
 use crate::query::{PruningStrategy, QueryEngine, QuerySession, MIN_QUERIES_PER_TASK};
 
 /// Shard-manifest magic bytes (distinct from the artifact magic
@@ -611,28 +614,26 @@ impl ShardSet {
         })
     }
 
-    /// Assembles a shard set from the bytes of its artifact files (shard
-    /// `i` at position `i`; under a manifest, already checked against the
-    /// manifest's length and CRC). Shard 0 gets the serving load — meta,
-    /// folksonomy, concepts, index — and supplies the set's corpus and
-    /// concept model. Every later shard decodes its meta counts and its
-    /// index only: its folksonomy and concepts sections must equal shard
-    /// 0's byte for byte, which is how shards cut from different corpora
-    /// or models are told apart. The files are taken one at a time, so
-    /// the loader's peak — which is a server's peak — is shard 0's file,
-    /// one decoded corpus and one more file, whatever the shard count.
-    pub fn from_artifacts(
-        files: impl IntoIterator<Item = Result<Vec<u8>, PersistError>>,
+    /// Assembles a shard set from shard 0's artifact bytes and the later
+    /// shards' indexes, which `rest` loads against shard 0 (under a
+    /// manifest, each file already checked against its entry's length and
+    /// CRC). Shard 0 gets the serving load — meta, folksonomy, concepts,
+    /// index — and supplies the set's corpus and concept model. Every later
+    /// shard decodes its meta counts and its index only: its folksonomy and
+    /// concepts sections must equal shard 0's byte for byte, which is how
+    /// shards cut from different corpora or models are told apart.
+    ///
+    /// The caller keeps shard 0's bytes until the set is built. Freeing them
+    /// before [`Self::from_parts`] did not lower a server's peak (the
+    /// reused read buffer is what does), and in a loop of reloads under
+    /// glibc it made every load fault ≈ 300 pages — about one shard file —
+    /// back in, against ≈ 5 when they are kept.
+    fn assemble(
+        first_bytes: &[u8],
+        rest: impl FnOnce(&Serving<'_>) -> Result<Vec<ConceptIndex>, PersistError>,
     ) -> Result<Self, PersistError> {
-        let mut files = files.into_iter();
-        let first_bytes = files
-            .next()
-            .ok_or_else(|| shard_err("no shard artifacts"))??;
-        let first = load_serving(&first_bytes)?;
-        let rest = files
-            .enumerate()
-            .map(|(i, bytes)| load_shard_index(&bytes?, &first, i + 1))
-            .collect::<Result<Vec<ConceptIndex>, PersistError>>()?;
+        let first = load_serving(first_bytes)?;
+        let rest = rest(&first)?;
         let engines = std::iter::once(first.index)
             .chain(rest)
             .map(QueryEngine::new)
@@ -970,21 +971,49 @@ fn merge_ranked(
 /// [`ShardSet`] (a single artifact becomes a one-shard set). This is the
 /// one function behind `query`, `serve` start-up and `RELOAD`, and it
 /// reads what serving uses: the Tucker and distances sections are
-/// neither checksummed nor decoded (see [`ShardSet::from_artifacts`]).
-/// For a manifest, every referenced artifact's length and CRC-32 are
-/// verified against the manifest entry before parsing, so a swapped or
-/// damaged shard file is rejected with [`PersistError::ChecksumMismatch`]
-/// (`section` = the shard ordinal) and can never serve.
+/// neither checksummed nor decoded (see the module docs). For a manifest,
+/// every referenced artifact's length and CRC-32 are verified against the
+/// manifest entry before parsing, so a swapped or damaged shard file is
+/// rejected with [`PersistError::ChecksumMismatch`] (`section` = the shard
+/// ordinal) and can never serve.
+///
+/// Every shard file's length is held to its entry before any file is
+/// read, so a missing, short or long file is reported ahead of a CRC
+/// mismatch in an earlier shard. Shard 0 is then read into a buffer of its
+/// own, which lives until the set is built; shards 1.. are read one after
+/// the other into **one** reused buffer, sized once for the largest of
+/// them. A load therefore makes two file-sized allocations whatever the
+/// shard count, and the allocator's state after it does not depend on how
+/// many shards there were or on the order their sizes came in.
 pub fn load_source(path: impl AsRef<Path>, _mode: LoadMode) -> Result<ShardSet, PersistError> {
     let path = path.as_ref();
     match sniff_source(path)? {
-        SourceKind::Artifact => ShardSet::from_artifacts([std::fs::read(path).map_err(Into::into)]),
+        SourceKind::Artifact => ShardSet::assemble(&std::fs::read(path)?, |_| Ok(Vec::new())),
         SourceKind::Manifest => {
             let manifest = load_manifest(path)?;
             let dir = path.parent().unwrap_or(Path::new("."));
-            ShardSet::from_artifacts(manifest.entries.iter().enumerate().map(|(shard, entry)| {
-                read_checked_artifact(&dir.join(&entry.file_name), entry, shard as u32)
-            }))
+            let files = manifest
+                .entries
+                .iter()
+                .zip(0u32..)
+                .map(|(entry, shard)| ShardFile::check(dir, entry, shard))
+                .collect::<Result<Vec<_>, _>>()?;
+            let (first, later) = files
+                .split_first()
+                .ok_or_else(|| shard_err("no shard artifacts"))?;
+            let mut first_bytes = Vec::new();
+            first.read_into(&mut first_bytes)?;
+            ShardSet::assemble(&first_bytes, |serving| {
+                let largest = later.iter().map(|file| file.len).max().unwrap_or(0);
+                let mut buf = Vec::with_capacity(largest);
+                later
+                    .iter()
+                    .map(|file| {
+                        file.read_into(&mut buf)?;
+                        load_shard_index(&buf, serving, widen(file.shard))
+                    })
+                    .collect()
+            })
         }
     }
 }
@@ -992,35 +1021,68 @@ pub fn load_source(path: impl AsRef<Path>, _mode: LoadMode) -> Result<ShardSet, 
 // xtask:hostile-input:begin — a shard file is as untrusted as the
 // manifest that names it.
 
-/// Reads one shard artifact and holds it to its manifest entry: the
-/// recorded length, then the recorded CRC-32 of the whole file.
-fn read_checked_artifact(
-    path: &Path,
-    entry: &ShardEntry,
+/// A shard file whose length, as the file system reports it, agrees with
+/// its manifest entry; only such a length sizes a buffer.
+struct ShardFile<'m> {
+    path: PathBuf,
+    entry: &'m ShardEntry,
     shard: u32,
-) -> Result<Vec<u8>, PersistError> {
-    let bytes = std::fs::read(path)?;
-    let len = bytes.len() as u64;
-    if len < entry.file_len {
-        return Err(PersistError::Truncated {
-            context: "shard artifact",
-        });
+    len: usize,
+}
+
+impl<'m> ShardFile<'m> {
+    /// Finds shard `shard`'s file next to the manifest in `dir` and holds
+    /// its length to `entry`.
+    fn check(dir: &Path, entry: &'m ShardEntry, shard: u32) -> Result<Self, PersistError> {
+        let path = dir.join(&entry.file_name);
+        let len = std::fs::metadata(&path)?.len();
+        if len < entry.file_len {
+            return Err(PersistError::Truncated {
+                context: "shard artifact",
+            });
+        }
+        if len > entry.file_len {
+            return Err(shard_err(format!(
+                "shard {shard} artifact is {len} bytes, its manifest entry records {}",
+                entry.file_len
+            )));
+        }
+        let len = usize::try_from(len)
+            .map_err(|_| shard_err(format!("shard {shard} artifact is {len} bytes")))?;
+        Ok(ShardFile {
+            path,
+            entry,
+            shard,
+            len,
+        })
     }
-    if len > entry.file_len {
-        return Err(shard_err(format!(
-            "shard {shard} artifact is {len} bytes, its manifest entry records {}",
-            entry.file_len
-        )));
+
+    /// Reads the file into `buf`, replacing its contents, and holds it to
+    /// its entry's CRC-32. The read is exact-length, so `buf` grows only
+    /// when the file is longer than its capacity.
+    fn read_into(&self, buf: &mut Vec<u8>) -> Result<(), PersistError> {
+        use std::io::Read;
+        buf.clear();
+        buf.reserve_exact(self.len);
+        std::fs::File::open(&self.path)?
+            .take(self.len as u64)
+            .read_to_end(buf)?;
+        if buf.len() != self.len {
+            // The file shrank after its length was checked.
+            return Err(PersistError::Truncated {
+                context: "shard artifact",
+            });
+        }
+        let got = crc32(buf);
+        if got != self.entry.crc32 {
+            return Err(PersistError::ChecksumMismatch {
+                section: self.shard,
+                expected: self.entry.crc32,
+                got,
+            });
+        }
+        Ok(())
     }
-    let got = crc32(&bytes);
-    if got != entry.crc32 {
-        return Err(PersistError::ChecksumMismatch {
-            section: shard,
-            expected: entry.crc32,
-            got,
-        });
-    }
-    Ok(bytes)
 }
 
 // xtask:hostile-input:end

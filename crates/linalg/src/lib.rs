@@ -9,10 +9,12 @@
 //! * [`CsrMatrix`] / [`CooMatrix`] — compressed sparse row / coordinate
 //!   matrices for the very sparse tag-assignment data.
 //! * [`qr`] — Householder QR and modified Gram–Schmidt orthonormalization.
-//! * [`eigen`] — a cyclic Jacobi eigensolver for dense symmetric matrices.
+//! * [`eigen`] — dense symmetric eigensolvers: cyclic Jacobi for small
+//!   matrices, and a direct top-`k` solve (Householder tridiagonalisation,
+//!   implicit QL, inverse iteration) for the spectral clustering affinity.
 //! * [`subspace`] — block subspace iteration for the leading eigenpairs of
 //!   large implicit symmetric operators (the workhorse behind HOSVD/HOOI and
-//!   spectral clustering).
+//!   the LSI baseline's truncated SVD).
 //! * [`svd`] — thin/truncated singular value decompositions built on the
 //!   eigensolvers (used by the LSI baseline and inside Tucker ALS).
 //! * [`mod@kmeans`] — k-means++ / Lloyd clustering.
@@ -33,14 +35,14 @@ pub mod spectral;
 pub mod subspace;
 pub mod svd;
 
-pub use eigen::{jacobi_eigen, EigenDecomposition};
+pub use eigen::{jacobi_eigen, top_eigenpairs, EigenDecomposition};
 pub use error::LinAlgError;
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
 pub use matrix::Matrix;
 pub use qr::{householder_qr, orthonormalize_columns};
 pub use sparse::{CooMatrix, CsrMatrix};
 pub use spectral::{spectral_clustering, SpectralConfig, SpectralResult};
-pub use subspace::{sym_eigs_topk, DenseSymOp, GramOp, SymOp};
+pub use subspace::{sym_eigs_topk, GramOp, SymOp};
 pub use svd::{jacobi_svd, truncated_svd, LinOp, Svd};
 
 /// Convenience result alias used across the crate.

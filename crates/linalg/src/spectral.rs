@@ -6,11 +6,15 @@
 //! 3. `X` = top-`k` eigenvectors of `L` (k stipulated, or chosen to cover
 //!    95 % of the spectral mass), rows normalized to unit length;
 //! 4. k-means on the rows of `X`; each cluster is a concept.
+//!
+//! `L` is dense and the pipeline holds it anyway, so step 3 is a direct
+//! solve ([`top_eigenpairs`]) that consumes it: exact, one O(T³)
+//! reduction, no start block, tolerance or iteration budget.
 
+use crate::eigen::top_eigenpairs;
 use crate::error::LinAlgError;
 use crate::kmeans::{kmeans, KMeansConfig};
 use crate::matrix::Matrix;
-use crate::subspace::{sym_eigs_stabilized, sym_eigs_topk, DenseSymOp, SubspaceOptions};
 use crate::Result;
 
 /// How the number of clusters `k` is chosen (§V step 3).
@@ -28,46 +32,6 @@ pub enum KSelection {
     },
 }
 
-/// Which eigensolver drives step 3.
-///
-/// The exhaustive solver polishes *every* computed eigenpair to the subspace
-/// tolerance with a Rayleigh–Ritz projection on each iteration — on real
-/// affinity matrices, whose deep spectrum is heavily clustered, it routinely
-/// burns its whole iteration budget refining eigenpairs the clustering never
-/// looks at. The adaptive solver projects only every `rr_period`-th
-/// iteration and stops once the quantities the algorithm actually consumes
-/// are stable: the variance-rule cluster count `k` and the leading `k` Ritz
-/// values.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SpectralSolver {
-    /// Periodic Rayleigh–Ritz + consumption-aware stopping (default).
-    Adaptive {
-        /// Iterations between Rayleigh–Ritz projections.
-        rr_period: usize,
-        /// Relative Ritz-value stability demanded of the consumed leading
-        /// eigenvalues. Clustering only reads the embedding through k-means
-        /// on unit-normalized rows and the 95 %-mass ratio, both stable far
-        /// above this precision; the default (10⁻⁶) is already two orders
-        /// tighter than the mass rule needs, while the legacy 10⁻⁸ forces
-        /// the flat deep spectrum of real affinity matrices to absorb the
-        /// entire iteration budget.
-        value_tol: f64,
-    },
-    /// The legacy solver: Rayleigh–Ritz every iteration, full-block
-    /// convergence at the subspace tolerance. Kept as the reference path
-    /// for equivalence tests.
-    Exhaustive,
-}
-
-impl Default for SpectralSolver {
-    fn default() -> Self {
-        SpectralSolver::Adaptive {
-            rr_period: 6,
-            value_tol: 1e-6,
-        }
-    }
-}
-
 /// Configuration for [`spectral_clustering`].
 #[derive(Debug, Clone)]
 pub struct SpectralConfig {
@@ -79,10 +43,6 @@ pub struct SpectralConfig {
     pub k: KSelection,
     /// k-means settings for the final step.
     pub kmeans: KMeansConfig,
-    /// Subspace-iteration settings for the eigenvector computation.
-    pub subspace: SubspaceOptions,
-    /// Eigensolver strategy; see [`SpectralSolver`].
-    pub solver: SpectralSolver,
 }
 
 impl Default for SpectralConfig {
@@ -94,15 +54,9 @@ impl Default for SpectralConfig {
                 max_k: 64,
             },
             kmeans: KMeansConfig::default(),
-            subspace: SubspaceOptions::default(),
-            solver: SpectralSolver::default(),
         }
     }
 }
-
-/// Maps current Ritz estimates to the number of leading eigenpairs whose
-/// stability the clustering actually depends on.
-type NeededFn = Box<dyn Fn(&[f64]) -> usize>;
 
 /// Result of spectral clustering.
 #[derive(Debug, Clone)]
@@ -115,9 +69,6 @@ pub struct SpectralResult {
     pub sigma: f64,
     /// The normalized spectral embedding (rows = items).
     pub embedding: Matrix,
-    /// `false` when the embedding's eigensolve stopped at its iteration
-    /// budget instead of converging.
-    pub eig_converged: bool,
 }
 
 /// Runs Ng–Jordan–Weiss spectral clustering on a symmetric distance matrix.
@@ -142,7 +93,6 @@ pub fn spectral_clustering(distances: &Matrix, config: &SpectralConfig) -> Resul
             k: 1,
             sigma: config.sigma.unwrap_or(1.0),
             embedding: Matrix::from_rows(&[vec![1.0]]).expect("1x1"),
-            eig_converged: true,
         });
     }
 
@@ -156,15 +106,16 @@ pub fn spectral_clustering(distances: &Matrix, config: &SpectralConfig) -> Resul
         None => median_offdiag(distances).max(1e-12),
     };
 
-    // Step 1: affinity matrix.
+    // Step 1: affinity matrix, from the upper triangle and mirrored, so
+    // it — and L below — is exactly symmetric.
     let inv_sigma_sq = 1.0 / (sigma * sigma);
     let mut affinity = Matrix::zeros(n, n);
     for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                let d = distances[(i, j)];
-                affinity[(i, j)] = (-d * d * inv_sigma_sq).exp();
-            }
+        for j in i + 1..n {
+            let d = distances[(i, j)];
+            let a = (-d * d * inv_sigma_sq).exp();
+            affinity[(i, j)] = a;
+            affinity[(j, i)] = a;
         }
     }
 
@@ -187,61 +138,25 @@ pub fn spectral_clustering(distances: &Matrix, config: &SpectralConfig) -> Resul
     let mut l = affinity; // reuse the allocation
     for i in 0..n {
         let di = inv_sqrt_deg[i];
-        let row = l.row_mut(i);
-        for (j, x) in row.iter_mut().enumerate() {
-            *x = (*x * di) * inv_sqrt_deg[j];
+        for j in i + 1..n {
+            let x = (l[(i, j)] * di) * inv_sqrt_deg[j];
+            l[(i, j)] = x;
+            l[(j, i)] = x;
         }
     }
 
-    // Step 3: leading eigenvectors of L.
-    // L is symmetric but indefinite (zero diagonal); subspace iteration
-    // needs dominant-magnitude eigenvalues to be the algebraically largest,
-    // so we shift: L' = L + I. Eigenvectors are unchanged, eigenvalues move
-    // from [-1, 1] to [0, 2], making L' PSD-like for the iteration.
-    for i in 0..n {
-        l[(i, i)] += 1.0;
-    }
+    // Step 3: leading eigenvectors of L, which the solve consumes. The
+    // variance rule picks k among the `max_k` leading eigenvalues.
     let max_k = match config.k {
         KSelection::Fixed(k) => k,
         KSelection::VarianceCovered { max_k, .. } => max_k,
     }
     .clamp(1, n);
-    let op = DenseSymOp::new(&l);
-    let eigs = match config.solver {
-        SpectralSolver::Exhaustive => sym_eigs_topk(&op, max_k, &config.subspace)?,
-        SpectralSolver::Adaptive {
-            rr_period,
-            value_tol,
-        } => {
-            // Stop once the quantities the clustering consumes are stable:
-            // for a fixed k, the leading k Ritz values; for the variance
-            // rule, the chosen k itself plus its leading values. The Ritz
-            // values arrive shifted by +1 (L' = L + I), so the selection
-            // closure undoes the shift before applying the mass rule.
-            let needed: NeededFn = match config.k {
-                KSelection::Fixed(k) => {
-                    let k = k.clamp(1, n);
-                    Box::new(move |_: &[f64]| k)
-                }
-                KSelection::VarianceCovered { fraction, .. } => Box::new(move |ritz: &[f64]| {
-                    let shifted: Vec<f64> = ritz.iter().map(|&v| v - 1.0).collect();
-                    choose_k_by_variance(&shifted, fraction)
-                }),
-            };
-            let opts = SubspaceOptions {
-                tol: value_tol,
-                ..config.subspace.clone()
-            };
-            sym_eigs_stabilized(&op, max_k, &opts, rr_period, needed.as_ref())?
-        }
-    };
-    // Undo the spectral shift for the k-selection rule.
-    let shifted_back: Vec<f64> = eigs.values.iter().map(|&v| v - 1.0).collect();
-
+    let eigs = top_eigenpairs(l, max_k)?;
     let k = match config.k {
         KSelection::Fixed(k) => k.clamp(1, n),
         KSelection::VarianceCovered { fraction, .. } => {
-            choose_k_by_variance(&shifted_back, fraction).clamp(1, max_k)
+            choose_k_by_variance(&eigs.values, fraction).clamp(1, max_k)
         }
     };
 
@@ -267,7 +182,6 @@ pub fn spectral_clustering(distances: &Matrix, config: &SpectralConfig) -> Resul
         k: km_cfg.k,
         sigma,
         embedding,
-        eig_converged: eigs.converged,
     })
 }
 
@@ -427,51 +341,70 @@ mod tests {
         assert_eq!(choose_k_by_variance(&[-1.0, -2.0], 0.95), 1);
     }
 
+    /// `groups` tight groups of `size` items (distance 0.1 plus a little
+    /// jitter inside), 100 apart: at σ = 1 the affinity between groups
+    /// underflows to exactly 0, one connected component per group, and
+    /// λ = 1 of L has one copy per component. Group membership is
+    /// interleaved (`i % groups`), as a real corpus's tag order would be.
+    fn component_distances(groups: usize, size: usize) -> Matrix {
+        let n = groups * size;
+        Matrix::from_fn(n, n, |i, j| {
+            if i == j {
+                0.0
+            } else if i % groups == j % groups {
+                0.1 + 0.01 * ((i * j) % 7) as f64
+            } else {
+                100.0
+            }
+        })
+    }
+
     #[test]
-    fn adaptive_and_exhaustive_solvers_agree_on_clusters() {
-        let d = two_group_distances();
-        for k in [
-            KSelection::Fixed(2),
-            KSelection::VarianceCovered {
-                fraction: 0.8,
-                max_k: 5,
-            },
-        ] {
-            let exhaustive = spectral_clustering(
-                &d,
-                &SpectralConfig {
-                    sigma: Some(1.0),
-                    k,
-                    solver: SpectralSolver::Exhaustive,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let adaptive = spectral_clustering(
-                &d,
-                &SpectralConfig {
-                    sigma: Some(1.0),
-                    k,
-                    solver: SpectralSolver::Adaptive {
-                        rr_period: 4,
-                        value_tol: 1e-6,
-                    },
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(exhaustive.k, adaptive.k, "cluster count diverged");
-            // Same partition (cluster ids may be permuted).
-            for i in 0..5 {
-                for j in 0..5 {
-                    assert_eq!(
-                        exhaustive.assignments[i] == exhaustive.assignments[j],
-                        adaptive.assignments[i] == adaptive.assignments[j],
-                        "partition diverged at ({i},{j})"
-                    );
-                }
+    fn more_components_than_clusters_keeps_every_component_whole() {
+        let groups = 6;
+        let d = component_distances(groups, 5);
+        for k in [2usize, 4] {
+            let cfg = SpectralConfig {
+                sigma: Some(1.0),
+                k: KSelection::Fixed(k),
+                ..Default::default()
+            };
+            let result = spectral_clustering(&d, &cfg).unwrap();
+            assert_eq!(result.k, k);
+            assert!(result.embedding.as_slice().iter().all(|x| x.is_finite()));
+            // The top-k eigenvectors span k of the six component
+            // indicators in some rotation; every item of a component has
+            // the same embedding row, so no component is split.
+            for i in 0..d.rows() {
+                assert_eq!(
+                    result.assignments[i],
+                    result.assignments[i % groups],
+                    "k={k}: item {i} left its component"
+                );
             }
         }
+    }
+
+    #[test]
+    fn clusters_are_bit_identical_at_one_and_two_threads() {
+        let d = component_distances(4, 12);
+        let cfg = SpectralConfig {
+            sigma: None,
+            ..Default::default()
+        };
+        let _lock = crate::parallel::TEST_THREAD_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let run = |threads: usize| {
+            crate::parallel::set_num_threads(threads);
+            let result = spectral_clustering(&d, &cfg).unwrap();
+            crate::parallel::set_num_threads(0);
+            result
+        };
+        let (one, two) = (run(1), run(2));
+        assert_eq!(one.assignments, two.assignments);
+        assert_eq!(one.k, two.k);
+        assert!(one.embedding.approx_eq(&two.embedding, 0.0));
     }
 
     #[test]

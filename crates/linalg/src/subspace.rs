@@ -1,10 +1,12 @@
 //! Block subspace iteration for the leading eigenpairs of large symmetric
 //! positive semi-definite operators.
 //!
-//! This is the workhorse eigensolver of the repository. HOSVD initialization,
-//! each HOOI/ALS mode update, truncated SVD for the LSI baseline and the
-//! spectral-clustering embedding all reduce to "top-k eigenvectors of a big
-//! symmetric operator that we can only afford to apply, never materialize".
+//! This is the eigensolver for operators that can only be applied. HOSVD
+//! initialization, each HOOI/ALS mode update and truncated SVD for the LSI
+//! baseline all reduce to "top-k eigenvectors of a big symmetric operator
+//! that we can only afford to apply, never materialize". (The spectral
+//! clustering affinity is dense and already materialized; it is solved
+//! directly by [`crate::eigen::top_eigenpairs`].)
 //!
 //! The operator abstraction [`SymOp`] takes a whole `n x b` block at a time,
 //! which lets implementations amortize sparse traversals across the block.
@@ -16,8 +18,9 @@
 //!
 //! * [`sym_eigs_topk`] — nothing: every apply is a projection (HOOI's mode
 //!   updates and LSI converge in 2–6 of them).
-//! * [`sym_eigs_stabilized`] — `rr_period − 1` plain power steps on
-//!   column-normalised iterates (the spectral solver).
+//! * [`sym_eigs_stabilized`] — `period − 1` plain power steps on
+//!   column-normalised iterates; a test baseline only, no product code
+//!   calls it with a period above 1.
 //! * [`sym_eigs_filtered`] — a Chebyshev filter (HOSVD). A flat spectral
 //!   tail (`λ_k / λ_{b+1}` a few percent above 1, what a folksonomy's mode-3
 //!   unfolding has) makes a power step gain those few percent on the last
@@ -76,31 +79,6 @@ pub trait SymOp {
         let mut out = Matrix::zeros(self.dim(), x.cols());
         self.apply_block_into(x, &mut out);
         out
-    }
-}
-
-/// A dense symmetric matrix viewed as a [`SymOp`].
-pub struct DenseSymOp<'a> {
-    matrix: &'a Matrix,
-}
-
-impl<'a> DenseSymOp<'a> {
-    /// Wraps a dense symmetric matrix. Symmetry is the caller's contract.
-    pub fn new(matrix: &'a Matrix) -> Self {
-        debug_assert_eq!(matrix.rows(), matrix.cols());
-        DenseSymOp { matrix }
-    }
-}
-
-impl SymOp for DenseSymOp<'_> {
-    fn dim(&self) -> usize {
-        self.matrix.rows()
-    }
-
-    fn apply_block_into(&self, x: &Matrix, out: &mut Matrix) {
-        self.matrix
-            .matmul_into(x, out)
-            .expect("DenseSymOp dimension mismatch")
     }
 }
 
@@ -251,36 +229,32 @@ impl Default for SubspaceOptions {
 /// block; convergence is declared when the top-`k` Ritz values change by
 /// less than `tol` relatively between iterations.
 pub fn sym_eigs_topk(op: &dyn SymOp, k: usize, opts: &SubspaceOptions) -> Result<TopkEigen> {
-    sym_eigs_stabilized(op, k, opts, 1, &|_| k)
+    sym_eigs_stabilized(op, k, opts, 1)
 }
 
-/// Block subspace iteration with **periodic** Rayleigh–Ritz and an adaptive
-/// stop rule ([`sym_eigs_topk`] is exactly `rr_period = 1` with the constant
-/// stop rule `|_| k`, reproducing the original iterate trajectory bit for
-/// bit).
+/// Block subspace iteration with **periodic** Rayleigh–Ritz
+/// ([`sym_eigs_topk`] is exactly `period = 1`, reproducing the original
+/// iterate trajectory bit for bit). Between projections the block advances
+/// as plain power steps with column-normalised iterates (`Q ← A Q`,
+/// columns rescaled), skipping the `O(n·b²)` projection, the `O(b³)` dense
+/// eigensolve, the Ritz rotation and the `O(n·b²)` twice-applied
+/// Gram–Schmidt — the four most expensive non-apply kernels per iteration.
+/// The block is orthonormalised once a period, right before the
+/// projection.
 ///
-/// * Between projections the block advances as plain power steps with
-///   column-normalised iterates (`Q ← A Q`, columns rescaled), skipping the
-///   `O(n·b²)` projection, the `O(b³)` dense eigensolve, the Ritz rotation
-///   and the `O(n·b²)` twice-applied Gram–Schmidt — the four most expensive
-///   non-apply kernels per iteration. The block is orthonormalised once a
-///   period, right before the projection.
-/// * `needed` maps the current Ritz estimates (all `block` of them, in
-///   descending order) to the number of *leading* pairs whose stability
-///   actually matters to the caller. Convergence requires that count to be
-///   stable across two consecutive projections **and** the leading values
-///   to move less than `opts.tol` relatively. Callers like the spectral
-///   95 %-variance rule use this to stop polishing deep, near-degenerate
-///   eigenpairs that only ever feed a cumulative-mass threshold.
+/// Test reference only: no product code runs a period above 1. It stays
+/// as the power-step baseline [`sym_eigs_filtered`]'s apply count is held
+/// against (here and in the Tucker crate's tests), hence public but hidden
+/// from the docs.
+#[doc(hidden)]
 pub fn sym_eigs_stabilized(
     op: &dyn SymOp,
     k: usize,
     opts: &SubspaceOptions,
-    rr_period: usize,
-    needed: &dyn Fn(&[f64]) -> usize,
+    period: usize,
 ) -> Result<TopkEigen> {
-    let period = rr_period.max(1);
-    subspace_iterate(op, k, opts, Between::Power { period }, needed)
+    let period = period.max(1);
+    subspace_iterate(op, k, opts, Between::Power { period })
 }
 
 /// Block subspace iteration with a **Chebyshev filter** between projections
@@ -290,7 +264,7 @@ pub fn sym_eigs_stabilized(
 /// when the spectrum's tail is flat. For PSD operators only: the damped
 /// interval's lower edge is taken to be 0.
 pub fn sym_eigs_filtered(op: &dyn SymOp, k: usize, opts: &SubspaceOptions) -> Result<TopkEigen> {
-    subspace_iterate(op, k, opts, Between::Chebyshev, &|_| k)
+    subspace_iterate(op, k, opts, Between::Chebyshev)
 }
 
 /// What advances the block between two Rayleigh–Ritz projections.
@@ -390,7 +364,6 @@ fn subspace_iterate(
     k: usize,
     opts: &SubspaceOptions,
     between: Between,
-    needed: &dyn Fn(&[f64]) -> usize,
 ) -> Result<TopkEigen> {
     let n = op.dim();
     if k == 0 {
@@ -415,7 +388,6 @@ fn subspace_iterate(
     let mut b_sym = Matrix::zeros(block, block);
 
     let mut prev_ritz = vec![f64::INFINITY; k];
-    let mut prev_needed = usize::MAX;
     let mut iterations = 0;
     let mut projections = 0;
     let mut degrees = Vec::new();
@@ -476,19 +448,13 @@ fn subspace_iterate(
         iterations += 1;
         projections += 1;
 
-        let needed_k = needed(&eig.values).clamp(1, k);
         let ritz: Vec<f64> = eig.values.iter().take(k).copied().collect();
-        let agree = needed_k == prev_needed
-            && ritz
-                .iter()
-                .take(needed_k)
-                .zip(prev_ritz.iter())
-                .all(|(&cur, &prev)| {
-                    let scale = cur.abs().max(prev.abs()).max(1e-30);
-                    (cur - prev).abs() <= opts.tol * scale
-                });
+        let agree = projections > 1
+            && ritz.iter().zip(prev_ritz.iter()).all(|(&cur, &prev)| {
+                let scale = cur.abs().max(prev.abs()).max(1e-30);
+                (cur - prev).abs() <= opts.tol * scale
+            });
         prev_ritz = ritz;
-        prev_needed = needed_k;
         converged = agree && iterations > 1;
         if filtered {
             // A block as wide as the operator has nothing below it to damp.
@@ -569,6 +535,28 @@ fn symmetrize_into(b: &Matrix, out: &mut Matrix) {
 mod tests {
     use super::*;
     use crate::qr::orthonormality_error;
+
+    /// A dense symmetric matrix viewed as a [`SymOp`], so the solvers can
+    /// be held against [`jacobi_eigen`] on small known spectra.
+    struct DenseSymOp<'a> {
+        matrix: &'a Matrix,
+    }
+
+    impl<'a> DenseSymOp<'a> {
+        fn new(matrix: &'a Matrix) -> Self {
+            DenseSymOp { matrix }
+        }
+    }
+
+    impl SymOp for DenseSymOp<'_> {
+        fn dim(&self) -> usize {
+            self.matrix.rows()
+        }
+
+        fn apply_block_into(&self, x: &Matrix, out: &mut Matrix) {
+            self.matrix.matmul_into(x, out).unwrap()
+        }
+    }
 
     fn spd_matrix() -> Matrix {
         // B Bᵀ + small diagonal: SPD with a clear spectral gap.
@@ -739,7 +727,7 @@ mod tests {
         let op = DenseSymOp::new(&a);
         let opts = SubspaceOptions::default();
         let legacy = sym_eigs_topk(&op, 3, &opts).unwrap();
-        let stabilized = sym_eigs_stabilized(&op, 3, &opts, 1, &|_| 3).unwrap();
+        let stabilized = sym_eigs_stabilized(&op, 3, &opts, 1).unwrap();
         assert_eq!(legacy.values, stabilized.values);
         assert!(legacy.vectors.approx_eq(&stabilized.vectors, 0.0));
         assert_eq!(legacy.iterations, stabilized.iterations);
@@ -771,7 +759,7 @@ mod tests {
                 inner: DenseSymOp::new(&a),
                 worst: std::cell::Cell::new(0.0),
             };
-            let top = sym_eigs_stabilized(&op, 2, &SubspaceOptions::default(), period, &|_| 2);
+            let top = sym_eigs_stabilized(&op, 2, &SubspaceOptions::default(), period);
             assert!(orthonormality_error(&top.unwrap().vectors) < 1e-8);
             op.worst.get()
         };
@@ -788,8 +776,7 @@ mod tests {
         let full = jacobi_eigen(&a, 1e-13).unwrap();
         let op = DenseSymOp::new(&a);
         for period in [2usize, 3, 5] {
-            let top =
-                sym_eigs_stabilized(&op, 3, &SubspaceOptions::default(), period, &|_| 3).unwrap();
+            let top = sym_eigs_stabilized(&op, 3, &SubspaceOptions::default(), period).unwrap();
             for i in 0..3 {
                 assert!(
                     (top.values[i] - full.values[i]).abs() < 1e-6 * full.values[0].max(1.0),
@@ -910,7 +897,7 @@ mod tests {
         };
         for top in [
             sym_eigs_filtered(&DenseSymOp::new(&a), 4, &opts).unwrap(),
-            sym_eigs_stabilized(&DenseSymOp::new(&a), 4, &opts, 3, &|_| 4).unwrap(),
+            sym_eigs_stabilized(&DenseSymOp::new(&a), 4, &opts, 3).unwrap(),
         ] {
             assert!(!top.converged);
             assert_eq!(top.iterations, 7);

@@ -626,7 +626,7 @@ mod tests {
             max_iters: 400,
             ..Default::default()
         };
-        let power = sym_eigs_stabilized(&op, 24, &opts, 8, &|_| 24).unwrap();
+        let power = sym_eigs_stabilized(&op, 24, &opts, 8).unwrap();
         let filtered = sym_eigs_filtered(&op, 24, &opts).unwrap();
         assert!(power.converged && filtered.converged);
         assert!(

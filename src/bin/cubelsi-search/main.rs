@@ -112,18 +112,13 @@ fn build_model(corpus: &Folksonomy, opts: &BuildOpts) -> Result<CubeLsi, String>
     );
     let trace = &model.decomposition().trace;
     eprintln!("tucker  {trace}");
-    // An eigensolve that ran out of iterations still returns its best
+    // An HOSVD eigensolve that ran out of iterations still returns its best
     // subspace; the model is usable, but whoever rebuilds should know.
-    let warn = |solve: &str| {
-        eprintln!(
-            "warning: the {solve} eigensolve stopped at its iteration budget before converging"
-        );
-    };
     for m in trace.init.iter().filter(|m| !m.eig_converged) {
-        warn(&format!("HOSVD mode {}", m.mode));
-    }
-    if !model.concepts().eigensolve_converged() {
-        warn("spectral");
+        eprintln!(
+            "warning: the HOSVD mode {} eigensolve stopped at its iteration budget before converging",
+            m.mode
+        );
     }
     Ok(model)
 }

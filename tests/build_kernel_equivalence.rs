@@ -48,9 +48,8 @@ struct ReferenceBuild {
 }
 
 /// `CubeLsi::build`'s layer calls with naive Lloyd's k-means and the
-/// materialized Gram apply. The spectral solver stays on the default path
-/// on both sides, so any divergence is attributable to k-means or the
-/// Gram apply.
+/// materialized Gram apply. The spectral eigensolve is the same on both
+/// sides, so any divergence is attributable to k-means or the Gram apply.
 fn reference_build(f: &Folksonomy, config: &CubeLsiConfig) -> ReferenceBuild {
     let tensor = build_tensor(f).unwrap();
     let mut tucker_cfg = config.tucker_config(tensor.dims()).unwrap();

@@ -1,7 +1,7 @@
 //! A counting global allocator for the test binaries that prove an
 //! allocation claim: it wraps the system allocator and counts allocations
-//! (`tests/query_zero_alloc.rs`) and live bytes with their peak
-//! (`tests/peak_memory.rs`). Included per binary with
+//! (`tests/query_zero_alloc.rs`), live bytes with their peak and
+//! allocations above a size (`tests/peak_memory.rs`). Included per binary with
 //! `#[path = "common/counting_alloc.rs"] mod counting_alloc;`, which also
 //! installs it. The counters are global to the process: such a binary runs
 //! one measurement at a time (one test, or tests that take turns).
@@ -24,6 +24,10 @@ pub static ALLOCATING_THREADS: AtomicUsize = AtomicUsize::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 /// Highest [`LIVE`] since [`peak_of`] last started.
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// The size from which [`large_allocations_of`] counts an allocation.
+static LARGE_FROM: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// Allocations of at least [`LARGE_FROM`] bytes.
+static LARGE: AtomicUsize = AtomicUsize::new(0);
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -74,6 +78,10 @@ fn obtained(bytes: usize) {
     }
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes; // ORDER: same counters.
     PEAK.fetch_max(live, Ordering::Relaxed); // ORDER: same counters.
+    let large_from = LARGE_FROM.load(Ordering::Relaxed); // ORDER: same counters.
+    if bytes >= large_from {
+        LARGE.fetch_add(1, Ordering::Relaxed); // ORDER: same counters.
+    }
 }
 
 fn released(bytes: usize) {
@@ -87,4 +95,14 @@ pub fn peak_of<T>(work: impl FnOnce() -> T) -> (T, usize) {
     PEAK.store(at_entry, Ordering::Relaxed); // ORDER: same counters.
     let out = work();
     (out, PEAK.load(Ordering::Relaxed) - at_entry) // ORDER: same counters.
+}
+
+/// Runs `work` and returns its result with the number of allocations of
+/// at least `bytes` it made (a `realloc` to that size counts as one).
+pub fn large_allocations_of<T>(bytes: usize, work: impl FnOnce() -> T) -> (T, usize) {
+    LARGE.store(0, Ordering::Relaxed); // ORDER: same counters.
+    LARGE_FROM.store(bytes, Ordering::Relaxed); // ORDER: same counters.
+    let out = work();
+    LARGE_FROM.store(usize::MAX, Ordering::Relaxed); // ORDER: same counters.
+    (out, LARGE.load(Ordering::Relaxed)) // ORDER: same counters.
 }

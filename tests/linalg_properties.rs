@@ -4,7 +4,9 @@
 
 use cubelsi::linalg::qr::orthonormality_error;
 use cubelsi::linalg::subspace::SubspaceOptions;
-use cubelsi::linalg::{householder_qr, jacobi_eigen, jacobi_svd, truncated_svd, CsrMatrix, Matrix};
+use cubelsi::linalg::{
+    householder_qr, jacobi_eigen, jacobi_svd, top_eigenpairs, truncated_svd, CsrMatrix, Matrix,
+};
 use proptest::prelude::*;
 
 /// Strategy: a dense matrix with entries in [-3, 3].
@@ -16,6 +18,24 @@ fn matrix_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
 /// Strategy: dims in 1..=6 plus a matching buffer.
 fn sized_matrix() -> impl Strategy<Value = Matrix> {
     (1usize..=6, 1usize..=6).prop_flat_map(|(r, c)| matrix_strategy(r, c))
+}
+
+/// Strategy: an `n × n` symmetric matrix with about half of its entries
+/// zero and the rest in {1} ∪ [−3, 3], so decoupled blocks and repeated
+/// eigenvalues come up as often as generic spectra.
+fn sparse_symmetric(n: usize) -> impl Strategy<Value = Matrix> {
+    (
+        matrix_strategy(n, n),
+        proptest::collection::vec(0u32..4, n * n),
+    )
+        .prop_map(move |(a, kinds)| {
+            let raw = Matrix::from_fn(n, n, |i, j| match kinds[i * n + j] {
+                0 | 1 => 0.0,
+                2 => 1.0,
+                _ => a[(i, j)],
+            });
+            raw.add(&raw.transpose()).unwrap()
+        })
 }
 
 proptest! {
@@ -67,6 +87,24 @@ proptest! {
         let lambda = Matrix::from_diag(&e.values);
         let recon = e.vectors.matmul(&lambda).unwrap().matmul(&e.vectors.transpose()).unwrap();
         prop_assert!(recon.approx_eq(&sym, 1e-7));
+    }
+
+    #[test]
+    fn top_eigenpairs_agree_with_jacobi(
+        (a, k) in (1usize..=10).prop_flat_map(|n| (sparse_symmetric(n), 1usize..=n))
+    ) {
+        let full = jacobi_eigen(&a, 1e-15).unwrap();
+        let top = top_eigenpairs(a.clone(), k).unwrap();
+        let scale = a.frobenius_norm().max(1.0);
+        prop_assert!(orthonormality_error(&top.vectors) <= 1e-12);
+        for j in 0..k {
+            let lambda = top.values[j];
+            prop_assert!((lambda - full.values[j]).abs() <= 1e-12 * scale);
+            let v = top.vectors.col(j);
+            let av = a.matvec(&v).unwrap();
+            let residual: f64 = av.iter().zip(&v).map(|(x, y)| (x - lambda * y).powi(2)).sum();
+            prop_assert!(residual.sqrt() <= 1e-12 * scale, "pair {j}: residual {}", residual.sqrt());
+        }
     }
 
     #[test]

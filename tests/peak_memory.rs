@@ -12,20 +12,23 @@
 //!
 //! **Sharded load**: every shard file carries the whole folksonomy and
 //! model, and `load_source` keeps one copy, not one a shard — its peak is a
-//! server's peak.
+//! server's peak. It also reads the files into two buffers whatever the
+//! shard count, so what the allocator is left holding does not depend on
+//! it either.
 //!
-//! The counters are global to the process, so the two tests take turns
-//! under a lock.
+//! The counters are global to the process, so the tests take turns under
+//! a lock.
 
 use cubelsi::core::shard::{self, LoadMode};
 use cubelsi::core::{CubeLsi, CubeLsiConfig};
 use cubelsi::datagen::{generate, GeneratorConfig};
 use cubelsi::tensor::{tucker_als, SparseTensor3, TuckerConfig};
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::peak_of;
+use counting_alloc::{large_allocations_of, peak_of};
 
 static TURN: Mutex<()> = Mutex::new(());
 
@@ -69,9 +72,9 @@ fn tucker_peak_memory_scales_with_nnz_not_unfolding_width() {
     );
 }
 
-#[test]
-fn sharded_load_peak_does_not_grow_with_shard_count() {
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+/// Writes one small model as a manifest of each of the `shard_counts`
+/// into `dir`, returning the manifests' paths in the same order.
+fn save_manifests(dir: &Path, shard_counts: &[usize]) -> Vec<PathBuf> {
     let ds = generate(&GeneratorConfig {
         users: 80,
         resources: 400,
@@ -88,21 +91,58 @@ fn sharded_load_peak_does_not_grow_with_shard_count() {
         ..Default::default()
     };
     let model = CubeLsi::build(f, &config).unwrap();
+    std::fs::create_dir_all(dir).unwrap();
+    shard_counts
+        .iter()
+        .map(|&shards| {
+            let manifest = dir.join(format!("m{shards}.shards"));
+            shard::save_sharded(&manifest, &model, f, shards).unwrap();
+            manifest
+        })
+        .collect()
+}
+
+#[test]
+fn sharded_load_peak_does_not_grow_with_shard_count() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("cubelsi-load-peak-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let peak_with = |shards: usize| {
-        let manifest = dir.join(format!("m{shards}.shards"));
-        shard::save_sharded(&manifest, &model, f, shards).unwrap();
-        let (set, peak) = peak_of(|| shard::load_source(&manifest, LoadMode::Owned).unwrap());
+    let manifests = save_manifests(&dir, &[1, 8]);
+    let peak_with = |manifest: &Path, shards: usize| {
+        let (set, peak) = peak_of(|| shard::load_source(manifest, LoadMode::Owned).unwrap());
         assert_eq!(set.num_shards(), shards);
         peak
     };
-    let (one, eight) = (peak_with(1), peak_with(8));
+    let (one, eight) = (peak_with(&manifests[0], 1), peak_with(&manifests[1], 8));
     std::fs::remove_dir_all(&dir).ok();
     // Eight shards hold the index once, cut eight ways, and one shard's
     // file and decoded copy at a time; all eight copies would be ≈ 8×.
     assert!(
         eight < 2 * one,
         "loading 8 shards peaked at {eight} B, one shard at {one} B"
+    );
+}
+
+#[test]
+fn manifest_load_reads_every_shard_through_two_buffers() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("cubelsi-load-buffers-{}", std::process::id()));
+    let manifest = save_manifests(&dir, &[4]).remove(0);
+    let smallest = shard::load_manifest(&manifest)
+        .unwrap()
+        .entries
+        .iter()
+        .map(|e| e.file_len as usize)
+        .min()
+        .unwrap();
+    let (set, large) = large_allocations_of(smallest, || {
+        shard::load_source(&manifest, LoadMode::Owned).unwrap()
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(set.num_shards(), 4);
+    // Shard 0's buffer and one reused for shards 1–3; a buffer per file
+    // would be four.
+    assert!(
+        large <= 2,
+        "loading 4 shards made {large} allocations of a shard file's size ({smallest} B) or more"
     );
 }
