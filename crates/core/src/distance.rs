@@ -17,7 +17,7 @@
 
 use crate::config::SigmaSource;
 use cubelsi_linalg::parallel;
-use cubelsi_linalg::{jacobi_eigen, LinAlgError, Matrix};
+use cubelsi_linalg::{top_eigenpairs, LinAlgError, Matrix};
 use cubelsi_tensor::TuckerDecomposition;
 
 /// A symmetric matrix of pairwise tag distances with zero diagonal.
@@ -118,9 +118,10 @@ pub fn tag_embedding(
         }
         SigmaSource::CoreGram => {
             let sigma = decomp.sigma_from_core()?;
-            let eig = jacobi_eigen(&sigma, 1e-12)?;
+            let j2 = sigma.rows();
+            let eig = top_eigenpairs(sigma, j2)?;
             // C = V √Λ (clamping tiny negative round-off eigenvalues).
-            let mut c = eig.vectors.clone();
+            let mut c = eig.vectors;
             for j in 0..c.cols() {
                 let s = eig.values[j].max(0.0).sqrt();
                 for i in 0..c.rows() {
@@ -277,7 +278,6 @@ mod tests {
             max_iters: 40,
             fit_tol: 1e-12,
             subspace: SubspaceOptions::default(),
-            fused_gram: true,
         };
         tucker_als(&f, &cfg).unwrap()
     }

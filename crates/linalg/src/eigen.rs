@@ -1,20 +1,21 @@
-//! Dense symmetric eigensolvers.
+//! The dense symmetric eigensolver.
 //!
-//! * [`jacobi_eigen`] — every eigenpair by cyclic Jacobi rotations. O(n³)
-//!   per sweep but unconditionally stable and simple to verify: the tool
-//!   for the *small* matrices this repository produces, the Rayleigh–Ritz
-//!   projections inside subspace iteration (dimension ≈ k + oversampling)
-//!   and the core-tensor Gram matrix `Σ = S₍₂₎S₍₂₎ᵀ` (dimension J₂ ≈ tens).
-//! * [`top_eigenpairs`] — the `k` algebraically largest eigenpairs of a
-//!   dense matrix of a few hundred to a few thousand rows (the spectral
-//!   clustering affinity, T×T): Householder tridiagonalisation in place,
-//!   eigenvalues by implicit QL, eigenvectors of only the wanted values by
-//!   inverse iteration on the tridiagonal, then back-transformation of
-//!   those `k` vectors (the route of LAPACK's `dsyevx`). It costs one
-//!   O(n³) reduction and has no iteration budget to exhaust.
+//! [`top_eigenpairs`] returns the `k` algebraically largest eigenpairs of a
+//! dense symmetric matrix: Householder tridiagonalisation in place,
+//! eigenvalues by implicit QL, eigenvectors of only the wanted values by
+//! inverse iteration on the tridiagonal, then back-transformation of those
+//! `k` vectors (the route of LAPACK's `dsyevx`). It costs one O(n³)
+//! reduction and has no iteration budget to exhaust. Every dense
+//! eigenproblem of the pipeline goes through it, whatever its size:
+//!
+//! * the spectral clustering affinity (T×T, `k` = the concept budget);
+//! * the Rayleigh–Ritz matrices of subspace iteration (b×b, b ≈ k +
+//!   oversampling, every pair);
+//! * the core-tensor Gram matrix `Σ = S₍₂₎S₍₂₎ᵀ` (J₂×J₂, every pair).
 //!
 //! Operators that can only be *applied* — the Tucker unfoldings' Gram
-//! operators, LSI's sparse matrix — go through [`crate::subspace`].
+//! operators, LSI's sparse matrix — go through [`crate::subspace`]. The
+//! tests hold the solver against cyclic Jacobi, kept there as the oracle.
 
 use crate::error::LinAlgError;
 use crate::matrix::Matrix;
@@ -27,138 +28,6 @@ pub struct EigenDecomposition {
     pub values: Vec<f64>,
     /// Matrix whose *columns* are the corresponding eigenvectors.
     pub vectors: Matrix,
-}
-
-/// Maximum number of Jacobi sweeps before declaring non-convergence.
-const MAX_SWEEPS: usize = 64;
-
-/// Computes all eigenpairs of a dense symmetric matrix using cyclic Jacobi
-/// rotations. Eigenvalues are returned in descending order.
-///
-/// Returns an error when `a` is not square or when the off-diagonal mass
-/// fails to fall below `tol * ‖A‖_F` within the sweep budget (which, for
-/// symmetric input, indicates numerical pathology rather than a normal
-/// failure mode).
-pub fn jacobi_eigen(a: &Matrix, tol: f64) -> Result<EigenDecomposition> {
-    let (n, m) = a.shape();
-    if n != m {
-        return Err(LinAlgError::InvalidArgument(format!(
-            "jacobi_eigen requires a square matrix, got {n}x{m}"
-        )));
-    }
-    if n == 0 {
-        return Ok(EigenDecomposition {
-            values: Vec::new(),
-            vectors: Matrix::zeros(0, 0),
-        });
-    }
-    let mut a = a.clone();
-    let mut v = Matrix::identity(n);
-    let norm = a.frobenius_norm().max(f64::MIN_POSITIVE);
-    let threshold = tol * norm;
-    let skip_threshold = threshold / (n as f64);
-
-    let mut sweeps = 0;
-    loop {
-        let off = off_diagonal_norm(&a);
-        if off <= threshold {
-            break;
-        }
-        if sweeps >= MAX_SWEEPS {
-            return Err(LinAlgError::NotConverged {
-                method: "jacobi_eigen",
-                iterations: sweeps,
-                residual: off,
-            });
-        }
-        for p in 0..n - 1 {
-            for q in p + 1..n {
-                let apq = a[(p, q)];
-                if apq.abs() <= skip_threshold {
-                    continue;
-                }
-                let app = a[(p, p)];
-                let aqq = a[(q, q)];
-                // Compute the Jacobi rotation (c, s) that annihilates a_pq.
-                let theta = (aqq - app) / (2.0 * apq);
-                let t = if theta >= 0.0 {
-                    1.0 / (theta + (1.0 + theta * theta).sqrt())
-                } else {
-                    1.0 / (theta - (1.0 + theta * theta).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = t * c;
-                // Apply the rotation: A ← Jᵀ A J on rows/cols p, q. The
-                // column pass walks whole rows (one bounds check each), the
-                // row pass gets both rows as contiguous slices.
-                rotate_column_pair(a.as_mut_slice(), n, p, q, c, s);
-                rotate_row_pair(a.as_mut_slice(), n, p, q, c, s);
-                // Accumulate eigenvectors: V ← V J.
-                rotate_column_pair(v.as_mut_slice(), n, p, q, c, s);
-            }
-        }
-        sweeps += 1;
-    }
-
-    // Extract and sort eigenpairs by descending eigenvalue.
-    let mut order: Vec<usize> = (0..n).collect();
-    let diag: Vec<f64> = (0..n).map(|i| a[(i, i)]).collect();
-    order.sort_by(|&i, &j| {
-        diag[j]
-            .partial_cmp(&diag[i])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let values: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
-    let mut vectors = Matrix::zeros(n, n);
-    for (new_j, &old_j) in order.iter().enumerate() {
-        for i in 0..n {
-            vectors[(i, new_j)] = v[(i, old_j)];
-        }
-    }
-    Ok(EigenDecomposition { values, vectors })
-}
-
-/// Applies the rotation to columns `p` and `q` of a row-major `n x n`
-/// buffer: for every row `k`, `(m[k][p], m[k][q]) ← (c·m[k][p] − s·m[k][q],
-/// s·m[k][p] + c·m[k][q])` — the same per-element arithmetic, in the same
-/// row order, as the indexed loop it replaces.
-#[inline]
-fn rotate_column_pair(data: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
-    for row in data.chunks_exact_mut(n) {
-        let mp = row[p];
-        let mq = row[q];
-        row[p] = c * mp - s * mq;
-        row[q] = s * mp + c * mq;
-    }
-}
-
-/// Applies the rotation to rows `p < q` of a row-major `n x n` buffer as two
-/// contiguous slices.
-#[inline]
-fn rotate_row_pair(data: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
-    debug_assert!(p < q);
-    let (head, tail) = data.split_at_mut(q * n);
-    let row_p = &mut head[p * n..p * n + n];
-    let row_q = &mut tail[..n];
-    for (ap, aq) in row_p.iter_mut().zip(row_q.iter_mut()) {
-        let apk = *ap;
-        let aqk = *aq;
-        *ap = c * apk - s * aqk;
-        *aq = s * apk + c * aqk;
-    }
-}
-
-fn off_diagonal_norm(a: &Matrix) -> f64 {
-    let n = a.rows();
-    let mut acc = 0.0;
-    for (i, row) in a.as_slice().chunks_exact(n).enumerate() {
-        for (j, &x) in row.iter().enumerate() {
-            if i != j {
-                acc += x * x;
-            }
-        }
-    }
-    acc.sqrt()
 }
 
 /// Implicit QL sweeps allowed per eigenvalue; two or three is typical.
@@ -696,15 +565,84 @@ fn back_transform(a: &Matrix, tau: &[f64], z: &mut Matrix) {
         }
     }
 }
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::qr::orthonormality_error;
+    use proptest::prelude::*;
+
+    /// Every eigenpair of the symmetric `a` by cyclic Jacobi rotations,
+    /// values descending: the oracle [`top_eigenpairs`] and the subspace
+    /// solvers are held against. Plain indexed loops, simple to check by
+    /// reading; it stops after 64 sweeps whether or not the off-diagonal
+    /// mass has fallen below `tol · ‖A‖_F`.
+    pub(crate) fn jacobi_eigen_reference(a: &Matrix, tol: f64) -> EigenDecomposition {
+        let n = a.rows();
+        let mut a = a.clone();
+        let mut v = Matrix::identity(n);
+        let threshold = tol * a.frobenius_norm().max(f64::MIN_POSITIVE);
+        for _ in 0..64 {
+            let mut off = 0.0;
+            for i in 0..n {
+                for j in 0..n {
+                    if i != j {
+                        off += a[(i, j)] * a[(i, j)];
+                    }
+                }
+            }
+            if off.sqrt() <= threshold {
+                break;
+            }
+            for p in 0..n - 1 {
+                for q in p + 1..n {
+                    let apq = a[(p, q)];
+                    if apq.abs() <= threshold / (n as f64) {
+                        continue;
+                    }
+                    let theta = (a[(q, q)] - a[(p, p)]) / (2.0 * apq);
+                    let t = if theta >= 0.0 {
+                        1.0 / (theta + (1.0 + theta * theta).sqrt())
+                    } else {
+                        1.0 / (theta - (1.0 + theta * theta).sqrt())
+                    };
+                    let c = 1.0 / (1.0 + t * t).sqrt();
+                    let s = t * c;
+                    for k in 0..n {
+                        let (akp, akq) = (a[(k, p)], a[(k, q)]);
+                        a[(k, p)] = c * akp - s * akq;
+                        a[(k, q)] = s * akp + c * akq;
+                    }
+                    for k in 0..n {
+                        let (apk, aqk) = (a[(p, k)], a[(q, k)]);
+                        a[(p, k)] = c * apk - s * aqk;
+                        a[(q, k)] = s * apk + c * aqk;
+                    }
+                    for k in 0..n {
+                        let (vkp, vkq) = (v[(k, p)], v[(k, q)]);
+                        v[(k, p)] = c * vkp - s * vkq;
+                        v[(k, q)] = s * vkp + c * vkq;
+                    }
+                }
+            }
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&i, &j| a[(j, j)].total_cmp(&a[(i, i)]));
+        EigenDecomposition {
+            values: order.iter().map(|&i| a[(i, i)]).collect(),
+            vectors: Matrix::from_fn(n, n, |i, j| v[(i, order[j])]),
+        }
+    }
+
+    /// All `n` pairs of `a` by the product solver.
+    fn all_pairs(a: &Matrix) -> EigenDecomposition {
+        top_eigenpairs(a.clone(), a.rows()).unwrap()
+    }
 
     #[test]
     fn eigen_of_diagonal_matrix() {
         let a = Matrix::from_diag(&[3.0, -1.0, 2.0]);
-        let e = jacobi_eigen(&a, 1e-12).unwrap();
+        let e = all_pairs(&a);
         assert_eq!(e.values.len(), 3);
         assert!((e.values[0] - 3.0).abs() < 1e-10);
         assert!((e.values[1] - 2.0).abs() < 1e-10);
@@ -715,7 +653,7 @@ mod tests {
     fn eigen_2x2_known() {
         // [[2,1],[1,2]] has eigenvalues 3 and 1.
         let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 2.0]]).unwrap();
-        let e = jacobi_eigen(&a, 1e-14).unwrap();
+        let e = all_pairs(&a);
         assert!((e.values[0] - 3.0).abs() < 1e-10);
         assert!((e.values[1] - 1.0).abs() < 1e-10);
         // Eigenvector for λ=3 is ±(1,1)/√2.
@@ -733,7 +671,7 @@ mod tests {
             vec![0.5, 1.0, -1.0, 2.0],
         ])
         .unwrap();
-        let e = jacobi_eigen(&a, 1e-13).unwrap();
+        let e = all_pairs(&a);
         // A = V Λ Vᵀ
         let lambda = Matrix::from_diag(&e.values);
         let recon = e
@@ -754,7 +692,7 @@ mod tests {
             vec![0.0, -0.3, 4.0],
         ])
         .unwrap();
-        let e = jacobi_eigen(&a, 1e-12).unwrap();
+        let e = all_pairs(&a);
         for w in e.values.windows(2) {
             assert!(w[0] >= w[1] - 1e-12);
         }
@@ -768,7 +706,7 @@ mod tests {
             vec![0.0, -1.0, 2.0],
         ])
         .unwrap();
-        let e = jacobi_eigen(&a, 1e-13).unwrap();
+        let e = all_pairs(&a);
         let trace = 6.0;
         let sum: f64 = e.values.iter().sum();
         assert!((sum - trace).abs() < 1e-9);
@@ -776,106 +714,10 @@ mod tests {
 
     #[test]
     fn rejects_non_square() {
-        assert!(jacobi_eigen(&Matrix::zeros(2, 3), 1e-10).is_err());
-    }
-
-    #[test]
-    fn empty_matrix_ok() {
-        let e = jacobi_eigen(&Matrix::zeros(0, 0), 1e-10).unwrap();
-        assert!(e.values.is_empty());
-    }
-
-    /// The pre-optimization indexed implementation, kept verbatim as the
-    /// reference for the bit-identity test below: the slice-based rotation
-    /// kernels must reproduce it exactly, or downstream "bit-identical
-    /// build" guarantees silently break.
-    fn jacobi_eigen_reference(a: &Matrix, tol: f64) -> EigenDecomposition {
-        let n = a.rows();
-        let mut a = a.clone();
-        let mut v = Matrix::identity(n);
-        let norm = a.frobenius_norm().max(f64::MIN_POSITIVE);
-        let threshold = tol * norm;
-        let mut sweeps = 0;
-        loop {
-            let off = off_diagonal_norm(&a);
-            if off <= threshold || sweeps >= MAX_SWEEPS {
-                break;
-            }
-            for p in 0..n - 1 {
-                for q in p + 1..n {
-                    let apq = a[(p, q)];
-                    if apq.abs() <= threshold / (n as f64) {
-                        continue;
-                    }
-                    let app = a[(p, p)];
-                    let aqq = a[(q, q)];
-                    let theta = (aqq - app) / (2.0 * apq);
-                    let t = if theta >= 0.0 {
-                        1.0 / (theta + (1.0 + theta * theta).sqrt())
-                    } else {
-                        1.0 / (theta - (1.0 + theta * theta).sqrt())
-                    };
-                    let c = 1.0 / (1.0 + t * t).sqrt();
-                    let s = t * c;
-                    for k in 0..n {
-                        let akp = a[(k, p)];
-                        let akq = a[(k, q)];
-                        a[(k, p)] = c * akp - s * akq;
-                        a[(k, q)] = s * akp + c * akq;
-                    }
-                    for k in 0..n {
-                        let apk = a[(p, k)];
-                        let aqk = a[(q, k)];
-                        a[(p, k)] = c * apk - s * aqk;
-                        a[(q, k)] = s * apk + c * aqk;
-                    }
-                    for k in 0..n {
-                        let vkp = v[(k, p)];
-                        let vkq = v[(k, q)];
-                        v[(k, p)] = c * vkp - s * vkq;
-                        v[(k, q)] = s * vkp + c * vkq;
-                    }
-                }
-            }
-            sweeps += 1;
-        }
-        let mut order: Vec<usize> = (0..n).collect();
-        let diag: Vec<f64> = (0..n).map(|i| a[(i, i)]).collect();
-        order.sort_by(|&i, &j| {
-            diag[j]
-                .partial_cmp(&diag[i])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let values: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
-        let mut vectors = Matrix::zeros(n, n);
-        for (new_j, &old_j) in order.iter().enumerate() {
-            for i in 0..n {
-                vectors[(i, new_j)] = v[(i, old_j)];
-            }
-        }
-        EigenDecomposition { values, vectors }
-    }
-
-    #[test]
-    fn slice_kernels_bit_identical_to_indexed_reference() {
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        };
-        for n in [2usize, 5, 13, 24] {
-            let raw = Matrix::from_fn(n, n, |_, _| next());
-            let sym = raw.add(&raw.transpose()).unwrap().scale(0.5);
-            let fast = jacobi_eigen(&sym, 1e-12).unwrap();
-            let reference = jacobi_eigen_reference(&sym, 1e-12);
-            assert_eq!(fast.values, reference.values, "values differ at n={n}");
-            assert!(
-                fast.vectors.approx_eq(&reference.vectors, 0.0),
-                "vectors differ at n={n}"
-            );
-        }
+        assert!(matches!(
+            top_eigenpairs(Matrix::zeros(2, 3), 2),
+            Err(LinAlgError::InvalidArgument(_))
+        ));
     }
 
     /// Uniform draws from `[−0.5, 0.5)` off a fixed LCG.
@@ -927,7 +769,7 @@ mod tests {
     fn top_eigenpairs_match_jacobi_on_every_input_shape() {
         for n in [1usize, 2, 5, 40, 200] {
             for (what, a) in solver_inputs(n) {
-                let full = jacobi_eigen(&a, 1e-15).unwrap();
+                let full = jacobi_eigen_reference(&a, 1e-15);
                 let scale = a.frobenius_norm().max(1.0);
                 for k in [1, n] {
                     let top = top_eigenpairs(a.clone(), k).unwrap();
@@ -1015,9 +857,49 @@ mod tests {
         // G = BᵀB is PSD by construction.
         let b = Matrix::from_rows(&[vec![1.0, 2.0], vec![-1.0, 0.5], vec![0.0, 3.0]]).unwrap();
         let g = b.gram();
-        let e = jacobi_eigen(&g, 1e-13).unwrap();
+        let e = all_pairs(&g);
         for &v in &e.values {
             assert!(v >= -1e-10);
+        }
+    }
+
+    /// An `n × n` symmetric matrix with about half of its entries zero and
+    /// the rest in {1} ∪ [−3, 3], so decoupled blocks and repeated
+    /// eigenvalues come up as often as generic spectra.
+    fn sparse_symmetric(n: usize) -> impl Strategy<Value = Matrix> {
+        (
+            proptest::collection::vec(-3.0f64..3.0, n * n),
+            proptest::collection::vec(0u32..4, n * n),
+        )
+            .prop_map(move |(values, kinds)| {
+                let raw = Matrix::from_fn(n, n, |i, j| match kinds[i * n + j] {
+                    0 | 1 => 0.0,
+                    2 => 1.0,
+                    _ => values[i * n + j],
+                });
+                raw.add(&raw.transpose()).unwrap()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn top_eigenpairs_agree_with_jacobi(
+            (a, k) in (1usize..=10).prop_flat_map(|n| (sparse_symmetric(n), 1usize..=n))
+        ) {
+            let full = jacobi_eigen_reference(&a, 1e-15);
+            let top = top_eigenpairs(a.clone(), k).unwrap();
+            let scale = a.frobenius_norm().max(1.0);
+            prop_assert!(orthonormality_error(&top.vectors) <= 1e-12);
+            for j in 0..k {
+                let lambda = top.values[j];
+                prop_assert!((lambda - full.values[j]).abs() <= 1e-12 * scale);
+                let v = top.vectors.col(j);
+                let av = a.matvec(&v).unwrap();
+                let residual: f64 = av.iter().zip(&v).map(|(x, y)| (x - lambda * y).powi(2)).sum();
+                prop_assert!(residual.sqrt() <= 1e-12 * scale, "pair {j}: residual {}", residual.sqrt());
+            }
         }
     }
 }

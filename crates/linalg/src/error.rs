@@ -17,7 +17,7 @@ pub enum LinAlgError {
     /// An iterative method failed to reach its tolerance within the
     /// configured iteration budget.
     NotConverged {
-        /// Short name of the method (e.g. `"jacobi_eigen"`).
+        /// Short name of the method (e.g. `"tridiagonal QL"`).
         method: &'static str,
         /// Number of iterations performed.
         iterations: usize,
@@ -71,11 +71,11 @@ mod tests {
         assert!(s.contains("4x5"));
 
         let e = LinAlgError::NotConverged {
-            method: "jacobi_eigen",
+            method: "tridiagonal QL",
             iterations: 100,
             residual: 1e-3,
         };
-        assert!(e.to_string().contains("jacobi_eigen"));
+        assert!(e.to_string().contains("tridiagonal QL"));
 
         assert!(LinAlgError::Singular("qr").to_string().contains("qr"));
         assert!(LinAlgError::InvalidArgument("k must be > 0".into())

@@ -4,21 +4,16 @@
 //! tags, embedded as rows of the normalized spectral matrix `X`, are grouped
 //! into `k` semantically coherent clusters — each cluster is a *concept*.
 //!
-//! Two exact algorithms are provided, selected by
-//! [`KMeansConfig::algorithm`]:
-//!
-//! * [`KMeansAlgorithm::NaiveLloyd`] — the textbook assignment/update loop,
-//!   `O(n·k·d)` per iteration. Kept as the reference implementation.
-//! * [`KMeansAlgorithm::BoundsPruned`] (default) — Hamerly-style pruning:
-//!   each point carries a lower bound on its distance to the nearest
-//!   *non-assigned* centroid, maintained across iterations via centroid
-//!   drift. When the exact distance to the assigned centroid beats the
-//!   bound, the `O(k·d)` scan is skipped entirely. The bound bookkeeping is
-//!   conservatively padded against floating-point drift and the pruning
-//!   comparison is strict, so ties always fall through to the full scan —
-//!   the pruned run is **bit-identical** to naive Lloyd's (assignments,
-//!   centroids, inertia, iteration count) for any seed, a property enforced
-//!   by the randomized equivalence tests below.
+//! Lloyd's iterations are Hamerly-style bounds-pruned: each point carries
+//! a lower bound on its distance to the nearest *non-assigned* centroid,
+//! maintained across iterations via centroid drift. When the exact distance
+//! to the assigned centroid beats the bound, the `O(k·d)` scan is skipped
+//! entirely. The bound bookkeeping is conservatively padded against
+//! floating-point drift and the pruning comparison is strict, so ties
+//! always fall through to the full scan — the run is **bit-identical** to
+//! textbook Lloyd's, `O(n·k·d)` per iteration (assignments, centroids,
+//! inertia, iteration count) for any seed. The tests keep textbook Lloyd's
+//! as the oracle and enforce that on randomized inputs.
 //!
 //! The assignment step and the `n_init` restarts are parallelized via
 //! [`crate::parallel`]; every reduction that feeds the iteration (inertia,
@@ -31,17 +26,6 @@ use crate::parallel;
 use crate::Result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Which exact k-means implementation to run. Both produce bit-identical
-/// results; the naive variant exists as the equivalence-test reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KMeansAlgorithm {
-    /// Hamerly-style bounds-pruned Lloyd's (default).
-    #[default]
-    BoundsPruned,
-    /// Textbook Lloyd's, scanning every centroid for every point.
-    NaiveLloyd,
-}
 
 /// Configuration for [`kmeans`].
 #[derive(Debug, Clone)]
@@ -56,8 +40,6 @@ pub struct KMeansConfig {
     pub n_init: usize,
     /// RNG seed (restart `i` uses `seed + i`).
     pub seed: u64,
-    /// Implementation selector; see [`KMeansAlgorithm`].
-    pub algorithm: KMeansAlgorithm,
 }
 
 impl Default for KMeansConfig {
@@ -68,7 +50,6 @@ impl Default for KMeansConfig {
             tol: 1e-6,
             n_init: 4,
             seed: 0x6b6d_6561_6e73, // "kmeans" in ASCII
-            algorithm: KMeansAlgorithm::default(),
         }
     }
 }
@@ -100,10 +81,10 @@ const PAR_ASSIGN_THRESHOLD: usize = 65_536;
 
 /// Clusters the rows of `points` into `config.k` groups.
 ///
-/// Uses k-means++ seeding and exact Lloyd iterations (bounds-pruned by
-/// default); empty clusters are re-seeded deterministically from the point
-/// farthest from its assigned centroid. Runs `n_init` restarts (in parallel
-/// when workers are available) and returns the lowest-inertia result, ties
+/// Uses k-means++ seeding and exact, bounds-pruned Lloyd iterations; empty
+/// clusters are re-seeded deterministically from the point farthest from
+/// its assigned centroid. Runs `n_init` restarts (in parallel when workers
+/// are available) and returns the lowest-inertia result, ties
 /// resolved toward the earliest restart. Fully deterministic for a fixed
 /// seed, independent of the thread count.
 pub fn kmeans(points: &Matrix, config: &KMeansConfig) -> Result<KMeansResult> {
@@ -167,7 +148,6 @@ fn kmeans_single(
     let n = points.rows();
     let d = points.cols();
     let k = config.k;
-    let pruned = config.algorithm == KMeansAlgorithm::BoundsPruned;
     let mut rng = StdRng::seed_from_u64(seed);
 
     let mut centroids = kmeanspp_init(points, k, &mut rng);
@@ -175,7 +155,7 @@ fn kmeans_single(
     let mut dist_sq = vec![0.0f64; n];
     // Lower bound on the distance from each point to its nearest
     // *non-assigned* centroid; 0 forces a full scan, so the first iteration
-    // is exhaustive for both algorithms.
+    // is exhaustive.
     let mut lower = vec![0.0f64; n];
     let mut old_centroids = Matrix::zeros(k, d);
     let mut inertia = f64::INFINITY;
@@ -189,69 +169,31 @@ fn kmeans_single(
             &mut assignments,
             &mut dist_sq,
             &mut lower,
-            pruned,
             allow_parallel,
         );
         // Serial reduction in point order: identical for any banding.
         let new_inertia: f64 = dist_sq.iter().sum();
 
-        // Update step.
-        if pruned {
-            old_centroids
-                .as_mut_slice()
-                .copy_from_slice(centroids.as_slice());
-        }
-        let mut sums = Matrix::zeros(k, d);
-        let mut counts = vec![0usize; k];
-        for (i, &c) in assignments.iter().enumerate() {
-            counts[c] += 1;
-            let row = points.row(i);
-            let srow = sums.row_mut(c);
-            for (s, &x) in srow.iter_mut().zip(row.iter()) {
-                *s += x;
+        old_centroids
+            .as_mut_slice()
+            .copy_from_slice(centroids.as_slice());
+        update_centroids(points, &assignments, &dist_sq, &mut centroids);
+        // Every centroid moved by at most `drift_max`; any stale lower
+        // bound therefore stays valid after subtracting it (padded against
+        // rounding). Teleported reseed centroids are covered automatically —
+        // their drift is just large.
+        let mut drift_max = 0.0f64;
+        for c in 0..k {
+            let drift = sq_dist(old_centroids.row(c), centroids.row(c)).sqrt();
+            if drift > drift_max {
+                drift_max = drift;
             }
         }
-        let mut reseed_used: Vec<usize> = Vec::new();
-        for (c, &count) in counts.iter().enumerate() {
-            if count == 0 {
-                // Re-seed an empty cluster from the point farthest from its
-                // assigned centroid (exact distances cached by the
-                // assignment pass), skipping points already consumed by an
-                // earlier empty cluster this iteration; ties break toward
-                // the lowest point index. Deterministic for any seed and
-                // thread count.
-                let far = farthest_unused_point(&dist_sq, &reseed_used);
-                reseed_used.push(far);
-                centroids.row_mut(c).copy_from_slice(points.row(far));
-            } else {
-                let inv = 1.0 / count as f64;
-                let srow = sums.row(c);
-                let crow = &mut centroids.as_mut_slice()[c * d..(c + 1) * d];
-                for (cv, sv) in crow.iter_mut().zip(srow.iter()) {
-                    *cv = sv * inv;
-                }
-            }
+        let step = drift_max * DRIFT_INFLATE;
+        for l in lower.iter_mut() {
+            *l = ((*l - step) * BOUND_DEFLATE).max(0.0);
         }
-        if pruned {
-            // Every centroid moved by at most `drift_max`; any stale lower
-            // bound therefore stays valid after subtracting it (padded
-            // against rounding). Teleported reseed centroids are covered
-            // automatically — their drift is just large.
-            let mut drift_max = 0.0f64;
-            for c in 0..k {
-                let drift = sq_dist(old_centroids.row(c), centroids.row(c)).sqrt();
-                if drift > drift_max {
-                    drift_max = drift;
-                }
-            }
-            let step = drift_max * DRIFT_INFLATE;
-            for l in lower.iter_mut() {
-                *l = ((*l - step) * BOUND_DEFLATE).max(0.0);
-            }
-        }
-        // Convergence on relative inertia improvement.
-        let converged =
-            inertia.is_finite() && (inertia - new_inertia).abs() / inertia.max(1e-30) < config.tol;
+        let converged = inertia_converged(inertia, new_inertia, config.tol);
         inertia = new_inertia;
         if converged {
             break;
@@ -264,7 +206,6 @@ fn kmeans_single(
         &mut assignments,
         &mut dist_sq,
         &mut lower,
-        pruned,
         allow_parallel,
     );
     let final_inertia: f64 = dist_sq.iter().sum();
@@ -276,25 +217,69 @@ fn kmeans_single(
     })
 }
 
+/// The update step: every centroid becomes the mean of its points. An empty
+/// cluster is re-seeded from the point farthest from its assigned centroid
+/// (`dist_sq`, the exact distances of the assignment pass), skipping points
+/// already consumed by an earlier empty cluster this iteration; ties break
+/// toward the lowest point index. Deterministic for any seed and thread
+/// count.
+fn update_centroids(
+    points: &Matrix,
+    assignments: &[usize],
+    dist_sq: &[f64],
+    centroids: &mut Matrix,
+) {
+    let (k, d) = centroids.shape();
+    let mut sums = Matrix::zeros(k, d);
+    let mut counts = vec![0usize; k];
+    for (i, &c) in assignments.iter().enumerate() {
+        counts[c] += 1;
+        let row = points.row(i);
+        let srow = sums.row_mut(c);
+        for (s, &x) in srow.iter_mut().zip(row.iter()) {
+            *s += x;
+        }
+    }
+    let mut reseed_used: Vec<usize> = Vec::new();
+    for (c, &count) in counts.iter().enumerate() {
+        if count == 0 {
+            let far = farthest_unused_point(dist_sq, &reseed_used);
+            reseed_used.push(far);
+            centroids.row_mut(c).copy_from_slice(points.row(far));
+        } else {
+            let inv = 1.0 / count as f64;
+            let srow = sums.row(c);
+            let crow = &mut centroids.as_mut_slice()[c * d..(c + 1) * d];
+            for (cv, sv) in crow.iter_mut().zip(srow.iter()) {
+                *cv = sv * inv;
+            }
+        }
+    }
+}
+
+/// Whether the relative inertia improvement fell below `tol`.
+fn inertia_converged(previous: f64, current: f64, tol: f64) -> bool {
+    previous.is_finite() && (previous - current).abs() / previous.max(1e-30) < tol
+}
+
 /// One assignment pass: refreshes `assignments[i]` and the exact squared
 /// distance `dist_sq[i]` for every point, maintaining the pruning bound
-/// `lower[i]` when `pruned` is set. Parallel banding only partitions the
-/// per-point work — every point's result is computed identically — so the
-/// output is independent of the thread count.
+/// `lower[i]`. Parallel banding only partitions the per-point work — every
+/// point's result is computed identically — so the output is independent of
+/// the thread count.
 fn assign_pass(
     points: &Matrix,
     centroids: &Matrix,
     assignments: &mut [usize],
     dist_sq: &mut [f64],
     lower: &mut [f64],
-    pruned: bool,
     allow_parallel: bool,
 ) {
     let n = points.rows();
     let threads = parallel::num_threads();
     let work = n * centroids.rows() * points.cols();
     if !allow_parallel || threads <= 1 || work < PAR_ASSIGN_THRESHOLD {
-        assign_chunk(points, centroids, 0, assignments, dist_sq, lower, pruned);
+        assign_chunk(points, centroids, 0, assignments, dist_sq, lower);
         return;
     }
     let nchunks = threads.min(n);
@@ -315,7 +300,7 @@ fn assign_pass(
             let first = start;
             start += take;
             scope.spawn(move |_| {
-                assign_chunk(points, centroids, first, band_a, band_d, band_l, pruned);
+                assign_chunk(points, centroids, first, band_a, band_d, band_l);
             });
         }
     })
@@ -329,31 +314,24 @@ fn assign_chunk(
     assignments: &mut [usize],
     dist_sq: &mut [f64],
     lower: &mut [f64],
-    pruned: bool,
 ) {
     for (off, slot) in assignments.iter_mut().enumerate() {
         let x = points.row(start + off);
-        if pruned {
-            // Exact distance to the assigned centroid (also feeds the
-            // inertia sum, which must match naive Lloyd's bitwise).
-            let da2 = sq_dist(x, centroids.row(*slot));
-            let u = da2.sqrt();
-            if u < lower[off] {
-                // No other centroid can be closer; on an exact tie the
-                // strict comparison fails and we rescan, so the naive
-                // tie-break (lowest centroid index) is preserved.
-                dist_sq[off] = da2;
-                continue;
-            }
-            let (c, d2, second_d2) = nearest_and_second(x, centroids);
-            *slot = c;
-            dist_sq[off] = d2;
-            lower[off] = second_d2.sqrt();
-        } else {
-            let (c, d2) = nearest_centroid(x, centroids);
-            *slot = c;
-            dist_sq[off] = d2;
+        // Exact distance to the assigned centroid (also feeds the inertia
+        // sum, which must match naive Lloyd's bitwise).
+        let da2 = sq_dist(x, centroids.row(*slot));
+        let u = da2.sqrt();
+        if u < lower[off] {
+            // No other centroid can be closer; on an exact tie the strict
+            // comparison fails and we rescan, so the naive tie-break
+            // (lowest centroid index) is preserved.
+            dist_sq[off] = da2;
+            continue;
         }
+        let (c, d2, second_d2) = nearest_and_second(x, centroids);
+        *slot = c;
+        dist_sq[off] = d2;
+        lower[off] = second_d2.sqrt();
     }
 }
 
@@ -419,21 +397,8 @@ fn kmeanspp_init(points: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
     centroids
 }
 
-fn nearest_centroid(point: &[f64], centroids: &Matrix) -> (usize, f64) {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for c in 0..centroids.rows() {
-        let d = sq_dist(point, centroids.row(c));
-        if d < best_d {
-            best_d = d;
-            best = c;
-        }
-    }
-    (best, best_d)
-}
-
-/// Nearest centroid plus the squared distance to the runner-up, in one scan.
-/// Assignment and tie-breaks are exactly those of [`nearest_centroid`].
+/// Nearest centroid plus the squared distance to the runner-up, in one scan:
+/// the first centroid at the smallest distance, as a textbook scan finds it.
 fn nearest_and_second(point: &[f64], centroids: &Matrix) -> (usize, f64, f64) {
     let mut best = 0;
     let mut best_d = f64::INFINITY;
@@ -457,8 +422,58 @@ fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Textbook Lloyd's — every point scans every centroid — from the same
+    /// k-means++ seeds, update step, stop rule and restarts as [`kmeans`]:
+    /// the oracle the pruned run is held to bit for bit.
+    pub(crate) fn naive_lloyd(points: &Matrix, config: &KMeansConfig) -> KMeansResult {
+        let n = points.rows();
+        let assign = |centroids: &Matrix, assignments: &mut [usize], dist_sq: &mut [f64]| {
+            for (i, (slot, d2)) in assignments.iter_mut().zip(dist_sq.iter_mut()).enumerate() {
+                let mut best = (0, f64::INFINITY);
+                for c in 0..centroids.rows() {
+                    let d = sq_dist(points.row(i), centroids.row(c));
+                    if d < best.1 {
+                        best = (c, d);
+                    }
+                }
+                (*slot, *d2) = best;
+            }
+        };
+        let mut best: Option<KMeansResult> = None;
+        for restart in 0..config.n_init.max(1) {
+            let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(restart as u64));
+            let mut centroids = kmeanspp_init(points, config.k, &mut rng);
+            let mut assignments = vec![0usize; n];
+            let mut dist_sq = vec![0.0f64; n];
+            let mut inertia = f64::INFINITY;
+            let mut iterations = 0;
+            for it in 0..config.max_iters {
+                iterations = it + 1;
+                assign(&centroids, &mut assignments, &mut dist_sq);
+                let new_inertia: f64 = dist_sq.iter().sum();
+                update_centroids(points, &assignments, &dist_sq, &mut centroids);
+                let converged = inertia_converged(inertia, new_inertia, config.tol);
+                inertia = new_inertia;
+                if converged {
+                    break;
+                }
+            }
+            assign(&centroids, &mut assignments, &mut dist_sq);
+            let result = KMeansResult {
+                assignments,
+                centroids,
+                inertia: dist_sq.iter().sum(),
+                iterations,
+            };
+            if best.as_ref().is_none_or(|b| result.inertia < b.inertia) {
+                best = Some(result);
+            }
+        }
+        best.expect("at least one restart ran")
+    }
 
     /// Three well-separated blobs in 2D.
     fn blobs() -> (Matrix, Vec<usize>) {
@@ -613,22 +628,8 @@ mod tests {
                 seed: seed ^ 0x5eed,
                 ..Default::default()
             };
-            let pruned = kmeans(
-                &points,
-                &KMeansConfig {
-                    algorithm: KMeansAlgorithm::BoundsPruned,
-                    ..base.clone()
-                },
-            )
-            .unwrap();
-            let naive = kmeans(
-                &points,
-                &KMeansConfig {
-                    algorithm: KMeansAlgorithm::NaiveLloyd,
-                    ..base
-                },
-            )
-            .unwrap();
+            let pruned = kmeans(&points, &base).unwrap();
+            let naive = naive_lloyd(&points, &base);
             assert_eq!(
                 pruned.assignments, naive.assignments,
                 "assignments diverged at n={n} d={d} k={k}"

@@ -9,15 +9,16 @@
 //! * [`CsrMatrix`] / [`CooMatrix`] — compressed sparse row / coordinate
 //!   matrices for the very sparse tag-assignment data.
 //! * [`qr`] — Householder QR and modified Gram–Schmidt orthonormalization.
-//! * [`eigen`] — dense symmetric eigensolvers: cyclic Jacobi for small
-//!   matrices, and a direct top-`k` solve (Householder tridiagonalisation,
-//!   implicit QL, inverse iteration) for the spectral clustering affinity.
+//! * [`eigen`] — the one dense symmetric eigensolver, a direct top-`k`
+//!   solve (Householder tridiagonalisation, implicit QL, inverse
+//!   iteration): the spectral clustering affinity, the Rayleigh–Ritz
+//!   matrices of subspace iteration and the Theorem-1 `Σ` all go through it.
 //! * [`subspace`] — block subspace iteration for the leading eigenpairs of
 //!   large implicit symmetric operators (the workhorse behind HOSVD/HOOI and
 //!   the LSI baseline's truncated SVD).
-//! * [`svd`] — thin/truncated singular value decompositions built on the
-//!   eigensolvers (used by the LSI baseline and inside Tucker ALS).
-//! * [`mod@kmeans`] — k-means++ / Lloyd clustering.
+//! * [`svd`] — truncated singular value decomposition by subspace iteration
+//!   on a Gram operator (used by the LSI baseline and inside Tucker ALS).
+//! * [`mod@kmeans`] — k-means++ seeding and bounds-pruned Lloyd clustering.
 //! * [`spectral`] — the Ng–Jordan–Weiss spectral clustering algorithm exactly
 //!   as used for concept distillation in §V of the paper.
 //!
@@ -35,7 +36,7 @@ pub mod spectral;
 pub mod subspace;
 pub mod svd;
 
-pub use eigen::{jacobi_eigen, top_eigenpairs, EigenDecomposition};
+pub use eigen::{top_eigenpairs, EigenDecomposition};
 pub use error::LinAlgError;
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
 pub use matrix::Matrix;
@@ -43,7 +44,7 @@ pub use qr::{householder_qr, orthonormalize_columns};
 pub use sparse::{CooMatrix, CsrMatrix};
 pub use spectral::{spectral_clustering, SpectralConfig, SpectralResult};
 pub use subspace::{sym_eigs_topk, GramOp, SymOp};
-pub use svd::{jacobi_svd, truncated_svd, LinOp, Svd};
+pub use svd::{truncated_svd, LinOp, Svd};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, LinAlgError>;

@@ -185,20 +185,23 @@ pub fn spectral_clustering(distances: &Matrix, config: &SpectralConfig) -> Resul
     })
 }
 
-/// Median of the strictly-upper-triangular entries.
+/// Median of the strictly-upper-triangular entries: the element a full
+/// sort would put at index `len / 2`, found by quickselect in `O(n²)`
+/// expected time.
 fn median_offdiag(d: &Matrix) -> f64 {
     let n = d.rows();
     let mut vals: Vec<f64> = Vec::with_capacity(n * (n - 1) / 2);
     for i in 0..n {
-        for j in (i + 1)..n {
-            vals.push(d[(i, j)]);
-        }
+        vals.extend_from_slice(&d.row(i)[i + 1..]);
     }
     if vals.is_empty() {
         return 1.0;
     }
-    vals.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    vals[vals.len() / 2]
+    let mid = vals.len() / 2;
+    let (_, median, _) = vals.select_nth_unstable_by(mid, |a, b| {
+        a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+    });
+    *median
 }
 
 /// Smallest `k` such that the top-`k` eigenvalues cover `fraction` of the
@@ -221,6 +224,7 @@ fn choose_k_by_variance(eigenvalues: &[f64], fraction: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kmeans::tests::naive_lloyd;
 
     /// Distance matrix with two obvious groups: {0,1,2} and {3,4}.
     fn two_group_distances() -> Matrix {
@@ -419,6 +423,93 @@ mod tests {
         for i in 0..result.embedding.rows() {
             let nrm: f64 = result.embedding.row(i).iter().map(|x| x * x).sum();
             assert!((nrm - 1.0).abs() < 1e-9);
+        }
+    }
+
+    /// Uniform draws from `[0, 1)` off a fixed LCG.
+    fn draws(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// Euclidean distances between `n` points in 6 dimensions around
+    /// `groups` centres, spread so the groups overlap: what a purified tag
+    /// distance matrix looks like, and enough for k-means to iterate.
+    fn overlapping_groups(n: usize, groups: usize, seed: u64) -> Matrix {
+        let mut next = draws(seed);
+        let centres = Matrix::from_fn(groups, 6, |_, _| next());
+        let points = Matrix::from_fn(n, 6, |i, j| centres[(i % groups, j)] + 0.6 * next());
+        Matrix::from_fn(n, n, |i, j| {
+            let d2: f64 = points
+                .row(i)
+                .iter()
+                .zip(points.row(j))
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum();
+            d2.sqrt()
+        })
+    }
+
+    #[test]
+    fn median_offdiag_is_the_sorted_median() {
+        for (n, seed) in [(2usize, 1u64), (3, 2), (4, 3), (17, 4), (60, 5)] {
+            // Rounded to two digits, so ties come up.
+            let mut next = draws(seed);
+            let raw = Matrix::from_fn(n, n, |_, _| (next() * 100.0).round() / 100.0);
+            let d = raw.add(&raw.transpose()).unwrap();
+            let mut sorted: Vec<f64> = (0..n).flat_map(|i| d.row(i)[i + 1..].to_vec()).collect();
+            sorted.sort_by(f64::total_cmp);
+            let median = median_offdiag(&d);
+            assert_eq!(
+                median.to_bits(),
+                sorted[sorted.len() / 2].to_bits(),
+                "n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn clusters_equal_naive_lloyd_on_the_embedding() {
+        for (n, groups, k, seed) in [
+            (120usize, 6usize, KSelection::Fixed(6), 41u64),
+            (90, 4, KSelection::Fixed(9), 42),
+            (
+                150,
+                8,
+                KSelection::VarianceCovered {
+                    fraction: 0.95,
+                    max_k: 24,
+                },
+                43,
+            ),
+        ] {
+            let d = overlapping_groups(n, groups, seed);
+            let cfg = SpectralConfig {
+                sigma: None,
+                k,
+                kmeans: KMeansConfig {
+                    seed: seed ^ 0x6b6d,
+                    ..Default::default()
+                },
+            };
+            let result = spectral_clustering(&d, &cfg).unwrap();
+            let naive = naive_lloyd(
+                &result.embedding,
+                &KMeansConfig {
+                    k: result.k,
+                    ..cfg.kmeans.clone()
+                },
+            );
+            assert!(
+                result.k > 1 && naive.iterations > 1,
+                "seed {seed}: nothing to iterate"
+            );
+            assert_eq!(result.assignments, naive.assignments, "seed {seed}");
         }
     }
 }

@@ -1,17 +1,14 @@
-//! Singular value decompositions.
+//! Truncated singular value decomposition.
 //!
-//! Two paths are provided:
-//!
-//! * [`jacobi_svd`] — a one-sided Jacobi SVD for small dense matrices; the
-//!   reference implementation in tests.
-//! * [`truncated_svd`] — top-`k` singular triplets of a large (possibly
-//!   sparse, possibly implicit) operator via subspace iteration on the Gram
-//!   operator. Used by every HOOI factor update of Tucker ALS (on the
-//!   `Iₙ × ∏Jₘ` product matrices) and by the LSI baseline on the
-//!   tag×resource matrix.
+//! [`truncated_svd`] returns the top-`k` singular triplets of a large
+//! (possibly sparse, possibly implicit) operator via subspace iteration on
+//! the smaller Gram operator. Used by every HOOI factor update of Tucker
+//! ALS (on the `Iₙ × ∏Jₘ` product matrices) and by the LSI baseline on the
+//! tag×resource matrix. The tests take the exact singular values from the
+//! dense eigensolver on `AᵀA`.
 
 use crate::error::LinAlgError;
-use crate::matrix::{norm2, Matrix};
+use crate::matrix::Matrix;
 use crate::sparse::CsrMatrix;
 use crate::subspace::{sym_eigs_topk, SubspaceOptions, SymOp};
 use crate::Result;
@@ -111,103 +108,6 @@ impl LinOp for CsrMatrix {
         self.matmul_dense_t_into(y, out)
             .expect("LinOp apply_t: dimension mismatch")
     }
-}
-
-/// One-sided Jacobi SVD of a small dense matrix.
-///
-/// Orthogonalizes the *columns* of a working copy of `A` by Jacobi rotations
-/// on the right; at convergence the column norms are the singular values,
-/// the normalized columns are `U`, and the accumulated rotations are `V`.
-/// For `m < n` the decomposition is computed on `Aᵀ` and swapped back.
-///
-/// Returns the thin SVD with `k = min(m, n)` triplets, descending.
-pub fn jacobi_svd(a: &Matrix) -> Result<Svd> {
-    let (m, n) = a.shape();
-    if m < n {
-        // Work on the transpose and swap U/V afterwards.
-        let svd = jacobi_svd(&a.transpose())?;
-        return Ok(Svd {
-            u: svd.v,
-            singular_values: svd.singular_values,
-            v: svd.u,
-        });
-    }
-    let mut u = a.clone(); // m x n, columns will be orthogonalized
-    let mut v = Matrix::identity(n);
-    let tol = 1e-14;
-    let max_sweeps = 60;
-    for _sweep in 0..max_sweeps {
-        let mut off = 0.0f64;
-        for p in 0..n.saturating_sub(1) {
-            for q in (p + 1)..n {
-                // Compute the 2x2 Gram block for columns p, q.
-                let mut app = 0.0;
-                let mut aqq = 0.0;
-                let mut apq = 0.0;
-                for i in 0..m {
-                    let up = u[(i, p)];
-                    let uq = u[(i, q)];
-                    app += up * up;
-                    aqq += uq * uq;
-                    apq += up * uq;
-                }
-                off = off.max(apq.abs() / (app * aqq).sqrt().max(f64::MIN_POSITIVE));
-                if apq.abs() <= tol * (app * aqq).sqrt() {
-                    continue;
-                }
-                // Jacobi rotation annihilating the off-diagonal Gram entry.
-                let tau = (aqq - app) / (2.0 * apq);
-                let t = if tau >= 0.0 {
-                    1.0 / (tau + (1.0 + tau * tau).sqrt())
-                } else {
-                    1.0 / (tau - (1.0 + tau * tau).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = t * c;
-                for i in 0..m {
-                    let up = u[(i, p)];
-                    let uq = u[(i, q)];
-                    u[(i, p)] = c * up - s * uq;
-                    u[(i, q)] = s * up + c * uq;
-                }
-                for i in 0..n {
-                    let vp = v[(i, p)];
-                    let vq = v[(i, q)];
-                    v[(i, p)] = c * vp - s * vq;
-                    v[(i, q)] = s * vp + c * vq;
-                }
-            }
-        }
-        if off < tol * 10.0 {
-            break;
-        }
-    }
-    // Extract singular values (column norms) and normalize U.
-    let mut triplets: Vec<(f64, usize)> = (0..n)
-        .map(|j| {
-            let col = u.col(j);
-            (norm2(&col), j)
-        })
-        .collect();
-    triplets.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-    let mut u_out = Matrix::zeros(m, n);
-    let mut v_out = Matrix::zeros(n, n);
-    let mut sigma = Vec::with_capacity(n);
-    for (new_j, &(s, old_j)) in triplets.iter().enumerate() {
-        sigma.push(s);
-        let inv = if s > 1e-300 { 1.0 / s } else { 0.0 };
-        for i in 0..m {
-            u_out[(i, new_j)] = u[(i, old_j)] * inv;
-        }
-        for i in 0..n {
-            v_out[(i, new_j)] = v[(i, old_j)];
-        }
-    }
-    Ok(Svd {
-        u: u_out,
-        singular_values: sigma,
-        v: v_out,
-    })
 }
 
 /// Top-`k` singular triplets of a large operator via subspace iteration on
@@ -312,7 +212,7 @@ fn scale_cols_by_inverse(m: &Matrix, sigma: &[f64]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qr::orthonormality_error;
+    use crate::eigen::tests::jacobi_eigen_reference;
     use crate::subspace::GramOp;
 
     fn sample() -> Matrix {
@@ -325,70 +225,27 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn jacobi_svd_reconstructs() {
-        let a = sample();
-        let svd = jacobi_svd(&a).unwrap();
-        let recon = svd.reconstruct().unwrap();
-        assert!(recon.approx_eq(&a, 1e-9));
-    }
-
-    #[test]
-    fn jacobi_svd_factors_are_orthonormal() {
-        let a = sample();
-        let svd = jacobi_svd(&a).unwrap();
-        assert!(orthonormality_error(&svd.u) < 1e-9);
-        assert!(orthonormality_error(&svd.v) < 1e-9);
-    }
-
-    #[test]
-    fn jacobi_svd_values_sorted_and_nonnegative() {
-        let a = sample();
-        let svd = jacobi_svd(&a).unwrap();
-        for w in svd.singular_values.windows(2) {
-            assert!(w[0] >= w[1]);
-        }
-        assert!(svd.singular_values.iter().all(|&s| s >= 0.0));
-    }
-
-    #[test]
-    fn jacobi_svd_wide_matrix() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0, 4.0], vec![0.0, -1.0, 1.0, 2.0]]).unwrap();
-        let svd = jacobi_svd(&a).unwrap();
-        assert_eq!(svd.u.shape(), (2, 2));
-        assert_eq!(svd.v.shape(), (4, 2));
-        assert!(svd.reconstruct().unwrap().approx_eq(&a, 1e-9));
-    }
-
-    #[test]
-    fn jacobi_svd_diag_known_values() {
-        let a = Matrix::from_diag(&[4.0, 2.0, 1.0]);
-        let svd = jacobi_svd(&a).unwrap();
-        assert!((svd.singular_values[0] - 4.0).abs() < 1e-10);
-        assert!((svd.singular_values[1] - 2.0).abs() < 1e-10);
-        assert!((svd.singular_values[2] - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn jacobi_svd_rank_deficient() {
-        // Rank-1 matrix: second singular value must vanish.
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0], vec![3.0, 6.0]]).unwrap();
-        let svd = jacobi_svd(&a).unwrap();
-        assert!(svd.singular_values[1] < 1e-10);
-        assert!(svd.reconstruct().unwrap().approx_eq(&a, 1e-9));
+    /// Every singular value of `a`, descending: square roots of the
+    /// Jacobi oracle's eigenvalues of `AᵀA`.
+    fn jacobi_singular_values(a: &Matrix) -> Vec<f64> {
+        jacobi_eigen_reference(&a.gram(), 1e-15)
+            .values
+            .iter()
+            .map(|l| l.max(0.0).sqrt())
+            .collect()
     }
 
     #[test]
     fn truncated_matches_jacobi_on_dense() {
         let a = sample();
-        let full = jacobi_svd(&a).unwrap();
+        let full = jacobi_singular_values(&a);
         let trunc = truncated_svd(&a, 2, &SubspaceOptions::default()).unwrap();
-        assert!((trunc.singular_values[0] - full.singular_values[0]).abs() < 1e-6);
-        assert!((trunc.singular_values[1] - full.singular_values[1]).abs() < 1e-6);
+        assert!((trunc.singular_values[0] - full[0]).abs() < 1e-6);
+        assert!((trunc.singular_values[1] - full[1]).abs() < 1e-6);
         // Best rank-2 approximation error must equal the discarded σ₃.
         let recon = trunc.reconstruct().unwrap();
         let err = recon.sub(&a).unwrap().frobenius_norm();
-        assert!((err - full.singular_values[2]).abs() < 1e-5);
+        assert!((err - full[2]).abs() < 1e-5);
     }
 
     #[test]
@@ -404,14 +261,10 @@ mod tests {
         let sp = CsrMatrix::from_triples(5, 4, &triples).unwrap();
         let dense = sp.to_dense();
         let s1 = truncated_svd(&sp, 3, &SubspaceOptions::default()).unwrap();
-        let s2 = jacobi_svd(&dense).unwrap();
-        for i in 0..3 {
-            assert!(
-                (s1.singular_values[i] - s2.singular_values[i]).abs() < 1e-6,
-                "σ{i}: {} vs {}",
-                s1.singular_values[i],
-                s2.singular_values[i]
-            );
+        let s2 = jacobi_singular_values(&dense);
+        assert_eq!(s1.singular_values.len(), 3);
+        for (i, (a, b)) in s1.singular_values.iter().zip(&s2).enumerate() {
+            assert!((a - b).abs() < 1e-6, "σ{i}: {a} vs {b}");
         }
     }
 

@@ -14,9 +14,9 @@
 //! smallest Ritz value, at a degree the solver picks each cycle from those
 //! Ritz values. The mode-3 unfolding of a folksonomy (resources ≫ users) has
 //! a flat tail — neighbouring eigenvalues a few percent apart around the
-//! cut — where plain power steps need three times the operator applies and
-//! twice the projections; HOOI's own solves converge in 2–6 projections and
-//! take none of this. Mode 1 is not initialised: the first HOOI update
+//! cut — where projecting after every apply needs twice the operator
+//! applies and ten times the projections; HOOI's own solves converge in 2–6
+//! projections and take none of this. Mode 1 is not initialised: the first HOOI update
 //! computes `Y⁽¹⁾` from the other two before anything reads it.
 //!
 //! Two properties the rest of the pipeline depends on:
@@ -49,11 +49,6 @@ pub struct TuckerConfig {
     pub fit_tol: f64,
     /// Settings for the inner subspace-iteration eigensolver.
     pub subspace: SubspaceOptions,
-    /// Use the fused single-pass Gram apply for the HOSVD initialization
-    /// (default). `false` selects the materialized two-matmul reference
-    /// path; both are bit-identical, the reference exists for equivalence
-    /// tests.
-    pub fused_gram: bool,
 }
 
 impl TuckerConfig {
@@ -87,7 +82,6 @@ impl Default for TuckerConfig {
             max_iters: 12,
             fit_tol: 1e-5,
             subspace: SubspaceOptions::default(),
-            fused_gram: true,
         }
     }
 }
@@ -391,7 +385,7 @@ fn hosvd_factor(
 ) -> Result<Matrix, LinAlgError> {
     let start = Instant::now();
     let unfolding = f.unfold_csr_compact(mode);
-    let op = GramOp::outer(&unfolding).with_fused(config.fused_gram);
+    let op = GramOp::outer(&unfolding);
     let eigs = solve(&op, k, &config.subspace)?;
     trace.init.push(ModeInit {
         mode,
@@ -410,7 +404,8 @@ fn hosvd_factor(
 mod tests {
     use super::*;
     use cubelsi_linalg::qr::orthonormality_error;
-    use cubelsi_linalg::subspace::{sym_eigs_stabilized, sym_eigs_topk};
+    use cubelsi_linalg::subspace::sym_eigs_topk;
+    use cubelsi_linalg::top_eigenpairs;
 
     fn figure2_tensor() -> SparseTensor3 {
         let quads = [
@@ -431,7 +426,6 @@ mod tests {
             max_iters: 30,
             fit_tol: 1e-10,
             subspace: SubspaceOptions::default(),
-            fused_gram: true,
         }
     }
 
@@ -580,12 +574,42 @@ mod tests {
         SparseTensor3::from_entries((30, 25, 1_500), &quads).unwrap()
     }
 
+    #[test]
+    fn hosvd_gram_apply_bit_identical_to_materialized() {
+        // The HOSVD operator on every compacted unfolding, against the two
+        // materialized sparse–dense products it fuses, applied twice so the
+        // reused scratch is exercised.
+        let f = long_tail_tensor();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for mode in 1..=3 {
+            let unfolding = f.unfold_csr_compact(mode);
+            let x = Matrix::from_fn(unfolding.rows(), 14, |_, _| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            });
+            let reference = unfolding
+                .matmul_dense(&unfolding.matmul_dense_t(&x).unwrap())
+                .unwrap();
+            let op = GramOp::outer(&unfolding);
+            for pass in 0..2 {
+                assert!(
+                    op.apply_block(&x).approx_eq(&reference, 0.0),
+                    "mode {mode}, pass {pass}"
+                );
+            }
+        }
+    }
+
     /// Sine of the largest principal angle between the column spaces of two
     /// orthonormal bases: `‖(I − A Aᵀ) B‖₂`.
     fn sin_largest_principal_angle(a: &Matrix, b: &Matrix) -> f64 {
         let proj = a.matmul(&a.matmul_tn(b).unwrap()).unwrap();
         let resid = b.sub(&proj).unwrap();
-        cubelsi_linalg::jacobi_svd(&resid).unwrap().singular_values[0]
+        top_eigenpairs(resid.gram(), 1).unwrap().values[0]
+            .max(0.0)
+            .sqrt()
     }
 
     #[test]
@@ -618,6 +642,9 @@ mod tests {
         // Counts, not times: both repeat exactly for the seeded tensor.
         // 24 pairs reach past the six planted blocks into the noise tail
         // (λ₂₂…λ₂₄ = 701, 676, 625), the spectrum the filter is there for.
+        // Against projecting after every apply the filter takes about half
+        // the applies (31 against 60) and a tenth of the projections (6
+        // against 60).
         let f = long_tail_tensor();
         let unfolding = f.unfold_csr_compact(3);
         let op = GramOp::outer(&unfolding);
@@ -626,17 +653,22 @@ mod tests {
             max_iters: 400,
             ..Default::default()
         };
-        let power = sym_eigs_stabilized(&op, 24, &opts, 8).unwrap();
+        let every_step = sym_eigs_topk(&op, 24, &opts).unwrap();
         let filtered = sym_eigs_filtered(&op, 24, &opts).unwrap();
-        assert!(power.converged && filtered.converged);
+        assert!(every_step.converged && filtered.converged);
         assert!(
-            2 * filtered.iterations <= power.iterations,
-            "{} filtered applies (degrees {:?}) vs {} power applies",
+            20 * filtered.iterations <= 11 * every_step.iterations,
+            "{} filtered applies (degrees {:?}) vs {} unfiltered",
             filtered.iterations,
             filtered.degrees,
-            power.iterations
+            every_step.iterations
         );
-        assert!(filtered.projections < power.projections);
+        assert!(
+            8 * filtered.projections <= every_step.projections,
+            "{} filtered projections vs {}",
+            filtered.projections,
+            every_step.projections
+        );
         assert_eq!(
             filtered.iterations,
             filtered.projections + filtered.degrees.iter().sum::<usize>()

@@ -4,9 +4,7 @@
 
 use cubelsi::linalg::qr::orthonormality_error;
 use cubelsi::linalg::subspace::SubspaceOptions;
-use cubelsi::linalg::{
-    householder_qr, jacobi_eigen, jacobi_svd, top_eigenpairs, truncated_svd, CsrMatrix, Matrix,
-};
+use cubelsi::linalg::{householder_qr, top_eigenpairs, truncated_svd, CsrMatrix, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a dense matrix with entries in [-3, 3].
@@ -81,52 +79,26 @@ proptest! {
     }
 
     #[test]
-    fn jacobi_eigen_reconstructs_symmetric(a in matrix_strategy(4, 4)) {
-        let sym = a.add(&a.transpose()).unwrap().scale(0.5);
-        let e = jacobi_eigen(&sym, 1e-12).unwrap();
+    fn top_eigenpairs_reconstruct_symmetric(a in (1usize..=10).prop_flat_map(sparse_symmetric)) {
+        let n = a.rows();
+        let e = top_eigenpairs(a.clone(), n).unwrap();
         let lambda = Matrix::from_diag(&e.values);
         let recon = e.vectors.matmul(&lambda).unwrap().matmul(&e.vectors.transpose()).unwrap();
-        prop_assert!(recon.approx_eq(&sym, 1e-7));
-    }
-
-    #[test]
-    fn top_eigenpairs_agree_with_jacobi(
-        (a, k) in (1usize..=10).prop_flat_map(|n| (sparse_symmetric(n), 1usize..=n))
-    ) {
-        let full = jacobi_eigen(&a, 1e-15).unwrap();
-        let top = top_eigenpairs(a.clone(), k).unwrap();
-        let scale = a.frobenius_norm().max(1.0);
-        prop_assert!(orthonormality_error(&top.vectors) <= 1e-12);
-        for j in 0..k {
-            let lambda = top.values[j];
-            prop_assert!((lambda - full.values[j]).abs() <= 1e-12 * scale);
-            let v = top.vectors.col(j);
-            let av = a.matvec(&v).unwrap();
-            let residual: f64 = av.iter().zip(&v).map(|(x, y)| (x - lambda * y).powi(2)).sum();
-            prop_assert!(residual.sqrt() <= 1e-12 * scale, "pair {j}: residual {}", residual.sqrt());
-        }
-    }
-
-    #[test]
-    fn jacobi_svd_reconstructs_and_orders(a in sized_matrix()) {
-        let svd = jacobi_svd(&a).unwrap();
-        prop_assert!(svd.reconstruct().unwrap().approx_eq(&a, 1e-7));
-        for w in svd.singular_values.windows(2) {
-            prop_assert!(w[0] >= w[1] - 1e-12);
-        }
-        for &s in &svd.singular_values {
-            prop_assert!(s >= 0.0);
+        prop_assert!(recon.approx_eq(&a, 1e-9 * a.frobenius_norm().max(1.0)));
+        for w in e.values.windows(2) {
+            prop_assert!(w[0] >= w[1]);
         }
     }
 
     #[test]
     fn truncated_svd_error_bounded_by_discarded_sigma(a in matrix_strategy(5, 4)) {
-        let full = jacobi_svd(&a).unwrap();
+        // Every σ², descending: the eigenvalues of AᵀA.
+        let sigma_sq = top_eigenpairs(a.gram(), a.cols()).unwrap().values;
         let k = 2;
         let trunc = truncated_svd(&a, k, &SubspaceOptions::default()).unwrap();
         let err = trunc.reconstruct().unwrap().sub(&a).unwrap().frobenius_norm();
         // ‖A − A_k‖_F = √(σ_{k+1}² + …) for the optimal rank-k approx.
-        let optimal: f64 = full.singular_values.iter().skip(k).map(|s| s * s).sum::<f64>().sqrt();
+        let optimal: f64 = sigma_sq.iter().skip(k).map(|s| s.max(0.0)).sum::<f64>().sqrt();
         prop_assert!(err <= optimal + 1e-5, "err {err} vs optimal {optimal}");
     }
 

@@ -46,7 +46,6 @@ fn converged_config(dims: (usize, usize, usize), trim: bool) -> TuckerConfig {
         max_iters: 60,
         fit_tol: 1e-13,
         subspace: SubspaceOptions::default(),
-        fused_gram: true,
     }
 }
 
