@@ -62,7 +62,7 @@ fn print_experiment(name: &str, contexts: &[ExperimentContext], opts: RunOptions
             table5(contexts, opts.seed, Duration::from_secs(60)).to_text()
         ),
         "table6" => println!("{}", table6(contexts, opts.seed).to_text()),
-        "table7" => println!("{}", table7(contexts).to_text()),
+        "table7" => println!("{}", table7(contexts, opts.seed).to_text()),
         "figure4" => {
             for ctx in contexts {
                 println!("{}", figure4_panel(ctx, opts.seed).to_text());

@@ -591,8 +591,11 @@ pub fn table6(contexts: &[ExperimentContext], seed: u64) -> Table {
 // ---------------------------------------------------------------------
 
 /// Reproduces Table VII at the paper's published dimensions *and* at the
-/// current run's scale.
-pub fn table7(contexts: &[ExperimentContext]) -> Table {
+/// current run's scale. The this-run rows also build CubeLSI with the
+/// configuration the other experiments use and report what its artifact
+/// writes for the model (`CubeLsi::compressed_bytes`), next to the
+/// arithmetic at the same reduction ratios.
+pub fn table7(contexts: &[ExperimentContext], seed: u64) -> Table {
     let mut table = Table::new(
         "Table VII — memory: dense F̂ vs Σ+Y⁽²⁾ (c = 50 at paper scale)",
         &[
@@ -600,6 +603,7 @@ pub fn table7(contexts: &[ExperimentContext]) -> Table {
             "dims (U×T×R)",
             "dense F̂",
             "Σ + Y⁽²⁾",
+            "written",
             "full S+Y(1..3)",
         ],
     );
@@ -616,6 +620,7 @@ pub fn table7(contexts: &[ExperimentContext]) -> Table {
             format!("{}x{}x{}", dims.0, dims.1, dims.2),
             format_bytes(m.dense_purified_bytes()),
             format_bytes(m.sigma_y2_bytes()),
+            "—".to_string(),
             format_bytes(m.full_decomposition_bytes()),
         ]);
     }
@@ -623,17 +628,15 @@ pub fn table7(contexts: &[ExperimentContext]) -> Table {
     for ctx in contexts {
         let f = &ctx.dataset.folksonomy;
         let dims = (f.num_users(), f.num_tags(), f.num_resources());
-        let c = (
-            effective_ratio(dims.0, 50.0, 8),
-            effective_ratio(dims.1, 50.0, 8),
-            effective_ratio(dims.2, 50.0, 8),
-        );
-        let m = MemoryAccounting::from_ratios(dims, c);
+        let config = cubelsi_config(dims, ctx.dataset.truth.concept_words.len(), seed);
+        let engine = CubeLsi::build(f, &config).expect("CubeLSI build");
+        let m = MemoryAccounting::from_ratios(dims, config.reduction_ratios);
         table.row(&[
             format!("{} (this run)", ctx.name),
             format!("{}x{}x{}", dims.0, dims.1, dims.2),
             format_bytes(m.dense_purified_bytes()),
             format_bytes(m.sigma_y2_bytes()),
+            format_bytes(engine.compressed_bytes() as u128),
             format_bytes(m.full_decomposition_bytes()),
         ]);
     }

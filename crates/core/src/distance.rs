@@ -93,44 +93,175 @@ impl TagDistances {
     }
 }
 
-/// Embeds tags as rows of `Z = Y⁽²⁾ C` where `Σ = C Cᵀ`, so that
-/// `D̂ᵢⱼ = ‖Zᵢ − Zⱼ‖₂`.
-///
-/// * [`SigmaSource::Lambda2`] — `C = diag(Λ₂)`: `Z` is `Y⁽²⁾` with columns
-///   scaled by the mode-2 singular values (Theorem 2).
-/// * [`SigmaSource::CoreGram`] — `Σ = S₍₂₎S₍₂₎ᵀ` is eigen-factored
-///   (`J₂ × J₂`, small) into `C = V·√Λ` (Theorem 1).
+/// What the purified distances need of a Tucker decomposition (Theorems
+/// 1–2): the tag factor `Y⁽²⁾` (`T × J₂`), the mode-2 singular values
+/// `Λ₂`, and — under [`SigmaSource::CoreGram`] only — `Σ = S₍₂₎S₍₂₎ᵀ`
+/// (`J₂ × J₂`), plus the fit and sweep count of the run it came from.
+/// `O(T·J₂)` values: the core and the user and resource factors are not
+/// kept. This is Table VII's model, and what an artifact stores of the
+/// decomposition.
+#[derive(Debug, Clone)]
+pub struct TagModel {
+    y2: Matrix,
+    lambda2: Vec<f64>,
+    core_gram: Option<CoreGram>,
+    fit: f64,
+    sweeps: usize,
+}
+
+/// `Σ` as stored, with the factor `C = V·√Λ` (`Σ = C Cᵀ`) the embedding
+/// multiplies by, computed once when the model is assembled.
+#[derive(Debug, Clone)]
+struct CoreGram {
+    sigma: Matrix,
+    factor: Matrix,
+}
+
+impl TagModel {
+    /// Cuts the model out of a decomposition; `Σ` is formed from the core
+    /// only under [`SigmaSource::CoreGram`].
+    pub(crate) fn from_decomposition(
+        decomp: &TuckerDecomposition,
+        source: SigmaSource,
+    ) -> Result<Self, LinAlgError> {
+        let sigma = match source {
+            SigmaSource::Lambda2 => None,
+            SigmaSource::CoreGram => Some(decomp.sigma_from_core()?),
+        };
+        Self::from_parts(
+            decomp.factors[1].clone(),
+            decomp.lambda2.clone(),
+            sigma,
+            decomp.fit,
+            decomp.iterations,
+        )
+    }
+
+    /// Assembles a model from its stored parts: `Σ` present means
+    /// [`SigmaSource::CoreGram`]. Fails when `Λ₂` or `Σ` does not match
+    /// `Y⁽²⁾`'s `J₂` columns, or when `Σ` cannot be eigen-factored.
+    pub(crate) fn from_parts(
+        y2: Matrix,
+        lambda2: Vec<f64>,
+        sigma: Option<Matrix>,
+        fit: f64,
+        sweeps: usize,
+    ) -> Result<Self, LinAlgError> {
+        let j2 = y2.cols();
+        if lambda2.len() != j2 {
+            return Err(LinAlgError::InvalidArgument(format!(
+                "{} singular values for J2 = {j2}",
+                lambda2.len()
+            )));
+        }
+        let core_gram = match sigma {
+            None => None,
+            Some(sigma) if sigma.shape() == (j2, j2) => {
+                let eig = top_eigenpairs(sigma.clone(), j2)?;
+                // C = V √Λ (clamping tiny negative round-off eigenvalues).
+                let mut factor = eig.vectors;
+                for j in 0..factor.cols() {
+                    let s = eig.values[j].max(0.0).sqrt();
+                    for i in 0..factor.rows() {
+                        factor[(i, j)] *= s;
+                    }
+                }
+                Some(CoreGram { sigma, factor })
+            }
+            Some(sigma) => {
+                return Err(LinAlgError::InvalidArgument(format!(
+                    "Sigma is {}x{} for J2 = {j2}",
+                    sigma.rows(),
+                    sigma.cols()
+                )))
+            }
+        };
+        Ok(TagModel {
+            y2,
+            lambda2,
+            core_gram,
+            fit,
+            sweeps,
+        })
+    }
+
+    /// Number of tags `T` (rows of `Y⁽²⁾`).
+    pub fn num_tags(&self) -> usize {
+        self.y2.rows()
+    }
+
+    /// The tag factor `Y⁽²⁾`, `T × J₂`.
+    pub fn y2(&self) -> &Matrix {
+        &self.y2
+    }
+
+    /// The mode-2 singular values `Λ₂`, length `J₂`.
+    pub fn lambda2(&self) -> &[f64] {
+        &self.lambda2
+    }
+
+    /// `Σ = S₍₂₎S₍₂₎ᵀ` under [`SigmaSource::CoreGram`], `None` under
+    /// [`SigmaSource::Lambda2`].
+    pub fn sigma(&self) -> Option<&Matrix> {
+        self.core_gram.as_ref().map(|c| &c.sigma)
+    }
+
+    /// Which `Σ` the distances use.
+    pub fn sigma_source(&self) -> SigmaSource {
+        match self.core_gram {
+            Some(_) => SigmaSource::CoreGram,
+            None => SigmaSource::Lambda2,
+        }
+    }
+
+    /// Fit `1 − ‖F − F̂‖ / ‖F‖` of the decomposition.
+    pub fn fit(&self) -> f64 {
+        self.fit
+    }
+
+    /// HOOI sweeps the decomposition ran.
+    pub fn sweeps(&self) -> usize {
+        self.sweeps
+    }
+
+    /// Embeds tags as rows of `Z = Y⁽²⁾ C` where `Σ = C Cᵀ`, so that
+    /// `D̂ᵢⱼ = ‖Zᵢ − Zⱼ‖₂`.
+    ///
+    /// * [`SigmaSource::Lambda2`] — `C = diag(Λ₂)`: `Z` is `Y⁽²⁾` with
+    ///   columns scaled by the mode-2 singular values (Theorem 2).
+    /// * [`SigmaSource::CoreGram`] — `Σ` is eigen-factored (`J₂ × J₂`,
+    ///   small) into `C = V·√Λ` (Theorem 1).
+    pub fn embedding(&self) -> Matrix {
+        match &self.core_gram {
+            None => {
+                let mut z = self.y2.clone();
+                for i in 0..z.rows() {
+                    let row = z.row_mut(i);
+                    for (x, &l) in row.iter_mut().zip(self.lambda2.iter()) {
+                        *x *= l;
+                    }
+                }
+                z
+            }
+            Some(c) => self
+                .y2
+                .matmul(&c.factor)
+                .expect("C is J2 x J2 by construction"),
+        }
+    }
+
+    /// All purified tag distances, `‖Zᵢ − Zⱼ‖` over [`Self::embedding`].
+    pub fn distances(&self) -> TagDistances {
+        pairwise_distances_from_embedding(&self.embedding())
+    }
+}
+
+/// [`TagModel::embedding`] of the model cut from `decomp`.
 pub fn tag_embedding(
     decomp: &TuckerDecomposition,
     source: SigmaSource,
 ) -> Result<Matrix, LinAlgError> {
-    let y2 = &decomp.factors[1];
-    match source {
-        SigmaSource::Lambda2 => {
-            let mut z = y2.clone();
-            for i in 0..z.rows() {
-                let row = z.row_mut(i);
-                for (x, &l) in row.iter_mut().zip(decomp.lambda2.iter()) {
-                    *x *= l;
-                }
-            }
-            Ok(z)
-        }
-        SigmaSource::CoreGram => {
-            let sigma = decomp.sigma_from_core()?;
-            let j2 = sigma.rows();
-            let eig = top_eigenpairs(sigma, j2)?;
-            // C = V √Λ (clamping tiny negative round-off eigenvalues).
-            let mut c = eig.vectors;
-            for j in 0..c.cols() {
-                let s = eig.values[j].max(0.0).sqrt();
-                for i in 0..c.rows() {
-                    c[(i, j)] *= s;
-                }
-            }
-            y2.matmul(&c)
-        }
-    }
+    Ok(TagModel::from_decomposition(decomp, source)?.embedding())
 }
 
 /// All-pairs Euclidean distances between the rows of `z`, parallelized over

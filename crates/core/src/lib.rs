@@ -53,7 +53,7 @@ pub mod tensor_build;
 pub use concepts::{ConceptModel, TagClusterSummary};
 pub use config::{CubeLsiConfig, SigmaSource};
 pub use distance::{
-    brute_force_distances, pairwise_distances_from_embedding, tag_embedding, TagDistances,
+    brute_force_distances, pairwise_distances_from_embedding, tag_embedding, TagDistances, TagModel,
 };
 pub use exec::ExecutorStats;
 pub use index::{
@@ -61,7 +61,7 @@ pub use index::{
     BLOCK_LEN,
 };
 pub use persist::{Artifact, PersistError};
-pub use pipeline::{CubeLsi, PhaseTimings};
+pub use pipeline::{BuildTrace, CubeLsi, HosvdCounts, PhaseTimings};
 pub use query::{PruningStrategy, QueryEngine, QuerySession};
 pub use shard::{
     ShardEntry, ShardGeneration, ShardManifest, ShardSet, ShardedEngine, ShardedSession, SourceKind,

@@ -8,9 +8,10 @@
 //! *once*, persists it, and serves queries from the loaded artifact. This
 //! module provides that artifact: a single self-contained binary file
 //! holding the cleaned [`Folksonomy`] (interned name tables + assignment
-//! set), the [`TuckerDecomposition`], the purified [`TagDistances`], the
-//! distilled [`ConceptModel`], the block-structured SoA [`ConceptIndex`],
-//! and the offline [`PhaseTimings`].
+//! set), the [`TagModel`] the purified distances derive from (Table VII's
+//! `Y⁽²⁾` and `Σ`), the distilled [`ConceptModel`], the block-structured
+//! SoA [`ConceptIndex`], and the offline [`PhaseTimings`] and
+//! [`BuildTrace`].
 //!
 //! # Format (`.cubelsi`)
 //!
@@ -18,7 +19,7 @@
 //!
 //! ```text
 //! header   8 B  magic             = "CUBELSI\0"
-//!          4 B  format version    (u32, currently 3)
+//!          4 B  format version    (u32, 4 — the only version read)
 //!          4 B  section count     (u32)
 //! table    per section, 24 B:
 //!          4 B  section id        (u32, see SECTION_* constants)
@@ -35,7 +36,48 @@
 //! strings are `u32` byte length + UTF-8 bytes, and sequences are a `u64`
 //! count followed by the elements.
 //!
-//! ## The SoA index section (format v2)
+//! ## The meta section
+//!
+//! ```text
+//! u64 × 4  num_users, num_tags, num_resources, num_assignments
+//! u64 × 5  phase durations in ns: tensor build, Tucker, distances,
+//!          clustering, indexing
+//! u64      HOOI sweeps
+//! u64      HOSVD-initialised modes (at most 3), then for each:
+//!          u64 mode, u64 operator applies, u64 projections,
+//!          u64 converged (0 or 1)
+//! ```
+//!
+//! ## The model section
+//!
+//! Section [`SECTION_MODEL`] stores the [`TagModel`] — what Theorems 1–2
+//! need to reproduce every purified tag distance, and nothing else (no
+//! core tensor, no user or resource factor, no T×T matrix):
+//!
+//! ```text
+//! u64      Σ source: 1 = Lambda2, 2 = CoreGram
+//! f64      fit
+//! u64      HOOI sweeps
+//! u64 × 2  rows (= num_tags), J₂; then f64 × rows·J₂   Y⁽²⁾, row-major
+//! u64      length (= J₂); then f64 × J₂                Λ₂
+//! u64 × 2  rows, cols (J₂, J₂ under CoreGram, 0, 0 under Lambda2);
+//!          then f64 × rows·cols                        Σ, row-major
+//! ```
+//!
+//! The distances are not stored: a full load derives them from this
+//! section, on the first `CubeLsi::distances` call, through the
+//! arithmetic the build used, so they equal the built engine's bit for
+//! bit. The decoder checks every shape against meta's `num_tags` before
+//! it allocates, and every value for finiteness.
+//!
+//! Versions 2 and 3 stored the whole decomposition (core and all three
+//! factors) and the T×T distances in two sections instead. On the
+//! benchmark's artifacts the change took `build_tucker_bound`'s file from
+//! 5 261 848 to 1 453 056 bytes (its model section is 15 232),
+//! `build_cluster_bound`'s from 1 893 288 to 203 784, and the served
+//! 4-shard manifest from 4 311 260 to 2 220 764.
+//!
+//! ## The SoA index section
 //!
 //! Section [`SECTION_INDEX_SOA`] stores the [`ConceptIndex`] as the exact
 //! flat arrays the query engine scans, so loading is array-granular (a
@@ -71,12 +113,12 @@
 //! loader still insists on that ([`PersistError::MisalignedSection`]),
 //! which keeps the arrays viewable in place by any reader of the format.
 //!
-//! ## The compressed index section (format v3)
+//! ## The compressed index section
 //!
-//! [`save_to_vec_with`] with `compress = true` stamps format version 3
-//! and appends [`SECTION_INDEX_COMPRESSED`]: the bit-packed /
-//! 8-bit-quantized mirror of the posting arrays that the
-//! `CompressedBlockMax` strategy streams (see `crate::index`). Layout:
+//! [`save_to_vec_with`] with `compress = true` appends
+//! [`SECTION_INDEX_COMPRESSED`]: the bit-packed / 8-bit-quantized mirror
+//! of the posting arrays that the `CompressedBlockMax` strategy streams
+//! (see `crate::index`). Layout:
 //!
 //! ```text
 //! u64 × 4  n_blocks, n_postings, packed_len (incl. 8 guard bytes),
@@ -95,9 +137,8 @@
 //! is always present, and the loader proves the mirror honest against it
 //! — decoded ids must equal `post_ids` bitwise and every dequantized
 //! impact must upper-bound its exact impact — before the index may
-//! serve. Without the section (or the flag) the writer emits bytes
-//! identical to format v2, and loaders of either version rederive the
-//! mirror from the exact arrays.
+//! serve. Without the section the loader rederives the mirror from the
+//! exact arrays.
 //!
 //! ## What a load reads
 //!
@@ -111,30 +152,28 @@
 //! |---|---|---|---|---|
 //! | 1 meta | yes | CRC + decode | CRC + decode | CRC + decode (counts must equal shard 0's) |
 //! | 2 folksonomy | yes | CRC + decode | CRC + decode | bytes compared with shard 0's |
-//! | 3 Tucker | yes | CRC + decode | — | — |
-//! | 4 distances | yes | CRC + decode | — | — |
+//! | 9 model | yes | CRC + decode | — | — |
 //! | 5 concepts | yes | CRC + decode | CRC + decode | bytes compared with shard 0's |
 //! | 7 SoA index | yes | CRC + decode + validate | CRC + decode + validate | CRC + decode + validate |
 //! | 8 compressed mirror | with `--compress` | CRC + decode + prove | CRC + decode + prove | CRC + decode + prove |
 //!
 //! The *full load* is [`load_from_bytes`] / [`load_from_path`]: what a
-//! tool that inspects or re-saves a model wants. The *serving load* is
-//! what `crate::shard::load_source` — the one function behind `query`,
-//! `serve` start-up and `RELOAD` — runs: no query touches the Tucker
-//! factors or the T×T distance matrix, which are most of the file after
-//! the folksonomy, so it neither looks them up nor requires them. The
-//! consequences are decided, and pinned by `tests/persist_roundtrip.rs`:
-//! a damaged byte inside the Tucker or distances payload of a single
-//! artifact does not fail the serving load (it fails the full load; under
-//! a manifest the per-file CRC catches it first), and an artifact without
-//! those two sections serves. Under a manifest the shards' shared
-//! sections are decoded once, from shard 0, and the other shards' copies
-//! must equal them byte for byte.
+//! tool that inspects or re-saves a model wants; it re-saves to the bytes
+//! it read. The *serving load* is what `crate::shard::load_source` — the
+//! one function behind `query`, `serve` start-up and `RELOAD` — runs: no
+//! query touches the model section, so it neither looks it up nor
+//! requires it. The consequences are decided, and pinned by
+//! `tests/persist_roundtrip.rs`: a damaged byte inside the model payload
+//! of a single artifact does not fail the serving load (it fails the full
+//! load; under a manifest the per-file CRC catches it first), and an
+//! artifact without the section serves. Under a manifest the shards'
+//! shared sections are decoded once, from shard 0, and the other shards'
+//! copies must equal them byte for byte.
 //!
-//! Only versions 2 and 3 are read: anything else — a future version, a
-//! zero-stamped header, or a format-v1 file (per-posting pair encoding,
-//! never written outside tests) — is rejected with
-//! [`PersistError::UnsupportedVersion`].
+//! Only version 4 is read: anything else — an earlier version (whose
+//! sections 3 and 4 held the whole Tucker decomposition and the T×T
+//! distance matrix), a future one, or a zero-stamped header — is rejected
+//! with [`PersistError::UnsupportedVersion`].
 //!
 //! # Guarantees
 //!
@@ -155,23 +194,20 @@ use std::time::Duration;
 
 use cubelsi_folksonomy::{Folksonomy, Interner, ResourceId, TagAssignment, TagId, UserId};
 use cubelsi_linalg::Matrix;
-use cubelsi_tensor::{DenseTensor3, TuckerDecomposition};
 
 use crate::concepts::ConceptModel;
-use crate::distance::TagDistances;
+use crate::distance::TagModel;
 use crate::index::{CompressedPostings, ConceptIndex, IndexArrays, IndexDefect, BLOCK_LEN};
-use crate::pipeline::{CubeLsi, PhaseTimings};
+use crate::pipeline::{BuildTrace, CubeLsi, HosvdCounts, PhaseTimings};
+use crate::query::QueryEngine;
 
 /// File magic: identifies a CubeLSI artifact regardless of extension.
 pub const MAGIC: [u8; 8] = *b"CUBELSI\0";
 
-/// Current artifact format version. Bump on any layout change; readers
-/// accept [`MIN_FORMAT_VERSION`]`..=FORMAT_VERSION` and reject everything
-/// else with [`PersistError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 3;
-
-/// Oldest format version still read (the SoA index section).
-const MIN_FORMAT_VERSION: u32 = 2;
+/// The artifact format version: the one every save stamps and the only
+/// one a load accepts (anything else is
+/// [`PersistError::UnsupportedVersion`]). Bump on any layout change.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Byte length of the fixed file header (magic + version + count).
 pub const HEADER_LEN: usize = 16;
@@ -181,14 +217,22 @@ pub const TABLE_ENTRY_LEN: usize = 24;
 
 const SECTION_META: u32 = 1;
 const SECTION_FOLKSONOMY: u32 = 2;
-const SECTION_TUCKER: u32 = 3;
-const SECTION_DISTANCES: u32 = 4;
 const SECTION_CONCEPTS: u32 = 5;
-/// The SoA index section written by format v2.
+/// The SoA index section.
 pub const SECTION_INDEX_SOA: u32 = 7;
-/// The compressed posting mirror written by format v3 when compression
-/// is requested (optional; always accompanied by [`SECTION_INDEX_SOA`]).
+/// The compressed posting mirror, written when compression is requested
+/// (optional; always accompanied by [`SECTION_INDEX_SOA`]).
 pub const SECTION_INDEX_COMPRESSED: u32 = 8;
+/// The [`TagModel`]: `Y⁽²⁾`, `Λ₂`, and `Σ` under `CoreGram`.
+pub const SECTION_MODEL: u32 = 9;
+
+/// The model section's Σ-source tags.
+const SIGMA_LAMBDA2: u64 = 1;
+const SIGMA_CORE_GRAM: u64 = 2;
+
+/// At most modes 2 and 3 are HOSVD-initialised; a meta section claiming
+/// more is malformed.
+const MAX_HOSVD_MODES: usize = 3;
 
 /// Number of `u64` fields in the SoA index section header.
 const SOA_HEADER_FIELDS: usize = 6;
@@ -205,12 +249,11 @@ pub enum PersistError {
     Io(std::io::Error),
     /// The file does not start with the CubeLSI magic bytes.
     BadMagic,
-    /// The file's format version is outside the range this reader
-    /// understands (newer, or older than the oldest still read).
+    /// The file's format version is not the one this reader understands.
     UnsupportedVersion {
         /// Version found in the file.
         found: u32,
-        /// Newest version this build can read.
+        /// The version this build reads.
         supported: u32,
     },
     /// The file ends before the advertised data (header, table, or a
@@ -267,8 +310,8 @@ impl std::fmt::Display for PersistError {
             }
             PersistError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "artifact format version {found} is not supported (this build reads versions \
-                 {MIN_FORMAT_VERSION} to {supported})"
+                "artifact format version {found} is not supported (this build reads version \
+                 {supported} only)"
             ),
             PersistError::Truncated { context } => {
                 write!(f, "artifact truncated while reading {context}")
@@ -567,30 +610,40 @@ impl<'a> Decoder<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| self.err("non-UTF-8 string"))
     }
 
-    fn f64_vec(&mut self) -> Result<Vec<f64>, PersistError> {
-        let n = self.len_prefix(8)?;
+    fn finite_f64(&mut self, what: &str) -> Result<f64, PersistError> {
+        let x = self.f64()?;
+        if !x.is_finite() {
+            return Err(self.err(format!("non-finite {what} {x}")));
+        }
+        Ok(x)
+    }
+
+    /// `n` finite doubles, allocated only once they fit in the payload.
+    fn finite_f64s(&mut self, n: usize, what: &str) -> Result<Vec<f64>, PersistError> {
+        let remaining = self.buf.len() - self.pos;
+        if n.checked_mul(8).is_none_or(|need| need > remaining) {
+            return Err(self.err(format!(
+                "{n} values of {what} exceed the {remaining} B remaining"
+            )));
+        }
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            out.push(self.f64()?);
+            out.push(self.finite_f64(what)?);
         }
         Ok(out)
     }
 
-    fn matrix(&mut self) -> Result<Matrix, PersistError> {
-        let rows = self.usize()?;
-        let cols = self.usize()?;
+    /// A `rows × cols` row-major matrix of finite doubles.
+    fn finite_matrix(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        what: &str,
+    ) -> Result<Matrix, PersistError> {
         let n = rows
             .checked_mul(cols)
-            .ok_or_else(|| self.err("matrix dimensions overflow"))?;
-        if n.checked_mul(8)
-            .is_none_or(|need| need > self.buf.len() - self.pos)
-        {
-            return Err(self.err(format!("{rows}x{cols} matrix exceeds payload")));
-        }
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(self.f64()?);
-        }
+            .ok_or_else(|| self.err(format!("{rows}x{cols} {what} overflows")))?;
+        let data = self.finite_f64s(n, what)?;
         Matrix::from_vec(rows, cols, data).map_err(|e| self.err(e.to_string()))
     }
 
@@ -613,17 +666,14 @@ impl<'a> Decoder<'a> {
 // ---------------------------------------------------------------------------
 
 /// Serializes a built engine and its corpus to the `.cubelsi` byte
-/// format, without the compressed posting section (format v2 output,
-/// byte-identical to what previous releases wrote).
+/// format, without the compressed posting section.
 pub fn save_to_vec(model: &CubeLsi, folksonomy: &Folksonomy) -> Vec<u8> {
     save_to_vec_with(model, folksonomy, false)
 }
 
 /// Serializes a built engine, optionally appending the compressed
-/// posting mirror ([`SECTION_INDEX_COMPRESSED`]). With `compress` the
-/// file is stamped format version 3; without it the output stays
-/// byte-identical to format v2, so artifacts written by the default path
-/// remain readable by older deployments.
+/// posting mirror ([`SECTION_INDEX_COMPRESSED`]). Either way the file is
+/// stamped [`FORMAT_VERSION`].
 pub fn save_to_vec_with(model: &CubeLsi, folksonomy: &Folksonomy, compress: bool) -> Vec<u8> {
     ModelSections::encode(model, folksonomy).with_index(model.index(), compress)
 }
@@ -643,8 +693,7 @@ impl EncodedSection {
 }
 
 /// The sections of an artifact that do not depend on the index — meta,
-/// folksonomy, Tucker, distances, concepts — encoded and checksummed
-/// once. A sharded save writes them into every shard file, next to that
+/// folksonomy, model, concepts — encoded and checksummed once. A sharded save writes them into every shard file, next to that
 /// shard's own index sections.
 pub(crate) struct ModelSections(Vec<EncodedSection>);
 
@@ -653,8 +702,7 @@ impl ModelSections {
         ModelSections(vec![
             EncodedSection::new(SECTION_META, encode_meta(model, folksonomy)),
             EncodedSection::new(SECTION_FOLKSONOMY, encode_folksonomy(folksonomy)),
-            EncodedSection::new(SECTION_TUCKER, encode_tucker(model.decomposition())),
-            EncodedSection::new(SECTION_DISTANCES, encode_distances(model.distances())),
+            EncodedSection::new(SECTION_MODEL, encode_model(model.tag_model())),
             EncodedSection::new(SECTION_CONCEPTS, encode_concepts(model.concepts())),
         ])
     }
@@ -666,24 +714,21 @@ impl ModelSections {
             SECTION_INDEX_SOA,
             encode_index_soa(index),
         )];
-        let version = if compress {
+        if compress {
             own.push(EncodedSection::new(
                 SECTION_INDEX_COMPRESSED,
                 encode_index_compressed(index),
             ));
-            FORMAT_VERSION
-        } else {
-            2
-        };
+        }
         let sections: Vec<&EncodedSection> = self.0.iter().chain(&own).collect();
-        assemble_file(version, &sections)
+        assemble_file(&sections)
     }
 }
 
 /// Lays out header + table + payloads, starting every payload at an
 /// 8-byte-aligned file offset (zero padding in between), so the index
 /// arrays are aligned in the file as they are in memory.
-fn assemble_file(version: u32, sections: &[&EncodedSection]) -> Vec<u8> {
+fn assemble_file(sections: &[&EncodedSection]) -> Vec<u8> {
     let table_len = sections.len() * TABLE_ENTRY_LEN;
     let payload_base = HEADER_LEN + table_len;
     // HEADER_LEN = 16 and TABLE_ENTRY_LEN = 24, so payload_base is always
@@ -699,7 +744,7 @@ fn assemble_file(version: u32, sections: &[&EncodedSection]) -> Vec<u8> {
 
     let mut out = Vec::with_capacity(total);
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     let mut offset = payload_base as u64;
     for s in sections {
@@ -778,6 +823,15 @@ fn encode_meta(model: &CubeLsi, folksonomy: &Folksonomy) -> Vec<u8> {
     ] {
         e.put_u64(d.as_nanos().min(u64::MAX as u128) as u64);
     }
+    let trace = model.trace();
+    e.put_usize(trace.sweeps);
+    e.put_usize(trace.hosvd.len());
+    for m in &trace.hosvd {
+        e.put_usize(m.mode);
+        e.put_usize(m.applies);
+        e.put_usize(m.projections);
+        e.put_u64(m.converged as u64);
+    }
     e.buf
 }
 
@@ -804,29 +858,23 @@ fn encode_folksonomy(f: &Folksonomy) -> Vec<u8> {
     e.buf
 }
 
-fn encode_tucker(d: &TuckerDecomposition) -> Vec<u8> {
+fn encode_model(m: &TagModel) -> Vec<u8> {
     let mut e = Encoder::default();
-    let (j1, j2, j3) = d.core.dims();
-    e.put_usize(j1);
-    e.put_usize(j2);
-    e.put_usize(j3);
-    for &x in d.core.as_slice() {
-        e.put_f64(x);
-    }
-    for factor in &d.factors {
-        e.put_matrix(factor);
-    }
-    e.put_f64_slice(&d.lambda2);
-    e.put_f64(d.fit);
-    e.put_usize(d.iterations);
-    e.put_f64_slice(&d.fit_history);
+    e.put_u64(match m.sigma() {
+        None => SIGMA_LAMBDA2,
+        Some(_) => SIGMA_CORE_GRAM,
+    });
+    e.put_f64(m.fit());
+    e.put_usize(m.sweeps());
+    e.put_matrix(m.y2());
+    e.put_f64_slice(m.lambda2());
+    e.put_matrix(m.sigma().unwrap_or(&Matrix::zeros(0, 0)));
     e.buf
 }
 
-fn encode_distances(d: &TagDistances) -> Vec<u8> {
-    let mut e = Encoder::default();
-    e.put_matrix(d.matrix());
-    e.buf
+/// Byte length of the model section [`save_to_vec`] writes for `m`.
+pub(crate) fn model_section_len(m: &TagModel) -> usize {
+    encode_model(m).len()
 }
 
 fn encode_concepts(c: &ConceptModel) -> Vec<u8> {
@@ -1069,8 +1117,9 @@ fn compressed_layout(
 
 /// Parses an artifact from bytes already in memory; nothing in the
 /// returned artifact borrows from `bytes`. This is the full load: every
-/// section is checksummed, and the Tucker and distances sections are
-/// decoded on top of what a serving load ([`load_serving`]) reads.
+/// section is checksummed, and the model section is decoded on top of
+/// what a serving load ([`load_serving`]) reads. It is `O(T·J₂)` in the
+/// model: the T×T distances are derived on first use, not here.
 pub fn load_from_bytes(bytes: &[u8]) -> Result<Artifact, PersistError> {
     let sections = parse_sections(bytes, |_| true)?;
     let Serving {
@@ -1080,14 +1129,13 @@ pub fn load_from_bytes(bytes: &[u8]) -> Result<Artifact, PersistError> {
         meta,
         ..
     } = decode_serving(&sections)?;
-    let decomposition = decode_tucker(sections.payload(SECTION_TUCKER)?)?;
-    let distances = decode_distances(sections.payload(SECTION_DISTANCES)?, meta.num_tags)?;
-    let model = CubeLsi::from_restored(
-        decomposition,
-        distances,
+    let tag_model = decode_model(sections.payload(SECTION_MODEL)?, &meta)?;
+    let model = CubeLsi::from_parts(
+        tag_model,
         concepts,
-        index,
+        QueryEngine::new(index),
         meta.timings,
+        meta.trace,
         &folksonomy,
     );
     Ok(Artifact { model, folksonomy })
@@ -1114,8 +1162,8 @@ pub fn load_from_path_zero_copy(path: impl AsRef<Path>) -> Result<Artifact, Pers
     load_from_path(path)
 }
 
-/// The sections a serving load reads. Tucker and distances are the other
-/// two: the offline model, which no query touches.
+/// The sections a serving load reads. The model section is the other
+/// one: the offline model, which no query touches.
 const SERVING_SECTIONS: [u32; 5] = [
     SECTION_META,
     SECTION_FOLKSONOMY,
@@ -1142,9 +1190,9 @@ pub(crate) struct Serving<'a> {
 
 /// The serving load of one artifact: header, version and every table
 /// entry's bounds are validated, but only [`SERVING_SECTIONS`] are
-/// checksummed and decoded. A damaged byte inside the Tucker or distances
-/// payload therefore does not fail it (it fails [`load_from_bytes`], and
-/// under a manifest the file checksum), and neither does their absence.
+/// checksummed and decoded. A damaged byte inside the model payload
+/// therefore does not fail it (it fails [`load_from_bytes`], and under a
+/// manifest the file checksum), and neither does its absence.
 pub(crate) fn load_serving(bytes: &[u8]) -> Result<Serving<'_>, PersistError> {
     decode_serving(&parse_sections(bytes, |id| SERVING_SECTIONS.contains(&id))?)
 }
@@ -1274,7 +1322,7 @@ fn parse_sections(
     }
     let header = |at: usize| le_u32(bytes, at).ok_or(PersistError::Truncated { context: "header" });
     let version = header(8)?;
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
@@ -1340,6 +1388,7 @@ struct Meta {
     num_resources: usize,
     num_assignments: usize,
     timings: PhaseTimings,
+    trace: BuildTrace,
 }
 
 impl Meta {
@@ -1364,6 +1413,31 @@ fn decode_meta(payload: &[u8]) -> Result<Meta, PersistError> {
     for slot in &mut phases {
         *slot = Duration::from_nanos(d.u64()?);
     }
+    let sweeps = d.usize()?;
+    let modes = d.usize()?;
+    if modes > MAX_HOSVD_MODES {
+        return Err(d.err(format!("{modes} HOSVD-initialised modes")));
+    }
+    let mut hosvd = Vec::with_capacity(modes);
+    for _ in 0..modes {
+        let mode = d.usize()?;
+        if !(1..=3).contains(&mode) {
+            return Err(d.err(format!("HOSVD mode {mode}")));
+        }
+        let applies = d.usize()?;
+        let projections = d.usize()?;
+        let converged = match d.u64()? {
+            0 => false,
+            1 => true,
+            flag => return Err(d.err(format!("mode {mode} converged flag {flag}"))),
+        };
+        hosvd.push(HosvdCounts {
+            mode,
+            applies,
+            projections,
+            converged,
+        });
+    }
     d.finish()?;
     let [tensor_build, tucker, distances, clustering, indexing] = phases;
     Ok(Meta {
@@ -1378,6 +1452,7 @@ fn decode_meta(payload: &[u8]) -> Result<Meta, PersistError> {
             clustering,
             indexing,
         },
+        trace: BuildTrace { hosvd, sweeps },
     })
 }
 
@@ -1434,70 +1509,46 @@ fn decode_folksonomy(payload: &[u8], meta: &Meta) -> Result<Folksonomy, PersistE
     Ok(Folksonomy::from_parts(users, tags, resources, assignments))
 }
 
-fn decode_tucker(payload: &[u8]) -> Result<TuckerDecomposition, PersistError> {
-    let mut d = Decoder::new(payload, SECTION_TUCKER);
-    let j1 = d.usize()?;
-    let j2 = d.usize()?;
-    let j3 = d.usize()?;
-    let n = j1
-        .checked_mul(j2)
-        .and_then(|x| x.checked_mul(j3))
-        .ok_or_else(|| d.err("core dimensions overflow"))?;
-    if n.checked_mul(8).is_none_or(|need| need > payload.len()) {
-        return Err(d.err(format!("{j1}x{j2}x{j3} core exceeds payload")));
+/// Decodes the model section of an artifact whose meta is `meta`. Every
+/// shape is held to meta's tag count before anything is allocated.
+fn decode_model(payload: &[u8], meta: &Meta) -> Result<TagModel, PersistError> {
+    let num_tags = meta.num_tags;
+    let mut d = Decoder::new(payload, SECTION_MODEL);
+    let core_gram = match d.u64()? {
+        SIGMA_LAMBDA2 => false,
+        SIGMA_CORE_GRAM => true,
+        tag => return Err(d.err(format!("unknown sigma source {tag}"))),
+    };
+    let fit = d.finite_f64("fit")?;
+    let sweeps = d.usize()?;
+    if sweeps != meta.trace.sweeps {
+        return Err(d.err(format!(
+            "{sweeps} HOOI sweeps, meta records {}",
+            meta.trace.sweeps
+        )));
     }
-    let mut core_data = Vec::with_capacity(n);
-    for _ in 0..n {
-        core_data.push(d.f64()?);
+    let (rows, j2) = (d.usize()?, d.usize()?);
+    if rows != num_tags {
+        return Err(d.err(format!("Y2 has {rows} rows for {num_tags} tags")));
     }
-    let core = DenseTensor3::from_vec(j1, j2, j3, core_data).map_err(|e| d.err(e.to_string()))?;
-    let factors: [Matrix; 3] = [d.matrix()?, d.matrix()?, d.matrix()?];
-    for (mode, (factor, j)) in factors.iter().zip([j1, j2, j3]).enumerate() {
-        if factor.cols() != j {
-            return Err(d.err(format!(
-                "factor {} has {} columns, core expects {j}",
-                mode + 1,
-                factor.cols()
-            )));
-        }
+    if j2 == 0 || j2 > num_tags {
+        return Err(d.err(format!("J2 = {j2} outside 1..={num_tags}")));
     }
-    let lambda2 = d.f64_vec()?;
-    if lambda2.len() != j2 {
-        return Err(d.err(format!("lambda2 length {} != J2 = {j2}", lambda2.len())));
+    let y2 = d.finite_matrix(rows, j2, "Y2")?;
+    let n = d.usize()?;
+    if n != j2 {
+        return Err(d.err(format!("{n} singular values for J2 = {j2}")));
     }
-    let fit = d.f64()?;
-    let iterations = d.usize()?;
-    let fit_history = d.f64_vec()?;
+    let lambda2 = d.finite_f64s(n, "lambda2")?;
+    let shape = (d.usize()?, d.usize()?);
+    let sigma = match (core_gram, shape) {
+        (false, (0, 0)) => None,
+        (false, (r, c)) => return Err(d.err(format!("{r}x{c} Sigma under Lambda2"))),
+        (true, (r, c)) if (r, c) == (j2, j2) => Some(d.finite_matrix(r, c, "Sigma")?),
+        (true, (r, c)) => return Err(d.err(format!("{r}x{c} Sigma for J2 = {j2}"))),
+    };
     d.finish()?;
-    Ok(TuckerDecomposition {
-        core,
-        factors,
-        lambda2,
-        fit,
-        iterations,
-        fit_history,
-        trace: Default::default(),
-    })
-}
-
-fn decode_distances(payload: &[u8], num_tags: usize) -> Result<TagDistances, PersistError> {
-    let mut d = Decoder::new(payload, SECTION_DISTANCES);
-    let m = d.matrix()?;
-    d.finish()?;
-    if m.rows() != num_tags {
-        return Err(PersistError::Malformed {
-            section: SECTION_DISTANCES,
-            detail: format!(
-                "{}x{} distance matrix for {num_tags} tags",
-                m.rows(),
-                m.cols()
-            ),
-        });
-    }
-    TagDistances::from_matrix(m).map_err(|e| PersistError::Malformed {
-        section: SECTION_DISTANCES,
-        detail: e.to_string(),
-    })
+    TagModel::from_parts(y2, lambda2, sigma, fit, sweeps).map_err(|e| d.err(e.to_string()))
 }
 
 fn decode_concepts(payload: &[u8], num_tags: usize) -> Result<ConceptModel, PersistError> {
@@ -1802,7 +1853,7 @@ mod tests {
         for compress in [false, true] {
             let bytes = save_to_vec_with(&model, &f, compress);
             let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-            assert_eq!(count, 6 + compress as usize);
+            assert_eq!(count, 5 + compress as usize);
             for i in 0..count {
                 let e = HEADER_LEN + i * TABLE_ENTRY_LEN;
                 let offset = u64::from_le_bytes(bytes[e + 4..e + 12].try_into().unwrap()) as usize;
@@ -1829,17 +1880,19 @@ mod tests {
             model.concepts().assignments()
         );
         assert_eq!(loaded.model.concepts().sigma(), model.concepts().sigma());
-        assert_eq!(loaded.model.decomposition().fit, model.decomposition().fit);
-        assert_eq!(
-            loaded.model.decomposition().lambda2,
-            model.decomposition().lambda2
-        );
+        let (a, b) = (loaded.model.tag_model(), model.tag_model());
+        assert_eq!(a.fit(), b.fit());
+        assert_eq!(a.sweeps(), b.sweeps());
+        assert_eq!(a.lambda2(), b.lambda2());
+        assert_eq!(a.y2().as_slice(), b.y2().as_slice());
+        assert_eq!(a.sigma_source(), b.sigma_source());
         assert!(loaded
             .model
             .distances()
             .matrix()
             .approx_eq(model.distances().matrix(), 0.0));
         assert_eq!(loaded.model.timings().total(), model.timings().total());
+        assert_eq!(loaded.model.trace(), model.trace());
         assert_eq!(loaded.model.num_users(), model.num_users());
         assert_eq!(loaded.model.num_resources(), model.num_resources());
 
@@ -1860,10 +1913,11 @@ mod tests {
         let (f, model) = built();
         let plain = save_to_vec(&model, &f);
         let compressed = save_to_vec_with(&model, &f, true);
-        // The default path stays format v2 byte-for-byte (older
-        // deployments keep reading fresh uncompressed artifacts); only
-        // the compressed path stamps v3.
-        assert_eq!(u32::from_le_bytes(plain[8..12].try_into().unwrap()), 2);
+        // Both stamp the one version; only the mirror section differs.
+        assert_eq!(
+            u32::from_le_bytes(plain[8..12].try_into().unwrap()),
+            FORMAT_VERSION
+        );
         assert_eq!(plain, save_to_vec_with(&model, &f, false));
         assert_eq!(
             u32::from_le_bytes(compressed[8..12].try_into().unwrap()),

@@ -1,15 +1,16 @@
 //! The end-to-end CubeLSI pipeline (Figure 1 of the paper).
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use cubelsi_folksonomy::{Folksonomy, TagId};
 use cubelsi_linalg::LinAlgError;
-use cubelsi_tensor::{tucker_als, TuckerDecomposition};
+use cubelsi_tensor::{tucker_als, TuckerTrace};
 
 use crate::concepts::ConceptModel;
 use crate::config::CubeLsiConfig;
-use crate::distance::{pairwise_distances_from_embedding, tag_embedding, TagDistances};
+use crate::distance::{TagDistances, TagModel};
 use crate::index::{ConceptIndex, RankedResource};
 use crate::query::{QueryEngine, QuerySession};
 use crate::tensor_build::build_tensor;
@@ -37,17 +38,64 @@ impl PhaseTimings {
     }
 }
 
+/// Where a build's Tucker iterations went: work counts only, so the same
+/// build always records the same trace. Persisted in the artifact's meta
+/// section beside the [`PhaseTimings`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BuildTrace {
+    /// HOSVD initialisation of modes 2 and 3, in that order.
+    pub hosvd: Vec<HosvdCounts>,
+    /// HOOI sweeps run.
+    pub sweeps: usize,
+}
+
+/// The eigensolve of one mode's HOSVD initialisation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HosvdCounts {
+    /// The (1-based) mode.
+    pub mode: usize,
+    /// Operator applies the eigensolver ran.
+    pub applies: usize,
+    /// Rayleigh–Ritz projections among them.
+    pub projections: usize,
+    /// `false`: the eigensolver stopped at its iteration budget.
+    pub converged: bool,
+}
+
+impl From<&TuckerTrace> for BuildTrace {
+    fn from(trace: &TuckerTrace) -> Self {
+        BuildTrace {
+            hosvd: trace
+                .init
+                .iter()
+                .map(|m| HosvdCounts {
+                    mode: m.mode,
+                    applies: m.eig_iterations,
+                    projections: m.eig_projections,
+                    converged: m.eig_converged,
+                })
+                .collect(),
+            sweeps: trace.sweeps.len(),
+        }
+    }
+}
+
 /// A built CubeLSI search engine.
 ///
 /// Construction runs the entire offline component; [`CubeLsi::search`]
-/// serves online queries by cosine matching in concept space.
+/// serves online queries by cosine matching in concept space. An engine
+/// holds what an artifact stores — the [`TagModel`], the concepts, the
+/// index, the timings and the trace — so a built engine and one loaded
+/// from its artifact are the same value; the purified distances are
+/// derived from the model, and held once derived.
 #[derive(Debug, Clone)]
 pub struct CubeLsi {
-    decomposition: TuckerDecomposition,
-    distances: TagDistances,
+    tag_model: TagModel,
+    distances: OnceLock<TagDistances>,
     concepts: ConceptModel,
     engine: QueryEngine,
     timings: PhaseTimings,
+    trace: BuildTrace,
     tag_lookup: HashMap<String, TagId>,
     num_users: usize,
     num_resources: usize,
@@ -56,6 +104,16 @@ pub struct CubeLsi {
 impl CubeLsi {
     /// Runs the offline component on a folksonomy.
     pub fn build(folksonomy: &Folksonomy, config: &CubeLsiConfig) -> Result<Self, LinAlgError> {
+        Ok(Self::build_traced(folksonomy, config)?.0)
+    }
+
+    /// [`CubeLsi::build`], also handing back the Tucker phase's full
+    /// trace: per-mode times, filter degrees, unfolding widths and sweep
+    /// times on top of the counts the engine keeps in [`CubeLsi::trace`].
+    pub fn build_traced(
+        folksonomy: &Folksonomy,
+        config: &CubeLsiConfig,
+    ) -> Result<(Self, TuckerTrace), LinAlgError> {
         let mut timings = PhaseTimings::default();
 
         let t0 = Instant::now();
@@ -66,10 +124,13 @@ impl CubeLsi {
         let tucker_cfg = config.tucker_config(tensor.dims())?;
         let decomposition = tucker_als(&tensor, &tucker_cfg)?;
         timings.tucker = t0.elapsed();
+        let trace = BuildTrace::from(&decomposition.trace);
+        let tucker_trace = decomposition.trace.clone();
 
         let t0 = Instant::now();
-        let embedding = tag_embedding(&decomposition, config.sigma_source)?;
-        let distances = pairwise_distances_from_embedding(&embedding);
+        let tag_model = TagModel::from_decomposition(&decomposition, config.sigma_source)?;
+        drop(decomposition);
+        let distances = tag_model.distances();
         timings.distances = t0.elapsed();
 
         let t0 = Instant::now();
@@ -81,36 +142,32 @@ impl CubeLsi {
             QueryEngine::with_strategy(ConceptIndex::build(folksonomy, &concepts), config.pruning);
         timings.indexing = t0.elapsed();
 
-        Ok(CubeLsi {
-            decomposition,
-            distances,
-            concepts,
-            engine,
-            timings,
-            tag_lookup: tag_lookup(folksonomy),
-            num_users: folksonomy.num_users(),
-            num_resources: folksonomy.num_resources(),
-        })
+        let mut built =
+            CubeLsi::from_parts(tag_model, concepts, engine, timings, trace, folksonomy);
+        built.distances = OnceLock::from(distances);
+        Ok((built, tucker_trace))
     }
 
-    /// Reassembles a built engine from restored components (the
+    /// Assembles an engine from what an artifact stores (the
     /// deserialization path of `crate::persist`). The tag-name lookup is
     /// rebuilt from the folksonomy's interner — the same source `build`
-    /// uses — so name resolution matches the original engine exactly.
-    pub(crate) fn from_restored(
-        decomposition: TuckerDecomposition,
-        distances: TagDistances,
+    /// uses — so name resolution matches the original engine exactly; the
+    /// distances are derived from `tag_model` on first use.
+    pub(crate) fn from_parts(
+        tag_model: TagModel,
         concepts: ConceptModel,
-        index: ConceptIndex,
+        engine: QueryEngine,
         timings: PhaseTimings,
+        trace: BuildTrace,
         folksonomy: &Folksonomy,
     ) -> Self {
         CubeLsi {
-            decomposition,
-            distances,
+            tag_model,
+            distances: OnceLock::new(),
             concepts,
-            engine: QueryEngine::new(index),
+            engine,
             timings,
+            trace,
             tag_lookup: tag_lookup(folksonomy),
             num_users: folksonomy.num_users(),
             num_resources: folksonomy.num_resources(),
@@ -177,14 +234,16 @@ impl CubeLsi {
         &self.engine
     }
 
-    /// The Tucker decomposition (for diagnostics and the memory tables).
-    pub fn decomposition(&self) -> &TuckerDecomposition {
-        &self.decomposition
+    /// The Theorem-1/2 model the distances are derived from.
+    pub fn tag_model(&self) -> &TagModel {
+        &self.tag_model
     }
 
-    /// Purified tag distance matrix.
+    /// Purified tag distance matrix. A built engine holds the one its
+    /// build clustered; a loaded one derives it from [`Self::tag_model`]
+    /// on the first call, through the same arithmetic, to the same bits.
     pub fn distances(&self) -> &TagDistances {
-        &self.distances
+        self.distances.get_or_init(|| self.tag_model.distances())
     }
 
     /// Distilled concept model.
@@ -202,23 +261,28 @@ impl CubeLsi {
         &self.timings
     }
 
-    /// Bytes required for the compressed decomposition (`S` + factor
-    /// matrices) — the "CubeLSI memory" column of Table VII.
+    /// The Tucker phase's work counts.
+    pub fn trace(&self) -> &BuildTrace {
+        &self.trace
+    }
+
+    /// Bytes of the model section an artifact of this engine carries
+    /// (`Y⁽²⁾`, `Λ₂`, and `Σ` under `CoreGram`) — the "CubeLSI memory"
+    /// column of Table VII, as written.
     pub fn compressed_bytes(&self) -> usize {
-        self.decomposition.compressed_len() * std::mem::size_of::<f64>()
+        crate::persist::model_section_len(&self.tag_model)
     }
 
     /// Bytes a dense `F̂` would need (`I₁·I₂·I₃` doubles) — the infeasible
     /// alternative of Table VII.
     pub fn dense_purified_bytes(&self) -> usize {
-        self.num_users * self.distances.num_tags() * self.num_resources * std::mem::size_of::<f64>()
+        self.num_users * self.tag_model.num_tags() * self.num_resources * std::mem::size_of::<f64>()
     }
 }
 
-/// The name → id map both constructors share. `build` and `from_restored`
-/// must resolve query tags identically — the persisted-artifact
-/// bit-identity guarantee depends on it — so the construction lives in
-/// exactly one place.
+/// The name → id map of every engine. `build` and a load must resolve
+/// query tags identically — the persisted-artifact bit-identity guarantee
+/// depends on it — so both assemble through [`CubeLsi::from_parts`].
 fn tag_lookup(folksonomy: &Folksonomy) -> HashMap<String, TagId> {
     (0..folksonomy.num_tags())
         .map(|t| {
@@ -319,7 +383,7 @@ mod tests {
         let ds = small_dataset();
         let engine = CubeLsi::build(&ds.folksonomy, &small_config()).unwrap();
         assert_eq!(engine.concepts().num_concepts(), 5);
-        assert!(engine.decomposition().fit > 0.0);
+        assert!(engine.tag_model().fit() > 0.0);
         // Query with a popular tag: results must be non-empty and sorted.
         let tag0 = TagId::from_index(0);
         let hits = engine.search_ids(&[tag0], 10);

@@ -87,8 +87,8 @@
 //! `crate::persist`). Every shard file is held to its manifest entry —
 //! the lengths of all files first, then each file's CRC-32 as it is read.
 //! Shard 0 then gets the serving load: meta, folksonomy, concepts and
-//! index sections checksummed and decoded, Tucker and distances left
-//! alone. Shard `i > 0` decodes its meta counts and its index; its
+//! index sections checksummed and decoded, the model section left alone.
+//! Shard `i > 0` decodes its meta counts and its index; its
 //! folksonomy and concepts sections are not decoded a second time but
 //! compared **byte for byte** with shard 0's, so shards cut from different
 //! corpora — or from the same corpus under other names, which no
@@ -970,8 +970,8 @@ fn merge_ranked(
 /// manifest, sniffed from the magic bytes — into a validated
 /// [`ShardSet`] (a single artifact becomes a one-shard set). This is the
 /// one function behind `query`, `serve` start-up and `RELOAD`, and it
-/// reads what serving uses: the Tucker and distances sections are
-/// neither checksummed nor decoded (see the module docs). For a manifest,
+/// reads what serving uses: the model section is neither checksummed nor
+/// decoded (see the module docs). For a manifest,
 /// every referenced artifact's length and CRC-32 are verified against the
 /// manifest entry before parsing, so a swapped or damaged shard file is
 /// rejected with [`PersistError::ChecksumMismatch`] (`section` = the shard
@@ -1309,12 +1309,12 @@ mod tests {
             let manifest = dir.join(format!("m{}.shards", compress as u8));
             let report = save_sharded_with(&manifest, &model, &f, n, compress).unwrap();
             for (shard, path) in report.shard_paths.iter().enumerate() {
-                let shard_model = CubeLsi::from_restored(
-                    model.decomposition().clone(),
-                    model.distances().clone(),
+                let shard_model = CubeLsi::from_parts(
+                    model.tag_model().clone(),
                     model.concepts().clone(),
-                    model.index().partition_by_resource(shard, n),
+                    QueryEngine::new(model.index().partition_by_resource(shard, n)),
                     *model.timings(),
+                    model.trace().clone(),
                     &f,
                 );
                 assert_eq!(

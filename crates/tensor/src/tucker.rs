@@ -103,7 +103,7 @@ pub struct TuckerDecomposition {
     /// Fit after each iteration, for convergence diagnostics.
     pub fit_history: Vec<f64>,
     /// Where the time and the iterations of this run went. Diagnostics
-    /// only: not persisted, empty on a decomposition restored from disk.
+    /// only: an artifact keeps the work counts, not the times.
     pub trace: TuckerTrace,
 }
 

@@ -47,7 +47,7 @@ fn main() {
     let engine = CubeLsi::build(&folksonomy, &config).expect("pipeline builds");
     println!(
         "tucker fit = {:.4}, {} concepts distilled",
-        engine.decomposition().fit,
+        engine.tag_model().fit(),
         engine.concepts().num_concepts()
     );
     for summary in engine.concepts().summaries(&folksonomy) {

@@ -99,18 +99,18 @@ fn build_model(corpus: &Folksonomy, opts: &BuildOpts) -> Result<CubeLsi, String>
         seed: opts.seed,
         ..Default::default()
     };
-    let model = CubeLsi::build(corpus, &config).map_err(|e| format!("building CubeLSI: {e}"))?;
+    let (model, trace) =
+        CubeLsi::build_traced(corpus, &config).map_err(|e| format!("building CubeLSI: {e}"))?;
     let t = model.timings();
     eprintln!(
         "built   fit {:.3}, {} concepts",
-        model.decomposition().fit,
+        model.tag_model().fit(),
         model.concepts().num_concepts(),
     );
     eprintln!(
         "offline tensor {:?} | tucker {:?} | distances {:?} | clustering {:?} | indexing {:?} | total {:?}",
         t.tensor_build, t.tucker, t.distances, t.clustering, t.indexing, t.total()
     );
-    let trace = &model.decomposition().trace;
     eprintln!("tucker  {trace}");
     // An HOSVD eigensolve that ran out of iterations still returns its best
     // subspace; the model is usable, but whoever rebuilds should know.
@@ -180,7 +180,11 @@ fn run_build(opts: &BuildOpts, data: &str, out: &str) -> Result<(), String> {
             persist::save_to_path_with(out, &model, &corpus, opts.compress)
                 .map_err(|e| format!("saving {out}: {e}"))?;
             let size = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-            eprintln!("saved   {out} ({size} bytes) in {:?}", t0.elapsed());
+            eprintln!(
+                "saved   {out} ({size} bytes, model section {} bytes) in {:?}",
+                model.compressed_bytes(),
+                t0.elapsed()
+            );
         }
         Some(n) => {
             let report = shard::save_sharded_with(out, &model, &corpus, n, opts.compress)

@@ -7,25 +7,31 @@
 //!    an approximation.
 //! 2. **Adversarial robustness** — truncated files, flipped bytes (CRC
 //!    failure), CRC-repaired semantic corruption inside the SoA index
-//!    section (broken impact order, falsified block maxima) and inside
-//!    the format-v3 compressed mirror (flipped bit widths, out-of-range
-//!    quantization scales, understated impact bounds), negative or
-//!    non-finite term weights, misaligned sections, wrong magic, and
-//!    future format versions each yield a descriptive typed
-//!    [`PersistError`], never a panic or a silent misranking.
+//!    section (broken impact order, falsified block maxima), inside the
+//!    compressed mirror (flipped bit widths, out-of-range quantization
+//!    scales, understated impact bounds) and inside the model section
+//!    (shapes that disagree with the corpus or with each other, non-finite
+//!    values, unknown tags, trailing bytes), negative or non-finite term
+//!    weights, misaligned sections, wrong magic, and any format version
+//!    but the current one each yield a descriptive typed [`PersistError`],
+//!    never a panic or a silent misranking.
 //! 3. **The serving load reads what serving uses** — `shard::load_source`
 //!    checksums and decodes meta, folksonomy, concepts and the index
-//!    sections only: damage inside the Tucker or distances payload (or
-//!    their absence) does not fail it, damage anywhere it reads does, an
-//!    entry of theirs running past the file still does, and whatever it
-//!    accepts answers bit-identically to the undamaged artifact.
-//! 4. **Degenerate corpora** — a single assignment, all-zero idf, more
+//!    sections only: damage inside the model payload (or its absence)
+//!    does not fail it, damage anywhere it reads does, an entry of the
+//!    model's running past the file still does, and whatever it accepts
+//!    answers bit-identically to the undamaged artifact.
+//! 4. **The model is the distances** — a full load derives the purified
+//!    distances from the model section bit-identically to the built
+//!    engine's, at any thread count and under either Σ source, and
+//!    re-saves to the bytes it read.
+//! 5. **Degenerate corpora** — a single assignment, all-zero idf, more
 //!    shards than resources, more concepts requested than tags: a typed
 //!    error or an artifact that reloads and answers like the engine it
 //!    was saved from.
 
 use cubelsi::core::shard::{self, LoadMode};
-use cubelsi::core::{persist, CubeLsi, CubeLsiConfig, PersistError, RankedResource};
+use cubelsi::core::{persist, CubeLsi, CubeLsiConfig, PersistError, RankedResource, SigmaSource};
 use cubelsi::datagen::{generate, GeneratorConfig};
 use cubelsi::folksonomy::{Folksonomy, FolksonomyBuilder, TagId};
 use rand::rngs::StdRng;
@@ -53,6 +59,12 @@ fn build_random(seed: u64) -> (Folksonomy, CubeLsi) {
     (ds.folksonomy, model)
 }
 
+/// The purified distances of an engine, as bit patterns.
+fn distance_bits(model: &CubeLsi) -> Vec<u64> {
+    let d = model.distances().matrix();
+    d.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
 fn random_query(rng: &mut StdRng, num_tags: usize) -> Vec<TagId> {
     let len = rng.gen_range(1usize..=4);
     (0..len)
@@ -72,6 +84,13 @@ fn round_trip_search_is_bit_identical_on_random_corpora() {
             .unwrap_or_else(|e| panic!("seed {seed}: load failed: {e}"));
 
         assert_eq!(loaded.folksonomy.stats(), folksonomy.stats());
+        assert_eq!(
+            loaded.model.trace(),
+            built.trace(),
+            "seed {seed}: build trace"
+        );
+        assert!(!built.trace().hosvd.is_empty());
+        assert_eq!(built.trace().sweeps, built.tag_model().sweeps());
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0D0_F00D);
         for case in 0..25 {
             let query = random_query(&mut rng, folksonomy.num_tags());
@@ -175,7 +194,7 @@ fn refresh_crc(bytes: &mut [u8], entry: usize, off: usize, len: usize) {
 }
 
 /// The byte offsets (relative to the SoA payload start) of every array
-/// boundary, recomputed from the documented v2 layout: 6-field u64
+/// boundary, recomputed from the documented layout: 6-field u64
 /// header, then idf, norms, rv_offsets, rv_concepts (padded), rv_weights,
 /// post_offsets, post_ids (padded), post_scores, block_offsets,
 /// block_max, max_impact.
@@ -377,11 +396,11 @@ fn misaligned_soa_section_is_a_typed_error() {
 }
 
 // ---------------------------------------------------------------------------
-// Compressed index section (format v3) adversaries
+// Compressed index section adversaries
 // ---------------------------------------------------------------------------
 
 /// The byte offsets (relative to the compressed payload start) of every
-/// array boundary, recomputed from the documented v3 layout: 4-field u64
+/// array boundary, recomputed from the documented layout: 4-field u64
 /// header, then blk_pack_start, blk_base, blk_scale, blk_offset,
 /// blk_bits, quant, packed_ids — every array padded to 8 bytes.
 struct CompressedOffsets {
@@ -424,7 +443,7 @@ fn compressed_offsets(payload: &[u8]) -> CompressedOffsets {
     }
 }
 
-/// Compressed (format v3) artifacts round-trip deterministically and
+/// Compressed artifacts round-trip deterministically and
 /// byte-stably, and the loaded engine answers bit-identically to the
 /// built one over random corpora.
 #[test]
@@ -640,13 +659,15 @@ fn every_flipped_byte_is_detected() {
 
 /// The *exhaustive* hostile-byte sweep: over a deliberately tiny corpus
 /// (so the O(len²) total work stays fast), flip one byte at **every**
-/// offset of a v2 and a v3 artifact and feed the mutant to the loader
-/// under `catch_unwind`. Each mutant must either return a typed error
-/// with a non-empty message, or — possible only where the flip lands in
-/// bytes the format does not interpret, such as inter-section padding
-/// not covered by a section CRC — load an engine whose `search_ids`
-/// output is bit-for-bit identical to the pristine build. A panic at any
-/// offset fails the sweep with the offset named.
+/// offset of a plain and a compressed artifact, under both Σ sources, and
+/// feed the mutant to the loader under `catch_unwind`. Each mutant must
+/// either return a typed error with a non-empty message, or — possible
+/// only where the flip lands in bytes the format does not interpret, such
+/// as inter-section padding not covered by a section CRC — load an engine
+/// whose `search_ids` output and purified distances are bit-for-bit
+/// identical to the pristine build's. A flip inside the model payload is
+/// always that section's checksum mismatch. A panic at any offset fails
+/// the sweep with the offset named.
 #[test]
 fn exhaustive_single_byte_flips_never_panic_either_loader() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -660,21 +681,26 @@ fn exhaustive_single_byte_flips_never_panic_either_loader() {
         ..Default::default()
     });
     let folksonomy = &ds.folksonomy;
-    let config = CubeLsiConfig {
-        core_dims: Some((3, 3, 3)),
-        num_concepts: Some(3),
-        max_als_iters: 3,
-        seed: 41,
-        ..Default::default()
-    };
-    let model = CubeLsi::build(folksonomy, &config).unwrap();
     let queries: Vec<Vec<TagId>> = (0..4usize)
         .map(|t| vec![TagId::from_index(t % folksonomy.num_tags())])
         .collect();
-    let expect: Vec<_> = queries.iter().map(|q| model.search_ids(q, 5)).collect();
-
-    for (format, compress) in [("v2", false), ("v3", true)] {
+    for (format, compress, sigma_source) in [
+        ("plain", false, SigmaSource::Lambda2),
+        ("compressed", true, SigmaSource::Lambda2),
+        ("plain CoreGram", false, SigmaSource::CoreGram),
+    ] {
+        let config = CubeLsiConfig {
+            core_dims: Some((3, 3, 3)),
+            num_concepts: Some(3),
+            max_als_iters: 3,
+            seed: 41,
+            sigma_source,
+            ..Default::default()
+        };
+        let model = CubeLsi::build(folksonomy, &config).unwrap();
+        let expect: Vec<_> = queries.iter().map(|q| model.search_ids(q, 5)).collect();
         let bytes = persist::save_to_vec_with(&model, folksonomy, compress);
+        let (_, off, len) = find_section(&bytes, persist::SECTION_MODEL);
         for pos in 0..bytes.len() {
             let mut bad = bytes.clone();
             // Rotate the flipped bit with the offset so the sweep probes
@@ -682,12 +708,29 @@ fn exhaustive_single_byte_flips_never_panic_either_loader() {
             bad[pos] ^= 1u8 << (pos % 8);
             let outcome = catch_unwind(AssertUnwindSafe(|| persist::load_from_bytes(&bad)))
                 .unwrap_or_else(|_| panic!("{format}: loader panicked at offset {pos}"));
+            if (off..off + len).contains(&pos) {
+                assert!(
+                    matches!(
+                        outcome,
+                        Err(PersistError::ChecksumMismatch {
+                            section: persist::SECTION_MODEL,
+                            ..
+                        })
+                    ),
+                    "{format} offset {pos}: a flip in the model payload must fail its CRC"
+                );
+            }
             match outcome {
                 Err(e) => assert!(
                     !e.to_string().is_empty(),
                     "{format} offset {pos}: empty error message"
                 ),
                 Ok(loaded) => {
+                    assert_eq!(
+                        distance_bits(&loaded.model),
+                        distance_bits(&model),
+                        "{format} offset {pos}: distances diverged"
+                    );
                     for (query, expect) in queries.iter().zip(&expect) {
                         let got = loaded.model.search_ids(query, 5);
                         assert_eq!(
@@ -741,15 +784,16 @@ fn wrong_magic_is_rejected() {
     ));
 }
 
-/// Only versions 2..=3 are read. A future stamp, a zeroed one, and a
-/// format-v1 stamp (whose index section no longer has a decoder) must all
-/// be refused at the header — before any section is looked at — with the
-/// found and the newest supported version named.
+/// Only version 4 is read. A future stamp, a zeroed one, and every
+/// earlier one — v1's per-posting pairs, v2 and v3's Tucker and distances
+/// sections — must be refused at the header, before any section is looked
+/// at, with the found and the supported version named.
 #[test]
 fn future_version_is_rejected_with_both_versions_named() {
     let (folksonomy, model) = build_random(8);
     let mut bytes = persist::save_to_vec(&model, &folksonomy);
-    for stamp in [persist::FORMAT_VERSION + 1, 0, 1] {
+    assert_eq!(persist::FORMAT_VERSION, 4);
+    for stamp in [5u32, 0, 1, 2, 3] {
         // The version field is bytes 8..12 (after the 8-byte magic).
         bytes[8..12].copy_from_slice(&stamp.to_le_bytes());
         match assert_load_rejects(&bytes, &format!("version {stamp}")) {
@@ -784,12 +828,224 @@ fn file_round_trip_through_disk() {
 }
 
 // ---------------------------------------------------------------------------
-// The serving load
+// The model section
 // ---------------------------------------------------------------------------
 
-/// The two sections only the full load reads.
-const SECTION_TUCKER: u32 = 3;
-const SECTION_DISTANCES: u32 = 4;
+/// `build_random(seed)`'s corpus and configuration under a chosen Σ source.
+fn build_with(seed: u64, sigma_source: SigmaSource) -> (Folksonomy, CubeLsi) {
+    let (folksonomy, _) = build_random(seed);
+    let config = CubeLsiConfig {
+        core_dims: Some((6, 6, 6)),
+        num_concepts: Some(4),
+        max_als_iters: 6,
+        seed,
+        sigma_source,
+        ..Default::default()
+    };
+    let model = CubeLsi::build(&folksonomy, &config).unwrap();
+    (folksonomy, model)
+}
+
+/// D̂ is not stored: a full load derives it from the model section. At one
+/// thread and at two (the serial and the banded kernel), under either Σ
+/// source, it equals the matrix the build clustered, bit for bit.
+#[test]
+fn full_load_distances_equal_the_built_engines_bit_for_bit() {
+    use cubelsi::linalg::parallel;
+    for sigma_source in [SigmaSource::Lambda2, SigmaSource::CoreGram] {
+        let (folksonomy, built) = build_with(51, sigma_source);
+        assert_eq!(built.tag_model().sigma_source(), sigma_source);
+        let bytes = persist::save_to_vec(&built, &folksonomy);
+        let expect = distance_bits(&built);
+        for threads in [1, 2] {
+            let loaded = persist::load_from_bytes(&bytes).unwrap();
+            parallel::set_num_threads(threads);
+            let got = distance_bits(&loaded.model);
+            parallel::set_num_threads(0);
+            assert_eq!(got, expect, "{sigma_source:?} at {threads} thread(s)");
+        }
+    }
+}
+
+/// A full load is the engine that was saved: re-saved — through the path
+/// API, before and after its distances are derived, plain and compressed,
+/// under either Σ source — it writes the file it was read from.
+#[test]
+fn full_load_resaves_to_the_same_bytes() {
+    let dir = std::env::temp_dir().join(format!("cubelsi-resave-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for sigma_source in [SigmaSource::Lambda2, SigmaSource::CoreGram] {
+        let (folksonomy, built) = build_with(52, sigma_source);
+        for compress in [false, true] {
+            let (original, resaved) = (dir.join("original"), dir.join("resaved"));
+            persist::save_to_path_with(&original, &built, &folksonomy, compress).unwrap();
+            let bytes = std::fs::read(&original).unwrap();
+            let loaded = persist::load_from_path(&original).unwrap();
+            for when in ["before distances", "after distances"] {
+                persist::save_to_path_with(&resaved, &loaded.model, &loaded.folksonomy, compress)
+                    .unwrap();
+                assert_eq!(
+                    std::fs::read(&resaved).unwrap(),
+                    bytes,
+                    "{sigma_source:?} compress {compress}, {when}"
+                );
+                loaded.model.distances();
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rebuilds an artifact with section `id`'s payload replaced: offsets
+/// re-laid on 8-byte boundaries, every CRC recorded afresh — so only the
+/// new payload's content can make the load fail.
+fn with_section(bytes: &[u8], id: u32, payload: &[u8]) -> Vec<u8> {
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let sections: Vec<(u32, Vec<u8>)> = (0..count)
+        .map(|i| {
+            let e = persist::HEADER_LEN + i * persist::TABLE_ENTRY_LEN;
+            let sid = u32::from_le_bytes(bytes[e..e + 4].try_into().unwrap());
+            let (_, off, len) = find_section(bytes, sid);
+            let body = if sid == id {
+                payload
+            } else {
+                &bytes[off..off + len]
+            };
+            (sid, body.to_vec())
+        })
+        .collect();
+    let mut out = bytes[..persist::HEADER_LEN].to_vec();
+    let mut offset = persist::HEADER_LEN + count * persist::TABLE_ENTRY_LEN;
+    for (sid, body) in &sections {
+        out.extend_from_slice(&sid.to_le_bytes());
+        out.extend_from_slice(&(offset as u64).to_le_bytes());
+        out.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        out.extend_from_slice(&persist::crc32(body).to_le_bytes());
+        offset += body.len().div_ceil(8) * 8;
+    }
+    for (_, body) in &sections {
+        out.extend_from_slice(body);
+        out.resize(out.len().div_ceil(8) * 8, 0);
+    }
+    out
+}
+
+/// Every way a CRC-valid model section can disagree with the corpus or
+/// with itself is `Malformed` on the full load — never a panic, and never
+/// an allocation sized by the hostile field (several fields below are set
+/// to 2⁴⁰ and up, which an unchecked decoder would try to allocate). The
+/// serving load, which does not read the section, still answers.
+#[test]
+fn hostile_model_sections_are_malformed() {
+    // Model payload fields: source tag @0, fit @8, sweeps @16, Y2 rows @24,
+    // Y2 cols (J2) @32, Y2 data @40, then Λ₂'s length, Λ₂, Σ's shape, Σ.
+    let field = |p: &[u8], at: usize| u64::from_le_bytes(p[at..at + 8].try_into().unwrap());
+    let put = |p: &mut Vec<u8>, at: usize, v: u64| p[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    let file = ServedFile::new("hostile-model");
+    for sigma_source in [SigmaSource::Lambda2, SigmaSource::CoreGram] {
+        let (folksonomy, built) = build_with(53, sigma_source);
+        let bytes = persist::save_to_vec(&built, &folksonomy);
+        let served = answers(&file.load(&bytes).unwrap(), &[vec![TagId::from_index(0)]]);
+        let (_, off, len) = find_section(&bytes, persist::SECTION_MODEL);
+        let model = bytes[off..off + len].to_vec();
+        let (tags, j2) = (field(&model, 24) as usize, field(&model, 32) as usize);
+        assert_eq!(tags, folksonomy.num_tags());
+        let lambda_at = 40 + 8 * tags * j2;
+        let sigma_at = lambda_at + 8 + 8 * j2;
+        assert_eq!(field(&model, lambda_at) as usize, j2);
+        let core_gram = sigma_source == SigmaSource::CoreGram;
+        assert_eq!(
+            (field(&model, sigma_at), field(&model, sigma_at + 8)),
+            if core_gram {
+                (j2 as u64, j2 as u64)
+            } else {
+                (0, 0)
+            }
+        );
+
+        let mut cases: Vec<(String, Vec<u8>)> = Vec::new();
+        let mut patched = |what: &str, f: &dyn Fn(&mut Vec<u8>)| {
+            let mut p = model.clone();
+            f(&mut p);
+            cases.push((what.to_owned(), p));
+        };
+        patched("Y2 rows = tags + 1", &|p| put(p, 24, tags as u64 + 1));
+        patched("Y2 rows = tags - 1", &|p| put(p, 24, tags as u64 - 1));
+        patched("Y2 rows = 2^40", &|p| put(p, 24, 1 << 40));
+        patched("J2 = 0", &|p| put(p, 32, 0));
+        patched("J2 = tags + 1", &|p| put(p, 32, tags as u64 + 1));
+        patched("J2 = 2^50", &|p| put(p, 32, 1 << 50));
+        patched("Λ₂ length J2 - 1", &|p| put(p, lambda_at, j2 as u64 - 1));
+        patched("Λ₂ length J2 + 1", &|p| put(p, lambda_at, j2 as u64 + 1));
+        patched("Λ₂ length 2^61", &|p| put(p, lambda_at, 1 << 61));
+        patched("unknown sigma source 0", &|p| put(p, 0, 0));
+        patched("unknown sigma source 7", &|p| put(p, 0, 7));
+        patched("the other sigma source", &|p| {
+            put(p, 0, if core_gram { 1 } else { 2 })
+        });
+        patched("sweeps disagree with meta", &|p| {
+            put(p, 16, field(p, 16) + 1)
+        });
+        patched("Σ rows 2^40", &|p| put(p, sigma_at, 1 << 40));
+        patched("Σ J2 x (J2 + 1)", &|p| put(p, sigma_at + 8, j2 as u64 + 1));
+        for (what, at) in [
+            ("fit", 8),
+            ("Y2[0][0]", 40),
+            ("last Y2", lambda_at - 8),
+            ("Λ₂[0]", lambda_at + 8),
+        ] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                patched(&format!("{what} = {bad}"), &|p| put(p, at, bad.to_bits()));
+            }
+        }
+        if core_gram {
+            patched("Σ[0][1] = NaN", &|p| {
+                put(p, sigma_at + 24, f64::NAN.to_bits())
+            });
+        }
+        let mut trailing = model.clone();
+        trailing.extend_from_slice(&[0; 8]);
+        cases.push(("8 trailing bytes".to_owned(), trailing));
+        cases.push(("truncated".to_owned(), model[..model.len() - 8].to_vec()));
+        if !core_gram {
+            // A real J2 × J2 Σ appended after the empty one's shape.
+            let mut present = model[..sigma_at].to_vec();
+            present.extend_from_slice(&(j2 as u64).to_le_bytes());
+            present.extend_from_slice(&(j2 as u64).to_le_bytes());
+            for i in 0..j2 * j2 {
+                present.extend_from_slice(&((i % (j2 + 1) == 0) as u8 as f64).to_le_bytes());
+            }
+            cases.push(("Σ present under Lambda2".to_owned(), present));
+        }
+
+        for (what, payload) in cases {
+            let bad = with_section(&bytes, persist::SECTION_MODEL, &payload);
+            match persist::load_from_bytes(&bad) {
+                Err(PersistError::Malformed { section, detail }) => {
+                    assert_eq!(section, persist::SECTION_MODEL, "{sigma_source:?} {what}");
+                    assert!(!detail.is_empty(), "{sigma_source:?} {what}");
+                }
+                other => panic!(
+                    "{sigma_source:?} {what}: expected Malformed, got {:?}",
+                    other.map(|_| ())
+                ),
+            }
+            let set = file.load(&bad).unwrap();
+            assert_eq!(
+                answers(&set, &[vec![TagId::from_index(0)]]),
+                served,
+                "{sigma_source:?} {what}"
+            );
+        }
+        // The reassembly itself is sound: an untouched payload loads.
+        let same = with_section(&bytes, persist::SECTION_MODEL, &model);
+        assert_eq!(same, bytes);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The serving load
+// ---------------------------------------------------------------------------
 
 /// A deliberately tiny model (every-offset sweeps are O(len²)) and a
 /// fixed query mix over it.
@@ -863,20 +1119,20 @@ fn answers(set: &shard::ShardSet, queries: &[Vec<TagId>]) -> Vec<Vec<(usize, u64
 }
 
 /// The fault sweep of the exhaustive test above, through the serving
-/// load: cut a v2 and a v3 artifact at every length and flip one bit at
-/// every offset. A cut is always a typed error. A flip is a typed error
-/// or — where it lands in bytes the serving load does not read: the
-/// Tucker and distances payloads, their table rows, padding — a set that
-/// answers the query mix exactly as the undamaged artifact does. Never a
-/// panic, never another ranking. And the flips it tolerates inside the
-/// two model payloads are exactly the ones the full load still refuses.
+/// load: cut a plain and a compressed artifact at every length and flip
+/// one bit at every offset. A cut is always a typed error. A flip is a
+/// typed error or — where it lands in bytes the serving load does not
+/// read: the model payload, its table row, padding — a set that answers
+/// the query mix exactly as the undamaged artifact does. Never a panic,
+/// never another ranking. And the flips it tolerates inside the model
+/// payload are exactly the ones the full load still refuses.
 #[test]
 fn serving_load_fault_sweep() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     let (folksonomy, model, queries) = tiny_model();
     let file = ServedFile::new("sweep");
-    for (format, compress) in [("v2", false), ("v3", true)] {
+    for (format, compress) in [("plain", false), ("compressed", true)] {
         let bytes = persist::save_to_vec_with(&model, &folksonomy, compress);
         let expect = answers(&file.load(&bytes).unwrap(), &queries);
         assert!(expect.iter().any(|hits| !hits.is_empty()));
@@ -892,17 +1148,12 @@ fn serving_load_fault_sweep() {
             }
         }
 
-        let unread: Vec<std::ops::Range<usize>> = [SECTION_TUCKER, SECTION_DISTANCES]
-            .iter()
-            .map(|&id| {
-                let (_, off, len) = find_section(&bytes, id);
-                off..off + len
-            })
-            .collect();
+        let (_, off, len) = find_section(&bytes, persist::SECTION_MODEL);
+        let unread = off..off + len;
         for pos in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[pos] ^= 1u8 << (pos % 8);
-            let in_unread_payload = unread.iter().any(|r| r.contains(&pos));
+            let in_unread_payload = unread.contains(&pos);
             match guarded(&bad, &format!("flip at {pos}")) {
                 Err(e) => {
                     assert!(!e.to_string().is_empty(), "{format} offset {pos}");
@@ -919,10 +1170,9 @@ fn serving_load_fault_sweep() {
                     );
                     if in_unread_payload {
                         match persist::load_from_bytes(&bad) {
-                            Err(PersistError::ChecksumMismatch { section, .. }) => assert!(
-                                section == SECTION_TUCKER || section == SECTION_DISTANCES,
-                                "{format} offset {pos}: section {section}"
-                            ),
+                            Err(PersistError::ChecksumMismatch { section, .. }) => {
+                                assert_eq!(section, persist::SECTION_MODEL, "{format} offset {pos}")
+                            }
                             other => panic!(
                                 "{format} offset {pos}: the full load must refuse, got {:?}",
                                 other.map(|_| ())
@@ -936,7 +1186,7 @@ fn serving_load_fault_sweep() {
 }
 
 /// A table entry is bounds-checked whether or not its section is read:
-/// the Tucker row made to run past the end of the file is `Truncated` for
+/// the model row made to run past the end of the file is `Truncated` for
 /// the serving load as for the full load.
 #[test]
 fn unread_section_running_past_eof_is_truncated_in_both_loads() {
@@ -944,7 +1194,7 @@ fn unread_section_running_past_eof_is_truncated_in_both_loads() {
     let file = ServedFile::new("past-eof");
     for compress in [false, true] {
         let mut bytes = persist::save_to_vec_with(&model, &folksonomy, compress);
-        let (entry, _, _) = find_section(&bytes, SECTION_TUCKER);
+        let (entry, _, _) = find_section(&bytes, persist::SECTION_MODEL);
         let file_len = bytes.len() as u64;
         bytes[entry + 12..entry + 20].copy_from_slice(&file_len.to_le_bytes());
         for (load, got) in [
@@ -959,10 +1209,10 @@ fn unread_section_running_past_eof_is_truncated_in_both_loads() {
     }
 }
 
-/// The serving load does not require the two sections it does not read:
-/// with Tucker and distances taken out of the table (payloads left where
-/// they were) the artifact serves the same answers, and the full load
-/// reports the first of them missing.
+/// The serving load does not require the section it does not read: with
+/// the model taken out of the table (payload left where it was) the
+/// artifact serves the same answers, and the full load reports it
+/// missing.
 #[test]
 fn serving_load_does_not_need_the_model_sections() {
     let (folksonomy, model, queries) = tiny_model();
@@ -977,15 +1227,15 @@ fn serving_load_does_not_need_the_model_sections() {
         let mut kept = 0u32;
         for row in bytes[persist::HEADER_LEN..table_end].chunks(persist::TABLE_ENTRY_LEN) {
             let id = u32::from_le_bytes(row[..4].try_into().unwrap());
-            if id != SECTION_TUCKER && id != SECTION_DISTANCES {
+            if id != persist::SECTION_MODEL {
                 cut.extend_from_slice(row);
                 kept += 1;
             }
         }
-        assert_eq!(kept as usize, count - 2);
+        assert_eq!(kept as usize, count - 1);
         cut[12..16].copy_from_slice(&kept.to_le_bytes());
-        // The two vacated rows become slack in front of the payloads,
-        // whose absolute offsets therefore still hold.
+        // The vacated row becomes slack in front of the payloads, whose
+        // absolute offsets therefore still hold.
         cut.resize(table_end, 0);
         cut.extend_from_slice(&bytes[table_end..]);
 
@@ -994,7 +1244,7 @@ fn serving_load_does_not_need_the_model_sections() {
         assert_eq!(set.folksonomy().assignments(), folksonomy.assignments());
         assert!(matches!(
             persist::load_from_bytes(&cut),
-            Err(PersistError::MissingSection(SECTION_TUCKER))
+            Err(PersistError::MissingSection(persist::SECTION_MODEL))
         ));
     }
 }
@@ -1076,7 +1326,7 @@ fn degenerate_corpora_round_trip_or_fail_typed() {
         };
 
         for compress in [false, true] {
-            let how = if compress { "v3" } else { "v2" };
+            let how = if compress { "compressed" } else { "plain" };
             let bytes = persist::save_to_vec_with(&built, &folksonomy, compress);
             let loaded = persist::load_from_bytes(&bytes)
                 .unwrap_or_else(|e| panic!("{what} {how}: load failed: {e}"));

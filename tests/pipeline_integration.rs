@@ -5,7 +5,7 @@ use cubelsi::baselines::{
     cubesim::CubeSimConfig, BowRanker, CubeLsiRanker, CubeSim, CubeSimMode, FolkRank,
     FolkRankConfig, FreqRanker, LsiConfig, LsiRanker, Ranker,
 };
-use cubelsi::core::{CubeLsi, CubeLsiConfig};
+use cubelsi::core::{persist, CubeLsi, CubeLsiConfig};
 use cubelsi::datagen::{generate, GeneratedDataset, GeneratorConfig};
 use cubelsi::eval::{generate_workload, ndcg_at, WorkloadConfig};
 use cubelsi::folksonomy::{clean, CleaningConfig, TagId};
@@ -171,7 +171,7 @@ fn rebuilding_is_deterministic() {
     let k = ds.truth.concept_words.len();
     let e1 = CubeLsi::build(&ds.folksonomy, &engine_config(k)).unwrap();
     let e2 = CubeLsi::build(&ds.folksonomy, &engine_config(k)).unwrap();
-    assert_eq!(e1.decomposition().fit, e2.decomposition().fit);
+    assert_eq!(e1.tag_model().fit(), e2.tag_model().fit());
     for t in (0..ds.folksonomy.num_tags()).step_by(5) {
         let q = [TagId::from_index(t)];
         let h1 = e1.search_ids(&q, 10);
@@ -241,12 +241,32 @@ fn query_by_synonym_reaches_untagged_resources() {
     assert!(bridged > 0, "no concept bridging observed at all");
 }
 
+/// Table VII's CubeLSI memory is the model section as written: exactly
+/// the length of section 9 in the engine's artifact, which is `Y⁽²⁾` and
+/// `Λ₂` (plus `Σ` under `CoreGram`) and their shape fields, nothing more.
 #[test]
-fn memory_accounting_is_consistent_with_decomposition() {
+fn memory_accounting_is_the_written_model_section() {
     let ds = corpus();
     let k = ds.truth.concept_words.len();
     let engine = CubeLsi::build(&ds.folksonomy, &engine_config(k)).unwrap();
-    let expected = engine.decomposition().compressed_len() * std::mem::size_of::<f64>();
-    assert_eq!(engine.compressed_bytes(), expected);
+    let bytes = persist::save_to_vec(&engine, &ds.folksonomy);
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let written = (0..count)
+        .map(|i| persist::HEADER_LEN + i * persist::TABLE_ENTRY_LEN)
+        .find(|&e| {
+            u32::from_le_bytes(bytes[e..e + 4].try_into().unwrap()) == persist::SECTION_MODEL
+        })
+        .map(|e| u64::from_le_bytes(bytes[e + 12..e + 20].try_into().unwrap()) as usize)
+        .expect("model section present");
+    assert_eq!(engine.compressed_bytes(), written);
+    let y2 = engine.tag_model().y2();
+    let (t, j2) = (y2.rows(), y2.cols());
+    assert_eq!(t, ds.folksonomy.num_tags());
+    let sigma = engine
+        .tag_model()
+        .sigma()
+        .map_or(0, |s| s.rows() * s.cols());
+    // Source tag, fit, sweeps; three shape pairs less Λ₂'s single length.
+    assert_eq!(written, 8 * (3 + 5 + t * j2 + j2 + sigma));
     assert!(engine.dense_purified_bytes() > engine.compressed_bytes());
 }
