@@ -277,9 +277,8 @@ pub fn tag_embedding(
 /// upper triangle once and mirrors it.
 pub fn pairwise_distances_from_embedding(z: &Matrix) -> TagDistances {
     let n = z.rows();
-    let nthreads = parallel::num_threads().clamp(1, n.max(1));
     let mut matrix = Matrix::zeros(n, n);
-    if nthreads <= 1 {
+    if parallel::num_threads() <= 1 || n <= 1 {
         for i in 0..n {
             let zi = z.row(i);
             for j in (i + 1)..n {
@@ -290,43 +289,23 @@ pub fn pairwise_distances_from_embedding(z: &Matrix) -> TagDistances {
         }
         return TagDistances { matrix };
     }
-    {
-        let cols = n;
-        let data = matrix.as_mut_slice();
-        let bands: Vec<(usize, &mut [f64])> = {
-            let rows_per = n.div_ceil(nthreads.max(1)).max(1);
-            let mut bands = Vec::new();
-            let mut rest = data;
-            let mut start = 0usize;
-            while !rest.is_empty() {
-                let take = (rows_per * cols).min(rest.len());
-                let (band, tail) = rest.split_at_mut(take);
-                bands.push((start, band));
-                start += take / cols;
-                rest = tail;
-            }
-            bands
-        };
-        crossbeam::thread::scope(|scope| {
-            for (start_row, band) in bands {
-                scope.spawn(move |_| {
-                    let rows = band.len() / cols;
-                    for bi in 0..rows {
-                        let i = start_row + bi;
-                        let zi = z.row(i);
-                        let out = &mut band[bi * cols..(bi + 1) * cols];
-                        for (j, slot) in out.iter_mut().enumerate() {
-                            if j == i {
-                                continue;
-                            }
-                            *slot = row_distance(zi, z.row(j));
-                        }
+    parallel::for_each_band(
+        n,
+        |i| i * n,
+        matrix.as_mut_slice(),
+        |rows, band| {
+            for (bi, i) in rows.enumerate() {
+                let zi = z.row(i);
+                let out = &mut band[bi * n..(bi + 1) * n];
+                for (j, slot) in out.iter_mut().enumerate() {
+                    if j == i {
+                        continue;
                     }
-                });
+                    *slot = row_distance(zi, z.row(j));
+                }
             }
-        })
-        .expect("distance worker panicked");
-    }
+        },
+    );
     TagDistances { matrix }
 }
 

@@ -444,4 +444,27 @@ mod tests {
             assert_eq!(a.score, b.score);
         }
     }
+
+    #[test]
+    fn rank_deficient_unfoldings_converge_through_build() {
+        // Every user tags (t, r) iff (t + r) mod 3 = 0: the mode-2 and
+        // mode-3 unfoldings have rank 3, below the core's 8, so most of
+        // each HOSVD block converges to round-off around zero.
+        let mut b = cubelsi_folksonomy::FolksonomyBuilder::new();
+        for u in 0..12 {
+            for t in 0..12 {
+                for r in (0..12).filter(|r| (t + r) % 3 == 0) {
+                    b.add(&format!("u{u}"), &format!("t{t}"), &format!("r{r}"));
+                }
+            }
+        }
+        let cfg = CubeLsiConfig {
+            reduction_ratios: (1.5, 1.5, 1.5),
+            ..Default::default()
+        };
+        let engine = CubeLsi::build(&b.build(), &cfg).unwrap();
+        let hosvd = &engine.trace().hosvd;
+        assert_eq!(hosvd.len(), 2);
+        assert!(hosvd.iter().all(|m| m.converged), "{hosvd:?}");
+    }
 }

@@ -108,7 +108,7 @@ pub fn kmeans(points: &Matrix, config: &KMeansConfig) -> Result<KMeansResult> {
     let results: Vec<Result<KMeansResult>> = if restart_parallel {
         // One restart per worker; the assignment step stays serial inside
         // each restart so the pools do not nest.
-        parallel::parallel_map_collect(n_init, 1, |restart| {
+        parallel::parallel_map_collect(n_init, |restart| {
             kmeans_single(
                 points,
                 config,
@@ -275,36 +275,19 @@ fn assign_pass(
     lower: &mut [f64],
     allow_parallel: bool,
 ) {
-    let n = points.rows();
-    let threads = parallel::num_threads();
-    let work = n * centroids.rows() * points.cols();
-    if !allow_parallel || threads <= 1 || work < PAR_ASSIGN_THRESHOLD {
+    let work = points.rows() * centroids.rows() * points.cols();
+    if !allow_parallel || work < PAR_ASSIGN_THRESHOLD {
         assign_chunk(points, centroids, 0, assignments, dist_sq, lower);
         return;
     }
-    let nchunks = threads.min(n);
-    let chunk = n.div_ceil(nchunks);
-    crossbeam::thread::scope(|scope| {
-        let mut rest_a = assignments;
-        let mut rest_d = dist_sq;
-        let mut rest_l = lower;
-        let mut start = 0usize;
-        while !rest_a.is_empty() {
-            let take = chunk.min(rest_a.len());
-            let (band_a, tail_a) = rest_a.split_at_mut(take);
-            let (band_d, tail_d) = rest_d.split_at_mut(take);
-            let (band_l, tail_l) = rest_l.split_at_mut(take);
-            rest_a = tail_a;
-            rest_d = tail_d;
-            rest_l = tail_l;
-            let first = start;
-            start += take;
-            scope.spawn(move |_| {
-                assign_chunk(points, centroids, first, band_a, band_d, band_l);
-            });
-        }
-    })
-    .expect("kmeans assignment worker panicked");
+    parallel::for_each_band(
+        points.rows(),
+        |i| i,
+        (assignments, (dist_sq, lower)),
+        |rows, (assignments, (dist_sq, lower))| {
+            assign_chunk(points, centroids, rows.start, assignments, dist_sq, lower);
+        },
+    );
 }
 
 fn assign_chunk(

@@ -4,7 +4,7 @@
 use crate::error::LinAlgError;
 use crate::parallel;
 use crate::Result;
-use std::ops::{Index, IndexMut};
+use std::ops::{Index, IndexMut, Range};
 
 /// Minimum number of multiply–add operations before [`Matrix::matmul`]
 /// switches to the multi-threaded kernel. Below this the thread spawn cost
@@ -207,11 +207,16 @@ impl Matrix {
             });
         }
         out.reset(self.rows, other.cols);
-        let flops = self.rows * self.cols * other.cols;
-        if flops >= PAR_FLOP_THRESHOLD && parallel::num_threads() > 1 {
-            self.matmul_into_par(other, out);
+        let n = other.cols;
+        if self.rows * self.cols * n >= PAR_FLOP_THRESHOLD {
+            parallel::for_each_band(
+                self.rows,
+                |i| i * n,
+                out.data.as_mut_slice(),
+                |rows, band| self.matmul_rows_into(other, rows, band),
+            );
         } else {
-            self.matmul_into_serial(other, out, 0);
+            self.matmul_rows_into(other, 0..self.rows, &mut out.data);
         }
         Ok(())
     }
@@ -242,48 +247,28 @@ impl Matrix {
         }
         out.reset(self.cols, other.cols);
         let n = other.cols;
-        let flops = self.rows * self.cols * other.cols;
-        if flops >= PAR_FLOP_THRESHOLD && parallel::num_threads() > 1 {
-            // Partition output rows (= columns of self) into bands; every
-            // band scans all rows of `self` in ascending k, so per-element
-            // accumulation order matches the serial kernel exactly.
-            let bands = split_row_bands(&mut out.data, self.cols, n);
-            crossbeam::thread::scope(|scope| {
-                for (start_row, band) in bands {
-                    scope.spawn(move |_| {
-                        let band_rows = band.len() / n.max(1);
-                        for k in 0..self.rows {
-                            let a_row = self.row(k);
-                            let b_row = other.row(k);
-                            for bi in 0..band_rows {
-                                let aki = a_row[start_row + bi];
-                                if aki == 0.0 {
-                                    continue;
-                                }
-                                let out_row = &mut band[bi * n..(bi + 1) * n];
-                                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                                    *o += aki * b;
-                                }
-                            }
-                        }
-                    });
-                }
-            })
-            .expect("matmul_tn worker thread panicked");
-        } else {
+        // Output row i is column i of `self` against all of `other`; every
+        // band scans the rows of `self` in ascending k, so each element
+        // accumulates in the same order whatever the banding.
+        let kernel = |rows: Range<usize>, band: &mut [f64]| {
             for k in 0..self.rows {
-                let a_row = self.row(k);
+                let a_row = &self.row(k)[rows.clone()];
                 let b_row = other.row(k);
-                for (i, &aki) in a_row.iter().enumerate() {
+                for (bi, &aki) in a_row.iter().enumerate() {
                     if aki == 0.0 {
                         continue;
                     }
-                    let out_row = &mut out.data[i * n..(i + 1) * n];
+                    let out_row = &mut band[bi * n..(bi + 1) * n];
                     for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
                         *o += aki * b;
                     }
                 }
             }
+        };
+        if self.rows * self.cols * n >= PAR_FLOP_THRESHOLD {
+            parallel::for_each_band(self.cols, |i| i * n, out.data.as_mut_slice(), kernel);
+        } else {
+            kernel(0..self.cols, &mut out.data);
         }
         Ok(())
     }
@@ -297,14 +282,14 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Serial `ikj` kernel writing into `out` starting at `row_offset` of `self`.
-    fn matmul_into_serial(&self, other: &Matrix, out: &mut Matrix, row_offset: usize) {
+    /// Rows `rows` of `self * other` by the `ikj` kernel, accumulated into
+    /// `band` (those rows of the zeroed output, row-major).
+    fn matmul_rows_into(&self, other: &Matrix, rows: Range<usize>, band: &mut [f64]) {
         let n = other.cols;
-        let k_dim = self.cols;
-        for i in 0..out.rows {
-            let a_row = self.row(i + row_offset);
-            let out_row = out.row_mut(i);
-            for (k, &aik) in a_row.iter().enumerate().take(k_dim) {
+        for (bi, i) in rows.enumerate() {
+            let a_row = self.row(i);
+            let out_row = &mut band[bi * n..(bi + 1) * n];
+            for (k, &aik) in a_row.iter().enumerate() {
                 if aik == 0.0 {
                     continue;
                 }
@@ -314,49 +299,6 @@ impl Matrix {
                 }
             }
         }
-    }
-
-    /// Multi-threaded kernel: output rows are partitioned into contiguous
-    /// bands, one band per thread.
-    fn matmul_into_par(&self, other: &Matrix, out: &mut Matrix) {
-        let nthreads = parallel::num_threads().min(self.rows.max(1));
-        let n = other.cols;
-        let rows_per = self.rows.div_ceil(nthreads);
-        let bands: Vec<(usize, &mut [f64])> = {
-            let mut bands = Vec::new();
-            let mut rest = out.data.as_mut_slice();
-            let mut start_row = 0;
-            while !rest.is_empty() {
-                let take = (rows_per * n).min(rest.len());
-                let (band, tail) = rest.split_at_mut(take);
-                bands.push((start_row, band));
-                start_row += take / n;
-                rest = tail;
-            }
-            bands
-        };
-        crossbeam::thread::scope(|scope| {
-            for (start_row, band) in bands {
-                scope.spawn(move |_| {
-                    let band_rows = band.len() / n;
-                    for bi in 0..band_rows {
-                        let i = start_row + bi;
-                        let a_row = self.row(i);
-                        let out_row = &mut band[bi * n..(bi + 1) * n];
-                        for (k, &aik) in a_row.iter().enumerate() {
-                            if aik == 0.0 {
-                                continue;
-                            }
-                            let b_row = &other.data[k * n..(k + 1) * n];
-                            for j in 0..n {
-                                out_row[j] += aik * b_row[j];
-                            }
-                        }
-                    }
-                });
-            }
-        })
-        .expect("matmul worker thread panicked");
     }
 
     /// Matrix–vector product `self * x`.
@@ -567,24 +509,6 @@ impl IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-/// Splits a `rows x cols` row-major buffer into contiguous row bands, one
-/// per worker thread, returning `(first_row, band)` pairs.
-fn split_row_bands(data: &mut [f64], rows: usize, cols: usize) -> Vec<(usize, &mut [f64])> {
-    let nthreads = parallel::num_threads().clamp(1, rows.max(1));
-    let rows_per = rows.div_ceil(nthreads).max(1);
-    let mut bands = Vec::with_capacity(nthreads);
-    let mut rest = data;
-    let mut start_row = 0;
-    while !rest.is_empty() {
-        let take = (rows_per * cols).min(rest.len());
-        let (band, tail) = rest.split_at_mut(take);
-        bands.push((start_row, band));
-        start_row += take / cols.max(1);
-        rest = tail;
-    }
-    bands
-}
-
 /// Dot product of two equal-length slices.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -684,7 +608,7 @@ mod tests {
         let b = Matrix::from_fn(n, n, |i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0);
         let par = a.matmul(&b).unwrap();
         let mut serial = Matrix::zeros(n, n);
-        a.matmul_into_serial(&b, &mut serial, 0);
+        a.matmul_rows_into(&b, 0..n, serial.as_mut_slice());
         assert!(par.approx_eq(&serial, 1e-9));
     }
 

@@ -1,10 +1,17 @@
-//! Small fork–join helpers built on `crossbeam::thread::scope`.
+//! Fork–join for the build's kernels, on `std::thread::scope`.
 //!
-//! The heavy kernels in this repository (TTM chains, pairwise tag distances,
-//! dense matmul) are embarrassingly parallel over contiguous ranges, so a
-//! minimal chunked `parallel_for` is all we need — no work stealing, no
-//! shared mutable state beyond disjoint output slices.
+//! Every parallel step of the offline build — dense matmul, the sparse TTM
+//! chain and unfolding, all-pairs tag distances, k-means assignment and
+//! restarts — writes disjoint rows of one output. [`for_each_band`] cuts
+//! that output into at most [`num_threads`] contiguous row bands and runs
+//! one closure per band, so no kernel splits buffers or spawns threads
+//! itself. A row is computed by the same code whichever band it lands in,
+//! so results do not depend on the thread count. Each kernel keeps its own
+//! "is this worth a thread?" threshold and calls its closure directly below
+//! it. Queries do not come through here: they run on the persistent pool of
+//! `cubelsi_core::exec`.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of worker threads used by the parallel kernels.
@@ -54,106 +61,228 @@ pub fn set_num_threads(n: usize) {
 #[cfg(test)]
 pub(crate) static TEST_THREAD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Runs `f(range)` over `0..len` split into roughly equal contiguous ranges,
-/// one per worker thread. `f` receives the half-open index range it owns.
-///
-/// Falls back to a single inline call when `len` is small or only one thread
-/// is configured.
-pub fn parallel_ranges<F>(len: usize, min_chunk: usize, f: F)
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    if len == 0 {
-        return;
-    }
-    let threads = num_threads();
-    if threads <= 1 || len <= min_chunk {
-        f(0..len);
-        return;
-    }
-    let nchunks = threads.min(len.div_ceil(min_chunk.max(1))).max(1);
-    let chunk = len.div_ceil(nchunks);
-    crossbeam::thread::scope(|scope| {
-        for c in 0..nchunks {
-            let start = c * chunk;
-            let end = ((c + 1) * chunk).min(len);
-            if start >= end {
-                break;
-            }
-            let f = &f;
-            scope.spawn(move |_| f(start..end));
-        }
-    })
-    .expect("parallel_ranges worker thread panicked");
+/// An output [`for_each_band`] can cut into disjoint contiguous pieces: a
+/// mutable slice, or a pair of outputs cut at the same element offsets
+/// (arrays that run side by side, such as a CSR matrix's column indices
+/// and values).
+pub trait SplitMut: Send + Sized {
+    /// The first `mid` elements, and the rest.
+    fn split(self, mid: usize) -> (Self, Self);
 }
 
-/// Maps `f` over `0..len` in parallel, collecting per-chunk outputs and
-/// concatenating them in index order.
-pub fn parallel_map_collect<T, F>(len: usize, min_chunk: usize, f: F) -> Vec<T>
+impl<T: Send> SplitMut for &mut [T] {
+    fn split(self, mid: usize) -> (Self, Self) {
+        self.split_at_mut(mid)
+    }
+}
+
+impl<A: SplitMut, B: SplitMut> SplitMut for (A, B) {
+    fn split(self, mid: usize) -> (Self, Self) {
+        let (a_head, a_tail) = self.0.split(mid);
+        let (b_head, b_tail) = self.1.split(mid);
+        ((a_head, b_head), (a_tail, b_tail))
+    }
+}
+
+/// Runs `f(range, band)` over rows `0..rows` cut into at most
+/// [`num_threads`] contiguous ranges of `⌈rows / bands⌉` rows (the last
+/// may be shorter). `band` is `out` from element `offset(range.start)` up
+/// to `offset(range.end)`: `offset(r)` is where row `r` starts in `out` —
+/// `r * stride` for a row-major buffer, `ptr[r]` for a CSR row pointer —
+/// and must be non-decreasing from `offset(0) = 0`.
+///
+/// One band (one thread, or at most one row) runs inline. Otherwise each
+/// band runs on a scoped thread of its own while the caller waits, and a
+/// panic in any band is re-raised on the caller once all bands stop.
+pub fn for_each_band<S, F>(rows: usize, offset: impl Fn(usize) -> usize, out: S, f: F)
+where
+    S: SplitMut,
+    F: Fn(Range<usize>, S) + Sync,
+{
+    let bands = num_threads().clamp(1, rows.max(1));
+    let per = rows.div_ceil(bands).max(1);
+    if per >= rows {
+        f(0..rows, out);
+        return;
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(bands);
+        let (mut rest, mut start) = (out, 0);
+        while start < rows {
+            let end = (start + per).min(rows);
+            let (band, tail) = rest.split(offset(end) - offset(start));
+            rest = tail;
+            handles.push(scope.spawn(move || f(start..end, band)));
+            start = end;
+        }
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}
+
+/// Maps `f` over `0..len` in row bands ([`for_each_band`]) and returns the
+/// results in index order.
+pub fn parallel_map_collect<T, F>(len: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = num_threads();
-    if threads <= 1 || len <= min_chunk {
-        return (0..len).map(f).collect();
-    }
-    let nchunks = threads.min(len.div_ceil(min_chunk.max(1))).max(1);
-    let chunk = len.div_ceil(nchunks);
-    let mut pieces: Vec<Vec<T>> = Vec::with_capacity(nchunks);
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nchunks);
-        for c in 0..nchunks {
-            let start = c * chunk;
-            let end = ((c + 1) * chunk).min(len);
-            if start >= end {
-                break;
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(len).collect();
+    for_each_band(
+        len,
+        |i| i,
+        slots.as_mut_slice(),
+        |range, band| {
+            for (slot, i) in band.iter_mut().zip(range) {
+                *slot = Some(f(i));
             }
-            let f = &f;
-            handles.push(scope.spawn(move |_| (start..end).map(f).collect::<Vec<T>>()));
-        }
-        for h in handles {
-            pieces.push(h.join().expect("parallel_map_collect worker panicked"));
-        }
-    })
-    .expect("parallel_map_collect scope failed");
-    let mut out = Vec::with_capacity(len);
-    for p in pieces {
-        out.extend(p);
-    }
-    out
+        },
+    );
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index belongs to one band"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::thread::ThreadId;
 
-    #[test]
-    fn parallel_ranges_covers_every_index_once() {
-        let len = 1000;
-        let counters: Vec<AtomicU64> = (0..len).map(|_| AtomicU64::new(0)).collect();
-        parallel_ranges(len, 16, |range| {
-            for i in range {
-                counters[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    /// Runs `body` with the thread count pinned to `threads`.
+    fn with_threads<R>(threads: usize, body: impl FnOnce() -> R) -> R {
+        let _guard = TEST_THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_num_threads(threads);
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+        set_num_threads(0);
+        out.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
+    /// Every row visited exactly once and every element of `out` written
+    /// by the band that owns its row, for the given row offsets.
+    fn check_coverage(rows: usize, ptr: &[usize]) {
+        let visits: Vec<AtomicU64> = (0..rows).map(|_| AtomicU64::new(0)).collect();
+        let mut out = vec![usize::MAX; ptr[rows]];
+        for_each_band(
+            rows,
+            |r| ptr[r],
+            out.as_mut_slice(),
+            |range, band| {
+                assert_eq!(band.len(), ptr[range.end] - ptr[range.start]);
+                for r in range.clone() {
+                    visits[r].fetch_add(1, Ordering::Relaxed);
+                    band[ptr[r] - ptr[range.start]..ptr[r + 1] - ptr[range.start]].fill(r);
+                }
+            },
+        );
+        assert!(visits.iter().all(|v| v.load(Ordering::Relaxed) == 1));
+        for r in 0..rows {
+            assert!(out[ptr[r]..ptr[r + 1]].iter().all(|&x| x == r));
+        }
     }
 
     #[test]
-    fn parallel_ranges_handles_tiny_inputs() {
-        let hit = AtomicU64::new(0);
-        parallel_ranges(3, 100, |range| {
-            hit.fetch_add(range.len() as u64, Ordering::Relaxed);
+    fn every_row_is_visited_once_for_strides_and_csr_offsets() {
+        for threads in [1, 3, 4, 8] {
+            with_threads(threads, || {
+                // More rows than threads, fewer, as many, none.
+                for rows in [0, 1, 2, 3, 4, 7, 100] {
+                    for stride in [0, 1, 5] {
+                        let ptr: Vec<usize> = (0..=rows).map(|r| r * stride).collect();
+                        check_coverage(rows, &ptr);
+                    }
+                    // CSR offsets with empty rows (every third row, and a
+                    // run at the front).
+                    let mut ptr = vec![0];
+                    for r in 0..rows {
+                        let len = if r % 3 == 1 || r < 2 { 0 } else { r % 4 + 1 };
+                        ptr.push(ptr[r] + len);
+                    }
+                    check_coverage(rows, &ptr);
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn paired_outputs_split_at_the_same_offsets() {
+        with_threads(3, || {
+            let ptr = [0usize, 2, 2, 5, 6, 9];
+            let mut a = vec![0u32; 9];
+            let mut b = vec![0.0f64; 9];
+            for_each_band(
+                5,
+                |r| ptr[r],
+                (a.as_mut_slice(), b.as_mut_slice()),
+                |range, (ids, vals)| {
+                    assert_eq!(ids.len(), vals.len());
+                    let base = ptr[range.start];
+                    for r in range {
+                        for e in ptr[r]..ptr[r + 1] {
+                            ids[e - base] = r as u32;
+                            vals[e - base] = r as f64;
+                        }
+                    }
+                },
+            );
+            assert_eq!(a, [0, 0, 2, 2, 2, 3, 4, 4, 4]);
+            assert!(a.iter().zip(&b).all(|(&x, &y)| x as f64 == y));
         });
-        assert_eq!(hit.load(Ordering::Relaxed), 3);
-        parallel_ranges(0, 1, |_| panic!("must not be called with empty range work"));
+    }
+
+    #[test]
+    fn one_thread_or_one_row_runs_inline() {
+        let caller = std::thread::current().id();
+        let inline = |threads: usize, rows: usize| {
+            with_threads(threads, || {
+                let seen: std::sync::Mutex<Vec<(Range<usize>, ThreadId)>> = Default::default();
+                let mut out = vec![0u8; rows];
+                for_each_band(
+                    rows,
+                    |r| r,
+                    out.as_mut_slice(),
+                    |range, _| {
+                        seen.lock()
+                            .expect("no band panics")
+                            .push((range, std::thread::current().id()));
+                    },
+                );
+                let seen = seen.into_inner().expect("no band panics");
+                assert_eq!(seen.len(), 1);
+                assert_eq!(seen[0], (0..rows, caller));
+            })
+        };
+        inline(1, 50);
+        inline(4, 1);
+        inline(4, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "band 2 failed")]
+    fn a_panicking_band_propagates_the_panic() {
+        with_threads(4, || {
+            let mut out = vec![0u8; 4];
+            for_each_band(
+                4,
+                |r| r,
+                out.as_mut_slice(),
+                |range, _| {
+                    if range.contains(&2) {
+                        panic!("band 2 failed");
+                    }
+                },
+            );
+        });
     }
 
     #[test]
     fn parallel_map_collect_preserves_order() {
-        let out = parallel_map_collect(500, 16, |i| i * 2);
+        let out = parallel_map_collect(500, |i| i * 2);
         assert_eq!(out.len(), 500);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i * 2);
@@ -165,7 +294,7 @@ mod tests {
         let _guard = TEST_THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_num_threads(1);
         assert_eq!(num_threads(), 1);
-        let out = parallel_map_collect(10, 1, |i| i);
+        let out = parallel_map_collect(10, |i| i);
         assert_eq!(out, (0..10).collect::<Vec<_>>());
         set_num_threads(0);
         assert!(num_threads() >= 1);

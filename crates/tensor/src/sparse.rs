@@ -16,6 +16,7 @@
 
 use cubelsi_linalg::parallel;
 use cubelsi_linalg::{CsrMatrix, LinAlgError, Matrix};
+use std::ops::Range;
 
 use crate::dense::DenseTensor3;
 
@@ -232,12 +233,12 @@ impl SparseTensor3 {
         let mut col_idx = vec![0u32; nnz];
         let mut values = vec![0.0f64; nnz];
 
-        let fill_rows = |row_range: std::ops::Range<usize>,
-                         col_band: &mut [u32],
-                         val_band: &mut [f64],
-                         band_offset: usize| {
+        // A band holds whole rows, so its column and value arrays are cut
+        // at the row pointer and start at entry `ptr[band.start]`.
+        let fill_rows = |band: Range<usize>, (col_band, val_band): (&mut [u32], &mut [f64])| {
+            let band_offset = idx.ptr[band.start] as usize;
             let mut scratch: Vec<(u32, f64)> = Vec::new();
-            for row in row_range {
+            for row in band {
                 let start = idx.ptr[row] as usize;
                 let end = idx.ptr[row + 1] as usize;
                 scratch.clear();
@@ -254,35 +255,11 @@ impl SparseTensor3 {
                 }
             }
         };
-
-        let nthreads = parallel::num_threads().clamp(1, rows.max(1));
-        if nthreads <= 1 || nnz < 4096 {
-            fill_rows(0..rows, &mut col_idx, &mut values, 0);
+        let out = (col_idx.as_mut_slice(), values.as_mut_slice());
+        if nnz < 4096 {
+            fill_rows(0..rows, out);
         } else {
-            // Contiguous row bands; the value/column arrays split exactly at
-            // the row-pointer boundaries, so bands are disjoint.
-            let rows_per = rows.div_ceil(nthreads);
-            crossbeam::thread::scope(|scope| {
-                let mut rest_c: &mut [u32] = &mut col_idx;
-                let mut rest_v: &mut [f64] = &mut values;
-                let mut row_start = 0usize;
-                let mut taken = 0usize;
-                while row_start < rows {
-                    let row_end = (row_start + rows_per).min(rows);
-                    let take = idx.ptr[row_end] as usize - taken;
-                    let (band_c, tail_c) = rest_c.split_at_mut(take);
-                    let (band_v, tail_v) = rest_v.split_at_mut(take);
-                    rest_c = tail_c;
-                    rest_v = tail_v;
-                    let band_offset = taken;
-                    taken += take;
-                    let fill_rows = &fill_rows;
-                    let range = row_start..row_end;
-                    scope.spawn(move |_| fill_rows(range, band_c, band_v, band_offset));
-                    row_start = row_end;
-                }
-            })
-            .expect("unfold_csr worker thread panicked");
+            parallel::for_each_band(rows, |row| idx.ptr[row] as usize, out, fill_rows);
         }
         CsrMatrix::from_sorted_parts(rows, cols, row_ptr, col_idx, values)
             .expect("unfold rows are sorted and in bounds")
@@ -366,11 +343,9 @@ impl SparseTensor3 {
         let idx = &self.mode_index[mode - 1];
         let entries = &self.entries;
 
-        // Partition output rows across threads; each row's fiber only
-        // touches that row of the output, so bands are independent.
-        let out_data = out.as_mut_slice();
-        let bands: Vec<(usize, &mut [f64])> = split_rows(out_data, out_rows, out_cols);
-        parallel_process_bands(bands, out_cols, |row, out_row| {
+        // Each row's fiber only touches that row of the output, so bands of
+        // rows are independent.
+        let fill_row = |row: usize, out_row: &mut [f64]| {
             let start = idx.ptr[row] as usize;
             let end = idx.ptr[row + 1] as usize;
             for &pos in &idx.order[start..end] {
@@ -394,7 +369,17 @@ impl SparseTensor3 {
                     }
                 }
             }
-        });
+        };
+        parallel::for_each_band(
+            out_rows,
+            |row| row * out_cols,
+            out.as_mut_slice(),
+            |rows, band| {
+                for (bi, row) in rows.enumerate() {
+                    fill_row(row, &mut band[bi * out_cols..(bi + 1) * out_cols]);
+                }
+            },
+        );
         Ok(())
     }
 
@@ -438,50 +423,6 @@ fn build_mode_index(entries: &[Entry], dim: usize, key: impl Fn(&Entry) -> usize
         cursor[x] += 1;
     }
     ModeIndex { ptr, order }
-}
-
-/// Splits a `rows x cols` row-major buffer into one band per output row
-/// group, returning `(first_row, band)` pairs sized for the thread count.
-fn split_rows(data: &mut [f64], rows: usize, cols: usize) -> Vec<(usize, &mut [f64])> {
-    let nthreads = parallel::num_threads().clamp(1, rows.max(1));
-    let rows_per = rows.div_ceil(nthreads.max(1)).max(1);
-    let mut bands = Vec::new();
-    let mut rest = data;
-    let mut start_row = 0;
-    while !rest.is_empty() {
-        let take = (rows_per * cols).min(rest.len());
-        let (band, tail) = rest.split_at_mut(take);
-        bands.push((start_row, band));
-        start_row += take / cols.max(1);
-        rest = tail;
-    }
-    bands
-}
-
-/// Runs `f(row, row_slice)` for every row in every band, bands in parallel.
-fn parallel_process_bands<F>(bands: Vec<(usize, &mut [f64])>, cols: usize, f: F)
-where
-    F: Fn(usize, &mut [f64]) + Sync,
-{
-    if bands.len() <= 1 {
-        for (start_row, band) in bands {
-            for (bi, row_slice) in band.chunks_mut(cols).enumerate() {
-                f(start_row + bi, row_slice);
-            }
-        }
-        return;
-    }
-    crossbeam::thread::scope(|scope| {
-        for (start_row, band) in bands {
-            let f = &f;
-            scope.spawn(move |_| {
-                for (bi, row_slice) in band.chunks_mut(cols).enumerate() {
-                    f(start_row + bi, row_slice);
-                }
-            });
-        }
-    })
-    .expect("ttm worker thread panicked");
 }
 
 #[cfg(test)]
