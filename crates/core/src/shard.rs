@@ -391,7 +391,7 @@ pub fn save_sharded(
 
 /// [`save_sharded`] with the compression choice of
 /// [`crate::persist::save_to_vec_with`]: with `compress`, every shard
-/// artifact carries the compressed posting mirror (format v3).
+/// artifact carries the compressed posting mirror (section 8).
 pub fn save_sharded_with(
     manifest_path: impl AsRef<Path>,
     model: &crate::pipeline::CubeLsi,

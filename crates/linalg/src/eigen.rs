@@ -34,7 +34,7 @@ pub struct EigenDecomposition {
 const MAX_QL_SWEEPS: usize = 30;
 
 /// Inverse-iteration solves allowed per eigenvector, and the extra solves
-/// run once the iterate has grown past the stopping criterion (LAPACK's
+/// run once the iterate has grown past the stopping test (LAPACK's
 /// `dstein` constants).
 const MAX_INVERSE_SOLVES: usize = 5;
 const EXTRA_INVERSE_SOLVES: usize = 2;

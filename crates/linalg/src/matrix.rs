@@ -162,15 +162,6 @@ impl Matrix {
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        self.transpose_into(&mut out);
-        out
-    }
-
-    /// [`Self::transpose`] writing into a caller-owned buffer (resized and
-    /// overwritten), so a round trip through the transposed layout can land
-    /// back in the allocation it started from.
-    pub fn transpose_into(&self, out: &mut Matrix) {
-        out.reset(self.cols, self.rows);
         // Blocked transpose: better cache behaviour on large matrices.
         const B: usize = 32;
         for ib in (0..self.rows).step_by(B) {
@@ -182,6 +173,7 @@ impl Matrix {
                 }
             }
         }
+        out
     }
 
     /// Matrix–matrix product `self * other`.
@@ -568,11 +560,6 @@ mod tests {
         assert_eq!(t.shape(), (3, 2));
         assert_eq!(t[(2, 1)], 6.0);
         assert!(t.transpose().approx_eq(&m, 0.0));
-        // Into a buffer of another shape with stale contents: reshaped and
-        // overwritten, no entry left behind.
-        let mut back = Matrix::from_fn(3, 2, |_, _| 9.0);
-        t.transpose_into(&mut back);
-        assert_eq!(back, m);
     }
 
     #[test]

@@ -9,7 +9,13 @@
 
 use crate::error::LinAlgError;
 use crate::matrix::Matrix;
+use crate::parallel;
 use crate::Result;
+use std::ops::Range;
+
+/// Multiply–adds of a sparse–dense product below which
+/// [`CsrMatrix::matmul_dense_into`] stays on the calling thread.
+const PAR_APPLY_THRESHOLD: usize = 1 << 20;
 
 /// A coordinate-format sparse matrix: a list of `(row, col, value)` triples.
 ///
@@ -214,6 +220,11 @@ impl CsrMatrix {
 
     /// [`Self::matmul_dense`] writing into a caller-owned buffer (resized
     /// and overwritten), so iterative solvers can reuse one allocation.
+    ///
+    /// Output row `i` sums row `i`'s terms in CSR order, so above
+    /// `PAR_APPLY_THRESHOLD` the rows are split into bands
+    /// ([`parallel::for_each_band`]) and the result does not depend on the
+    /// thread count.
     pub fn matmul_dense_into(&self, b: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.cols != b.rows() {
             return Err(LinAlgError::DimensionMismatch {
@@ -224,19 +235,22 @@ impl CsrMatrix {
         }
         let n = b.cols();
         out.reset(self.rows, n);
-        for i in 0..self.rows {
-            // Split borrows: the output row is disjoint from `b`.
-            let start = self.row_ptr[i] as usize;
-            let end = self.row_ptr[i + 1] as usize;
-            let out_row = out.row_mut(i);
-            for k in start..end {
-                let c = self.col_idx[k] as usize;
-                let v = self.values[k];
-                let b_row = b.row(c);
-                for j in 0..n {
-                    out_row[j] += v * b_row[j];
+        if n == 0 {
+            return Ok(());
+        }
+        let kernel = |rows: Range<usize>, band: &mut [f64]| {
+            for (i, out_row) in rows.zip(band.chunks_exact_mut(n)) {
+                for (c, v) in self.row_iter(i) {
+                    for (o, &x) in out_row.iter_mut().zip(b.row(c)) {
+                        *o += v * x;
+                    }
                 }
             }
+        };
+        if self.nnz() * n < PAR_APPLY_THRESHOLD {
+            kernel(0..self.rows, out.as_mut_slice());
+        } else {
+            parallel::for_each_band(self.rows, |i| i * n, out.as_mut_slice(), kernel);
         }
         Ok(())
     }
@@ -371,13 +385,35 @@ impl CsrMatrix {
         })
     }
 
-    /// Returns the transpose as a new CSR matrix.
+    /// Returns the transpose as a new CSR matrix, by a counting sort in
+    /// `O(nnz + rows + cols)`: row `c` of the transpose lists the rows that
+    /// hold column `c`, in ascending order.
     pub fn transpose(&self) -> CsrMatrix {
-        let mut coo = CooMatrix::new(self.cols, self.rows);
-        for (r, c, v) in self.iter() {
-            coo.push(c, r, v);
+        let mut row_ptr = vec![0u32; self.cols + 1];
+        for &c in &self.col_idx {
+            row_ptr[c as usize + 1] += 1;
         }
-        coo.to_csr()
+        for c in 0..self.cols {
+            row_ptr[c + 1] += row_ptr[c];
+        }
+        let mut next = row_ptr[..self.cols].to_vec();
+        let mut col_idx = vec![0u32; self.nnz()];
+        let mut values = vec![0.0; self.nnz()];
+        for r in 0..self.rows {
+            for (c, v) in self.row_iter(r) {
+                let slot = next[c] as usize;
+                next[c] += 1;
+                col_idx[slot] = r as u32;
+                values[slot] = v;
+            }
+        }
+        CsrMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            row_ptr,
+            col_idx,
+            values,
+        }
     }
 
     /// Materializes the matrix densely. Intended for tests and tiny inputs.
@@ -503,6 +539,41 @@ mod tests {
         let m = sample();
         let tt = m.transpose().transpose();
         assert!(m.to_dense().approx_eq(&tt.to_dense(), 0.0));
+    }
+
+    #[test]
+    fn transpose_equals_dense_transpose() {
+        for (rows, cols, nnz, seed) in [
+            (1usize, 2usize, 1usize, 1u64),
+            (9, 4, 12, 2),
+            (40, 60, 300, 3),
+            (200, 30, 900, 4),
+        ] {
+            let mut state = seed;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state >> 11
+            };
+            // Rows ≡ 1 (mod 3) stay empty, and so does the last column.
+            let triples: Vec<(usize, usize, f64)> = (0..nnz)
+                .map(|_| {
+                    let r = next() as usize % rows;
+                    let c = next() as usize % (cols - 1).max(1);
+                    (r, c, next() as f64 / (1u64 << 53) as f64 - 0.5)
+                })
+                .filter(|&(r, _, _)| r % 3 != 1)
+                .collect();
+            let m = CsrMatrix::from_triples(rows, cols, &triples).unwrap();
+            let t = m.transpose();
+            assert_eq!(t.shape(), (cols, rows));
+            assert_eq!(t.nnz(), m.nnz());
+            assert!(t.to_dense().approx_eq(&m.to_dense().transpose(), 0.0));
+            // The same CSR a sort of the transposed triples builds.
+            let swapped: Vec<(usize, usize, f64)> = m.iter().map(|(r, c, v)| (c, r, v)).collect();
+            assert_eq!(t, CsrMatrix::from_triples(cols, rows, &swapped).unwrap());
+        }
     }
 
     #[test]

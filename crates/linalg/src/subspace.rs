@@ -62,6 +62,7 @@ use crate::sparse::CsrMatrix;
 use crate::Result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::{Duration, Instant};
 
 /// A symmetric linear operator applied block-wise.
 pub trait SymOp {
@@ -83,20 +84,21 @@ pub trait SymOp {
 /// The Gram operator `A Aᵀ` (or `Aᵀ A`) of a sparse matrix, applied
 /// implicitly so the Gram matrix itself is never formed.
 ///
-/// The apply streams the sparse matrix once per product with a reusable
-/// scratch buffer: the inner operator `Aᵀ A X` is computed in a *single*
-/// pass over `A` (each row's contribution `t = Aᵢ·X` is scattered back
-/// through `Aᵢᵀ` immediately, so the `A X` intermediate is never
-/// materialized), and the outer operator reuses one scratch matrix for
-/// `Aᵀ X` across calls. Both accumulate every output element in exactly the
-/// order of the two materialized sparse–dense products, so the result is
-/// **bit-identical** to them — the tests hold it there.
+/// The inner operator `Aᵀ A X` is computed in a *single* pass over `A`
+/// (each row's contribution `t = Aᵢ·X` is scattered back through `Aᵢᵀ`
+/// immediately, so the `A X` intermediate is never materialized). The outer
+/// operator keeps `Aᵀ` as a CSR matrix of its own and computes `A (Aᵀ X)`
+/// as two row-banded gathers through one reused scratch matrix (a row of
+/// `Aᵀ` lists `A`'s rows in ascending order). Both accumulate every output
+/// element in exactly the order of the two materialized sparse–dense
+/// products, so the result is **bit-identical** to them at any thread
+/// count — the tests hold it there.
 pub struct GramOp<'a> {
     matrix: &'a CsrMatrix,
-    /// `false`: operator is `A Aᵀ` (dimension = rows of A).
-    /// `true`: operator is `Aᵀ A` (dimension = cols of A).
-    transposed: bool,
-    /// Reused intermediate for the outer (`A Aᵀ`) apply.
+    /// `Some(Aᵀ)`: operator is `A Aᵀ` (dimension = rows of A).
+    /// `None`: operator is `Aᵀ A` (dimension = cols of A).
+    transpose: Option<CsrMatrix>,
+    /// Reused intermediate `Aᵀ X` of the outer apply.
     scratch: std::cell::RefCell<Matrix>,
 }
 
@@ -105,7 +107,7 @@ impl<'a> GramOp<'a> {
     pub fn outer(a: &'a CsrMatrix) -> Self {
         GramOp {
             matrix: a,
-            transposed: false,
+            transpose: Some(a.transpose()),
             scratch: std::cell::RefCell::new(Matrix::zeros(0, 0)),
         }
     }
@@ -114,7 +116,7 @@ impl<'a> GramOp<'a> {
     pub fn inner(a: &'a CsrMatrix) -> Self {
         GramOp {
             matrix: a,
-            transposed: true,
+            transpose: None,
             scratch: std::cell::RefCell::new(Matrix::zeros(0, 0)),
         }
     }
@@ -122,26 +124,26 @@ impl<'a> GramOp<'a> {
 
 impl SymOp for GramOp<'_> {
     fn dim(&self) -> usize {
-        if self.transposed {
-            self.matrix.cols()
-        } else {
-            self.matrix.rows()
+        match self.transpose {
+            Some(_) => self.matrix.rows(),
+            None => self.matrix.cols(),
         }
     }
 
     fn apply_block_into(&self, x: &Matrix, out: &mut Matrix) {
-        if self.transposed {
-            self.matrix
+        match &self.transpose {
+            Some(at) => {
+                let mut atx = self.scratch.borrow_mut();
+                at.matmul_dense_into(x, &mut atx)
+                    .expect("GramOp outer: Aᵀ*X");
+                self.matrix
+                    .matmul_dense_into(&atx, out)
+                    .expect("GramOp outer: A*(AᵀX)");
+            }
+            None => self
+                .matrix
                 .gram_inner_apply_into(x, out)
-                .expect("GramOp inner: fused AᵀAX");
-        } else {
-            let mut atx = self.scratch.borrow_mut();
-            self.matrix
-                .matmul_dense_t_into(x, &mut atx)
-                .expect("GramOp outer: Aᵀ*X");
-            self.matrix
-                .matmul_dense_into(&atx, out)
-                .expect("GramOp outer: A*(AᵀX)");
+                .expect("GramOp inner: fused AᵀAX"),
         }
     }
 }
@@ -164,6 +166,29 @@ pub struct TopkEigen {
     /// `false` when the iteration ran into `max_iters` instead of meeting
     /// the stop rule; the pairs are then the best the budget bought.
     pub converged: bool,
+    /// Where the solve's time went.
+    pub times: SolveTimes,
+}
+
+/// Wall time of one subspace solve, split by the three things it does.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SolveTimes {
+    /// Operator applies: the filter's (with the Chebyshev recurrence) and
+    /// the projections', the closing one included.
+    pub apply: Duration,
+    /// Orthonormalising (and, between projections, normalising) the block.
+    pub orth: Duration,
+    /// Rayleigh–Ritz: `QᵀZ`, the small eigensolve and the rotation onto
+    /// the Ritz vectors.
+    pub project: Duration,
+}
+
+/// Runs `f`, adding its wall time to `slot`.
+fn timed<T>(slot: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    *slot += start.elapsed();
+    out
 }
 
 /// Options controlling [`sym_eigs_topk`].
@@ -316,7 +341,8 @@ fn subspace_iterate(
     let block = (k + opts.oversample).min(n);
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut q = Matrix::from_fn(n, block, |_, _| rng.gen::<f64>() - 0.5);
-    orthonormalize_columns(&mut q);
+    let mut times = SolveTimes::default();
+    timed(&mut times.orth, || orthonormalize_columns(&mut q));
 
     // Scratch reused across every iteration: the applied block, the Ritz
     // rotation target (between projections, the filter's third block), and
@@ -348,14 +374,16 @@ fn subspace_iterate(
         let run = steps.min(opts.max_iters - iterations);
         if run > 0 {
             degrees.push(run);
-            if run > 1 {
-                chebyshev_filter(op, run, cut, &mut q, &mut z, &mut zu);
-            } else {
-                // A power step: advance the subspace, skip the projection.
-                op.apply_block_into(&q, &mut z);
-                std::mem::swap(&mut q, &mut z);
-            }
-            normalize_columns(&mut q);
+            timed(&mut times.apply, || {
+                if run > 1 {
+                    chebyshev_filter(op, run, cut, &mut q, &mut z, &mut zu);
+                } else {
+                    // A power step: advance the subspace, skip the projection.
+                    op.apply_block_into(&q, &mut z);
+                    std::mem::swap(&mut q, &mut z);
+                }
+            });
+            timed(&mut times.orth, || normalize_columns(&mut q));
             q_orthonormal = false;
             iterations += run;
             if iterations == opts.max_iters {
@@ -363,14 +391,17 @@ fn subspace_iterate(
             }
         }
         if !q_orthonormal {
-            orthonormalize_columns(&mut q);
+            timed(&mut times.orth, || orthonormalize_columns(&mut q));
         }
-        op.apply_block_into(&q, &mut z);
-        // Rayleigh–Ritz on the current subspace: B = Qᵀ Z = Qᵀ A Q.
-        q.matmul_tn_into(&z, &mut b)?;
-        let eig = ritz_pairs(&b, block)?;
-        // Rotate the block onto the Ritz vectors and advance: Q ← Z U.
-        z.matmul_into(&eig.vectors, &mut zu)?;
+        timed(&mut times.apply, || op.apply_block_into(&q, &mut z));
+        // Rayleigh–Ritz on the current subspace: B = Qᵀ Z = Qᵀ A Q; rotate
+        // the block onto the Ritz vectors and advance: Q ← Z U.
+        let eig = timed(&mut times.project, || -> Result<EigenDecomposition> {
+            q.matmul_tn_into(&z, &mut b)?;
+            let eig = ritz_pairs(&b, block)?;
+            z.matmul_into(&eig.vectors, &mut zu)?;
+            Ok(eig)
+        })?;
         std::mem::swap(&mut q, &mut zu);
         iterations += 1;
         projections += 1;
@@ -400,11 +431,13 @@ fn subspace_iterate(
             };
         }
         q_orthonormal = converged || steps == 0;
-        if q_orthonormal {
-            orthonormalize_columns(&mut q);
-        } else {
-            normalize_columns(&mut q);
-        }
+        timed(&mut times.orth, || {
+            if q_orthonormal {
+                orthonormalize_columns(&mut q);
+            } else {
+                normalize_columns(&mut q);
+            }
+        });
         if converged {
             break;
         }
@@ -413,18 +446,22 @@ fn subspace_iterate(
     // Final Rayleigh–Ritz to extract clean eigenpairs from the converged
     // subspace.
     if !q_orthonormal {
-        orthonormalize_columns(&mut q);
+        timed(&mut times.orth, || orthonormalize_columns(&mut q));
     }
-    op.apply_block_into(&q, &mut z);
-    q.matmul_tn_into(&z, &mut b)?;
-    let eig = ritz_pairs(&b, k)?;
+    timed(&mut times.apply, || op.apply_block_into(&q, &mut z));
+    let (values, vectors) = timed(&mut times.project, || -> Result<(Vec<f64>, Matrix)> {
+        q.matmul_tn_into(&z, &mut b)?;
+        let eig = ritz_pairs(&b, k)?;
+        Ok((eig.values, q.matmul(&eig.vectors)?))
+    })?;
     Ok(TopkEigen {
-        values: eig.values,
-        vectors: q.matmul(&eig.vectors)?,
+        values,
+        vectors,
         iterations,
         projections,
         degrees,
         converged,
+        times,
     })
 }
 
@@ -649,6 +686,36 @@ mod tests {
             );
             assert!(second.approx_eq(&first, 0.0), "outer scratch reuse drifted");
         }
+    }
+
+    #[test]
+    fn banded_outer_gram_apply_bit_identical_to_materialized() {
+        // Every 7th row and every 5th column of A empty; about 34 000
+        // entries against a 48-column block put both gathers above the
+        // banding threshold (2²⁰ multiply–adds).
+        let (rows, cols, width) = (700, 900, 48);
+        let (a, x_full) = random_csr_and_block(rows, cols, 50_000, width, 4);
+        let kept: Vec<(usize, usize, f64)> = a
+            .iter()
+            .filter(|&(r, c, _)| r % 7 != 3 && c % 5 != 1)
+            .collect();
+        let a = CsrMatrix::from_triples(rows, cols, &kept).unwrap();
+        assert!(a.nnz() * width >= 1 << 20);
+        let x = x_full.submatrix(0, rows, 0, width).unwrap();
+        let _guard = crate::parallel::TEST_THREAD_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        crate::parallel::set_num_threads(1);
+        let reference = a.matmul_dense(&a.matmul_dense_t(&x).unwrap()).unwrap();
+        for threads in [1, 4] {
+            crate::parallel::set_num_threads(threads);
+            let banded = GramOp::outer(&a).apply_block(&x);
+            assert!(
+                banded.approx_eq(&reference, 0.0),
+                "outer gram apply at {threads} threads != materialized"
+            );
+        }
+        crate::parallel::set_num_threads(0);
     }
 
     /// Records how far from orthonormal every block handed to the operator

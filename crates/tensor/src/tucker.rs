@@ -30,7 +30,7 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use cubelsi_linalg::subspace::{sym_eigs_filtered, SubspaceOptions, SymOp, TopkEigen};
+use cubelsi_linalg::subspace::{sym_eigs_filtered, SolveTimes, SubspaceOptions, SymOp, TopkEigen};
 use cubelsi_linalg::svd::truncated_svd;
 use cubelsi_linalg::{GramOp, LinAlgError, Matrix};
 
@@ -131,16 +131,20 @@ pub struct ModeInit {
     pub eig_degrees: Vec<usize>,
     /// `false`: the eigensolver stopped at its iteration budget.
     pub eig_converged: bool,
+    /// The eigensolve's time: applies, orthonormalisation, projections.
+    pub eig_times: SolveTimes,
     /// Columns of the unfolding the solver worked on (the non-empty ones).
     pub compact_cols: usize,
     /// Columns of the full Kolda–Bader unfolding, `∏ₘ≠ₙ Iₘ`.
     pub full_cols: u64,
 }
 
-/// One line: `init mode2 31ms/12it/4rr deg 4,3,2 50898/2363994 cols | … | 3
-/// sweeps 110ms 98ms 97ms` — time / operator applies / projections, the
-/// filter degrees between them, compacted-of-full columns. `200it!` marks a
-/// solve that stopped at its iteration budget.
+/// One line: `init mode2 31ms/12it/4rr deg 4,3,2 50898/2363994 cols (apply
+/// 12ms / orth 9ms / rr 6ms) | … | 3 sweeps 110ms 98ms 97ms` — time /
+/// operator applies / projections, the filter degrees between them,
+/// compacted-of-full columns, and the eigensolve's time split into applies,
+/// orthonormalisation and Rayleigh–Ritz projections. `200it!` marks a solve
+/// that stopped at its iteration budget.
 impl fmt::Display for TuckerTrace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for m in &self.init {
@@ -153,7 +157,12 @@ impl fmt::Display for TuckerTrace {
             for (i, d) in m.eig_degrees.iter().enumerate() {
                 write!(f, "{}{d}", if i == 0 { ' ' } else { ',' })?;
             }
-            write!(f, " {}/{} cols | ", m.compact_cols, m.full_cols)?;
+            let t = &m.eig_times;
+            write!(
+                f,
+                " {}/{} cols (apply {:.1?} / orth {:.1?} / rr {:.1?}) | ",
+                m.compact_cols, m.full_cols, t.apply, t.orth, t.project
+            )?;
         }
         write!(f, "{} sweeps", self.sweeps.len())?;
         self.sweeps.iter().try_for_each(|t| write!(f, " {t:.1?}"))
@@ -394,6 +403,7 @@ fn hosvd_factor(
         eig_projections: eigs.projections,
         eig_degrees: eigs.degrees,
         eig_converged: eigs.converged,
+        eig_times: eigs.times,
         compact_cols: unfolding.cols(),
         full_cols: f.unfold_width(mode),
     });

@@ -24,7 +24,7 @@ options:
   --shards N     partition the index across N shard artifacts and write a
                  shard manifest at OUT (N >= 1; `build` only)
   --compress     also store the bit-packed/quantized posting mirror in the
-                 artifact (format v3; `build` only — `query`/`serve` pick
+                 artifact (section 8; `build` only — `query`/`serve` pick
                  it up transparently, results stay bit-identical)
   --top N        results per query (N >= 1; default 10)
   --repeat N     run the query N times on the warm session and report

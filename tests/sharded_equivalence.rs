@@ -227,7 +227,7 @@ fn build_small_model(seed: u64) -> (Folksonomy, CubeLsi) {
 }
 
 /// End-to-end through the persistence layer: `save_sharded` manifests —
-/// plain and compressed (format v3 shards) — answer bit-identically to
+/// plain and compressed (shards with section 8) — answer bit-identically to
 /// the unsharded artifact, under every strategy.
 #[test]
 fn sharded_artifacts_round_trip() {
