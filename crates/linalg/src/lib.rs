@@ -4,8 +4,10 @@
 //! numerical kernels that have no offline-approved crate equivalents, so this
 //! crate implements them from scratch:
 //!
-//! * [`Matrix`] — a row-major dense `f64` matrix with cache-friendly,
+//! * [`Matrix`] — a row-major dense `f64` matrix with register-tiled,
 //!   optionally multi-threaded multiplication kernels.
+//! * [`dispatch`] — the one runtime choice of vector width (AVX-512F, AVX2
+//!   or the baseline) the build's dense kernels run at, bit for bit alike.
 //! * [`CsrMatrix`] / [`CooMatrix`] — compressed sparse row / coordinate
 //!   matrices for the very sparse tag-assignment data.
 //! * [`qr`] — Householder QR and modified Gram–Schmidt orthonormalization.
@@ -25,6 +27,7 @@
 //! All stochastic routines take explicit seeds so that every experiment in
 //! the repository is reproducible bit-for-bit.
 
+pub mod dispatch;
 pub mod eigen;
 pub mod error;
 pub mod kmeans;

@@ -1,6 +1,7 @@
 //! Row-major dense `f64` matrix with the operations needed by Tucker/HOOI,
 //! LSI, spectral clustering, and FolkRank.
 
+use crate::dispatch::{self, Level};
 use crate::error::LinAlgError;
 use crate::parallel;
 use crate::Result;
@@ -10,6 +11,19 @@ use std::ops::{Index, IndexMut, Range};
 /// switches to the multi-threaded kernel. Below this the thread spawn cost
 /// dominates.
 const PAR_FLOP_THRESHOLD: usize = 4_000_000;
+
+/// Output columns of the tile the dense products keep in registers: one
+/// AVX-512 register of doubles. The tile has four rows at AVX2 and
+/// AVX-512 and two at the baseline, whose sixteen SSE2 registers would
+/// spill a 4 × 8 tile.
+const TILE_COLS: usize = 8;
+
+/// Rows of both operands [`Matrix::matmul_tn`] runs through every output
+/// tile of its band before moving on: two 48 × 72 blocks are 54 KiB and
+/// stay in cache while every tile reads them. Without the blocking each
+/// tile streams both whole operands and the tiled loop runs slower than
+/// the untiled one.
+const TN_K_BLOCK: usize = 48;
 
 /// A dense, row-major matrix of `f64` values.
 ///
@@ -178,9 +192,11 @@ impl Matrix {
 
     /// Matrix–matrix product `self * other`.
     ///
-    /// Uses an `ikj` loop order (sequential access to both operands' rows)
-    /// and transparently switches to a row-partitioned multi-threaded kernel
-    /// for large problems.
+    /// Every output element accumulates its `k` terms in ascending order
+    /// from +0.0, skipping those with `self[i][k] == 0.0` (the textbook
+    /// `ikj` loop's order and skips), in register tiles run at the
+    /// [`dispatch`] level; large problems are split into row bands. The
+    /// result is the same bits at every level and thread count.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         let mut out = Matrix::zeros(self.rows, other.cols);
         self.matmul_into(other, &mut out)?;
@@ -200,15 +216,19 @@ impl Matrix {
         }
         out.reset(self.rows, other.cols);
         let n = other.cols;
+        let kernel = |rows: Range<usize>, band: &mut [f64]| {
+            dispatch::run(
+                #[inline(always)]
+                || match dispatch::level() {
+                    Level::Baseline => self.matmul_band::<2>(other, rows, band),
+                    _ => self.matmul_band::<4>(other, rows, band),
+                },
+            )
+        };
         if self.rows * self.cols * n >= PAR_FLOP_THRESHOLD {
-            parallel::for_each_band(
-                self.rows,
-                |i| i * n,
-                out.data.as_mut_slice(),
-                |rows, band| self.matmul_rows_into(other, rows, band),
-            );
+            parallel::for_each_band(self.rows, |i| i * n, out.data.as_mut_slice(), kernel);
         } else {
-            self.matmul_rows_into(other, 0..self.rows, &mut out.data);
+            kernel(0..self.rows, &mut out.data);
         }
         Ok(())
     }
@@ -216,11 +236,11 @@ impl Matrix {
     /// Transposed matrix–matrix product `selfᵀ * other`, computed without
     /// materializing the transpose.
     ///
-    /// Loop order is `kij` with the zero-skip on `self[k][i]`, which makes
-    /// every output element accumulate its `k` terms in exactly the order
-    /// (and with exactly the skips) of `self.transpose().matmul(other)` —
-    /// the result is bit-identical to that reference while saving the
-    /// transpose copy per call.
+    /// Every output element accumulates its `k` terms in ascending order
+    /// from +0.0, skipping those with `self[k][i] == 0.0`: exactly the
+    /// order and the skips of `self.transpose().matmul(other)`, so the
+    /// result is bit-identical to that reference while saving the transpose
+    /// copy per call.
     pub fn matmul_tn(&self, other: &Matrix) -> Result<Matrix> {
         let mut out = Matrix::zeros(self.cols, other.cols);
         self.matmul_tn_into(other, &mut out)?;
@@ -239,23 +259,14 @@ impl Matrix {
         }
         out.reset(self.cols, other.cols);
         let n = other.cols;
-        // Output row i is column i of `self` against all of `other`; every
-        // band scans the rows of `self` in ascending k, so each element
-        // accumulates in the same order whatever the banding.
         let kernel = |rows: Range<usize>, band: &mut [f64]| {
-            for k in 0..self.rows {
-                let a_row = &self.row(k)[rows.clone()];
-                let b_row = other.row(k);
-                for (bi, &aki) in a_row.iter().enumerate() {
-                    if aki == 0.0 {
-                        continue;
-                    }
-                    let out_row = &mut band[bi * n..(bi + 1) * n];
-                    for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                        *o += aki * b;
-                    }
-                }
-            }
+            dispatch::run(
+                #[inline(always)]
+                || match dispatch::level() {
+                    Level::Baseline => self.matmul_tn_band::<2>(other, rows, band),
+                    _ => self.matmul_tn_band::<4>(other, rows, band),
+                },
+            )
         };
         if self.rows * self.cols * n >= PAR_FLOP_THRESHOLD {
             parallel::for_each_band(self.cols, |i| i * n, out.data.as_mut_slice(), kernel);
@@ -274,20 +285,89 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Rows `rows` of `self * other` by the `ikj` kernel, accumulated into
-    /// `band` (those rows of the zeroed output, row-major).
-    fn matmul_rows_into(&self, other: &Matrix, rows: Range<usize>, band: &mut [f64]) {
-        let n = other.cols;
-        for (bi, i) in rows.enumerate() {
-            let a_row = self.row(i);
-            let out_row = &mut band[bi * n..(bi + 1) * n];
-            for (k, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
+    /// Rows `rows` of `self * other` into `band` (those rows of the zeroed
+    /// output, row-major), one register tile at a time: each tile runs
+    /// through all of `k`.
+    #[inline(always)]
+    fn matmul_band<const R: usize>(&self, other: &Matrix, rows: Range<usize>, band: &mut [f64]) {
+        let (kk, n) = (self.cols, other.cols);
+        for i0 in rows.clone().step_by(R) {
+            let h = R.min(rows.end - i0);
+            let a: [&[f64]; R] =
+                std::array::from_fn(|r| if r < h { self.row(i0 + r) } else { &[] });
+            let out = &mut band[(i0 - rows.start) * n..];
+            for j0 in (0..n).step_by(TILE_COLS) {
+                let w = TILE_COLS.min(n - j0);
+                if h == R && w == TILE_COLS {
+                    tile_update(
+                        out,
+                        n,
+                        j0,
+                        (R, TILE_COLS),
+                        0..kk,
+                        |k| a.map(|row| row[k]),
+                        |k| {
+                            other.data[k * n + j0..][..TILE_COLS]
+                                .try_into()
+                                .expect("8 wide")
+                        },
+                    );
+                } else {
+                    tile_update(
+                        out,
+                        n,
+                        j0,
+                        (h, w),
+                        0..kk,
+                        |k| a.map(|row| row.get(k).copied().unwrap_or(0.0)),
+                        |k| padded(&other.data[k * n + j0..][..w]),
+                    );
                 }
-                let b_row = &other.data[k * n..(k + 1) * n];
-                for j in 0..n {
-                    out_row[j] += aik * b_row[j];
+            }
+        }
+    }
+
+    /// Rows `rows` of `selfᵀ * other` into `band` (those rows of the zeroed
+    /// output, row-major): `TN_K_BLOCK` rows of both operands at a time,
+    /// each block run through every register tile of the band, in
+    /// ascending `k`.
+    #[inline(always)]
+    fn matmul_tn_band<const R: usize>(&self, other: &Matrix, rows: Range<usize>, band: &mut [f64]) {
+        let (m, p, n) = (self.rows, self.cols, other.cols);
+        for k0 in (0..m).step_by(TN_K_BLOCK) {
+            let ks = k0..(k0 + TN_K_BLOCK).min(m);
+            for i0 in rows.clone().step_by(R) {
+                let h = R.min(rows.end - i0);
+                let out = &mut band[(i0 - rows.start) * n..];
+                for j0 in (0..n).step_by(TILE_COLS) {
+                    let w = TILE_COLS.min(n - j0);
+                    if h == R && w == TILE_COLS {
+                        tile_update(
+                            out,
+                            n,
+                            j0,
+                            (R, TILE_COLS),
+                            ks.clone(),
+                            |k| -> [f64; R] {
+                                self.data[k * p + i0..][..R].try_into().expect("R wide")
+                            },
+                            |k| {
+                                other.data[k * n + j0..][..TILE_COLS]
+                                    .try_into()
+                                    .expect("8 wide")
+                            },
+                        );
+                    } else {
+                        tile_update(
+                            out,
+                            n,
+                            j0,
+                            (h, w),
+                            ks.clone(),
+                            |k| padded::<R>(&self.data[k * p + i0..][..h]),
+                            |k| padded(&other.data[k * n + j0..][..w]),
+                        );
+                    }
                 }
             }
         }
@@ -484,6 +564,49 @@ impl Matrix {
     }
 }
 
+/// Adds `a(k)[r] · b(k)[c]` for every `k` of `ks`, in ascending order, to
+/// the `h × w` tile of `out` (row stride `n`) at column `j0`, skipping the
+/// terms whose `a(k)[r]` is zero: the sums and skips of the textbook loop,
+/// with the tile held in registers for the whole run. `a` pads rows past
+/// `h` with zeros (so they are skipped) and `b` pads columns past `w`
+/// (whose sums are dropped).
+#[inline(always)]
+fn tile_update<const R: usize>(
+    out: &mut [f64],
+    n: usize,
+    j0: usize,
+    (h, w): (usize, usize),
+    ks: Range<usize>,
+    a: impl Fn(usize) -> [f64; R],
+    b: impl Fn(usize) -> [f64; TILE_COLS],
+) {
+    let mut tile = [[0.0; TILE_COLS]; R];
+    for (r, sums) in tile.iter_mut().enumerate().take(h) {
+        sums[..w].copy_from_slice(&out[r * n + j0..][..w]);
+    }
+    for k in ks {
+        let (a, b) = (a(k), b(k));
+        for (sums, &x) in tile.iter_mut().zip(&a) {
+            if x != 0.0 {
+                for (s, &y) in sums.iter_mut().zip(&b) {
+                    *s += x * y;
+                }
+            }
+        }
+    }
+    for (r, sums) in tile.iter().enumerate().take(h) {
+        out[r * n + j0..][..w].copy_from_slice(&sums[..w]);
+    }
+}
+
+/// `v` followed by zeros, `N` wide.
+#[inline(always)]
+fn padded<const N: usize>(v: &[f64]) -> [f64; N] {
+    let mut out = [0.0; N];
+    out[..v.len()].copy_from_slice(v);
+    out
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
     #[inline]
@@ -508,6 +631,26 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
+/// `out[j·a.len() + i] += (v · b[j]) · a[i]`: adds `v` times the Kronecker
+/// product `b ⊗ a` to `out`, one `a`-long segment per `j` in ascending
+/// order, skipping a segment whose weight `v · b[j]` is zero. The inner
+/// step of the sparse tensor-times-matrix chain, where `v` is a non-zero of
+/// the tensor and `a`, `b` are rows of two factors; it sits here so the
+/// tests can run it at every level of [`crate::dispatch`].
+#[inline(always)]
+pub fn add_scaled_kron(out: &mut [f64], v: f64, a: &[f64], b: &[f64]) {
+    debug_assert_eq!(out.len(), a.len() * b.len());
+    for (&bv, segment) in b.iter().zip(out.chunks_exact_mut(a.len().max(1))) {
+        let w = v * bv;
+        if w == 0.0 {
+            continue;
+        }
+        for (o, &av) in segment.iter_mut().zip(a) {
+            *o += w * av;
+        }
+    }
+}
+
 /// Euclidean norm of a slice.
 #[inline]
 pub fn norm2(a: &[f64]) -> f64 {
@@ -517,6 +660,48 @@ pub fn norm2(a: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::tests::for_each_level;
+    use crate::dispatch::Level;
+
+    impl Matrix {
+        /// The untiled `ikj` loop the tiled [`Matrix::matmul`] replaced:
+        /// rows `rows` of `self * other`, accumulated into `band` (those
+        /// rows of the zeroed output).
+        fn matmul_rows_into(&self, other: &Matrix, rows: Range<usize>, band: &mut [f64]) {
+            let n = other.cols;
+            for (bi, i) in rows.enumerate() {
+                let a_row = self.row(i);
+                let out_row = &mut band[bi * n..(bi + 1) * n];
+                for (k, &aik) in a_row.iter().enumerate() {
+                    if aik == 0.0 {
+                        continue;
+                    }
+                    let b_row = &other.data[k * n..(k + 1) * n];
+                    for j in 0..n {
+                        out_row[j] += aik * b_row[j];
+                    }
+                }
+            }
+        }
+
+        /// The untiled `kij` loop the tiled [`Matrix::matmul_tn`] replaced.
+        fn matmul_tn_reference(&self, other: &Matrix) -> Matrix {
+            let n = other.cols;
+            let mut out = Matrix::zeros(self.cols, n);
+            for k in 0..self.rows {
+                let b_row = other.row(k);
+                for (i, &aki) in self.row(k).iter().enumerate() {
+                    if aki == 0.0 {
+                        continue;
+                    }
+                    for (o, &b) in out.row_mut(i).iter_mut().zip(b_row) {
+                        *o += aki * b;
+                    }
+                }
+            }
+            out
+        }
+    }
 
     fn m2x3() -> Matrix {
         Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap()
@@ -722,6 +907,177 @@ mod tests {
             par.approx_eq(&serial, 0.0),
             "parallel matmul_tn not bit-identical"
         );
+    }
+
+    fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+        a.shape() == b.shape()
+            && a.data
+                .iter()
+                .zip(&b.data)
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// Row, column and `k` counts off the 4 × 8 tile and the 48-row `k`
+    /// block.
+    const ODD_DIMS: [usize; 7] = [1, 3, 5, 9, 47, 49, 73];
+
+    /// A left factor whose zeros come in both signs, and whose line
+    /// `zero` (a column when `zero_col`, else a row) is all zeros.
+    fn left_factor(rows: usize, cols: usize, zero: usize, zero_col: bool, seed: u64) -> Matrix {
+        let mut m = pseudo_random(rows, cols, seed);
+        for i in 0..rows {
+            for j in 0..cols {
+                let signed_zero = if (i + j) % 2 == 0 { 0.0 } else { -0.0 };
+                if (if zero_col { j } else { i }) == zero || m[(i, j)] == 0.0 {
+                    m[(i, j)] = signed_zero;
+                }
+            }
+        }
+        m
+    }
+
+    /// A right factor whose row `bad` holds ±inf and NaN.
+    fn right_factor(rows: usize, cols: usize, bad: usize, seed: u64) -> Matrix {
+        let mut m = pseudo_random(rows, cols, seed);
+        for (j, x) in m.row_mut(bad).iter_mut().enumerate() {
+            *x = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][j % 3];
+        }
+        m
+    }
+
+    /// Both tiled products, at every level the host supports and at 1, 2
+    /// and 4 threads, against the untiled loops, `transpose().matmul` and
+    /// the baseline level, bit for bit. The zeros of the left factor face
+    /// the right factor's infinities and NaNs: the zero skip keeps every
+    /// output finite. The largest shape crosses the threading threshold.
+    #[test]
+    fn tiled_products_are_bit_identical_at_every_level() {
+        let mut shapes: Vec<(usize, usize, usize)> = ODD_DIMS
+            .iter()
+            .flat_map(|&m| {
+                ODD_DIMS
+                    .iter()
+                    .flat_map(move |&k| ODD_DIMS.iter().map(move |&n| (m, k, n)))
+            })
+            .collect();
+        shapes.push((193, 149, 147));
+        let cases: Vec<_> = shapes
+            .iter()
+            .enumerate()
+            .map(|(seed, &(m, k, n))| {
+                let seed = seed as u64;
+                let bad = k / 2;
+                // `a * b` (m × k by k × n) and `ta^T * tb` (k × m by k × n).
+                let a = left_factor(m, k, bad, true, seed);
+                let b = right_factor(k, n, bad, seed ^ 0x5a5a);
+                let ta = left_factor(k, m, bad, false, seed ^ 0xa5a5);
+                let mut want = Matrix::zeros(m, n);
+                a.matmul_rows_into(&b, 0..m, &mut want.data);
+                let want_tn = ta.matmul_tn_reference(&b);
+                assert!(want.data.iter().chain(&want_tn.data).all(|x| x.is_finite()));
+                (a, b, ta, want, want_tn)
+            })
+            .collect();
+        let _guard = parallel::TEST_THREAD_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        for threads in [1, 2, 4] {
+            parallel::set_num_threads(threads);
+            let mut baseline = Vec::new();
+            for_each_level(|level| {
+                for (i, (a, b, ta, want, want_tn)) in cases.iter().enumerate() {
+                    let got = a.matmul(b).unwrap();
+                    let got_tn = ta.matmul_tn(b).unwrap();
+                    let at = format!("{:?} at {level:?}, {threads} threads", shapes[i]);
+                    assert!(same_bits(&got, want), "matmul {at}");
+                    assert!(same_bits(&got_tn, want_tn), "matmul_tn {at}");
+                    assert!(
+                        same_bits(&got_tn, &ta.transpose().matmul(b).unwrap()),
+                        "matmul_tn against transpose().matmul {at}"
+                    );
+                    if level == Level::Baseline {
+                        baseline.push((got, got_tn));
+                    } else {
+                        assert!(same_bits(&got, &baseline[i].0), "matmul vs baseline {at}");
+                        assert!(same_bits(&got_tn, &baseline[i].1), "tn vs baseline {at}");
+                    }
+                }
+            });
+        }
+        parallel::set_num_threads(0);
+    }
+
+    /// The tensor chain's Kronecker step at every level: zero weights
+    /// (a zero `v`, or a ±0 in `b`) skip the segments their `a` holds
+    /// infinities and NaNs against.
+    #[test]
+    fn scaled_kron_is_bit_identical_at_every_level() {
+        let reference = |out: &mut [f64], v: f64, a: &[f64], b: &[f64]| {
+            for (j, &bv) in b.iter().enumerate() {
+                let w = v * bv;
+                if w == 0.0 {
+                    continue;
+                }
+                for (i, &av) in a.iter().enumerate() {
+                    out[j * a.len() + i] += w * av;
+                }
+            }
+        };
+        // Per case: the terms `(v, a, b)` and the sum they make. Terms 1
+        // and 3 have v = ±0 and an `a` holding infinities and NaNs; column
+        // `jb / 2` of every `b` is ±0, and so is the first entry of term 0.
+        let mut cases = Vec::new();
+        for &ja in &ODD_DIMS {
+            for &jb in &ODD_DIMS {
+                let seed = (ja * 100 + jb) as u64;
+                let rows = pseudo_random(6, ja, seed);
+                let mut weights = left_factor(6, jb, jb / 2, true, seed ^ 1);
+                weights[(0, 0)] = 0.0;
+                let terms: Vec<(f64, Vec<f64>, Vec<f64>)> = [1.5, -0.0, -2.25, 0.0, 0.75, 3.0]
+                    .into_iter()
+                    .enumerate()
+                    .map(|(t, v)| {
+                        let mut a = rows.row(t).to_vec();
+                        if v == 0.0 {
+                            for (e, x) in a.iter_mut().enumerate() {
+                                *x = [f64::INFINITY, f64::NAN, f64::NEG_INFINITY][e % 3];
+                            }
+                        }
+                        (v, a, weights.row(t).to_vec())
+                    })
+                    .collect();
+                let mut want = vec![0.0; ja * jb];
+                for (v, a, b) in &terms {
+                    reference(&mut want, *v, a, b);
+                }
+                assert!(want.iter().all(|x| x.is_finite()));
+                cases.push((terms, want));
+            }
+        }
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let _guard = parallel::TEST_THREAD_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let mut baseline = Vec::new();
+        for_each_level(|level| {
+            for (i, (terms, want)) in cases.iter().enumerate() {
+                let mut got = vec![0.0; want.len()];
+                crate::dispatch::run(
+                    #[inline(always)]
+                    || {
+                        for (v, a, b) in terms {
+                            add_scaled_kron(&mut got, *v, a, b);
+                        }
+                    },
+                );
+                assert_eq!(bits(&got), bits(want), "case {i} at {level:?}");
+                if level == Level::Baseline {
+                    baseline.push(got);
+                } else {
+                    assert_eq!(bits(&got), bits(&baseline[i]), "case {i} at {level:?}");
+                }
+            }
+        });
     }
 
     #[test]

@@ -7,8 +7,8 @@
 
 use crate::error::LinAlgError;
 use crate::matrix::{norm2, Matrix};
-use crate::parallel;
 use crate::Result;
+use crate::{dispatch, parallel};
 use std::ops::Range;
 
 /// Thin Householder QR factorization `A = Q R` of an `m x n` matrix with
@@ -111,12 +111,13 @@ const PAR_UPDATE_THRESHOLD: usize = 1 << 18;
 /// Each pass is right-looking over panels of `LANES` columns: a panel's
 /// columns are finished one after another (norm test, fill, scaling, each
 /// then projected out of the panel's later columns), and the finished panel
-/// is projected out of every column to its right, eight columns a pass, the
-/// trailing blocks split into row bands by [`parallel::for_each_band`]. A
-/// column still takes its projections on columns `0..j` in ascending order,
-/// each a sequential dot product from −0.0 and the same axpy as the textbook
-/// left-looking loop, and fills draw from the seed in column order, so the
-/// result is bit-identical to that loop at any thread count.
+/// is projected out of every column to its right, `INTERLEAVE` blocks of
+/// eight columns a pass, the trailing blocks split into row bands by
+/// [`parallel::for_each_band`]. A column still takes its projections on
+/// columns `0..j` in ascending order, each a sequential dot product from
+/// −0.0 and the same axpy as the textbook left-looking loop, and fills draw
+/// from the seed in column order, so the result is bit-identical to that
+/// loop at any thread count and at every [`dispatch`] level.
 pub fn orthonormalize_columns(a: &mut Matrix) {
     let (m, n) = a.shape();
     debug_assert!(m >= n, "cannot orthonormalize more columns than rows");
@@ -138,12 +139,27 @@ pub fn orthonormalize_columns(a: &mut Matrix) {
             let (done, rest) = cols.split_at_mut(b * m);
             let (panel, trailing) = rest.split_at_mut(m);
             let width = (n - b * LANES).min(LANES);
-            finish_panel(done, panel, width, &mut fill_seed);
+            dispatch::run(
+                #[inline(always)]
+                || finish_panel(done, panel, width, &mut fill_seed),
+            );
             let panel = &*panel;
             let update = |_: Range<usize>, band: &mut [Row]| {
-                for block in band.chunks_exact_mut(m) {
-                    subtract_panel(panel, width, block);
-                }
+                dispatch::run(
+                    #[inline(always)]
+                    || {
+                        let mut groups = band.chunks_exact_mut(INTERLEAVE * m);
+                        for group in groups.by_ref() {
+                            let mut blocks = group.chunks_exact_mut(m);
+                            let blocks: [&mut [Row]; INTERLEAVE] =
+                                std::array::from_fn(|_| blocks.next().expect("INTERLEAVE blocks"));
+                            subtract_panel(panel, width, blocks);
+                        }
+                        for block in groups.into_remainder().chunks_exact_mut(m) {
+                            subtract_panel(panel, width, [block]);
+                        }
+                    },
+                )
             };
             let trailing_blocks = blocks - b - 1;
             if 2 * trailing_blocks * m * width * LANES < PAR_UPDATE_THRESHOLD {
@@ -165,6 +181,7 @@ pub fn orthonormalize_columns(a: &mut Matrix) {
 /// (and fill), the scaling, and that lane's projection out of the lanes to
 /// its right. A lane's squared norm is summed in the pass that applies its
 /// last projection.
+#[inline(always)]
 fn finish_panel(done: &[Row], panel: &mut [Row], width: usize, fill_seed: &mut u64) {
     let mut norm_sq = panel.iter().map(|row| row[0] * row[0]).sum::<f64>();
     for l in 0..width {
@@ -229,29 +246,51 @@ fn refill(done: &[Row], panel: &mut [Row], l: usize, fill_seed: &mut u64) {
     }
 }
 
+/// Trailing blocks [`subtract_panel`] takes in one pass, so that as many
+/// independent sums advance per row.
+const INTERLEAVE: usize = 2;
+
 /// Projects the first `width` (finished) lanes of `panel` out of every lane
-/// of `block`, in lane order. The axpy of one lane and the dot products of
-/// the next share a pass: each element is updated, then read.
-fn subtract_panel(panel: &[Row], width: usize, block: &mut [Row]) {
-    let mut r = [-0.0; LANES];
-    for (q, c) in panel.iter().zip(block.iter()) {
-        for (acc, &x) in r.iter_mut().zip(c) {
-            *acc += q[0] * x;
+/// of each of `blocks`, in lane order. The axpy of one lane and the dot
+/// products of the next share a pass: each element is updated, then read.
+/// The blocks share the passes; each of their columns keeps its own
+/// sequential sums. Rows are copied into locals so that the compiler sees
+/// they do not alias the panel.
+#[inline(always)]
+fn subtract_panel<const B: usize>(panel: &[Row], width: usize, mut blocks: [&mut [Row]; B]) {
+    let mut r = [[-0.0; LANES]; B];
+    for (t, q) in panel.iter().enumerate() {
+        let q0 = q[0];
+        for (rb, block) in r.iter_mut().zip(&blocks) {
+            let row = block[t];
+            for (acc, &x) in rb.iter_mut().zip(&row) {
+                *acc += q0 * x;
+            }
         }
     }
     for i in 1..width {
-        let mut next = [-0.0; LANES];
-        for (q, c) in panel.iter().zip(block.iter_mut()) {
-            for ((x, acc), &rk) in c.iter_mut().zip(&mut next).zip(&r) {
-                *x -= rk * q[i - 1];
-                *acc += q[i] * *x;
+        let mut next = [[-0.0; LANES]; B];
+        for (t, q) in panel.iter().enumerate() {
+            let (q_done, q_next) = (q[i - 1], q[i]);
+            for ((nb, rb), block) in next.iter_mut().zip(&r).zip(blocks.iter_mut()) {
+                let mut row = block[t];
+                for ((x, acc), &rk) in row.iter_mut().zip(nb.iter_mut()).zip(rb) {
+                    *x -= rk * q_done;
+                    *acc += q_next * *x;
+                }
+                block[t] = row;
             }
         }
         r = next;
     }
-    for (q, c) in panel.iter().zip(block.iter_mut()) {
-        for (x, &rk) in c.iter_mut().zip(&r) {
-            *x -= rk * q[width - 1];
+    for (t, q) in panel.iter().enumerate() {
+        let q_last = q[width - 1];
+        for (rb, block) in r.iter().zip(blocks.iter_mut()) {
+            let mut row = block[t];
+            for (x, &rk) in row.iter_mut().zip(rb) {
+                *x -= rk * q_last;
+            }
+            block[t] = row;
         }
     }
 }
@@ -468,6 +507,56 @@ mod tests {
                 assert!(same_bits, "case {i} ({:?}) at {threads} threads", a.shape());
                 assert!(orthonormality_error(&got) < 1e-8, "case {i}");
             }
+        }
+        set_num_threads(0);
+    }
+
+    /// Every level the host supports, at 1, 2 and 4 threads, against the
+    /// left-looking loop and the baseline level: column counts off the
+    /// panel width and the block interleave (an odd and an even number of
+    /// trailing blocks), 700 rows to band the wider ones, and rank
+    /// deficiency.
+    #[test]
+    fn mgs2_is_bit_identical_at_every_level() {
+        use crate::dispatch::tests::for_each_level;
+        use crate::dispatch::Level;
+        let mut cases: Vec<Matrix> = [1, 3, 5, 9, 47, 49, 73]
+            .iter()
+            .map(|&n| seeded(700, n, 200 + n as u64))
+            .collect();
+        cases.extend([3, 9].iter().map(|&n| seeded(n, n, 300 + n as u64)));
+        let mut deficient = seeded(700, 41, 9);
+        for t in 0..700 {
+            deficient[(t, 5)] = 0.0;
+            deficient[(t, 20)] = deficient[(t, 12)];
+        }
+        cases.push(deficient);
+        let wants: Vec<Matrix> = cases
+            .iter()
+            .map(|a| {
+                let mut want = a.clone();
+                left_looking_mgs2(&mut want);
+                want
+            })
+            .collect();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let _guard = TEST_THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for threads in [1, 2, 4] {
+            set_num_threads(threads);
+            let mut baseline = Vec::new();
+            for_each_level(|level| {
+                for (i, (a, want)) in cases.iter().zip(&wants).enumerate() {
+                    let mut got = a.clone();
+                    orthonormalize_columns(&mut got);
+                    let at = format!("case {i} ({:?}) at {level:?}, {threads} threads", a.shape());
+                    assert_eq!(bits(&got), bits(want), "{at}");
+                    if level == Level::Baseline {
+                        baseline.push(got);
+                    } else {
+                        assert_eq!(bits(&got), bits(&baseline[i]), "{at}");
+                    }
+                }
+            });
         }
         set_num_threads(0);
     }

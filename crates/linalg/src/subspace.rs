@@ -54,6 +54,7 @@
 //!   (block, applied block, Ritz-rotation target), so filtering allocates
 //!   nothing.
 
+use crate::dispatch;
 use crate::eigen::{top_eigenpairs, EigenDecomposition};
 use crate::error::LinAlgError;
 use crate::matrix::Matrix;
@@ -471,20 +472,25 @@ fn subspace_iterate(
 fn normalize_columns(q: &mut Matrix) {
     let (n, b) = q.shape();
     let mut inv_norms = vec![0.0f64; b];
-    for row in q.as_slice().chunks_exact(b) {
-        for (acc, &x) in inv_norms.iter_mut().zip(row.iter()) {
-            *acc += x * x;
-        }
-    }
-    for v in inv_norms.iter_mut() {
-        *v = if *v > 0.0 { 1.0 / v.sqrt() } else { 1.0 };
-    }
     debug_assert_eq!(q.as_slice().len(), n * b);
-    for row in q.as_mut_slice().chunks_exact_mut(b) {
-        for (x, &inv) in row.iter_mut().zip(inv_norms.iter()) {
-            *x *= inv;
-        }
-    }
+    dispatch::run(
+        #[inline(always)]
+        || {
+            for row in q.as_slice().chunks_exact(b) {
+                for (acc, &x) in inv_norms.iter_mut().zip(row.iter()) {
+                    *acc += x * x;
+                }
+            }
+            for v in inv_norms.iter_mut() {
+                *v = if *v > 0.0 { 1.0 / v.sqrt() } else { 1.0 };
+            }
+            for row in q.as_mut_slice().chunks_exact_mut(b) {
+                for (x, &inv) in row.iter_mut().zip(inv_norms.iter()) {
+                    *x *= inv;
+                }
+            }
+        },
+    );
 }
 
 /// The `k` leading eigenpairs of the projected matrix `b = Qᵀ A Q`,
@@ -909,5 +915,53 @@ mod tests {
         let r2 = sym_eigs_topk(&op, 2, &opts).unwrap();
         assert_eq!(r1.values, r2.values);
         assert!(r1.vectors.approx_eq(&r2.vectors, 0.0));
+    }
+
+    /// The column normalisation at every level the host supports, against
+    /// its scalar loop and the baseline level, bit for bit, on blocks whose
+    /// width is off the vector widths; wider blocks have a zero column.
+    #[test]
+    fn normalisation_is_bit_identical_at_every_level() {
+        use crate::dispatch::tests::for_each_level;
+        use crate::dispatch::Level;
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut cases = Vec::new();
+        for (case, &b) in [1usize, 3, 5, 9, 47, 49, 73].iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(case as u64);
+            let mut q = Matrix::from_fn(301, b, |_, _| rng.gen::<f64>() - 0.5);
+            if b > 3 {
+                q.set_col(2, &[0.0; 301]);
+            }
+            // The loop the dispatched kernel replaced.
+            let mut want = q.clone();
+            let mut sums = vec![0.0f64; b];
+            for row in want.as_slice().chunks_exact(b) {
+                for (acc, &x) in sums.iter_mut().zip(row) {
+                    *acc += x * x;
+                }
+            }
+            for row in want.as_mut_slice().chunks_exact_mut(b) {
+                for (x, &sum) in row.iter_mut().zip(&sums) {
+                    *x *= if sum > 0.0 { 1.0 / sum.sqrt() } else { 1.0 };
+                }
+            }
+            cases.push((q, want));
+        }
+        let _guard = crate::parallel::TEST_THREAD_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let mut baseline = Vec::new();
+        for_each_level(|level| {
+            for (i, (q, want)) in cases.iter().enumerate() {
+                let mut got = q.clone();
+                normalize_columns(&mut got);
+                assert_eq!(bits(&got), bits(want), "case {i} at {level:?}");
+                if level == Level::Baseline {
+                    baseline.push(got);
+                } else {
+                    assert_eq!(bits(&got), bits(&baseline[i]), "case {i} at {level:?}");
+                }
+            }
+        });
     }
 }

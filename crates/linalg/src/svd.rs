@@ -165,8 +165,7 @@ pub fn truncated_svd(a: &dyn LinOp, k: usize, opts: &SubspaceOptions) -> Result<
     if inner {
         // Eigenvectors are V; recover U = A V Σ⁻¹.
         let v = eigs.vectors;
-        let av = a.apply(&v);
-        let mut u = scale_cols_by_inverse(&av, &singular_values);
+        let mut u = scale_cols_by_inverse(a.apply(&v), &singular_values);
         if needs_completion {
             crate::qr::orthonormalize_columns(&mut u);
         }
@@ -178,8 +177,7 @@ pub fn truncated_svd(a: &dyn LinOp, k: usize, opts: &SubspaceOptions) -> Result<
     } else {
         // Eigenvectors are U; recover V = Aᵀ U Σ⁻¹.
         let u = eigs.vectors;
-        let atu = a.apply_t(&u);
-        let mut v = scale_cols_by_inverse(&atu, &singular_values);
+        let mut v = scale_cols_by_inverse(a.apply_t(&u), &singular_values);
         if needs_completion {
             crate::qr::orthonormalize_columns(&mut v);
         }
@@ -192,21 +190,20 @@ pub fn truncated_svd(a: &dyn LinOp, k: usize, opts: &SubspaceOptions) -> Result<
 }
 
 /// Divides each column by the corresponding singular value (columns with a
-/// vanishing singular value are zeroed — they carry no energy).
-fn scale_cols_by_inverse(m: &Matrix, sigma: &[f64]) -> Matrix {
-    let mut out = m.clone();
-    let (rows, cols) = out.shape();
-    for j in 0..cols {
-        let inv = if sigma[j] > 1e-12 {
-            1.0 / sigma[j]
-        } else {
-            0.0
-        };
-        for i in 0..rows {
-            out[(i, j)] *= inv;
+/// vanishing singular value are zeroed — they carry no energy), in place,
+/// row by row.
+fn scale_cols_by_inverse(mut m: Matrix, sigma: &[f64]) -> Matrix {
+    let inv: Vec<f64> = sigma
+        .iter()
+        .map(|&s| if s > 1e-12 { 1.0 / s } else { 0.0 })
+        .collect();
+    let cols = m.cols();
+    for row in m.as_mut_slice().chunks_exact_mut(cols.max(1)) {
+        for (x, &inv) in row.iter_mut().zip(&inv) {
+            *x *= inv;
         }
     }
-    out
+    m
 }
 
 #[cfg(test)]

@@ -14,7 +14,8 @@
 //!   whose output rows are disjoint per mode index, enabling clean
 //!   fork–join parallelism.
 
-use cubelsi_linalg::parallel;
+use cubelsi_linalg::matrix::add_scaled_kron;
+use cubelsi_linalg::{dispatch, parallel};
 use cubelsi_linalg::{CsrMatrix, LinAlgError, Matrix};
 use std::ops::Range;
 
@@ -340,47 +341,47 @@ impl SparseTensor3 {
         let jb = yb.cols();
         let out_cols = ja * jb;
         out.reset(out_rows, out_cols);
-        let idx = &self.mode_index[mode - 1];
-        let entries = &self.entries;
-
         // Each row's fiber only touches that row of the output, so bands of
         // rows are independent.
-        let fill_row = |row: usize, out_row: &mut [f64]| {
-            let start = idx.ptr[row] as usize;
-            let end = idx.ptr[row + 1] as usize;
-            for &pos in &idx.order[start..end] {
-                let e = &entries[pos as usize];
+        parallel::for_each_band(
+            out_rows,
+            |row| row * out_cols,
+            out.as_mut_slice(),
+            |rows, band| {
+                dispatch::run(
+                    #[inline(always)]
+                    || self.ttm_rows(mode, ya, yb, rows, band),
+                )
+            },
+        );
+        Ok(())
+    }
+
+    /// Rows `rows` of [`Self::ttm_except_unfolded_into`]'s output into
+    /// `band` (those rows, zeroed): each row's non-zeros in fiber order.
+    #[inline(always)]
+    fn ttm_rows(
+        &self,
+        mode: usize,
+        ya: &Matrix,
+        yb: &Matrix,
+        rows: Range<usize>,
+        band: &mut [f64],
+    ) {
+        let idx = &self.mode_index[mode - 1];
+        let out_cols = ya.cols() * yb.cols();
+        for (row, out_row) in rows.zip(band.chunks_exact_mut(out_cols.max(1))) {
+            for &pos in &idx.order[idx.ptr[row] as usize..idx.ptr[row + 1] as usize] {
+                let e = &self.entries[pos as usize];
                 let (a_idx, b_idx) = match mode {
                     1 => (e.j as usize, e.k as usize),
                     2 => (e.i as usize, e.k as usize),
                     3 => (e.i as usize, e.j as usize),
                     _ => unreachable!(),
                 };
-                let a_row = ya.row(a_idx);
-                let b_row = yb.row(b_idx);
-                for (jb_i, &bv) in b_row.iter().enumerate() {
-                    let w = e.v * bv;
-                    if w == 0.0 {
-                        continue;
-                    }
-                    let out_seg = &mut out_row[jb_i * ja..(jb_i + 1) * ja];
-                    for (o, &av) in out_seg.iter_mut().zip(a_row.iter()) {
-                        *o += w * av;
-                    }
-                }
+                add_scaled_kron(out_row, e.v, ya.row(a_idx), yb.row(b_idx));
             }
-        };
-        parallel::for_each_band(
-            out_rows,
-            |row| row * out_cols,
-            out.as_mut_slice(),
-            |rows, band| {
-                for (bi, row) in rows.enumerate() {
-                    fill_row(row, &mut band[bi * out_cols..(bi + 1) * out_cols]);
-                }
-            },
-        );
-        Ok(())
+        }
     }
 
     /// Full three-way contraction `F ×₁ Y₁ᵀ ×₂ Y₂ᵀ ×₃ Y₃ᵀ` returning the

@@ -108,8 +108,14 @@ fn build_model(corpus: &Folksonomy, opts: &BuildOpts) -> Result<CubeLsi, String>
         model.concepts().num_concepts(),
     );
     eprintln!(
-        "offline tensor {:?} | tucker {:?} | distances {:?} | clustering {:?} | indexing {:?} | total {:?}",
-        t.tensor_build, t.tucker, t.distances, t.clustering, t.indexing, t.total()
+        "offline tensor {:?} | tucker {:?} | distances {:?} | clustering {:?} | indexing {:?} | total {:?} | kernels {}",
+        t.tensor_build,
+        t.tucker,
+        t.distances,
+        t.clustering,
+        t.indexing,
+        t.total(),
+        cubelsi::linalg::dispatch::level().name()
     );
     eprintln!("tucker  {trace}");
     // An HOSVD eigensolve that ran out of iterations still returns its best
