@@ -11,7 +11,9 @@
 //! * the spectral clustering affinity (T×T, `k` = the concept budget);
 //! * the Rayleigh–Ritz matrices of subspace iteration (b×b, b ≈ k +
 //!   oversampling, every pair);
-//! * the core-tensor Gram matrix `Σ = S₍₂₎S₍₂₎ᵀ` (J₂×J₂, every pair).
+//! * the core-tensor Gram matrix `Σ = S₍₂₎S₍₂₎ᵀ` (J₂×J₂, every pair);
+//! * the Gram of a HOOI product's smaller side (s×s, `k` = Jₙ), where
+//!   [`crate::svd::dense_truncated_svd`] takes the exact route.
 //!
 //! Operators that can only be *applied* — the Tucker unfoldings' Gram
 //! operators, LSI's sparse matrix — go through [`crate::subspace`]. The

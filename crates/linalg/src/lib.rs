@@ -14,12 +14,15 @@
 //! * [`eigen`] — the one dense symmetric eigensolver, a direct top-`k`
 //!   solve (Householder tridiagonalisation, implicit QL, inverse
 //!   iteration): the spectral clustering affinity, the Rayleigh–Ritz
-//!   matrices of subspace iteration and the Theorem-1 `Σ` all go through it.
+//!   matrices of subspace iteration, the Theorem-1 `Σ` and the Grams of
+//!   HOOI's exact updates all go through it.
 //! * [`subspace`] — block subspace iteration for the leading eigenpairs of
-//!   large implicit symmetric operators (the workhorse behind HOSVD/HOOI and
+//!   large implicit symmetric operators (the workhorse behind the HOSVD and
 //!   the LSI baseline's truncated SVD).
-//! * [`svd`] — truncated singular value decomposition by subspace iteration
-//!   on a Gram operator (used by the LSI baseline and inside Tucker ALS).
+//! * [`svd`] — truncated singular value decomposition from a Gram: by
+//!   subspace iteration on the Gram operator (the LSI baseline), or, for a
+//!   dense matrix whose shape makes it cheaper, from the formed Gram of its
+//!   smaller side by the direct eigensolver (Tucker ALS's HOOI updates).
 //! * [`mod@kmeans`] — k-means++ seeding and bounds-pruned Lloyd clustering.
 //! * [`spectral`] — the Ng–Jordan–Weiss spectral clustering algorithm exactly
 //!   as used for concept distillation in §V of the paper.

@@ -2,11 +2,13 @@
 //! positive semi-definite operators.
 //!
 //! This is the eigensolver for operators that can only be applied. HOSVD
-//! initialization, each HOOI/ALS mode update and truncated SVD for the LSI
-//! baseline all reduce to "top-k eigenvectors of a big symmetric operator
-//! that we can only afford to apply, never materialize". (The spectral
-//! clustering affinity is dense and already materialized; it is solved
-//! directly by [`crate::eigen::top_eigenpairs`].)
+//! initialization, truncated SVD for the LSI baseline and the HOOI/ALS mode
+//! updates whose Gram would cost more to form than to iterate on all
+//! reduce to "top-k eigenvectors of a big symmetric operator that we can
+//! only afford to apply, never materialize". (The spectral clustering
+//! affinity is dense and already materialized, and so is the Gram of the
+//! other HOOI updates; both are solved directly by
+//! [`crate::eigen::top_eigenpairs`].)
 //!
 //! The operator abstraction [`SymOp`] takes a whole `n x b` block at a time,
 //! which lets implementations amortize sparse traversals across the block.
@@ -17,8 +19,9 @@
 //! agree to `tol`. The callers differ in what advances the block *between*
 //! two projections:
 //!
-//! * [`sym_eigs_topk`] — nothing: every apply is a projection (HOOI's mode
-//!   updates and LSI converge in 2–6 of them).
+//! * [`sym_eigs_topk`] — nothing: every apply is a projection (LSI, and
+//!   the HOOI updates [`crate::svd::dense_truncated_svd`] iterates on, which
+//!   converge in 4–40 applies).
 //! * [`sym_eigs_filtered`] — a Chebyshev filter (HOSVD). A flat spectral
 //!   tail (`λ_k / λ_{b+1}` a few percent above 1, what a folksonomy's mode-3
 //!   unfolding has) makes a power step gain those few percent on the last
@@ -411,10 +414,9 @@ fn subspace_iterate(
         // The filtered (HOSVD) solve compares values below 1e-6·|θ₁| on
         // that floor, not on themselves: on a rank-deficient unfolding they
         // are rounding noise around zero, which never agrees with itself
-        // relatively. The unfiltered solve (HOOI's updates, LSI) keeps the
-        // purely relative rule: floored, the rank-deficient updates of a
-        // full-core decomposition stop two projections in, and its fit —
-        // pinned to 1 within 1e-8 — lands one ulp of ‖F‖² lower.
+        // relatively. The unfiltered solve (HOOI's iterative updates, LSI)
+        // keeps the purely relative rule, and with it the bits of every
+        // update that takes it.
         let floor = if filtered { 1e-6 * ritz[0].abs() } else { 0.0 }.max(1e-30);
         let agree = projections > 1
             && ritz.iter().zip(prev_ritz.iter()).all(|(&cur, &prev)| {

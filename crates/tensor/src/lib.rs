@@ -24,4 +24,6 @@ pub mod tucker;
 
 pub use dense::DenseTensor3;
 pub use sparse::SparseTensor3;
-pub use tucker::{tucker_als, ModeInit, TuckerConfig, TuckerDecomposition, TuckerTrace};
+pub use tucker::{
+    tucker_als, ModeInit, SweepTrace, TuckerConfig, TuckerDecomposition, TuckerTrace,
+};

@@ -15,9 +15,16 @@
 //! Ritz values. The mode-3 unfolding of a folksonomy (resources ≫ users) has
 //! a flat tail — neighbouring eigenvalues a few percent apart around the
 //! cut — where projecting after every apply needs twice the operator
-//! applies and ten times the projections; HOOI's own solves converge in 2–6
-//! projections and take none of this. Mode 1 is not initialised: the first HOOI update
-//! computes `Y⁽¹⁾` from the other two before anything reads it.
+//! applies and ten times the projections. Mode 1 is not initialised: the
+//! first HOOI update computes `Y⁽¹⁾` from the other two before anything
+//! reads it.
+//!
+//! A HOOI update works on a dense product `W` (`Iₙ × ∏Jₘ`) and goes through
+//! [`dense_truncated_svd`]. Where forming the Gram of `W`'s smaller side
+//! costs less than subspace iteration would — a rule on the shape alone —
+//! the update is an exact dense solve: one Gram, its top `Jₙ` eigenpairs by
+//! `top_eigenpairs`, no iteration budget. Otherwise it iterates on the Gram
+//! operator. The trace records which route each update took.
 //!
 //! Two properties the rest of the pipeline depends on:
 //!
@@ -31,7 +38,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use cubelsi_linalg::subspace::{sym_eigs_filtered, SolveTimes, SubspaceOptions, SymOp, TopkEigen};
-use cubelsi_linalg::svd::truncated_svd;
+use cubelsi_linalg::svd::{dense_truncated_svd, SvdRoute};
 use cubelsi_linalg::{GramOp, LinAlgError, Matrix};
 
 use crate::dense::DenseTensor3;
@@ -112,8 +119,18 @@ pub struct TuckerDecomposition {
 pub struct TuckerTrace {
     /// HOSVD initialisation of modes 2 and 3, in that order.
     pub init: Vec<ModeInit>,
-    /// Wall time of each HOOI sweep (three mode updates and the fit).
-    pub sweeps: Vec<Duration>,
+    /// Each HOOI sweep, in order.
+    pub sweeps: Vec<SweepTrace>,
+}
+
+/// One HOOI sweep, as [`TuckerTrace`] records it.
+#[derive(Debug, Clone, Copy)]
+pub struct SweepTrace {
+    /// Wall time: the three mode updates and the fit.
+    pub time: Duration,
+    /// How each mode's update solved, in mode order; `None` for an update
+    /// skipped because neither of its inputs had changed.
+    pub updates: [Option<SvdRoute>; 3],
 }
 
 /// HOSVD initialisation of one mode, as [`TuckerTrace`] records it.
@@ -140,11 +157,13 @@ pub struct ModeInit {
 }
 
 /// One line: `init mode2 31ms/12it/4rr deg 4,3,2 50898/2363994 cols (apply
-/// 12ms / orth 9ms / rr 6ms) | … | 3 sweeps 110ms 98ms 97ms` — time /
-/// operator applies / projections, the filter degrees between them,
-/// compacted-of-full columns, and the eigensolve's time split into applies,
-/// orthonormalisation and Rayleigh–Ritz projections. `200it!` marks a solve
-/// that stopped at its iteration budget.
+/// 12ms / orth 9ms / rr 6ms) | … | 3 sweeps 11ms[GGG] 9.8ms[(14)GG]
+/// 9.7ms[-GG]` — time / operator applies / projections, the filter degrees
+/// between them, compacted-of-full columns, and the eigensolve's time split
+/// into applies, orthonormalisation and Rayleigh–Ritz projections; then each
+/// sweep's time and its three mode updates: `G` solved on the Gram route,
+/// `(14)` by subspace iteration in 14 applies, `-` skipped. `200it!` marks
+/// an HOSVD solve that stopped at its iteration budget.
 impl fmt::Display for TuckerTrace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for m in &self.init {
@@ -165,7 +184,18 @@ impl fmt::Display for TuckerTrace {
             )?;
         }
         write!(f, "{} sweeps", self.sweeps.len())?;
-        self.sweeps.iter().try_for_each(|t| write!(f, " {t:.1?}"))
+        for sweep in &self.sweeps {
+            write!(f, " {:.1?}[", sweep.time)?;
+            for update in sweep.updates {
+                match update {
+                    Some(SvdRoute::Gram) => write!(f, "G")?,
+                    Some(SvdRoute::Iterative { applies }) => write!(f, "({applies})")?,
+                    None => write!(f, "-")?,
+                }
+            }
+            write!(f, "]")?;
+        }
+        Ok(())
     }
 }
 
@@ -206,7 +236,9 @@ impl TuckerDecomposition {
 /// anything reads it. Each iteration updates the three factor matrices in
 /// mode order; each update computes the fused TTM chain
 /// `W = F ×ₘ≠ₙ Y⁽ᵐ⁾ᵀ` (cost `O(nnz·∏Jₘ)`) and takes the leading `Jₙ` left
-/// singular vectors of its mode-n unfolding. After convergence the mode-2
+/// singular vectors of its mode-n unfolding by [`dense_truncated_svd`]:
+/// exactly, from the Gram of `W`'s smaller side, when the shape says that
+/// is cheaper, else by subspace iteration. After convergence the mode-2
 /// step is refreshed once so `Y⁽²⁾`/`Λ₂` are exactly the singular pairs of
 /// the final product matrix, and the core is contracted from the final
 /// factors (Eq. 16).
@@ -263,7 +295,7 @@ fn tucker_als_with(
     ];
 
     let norm_f_sq = f.frobenius_norm_sq();
-    let norm_f = norm_f_sq.sqrt();
+    let fit_terms = f.nnz() + j1 * j2 * j3;
     let mut fit_history = Vec::with_capacity(config.max_iters);
     let mut prev_fit = f64::NEG_INFINITY;
     let mut iterations = 0;
@@ -293,6 +325,7 @@ fn tucker_als_with(
     for it in 0..config.max_iters {
         iterations = it + 1;
         let sweep_start = Instant::now();
+        let mut updates = [None; 3];
         for mode in 1..=3usize {
             let jn = [j1, j2, j3][mode - 1];
             let (ai, bi) = match mode {
@@ -316,7 +349,8 @@ fn tucker_als_with(
                     w2_holds = inputs;
                 }
             }
-            let svd = truncated_svd(w, jn, &config.subspace)?;
+            let (svd, route) = dense_truncated_svd(w, jn, &config.subspace)?;
+            updates[mode - 1] = Some(route);
             updated_from[mode - 1] = inputs;
             if mode == 2 {
                 svd2_cache = Some((inputs, svd.singular_values));
@@ -336,12 +370,15 @@ fn tucker_als_with(
         }
         factors[1].matmul_tn_into(&w_scratch[1], &mut s2_scratch)?;
         let core_norm_sq = DenseTensor3::fold(2, &s2_scratch, (j1, j2, j3))?.frobenius_norm_sq();
-        let resid_sq = (norm_f_sq - core_norm_sq).max(0.0);
-        let fit = 1.0 - resid_sq.sqrt() / norm_f.max(f64::MIN_POSITIVE);
+        // The difference is floored at the two sums' rounding (`fit_from`).
+        let fit = fit_from(norm_f_sq, core_norm_sq, fit_terms);
         fit_history.push(fit);
         let converged = (fit - prev_fit).abs() < config.fit_tol;
         prev_fit = fit;
-        trace.sweeps.push(sweep_start.elapsed());
+        trace.sweeps.push(SweepTrace {
+            time: sweep_start.elapsed(),
+            updates,
+        });
         if converged {
             break;
         }
@@ -358,7 +395,7 @@ fn tucker_als_with(
     let lambda2 = match svd2_cache {
         Some((inputs, singular_values)) if inputs == w2_holds => singular_values,
         _ => {
-            let svd2 = truncated_svd(&w_scratch[1], j2, &config.subspace)?;
+            let (svd2, _) = dense_truncated_svd(&w_scratch[1], j2, &config.subspace)?;
             factors[1] = svd2.u;
             svd2.singular_values
         }
@@ -367,8 +404,8 @@ fn tucker_als_with(
     // --- Core from the final factors (Eq. 16). S₍₂₎ = Y⁽²⁾ᵀ W₍₂₎ reuses W₍₂₎.
     factors[1].matmul_tn_into(&w_scratch[1], &mut s2_scratch)?;
     let core = DenseTensor3::fold(2, &s2_scratch, (j1, j2, j3))?;
-    let resid_sq = (norm_f_sq - core.frobenius_norm_sq()).max(0.0);
-    let fit = 1.0 - resid_sq.sqrt() / norm_f.max(f64::MIN_POSITIVE);
+    // As in the sweep: the residual is floored at the sums' rounding.
+    let fit = fit_from(norm_f_sq, core.frobenius_norm_sq(), fit_terms);
 
     Ok(TuckerDecomposition {
         core,
@@ -379,6 +416,26 @@ fn tucker_als_with(
         fit_history,
         trace,
     })
+}
+
+/// The fit `1 − ‖F − F̂‖ / ‖F‖` from the orthonormality identity
+/// `‖F − F̂‖² = ‖F‖² − ‖S‖²`, where `terms` counts the squares summed into
+/// the two norms: `nnz(F)` and the core's `J₁J₂J₃` cells.
+///
+/// Each norm is a recursive sum of non-negative squares, so its rounding
+/// error is at most about one `ε` per term times its total, and
+/// `‖S‖ ≤ ‖F‖`: the difference is known only to `terms·ε·‖F‖²`. A residual
+/// within that bound is indistinguishable from 0 and is read as 0. Without
+/// the floor the square root turns the `ε·‖F‖²` of rounding an exact
+/// decomposition leaves into a fit `√ε ≈ 1.5e-8` short of 1.
+fn fit_from(norm_f_sq: f64, core_norm_sq: f64, terms: usize) -> f64 {
+    let resid_sq = norm_f_sq - core_norm_sq;
+    let resid_sq = if resid_sq <= terms as f64 * f64::EPSILON * norm_f_sq {
+        0.0
+    } else {
+        resid_sq
+    };
+    1.0 - resid_sq.sqrt() / norm_f_sq.sqrt().max(f64::MIN_POSITIVE)
 }
 
 /// HOSVD factor for one mode: leading eigenvectors of the outer Gram
@@ -729,6 +786,26 @@ mod tests {
             );
         }
         assert_eq!(amortised.trace.sweeps.len(), amortised.iterations);
+    }
+
+    #[test]
+    fn sweep_trace_records_each_update_route() {
+        // Products of 30, 25 and 1 500 rows by 36 columns, 6 pairs each:
+        // every update takes the Gram route; only one whose inputs stopped
+        // changing is skipped. The line lists the three per sweep.
+        let d = tucker_als(&long_tail_tensor(), &default_config((6, 6, 6))).unwrap();
+        assert_eq!(d.trace.sweeps[0].updates, [Some(SvdRoute::Gram); 3]);
+        for sweep in &d.trace.sweeps {
+            assert!(sweep
+                .updates
+                .iter()
+                .all(|u| matches!(u, Some(SvdRoute::Gram) | None)));
+        }
+        let line = d.trace.to_string();
+        assert!(
+            line.contains(" sweeps ") && line.contains("[GGG]"),
+            "{line}"
+        );
     }
 
     #[test]
