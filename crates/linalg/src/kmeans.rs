@@ -4,21 +4,12 @@
 //! tags, embedded as rows of the normalized spectral matrix `X`, are grouped
 //! into `k` semantically coherent clusters — each cluster is a *concept*.
 //!
-//! Lloyd's iterations are Hamerly-style bounds-pruned: each point carries
-//! a lower bound on its distance to the nearest *non-assigned* centroid,
-//! maintained across iterations via centroid drift. When the exact distance
-//! to the assigned centroid beats the bound, the `O(k·d)` scan is skipped
-//! entirely. The bound bookkeeping is conservatively padded against
-//! floating-point drift and the pruning comparison is strict, so ties
-//! always fall through to the full scan — the run is **bit-identical** to
-//! textbook Lloyd's, `O(n·k·d)` per iteration (assignments, centroids,
-//! inertia, iteration count) for any seed. The tests keep textbook Lloyd's
-//! as the oracle and enforce that on randomized inputs.
-//!
-//! The assignment step and the `n_init` restarts are parallelized via
-//! [`crate::parallel`]; every reduction that feeds the iteration (inertia,
-//! centroid sums, empty-cluster reseeding) is performed serially in point
-//! order, so results are identical for every thread count.
+//! Lloyd's iterations are textbook: every point scans every centroid,
+//! `O(n·k·d)` per iteration. The `n_init` restarts run in parallel via
+//! [`crate::parallel`]; each restart runs on one thread, and every
+//! reduction that feeds the iteration (inertia, centroid sums,
+//! empty-cluster reseeding) is performed serially in point order, so results
+//! are identical for every thread count.
 
 use crate::error::LinAlgError;
 use crate::matrix::Matrix;
@@ -67,26 +58,14 @@ pub struct KMeansResult {
     pub iterations: usize,
 }
 
-/// Multiplicative padding applied to the pruning bounds so floating-point
-/// rounding in the triangle-inequality bookkeeping can never make a stale
-/// bound *optimistic*: lower bounds are deflated and centroid drifts
-/// inflated by one part in 10¹², dwarfing the ~`d·ε ≈ 10⁻¹⁴` relative error
-/// of the distance computations while costing a negligible number of extra
-/// full scans.
-const BOUND_DEFLATE: f64 = 1.0 - 1e-12;
-const DRIFT_INFLATE: f64 = 1.0 + 1e-12;
-
-/// Minimum `n·k·d` before the assignment step fans out across threads.
-const PAR_ASSIGN_THRESHOLD: usize = 65_536;
-
 /// Clusters the rows of `points` into `config.k` groups.
 ///
-/// Uses k-means++ seeding and exact, bounds-pruned Lloyd iterations; empty
-/// clusters are re-seeded deterministically from the point farthest from
-/// its assigned centroid. Runs `n_init` restarts (in parallel when workers
-/// are available) and returns the lowest-inertia result, ties
-/// resolved toward the earliest restart. Fully deterministic for a fixed
-/// seed, independent of the thread count.
+/// Uses k-means++ seeding and textbook Lloyd iterations; empty clusters are
+/// re-seeded deterministically from the point farthest from its assigned
+/// centroid. Runs `n_init` restarts (in parallel when workers are
+/// available) and returns the lowest-inertia result, ties resolved toward
+/// the earliest restart. Fully deterministic for a fixed seed, independent
+/// of the thread count.
 pub fn kmeans(points: &Matrix, config: &KMeansConfig) -> Result<KMeansResult> {
     let n = points.rows();
     let k = config.k;
@@ -103,118 +82,62 @@ pub fn kmeans(points: &Matrix, config: &KMeansConfig) -> Result<KMeansResult> {
             "k = {k} exceeds the number of points {n}"
         )));
     }
-    let n_init = config.n_init.max(1);
-    let restart_parallel = n_init > 1 && parallel::num_threads() > 1;
-    let results: Vec<Result<KMeansResult>> = if restart_parallel {
-        // One restart per worker; the assignment step stays serial inside
-        // each restart so the pools do not nest.
-        parallel::parallel_map_collect(n_init, |restart| {
-            kmeans_single(
-                points,
-                config,
-                config.seed.wrapping_add(restart as u64),
-                false,
-            )
-        })
-    } else {
-        (0..n_init)
-            .map(|restart| {
-                kmeans_single(
-                    points,
-                    config,
-                    config.seed.wrapping_add(restart as u64),
-                    true,
-                )
-            })
-            .collect()
-    };
+    let results = parallel::parallel_map_collect(config.n_init.max(1), |restart| {
+        lloyd(points, config, config.seed.wrapping_add(restart as u64))
+    });
     let mut best: Option<KMeansResult> = None;
     for result in results {
-        let result = result?;
-        let better = best.as_ref().is_none_or(|b| result.inertia < b.inertia);
-        if better {
+        if best.as_ref().is_none_or(|b| result.inertia < b.inertia) {
             best = Some(result);
         }
     }
     Ok(best.expect("at least one restart ran"))
 }
 
-fn kmeans_single(
-    points: &Matrix,
-    config: &KMeansConfig,
-    seed: u64,
-    allow_parallel: bool,
-) -> Result<KMeansResult> {
+/// One restart: k-means++ seeds from `seed`, then Lloyd iterations until
+/// the inertia stops improving by `config.tol` or `config.max_iters` is
+/// reached, then a final assignment against the final centroids.
+fn lloyd(points: &Matrix, config: &KMeansConfig, seed: u64) -> KMeansResult {
     let n = points.rows();
-    let d = points.cols();
-    let k = config.k;
     let mut rng = StdRng::seed_from_u64(seed);
-
-    let mut centroids = kmeanspp_init(points, k, &mut rng);
+    let mut centroids = kmeanspp_init(points, config.k, &mut rng);
     let mut assignments = vec![0usize; n];
     let mut dist_sq = vec![0.0f64; n];
-    // Lower bound on the distance from each point to its nearest
-    // *non-assigned* centroid; 0 forces a full scan, so the first iteration
-    // is exhaustive.
-    let mut lower = vec![0.0f64; n];
-    let mut old_centroids = Matrix::zeros(k, d);
     let mut inertia = f64::INFINITY;
     let mut iterations = 0;
-
     for it in 0..config.max_iters {
         iterations = it + 1;
-        assign_pass(
-            points,
-            &centroids,
-            &mut assignments,
-            &mut dist_sq,
-            &mut lower,
-            allow_parallel,
-        );
-        // Serial reduction in point order: identical for any banding.
+        assign(points, &centroids, &mut assignments, &mut dist_sq);
         let new_inertia: f64 = dist_sq.iter().sum();
-
-        old_centroids
-            .as_mut_slice()
-            .copy_from_slice(centroids.as_slice());
         update_centroids(points, &assignments, &dist_sq, &mut centroids);
-        // Every centroid moved by at most `drift_max`; any stale lower
-        // bound therefore stays valid after subtracting it (padded against
-        // rounding). Teleported reseed centroids are covered automatically —
-        // their drift is just large.
-        let mut drift_max = 0.0f64;
-        for c in 0..k {
-            let drift = sq_dist(old_centroids.row(c), centroids.row(c)).sqrt();
-            if drift > drift_max {
-                drift_max = drift;
-            }
-        }
-        let step = drift_max * DRIFT_INFLATE;
-        for l in lower.iter_mut() {
-            *l = ((*l - step) * BOUND_DEFLATE).max(0.0);
-        }
         let converged = inertia_converged(inertia, new_inertia, config.tol);
         inertia = new_inertia;
         if converged {
             break;
         }
     }
-    // Final assignment pass against the final centroids.
-    assign_pass(
-        points,
-        &centroids,
-        &mut assignments,
-        &mut dist_sq,
-        &mut lower,
-        allow_parallel,
-    );
-    let final_inertia: f64 = dist_sq.iter().sum();
-    Ok(KMeansResult {
+    assign(points, &centroids, &mut assignments, &mut dist_sq);
+    KMeansResult {
         assignments,
         centroids,
-        inertia: final_inertia,
+        inertia: dist_sq.iter().sum(),
         iterations,
-    })
+    }
+}
+
+/// The assignment step: every point goes to its nearest centroid (the first
+/// one at the smallest distance), and `dist_sq` gets that squared distance.
+fn assign(points: &Matrix, centroids: &Matrix, assignments: &mut [usize], dist_sq: &mut [f64]) {
+    for (i, (slot, d2)) in assignments.iter_mut().zip(dist_sq.iter_mut()).enumerate() {
+        let mut best = (0, f64::INFINITY);
+        for c in 0..centroids.rows() {
+            let d = sq_dist(points.row(i), centroids.row(c));
+            if d < best.1 {
+                best = (c, d);
+            }
+        }
+        (*slot, *d2) = best;
+    }
 }
 
 /// The update step: every centroid becomes the mean of its points. An empty
@@ -260,62 +183,6 @@ fn update_centroids(
 /// Whether the relative inertia improvement fell below `tol`.
 fn inertia_converged(previous: f64, current: f64, tol: f64) -> bool {
     previous.is_finite() && (previous - current).abs() / previous.max(1e-30) < tol
-}
-
-/// One assignment pass: refreshes `assignments[i]` and the exact squared
-/// distance `dist_sq[i]` for every point, maintaining the pruning bound
-/// `lower[i]`. Parallel banding only partitions the per-point work — every
-/// point's result is computed identically — so the output is independent of
-/// the thread count.
-fn assign_pass(
-    points: &Matrix,
-    centroids: &Matrix,
-    assignments: &mut [usize],
-    dist_sq: &mut [f64],
-    lower: &mut [f64],
-    allow_parallel: bool,
-) {
-    let work = points.rows() * centroids.rows() * points.cols();
-    if !allow_parallel || work < PAR_ASSIGN_THRESHOLD {
-        assign_chunk(points, centroids, 0, assignments, dist_sq, lower);
-        return;
-    }
-    parallel::for_each_band(
-        points.rows(),
-        |i| i,
-        (assignments, (dist_sq, lower)),
-        |rows, (assignments, (dist_sq, lower))| {
-            assign_chunk(points, centroids, rows.start, assignments, dist_sq, lower);
-        },
-    );
-}
-
-fn assign_chunk(
-    points: &Matrix,
-    centroids: &Matrix,
-    start: usize,
-    assignments: &mut [usize],
-    dist_sq: &mut [f64],
-    lower: &mut [f64],
-) {
-    for (off, slot) in assignments.iter_mut().enumerate() {
-        let x = points.row(start + off);
-        // Exact distance to the assigned centroid (also feeds the inertia
-        // sum, which must match naive Lloyd's bitwise).
-        let da2 = sq_dist(x, centroids.row(*slot));
-        let u = da2.sqrt();
-        if u < lower[off] {
-            // No other centroid can be closer; on an exact tie the strict
-            // comparison fails and we rescan, so the naive tie-break
-            // (lowest centroid index) is preserved.
-            dist_sq[off] = da2;
-            continue;
-        }
-        let (c, d2, second_d2) = nearest_and_second(x, centroids);
-        *slot = c;
-        dist_sq[off] = d2;
-        lower[off] = second_d2.sqrt();
-    }
 }
 
 /// Index of the point with the largest assigned distance that is not in
@@ -380,83 +247,14 @@ fn kmeanspp_init(points: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
     centroids
 }
 
-/// Nearest centroid plus the squared distance to the runner-up, in one scan:
-/// the first centroid at the smallest distance, as a textbook scan finds it.
-fn nearest_and_second(point: &[f64], centroids: &Matrix) -> (usize, f64, f64) {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    let mut second_d = f64::INFINITY;
-    for c in 0..centroids.rows() {
-        let d = sq_dist(point, centroids.row(c));
-        if d < best_d {
-            second_d = best_d;
-            best_d = d;
-            best = c;
-        } else if d < second_d {
-            second_d = d;
-        }
-    }
-    (best, best_d, second_d)
-}
-
 #[inline]
 fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-
-    /// Textbook Lloyd's — every point scans every centroid — from the same
-    /// k-means++ seeds, update step, stop rule and restarts as [`kmeans`]:
-    /// the oracle the pruned run is held to bit for bit.
-    pub(crate) fn naive_lloyd(points: &Matrix, config: &KMeansConfig) -> KMeansResult {
-        let n = points.rows();
-        let assign = |centroids: &Matrix, assignments: &mut [usize], dist_sq: &mut [f64]| {
-            for (i, (slot, d2)) in assignments.iter_mut().zip(dist_sq.iter_mut()).enumerate() {
-                let mut best = (0, f64::INFINITY);
-                for c in 0..centroids.rows() {
-                    let d = sq_dist(points.row(i), centroids.row(c));
-                    if d < best.1 {
-                        best = (c, d);
-                    }
-                }
-                (*slot, *d2) = best;
-            }
-        };
-        let mut best: Option<KMeansResult> = None;
-        for restart in 0..config.n_init.max(1) {
-            let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(restart as u64));
-            let mut centroids = kmeanspp_init(points, config.k, &mut rng);
-            let mut assignments = vec![0usize; n];
-            let mut dist_sq = vec![0.0f64; n];
-            let mut inertia = f64::INFINITY;
-            let mut iterations = 0;
-            for it in 0..config.max_iters {
-                iterations = it + 1;
-                assign(&centroids, &mut assignments, &mut dist_sq);
-                let new_inertia: f64 = dist_sq.iter().sum();
-                update_centroids(points, &assignments, &dist_sq, &mut centroids);
-                let converged = inertia_converged(inertia, new_inertia, config.tol);
-                inertia = new_inertia;
-                if converged {
-                    break;
-                }
-            }
-            assign(&centroids, &mut assignments, &mut dist_sq);
-            let result = KMeansResult {
-                assignments,
-                centroids,
-                inertia: dist_sq.iter().sum(),
-                iterations,
-            };
-            if best.as_ref().is_none_or(|b| result.inertia < b.inertia) {
-                best = Some(result);
-            }
-        }
-        best.expect("at least one restart ran")
-    }
 
     /// Three well-separated blobs in 2D.
     fn blobs() -> (Matrix, Vec<usize>) {
@@ -588,46 +386,6 @@ pub(crate) mod tests {
         };
         let result = kmeans(&points, &cfg).unwrap();
         assert!(result.inertia < 1e-18);
-    }
-
-    /// The tentpole guarantee: bounds-pruned k-means reproduces naive
-    /// Lloyd's bit for bit — assignments, centroids, inertia, iteration
-    /// count — across a spread of shapes, cluster counts and seeds,
-    /// including inputs with duplicate rows (exact ties, empty clusters).
-    #[test]
-    fn pruned_bit_identical_to_naive_lloyd() {
-        for (n, d, k, seed) in [
-            (60usize, 2usize, 3usize, 11u64),
-            (120, 8, 10, 12),
-            (40, 3, 40, 13),
-            (200, 16, 25, 14),
-            (30, 1, 4, 15),
-            (50, 5, 2, 16),
-        ] {
-            let points = random_points(n, d, seed);
-            let base = KMeansConfig {
-                k,
-                n_init: 2,
-                seed: seed ^ 0x5eed,
-                ..Default::default()
-            };
-            let pruned = kmeans(&points, &base).unwrap();
-            let naive = naive_lloyd(&points, &base);
-            assert_eq!(
-                pruned.assignments, naive.assignments,
-                "assignments diverged at n={n} d={d} k={k}"
-            );
-            assert!(
-                pruned.centroids.approx_eq(&naive.centroids, 0.0),
-                "centroids diverged at n={n} d={d} k={k}"
-            );
-            assert_eq!(
-                pruned.inertia.to_bits(),
-                naive.inertia.to_bits(),
-                "inertia diverged at n={n} d={d} k={k}"
-            );
-            assert_eq!(pruned.iterations, naive.iterations);
-        }
     }
 
     /// Satellite regression: a fixed seed reproduces identical centroids

@@ -8,9 +8,9 @@
 //!   optionally multi-threaded multiplication kernels.
 //! * [`dispatch`] — the one runtime choice of vector width (AVX-512F, AVX2
 //!   or the baseline) the build's dense kernels run at, bit for bit alike.
-//! * [`CsrMatrix`] / [`CooMatrix`] — compressed sparse row / coordinate
-//!   matrices for the very sparse tag-assignment data.
-//! * [`qr`] — Householder QR and modified Gram–Schmidt orthonormalization.
+//! * [`CsrMatrix`] — compressed sparse row matrices for the very sparse
+//!   tag-assignment data.
+//! * [`qr`] — modified Gram–Schmidt orthonormalization.
 //! * [`eigen`] — the one dense symmetric eigensolver, a direct top-`k`
 //!   solve (Householder tridiagonalisation, implicit QL, inverse
 //!   iteration): the spectral clustering affinity, the Rayleigh–Ritz
@@ -23,7 +23,7 @@
 //!   subspace iteration on the Gram operator (the LSI baseline), or, for a
 //!   dense matrix whose shape makes it cheaper, from the formed Gram of its
 //!   smaller side by the direct eigensolver (Tucker ALS's HOOI updates).
-//! * [`mod@kmeans`] — k-means++ seeding and bounds-pruned Lloyd clustering.
+//! * [`mod@kmeans`] — k-means++ seeding and Lloyd clustering.
 //! * [`spectral`] — the Ng–Jordan–Weiss spectral clustering algorithm exactly
 //!   as used for concept distillation in §V of the paper.
 //!
@@ -46,8 +46,8 @@ pub use eigen::{top_eigenpairs, EigenDecomposition};
 pub use error::LinAlgError;
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
 pub use matrix::Matrix;
-pub use qr::{householder_qr, orthonormalize_columns};
-pub use sparse::{CooMatrix, CsrMatrix};
+pub use qr::orthonormalize_columns;
+pub use sparse::CsrMatrix;
 pub use spectral::{spectral_clustering, SpectralConfig, SpectralResult};
 pub use subspace::{sym_eigs_topk, GramOp, SymOp};
 pub use svd::{truncated_svd, LinOp, Svd};

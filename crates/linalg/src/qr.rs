@@ -1,91 +1,12 @@
-//! QR factorization and column orthonormalization.
+//! Column orthonormalization.
 //!
 //! Subspace iteration (see [`crate::subspace`]) re-orthonormalizes its block
-//! every step; Householder QR provides the numerically robust path and a
-//! twice-applied modified Gram–Schmidt provides a cheaper alternative for
-//! tall-skinny blocks.
+//! every step, and the SVD completes a rank-deficient basis, with a
+//! twice-applied modified Gram–Schmidt.
 
-use crate::error::LinAlgError;
-use crate::matrix::{norm2, Matrix};
-use crate::Result;
+use crate::matrix::Matrix;
 use crate::{dispatch, parallel};
 use std::ops::Range;
-
-/// Thin Householder QR factorization `A = Q R` of an `m x n` matrix with
-/// `m >= n`. Returns `(Q, R)` where `Q` is `m x n` with orthonormal columns
-/// and `R` is `n x n` upper triangular.
-pub fn householder_qr(a: &Matrix) -> Result<(Matrix, Matrix)> {
-    let (m, n) = a.shape();
-    if m < n {
-        return Err(LinAlgError::InvalidArgument(format!(
-            "householder_qr requires rows >= cols, got {m}x{n}"
-        )));
-    }
-    let mut r = a.clone();
-    // Householder vectors, stored column by column.
-    let mut vs: Vec<Vec<f64>> = Vec::with_capacity(n);
-    for k in 0..n {
-        // Build the reflector for column k from rows k..m.
-        let mut v: Vec<f64> = (k..m).map(|i| r[(i, k)]).collect();
-        let alpha = norm2(&v);
-        if alpha == 0.0 {
-            // Zero column below the diagonal: identity reflector.
-            vs.push(vec![0.0; m - k]);
-            continue;
-        }
-        let sign = if v[0] >= 0.0 { 1.0 } else { -1.0 };
-        v[0] += sign * alpha;
-        let vnorm = norm2(&v);
-        if vnorm > 0.0 {
-            for x in &mut v {
-                *x /= vnorm;
-            }
-        }
-        // Apply the reflector to the trailing block of R: R ← (I - 2vvᵀ)R.
-        for j in k..n {
-            let mut proj = 0.0;
-            for (t, &vt) in v.iter().enumerate() {
-                proj += vt * r[(k + t, j)];
-            }
-            proj *= 2.0;
-            for (t, &vt) in v.iter().enumerate() {
-                r[(k + t, j)] -= proj * vt;
-            }
-        }
-        vs.push(v);
-    }
-    // Accumulate Q = H₀ H₁ … H_{n-1} applied to the first n columns of I.
-    let mut q = Matrix::zeros(m, n);
-    for j in 0..n {
-        // e_j
-        let mut col = vec![0.0; m];
-        col[j] = 1.0;
-        // Apply reflectors in reverse order.
-        for k in (0..n).rev() {
-            let v = &vs[k];
-            if v.iter().all(|&x| x == 0.0) {
-                continue;
-            }
-            let mut proj = 0.0;
-            for (t, &vt) in v.iter().enumerate() {
-                proj += vt * col[k + t];
-            }
-            proj *= 2.0;
-            for (t, &vt) in v.iter().enumerate() {
-                col[k + t] -= proj * vt;
-            }
-        }
-        q.set_col(j, &col);
-    }
-    // Zero the strictly-lower triangle of R and truncate to n x n.
-    let mut r_out = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in i..n {
-            r_out[(i, j)] = r[(i, j)];
-        }
-    }
-    Ok((q, r_out))
-}
 
 /// Columns per block of the interleaved layout [`orthonormalize_columns`]
 /// works in: row `t` of a block holds element `t` of eight consecutive
@@ -314,7 +235,7 @@ pub fn orthonormality_error(q: &Matrix) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::dot;
+    use crate::matrix::{dot, norm2};
     use crate::parallel::{set_num_threads, TEST_THREAD_LOCK};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -385,46 +306,6 @@ mod tests {
             vec![-2.0, 0.5, 0.0],
         ])
         .unwrap()
-    }
-
-    #[test]
-    fn qr_reconstructs_input() {
-        let a = tall_matrix();
-        let (q, r) = householder_qr(&a).unwrap();
-        let qr = q.matmul(&r).unwrap();
-        assert!(qr.approx_eq(&a, 1e-10), "QR must reconstruct A");
-    }
-
-    #[test]
-    fn qr_q_is_orthonormal() {
-        let a = tall_matrix();
-        let (q, _) = householder_qr(&a).unwrap();
-        assert!(orthonormality_error(&q) < 1e-10);
-    }
-
-    #[test]
-    fn qr_r_is_upper_triangular() {
-        let a = tall_matrix();
-        let (_, r) = householder_qr(&a).unwrap();
-        for i in 0..r.rows() {
-            for j in 0..i {
-                assert!(r[(i, j)].abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn qr_rejects_wide_matrices() {
-        let wide = Matrix::zeros(2, 3);
-        assert!(householder_qr(&wide).is_err());
-    }
-
-    #[test]
-    fn qr_handles_zero_column() {
-        let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 0.0], vec![1.0, 0.0]]).unwrap();
-        let (q, r) = householder_qr(&a).unwrap();
-        let qr = q.matmul(&r).unwrap();
-        assert!(qr.approx_eq(&a, 1e-10));
     }
 
     #[test]

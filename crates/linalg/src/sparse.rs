@@ -1,9 +1,9 @@
-//! Sparse matrices (COO and CSR) for the tag-assignment data.
+//! Sparse CSR matrices for the tag-assignment data.
 //!
 //! Social-tagging relations are extremely sparse — the cleaned Delicious
 //! dataset in the paper has 1.36M assignments inside a 28939x7342x4118
 //! tensor (density ~1.5e-6) — so the LSI baseline and the HOSVD
-//! initialization must never densify. These types provide exactly the
+//! initialization must never densify. [`CsrMatrix`] provides exactly the
 //! products those algorithms need: `A*x`, `Aᵀ*x`, `A*B` and `Aᵀ*B` against
 //! dense blocks.
 
@@ -21,12 +21,9 @@ const PAR_APPLY_THRESHOLD: usize = 1 << 20;
 /// across a row's non-zeros: four AVX-512 registers, eight AVX2 ones.
 const GATHER_COLS: usize = 32;
 
-/// A coordinate-format sparse matrix: a list of `(row, col, value)` triples.
-///
-/// COO is the natural construction format (the folksonomy store emits
-/// triples); convert to [`CsrMatrix`] for repeated products.
-#[derive(Debug, Clone, Default)]
-pub struct CooMatrix {
+/// A coordinate-format sparse matrix, a list of `(row, col, value)`
+/// triples: how [`CsrMatrix::from_triples`] sorts and sums its input.
+struct CooMatrix {
     rows: usize,
     cols: usize,
     entries: Vec<(u32, u32, f64)>,
@@ -34,7 +31,7 @@ pub struct CooMatrix {
 
 impl CooMatrix {
     /// Creates an empty `rows x cols` COO matrix.
-    pub fn new(rows: usize, cols: usize) -> Self {
+    fn new(rows: usize, cols: usize) -> Self {
         CooMatrix {
             rows,
             cols,
@@ -43,24 +40,14 @@ impl CooMatrix {
     }
 
     /// Appends an entry; duplicate coordinates are *summed* on conversion.
-    pub fn push(&mut self, row: usize, col: usize, value: f64) {
+    fn push(&mut self, row: usize, col: usize, value: f64) {
         debug_assert!(row < self.rows && col < self.cols);
         self.entries.push((row as u32, col as u32, value));
     }
 
-    /// Number of stored (possibly duplicate) entries.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Matrix shape `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
     /// Converts to CSR, summing duplicate coordinates.
-    pub fn to_csr(&self) -> CsrMatrix {
-        let mut entries = self.entries.clone();
+    fn into_csr(self) -> CsrMatrix {
+        let mut entries = self.entries;
         entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
         let mut row_ptr = Vec::with_capacity(self.rows + 1);
         let mut col_idx = Vec::with_capacity(entries.len());
@@ -121,12 +108,12 @@ impl CsrMatrix {
             }
             coo.push(r, c, v);
         }
-        Ok(coo.to_csr())
+        Ok(coo.into_csr())
     }
 
     /// An empty (all-zero) matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        CooMatrix::new(rows, cols).to_csr()
+        CooMatrix::new(rows, cols).into_csr()
     }
 
     /// Matrix shape `(rows, cols)`.
@@ -310,53 +297,6 @@ impl CsrMatrix {
         Ok(())
     }
 
-    /// Fused Gram apply `selfᵀ * (self * x)` in a **single pass** over the
-    /// sparse matrix: each row's projection `tᵢ = Aᵢ·X` is scattered back
-    /// through `Aᵢᵀ` immediately, so the `A X` intermediate is never
-    /// materialized.
-    ///
-    /// Every output element accumulates its row contributions in ascending
-    /// row order with the in-row nonzeros in CSR order — exactly the order
-    /// of `matmul_dense` followed by `matmul_dense_t` — so the result is
-    /// bit-identical to the two-product reference.
-    pub fn gram_inner_apply_into(&self, x: &Matrix, out: &mut Matrix) -> Result<()> {
-        if self.cols != x.rows() {
-            return Err(LinAlgError::DimensionMismatch {
-                op: "csr_gram_inner_apply",
-                lhs: self.shape(),
-                rhs: x.shape(),
-            });
-        }
-        let n = x.cols();
-        out.reset(self.cols, n);
-        let mut t = vec![0.0f64; n];
-        for i in 0..self.rows {
-            let start = self.row_ptr[i] as usize;
-            let end = self.row_ptr[i + 1] as usize;
-            if start == end {
-                continue;
-            }
-            t.iter_mut().for_each(|v| *v = 0.0);
-            for k in start..end {
-                let c = self.col_idx[k] as usize;
-                let v = self.values[k];
-                let x_row = x.row(c);
-                for (acc, &xv) in t.iter_mut().zip(x_row.iter()) {
-                    *acc += v * xv;
-                }
-            }
-            for k in start..end {
-                let c = self.col_idx[k] as usize;
-                let v = self.values[k];
-                let out_row = &mut out.as_mut_slice()[c * n..(c + 1) * n];
-                for (o, &tv) in out_row.iter_mut().zip(t.iter()) {
-                    *o += v * tv;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Builds a CSR matrix directly from its raw parts: `row_ptr` of length
     /// `rows + 1`, and per-row column indices sorted strictly ascending
     /// (i.e. already deduplicated). This is the allocation-light path for
@@ -452,38 +392,6 @@ impl CsrMatrix {
     /// Squared Frobenius norm.
     pub fn frobenius_norm_sq(&self) -> f64 {
         self.values.iter().map(|v| v * v).sum()
-    }
-
-    /// Sum of squared values within row `i`.
-    pub fn row_norm_sq(&self, i: usize) -> f64 {
-        self.row_iter(i).map(|(_, v)| v * v).sum()
-    }
-
-    /// Inner product of rows `i` and `j` (merge join over sorted columns).
-    pub fn row_dot(&self, i: usize, j: usize) -> f64 {
-        let (si, ei) = (self.row_ptr[i] as usize, self.row_ptr[i + 1] as usize);
-        let (sj, ej) = (self.row_ptr[j] as usize, self.row_ptr[j + 1] as usize);
-        let mut a = si;
-        let mut b = sj;
-        let mut acc = 0.0;
-        while a < ei && b < ej {
-            match self.col_idx[a].cmp(&self.col_idx[b]) {
-                std::cmp::Ordering::Less => a += 1,
-                std::cmp::Ordering::Greater => b += 1,
-                std::cmp::Ordering::Equal => {
-                    acc += self.values[a] * self.values[b];
-                    a += 1;
-                    b += 1;
-                }
-            }
-        }
-        acc
-    }
-
-    /// Squared Euclidean distance between rows `i` and `j`:
-    /// `‖rᵢ‖² + ‖rⱼ‖² − 2⟨rᵢ, rⱼ⟩`, computed sparsely.
-    pub fn row_distance_sq(&self, i: usize, j: usize) -> f64 {
-        (self.row_norm_sq(i) + self.row_norm_sq(j) - 2.0 * self.row_dot(i, j)).max(0.0)
     }
 }
 
@@ -713,24 +621,9 @@ mod tests {
     }
 
     #[test]
-    fn row_dot_and_distance() {
-        let m = sample();
-        // rows 0 and 1 share column 0: dot = 1*1 = 1.
-        assert_eq!(m.row_dot(0, 1), 1.0);
-        // ||r0||²=10, ||r1||²=1, d² = 10+1-2 = 9 — this is the paper's
-        // d(folk, people) = sqrt(9) example (Figure 3 / Eq. 7).
-        assert!((m.row_distance_sq(0, 1) - 9.0).abs() < 1e-12);
-        // d(people, laptop)² = 1 + 4 = 5 (Eq. 11).
-        assert!((m.row_distance_sq(1, 2) - 5.0).abs() < 1e-12);
-        // d(folk, laptop)² = 10 + 4 = 14 (Eq. 10).
-        assert!((m.row_distance_sq(0, 2) - 14.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn frobenius_norms() {
         let m = sample();
         assert!((m.frobenius_norm_sq() - (1.0 + 9.0 + 1.0 + 4.0)).abs() < 1e-12);
-        assert!((m.row_norm_sq(0) - 10.0).abs() < 1e-12);
     }
 
     #[test]

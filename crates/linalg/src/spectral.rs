@@ -224,7 +224,6 @@ fn choose_k_by_variance(eigenvalues: &[f64], fraction: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kmeans::tests::naive_lloyd;
 
     /// Distance matrix with two obvious groups: {0,1,2} and {3,4}.
     fn two_group_distances() -> Matrix {
@@ -437,24 +436,6 @@ mod tests {
         }
     }
 
-    /// Euclidean distances between `n` points in 6 dimensions around
-    /// `groups` centres, spread so the groups overlap: what a purified tag
-    /// distance matrix looks like, and enough for k-means to iterate.
-    fn overlapping_groups(n: usize, groups: usize, seed: u64) -> Matrix {
-        let mut next = draws(seed);
-        let centres = Matrix::from_fn(groups, 6, |_, _| next());
-        let points = Matrix::from_fn(n, 6, |i, j| centres[(i % groups, j)] + 0.6 * next());
-        Matrix::from_fn(n, n, |i, j| {
-            let d2: f64 = points
-                .row(i)
-                .iter()
-                .zip(points.row(j))
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum();
-            d2.sqrt()
-        })
-    }
-
     #[test]
     fn median_offdiag_is_the_sorted_median() {
         for (n, seed) in [(2usize, 1u64), (3, 2), (4, 3), (17, 4), (60, 5)] {
@@ -470,46 +451,6 @@ mod tests {
                 sorted[sorted.len() / 2].to_bits(),
                 "n={n}"
             );
-        }
-    }
-
-    #[test]
-    fn clusters_equal_naive_lloyd_on_the_embedding() {
-        for (n, groups, k, seed) in [
-            (120usize, 6usize, KSelection::Fixed(6), 41u64),
-            (90, 4, KSelection::Fixed(9), 42),
-            (
-                150,
-                8,
-                KSelection::VarianceCovered {
-                    fraction: 0.95,
-                    max_k: 24,
-                },
-                43,
-            ),
-        ] {
-            let d = overlapping_groups(n, groups, seed);
-            let cfg = SpectralConfig {
-                sigma: None,
-                k,
-                kmeans: KMeansConfig {
-                    seed: seed ^ 0x6b6d,
-                    ..Default::default()
-                },
-            };
-            let result = spectral_clustering(&d, &cfg).unwrap();
-            let naive = naive_lloyd(
-                &result.embedding,
-                &KMeansConfig {
-                    k: result.k,
-                    ..cfg.kmeans.clone()
-                },
-            );
-            assert!(
-                result.k > 1 && naive.iterations > 1,
-                "seed {seed}: nothing to iterate"
-            );
-            assert_eq!(result.assignments, naive.assignments, "seed {seed}");
         }
     }
 }

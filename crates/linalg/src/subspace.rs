@@ -85,24 +85,20 @@ pub trait SymOp {
     }
 }
 
-/// The Gram operator `A Aᵀ` (or `Aᵀ A`) of a sparse matrix, applied
-/// implicitly so the Gram matrix itself is never formed.
+/// The outer Gram operator `A Aᵀ` of a sparse matrix, applied implicitly
+/// so the Gram matrix itself is never formed (the HOSVD's operator).
 ///
-/// The inner operator `Aᵀ A X` is computed in a *single* pass over `A`
-/// (each row's contribution `t = Aᵢ·X` is scattered back through `Aᵢᵀ`
-/// immediately, so the `A X` intermediate is never materialized). The outer
-/// operator keeps `Aᵀ` as a CSR matrix of its own and computes `A (Aᵀ X)`
-/// as two row-banded gathers through one reused scratch matrix (a row of
-/// `Aᵀ` lists `A`'s rows in ascending order). Both accumulate every output
-/// element in exactly the order of the two materialized sparse–dense
-/// products, so the result is **bit-identical** to them at any thread
-/// count — the tests hold it there.
+/// It keeps `Aᵀ` as a CSR matrix of its own and computes `A (Aᵀ X)` as two
+/// row-banded gathers through one reused scratch matrix (a row of `Aᵀ`
+/// lists `A`'s rows in ascending order). Every output element accumulates
+/// in exactly the order of the two materialized sparse–dense products, so
+/// the result is **bit-identical** to them at any thread count — the tests
+/// hold it there.
 pub struct GramOp<'a> {
     matrix: &'a CsrMatrix,
-    /// `Some(Aᵀ)`: operator is `A Aᵀ` (dimension = rows of A).
-    /// `None`: operator is `Aᵀ A` (dimension = cols of A).
-    transpose: Option<CsrMatrix>,
-    /// Reused intermediate `Aᵀ X` of the outer apply.
+    /// `Aᵀ`, stored.
+    transpose: CsrMatrix,
+    /// Reused intermediate `Aᵀ X`.
     scratch: std::cell::RefCell<Matrix>,
 }
 
@@ -111,16 +107,7 @@ impl<'a> GramOp<'a> {
     pub fn outer(a: &'a CsrMatrix) -> Self {
         GramOp {
             matrix: a,
-            transpose: Some(a.transpose()),
-            scratch: std::cell::RefCell::new(Matrix::zeros(0, 0)),
-        }
-    }
-
-    /// Operator `Aᵀ A` over the column space of `a`.
-    pub fn inner(a: &'a CsrMatrix) -> Self {
-        GramOp {
-            matrix: a,
-            transpose: None,
+            transpose: a.transpose(),
             scratch: std::cell::RefCell::new(Matrix::zeros(0, 0)),
         }
     }
@@ -128,27 +115,17 @@ impl<'a> GramOp<'a> {
 
 impl SymOp for GramOp<'_> {
     fn dim(&self) -> usize {
-        match self.transpose {
-            Some(_) => self.matrix.rows(),
-            None => self.matrix.cols(),
-        }
+        self.matrix.rows()
     }
 
     fn apply_block_into(&self, x: &Matrix, out: &mut Matrix) {
-        match &self.transpose {
-            Some(at) => {
-                let mut atx = self.scratch.borrow_mut();
-                at.matmul_dense_into(x, &mut atx)
-                    .expect("GramOp outer: Aᵀ*X");
-                self.matrix
-                    .matmul_dense_into(&atx, out)
-                    .expect("GramOp outer: A*(AᵀX)");
-            }
-            None => self
-                .matrix
-                .gram_inner_apply_into(x, out)
-                .expect("GramOp inner: fused AᵀAX"),
-        }
+        let mut atx = self.scratch.borrow_mut();
+        self.transpose
+            .matmul_dense_into(x, &mut atx)
+            .expect("GramOp: Aᵀ*X");
+        self.matrix
+            .matmul_dense_into(&atx, out)
+            .expect("GramOp: A*(AᵀX)");
     }
 }
 
@@ -606,32 +583,8 @@ mod tests {
         assert!((top.values[1] - full.values[1]).abs() < 1e-7);
     }
 
-    #[test]
-    fn gram_op_inner_matches_dense() {
-        let a = CsrMatrix::from_triples(
-            4,
-            3,
-            &[
-                (0, 0, 2.0),
-                (0, 2, 1.0),
-                (1, 1, 3.0),
-                (2, 0, -1.0),
-                (3, 2, 0.5),
-            ],
-        )
-        .unwrap();
-        let dense_gram = a.to_dense().gram();
-        let op = GramOp::inner(&a);
-        assert_eq!(op.dim(), 3);
-        let top = sym_eigs_topk(&op, 3, &SubspaceOptions::default()).unwrap();
-        let full = jacobi_eigen_reference(&dense_gram, 1e-13);
-        for i in 0..3 {
-            assert!((top.values[i] - full.values[i]).abs() < 1e-7);
-        }
-    }
-
-    /// Deterministic pseudo-random CSR matrix + dense block for the fused
-    /// equivalence tests.
+    /// Deterministic pseudo-random CSR matrix and a dense block as tall as
+    /// it, for the Gram apply's equivalence tests.
     fn random_csr_and_block(
         rows: usize,
         cols: usize,
@@ -656,8 +609,7 @@ mod tests {
             .collect();
         let a = CsrMatrix::from_triples(rows, cols, &triples).unwrap();
         let mut state2 = seed ^ 0xdead_beef;
-        let x_rows = rows.max(cols);
-        let x = Matrix::from_fn(x_rows, width, |_, _| {
+        let x = Matrix::from_fn(rows, width, |_, _| {
             state2 = state2
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -673,24 +625,15 @@ mod tests {
             (8, 50, 90, 12, 2),
             (40, 40, 10, 3, 3),
         ] {
-            let (a, x_full) = random_csr_and_block(rows, cols, nnz, width, seed);
-            // Inner: AᵀA over R^cols.
-            let x = x_full.submatrix(0, cols, 0, width).unwrap();
-            let fused = GramOp::inner(&a).apply_block(&x);
-            let reference = a.matmul_dense_t(&a.matmul_dense(&x).unwrap()).unwrap();
-            assert!(
-                fused.approx_eq(&reference, 0.0),
-                "inner fused != materialized at {rows}x{cols}"
-            );
-            // Outer: AAᵀ over R^rows; apply twice to exercise scratch reuse.
-            let x = x_full.submatrix(0, rows, 0, width).unwrap();
+            let (a, x) = random_csr_and_block(rows, cols, nnz, width, seed);
+            // AAᵀ over R^rows; applied twice to exercise scratch reuse.
             let outer = GramOp::outer(&a);
             let first = outer.apply_block(&x);
             let second = outer.apply_block(&x);
             let reference = a.matmul_dense(&a.matmul_dense_t(&x).unwrap()).unwrap();
             assert!(
                 first.approx_eq(&reference, 0.0),
-                "outer fused != materialized at {rows}x{cols}"
+                "outer apply != materialized at {rows}x{cols}"
             );
             assert!(second.approx_eq(&first, 0.0), "outer scratch reuse drifted");
         }
@@ -702,14 +645,13 @@ mod tests {
         // entries against a 48-column block put both gathers above the
         // banding threshold (2²⁰ multiply–adds).
         let (rows, cols, width) = (700, 900, 48);
-        let (a, x_full) = random_csr_and_block(rows, cols, 50_000, width, 4);
+        let (a, x) = random_csr_and_block(rows, cols, 50_000, width, 4);
         let kept: Vec<(usize, usize, f64)> = a
             .iter()
             .filter(|&(r, c, _)| r % 7 != 3 && c % 5 != 1)
             .collect();
         let a = CsrMatrix::from_triples(rows, cols, &kept).unwrap();
         assert!(a.nnz() * width >= 1 << 20);
-        let x = x_full.submatrix(0, rows, 0, width).unwrap();
         let _guard = crate::parallel::TEST_THREAD_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());

@@ -277,9 +277,10 @@ const RECOVERY_RATIO: f64 = 1e-4;
 ///   `σ ≤ σ₁·√(ε·L)` is indistinguishable from 0 and reads as 0.
 /// * **The other side** is `A V Σ⁻¹` or `Aᵀ U Σ⁻¹`; a column whose σ is 0
 ///   carries no energy and is zeroed.
-/// * **Completion.** When `σ_k < RECOVERY_RATIO·σ₁` the recovered side is
-///   orthonormalised, which also fills the zeroed columns, so callers
-///   (HOOI's factor updates) always receive a full orthonormal basis.
+/// * **Completion.** When `σ_k < RECOVERY_RATIO·σ₁`, or `σ₁ = 0` (an
+///   all-zero `A`), the recovered side is orthonormalised, which also fills
+///   the zeroed columns, so callers (HOOI's factor updates) always receive
+///   a full orthonormal basis.
 fn from_gram_eigenpairs(a: &dyn LinOp, inner: bool, values: &[f64], vectors: Matrix) -> Svd {
     let top = values.first().map_or(0.0, |&l| l.max(0.0).sqrt());
     let zero_floor = top * (f64::EPSILON * a.out_dim().max(a.in_dim()) as f64).sqrt();
@@ -290,7 +291,7 @@ fn from_gram_eigenpairs(a: &dyn LinOp, inner: bool, values: &[f64], vectors: Mat
         .collect();
     let needs_completion = singular_values
         .last()
-        .is_some_and(|&s| s < RECOVERY_RATIO * top);
+        .is_some_and(|&s| top == 0.0 || s < RECOVERY_RATIO * top);
     let recover = |other: Matrix| {
         let mut other = scale_cols_by_inverse(other, &singular_values);
         if needs_completion {
@@ -402,11 +403,13 @@ mod tests {
 
     #[test]
     fn gram_op_is_reused_by_svd() {
-        // Smoke test that the GramOp helpers stay consistent with LinOp SVD.
+        // Smoke test that the GramOp helper stays consistent with LinOp SVD:
+        // the outer Gram of Aᵀ is AᵀA, whose eigenvalues are the σ².
         let triples = [(0usize, 0usize, 2.0), (1, 1, 1.0), (2, 0, 1.0)];
         let sp = CsrMatrix::from_triples(3, 2, &triples).unwrap();
         let svd = truncated_svd(&sp, 2, &SubspaceOptions::default()).unwrap();
-        let gram = GramOp::inner(&sp);
+        let spt = sp.transpose();
+        let gram = GramOp::outer(&spt);
         let eig = sym_eigs_topk(&gram, 2, &SubspaceOptions::default()).unwrap();
         for i in 0..2 {
             assert!((svd.singular_values[i].powi(2) - eig.values[i]).abs() < 1e-6);
@@ -477,6 +480,27 @@ mod tests {
                 err < 1e-10 * a.frobenius_norm(),
                 "reconstruction error {err:e}"
             );
+        }
+    }
+
+    #[test]
+    fn zero_matrix_gets_an_orthonormal_basis() {
+        // σ₁ = 0: every σ is 0, and the recovered side must still come back
+        // as a full orthonormal completion, on either route, whichever side
+        // is the smaller.
+        let opts = SubspaceOptions::default();
+        for (m, n) in [(5, 3), (3, 5), (40, 600), (600, 40)] {
+            let a = Matrix::zeros(m, n);
+            let (gram, route) = dense_truncated_svd(&a, 2, &opts).unwrap();
+            assert_eq!(route, SvdRoute::Gram, "{m} × {n}");
+            let iterative = truncated_svd(&a, 2, &opts).unwrap();
+            for (name, svd) in [("Gram", &gram), ("iterative", &iterative)] {
+                assert_eq!(svd.singular_values, [0.0; 2], "{name}, {m} × {n}");
+                for (side, basis) in [("U", &svd.u), ("V", &svd.v)] {
+                    let err = orthonormality_error(basis);
+                    assert!(err < 1e-10, "{name}, {m} × {n}: {side} off by {err:e}");
+                }
+            }
         }
     }
 

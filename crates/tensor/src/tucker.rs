@@ -128,9 +128,8 @@ pub struct TuckerTrace {
 pub struct SweepTrace {
     /// Wall time: the three mode updates and the fit.
     pub time: Duration,
-    /// How each mode's update solved, in mode order; `None` for an update
-    /// skipped because neither of its inputs had changed.
-    pub updates: [Option<SvdRoute>; 3],
+    /// How each mode's update solved, in mode order.
+    pub updates: [SvdRoute; 3],
 }
 
 /// HOSVD initialisation of one mode, as [`TuckerTrace`] records it.
@@ -158,12 +157,12 @@ pub struct ModeInit {
 
 /// One line: `init mode2 31ms/12it/4rr deg 4,3,2 50898/2363994 cols (apply
 /// 12ms / orth 9ms / rr 6ms) | … | 3 sweeps 11ms[GGG] 9.8ms[(14)GG]
-/// 9.7ms[-GG]` — time / operator applies / projections, the filter degrees
-/// between them, compacted-of-full columns, and the eigensolve's time split
-/// into applies, orthonormalisation and Rayleigh–Ritz projections; then each
-/// sweep's time and its three mode updates: `G` solved on the Gram route,
-/// `(14)` by subspace iteration in 14 applies, `-` skipped. `200it!` marks
-/// an HOSVD solve that stopped at its iteration budget.
+/// 9.7ms[(12)GG]` — time / operator applies / projections, the filter
+/// degrees between them, compacted-of-full columns, and the eigensolve's
+/// time split into applies, orthonormalisation and Rayleigh–Ritz
+/// projections; then each sweep's time and its three mode updates: `G`
+/// solved on the Gram route, `(14)` by subspace iteration in 14 applies.
+/// `200it!` marks an HOSVD solve that stopped at its iteration budget.
 impl fmt::Display for TuckerTrace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for m in &self.init {
@@ -188,9 +187,8 @@ impl fmt::Display for TuckerTrace {
             write!(f, " {:.1?}[", sweep.time)?;
             for update in sweep.updates {
                 match update {
-                    Some(SvdRoute::Gram) => write!(f, "G")?,
-                    Some(SvdRoute::Iterative { applies }) => write!(f, "({applies})")?,
-                    None => write!(f, "-")?,
+                    SvdRoute::Gram => write!(f, "G")?,
+                    SvdRoute::Iterative { applies } => write!(f, "({applies})")?,
                 }
             }
             write!(f, "]")?;
@@ -217,15 +215,6 @@ impl TuckerDecomposition {
     pub fn sigma_from_core(&self) -> Result<Matrix, LinAlgError> {
         let s2 = self.core.unfold(2);
         Ok(s2.gram_t())
-    }
-
-    /// Number of `f64` values needed to store the compressed representation
-    /// (`S` plus all three factor matrices) — the paper's Table VII notion
-    /// of CubeLSI memory.
-    pub fn compressed_len(&self) -> usize {
-        let (j1, j2, j3) = self.core.dims();
-        let factors: usize = self.factors.iter().map(|y| y.rows() * y.cols()).sum();
-        j1 * j2 * j3 + factors
     }
 }
 
@@ -309,23 +298,11 @@ fn tucker_als_with(
         Matrix::zeros(0, 0),
     ];
     let mut s2_scratch = Matrix::zeros(0, 0);
-    // Bitwise change tracking: `version[m]` bumps whenever factor m changes;
-    // a mode whose two input factors are unchanged since its last update
-    // would receive the identical product matrix and (the SVD being
-    // deterministic for a fixed seed) return the identical factor — so the
-    // update is skipped outright. This keeps the trajectory bit-identical
-    // while making converged modes free across the remaining sweeps.
-    let mut version = [1u64, 1, 1];
-    let mut updated_from = [(0u64, 0u64); 3];
-    // Which factor versions the mode-2 scratch currently holds, and the
-    // singular values of the last mode-2 SVD (for the final Λ₂ refresh).
-    let mut w2_holds = (0u64, 0u64);
-    let mut svd2_cache: Option<((u64, u64), Vec<f64>)> = None;
 
     for it in 0..config.max_iters {
         iterations = it + 1;
         let sweep_start = Instant::now();
-        let mut updates = [None; 3];
+        let mut updates = [SvdRoute::Gram; 3];
         for mode in 1..=3usize {
             let jn = [j1, j2, j3][mode - 1];
             let (ai, bi) = match mode {
@@ -334,40 +311,16 @@ fn tucker_als_with(
                 3 => (0, 1),
                 _ => unreachable!(),
             };
-            let inputs = (version[ai], version[bi]);
-            if updated_from[mode - 1] == inputs {
-                // Both inputs bitwise unchanged since this mode's last
-                // update: recomputing would reproduce the current factor.
-                continue;
-            }
             let w = &mut w_scratch[mode - 1];
-            // The mode-2 scratch may already hold this exact product from
-            // the previous iteration's fit step; skip the TTM then.
-            if mode != 2 || w2_holds != inputs {
-                f.ttm_except_unfolded_into(mode, &factors[ai], &factors[bi], w)?;
-                if mode == 2 {
-                    w2_holds = inputs;
-                }
-            }
+            f.ttm_except_unfolded_into(mode, &factors[ai], &factors[bi], w)?;
             let (svd, route) = dense_truncated_svd(w, jn, &config.subspace)?;
-            updates[mode - 1] = Some(route);
-            updated_from[mode - 1] = inputs;
-            if mode == 2 {
-                svd2_cache = Some((inputs, svd.singular_values));
-            }
-            if svd.u != factors[mode - 1] {
-                factors[mode - 1] = svd.u;
-                version[mode - 1] += 1;
-            }
+            updates[mode - 1] = route;
+            factors[mode - 1] = svd.u;
         }
         // Fit via ‖F−F̂‖² = ‖F‖² − ‖S‖² (factors orthonormal). The core norm
-        // comes from S₍₂₎ = Y⁽²⁾ᵀ W₍₂₎; the mode-2 product is rebuilt into
-        // the shared scratch only when Y⁽¹⁾ or Y⁽³⁾ actually moved since it
-        // was last formed.
-        if w2_holds != (version[0], version[2]) {
-            f.ttm_except_unfolded_into(2, &factors[0], &factors[2], &mut w_scratch[1])?;
-            w2_holds = (version[0], version[2]);
-        }
+        // comes from S₍₂₎ = Y⁽²⁾ᵀ W₍₂₎, with W₍₂₎ rebuilt from the final
+        // Y⁽¹⁾ and Y⁽³⁾ of the sweep.
+        f.ttm_except_unfolded_into(2, &factors[0], &factors[2], &mut w_scratch[1])?;
         factors[1].matmul_tn_into(&w_scratch[1], &mut s2_scratch)?;
         let core_norm_sq = DenseTensor3::fold(2, &s2_scratch, (j1, j2, j3))?.frobenius_norm_sq();
         // The difference is floored at the two sums' rounding (`fit_from`).
@@ -385,21 +338,11 @@ fn tucker_als_with(
     }
 
     // --- Final mode-2 refresh: make Y⁽²⁾ and Λ₂ the exact singular pairs of
-    // the final product matrix so Theorem 2 holds as tightly as possible.
-    // The product and its SVD are reused from the sweep when the inputs are
-    // bitwise unchanged (always true once the sweep reached a fixed point).
-    if w2_holds != (version[0], version[2]) {
-        f.ttm_except_unfolded_into(2, &factors[0], &factors[2], &mut w_scratch[1])?;
-        w2_holds = (version[0], version[2]);
-    }
-    let lambda2 = match svd2_cache {
-        Some((inputs, singular_values)) if inputs == w2_holds => singular_values,
-        _ => {
-            let (svd2, _) = dense_truncated_svd(&w_scratch[1], j2, &config.subspace)?;
-            factors[1] = svd2.u;
-            svd2.singular_values
-        }
-    };
+    // the final product matrix W₍₂₎, which the last sweep's fit left in the
+    // scratch, so Theorem 2 holds as tightly as possible.
+    let (svd2, _) = dense_truncated_svd(&w_scratch[1], j2, &config.subspace)?;
+    factors[1] = svd2.u;
+    let lambda2 = svd2.singular_values;
 
     // --- Core from the final factors (Eq. 16). S₍₂₎ = Y⁽²⁾ᵀ W₍₂₎ reuses W₍₂₎.
     factors[1].matmul_tn_into(&w_scratch[1], &mut s2_scratch)?;
@@ -791,21 +734,104 @@ mod tests {
     #[test]
     fn sweep_trace_records_each_update_route() {
         // Products of 30, 25 and 1 500 rows by 36 columns, 6 pairs each:
-        // every update takes the Gram route; only one whose inputs stopped
-        // changing is skipped. The line lists the three per sweep.
+        // every update of every sweep takes the Gram route. The line lists
+        // the three per sweep.
         let d = tucker_als(&long_tail_tensor(), &default_config((6, 6, 6))).unwrap();
-        assert_eq!(d.trace.sweeps[0].updates, [Some(SvdRoute::Gram); 3]);
+        assert!(d.trace.sweeps.len() > 1);
         for sweep in &d.trace.sweeps {
-            assert!(sweep
-                .updates
-                .iter()
-                .all(|u| matches!(u, Some(SvdRoute::Gram) | None)));
+            assert_eq!(sweep.updates, [SvdRoute::Gram; 3]);
         }
         let line = d.trace.to_string();
-        assert!(
-            line.contains(" sweeps ") && line.contains("[GGG]"),
+        assert!(line.contains(" sweeps "), "{line}");
+        assert_eq!(
+            line.matches("[GGG]").count(),
+            d.trace.sweeps.len(),
             "{line}"
         );
+    }
+
+    /// Seeded 144 × 60 × 1 080 tensor, 4 500 draws: twelve planted
+    /// blocks and 10 % noise, as in [`long_tail_tensor`]. Big enough that
+    /// the unfoldings, the TTM products and the HOSVD's MGS2 split into
+    /// bands at two threads.
+    fn banded_tensor() -> SparseTensor3 {
+        let mut state = 0x0dd_ba11u64;
+        let mut next = |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        let quads: Vec<_> = (0..4_500)
+            .map(|n| {
+                if n % 10 == 0 {
+                    return (next(144), next(60), next(1_080), 1.0);
+                }
+                let g = next(12);
+                (
+                    g * 12 + next(12),
+                    g * 5 + next(5).min(next(5)),
+                    g * 90 + next(90) * next(90) / 90,
+                    1.0 + (12 - g) as f64 * 0.25,
+                )
+            })
+            .collect();
+        SparseTensor3::from_entries((144, 60, 1_080), &quads).unwrap()
+    }
+
+    #[test]
+    fn bit_identical_at_one_and_two_threads() {
+        // Mode 1's product (144 × 144) iterates, modes 2 and 3 (60 × 48,
+        // 1 080 × 48) take the Gram route. A budget of 12 applies keeps the
+        // debug build near 2 s: the HOSVD solves stop at it (the bits are
+        // under test here, not convergence), the mode-1 solves converge
+        // inside it.
+        let f = banded_tensor();
+        assert!(f.nnz() >= 4096);
+        let config = TuckerConfig {
+            core_dims: (4, 12, 12),
+            max_iters: 2,
+            subspace: SubspaceOptions {
+                max_iters: 12,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let runs: Vec<TuckerDecomposition> = [1, 2]
+            .iter()
+            .map(|&threads| {
+                cubelsi_linalg::parallel::set_num_threads(threads);
+                tucker_als(&f, &config).unwrap()
+            })
+            .collect();
+        cubelsi_linalg::parallel::set_num_threads(0);
+        let bits = |d: &TuckerDecomposition| -> Vec<u64> {
+            let factors = d.factors.iter().flat_map(|y| y.as_slice());
+            factors
+                .chain(d.core.as_slice())
+                .chain(&d.lambda2)
+                .chain(&d.fit_history)
+                .chain([&d.fit])
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        let (one, two) = (&runs[0], &runs[1]);
+        assert!(
+            bits(one) == bits(two),
+            "the model depends on the thread count"
+        );
+        assert_eq!(one.iterations, two.iterations);
+        for (a, b) in one.trace.sweeps.iter().zip(&two.trace.sweeps) {
+            assert_eq!(a.updates, b.updates);
+            assert!(
+                matches!(
+                    a.updates,
+                    [SvdRoute::Iterative { .. }, SvdRoute::Gram, SvdRoute::Gram]
+                ),
+                "{}",
+                one.trace
+            );
+        }
     }
 
     #[test]
@@ -878,14 +904,6 @@ mod tests {
         let config = default_config((10, 10, 10));
         let d = tucker_als(&f, &config).unwrap();
         assert_eq!(d.core.dims(), (3, 3, 3));
-    }
-
-    #[test]
-    fn compressed_len_accounting() {
-        let f = figure2_tensor();
-        let d = tucker_als(&f, &default_config((2, 3, 2))).unwrap();
-        // S: 2*3*2 = 12; Y1: 3x2, Y2: 3x3, Y3: 3x2 → 6+9+6 = 21.
-        assert_eq!(d.compressed_len(), 12 + 21);
     }
 
     #[test]
