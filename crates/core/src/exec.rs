@@ -72,7 +72,7 @@ use crate::query::QuerySession;
 use crate::shard::ShardedSession;
 
 /// Hard ceiling on pool threads, far above any sane `--threads`
-/// setting; a hostile `CUBELSI_THREADS` cannot fork-bomb the process.
+/// setting; a huge `--threads` value cannot fork-bomb the process.
 const MAX_POOL_WORKERS: usize = 256;
 
 /// Cached scratch owned by one executor participant (a pool worker or a

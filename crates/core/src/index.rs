@@ -225,7 +225,7 @@ impl<'a> ResourceVectorRef<'a> {
 ///   keeps compressed results bit-identical to the uncompressed paths.
 ///
 /// `packed_ids` carries 8 zero guard bytes past the last used byte so
-/// the decoder can always issue an unaligned 8-byte load, branch-free.
+/// every 8-byte window the decoder reads from inside a run is in range.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CompressedPostings {
     /// Per-block minimum resource id (the frame of reference).
@@ -252,164 +252,64 @@ impl CompressedPostings {
         self.blk_base.len()
     }
 
-    /// Decodes the bit-packed resource ids of global block `blk`
-    /// (holding `len ≤ BLOCK_LEN` postings) into `out[..len]`.
+    /// Streams the decoded ids of block `blk` (holding `len ≤ BLOCK_LEN`
+    /// postings) to `f(j, id)` — the one decode of the mirror, shared by
+    /// the query path, [`Self::validate_against`] and the tests. Each
+    /// 8-byte window starting at bit `b` holds every bit of the `G` ids
+    /// beginning there as long as `(b & 7) + G·bits ≤ 64`, so narrow
+    /// widths decode several ids per load; the windows stay independent
+    /// (no reservoir carry), which keeps the loads pipelined. Width 0
+    /// (every id equal to the base) masks every window to 0.
     /// `wrapping_add` keeps a hostile id payload free of arithmetic
-    /// panics; the reads themselves rely on the pack-run-chain + guard
-    /// invariant (see [`window_unchecked`]), which
-    /// [`Self::validate_against`] establishes on a loaded mirror before
-    /// its first decode and then uses to reject any mirror whose decoded
-    /// ids differ from the exact id array.
+    /// panics, and [`window`] cannot read out of bounds.
     #[inline]
-    pub fn decode_block_ids(&self, blk: usize, len: usize, out: &mut [u32]) {
+    pub fn for_each_block_id(&self, blk: usize, len: usize, f: impl FnMut(usize, u32)) {
         let base = self.blk_base[blk];
         let bits = self.blk_bits[blk] as usize;
-        let out = &mut out[..len];
-        if bits == 0 {
-            out.fill(base);
-            return;
-        }
-        let bytes = &self.packed_ids[self.blk_pack_start[blk] as usize..];
-        if unpack_simd_if_supported(bytes, bits, base, out) {
-            return;
-        }
-        let mask = (1u64 << bits) - 1;
-        // Each 8-byte window starting at bit `b` holds every bit of the
-        // `g` ids beginning there as long as `(b & 7) + g·bits ≤ 64`, so
-        // narrow widths decode several ids per unaligned load — the
-        // iterations stay independent (no reservoir carry), which keeps
-        // the loads pipelined, and the group factor divides the
-        // bounds-check count. The guard bytes past the packed run keep
-        // every window in bounds.
+        let start = self.blk_pack_start[blk] as usize;
+        let bytes = self.packed_ids.get(start..).unwrap_or_default();
         // Monomorphized per group size so each inner loop unrolls to
         // straight-line code instead of a runtime-bounded loop.
         match bits {
-            ..=14 => unpack_grouped::<4>(bytes, bits, mask, base, out),
-            15..=19 => unpack_grouped::<3>(bytes, bits, mask, base, out),
-            20..=28 => unpack_grouped::<2>(bytes, bits, mask, base, out),
-            _ => unpack_grouped::<1>(bytes, bits, mask, base, out),
-        }
-    }
-
-    /// Streams the decoded ids of block `blk` (holding `len ≤ BLOCK_LEN`
-    /// postings) to `f(j, id)` without materializing them — the scan
-    /// paths that consume each id exactly once (slot-map probes,
-    /// gated admission) fuse the decode into their own loop and skip
-    /// the staging-buffer round-trip. Same grouped windows (and the
-    /// same read-safety invariant) as [`Self::decode_block_ids`].
-    #[inline]
-    pub fn for_each_block_id(&self, blk: usize, len: usize, mut f: impl FnMut(usize, u32)) {
-        let base = self.blk_base[blk];
-        let bits = self.blk_bits[blk] as usize;
-        if bits == 0 {
-            for j in 0..len {
-                f(j, base);
-            }
-            return;
-        }
-        let bytes = &self.packed_ids[self.blk_pack_start[blk] as usize..];
-        // The wide widths decode fastest through the vector kernel even
-        // with a stack staging hop: 8 ids per shuffle beats 2–3 ids per
-        // scalar window by enough to pay for the L1 round-trip.
-        let mut buf = [0u32; BLOCK_LEN];
-        if unpack_simd_if_supported(bytes, bits, base, &mut buf[..len]) {
-            for (j, &r) in buf[..len].iter().enumerate() {
-                f(j, r);
-            }
-            return;
-        }
-        let mask = (1u64 << bits) - 1;
-        match bits {
-            ..=14 => stream_grouped::<4>(bytes, bits, mask, base, len, f),
-            15..=19 => stream_grouped::<3>(bytes, bits, mask, base, len, f),
-            20..=28 => stream_grouped::<2>(bytes, bits, mask, base, len, f),
-            _ => stream_grouped::<1>(bytes, bits, mask, base, len, f),
+            ..=14 => stream_grouped::<4>(bytes, bits, base, len, f),
+            15..=19 => stream_grouped::<3>(bytes, bits, base, len, f),
+            20..=28 => stream_grouped::<2>(bytes, bits, base, len, f),
+            _ => stream_grouped::<1>(bytes, bits, base, len, f),
         }
     }
 }
 
-/// One unaligned 8-byte little-endian load at bit offset `bit` of
-/// `bytes`, shifted so the value starting at `bit` sits at bit 0. This
-/// is the only memory access in the hot decode loops, so it skips the
-/// slice bounds check.
-///
-/// # Safety
-///
-/// `(bit >> 3) + 8 ≤ bytes.len()` must hold. Callers pass a block's
-/// packed run with everything after it in the id stream, and only form
-/// windows starting inside the run (`bit < len·bits`); the run is
-/// always followed by at least 8 readable bytes because
-/// [`compress_postings`] appends 8 zero guard bytes after the final
-/// run, and [`CompressedPostings::validate_against`] re-establishes
-/// the identical pack-run-chain + guard-tail invariant on every loaded
-/// artifact before its first decode.
+/// The 8 little-endian bytes at bit offset `bit` of `bytes`, shifted so
+/// the value starting at `bit` sits at bit 0, or 0 when fewer than 8
+/// bytes remain. The fallback is never taken on a mirror the decode can
+/// trust: [`compress_postings`] appends 8 zero guard bytes after the
+/// final run, so every window starting inside a run is in range, and
+/// [`CompressedPostings::validate_against`] rejects any loaded mirror
+/// whose decoded ids differ from the exact ids.
 #[inline]
-unsafe fn window_unchecked(bytes: &[u8], bit: usize) -> u64 {
-    let byte = bit >> 3;
-    debug_assert!(byte + 8 <= bytes.len());
-    // SAFETY: `byte + 8 ≤ bytes.len()` is the caller's contract (see
-    // `# Safety` above), so the unaligned 8-byte read stays in bounds
-    // of the provenance-carrying slice pointer.
-    u64::from_le_bytes(unsafe { bytes.as_ptr().add(byte).cast::<[u8; 8]>().read_unaligned() })
-        >> (bit & 7)
+fn window(bytes: &[u8], bit: usize) -> u64 {
+    bytes
+        .get(bit >> 3..)
+        .and_then(<[u8]>::first_chunk::<8>)
+        .map_or(0, |w| u64::from_le_bytes(*w) >> (bit & 7))
 }
 
-/// Unpacks `out.len()` bit-packed values of width `bits` from `bytes`,
-/// adding `base` to each, reading `G` values per 8-byte window. Each
-/// window starting at bit `b` holds every bit of the `G` values
-/// beginning there as long as `(b & 7) + G·bits ≤ 64`, so narrow widths
-/// decode several ids per unaligned load — the windows stay independent
-/// (no reservoir carry), which keeps the loads pipelined, and the group
-/// factor divides the bounds-check count. The guard bytes past the
-/// packed run keep every window in bounds.
-#[inline]
-fn unpack_grouped<const G: usize>(
-    bytes: &[u8],
-    bits: usize,
-    mask: u64,
-    base: u32,
-    out: &mut [u32],
-) {
-    debug_assert!(7 + G * bits <= 64);
-    // SAFETY: every requested window starts inside the packed run and
-    // the run carries 8 guard bytes past its end (pack-run-chain
-    // invariant re-validated on load), so `window_unchecked`'s
-    // in-bounds contract holds for each call below.
-    let window = |bit: usize| -> u64 { unsafe { window_unchecked(bytes, bit) } };
-    let done = out.len() / G * G;
-    let mut chunks = out.chunks_exact_mut(G);
-    for (i, chunk) in chunks.by_ref().enumerate() {
-        let mut w = window(i * G * bits);
-        for slot in chunk {
-            *slot = base.wrapping_add((w & mask) as u32);
-            w >>= bits;
-        }
-    }
-    for (j, slot) in chunks.into_remainder().iter_mut().enumerate() {
-        *slot = base.wrapping_add((window((done + j) * bits) & mask) as u32);
-    }
-}
-
-/// Closure-consuming sibling of [`unpack_grouped`]: identical window
-/// walk, but each value goes to `f(j, id)` instead of a slice slot.
+/// Walks `len` bit-packed values of width `bits` from `bytes`, reading
+/// `G` values per 8-byte [`window`] and handing `base + value` to
+/// `f(j, id)`.
 #[inline]
 fn stream_grouped<const G: usize>(
     bytes: &[u8],
     bits: usize,
-    mask: u64,
     base: u32,
     len: usize,
     mut f: impl FnMut(usize, u32),
 ) {
     debug_assert!(7 + G * bits <= 64);
-    // SAFETY: every requested window starts inside the packed run and
-    // the run carries 8 guard bytes past its end (pack-run-chain
-    // invariant re-validated on load), so `window_unchecked`'s
-    // in-bounds contract holds for each call below.
-    let window = |bit: usize| -> u64 { unsafe { window_unchecked(bytes, bit) } };
+    let mask = (1u64 << bits) - 1;
     let mut j = 0;
     while j + G <= len {
-        let mut w = window(j * bits);
+        let mut w = window(bytes, j * bits);
         for g in 0..G {
             f(j + g, base.wrapping_add((w & mask) as u32));
             w >>= bits;
@@ -417,152 +317,11 @@ fn stream_grouped<const G: usize>(
         j += G;
     }
     while j < len {
-        f(j, base.wrapping_add((window(j * bits) & mask) as u32));
+        f(
+            j,
+            base.wrapping_add((window(bytes, j * bits) & mask) as u32),
+        );
         j += 1;
-    }
-}
-
-/// Decodes `out.len()` ids through the AVX2 kernel when the width is in
-/// its supported range and the CPU has the feature, returning whether it
-/// ran. Callers fall back to the scalar grouped windows on `false`, so
-/// the vector path is a pure mirror of the scalar one: same inputs, same
-/// ids, verified bit-for-bit by `simd_unpack_matches_scalar` below and by
-/// every equivalence / persist-validator decode on wide-width datasets.
-///
-/// The same pack-run-chain + guard-tail invariant that backs
-/// [`window_unchecked`] makes the vector loads sound — see
-/// [`simd::unpack`] for the width-range derivation.
-#[inline]
-fn unpack_simd_if_supported(bytes: &[u8], bits: usize, base: u32, out: &mut [u32]) -> bool {
-    // Under Miri the vector kernel is compiled out (no AVX2 intrinsic
-    // shims there); the scalar grouped windows cover every width, so
-    // the interpreted runs exercise the same decode results.
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if (simd::MIN_BITS..=simd::MAX_BITS).contains(&bits)
-        && std::arch::is_x86_feature_detected!("avx2")
-    {
-        // SAFETY: feature checked above; the byte-range invariant is the
-        // callers' (established at build by `compress_postings`, on load
-        // by `validate_against` — see `window_unchecked`).
-        unsafe { simd::unpack(bytes, bits, base, out) };
-        return true;
-    }
-    #[cfg(any(not(target_arch = "x86_64"), miri))]
-    let _ = (bytes, bits, base, out);
-    false
-}
-
-/// AVX2 bit-unpack kernel for the mid/wide widths where the scalar
-/// grouped windows drop to 2–3 ids per load: one `vpshufb` byte-gather
-/// plus a per-lane variable shift decodes 8 ids per iteration.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-mod simd {
-    use super::window_unchecked;
-    use core::arch::x86_64::*;
-
-    /// Narrowest width the kernel accepts. Below 15 bits the final
-    /// group's high-lane load could outrun the 8 guard bytes (see the
-    /// derivation on [`unpack`]) — and the scalar 4-per-window tier is
-    /// at its best there anyway.
-    pub const MIN_BITS: usize = 15;
-    /// Widest width the kernel accepts: a dword lane must hold a whole
-    /// value after its sub-byte shift, i.e. `7 + bits ≤ 32`.
-    pub const MAX_BITS: usize = 25;
-
-    /// Per-width shuffle control and per-lane shift counts. Groups of 8
-    /// ids start at bit `8g·bits` — always byte-aligned — so lane 0's
-    /// phase is 0 and lane 1's (loaded at byte `4·bits >> 3`) is the
-    /// fixed `4·bits & 7`; dword `i` of a lane gathers the 4 bytes
-    /// covering its value and then shifts by `(phase + i·bits) & 7`.
-    const fn ctrl(bits: usize) -> ([u8; 32], [u32; 8]) {
-        let mut shuf = [0u8; 32];
-        let mut shift = [0u32; 8];
-        let mut lane = 0;
-        while lane < 2 {
-            let phase = if lane == 0 { 0 } else { (4 * bits) & 7 };
-            let mut i = 0;
-            while i < 4 {
-                let bit = phase + i * bits;
-                shift[lane * 4 + i] = (bit & 7) as u32;
-                let mut k = 0;
-                while k < 4 {
-                    shuf[lane * 16 + i * 4 + k] = ((bit >> 3) + k) as u8;
-                    k += 1;
-                }
-                i += 1;
-            }
-            lane += 1;
-        }
-        (shuf, shift)
-    }
-
-    const CTRL: [([u8; 32], [u32; 8]); MAX_BITS + 1] = {
-        let mut t = [([0u8; 32], [0u32; 8]); MAX_BITS + 1];
-        let mut w = MIN_BITS;
-        while w <= MAX_BITS {
-            t[w] = ctrl(w);
-            w += 1;
-        }
-        t
-    };
-
-    /// Decodes `out.len()` values of width `bits ∈ [MIN_BITS, MAX_BITS]`
-    /// from the packed run at `bytes`, adding `base` (wrapping, like the
-    /// scalar path) to each. Groups of 8 go through the vector pipe; the
-    /// tail reuses the scalar window.
-    ///
-    /// # Safety
-    ///
-    /// Caller must uphold the [`window_unchecked`] invariant (the run is
-    /// followed by at least 8 readable bytes) and have verified AVX2.
-    /// Each iteration issues two 16-byte loads; the later one, for group
-    /// `g` of `n = out.len()` values, ends at byte
-    /// `g·bits + (4·bits >> 3) + 16` with `g ≤ n/8 − 1`, which stays
-    /// within `ceil(n·bits/8) + 8` exactly when `ceil(bits/2) ≥ 8` —
-    /// hence the `MIN_BITS` floor of 15.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn unpack(bytes: &[u8], bits: usize, base: u32, out: &mut [u32]) {
-        debug_assert!((MIN_BITS..=MAX_BITS).contains(&bits));
-        let (shuf_ctrl, shift_ctrl) = &CTRL[bits];
-        // SAFETY: 32-byte unaligned loads from the 32-byte const
-        // control tables (`[u8; 32]` / `[u32; 8]`), fully in bounds.
-        let (shuf, shift) = unsafe {
-            (
-                _mm256_loadu_si256(shuf_ctrl.as_ptr() as *const __m256i),
-                _mm256_loadu_si256(shift_ctrl.as_ptr() as *const __m256i),
-            )
-        };
-        let maskv = _mm256_set1_epi32(((1u32 << bits) - 1) as i32);
-        let basev = _mm256_set1_epi32(base as i32);
-        let len = out.len();
-        let hi_off = (4 * bits) >> 3;
-        let src = bytes.as_ptr();
-        let dst = out.as_mut_ptr();
-        let mut g = 0;
-        while (g + 1) * 8 <= len {
-            // SAFETY: both 16-byte loads for group `g ≤ len/8 − 1` end
-            // within the guard-padded run (the `# Safety` derivation
-            // above, backed by the caller's `window_unchecked`
-            // invariant), and the 32-byte store covers
-            // `out[8g..8g + 8]`, in bounds by the loop condition.
-            unsafe {
-                let lo = src.add(g * bits);
-                let v = _mm256_loadu2_m128i(lo.add(hi_off) as *const __m128i, lo as *const __m128i);
-                let v = _mm256_shuffle_epi8(v, shuf);
-                let v = _mm256_srlv_epi32(v, shift);
-                let v = _mm256_and_si256(v, maskv);
-                let v = _mm256_add_epi32(v, basev);
-                _mm256_storeu_si256(dst.add(g * 8) as *mut __m256i, v);
-            }
-            g += 1;
-        }
-        let mask = (1u64 << bits) - 1;
-        for (j, slot) in out.iter_mut().enumerate().skip(g * 8) {
-            // SAFETY: the window starts inside the run (`j < len`) and
-            // the 8 guard bytes keep the read in bounds — the caller's
-            // contract, unchanged from the vector groups above.
-            *slot = base.wrapping_add((unsafe { window_unchecked(bytes, j * bits) } & mask) as u32);
-        }
     }
 }
 
@@ -937,12 +696,12 @@ impl CompressedPostings {
     /// [`IndexArrays::validate`]. Order matters: shapes and the
     /// packed-run chain are verified first — `blk_pack_start` starts at
     /// 0, each block's run is exactly `ceil(len·bits / 8)` bytes, the
-    /// chain's end plus 8 zero guard bytes is the whole stream — so the
-    /// id decode below (and every `window_unchecked` load after it) can
-    /// never leave the buffer; then every decoded id must equal its
-    /// exact counterpart bitwise and every dequantized impact must
-    /// upper-bound its exact impact — exactly the two properties the
-    /// `CompressedBlockMax` strategy's bit-identity argument rests on.
+    /// chain's end plus 8 zero guard bytes is the whole stream — so
+    /// every window the id decode below reads is in range; then every
+    /// decoded id must equal its exact counterpart bitwise and every
+    /// dequantized impact must upper-bound its exact impact — exactly
+    /// the two properties the `CompressedBlockMax` strategy's
+    /// bit-identity argument rests on.
     pub(crate) fn validate_against(&self, exact: &IndexArrays) -> Result<(), String> {
         let IndexArrays {
             post_offsets,
@@ -1008,10 +767,11 @@ impl CompressedPostings {
         // Pass 2: decoded ids must equal the exact ids bitwise, and
         // every dequantized impact must upper-bound its exact impact,
         // evaluated in f64 exactly as the query path evaluates it.
-        let mut ids = [0u32; BLOCK_LEN];
         for (blk, range) in block_ranges(post_offsets).enumerate() {
-            self.decode_block_ids(blk, range.len(), &mut ids);
-            if ids[..range.len()] != post_ids[range.clone()] {
+            let exact_ids = &post_ids[range.clone()];
+            let mut same = true;
+            self.for_each_block_id(blk, range.len(), |j, r| same &= r == exact_ids[j]);
+            if !same {
                 return Err(format!("block {blk} ids decode differently"));
             }
             let scale = self.blk_scale[blk];
@@ -1552,6 +1312,14 @@ mod tests {
     use super::*;
     use cubelsi_folksonomy::FolksonomyBuilder;
 
+    /// The ids of block `blk` (holding `len` postings), through the one
+    /// decode the query path and the validator use.
+    fn decode_ids(c: &CompressedPostings, blk: usize, len: usize) -> Vec<u32> {
+        let mut ids = vec![0; len];
+        c.for_each_block_id(blk, len, |j, r| ids[j] = r);
+        ids
+    }
+
     /// Corpus: r1 tagged with music-ish tags, r2 with both, r3 with tech.
     fn corpus() -> (Folksonomy, ConceptModel) {
         let mut b = FolksonomyBuilder::new();
@@ -1742,7 +1510,6 @@ mod tests {
             c.packed_ids.len(),
             "pack offsets must end at the guard bytes"
         );
-        let mut buf = [0u32; BLOCK_LEN];
         for l in 0..index.num_concepts() {
             let list = index.postings(l);
             let first_blk = index.exact.block_offsets[l] as usize;
@@ -1751,8 +1518,11 @@ mod tests {
                 let lo = local * BLOCK_LEN;
                 let hi = (lo + BLOCK_LEN).min(list.len());
                 let blk = first_blk + local;
-                index.compressed.decode_block_ids(blk, hi - lo, &mut buf);
-                assert_eq!(&buf[..hi - lo], &list.ids[lo..hi], "block {blk}");
+                assert_eq!(
+                    decode_ids(c, blk, hi - lo),
+                    &list.ids[lo..hi],
+                    "block {blk}"
+                );
                 let scale = c.blk_scale[blk] as f64;
                 let offset = c.blk_offset[blk] as f64;
                 for j in lo..hi {
@@ -1783,15 +1553,13 @@ mod tests {
         let f = b.build();
         let concepts = ConceptModel::from_assignments(vec![0, 1], 1.0);
         let index = ConceptIndex::build(&f, &concepts);
-        let mut buf = [0u32; BLOCK_LEN];
         for l in 0..index.num_concepts() {
             let list = index.postings(l);
             if list.is_empty() {
                 continue;
             }
             let blk = index.exact.block_offsets[l] as usize;
-            index.compressed.decode_block_ids(blk, list.len(), &mut buf);
-            assert_eq!(&buf[..list.len()], list.ids);
+            assert_eq!(decode_ids(&index.compressed, blk, list.len()), list.ids);
         }
     }
 
@@ -1834,16 +1602,13 @@ mod tests {
         assert_eq!(f.resource_name(ranked[0].resource), "r2");
     }
 
-    /// The AVX2 unpack kernel must reproduce the scalar grouped-window
-    /// decode bit-for-bit at every width it accepts, including partial
-    /// blocks and the worst-case buffer layout (exactly 8 guard bytes
-    /// after the final run, as `compress_postings` emits).
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    /// Every width 0..=32 and every block length 1..=64 survives
+    /// `pack_block_ids` → [`CompressedPostings::for_each_block_id`],
+    /// each run ending flush against the 8 guard bytes (the tightest
+    /// layout `compress_postings` emits), with the block's largest delta
+    /// in its last slot, whose window reaches into the guard bytes.
     #[test]
-    fn simd_unpack_matches_scalar() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
+    fn packed_ids_round_trip_at_every_width() {
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
             rng ^= rng << 13;
@@ -1851,26 +1616,26 @@ mod tests {
             rng ^= rng << 17;
             rng
         };
-        for bits in simd::MIN_BITS..=simd::MAX_BITS {
-            for len in [1usize, 7, 8, 9, 37, 61, 63, 64] {
-                let base = (next() as u32) & 0x00FF_FFFF;
-                let ids: Vec<u32> = (0..len)
-                    .map(|_| base.wrapping_add((next() as u32) & ((1u32 << bits) - 1)))
-                    .collect();
-                let mut packed = Vec::new();
-                pack_block_ids(&mut packed, &ids, base, bits);
-                packed.extend_from_slice(&[0u8; 8]);
-                let mut scalar = vec![0u32; len];
-                unpack_grouped::<2>(&packed, bits, (1u64 << bits) - 1, base, &mut scalar);
-                assert_eq!(scalar, ids, "scalar decode broken at bits={bits} len={len}");
-                let mut vector = vec![0u32; len];
-                // SAFETY: avx2 verified above; the run is followed by
-                // exactly the 8 guard bytes the kernel's derivation needs.
-                unsafe { simd::unpack(&packed, bits, base, &mut vector) };
-                assert_eq!(
-                    vector, scalar,
-                    "simd decode diverges at bits={bits} len={len}"
-                );
+        for bits in 0..=32usize {
+            let mask = ((1u64 << bits) - 1) as u32;
+            for len in 1..=BLOCK_LEN {
+                let base = next() as u32 & (u64::from(u32::MAX) >> bits) as u32;
+                let mut ids: Vec<u32> = (0..len).map(|_| base + (next() as u32 & mask)).collect();
+                ids[0] = base;
+                ids[len - 1] = base + mask;
+                let mut packed_ids = Vec::new();
+                pack_block_ids(&mut packed_ids, &ids, base, bits);
+                let used = packed_ids.len() as u64;
+                assert_eq!(used, (len * bits).div_ceil(8) as u64);
+                packed_ids.extend_from_slice(&[0u8; 8]);
+                let mirror = CompressedPostings {
+                    blk_base: vec![base],
+                    blk_bits: vec![bits as u8],
+                    blk_pack_start: vec![0, used],
+                    packed_ids,
+                    ..CompressedPostings::default()
+                };
+                assert_eq!(decode_ids(&mirror, 0, len), ids, "bits={bits} len={len}");
             }
         }
     }
@@ -1914,7 +1679,7 @@ mod tests {
         assert!(err.contains("out of impact order"), "{err}");
 
         // Pack-run chain: dropping a byte breaks the chain-end + guard
-        // accounting the unchecked window reads rely on.
+        // accounting the decode's windows rely on.
         let mut bad = index.clone();
         bad.compressed.packed_ids.pop();
         let err = mirror_err(&bad);

@@ -15,9 +15,9 @@
 //! Entry format (one per `##` heading):
 //!
 //! ```markdown
-//! ## `crates/core/src/index.rs` · `window_unchecked` — 2 sites
+//! ## `crates/core/src/exec.rs` · `execute` — 1 site
 //! - invariant: ...prose...
-//! - test: `compressed_blocks_decode_exactly_and_bound_impacts`
+//! - test: `pool_runs_every_task_and_reuses_threads`
 //! ```
 
 use std::collections::BTreeMap;

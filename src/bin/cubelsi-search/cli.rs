@@ -1,9 +1,8 @@
 //! Command-line parsing and process-level configuration: every flag's
 //! validation rule lives here, at parse time, so garbage values die with
 //! a usage error instead of flowing into core arithmetic or the serving
-//! pipeline. Environment fallbacks (`CUBELSI_THREADS`,
-//! `CUBELSI_MAX_CONNS`, `CUBELSI_DEADLINE_MS`) go through the same
-//! validators as their flags.
+//! pipeline. Flags are the only source of these values: no environment
+//! variable sets a thread count or a serving limit.
 
 use cubelsi::core::shard;
 use std::net::SocketAddr;
@@ -33,11 +32,10 @@ options:
                  port 0 picks a free port, printed as `listening ADDR`)
   --max-conns N  admit at most N simultaneous connections; excess clients
                  get `ERR BUSY` and a clean close (N >= 1; default 256;
-                 the CUBELSI_MAX_CONNS env var sets the same; `serve` only)
+                 `serve` only)
   --deadline-ms D  per-query latency budget; a query that misses it gets a
                  `TIMEOUT` reply instead of results (D >= 1; default: no
-                 deadline; the CUBELSI_DEADLINE_MS env var sets the same;
-                 `serve` only)
+                 deadline; `serve` only)
   --write-timeout-ms W  per-reply write budget; a client that cannot
                  absorb a reply within it is dropped instead of wedging
                  its handler (W >= 1; default 5000; `serve` only)
@@ -45,8 +43,8 @@ options:
                  (I >= 1; default 300000; `serve` only)
   --seed S       seed for all stochastic components (default 2011)
   --threads N    worker threads for the offline build and the online query
-                 executor (N >= 1; default: all cores; the CUBELSI_THREADS
-                 env var sets the same knob; 1 forces sequential serving)
+                 executor (N >= 1; default: all cores; 1 forces
+                 sequential serving)
   --no-clean     skip the paper's \u{a7}VI-A cleaning pipeline
 
 serve protocol (one request per line, one reply line per request):
@@ -87,8 +85,7 @@ impl Default for BuildOpts {
 }
 
 /// The serving pipeline's bounds as given on the command line; `None`
-/// means "not set" and falls back to the matching environment variable,
-/// then the default, in [`resolve_limits`].
+/// means "not set" and falls back to the default in [`resolve_limits`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServeLimits {
     pub max_conns: Option<usize>,
@@ -97,7 +94,7 @@ pub struct ServeLimits {
     pub idle_timeout_ms: Option<u64>,
 }
 
-/// [`ServeLimits`] after flag/env/default resolution — what the serving
+/// [`ServeLimits`] after flag/default resolution — what the serving
 /// pipeline actually enforces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolvedLimits {
@@ -111,37 +108,18 @@ pub const DEFAULT_MAX_CONNS: usize = 256;
 pub const DEFAULT_WRITE_TIMEOUT_MS: u64 = 5_000;
 pub const DEFAULT_IDLE_TIMEOUT_MS: u64 = 300_000;
 
-/// Applies the flag → env → default fallback chain to the serve limits.
-/// `env` is injected so tests can exercise the chain without mutating
-/// process environment (which races across the parallel test harness).
-pub fn resolve_limits(
-    limits: &ServeLimits,
-    env: impl Fn(&str) -> Option<String>,
-) -> Result<ResolvedLimits, String> {
-    let max_conns = match limits.max_conns {
-        Some(n) => n,
-        None => match env("CUBELSI_MAX_CONNS") {
-            Some(v) => parse_count(&v, "CUBELSI_MAX_CONNS")?,
-            None => DEFAULT_MAX_CONNS,
-        },
-    };
-    let deadline_ms = match limits.deadline_ms {
-        Some(d) => Some(d),
-        None => match env("CUBELSI_DEADLINE_MS") {
-            Some(v) => Some(parse_millis(&v, "CUBELSI_DEADLINE_MS")?),
-            None => None,
-        },
-    };
-    Ok(ResolvedLimits {
-        max_conns,
-        deadline: deadline_ms.map(Duration::from_millis),
+/// Fills every serve limit the command line left unset with its default.
+pub fn resolve_limits(limits: &ServeLimits) -> ResolvedLimits {
+    ResolvedLimits {
+        max_conns: limits.max_conns.unwrap_or(DEFAULT_MAX_CONNS),
+        deadline: limits.deadline_ms.map(Duration::from_millis),
         write_timeout: Duration::from_millis(
             limits.write_timeout_ms.unwrap_or(DEFAULT_WRITE_TIMEOUT_MS),
         ),
         idle_timeout: Duration::from_millis(
             limits.idle_timeout_ms.unwrap_or(DEFAULT_IDLE_TIMEOUT_MS),
         ),
-    })
+    }
 }
 
 /// A fully parsed and value-validated invocation.
@@ -298,7 +276,7 @@ pub fn parse_command(args: impl IntoIterator<Item = String>) -> Result<Command, 
             }
             "--threads" => {
                 let v = args.next().ok_or("--threads needs a value")?;
-                flags.threads = Some(parse_thread_count(&v, "--threads")?);
+                flags.threads = Some(parse_count(&v, "--threads")?);
             }
             "--no-clean" => flags.no_clean = true,
             "--compress" => flags.compress = true,
@@ -454,12 +432,6 @@ pub fn parse_command(args: impl IntoIterator<Item = String>) -> Result<Command, 
     }
 }
 
-/// Parses and validates a worker-thread count (`N >= 1`), shared by the
-/// `--threads` flag and the `CUBELSI_THREADS` environment variable.
-pub fn parse_thread_count(v: &str, source: &str) -> Result<usize, String> {
-    parse_count(v, source)
-}
-
 /// Parses an integer count with a `>= 1` floor (connection limits,
 /// thread counts) — the typed-error twin of the `--ratio`/`--top`
 /// validators.
@@ -474,8 +446,7 @@ fn parse_count(v: &str, source: &str) -> Result<usize, String> {
 }
 
 /// Parses a millisecond value with a `>= 1` floor (deadlines, write and
-/// idle timeouts), shared by the `--*-ms` flags and the
-/// `CUBELSI_DEADLINE_MS` environment variable.
+/// idle timeouts), shared by the `--*-ms` flags.
 fn parse_millis(v: &str, source: &str) -> Result<u64, String> {
     let n: u64 = v
         .parse()
@@ -487,21 +458,12 @@ fn parse_millis(v: &str, source: &str) -> Result<u64, String> {
 }
 
 /// Applies the worker-pool size used by `cubelsi_linalg::parallel`: an
-/// explicit `--threads` wins, otherwise `CUBELSI_THREADS`, otherwise the
-/// machine's available parallelism.
-pub fn configure_threads(flag: Option<usize>) -> Result<(), String> {
-    let n = match flag {
-        Some(n) => Some(n),
-        None => match std::env::var("CUBELSI_THREADS") {
-            Ok(v) => Some(parse_thread_count(&v, "CUBELSI_THREADS")?),
-            Err(_) => None,
-        },
-    };
-    if let Some(n) = n {
+/// explicit `--threads`, otherwise the machine's available parallelism.
+pub fn configure_threads(flag: Option<usize>) {
+    if let Some(n) = flag {
         cubelsi::linalg::parallel::set_num_threads(n);
         eprintln!("threads {n}");
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -664,10 +626,9 @@ mod tests {
     }
 
     #[test]
-    fn resolve_limits_flag_env_default_chain() {
-        let no_env = |_: &str| None;
-        // Defaults when nothing is set anywhere.
-        let resolved = resolve_limits(&ServeLimits::default(), no_env).unwrap();
+    fn resolve_limits_flag_default_chain() {
+        // Defaults when no flag is set.
+        let resolved = resolve_limits(&ServeLimits::default());
         assert_eq!(resolved.max_conns, DEFAULT_MAX_CONNS);
         assert_eq!(resolved.deadline, None);
         assert_eq!(
@@ -679,37 +640,18 @@ mod tests {
             Duration::from_millis(DEFAULT_IDLE_TIMEOUT_MS)
         );
 
-        // Env fills in unset flags (mirroring CUBELSI_THREADS).
-        let env = |name: &str| match name {
-            "CUBELSI_MAX_CONNS" => Some("7".to_owned()),
-            "CUBELSI_DEADLINE_MS" => Some("40".to_owned()),
-            _ => None,
-        };
-        let resolved = resolve_limits(&ServeLimits::default(), env).unwrap();
-        assert_eq!(resolved.max_conns, 7);
-        assert_eq!(resolved.deadline, Some(Duration::from_millis(40)));
-
-        // Explicit flags win over the env.
+        // Explicit flags win over the defaults.
         let flags = ServeLimits {
             max_conns: Some(2),
             deadline_ms: Some(9),
-            ..ServeLimits::default()
+            write_timeout_ms: Some(30),
+            idle_timeout_ms: Some(40),
         };
-        let resolved = resolve_limits(&flags, env).unwrap();
+        let resolved = resolve_limits(&flags);
         assert_eq!(resolved.max_conns, 2);
         assert_eq!(resolved.deadline, Some(Duration::from_millis(9)));
-
-        // Env garbage dies with the same typed errors as the flags.
-        for (var, bad) in [
-            ("CUBELSI_MAX_CONNS", "0"),
-            ("CUBELSI_MAX_CONNS", "lots"),
-            ("CUBELSI_DEADLINE_MS", "0"),
-            ("CUBELSI_DEADLINE_MS", "fast"),
-        ] {
-            let env = move |name: &str| (name == var).then(|| bad.to_owned());
-            let err = resolve_limits(&ServeLimits::default(), env).unwrap_err();
-            assert!(err.contains(var), "{var}={bad}: {err}");
-        }
+        assert_eq!(resolved.write_timeout, Duration::from_millis(30));
+        assert_eq!(resolved.idle_timeout, Duration::from_millis(40));
     }
 
     #[test]
@@ -783,10 +725,10 @@ mod tests {
 
     #[test]
     fn thread_count_parser_rules() {
-        assert_eq!(parse_thread_count("1", "CUBELSI_THREADS").unwrap(), 1);
-        assert_eq!(parse_thread_count("64", "--threads").unwrap(), 64);
+        assert_eq!(parse_count("1", "--threads").unwrap(), 1);
+        assert_eq!(parse_count("64", "--threads").unwrap(), 64);
         for bad in ["0", "", "four", "-1"] {
-            assert!(parse_thread_count(bad, "CUBELSI_THREADS").is_err(), "{bad}");
+            assert!(parse_count(bad, "--threads").is_err(), "{bad}");
         }
     }
 

@@ -32,15 +32,15 @@
 //! `TIMEOUT ...` replies), slow-client write budgets, idle-connection
 //! timeouts, and graceful drain on `SHUTDOWN`. Module layout:
 //!
-//! * [`cli`] — argument/env parsing and value validation;
+//! * [`cli`] — argument parsing and value validation;
 //! * [`stats`] — latency reservoir, pipeline counters, and the
 //!   Prometheus text rendering behind `STATS`/`METRICS`;
 //! * [`serve`] — the serving pipeline and its fault-injection knobs
 //!   (see that module's docs for the full overload model).
 //!
 //! Malformed requests (non-UTF-8 bytes, oversized lines) get an `ERR`
-//! reply instead of taking the server down; per-client latency stats
-//! (count, p50/p95/p99, queries/s) are logged on disconnect. Artifacts
+//! reply instead of taking the server down; each client's query count
+//! is logged on disconnect. Artifacts
 //! are the versioned, checksummed binaries described in
 //! `cubelsi_core::persist`; the manifest format lives in
 //! `cubelsi_core::shard`.
@@ -177,7 +177,7 @@ fn print_hits(corpus: &Folksonomy, tags: &[String], hits: &[cubelsi::core::Ranke
 }
 
 fn run_build(opts: &BuildOpts, data: &str, out: &str) -> Result<(), String> {
-    configure_threads(opts.threads)?;
+    configure_threads(opts.threads);
     let corpus = load_corpus(data, opts.clean)?;
     let model = build_model(&corpus, opts)?;
     let t0 = Instant::now();
@@ -217,7 +217,7 @@ fn run_query(
     repeat: usize,
     threads: Option<usize>,
 ) -> Result<(), String> {
-    configure_threads(threads)?;
+    configure_threads(threads);
     let set = load_shard_set(index)?;
     let mut session = set.session();
     let mut stats = LatencyStats::default();
@@ -247,7 +247,7 @@ fn run_query(
 }
 
 fn run_one_shot(opts: &BuildOpts, data: &str, tags: &[String], top_k: usize) -> Result<(), String> {
-    configure_threads(opts.threads)?;
+    configure_threads(opts.threads);
     let corpus = load_corpus(data, opts.clean)?;
     let model = build_model(&corpus, opts)?;
     let mut session = model.session();

@@ -409,7 +409,7 @@ impl Server<'_> {
         out: &mut Vec<u8>,
         session: &mut ShardedSession,
         hits: &mut Vec<RankedResource>,
-        stats: &mut LatencyStats,
+        queries: &mut u64,
         tags: &[String],
     ) -> bool {
         let deadline = self.limits.deadline.map(|d| Instant::now() + d);
@@ -447,7 +447,7 @@ impl Server<'_> {
                 .fetch_add(1, Ordering::Relaxed); // ORDER: stats counter; Relaxed default.
             return self.write_reply(stream, out, &self.timeout_reply());
         }
-        stats.record(elapsed);
+        *queries += 1;
         lock(&self.latency).record(elapsed);
         let mut line = format_hits(set.folksonomy(), hits);
         if faulted && self.faults.reply_pad > 0 {
@@ -459,8 +459,8 @@ impl Server<'_> {
 
     /// Serves one admitted connection: reads line requests, answers
     /// queries on a reused scatter-gather session (adaptive dispatch
-    /// through the query executor), and logs this client's latency
-    /// stats on disconnect. Queries also feed the server-wide recorder
+    /// through the query executor), and logs this client's query count
+    /// on disconnect. Query latencies feed the one server-wide recorder
     /// behind the `STATS`/`METRICS` replies. Any I/O error (including a
     /// mid-query disconnect) ends this client only — the accept loop
     /// and the other handlers never see it.
@@ -484,7 +484,7 @@ impl Server<'_> {
         let mut stream = stream;
         let mut reader = BufReader::new(read_half);
         let mut session = self.engine.session();
-        let mut stats = LatencyStats::default();
+        let mut queries = 0u64;
         let mut raw = Vec::new();
         let mut out = Vec::new();
         let mut hits: Vec<RankedResource> = Vec::new();
@@ -614,7 +614,7 @@ impl Server<'_> {
                             &mut out,
                             &mut session,
                             &mut hits,
-                            &mut stats,
+                            &mut queries,
                             &tags,
                         ),
                     };
@@ -624,10 +624,7 @@ impl Server<'_> {
                 }
             }
         }
-        match stats.summary() {
-            Some(summary) => eprintln!("client {peer}: {summary}"),
-            None => eprintln!("client {peer}: 0 queries"),
-        }
+        eprintln!("client {peer}: {queries} queries");
     }
 
     /// One handler thread's life: pop admitted connections off the
@@ -685,8 +682,8 @@ pub fn run_serve(
     threads: Option<usize>,
     limits: &ServeLimits,
 ) -> Result<(), String> {
-    configure_threads(threads)?;
-    let limits = resolve_limits(limits, |name| std::env::var(name).ok())?;
+    configure_threads(threads);
+    let limits = resolve_limits(limits);
     let set = crate::load_shard_set(index)?;
     let engine = ShardedEngine::new(set, PruningStrategy::default()).with_source(index);
     let listener = TcpListener::bind(listen).map_err(|e| format!("binding {listen}: {e}"))?;

@@ -84,9 +84,8 @@ pub fn build_sharded(dir: &Path, shards: usize) -> PathBuf {
 }
 
 /// Starts `serve` on an ephemeral port with extra CLI flags and env vars
-/// (the latter carry both the `CUBELSI_MAX_CONNS`-style limit knobs and
-/// the `CUBELSI_FAULT_*` chaos knobs), returning once it reports the
-/// bound address.
+/// (the latter carry the `CUBELSI_FAULT_*` chaos knobs), returning once
+/// it reports the bound address.
 pub fn start_server_with(manifest: &Path, extra_args: &[&str], envs: &[(&str, &str)]) -> Server {
     let mut cmd = Command::new(BIN);
     cmd.args(["serve", "--listen", "127.0.0.1:0"]);

@@ -239,31 +239,3 @@ fn failed_reload_keeps_serving() {
     assert_eq!(roundtrip(&mut a, "SHUTDOWN"), "OK shutting down");
     std::fs::remove_dir_all(&dir).ok();
 }
-
-/// The admission limit can come from the environment
-/// (`CUBELSI_MAX_CONNS`, mirroring `CUBELSI_THREADS`) instead of the
-/// flag — and the shed moves the `busy_rejected` counter.
-#[test]
-fn env_max_conns_limits_admission() {
-    let dir = scratch_dir("serve-env-limit");
-    let manifest = build_sharded(&dir, 2);
-    let mut server = start_server_with(&manifest, &[], &[("CUBELSI_MAX_CONNS", "1")]);
-
-    let mut a = connect(&server.addr);
-    let reply = roundtrip(&mut a, "people");
-    assert!(reply.starts_with("OK\t"), "got {reply:?}");
-
-    // The single slot is taken: the next connection is shed.
-    let mut b = connect(&server.addr);
-    assert_eq!(read_reply_line(&mut b), "ERR BUSY");
-    assert_eq!(read_to_end(&mut b), "", "shed connection must close");
-
-    let metrics = read_metrics(&mut a);
-    assert_prometheus_valid(&metrics);
-    assert!(metric_value(&metrics, "cubelsi_busy_rejected_total") >= 1.0);
-    assert_eq!(metric_value(&metrics, "cubelsi_active_connections"), 1.0);
-
-    assert_eq!(roundtrip(&mut a, "SHUTDOWN"), "OK shutting down");
-    server.wait_for_clean_exit(Duration::from_secs(10));
-    std::fs::remove_dir_all(&dir).ok();
-}
