@@ -34,10 +34,9 @@
 //!   shard artifacts (versioned manifest + exact k-way merge,
 //!   bit-identical to a single engine) with hot generation-swapped
 //!   artifact reload under live traffic;
-//! * [`exec`] — the persistent query executor: a parked worker pool with
-//!   per-worker cached sessions and one shared batch queue behind every
-//!   batched/scattered serving path, plus the adaptive-dispatch counters
-//!   surfaced by the `serve` STATS command.
+//! * [`exec`] — the query dispatch counters (inline or fanned out)
+//!   surfaced by the `serve` STATS command; query batches and shard
+//!   fan-out fork–join on `cubelsi_linalg::parallel`.
 
 pub mod concepts;
 pub mod config;

@@ -215,7 +215,8 @@ impl CubeLsi {
             .search_tags_with(session, &self.concepts, tags, top_k, out);
     }
 
-    /// Answers many queries at once, fanned across the worker pool.
+    /// Answers many queries at once, in chunks across the fork–join
+    /// threads ([`QueryEngine::search_batch`]).
     pub fn search_batch<Q: AsRef<[TagId]> + Sync>(
         &self,
         queries: &[Q],

@@ -136,9 +136,10 @@ use std::ops::Range;
 /// float rounding (≈1e-16 per op) can never prune a true top-k member.
 const PRUNE_SLACK: f64 = 1.0 + 1e-9;
 
-/// Fewest queries of a batch worth one pool task: the handoff costs ~a
-/// microsecond per task (no thread spawn), so a small chunk already
-/// amortizes it.
+/// Queries in one chunk of a [`QueryEngine::search_batch`] (and
+/// `ShardSet::search_batch`): a participant claims a chunk under one lock,
+/// which costs well under a microsecond against eight queries' work, and
+/// small chunks keep the participants busy to the end of the batch.
 pub(crate) const MIN_QUERIES_PER_TASK: usize = 8;
 
 /// Which posting source the block-max skeleton reads. Both return
@@ -478,14 +479,13 @@ impl QueryEngine {
         }
     }
 
-    /// Answers a batch of queries, oversplit into index ranges across
-    /// the persistent worker pool ([`crate::exec`]). Each participant —
-    /// pool workers plus the calling thread — reuses its pool-cached
-    /// [`QuerySession`] and writes straight into each query's own result
-    /// slot, so results come back in query order and are bit-identical
-    /// at any pool size. With one thread (or a batch too small to
-    /// amortize the handoff) this degrades to a sequential loop on the
-    /// calling thread's cached session, spawning nothing.
+    /// Answers a batch of queries in chunks of [`MIN_QUERIES_PER_TASK`],
+    /// which the caller and up to `num_threads() - 1` scoped threads claim
+    /// in order (`cubelsi_linalg::parallel::for_each_chunk`). Each
+    /// participant answers its chunks on one [`QuerySession`] of its own
+    /// and writes straight into each query's result slot, so results come
+    /// back in query order and are bit-identical at any thread count. One
+    /// thread, or a batch of one chunk, runs on the caller alone.
     pub fn search_batch<Q>(
         &self,
         concepts: &dyn ConceptAssignment,
@@ -497,20 +497,17 @@ impl QueryEngine {
     {
         let mut results: Vec<Vec<RankedResource>> = Vec::new();
         results.resize_with(queries.len(), Vec::new);
-        exec::global().run_chunked(
-            parallel::num_threads(),
-            MIN_QUERIES_PER_TASK,
+        let participants = parallel::for_each_chunk(
             &mut results,
-            |i, scratch, out| {
-                self.search_tags_with(
-                    &mut scratch.query,
-                    concepts,
-                    queries[i].as_ref(),
-                    top_k,
-                    out,
-                );
+            MIN_QUERIES_PER_TASK,
+            || self.session(),
+            |session, start, chunk| {
+                for (out, query) in chunk.iter_mut().zip(&queries[start..]) {
+                    self.search_tags_with(session, concepts, query.as_ref(), top_k, out);
+                }
             },
         );
+        exec::note_dispatch(participants);
         results
     }
 

@@ -492,9 +492,9 @@ pub struct ShardSet {
 }
 
 /// Adaptive-dispatch threshold: minimum *estimated* postings per shard
-/// before a scatter query is worth handing to the worker pool. Below
-/// it, per-shard work is microseconds and the fan-out handoff dominates;
-/// the query runs sequentially on the caller thread instead.
+/// before a scatter query is worth fanning out over threads. Below it,
+/// per-shard work is microseconds and starting a thread dominates; the
+/// query runs sequentially on the caller thread instead.
 const FANOUT_MIN_POSTINGS_PER_SHARD: u64 = 8192;
 
 /// Total-posting ceiling under which a [`ShardSet`] additionally builds
@@ -510,11 +510,11 @@ enum Dispatch {
     /// Always per-shard sequential on the caller thread — the pure
     /// scatter-merge reference path.
     Sequential,
-    /// Always fanned across the pool (when more than one thread and
-    /// shard exist) — pins the pooled path for tests and benches.
+    /// Always fanned out (when more than one thread and shard exist) —
+    /// pins the fanned path for tests.
     Scatter,
     /// Cost-model decision per query: fan out only when the estimated
-    /// per-shard posting work amortizes the pool handoff.
+    /// per-shard posting work amortizes starting a thread.
     Auto,
 }
 
@@ -715,10 +715,11 @@ impl ShardSet {
     /// Adaptive single query: the serving entry point. Small corpora
     /// (a coalesced mirror exists) answer through one unsharded engine
     /// on the caller thread; otherwise the per-query cost model picks
-    /// between the sequential scatter and the pooled fan-out. Every
-    /// route is bit-identical to [`Self::search_tags_with`]; the
-    /// decision is recorded in the executor's inline/fanout counters.
-    /// Steady-state allocation-free on a warmed session.
+    /// between the sequential scatter and the fan-out. Every route is
+    /// bit-identical to [`Self::search_tags_with`]; the decision is
+    /// counted in `exec`'s inline/fanout counters. Steady-state
+    /// allocation-free on a warmed session, except where it fans out
+    /// (starting a thread allocates).
     pub fn search_tags_auto(
         &self,
         session: &mut ShardedSession,
@@ -728,7 +729,7 @@ impl ShardSet {
         out: &mut Vec<RankedResource>,
     ) {
         if let Some(co) = &self.coalesced {
-            exec::global().note_inline();
+            exec::note_dispatch(1);
             co.search_tags_with(&mut session.prep, concepts, tags, top_k, out);
             return;
         }
@@ -746,8 +747,9 @@ impl ShardSet {
     }
 
     /// Shared scatter body: one preparation, one global term order, then
-    /// per-shard scoring — sequential or fanned across the executor per
-    /// `mode` — and the exact k-way merge. All modes are bit-identical:
+    /// per-shard scoring — sequential on the caller, or one shard per
+    /// chunk of `parallel::for_each_chunk`, per `mode` — and the exact
+    /// k-way merge. All modes are bit-identical:
     /// the per-shard ranking depends only on the broadcast terms, never
     /// on which thread or session scored the shard.
     fn search_shards(
@@ -766,7 +768,6 @@ impl ShardSet {
             prep,
             per_shard,
             terms,
-            results,
             cursors,
         } = session;
         let Some(norm) = self.engines[0].collect_tag_terms(prep, concepts, tags) else {
@@ -775,47 +776,45 @@ impl ShardSet {
         terms.clear();
         terms.extend_from_slice(prep.terms());
         order_terms_with(terms, &self.global_max_impact);
-        let threads = parallel::num_threads();
-        let fan_out = threads > 1
-            && n > 1
-            && match mode {
-                Dispatch::Sequential => false,
-                Dispatch::Scatter => true,
-                Dispatch::Auto => {
-                    self.estimate_postings(terms) / n as u64 >= FANOUT_MIN_POSTINGS_PER_SHARD
-                }
-            };
-        if fan_out {
-            // One slot per shard, each scored on a pool-cached session
-            // (counted as a fan-out decision by the executor).
-            let engines = &self.engines;
-            exec::global().run_chunked(threads, 1, results, |shard, scratch, shard_out| {
-                engines[shard].run_with_terms(&mut scratch.query, terms, norm, top_k, shard_out);
-            });
-        } else {
-            if matches!(mode, Dispatch::Auto) {
-                exec::global().note_inline();
+        let terms = &*terms;
+        let score = |shard: usize, scratch: &mut ShardScratch| {
+            let ShardScratch { session, hits } = scratch;
+            self.engines[shard].run_with_terms(session, terms, norm, top_k, hits);
+        };
+        let fan_out = match mode {
+            Dispatch::Sequential => false,
+            Dispatch::Scatter => true,
+            Dispatch::Auto => {
+                self.estimate_postings(terms) / n as u64 >= FANOUT_MIN_POSTINGS_PER_SHARD
             }
-            for ((engine, shard_session), shard_out) in self
-                .engines
-                .iter()
-                .zip(per_shard.iter_mut())
-                .zip(results.iter_mut())
-            {
-                engine.run_with_terms(shard_session, terms, norm, top_k, shard_out);
+        };
+        if fan_out {
+            // One shard per chunk, each scored on its own session.
+            let participants = parallel::for_each_chunk(
+                per_shard,
+                1,
+                || (),
+                |(), shard, one| score(shard, &mut one[0]),
+            );
+            exec::note_dispatch(participants);
+        } else {
+            for (shard, scratch) in per_shard.iter_mut().enumerate() {
+                score(shard, scratch);
+            }
+            if matches!(mode, Dispatch::Auto) {
+                exec::note_dispatch(1);
             }
         }
-        merge_ranked(results, cursors, top_k, out);
+        merge_ranked(per_shard, cursors, top_k, out);
     }
 
-    /// Scatter-gather with the per-shard top-k fanned across the
-    /// persistent worker pool (one task per shard, pool-cached
-    /// sessions): same preparation and global term order as
-    /// [`Self::search_tags_with`], so results are bit-identical. Under
-    /// a 1-thread cap (or a 1-shard set) this degrades to the
-    /// sequential path. Steady-state calls on a warmed session and
-    /// warmed pool spawn no threads and perform no heap allocation.
-    /// Worth the handoff only when per-shard work is substantial —
+    /// Scatter-gather with the per-shard top-k fanned out: the caller and
+    /// up to `num_threads() - 1` scoped threads claim one shard at a
+    /// time and score it on the session's own scratch for that shard.
+    /// Same preparation and global term order as
+    /// [`Self::search_tags_with`], so results are bit-identical. Under a
+    /// 1-thread cap (or a 1-shard set) everything runs on the caller.
+    /// Worth a thread start only when per-shard work is substantial —
     /// [`Self::search_tags_auto`] makes that call per query.
     pub fn search_tags_scatter_with(
         &self,
@@ -830,8 +829,8 @@ impl ShardSet {
 
     /// One query answered entirely on the current thread: through the
     /// coalesced mirror when present, else the sequential scatter. The
-    /// per-query unit of the batch path (a batch task must never fan
-    /// out again underneath itself).
+    /// per-query unit of the batch path (a batch chunk never fans out
+    /// again underneath itself).
     fn search_query_inline(
         &self,
         session: &mut ShardedSession,
@@ -847,11 +846,14 @@ impl ShardSet {
         }
     }
 
-    /// Answers a batch of queries, oversplit into index ranges across
-    /// the persistent worker pool — each participant drives every shard
-    /// for its queries on a pool-cached [`ShardedSession`], writing
-    /// straight into the query's own result slot. Results come back in
-    /// query order and are bit-identical at any pool size.
+    /// Answers a batch of queries in chunks of [`MIN_QUERIES_PER_TASK`],
+    /// which the caller and up to `num_threads() - 1` scoped threads claim
+    /// in order (`cubelsi_linalg::parallel::for_each_chunk`). Each
+    /// participant answers its chunks on one [`ShardedSession`] of its
+    /// own, through the coalesced mirror when there is one and the
+    /// sequential scatter otherwise, and writes straight into each query's
+    /// result slot. Results come back in query order and are bit-identical
+    /// at any thread count.
     pub fn search_batch<Q>(
         &self,
         concepts: &dyn ConceptAssignment,
@@ -863,38 +865,52 @@ impl ShardSet {
     {
         let mut results: Vec<Vec<RankedResource>> = Vec::new();
         results.resize_with(queries.len(), Vec::new);
-        exec::global().run_chunked(
-            parallel::num_threads(),
-            MIN_QUERIES_PER_TASK,
+        let participants = parallel::for_each_chunk(
             &mut results,
-            |i, scratch, out| {
-                let tags = queries[i].as_ref();
-                self.search_query_inline(&mut scratch.sharded, concepts, tags, top_k, out);
+            MIN_QUERIES_PER_TASK,
+            ShardedSession::default,
+            |session, start, chunk| {
+                for (out, query) in chunk.iter_mut().zip(&queries[start..]) {
+                    self.search_query_inline(session, concepts, query.as_ref(), top_k, out);
+                }
             },
         );
+        exec::note_dispatch(participants);
         results
     }
 }
 
 /// Reusable scatter-gather scratch: one prep session for query
-/// construction, one [`QuerySession`] per shard, plus term/result/merge
+/// construction, one [`ShardScratch`] per shard, plus term and merge
 /// buffers. Lazily sized on first use; safe to keep across hot reloads
 /// (per-shard scratch is epoch-tagged and grows on demand, so a swapped
 /// shard set is served correctly without reallocation in steady state).
 #[derive(Debug, Default)]
 pub struct ShardedSession {
     prep: QuerySession,
-    per_shard: Vec<QuerySession>,
+    per_shard: Vec<ShardScratch>,
     terms: Vec<(u32, f64)>,
-    results: Vec<Vec<RankedResource>>,
     cursors: Vec<usize>,
+}
+
+/// One shard's part of a [`ShardedSession`]: the session that scores the
+/// shard and the shard's top-k list.
+#[derive(Debug, Default)]
+struct ShardScratch {
+    session: QuerySession,
+    hits: Vec<RankedResource>,
+}
+
+impl AsRef<[RankedResource]> for ShardScratch {
+    fn as_ref(&self) -> &[RankedResource] {
+        &self.hits
+    }
 }
 
 impl ShardedSession {
     fn ensure_shards(&mut self, n: usize) {
         if self.per_shard.len() != n {
-            self.per_shard.resize_with(n, QuerySession::default);
-            self.results.resize_with(n, Vec::new);
+            self.per_shard.resize_with(n, ShardScratch::default);
         }
     }
 }
@@ -904,19 +920,19 @@ impl ShardedSession {
 /// sets, so repeatedly taking the best head reproduces exactly the
 /// ranking a single engine would emit. `top_k = 0` concatenates and
 /// sorts (the all-matches contract). Allocation-free on warmed buffers.
-fn merge_ranked(
-    results: &mut [Vec<RankedResource>],
+fn merge_ranked<L: AsRef<[RankedResource]>>(
+    results: &[L],
     cursors: &mut Vec<usize>,
     top_k: usize,
     out: &mut Vec<RankedResource>,
 ) {
     if results.len() == 1 {
-        out.extend_from_slice(&results[0]);
+        out.extend_from_slice(results[0].as_ref());
         return;
     }
     if top_k == 0 {
         for r in results.iter() {
-            out.extend_from_slice(r);
+            out.extend_from_slice(r.as_ref());
         }
         out.sort_unstable_by(|a, b| {
             cmp_ranked(
@@ -933,6 +949,7 @@ fn merge_ranked(
     while out.len() < top_k {
         let mut best: Option<(usize, RankedResource)> = None;
         for (i, list) in results.iter().enumerate() {
+            let list = list.as_ref();
             if cursors[i] >= list.len() {
                 continue;
             }
@@ -1200,7 +1217,7 @@ impl ShardedEngine {
     /// Answers a tag-id query against the current generation using its
     /// own concept model, through the adaptive dispatch path
     /// ([`ShardSet::search_tags_auto`]): coalesced mirror or sequential
-    /// scatter for cheap queries, pooled fan-out for heavy ones —
+    /// scatter for cheap queries, fan-out for heavy ones —
     /// bit-identical either way. Steady-state allocation-free on a
     /// warmed session; the session survives generation swaps (its
     /// scratch lazily re-validates against whichever generation's index
@@ -1484,14 +1501,14 @@ mod tests {
             score: s,
         };
         // Equal scores must interleave by ascending resource id.
-        let mut results = vec![vec![rr(1, 0.5), rr(3, 0.5)], vec![rr(0, 0.5), rr(2, 0.25)]];
+        let results = vec![vec![rr(1, 0.5), rr(3, 0.5)], vec![rr(0, 0.5), rr(2, 0.25)]];
         let mut cursors = Vec::new();
         let mut out = Vec::new();
-        merge_ranked(&mut results, &mut cursors, 10, &mut out);
+        merge_ranked(&results, &mut cursors, 10, &mut out);
         let got: Vec<usize> = out.iter().map(|h| h.resource.index()).collect();
         assert_eq!(got, vec![0, 1, 3, 2]);
         out.clear();
-        merge_ranked(&mut results, &mut cursors, 2, &mut out);
+        merge_ranked(&results, &mut cursors, 2, &mut out);
         assert_eq!(out.len(), 2);
     }
 }

@@ -1,20 +1,29 @@
-//! Fork–join for the build's kernels, on `std::thread::scope`.
+//! Fork–join on `std::thread::scope`, for the build's kernels and for
+//! query batches alike.
 //!
 //! Every parallel step of the offline build — dense matmul, the sparse TTM
-//! chain and unfolding, all-pairs tag distances, k-means assignment and
-//! restarts — writes disjoint rows of one output. [`for_each_band`] cuts
-//! that output into at most [`num_threads`] contiguous row bands and runs
-//! one closure per band, so no kernel splits buffers or spawns threads
-//! itself. A row is computed by the same code whichever band it lands in,
-//! so results do not depend on the thread count. Each kernel keeps its own
-//! "is this worth a thread?" threshold and calls its closure directly below
-//! it. Queries do not come through here: they run on the persistent pool of
-//! `cubelsi_core::exec`.
+//! chain and unfolding, all-pairs tag distances, k-means restarts — writes
+//! disjoint rows of one output. [`for_each_band`] cuts that output into at
+//! most [`num_threads`] contiguous row bands and runs one closure per band,
+//! so no kernel splits buffers or spawns threads itself. A row is computed
+//! by the same code whichever band it lands in, so results do not depend on
+//! the thread count. Each kernel keeps its own "is this worth a thread?"
+//! threshold and calls its closure directly below it.
+//!
+//! Query batches and shard fan-out use [`for_each_chunk`]: fixed-size
+//! chunks that the participants, each with a scratch built once, claim in
+//! order. In both the caller is a participant, and a thread the OS refuses
+//! costs parallelism, not work.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-/// Number of worker threads used by the parallel kernels.
+/// Most threads a fork–join uses, whatever [`set_num_threads`] asked for:
+/// a huge `--threads` cannot make one call ask the OS for a thread per row.
+const MAX_THREADS: usize = 256;
+
+/// Number of worker threads used by the parallel kernels, at most 256.
 ///
 /// Defaults to the machine's available parallelism and can be lowered (e.g.
 /// to 1 for deterministic profiling) via [`set_num_threads`].
@@ -23,9 +32,9 @@ pub fn num_threads() -> usize {
     // it, so Relaxed is the documented default.
     let configured = CONFIGURED_THREADS.load(Ordering::Relaxed);
     if configured > 0 {
-        return configured;
+        return configured.min(MAX_THREADS);
     }
-    default_threads()
+    default_threads().min(MAX_THREADS)
 }
 
 /// Machine parallelism, probed once and cached: `available_parallelism`
@@ -91,9 +100,10 @@ impl<A: SplitMut, B: SplitMut> SplitMut for (A, B) {
 /// `r * stride` for a row-major buffer, `ptr[r]` for a CSR row pointer —
 /// and must be non-decreasing from `offset(0) = 0`.
 ///
-/// One band (one thread, or at most one row) runs inline. Otherwise each
-/// band runs on a scoped thread of its own while the caller waits, and a
-/// panic in any band is re-raised on the caller once all bands stop.
+/// One band (one thread, or at most one row) runs inline. Otherwise one
+/// participant per band, the caller among them, takes bands until none is
+/// left, and a panic in any band is re-raised on the caller once all
+/// participants stop.
 pub fn for_each_band<S, F>(rows: usize, offset: impl Fn(usize) -> usize, out: S, f: F)
 where
     S: SplitMut,
@@ -105,23 +115,98 @@ where
         f(0..rows, out);
         return;
     }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(bands);
-        let (mut rest, mut start) = (out, 0);
-        while start < rows {
-            let end = (start + per).min(rows);
-            let (band, tail) = rest.split(offset(end) - offset(start));
-            rest = tail;
-            handles.push(scope.spawn(move || f(start..end, band)));
-            start = end;
+    let mut cut = Vec::with_capacity(bands);
+    let (mut rest, mut start) = (out, 0);
+    while start < rows {
+        let end = (start + per).min(rows);
+        let (band, tail) = rest.split(offset(end) - offset(start));
+        rest = tail;
+        cut.push((start..end, band));
+        start = end;
+    }
+    let participants = cut.len();
+    share(
+        cut.into_iter(),
+        participants,
+        || (),
+        |(), (range, band)| f(range, band),
+    );
+}
+
+/// Runs `f(scratch, start, chunk)` over `out` cut into chunks of
+/// `chunk_len` elements (the last may be shorter) starting at index
+/// `start`. Up to [`num_threads`] participants, the caller among them,
+/// claim the chunks in order, each with a `scratch` built once by `init`;
+/// results do not depend on which participant ran a chunk. Returns how
+/// many participants ran (0 for an empty `out`, 1 for the caller alone).
+/// A panic in any chunk is re-raised on the caller once all stop.
+pub fn for_each_chunk<T, S>(
+    out: &mut [T],
+    chunk_len: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, &mut [T]) + Sync,
+) -> usize
+where
+    T: Send,
+{
+    let chunk_len = chunk_len.max(1);
+    let participants = num_threads().min(out.len().div_ceil(chunk_len));
+    let chunks = out.chunks_mut(chunk_len).enumerate();
+    share(chunks, participants, init, |scratch, (i, chunk)| {
+        f(scratch, i * chunk_len, chunk)
+    })
+}
+
+/// Runs `f(scratch, item)` for every item of `items` on up to
+/// `participants` threads: the caller, and scoped threads that each take
+/// the next item under one lock, with a `scratch` built once by `init`.
+/// A spawn the OS refuses leaves its share to the participants that did
+/// start. Returns how many participants ran (0 when `participants` is 0).
+fn share<I, S>(
+    items: I,
+    participants: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, I::Item) + Sync,
+) -> usize
+where
+    I: Iterator + Send,
+{
+    let items = Mutex::new(items);
+    let work = || {
+        let mut scratch = init();
+        loop {
+            // Statement-scoped guard: not held while `f` runs, so a panic
+            // in `f` cannot poison it.
+            let next = items.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some(item) = next else { break };
+            f(&mut scratch, item);
         }
-        for handle in handles {
-            if let Err(panic) = handle.join() {
+    };
+    if participants < 2 {
+        if participants == 1 {
+            work();
+        }
+        return participants;
+    }
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..participants)
+            .map_while(|_| {
+                #[cfg(test)]
+                if tests::refusing_threads() {
+                    return None;
+                }
+                std::thread::Builder::new().spawn_scoped(scope, work).ok()
+            })
+            .collect();
+        work();
+        let ran = 1 + helpers.len();
+        for helper in helpers {
+            if let Err(panic) = helper.join() {
                 std::panic::resume_unwind(panic);
             }
         }
-    });
+        ran
+    })
 }
 
 /// Maps `f` over `0..len` in row bands ([`for_each_band`]) and returns the
@@ -149,10 +234,29 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::sync::atomic::AtomicU64;
     use std::thread::ThreadId;
+
+    thread_local! {
+        /// Set by [`refusing`]: every spawn this thread asks for fails, as
+        /// when the OS is out of threads.
+        static REFUSE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn refusing_threads() -> bool {
+        REFUSE.with(Cell::get)
+    }
+
+    /// Runs `body` with every thread spawn from this thread refused.
+    fn refusing<R>(body: impl FnOnce() -> R) -> R {
+        REFUSE.with(|r| r.set(true));
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+        REFUSE.with(|r| r.set(false));
+        out.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
 
     /// Runs `body` with the thread count pinned to `threads`.
     fn with_threads<R>(threads: usize, body: impl FnOnce() -> R) -> R {
@@ -278,6 +382,183 @@ mod tests {
                 },
             );
         });
+    }
+
+    #[test]
+    fn refused_threads_leave_the_bands_to_the_caller() {
+        let caller = std::thread::current().id();
+        with_threads(4, || {
+            refusing(|| {
+                let mut out = vec![0usize; 10];
+                for_each_band(
+                    10,
+                    |r| r,
+                    out.as_mut_slice(),
+                    |range, band| {
+                        assert_eq!(std::thread::current().id(), caller);
+                        for (x, r) in band.iter_mut().zip(range) {
+                            *x = r + 1;
+                        }
+                    },
+                );
+                assert_eq!(out, (1..=10).collect::<Vec<_>>());
+            });
+        });
+    }
+
+    /// Fills `len` elements through [`for_each_chunk`] and checks that each
+    /// was written once, by the chunk that owns it; returns the
+    /// participants that ran, the `init` calls and the threads seen.
+    fn fill_chunks(len: usize, chunk_len: usize) -> (usize, usize, Vec<ThreadId>) {
+        let inits = AtomicUsize::new(0);
+        let threads: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+        let mut out = vec![0usize; len];
+        let ran = for_each_chunk(
+            &mut out,
+            chunk_len,
+            || {
+                inits.fetch_add(1, Ordering::Relaxed);
+                threads.lock().unwrap().push(std::thread::current().id());
+                0usize
+            },
+            |writes, start, chunk| {
+                assert!(chunk.len() == chunk_len || start + chunk.len() == len);
+                assert_eq!(start % chunk_len, 0);
+                for (i, x) in chunk.iter_mut().enumerate() {
+                    *x += start + i + 1;
+                    *writes += 1;
+                }
+            },
+        );
+        assert_eq!(
+            out,
+            (1..=len).collect::<Vec<_>>(),
+            "len {len} by {chunk_len}"
+        );
+        (ran, inits.into_inner(), threads.into_inner().unwrap())
+    }
+
+    #[test]
+    fn chunks_are_written_once_at_every_thread_count() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 3, 8] {
+            with_threads(threads, || {
+                // More chunks than threads, as many, fewer, one, none.
+                for (len, chunk_len) in [(100, 8), (24, 8), (17, 8), (5, 8), (0, 8), (9, 1)] {
+                    let (ran, inits, seen) = fill_chunks(len, chunk_len);
+                    let chunks = len.div_ceil(chunk_len);
+                    assert_eq!(
+                        ran,
+                        threads.min(chunks),
+                        "{threads} threads, {chunks} chunks"
+                    );
+                    assert_eq!(inits, ran, "one scratch per participant");
+                    if ran > 0 {
+                        assert!(seen.contains(&caller), "the caller participates");
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn refused_threads_leave_the_chunks_to_the_caller() {
+        let caller = std::thread::current().id();
+        with_threads(4, || {
+            refusing(|| {
+                let (ran, inits, seen) = fill_chunks(100, 8);
+                assert_eq!((ran, inits), (1, 1));
+                assert_eq!(seen, vec![caller]);
+            });
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk 3 failed")]
+    fn a_panicking_chunk_propagates_the_panic() {
+        with_threads(3, || {
+            let mut out = vec![0u8; 40];
+            for_each_chunk(
+                &mut out,
+                4,
+                || (),
+                |(), start, _| {
+                    if start == 12 {
+                        panic!("chunk 3 failed");
+                    }
+                },
+            );
+        });
+    }
+
+    #[test]
+    fn concurrent_callers_keep_their_own_chunks_and_panics() {
+        with_threads(3, || {
+            std::thread::scope(|scope| {
+                let doomed = scope.spawn(|| {
+                    std::panic::catch_unwind(|| {
+                        let mut out = vec![0u8; 64];
+                        for_each_chunk(
+                            &mut out,
+                            4,
+                            || (),
+                            |(), start, _| {
+                                assert_ne!(start, 32, "boom");
+                            },
+                        );
+                    })
+                });
+                let healthy: Vec<_> = (0..3)
+                    .map(|_| scope.spawn(|| (0..50).map(|n| fill_chunks(5 + n, 3).0).max()))
+                    .collect();
+                assert!(
+                    doomed.join().expect("caught").is_err(),
+                    "the caller re-raises"
+                );
+                for caller in healthy {
+                    assert!(caller.join().expect("untouched by the panic") >= Some(1));
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn nested_forks_complete() {
+        with_threads(4, || {
+            let mut outer = vec![0usize; 16];
+            for_each_chunk(
+                &mut outer,
+                2,
+                || (),
+                |(), start, chunk| {
+                    for (i, x) in chunk.iter_mut().enumerate() {
+                        let mut inner = vec![0usize; 9];
+                        for_each_chunk(
+                            &mut inner,
+                            2,
+                            || (),
+                            |(), s, c| {
+                                for (j, y) in c.iter_mut().enumerate() {
+                                    *y = s + j;
+                                }
+                            },
+                        );
+                        *x = start + i + inner.iter().sum::<usize>();
+                    }
+                },
+            );
+            assert_eq!(outer, (0..16).map(|i| i + 36).collect::<Vec<_>>());
+        });
+    }
+
+    #[test]
+    fn thread_count_is_capped() {
+        // Reads the count only: no fork runs, so no thread starts.
+        let _guard = TEST_THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_num_threads(100_000);
+        assert_eq!(num_threads(), MAX_THREADS);
+        set_num_threads(0);
+        assert!((1..=MAX_THREADS).contains(&num_threads()));
     }
 
     #[test]

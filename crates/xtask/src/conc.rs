@@ -78,7 +78,7 @@ pub const CONC_POLICY: ConcPolicy = ConcPolicy {
         "src/bin/cubelsi-search/stats.rs",
         "crates/core/src/shard.rs",
     ],
-    lock_order: &["queue", "latency", "done"],
+    lock_order: &["queue", "latency"],
     exempt_prefixes: &["tests/"],
 };
 

@@ -15,9 +15,9 @@
 //! Entry format (one per `##` heading):
 //!
 //! ```markdown
-//! ## `crates/core/src/exec.rs` · `execute` — 1 site
+//! ## `crates/linalg/src/dispatch.rs` · `run` — 2 sites
 //! - invariant: ...prose...
-//! - test: `pool_runs_every_task_and_reuses_threads`
+//! - test: `run_reports_every_supported_level_and_stops_at_the_cpu`
 //! ```
 
 use std::collections::BTreeMap;

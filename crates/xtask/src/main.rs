@@ -231,7 +231,7 @@ fn selftest_failures() -> Vec<String> {
     expect_conc(
         "nested lock acquisition against the declared order",
         "seed.rs",
-        "fn f() {\n    let done = lock(&self.done);\n    let queue = lock(&self.queue);\n}\n",
+        "fn f() {\n    let latency = lock(&self.latency);\n    let queue = lock(&self.queue);\n}\n",
         "lock-discipline",
     );
     expect_conc(

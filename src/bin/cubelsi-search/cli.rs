@@ -42,16 +42,16 @@ options:
   --idle-timeout-ms I   close connections idle longer than this
                  (I >= 1; default 300000; `serve` only)
   --seed S       seed for all stochastic components (default 2011)
-  --threads N    worker threads for the offline build and the online query
-                 executor (N >= 1; default: all cores; 1 forces
-                 sequential serving)
+  --threads N    worker threads for the offline build and for query
+                 fan-out (N >= 1, at most 256 used; default: all cores;
+                 1 forces sequential serving)
   --no-clean     skip the paper's \u{a7}VI-A cleaning pipeline
 
 serve protocol (one request per line, one reply line per request):
   tag [tag...]   rank resources (OK\\t<n>\\t<name>  (<score>)...)
   QUERY tag...   same, explicit form (tags named RELOAD etc. stay queryable)
   RELOAD         reload the manifest/artifact from disk, swap under traffic
-  STATS          server-wide latency percentiles + executor/server counters
+  STATS          server-wide latency percentiles + dispatch/server counters
   METRICS        the same counters in Prometheus text format (multi-line
                  reply, terminated by a `# EOF` line)
   QUIT           close this connection        SHUTDOWN   stop the server
@@ -457,12 +457,13 @@ fn parse_millis(v: &str, source: &str) -> Result<u64, String> {
     Ok(n)
 }
 
-/// Applies the worker-pool size used by `cubelsi_linalg::parallel`: an
-/// explicit `--threads`, otherwise the machine's available parallelism.
+/// Applies the thread count `cubelsi_linalg::parallel` forks to: an
+/// explicit `--threads` (at most 256 are used; the line it prints gives the
+/// count in use), otherwise the machine's available parallelism.
 pub fn configure_threads(flag: Option<usize>) {
     if let Some(n) = flag {
         cubelsi::linalg::parallel::set_num_threads(n);
-        eprintln!("threads {n}");
+        eprintln!("threads {}", cubelsi::linalg::parallel::num_threads());
     }
 }
 
@@ -707,8 +708,8 @@ mod tests {
         }
         assert!(parse(&["build", "--threads"]).is_err(), "missing value");
         // One-shot builds accept it too.
-        // The serving subcommands take --threads too: it sizes the query
-        // executor (and can force sequential serving with 1).
+        // The serving subcommands take --threads too: it sizes query
+        // fan-out (and can force sequential serving with 1).
         match parse(&["query", "--threads", "2", "m.cubelsi", "rock"]).unwrap() {
             Command::Query { threads, .. } => assert_eq!(threads, Some(2)),
             other => panic!("expected query, got {other:?}"),

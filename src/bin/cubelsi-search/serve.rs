@@ -13,10 +13,8 @@
 //!   `--max-conns`; nothing in the pipeline spawns per-request threads.
 //! * **Deadlines** — with `--deadline-ms D` each query gets a budget of
 //!   `D` ms. The budget is checked *before* dispatch (so queueing delay
-//!   cannot launch doomed work — the executor additionally degrades
-//!   expired batches to sequential inline runs, `late_dispatch`) and
-//!   enforced after: a query that misses it gets
-//!   `TIMEOUT deadline D ms exceeded` instead of results
+//!   cannot launch doomed work) and enforced after: a query that misses
+//!   it gets `TIMEOUT deadline D ms exceeded` instead of results
 //!   (`deadline_timeouts`).
 //! * **Write budgets** — every reply must be absorbed within
 //!   `--write-timeout-ms`; a stalled reader is dropped
@@ -36,16 +34,15 @@
 //! Deterministic faults for the `serve_faults` suite, read once at
 //! startup from env vars (never set in production):
 //! `CUBELSI_FAULT_PREDISPATCH_DELAY_MS` (sleep between parse and
-//! dispatch), `CUBELSI_FAULT_QUERY_DELAY_MS` (sleep inside the query's
-//! deadline scope, as if the search itself were slow),
+//! dispatch), `CUBELSI_FAULT_QUERY_DELAY_MS` (sleep between the two
+//! deadline checks, as if the search itself were slow),
 //! `CUBELSI_FAULT_SLOW_TAG` (restrict both delays to queries naming
 //! this tag, so slow and healthy traffic can share one server), and
 //! `CUBELSI_FAULT_REPLY_PAD` (append N padding bytes to query replies
 //! to exercise the write budget).
 
 use crate::cli::{configure_threads, resolve_limits, ResolvedLimits, ServeLimits};
-use crate::stats::{executor_summary, prometheus_exposition, LatencyStats, ServerCounters};
-use cubelsi::core::exec;
+use crate::stats::{prometheus_exposition, LatencyStats, ServerCounters};
 use cubelsi::core::shard::{ShardedEngine, ShardedSession};
 use cubelsi::core::{PruningStrategy, RankedResource};
 use cubelsi::folksonomy::{Folksonomy, TagId};
@@ -273,7 +270,7 @@ struct FaultPlan {
     /// pre-dispatch queueing delay, so the before-dispatch deadline
     /// check is reachable deterministically).
     predispatch_delay: Option<Duration>,
-    /// Sleep inside the query's deadline scope (simulates a slow
+    /// Sleep between the query's two deadline checks (simulates a slow
     /// search, so the after-dispatch TIMEOUT path is reachable).
     query_delay: Option<Duration>,
     /// When set, the two delays apply only to queries naming this tag —
@@ -432,14 +429,12 @@ impl Server<'_> {
             .filter_map(|name| set.folksonomy().tag_id(name))
             .collect();
         let t0 = Instant::now();
-        exec::scoped_deadline(deadline, || {
-            if faulted {
-                if let Some(d) = self.faults.query_delay {
-                    std::thread::sleep(d);
-                }
+        if faulted {
+            if let Some(d) = self.faults.query_delay {
+                std::thread::sleep(d);
             }
-            set.search_tags_auto(session, set.concepts(), &ids, self.top_k, hits);
-        });
+        }
+        set.search_tags_auto(session, set.concepts(), &ids, self.top_k, hits);
         let elapsed = t0.elapsed();
         if deadline.is_some_and(|d| Instant::now() >= d) {
             self.counters
@@ -458,8 +453,8 @@ impl Server<'_> {
     }
 
     /// Serves one admitted connection: reads line requests, answers
-    /// queries on a reused scatter-gather session (adaptive dispatch
-    /// through the query executor), and logs this client's query count
+    /// queries on a reused scatter-gather session (adaptive dispatch,
+    /// `ShardSet::search_tags_auto`), and logs this client's query count
     /// on disconnect. Query latencies feed the one server-wide recorder
     /// behind the `STATS`/`METRICS` replies. Any I/O error (including a
     /// mid-query disconnect) ends this client only — the accept loop
@@ -585,12 +580,15 @@ impl Server<'_> {
                         Request::Stats => {
                             let latency = lock(&self.latency).summary();
                             let head = latency.unwrap_or_else(|| "0 queries".to_owned());
-                            let exec = executor_summary();
+                            let exec = cubelsi::core::exec::stats();
                             let pipeline = self.counters.summary();
                             self.write_reply(
                                 &mut stream,
                                 &mut out,
-                                &format!("OK {head} | {exec} | {pipeline}"),
+                                &format!(
+                                    "OK {head} | inline {} | fanout {} | {pipeline}",
+                                    exec.inline, exec.fanout
+                                ),
                             )
                         }
                         Request::Metrics => {

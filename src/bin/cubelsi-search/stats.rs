@@ -148,16 +148,6 @@ impl ServerCounters {
     }
 }
 
-/// Query-executor counters in the `STATS` reply format — one source of
-/// truth for the field names the `serve_tcp` test asserts on.
-pub fn executor_summary() -> String {
-    let s = cubelsi::core::exec::stats();
-    format!(
-        "pool {} workers | inline {} | fanout {} | queued {} | late_dispatch {}",
-        s.pool_size, s.inline, s.fanout, s.queued, s.late_dispatch
-    )
-}
-
 fn put_counter(out: &mut String, name: &str, help: &str, value: u64) {
     use std::fmt::Write as _;
     let _ = writeln!(out, "# HELP {name} {help}");
@@ -261,12 +251,6 @@ pub fn prometheus_exposition(
     );
 
     let exec = cubelsi::core::exec::stats();
-    put_gauge(
-        &mut out,
-        "cubelsi_exec_pool_workers",
-        "Worker threads in the persistent query executor.",
-        exec.pool_size as u64,
-    );
     put_counter(
         &mut out,
         "cubelsi_exec_inline_total",
@@ -276,26 +260,8 @@ pub fn prometheus_exposition(
     put_counter(
         &mut out,
         "cubelsi_exec_fanout_total",
-        "Dispatch decisions that engaged the worker pool.",
+        "Dispatch decisions that ran on more than one thread.",
         exec.fanout,
-    );
-    put_counter(
-        &mut out,
-        "cubelsi_exec_queued_total",
-        "Tasks submitted to the executor queue.",
-        exec.queued,
-    );
-    put_counter(
-        &mut out,
-        "cubelsi_exec_executed_total",
-        "Tasks executed by pool workers and participating callers.",
-        exec.executed,
-    );
-    put_counter(
-        &mut out,
-        "cubelsi_exec_late_dispatch_total",
-        "Batches run sequentially because their deadline had already passed.",
-        exec.late_dispatch,
     );
 
     // End-of-reply sentinel (no trailing newline: the reply writer adds

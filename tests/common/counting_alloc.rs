@@ -9,17 +9,12 @@
 #![allow(dead_code)] // each binary reads only the counters of its claim
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub struct CountingAllocator;
 
 /// Calls that obtained memory (`alloc`, `alloc_zeroed`, `realloc`).
 pub static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-/// Threads that have obtained memory at least once while
-/// [`ALLOCATIONS`] was being counted — a pool worker's first task grows its
-/// cached session, so a worker shows up here once it has served.
-pub static ALLOCATING_THREADS: AtomicUsize = AtomicUsize::new(0);
 /// Bytes currently allocated.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 /// Highest [`LIVE`] since [`peak_of`] last started.
@@ -62,20 +57,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 }
 
-thread_local! {
-    /// Whether this thread is already in [`ALLOCATING_THREADS`]. Const
-    /// initialised and without a destructor: touching it allocates nothing.
-    static COUNTED: Cell<bool> = const { Cell::new(false) };
-}
-
 fn obtained(bytes: usize) {
     // ORDER: statistics counters — no data is published through them.
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    // `try_with`: a thread may still free and allocate while its locals
-    // are being torn down.
-    if COUNTED.try_with(|c| !c.replace(true)).unwrap_or(false) {
-        ALLOCATING_THREADS.fetch_add(1, Ordering::Relaxed); // ORDER: same counters.
-    }
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes; // ORDER: same counters.
     PEAK.fetch_max(live, Ordering::Relaxed); // ORDER: same counters.
     let large_from = LARGE_FROM.load(Ordering::Relaxed); // ORDER: same counters.

@@ -7,11 +7,11 @@
 //! A counting global allocator (`tests/common/counting_alloc.rs`) wraps the
 //! system allocator; the test warms the session over the query set,
 //! snapshots the allocation counter, runs every query again, and asserts
-//! the counter did not move. The same
-//! contract is then proven for sharded scatter-gather — sequential and
-//! fanned across the persistent worker pool (pool-cached sessions make
-//! the pooled steady state allocation-free too). This file holds exactly
-//! one test so no concurrent test pollutes the counter.
+//! the counter did not move. The same contract is then proven for the
+//! sequential sharded scatter-gather. (A query fanned out over shards
+//! starts scoped threads, and starting a thread allocates, so that path
+//! makes no such claim.) This file holds exactly one test so no
+//! concurrent test pollutes the counter.
 
 use cubelsi::core::{ConceptIndex, ConceptModel, PruningStrategy, QueryEngine};
 use cubelsi::datagen::{generate, GeneratorConfig};
@@ -20,7 +20,7 @@ use std::sync::atomic::Ordering;
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::{ALLOCATING_THREADS, ALLOCATIONS};
+use counting_alloc::ALLOCATIONS;
 
 fn assert_steady_state_alloc_free(
     engine: &QueryEngine,
@@ -114,43 +114,4 @@ fn steady_state_search_allocates_nothing() {
         0,
         "steady-state sharded search_tags_with must not allocate"
     );
-
-    // Pooled steady state: once the worker pool is warm, a scatter query
-    // fanned across pool threads allocates nothing either — per-worker
-    // sessions and result buffers are cached in the pool, the batch
-    // control block lives on the caller's stack, and the handoff reuses
-    // the injector's storage. Which participant takes which task is the
-    // scheduler's choice (the caller can drain whole rounds alone), so
-    // "warm" is stated per worker: every pool worker has served at least
-    // once — its first task grows the session the pool caches for it,
-    // which is how it shows up among the allocating threads — and a
-    // worker that meets its largest task late restarts the window. The
-    // window is the measurement: three consecutive rounds over the whole
-    // query set without one allocation, which code that allocates per
-    // query can never produce.
-    cubelsi::linalg::parallel::set_num_threads(3);
-    let threads_before = ALLOCATING_THREADS.load(Ordering::Relaxed);
-    let mut quiet_rounds = 0;
-    let mut rounds = 0;
-    while quiet_rounds < 3 {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for (tags, k) in &queries {
-            set.search_tags_scatter_with(&mut sharded_session, &model, tags, *k, &mut out);
-        }
-        let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        let served = ALLOCATING_THREADS.load(Ordering::Relaxed) - threads_before;
-        let pool = cubelsi::core::exec::stats().pool_size;
-        if allocated == 0 && served >= pool {
-            quiet_rounds += 1;
-        } else {
-            quiet_rounds = 0;
-        }
-        rounds += 1;
-        assert!(
-            rounds < 2_000,
-            "steady-state pooled scatter must not allocate: {allocated} allocations in \
-             round {rounds}, {served} of {pool} pool workers have served"
-        );
-    }
-    cubelsi::linalg::parallel::set_num_threads(0);
 }

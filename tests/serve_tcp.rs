@@ -73,16 +73,16 @@ fn tcp_serve_end_to_end() {
     d.write_all(b"half a requ").unwrap();
     drop(d);
 
-    // STATS reports server-wide latency percentiles, the query
-    // executor's counters, and the pipeline's degradation counters, in
-    // one parseable reply line.
+    // STATS reports server-wide latency percentiles, the query dispatch
+    // counters, and the pipeline's degradation counters, in one parseable
+    // reply line.
     let stats = roundtrip(&mut a, "STATS");
     assert!(stats.starts_with("OK"), "got {stats:?}");
     assert!(stats.contains("queries"), "got {stats:?}");
     for field in ["p50", "p95", "p99", "queries/s"] {
         assert!(stats.contains(field), "missing {field}: {stats:?}");
     }
-    for field in ["pool", "workers", "inline", "fanout", "queued"] {
+    for field in ["inline", "fanout"] {
         assert!(stats.contains(field), "missing {field}: {stats:?}");
     }
     for field in [
@@ -95,35 +95,16 @@ fn tcp_serve_end_to_end() {
     ] {
         assert!(stats.contains(field), "missing {field}: {stats:?}");
     }
-    // Queries ran, so the latency block is populated and every counter
-    // parses as an integer: "pool N workers | inline N | fanout N | ...".
-    let exec_block = stats
-        .split_once(" | pool ")
-        .map(|(_, rest)| rest)
-        .unwrap_or_else(|| panic!("no executor block: {stats:?}"));
-    let mut numbers = exec_block
-        .split(|c: char| !c.is_ascii_digit())
-        .filter(|s| !s.is_empty());
-    for _ in 0..4 {
-        numbers
-            .next()
-            .expect("four executor counters")
-            .parse::<u64>()
-            .unwrap();
-    }
-    // The queries above all went through the adaptive dispatcher, so
-    // inline + fanout covers every one of them.
-    let decisions: u64 = ["inline ", "fanout "]
-        .iter()
-        .map(|k| {
-            let tail = &exec_block[exec_block.find(k).unwrap() + k.len()..];
-            tail.split_whitespace()
-                .next()
-                .unwrap()
-                .parse::<u64>()
-                .unwrap()
-        })
-        .sum();
+    // Both dispatch counters parse as integers ("... | inline N | fanout
+    // N | ..."), and the queries above all went through the adaptive
+    // dispatcher, so inline + fanout covers every one of them.
+    let counter = |name: &str| -> u64 {
+        let (_, tail) = stats
+            .split_once(&format!(" | {name} "))
+            .unwrap_or_else(|| panic!("no {name} counter: {stats:?}"));
+        tail.split_whitespace().next().unwrap().parse().unwrap()
+    };
+    let decisions = counter("inline") + counter("fanout");
     assert!(decisions >= 4, "dispatch decisions unrecorded: {stats:?}");
 
     // METRICS renders the same state as valid Prometheus text
@@ -146,7 +127,6 @@ fn tcp_serve_end_to_end() {
         "cubelsi_slow_client_drops_total",
         "cubelsi_idle_timeouts_total",
         "cubelsi_accept_errors_total",
-        "cubelsi_exec_late_dispatch_total",
     ] {
         assert_eq!(metric_value(&metrics, name), 0.0, "{name} moved unprovoked");
     }
