@@ -37,6 +37,7 @@
 
 use crate::concepts::ConceptModel;
 use cubelsi_folksonomy::{Folksonomy, ResourceId, TagId};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Number of postings per block-max block. 64 keeps a block's ids within a
 /// single 256-byte stretch (four cache lines) and amortizes one bound
@@ -795,6 +796,75 @@ impl CompressedPostings {
     }
 }
 
+/// Ragged lists in flat SoA form, as [`IndexArrays`] stores them: list
+/// `i` owns `ids/values[offsets[i]..offsets[i + 1]]`.
+struct Ragged {
+    offsets: Vec<u64>,
+    ids: Vec<u32>,
+    values: Vec<f64>,
+}
+
+impl Ragged {
+    fn with_capacity(lists: usize, entries: usize) -> Self {
+        let mut offsets = Vec::with_capacity(lists + 1);
+        offsets.push(0);
+        Ragged {
+            offsets,
+            ids: Vec::with_capacity(entries),
+            values: Vec::with_capacity(entries),
+        }
+    }
+
+    fn from_lists(lists: &[Vec<(u32, f64)>]) -> Self {
+        let mut flat = Ragged::with_capacity(lists.len(), lists.iter().map(Vec::len).sum());
+        for list in lists {
+            flat.ids.extend(list.iter().map(|&(id, _)| id));
+            flat.values.extend(list.iter().map(|&(_, v)| v));
+            flat.close();
+        }
+        flat
+    }
+
+    /// Appends entries to the open (last) list.
+    fn extend(&mut self, ids: &[u32], values: &[f64]) {
+        self.ids.extend_from_slice(ids);
+        self.values.extend_from_slice(values);
+    }
+
+    /// Closes the open list; later entries start the next one.
+    fn close(&mut self) {
+        self.offsets.push(self.ids.len() as u64);
+    }
+}
+
+/// The unmerged rest of one shard's posting list in
+/// [`ConceptIndex::coalesce`]'s k-way merge: never empty, and ordered so
+/// that the max-heap's top is the best head under [`cmp_ranked`].
+struct MergeHead<'a> {
+    ids: &'a [u32],
+    scores: &'a [f64],
+}
+
+impl Ord for MergeHead<'_> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        cmp_ranked(other.scores[0], other.ids[0], self.scores[0], self.ids[0])
+    }
+}
+
+impl PartialOrd for MergeHead<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for MergeHead<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for MergeHead<'_> {}
+
 /// The offline concept index: tf-idf resource vectors plus a
 /// block-structured SoA inverted index from concepts to resources.
 #[derive(Debug, Clone)]
@@ -882,66 +952,52 @@ impl ConceptIndex {
             list.sort_unstable_by(|a, b| cmp_ranked(a.1, a.0, b.1, b.0));
         }
 
-        Self::from_lists(
+        Self::from_ragged(
             n_resources,
             n_concepts,
             idf,
-            resource_vectors,
+            Ragged::from_lists(&resource_vectors),
             resource_norms,
-            postings,
+            Ragged::from_lists(&postings),
         )
     }
 
-    /// Assembles the SoA layout from per-list vectors. This is the single
-    /// place the block structure is derived, shared by [`Self::build`],
-    /// [`Self::partition_by_resource`] and [`Self::coalesce`]; posting
-    /// lists must already be impact-ordered. Block maxima and per-list
-    /// maxima are derived from the sorted lists (the first impact of each
-    /// block / list).
-    pub(crate) fn from_lists(
+    /// Assembles the SoA layout from flat resource vectors and posting
+    /// lists. This is the single place the block structure is derived,
+    /// shared by [`Self::build`], [`Self::partition_by_resource`] and
+    /// [`Self::coalesce`]; posting lists must already be impact-ordered.
+    /// Block maxima and per-list maxima are derived from the sorted lists
+    /// (the first impact of each block / list).
+    fn from_ragged(
         num_resources: usize,
         num_concepts: usize,
         idf: Vec<f64>,
-        resource_vectors: Vec<Vec<(u32, f64)>>,
+        vectors: Ragged,
         resource_norms: Vec<f64>,
-        postings: Vec<Vec<(u32, f64)>>,
+        postings: Ragged,
     ) -> Self {
-        let rv_nnz: usize = resource_vectors.iter().map(Vec::len).sum();
-        let mut rv_offsets = Vec::with_capacity(num_resources + 1);
-        let mut rv_concepts = Vec::with_capacity(rv_nnz);
-        let mut rv_weights = Vec::with_capacity(rv_nnz);
-        rv_offsets.push(0u64);
-        for vector in &resource_vectors {
-            for &(l, w) in vector {
-                rv_concepts.push(l);
-                rv_weights.push(w);
-            }
-            rv_offsets.push(rv_concepts.len() as u64);
-        }
-
-        let n_postings: usize = postings.iter().map(Vec::len).sum();
-        let mut post_offsets = Vec::with_capacity(num_concepts + 1);
-        let mut post_ids = Vec::with_capacity(n_postings);
-        let mut post_scores = Vec::with_capacity(n_postings);
         let mut block_offsets = Vec::with_capacity(num_concepts + 1);
         let mut block_max = Vec::new();
         let mut max_impact = Vec::with_capacity(num_concepts);
-        post_offsets.push(0u64);
         block_offsets.push(0u64);
-        for list in &postings {
-            for (j, &(r, w)) in list.iter().enumerate() {
-                post_ids.push(r);
-                post_scores.push(w);
-                if j % BLOCK_LEN == 0 {
-                    // Lists are impact-descending, so the block's first
-                    // impact is its maximum.
-                    block_max.push(w);
-                }
-            }
-            post_offsets.push(post_ids.len() as u64);
+        for span in postings.offsets.windows(2) {
+            let scores = &postings.values[span[0] as usize..span[1] as usize];
+            // Lists are impact-descending, so a block's first impact is
+            // its maximum.
+            block_max.extend(scores.iter().step_by(BLOCK_LEN));
             block_offsets.push(block_max.len() as u64);
-            max_impact.push(list.first().map_or(0.0, |&(_, w)| w));
+            max_impact.push(scores.first().copied().unwrap_or(0.0));
         }
+        let Ragged {
+            offsets: rv_offsets,
+            ids: rv_concepts,
+            values: rv_weights,
+        } = vectors;
+        let Ragged {
+            offsets: post_offsets,
+            ids: post_ids,
+            values: post_scores,
+        } = postings;
 
         let exact = IndexArrays {
             num_resources,
@@ -1196,13 +1252,13 @@ impl ConceptIndex {
                     .collect()
             })
             .collect();
-        Self::from_lists(
+        Self::from_ragged(
             self.exact.num_resources,
             self.exact.num_concepts,
             self.exact.idf.clone(),
-            resource_vectors,
+            Ragged::from_lists(&resource_vectors),
             resource_norms,
-            postings,
+            Ragged::from_lists(&postings),
         )
     }
 
@@ -1212,41 +1268,70 @@ impl ConceptIndex {
     /// partitioning, used by the shard layer to serve small corpora
     /// through a single coalesced engine instead of an N-way scatter.
     ///
-    /// Exactness: every resource's vector and norm are taken verbatim
+    /// Exactness: every resource's vector and norm are copied verbatim
     /// from its owning shard (`r % shards.len()`), and each concept's
-    /// posting list is the concatenation of the shards' disjoint lists
-    /// re-sorted under [`cmp_ranked`] — a *total* order (impact
-    /// descending, ties ascending by resource id), so the merged list is
-    /// byte-identical to the one [`Self::build`] would emit no matter
-    /// how the postings were interleaved across shards. Per-list
-    /// metadata is rederived by [`Self::from_lists`] exactly as at build
-    /// time. The caller (`ShardSet::from_parts`) has already validated
-    /// matching shapes, identical idf arrays, and modulo membership.
+    /// posting list is a k-way merge of the shards' lists. Each of those
+    /// is already sorted under [`cmp_ranked`], a *total* order (impact
+    /// descending, ties ascending by resource id), and the shards hold
+    /// disjoint resources, so the merge emits exactly the list that
+    /// sorting their concatenation gives — byte-identical to the one
+    /// [`Self::build`] would emit, however the postings were spread
+    /// across shards. Per-list metadata is rederived by
+    /// [`Self::from_ragged`] exactly as at build time. Cost: O(V + P log
+    /// k + C·k) for V resource-vector entries, P postings, C concepts
+    /// and k shards, where sorting the concatenation is O(P log P). The
+    /// caller (`ShardSet::from_parts`) has already validated matching
+    /// shapes, identical idf arrays, and modulo membership.
     pub(crate) fn coalesce(shards: &[&ConceptIndex]) -> ConceptIndex {
         assert!(!shards.is_empty(), "coalesce needs at least one shard");
         let n = shards.len();
         let num_resources = shards[0].num_resources();
         let num_concepts = shards[0].num_concepts();
-        let mut resource_vectors = Vec::with_capacity(num_resources);
+        let rv_nnz = shards.iter().map(|s| s.exact.rv_concepts.len()).sum();
+        let mut vectors = Ragged::with_capacity(num_resources, rv_nnz);
         let mut resource_norms = Vec::with_capacity(num_resources);
         for r in 0..num_resources {
-            let owner = shards[r % n];
-            resource_vectors.push(owner.resource_vector(r).iter().collect());
-            resource_norms.push(owner.resource_norm(r));
+            let owner = &shards[r % n].exact;
+            let span = owner.rv_offsets[r] as usize..owner.rv_offsets[r + 1] as usize;
+            vectors.extend(&owner.rv_concepts[span.clone()], &owner.rv_weights[span]);
+            vectors.close();
+            resource_norms.push(owner.resource_norms[r]);
         }
-        let postings: Vec<Vec<(u32, f64)>> = (0..num_concepts)
-            .map(|l| {
-                let mut list: Vec<(u32, f64)> =
-                    shards.iter().flat_map(|s| s.postings(l).iter()).collect();
-                list.sort_unstable_by(|a, b| cmp_ranked(a.1, a.0, b.1, b.0));
-                list
-            })
-            .collect();
-        Self::from_lists(
+        let n_postings = shards.iter().map(|s| s.num_postings()).sum();
+        let mut postings = Ragged::with_capacity(num_concepts, n_postings);
+        let mut heads = BinaryHeap::with_capacity(n);
+        for l in 0..num_concepts {
+            heads.extend(
+                shards
+                    .iter()
+                    .map(|s| s.postings(l))
+                    .filter(|p| !p.is_empty())
+                    .map(|p| MergeHead {
+                        ids: p.ids,
+                        scores: p.scores,
+                    }),
+            );
+            while heads.len() > 1 {
+                if let Some(mut best) = heads.peek_mut() {
+                    postings.extend(&best.ids[..1], &best.scores[..1]);
+                    if best.ids.len() == 1 {
+                        PeekMut::pop(best);
+                    } else {
+                        best.ids = &best.ids[1..];
+                        best.scores = &best.scores[1..];
+                    }
+                }
+            }
+            if let Some(last) = heads.pop() {
+                postings.extend(last.ids, last.scores);
+            }
+            postings.close();
+        }
+        Self::from_ragged(
             num_resources,
             num_concepts,
             shards[0].exact.idf.clone(),
-            resource_vectors,
+            vectors,
             resource_norms,
             postings,
         )
@@ -1335,6 +1420,121 @@ mod tests {
         let f = b.build();
         let concepts = ConceptModel::from_assignments(vec![0, 0, 1, 1], 1.0);
         (f, concepts)
+    }
+
+    /// Concatenate-and-sort: the reference [`ConceptIndex::coalesce`]'s
+    /// k-way merge must equal.
+    fn coalesce_by_sort(shards: &[&ConceptIndex]) -> ConceptIndex {
+        let n = shards.len();
+        let num_resources = shards[0].num_resources();
+        let num_concepts = shards[0].num_concepts();
+        let owner = |r: usize| shards[r % n];
+        let postings: Vec<Vec<(u32, f64)>> = (0..num_concepts)
+            .map(|l| {
+                let mut list: Vec<(u32, f64)> =
+                    shards.iter().flat_map(|s| s.postings(l).iter()).collect();
+                list.sort_unstable_by(|a, b| cmp_ranked(a.1, a.0, b.1, b.0));
+                list
+            })
+            .collect();
+        let vectors: Vec<Vec<(u32, f64)>> = (0..num_resources)
+            .map(|r| owner(r).resource_vector(r).iter().collect())
+            .collect();
+        ConceptIndex::from_ragged(
+            num_resources,
+            num_concepts,
+            shards[0].exact.idf.clone(),
+            Ragged::from_lists(&vectors),
+            (0..num_resources)
+                .map(|r| owner(r).resource_norm(r))
+                .collect(),
+            Ragged::from_lists(&postings),
+        )
+    }
+
+    /// Every array of two indexes, floats compared by their bits.
+    fn assert_same_index(a: &ConceptIndex, b: &ConceptIndex, what: &str) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let (a, b, mirrors) = (
+            &a.exact,
+            &b.exact,
+            [format!("{:?}", a.compressed), format!("{:?}", b.compressed)],
+        );
+        assert_eq!(a.num_resources, b.num_resources, "{what}");
+        assert_eq!(a.num_concepts, b.num_concepts, "{what}");
+        for (x, y) in [
+            (&a.idf, &b.idf),
+            (&a.resource_norms, &b.resource_norms),
+            (&a.rv_weights, &b.rv_weights),
+            (&a.post_scores, &b.post_scores),
+            (&a.block_max, &b.block_max),
+            (&a.max_impact, &b.max_impact),
+        ] {
+            assert_eq!(bits(x), bits(y), "{what}");
+        }
+        for (x, y) in [
+            (&a.rv_offsets, &b.rv_offsets),
+            (&a.post_offsets, &b.post_offsets),
+            (&a.block_offsets, &b.block_offsets),
+        ] {
+            assert_eq!(x, y, "{what}");
+        }
+        assert_eq!(a.rv_concepts, b.rv_concepts, "{what}");
+        assert_eq!(a.post_ids, b.post_ids, "{what}");
+        assert_eq!(mirrors[0], mirrors[1], "{what}");
+    }
+
+    #[test]
+    fn coalesce_merge_equals_concatenate_and_sort() {
+        let mut state = 0x2011_c0a1_e5ceu64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        let mut cross_shard_ties = 0;
+        for case in 0..40 {
+            let (resources, tags, concepts) = (1 + next(200), 1 + next(12), 1 + next(5));
+            // One to three assignments per resource over a few tags: many
+            // resources share a vector, so equal impacts land in
+            // different shards.
+            let mut b = FolksonomyBuilder::new();
+            for r in 0..resources {
+                for _ in 0..1 + next(3) {
+                    let (u, t) = (next(4), next(tags));
+                    b.add(&format!("u{u}"), &format!("t{t}"), &format!("r{r}"));
+                }
+            }
+            let f = b.build();
+            let model = ConceptModel::from_assignments(
+                (0..f.num_tags()).map(|t| t % concepts).collect(),
+                1.0,
+            );
+            let index = ConceptIndex::build(&f, &model);
+            for n in [1, 2, 3, 4, 7] {
+                let shards: Vec<ConceptIndex> =
+                    (0..n).map(|i| index.partition_by_resource(i, n)).collect();
+                let refs: Vec<&ConceptIndex> = shards.iter().collect();
+                let merged = ConceptIndex::coalesce(&refs);
+                let what = format!("case {case}, {n} shards");
+                assert_same_index(&merged, &coalesce_by_sort(&refs), &what);
+                assert_same_index(&merged, &index, &what);
+                for l in 0..index.num_concepts() {
+                    let p = merged.postings(l);
+                    cross_shard_ties += (1..p.len())
+                        .filter(|&j| {
+                            p.scores[j] == p.scores[j - 1]
+                                && p.ids[j] as usize % n != p.ids[j - 1] as usize % n
+                        })
+                        .count();
+                }
+            }
+        }
+        assert!(
+            cross_shard_ties > 100,
+            "only {cross_shard_ties} cross-shard ties"
+        );
     }
 
     #[test]

@@ -370,15 +370,15 @@ pub struct Artifact {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), slicing-by-8 over tables computed at compile time.
+// CRC-32 (IEEE 802.3), slicing-by-16 over tables computed at compile time.
 // ---------------------------------------------------------------------------
 
 /// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
 /// is the CRC register after byte `b` followed by `k` zero bytes, which is
-/// what lets eight input bytes be folded in with eight independent
-/// lookups instead of a chain of eight dependent ones.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
+/// what lets sixteen input bytes be folded in with sixteen independent
+/// lookups instead of a chain of sixteen dependent ones.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -395,7 +395,7 @@ const CRC_TABLES: [[u32; 256]; 8] = {
         i += 1;
     }
     let mut k = 1usize;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0usize;
         while i < 256 {
             let prev = tables[k - 1][i];
@@ -415,23 +415,18 @@ fn crc32_step(c: u32, b: u8) -> u32 {
 }
 
 /// CRC-32 (IEEE) of a byte slice — the per-section, per-shard-file and
-/// manifest integrity check. Eight bytes a step; the values are those of
-/// the bytewise loop, so every stored checksum stays valid.
+/// manifest integrity check. Sixteen bytes a step; the values are those
+/// of the bytewise loop, so every stored checksum stays valid.
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    let (words, tail) = data.as_chunks::<8>();
-    for w in words {
-        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    let (blocks, tail) = data.as_chunks::<16>();
+    for b in blocks {
+        // Byte `k` of the step still has `15 - k` bytes to pass through.
+        let v = u128::from_le_bytes(*b) ^ u128::from(c);
+        c = (0..16).fold(0, |acc, k| {
+            acc ^ t[15 - k][((v >> (8 * k)) & 0xFF) as usize]
+        });
     }
     for &b in tail {
         c = crc32_step(c, b);
@@ -604,10 +599,11 @@ impl<'a> Decoder<'a> {
         Ok(n)
     }
 
-    fn string(&mut self) -> Result<String, PersistError> {
+    /// A `u32`-length-prefixed UTF-8 string, borrowed from the payload.
+    fn str(&mut self) -> Result<&'a str, PersistError> {
         let n = widen(self.u32()?);
         let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.err("non-UTF-8 string"))
+        std::str::from_utf8(bytes).map_err(|_| self.err("non-UTF-8 string"))
     }
 
     fn finite_f64(&mut self, what: &str) -> Result<f64, PersistError> {
@@ -1468,13 +1464,12 @@ fn decode_names(
             "{what} count {n} disagrees with meta count {expected}"
         )));
     }
-    let mut names = Vec::with_capacity(n);
+    let mut interner = Interner::with_capacity(n);
     for _ in 0..n {
-        names.push(d.string()?);
-    }
-    let interner = Interner::from_names(&names);
-    if interner.len() != names.len() {
-        return Err(d.err(format!("duplicate {what} names")));
+        let name = d.str()?;
+        if interner.insert_new(name).is_none() {
+            return Err(d.err(format!("duplicate {what} names")));
+        }
     }
     Ok(interner)
 }
@@ -1491,11 +1486,17 @@ fn decode_folksonomy(payload: &[u8], meta: &Meta) -> Result<Folksonomy, PersistE
             meta.num_assignments
         )));
     }
+    // `len_prefix` proved the `n` 12-byte records fit in the payload.
+    let bytes = d.take(n.saturating_mul(12))?;
+    let (words, _) = bytes.as_chunks::<4>();
+    let (records, _) = words.as_chunks::<3>();
     let mut assignments = Vec::with_capacity(n);
-    for _ in 0..n {
-        let u = widen(d.u32()?);
-        let t = widen(d.u32()?);
-        let r = widen(d.u32()?);
+    for &[u, t, r] in records {
+        let (u, t, r) = (
+            widen(u32::from_le_bytes(u)),
+            widen(u32::from_le_bytes(t)),
+            widen(u32::from_le_bytes(r)),
+        );
         if u >= users.len() || t >= tags.len() || r >= resources.len() {
             return Err(d.err(format!("assignment ({u}, {t}, {r}) references unknown ids")));
         }
@@ -1827,7 +1828,7 @@ mod tests {
     #[test]
     fn crc32_equals_the_bytewise_reference() {
         let mut state = 0x5eed_c2c3_2011u64;
-        let buf: Vec<u8> = (0..257 + 8)
+        let buf: Vec<u8> = (0..257 + 16)
             .map(|_| {
                 state = state
                     .wrapping_mul(6364136223846793005)
@@ -1835,7 +1836,7 @@ mod tests {
                 (state >> 56) as u8
             })
             .collect();
-        for start in 0..8 {
+        for start in 0..16 {
             for len in 0..=257 {
                 let data = &buf[start..start + len];
                 assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
@@ -2042,6 +2043,48 @@ mod tests {
                 assert_eq!(section, SECTION_INDEX_SOA);
             }
             other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stored_names_round_trip_and_a_duplicate_is_malformed() {
+        let (f, model) = built();
+        let mut bytes = save_to_vec(&model, &f);
+        let loaded = load_from_bytes(&bytes).unwrap().folksonomy;
+        for (u, name) in (0..f.num_users()).map(|u| (u, f.user_name(UserId::from_index(u)))) {
+            assert_eq!(loaded.user_name(UserId::from_index(u)), name);
+            assert_eq!(loaded.user_id(name), Some(UserId::from_index(u)));
+        }
+        for t in (0..f.num_tags()).map(TagId::from_index) {
+            assert_eq!(loaded.tag_id(f.tag_name(t)), Some(t));
+        }
+        for r in (0..f.num_resources()).map(ResourceId::from_index) {
+            assert_eq!(loaded.resource_id(f.resource_name(r)), Some(r));
+        }
+        // The users array starts at byte 8 of the folksonomy payload:
+        // `u1` then `u2`, each a 4-byte length and two bytes. Rename the
+        // second to the first and re-record the CRC.
+        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let entry = (0..count)
+            .map(|i| HEADER_LEN + i * TABLE_ENTRY_LEN)
+            .find(|&e| {
+                u32::from_le_bytes(bytes[e..e + 4].try_into().unwrap()) == SECTION_FOLKSONOMY
+            })
+            .expect("folksonomy section present");
+        let offset = u64::from_le_bytes(bytes[entry + 4..entry + 12].try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(bytes[entry + 12..entry + 20].try_into().unwrap()) as usize;
+        assert_eq!(&bytes[offset + 8..offset + 20], b"\x02\0\0\0u1\x02\0\0\0u2");
+        bytes[offset + 19] = b'1';
+        let crc = crc32(&bytes[offset..offset + len]);
+        bytes[entry + 20..entry + 24].copy_from_slice(&crc.to_le_bytes());
+        for got in [load_from_bytes(&bytes).err(), load_serving(&bytes).err()] {
+            match got {
+                Some(PersistError::Malformed { section, detail }) => {
+                    assert_eq!(section, SECTION_FOLKSONOMY);
+                    assert!(detail.contains("duplicate user names"), "{detail}");
+                }
+                other => panic!("expected Malformed, got {other:?}"),
+            }
         }
     }
 

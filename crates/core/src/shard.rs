@@ -696,7 +696,7 @@ impl ShardSet {
     }
 
     /// Scatter-gather top-k: prepares the query once, runs every shard's
-    /// pruned top-k sequentially on the session's per-shard scratch, and
+    /// pruned top-k sequentially on the session's one prep session, and
     /// k-way-merges the per-shard rankings. Bit-identical — scores,
     /// order, tie-breaks — to a single unsharded [`QueryEngine`] over the
     /// same corpus. Steady-state calls on a warmed session and reused
@@ -777,10 +777,6 @@ impl ShardSet {
         terms.extend_from_slice(prep.terms());
         order_terms_with(terms, &self.global_max_impact);
         let terms = &*terms;
-        let score = |shard: usize, scratch: &mut ShardScratch| {
-            let ShardScratch { session, hits } = scratch;
-            self.engines[shard].run_with_terms(session, terms, norm, top_k, hits);
-        };
         let fan_out = match mode {
             Dispatch::Sequential => false,
             Dispatch::Scatter => true,
@@ -794,12 +790,19 @@ impl ShardSet {
                 per_shard,
                 1,
                 || (),
-                |(), shard, one| score(shard, &mut one[0]),
+                |(), shard, one| {
+                    let ShardScratch { session, hits } = &mut one[0];
+                    self.engines[shard].run_with_terms(session, terms, norm, top_k, hits);
+                },
             );
             exec::note_dispatch(participants);
         } else {
-            for (shard, scratch) in per_shard.iter_mut().enumerate() {
-                score(shard, scratch);
+            // Every shard on the prep session: the terms are already
+            // copied out, and each run begins the session afresh, so one
+            // resource-wide slot map serves them all and the per-shard
+            // sessions stay empty.
+            for (engine, scratch) in self.engines.iter().zip(per_shard.iter_mut()) {
+                engine.run_with_terms(prep, terms, norm, top_k, &mut scratch.hits);
             }
             if matches!(mode, Dispatch::Auto) {
                 exec::note_dispatch(1);
@@ -881,7 +884,8 @@ impl ShardSet {
 }
 
 /// Reusable scatter-gather scratch: one prep session for query
-/// construction, one [`ShardScratch`] per shard, plus term and merge
+/// construction and the sequential scatter's scoring, one
+/// [`ShardScratch`] per shard, plus term and merge
 /// buffers. Lazily sized on first use; safe to keep across hot reloads
 /// (per-shard scratch is epoch-tagged and grows on demand, so a swapped
 /// shard set is served correctly without reallocation in steady state).
@@ -894,7 +898,9 @@ pub struct ShardedSession {
 }
 
 /// One shard's part of a [`ShardedSession`]: the session that scores the
-/// shard and the shard's top-k list.
+/// shard when a query fans out (the sequential scatter scores every shard
+/// on the prep session, and this one stays empty), and the shard's top-k
+/// list.
 #[derive(Debug, Default)]
 struct ShardScratch {
     session: QuerySession,
@@ -1400,6 +1406,46 @@ mod tests {
                 index.resource_norm(r).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn sequential_scatter_leaves_per_shard_sessions_empty() {
+        let (f, model, engine, mut set) = sharded(3);
+        set.coalesced = None;
+        let mut session = set.session();
+        let mut out = Vec::new();
+        let mut reference = engine.session();
+        let mut expected = Vec::new();
+        for t in 0..f.num_tags() {
+            let tags = [TagId::from_index(t)];
+            for top_k in [1, 5, 0] {
+                set.search_tags_with(&mut session, &model, &tags, top_k, &mut out);
+                engine.search_tags_with(&mut reference, &model, &tags, top_k, &mut expected);
+                assert_eq!(out, expected, "tag {t} k {top_k}");
+                set.search_tags_auto(&mut session, &model, &tags, top_k, &mut out);
+                assert_eq!(out, expected, "auto: tag {t} k {top_k}");
+            }
+        }
+        assert_eq!(session.per_shard.len(), 3);
+        assert!(session.prep.resource_slots() >= set.num_resources());
+        for (i, scratch) in session.per_shard.iter().enumerate() {
+            assert_eq!(
+                scratch.session.resource_slots(),
+                0,
+                "shard {i} session grew"
+            );
+        }
+        // A fan-out scores each shard on its own session. ("beta": every
+        // resource has "alpha", whose concept weighs nothing.)
+        let tags = [f.tag_id("beta").unwrap()];
+        set.search_tags_scatter_with(&mut session, &model, &tags, 5, &mut out);
+        engine.search_tags_with(&mut reference, &model, &tags, 5, &mut expected);
+        assert!(!out.is_empty());
+        assert_eq!(out, expected);
+        assert!(session
+            .per_shard
+            .iter()
+            .all(|s| s.session.resource_slots() >= set.num_resources()));
     }
 
     #[test]

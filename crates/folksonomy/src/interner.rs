@@ -4,13 +4,16 @@
 //! algorithms want dense integer indexes. One interner instance backs each
 //! of the three entity kinds in a [`crate::Folksonomy`].
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Maps strings to dense indexes and back.
+/// Maps strings to dense indexes and back. Each name is stored once: the
+/// index → name table and the name → index map share one `Arc<str>`.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
-    names: Vec<String>,
-    lookup: HashMap<String, u32>,
+    names: Vec<Arc<str>>,
+    lookup: HashMap<Arc<str>, u32>,
 }
 
 impl Interner {
@@ -19,15 +22,40 @@ impl Interner {
         Interner::default()
     }
 
-    /// Interns `name`, returning its (possibly pre-existing) index.
+    /// An empty interner with room for `n` names.
+    pub fn with_capacity(n: usize) -> Self {
+        Interner {
+            names: Vec::with_capacity(n),
+            lookup: HashMap::with_capacity(n),
+        }
+    }
+
+    /// Interns `name`, returning its (possibly pre-existing) index. A name
+    /// seen before costs one lookup and no allocation.
     pub fn intern(&mut self, name: &str) -> usize {
         if let Some(&idx) = self.lookup.get(name) {
             return idx as usize;
         }
         let idx = self.names.len() as u32;
-        self.names.push(name.to_owned());
-        self.lookup.insert(name.to_owned(), idx);
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.lookup.insert(name, idx);
         idx as usize
+    }
+
+    /// Interns a name that must be new: one allocation and one hash.
+    /// Returns `None`, leaving the interner unchanged, when `name` is
+    /// already present.
+    pub fn insert_new(&mut self, name: &str) -> Option<usize> {
+        let idx = self.names.len() as u32;
+        match self.lookup.entry(Arc::from(name)) {
+            Entry::Occupied(_) => None,
+            Entry::Vacant(slot) => {
+                self.names.push(Arc::clone(slot.key()));
+                slot.insert(idx);
+                Some(idx as usize)
+            }
+        }
     }
 
     /// Index of `name` if already interned.
@@ -55,7 +83,7 @@ impl Interner {
 
     /// Iterator over `(index, name)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &str)> {
-        self.names.iter().enumerate().map(|(i, s)| (i, s.as_str()))
+        self.names.iter().enumerate().map(|(i, s)| (i, &**s))
     }
 
     /// Builds an interner from a list of unique names.
@@ -102,6 +130,20 @@ mod tests {
         let collected: Vec<&str> = i.iter().map(|(_, n)| n).collect();
         assert_eq!(collected, vec!["a", "b", "c"]);
         assert!(!i.is_empty());
+    }
+
+    #[test]
+    fn insert_new_rejects_a_duplicate_and_shares_one_name() {
+        let mut i = Interner::with_capacity(2);
+        assert_eq!(i.insert_new("jazz"), Some(0));
+        assert_eq!(i.insert_new("piano"), Some(1));
+        assert_eq!(i.insert_new("jazz"), None);
+        assert_eq!(i.len(), 2);
+        assert_eq!((i.get("piano"), i.name(1)), (Some(1), "piano"));
+        // The table and the map hold the same allocation.
+        assert_eq!(Arc::strong_count(&i.names[0]), 2);
+        assert_eq!(i.intern("jazz"), 0);
+        assert_eq!(Arc::strong_count(&i.names[0]), 2);
     }
 
     #[test]

@@ -191,23 +191,43 @@ impl Folksonomy {
         out
     }
 
-    /// Rebuilds a store from raw parts (used by cleaning and generators).
+    /// Rebuilds a store from raw parts (used by cleaning, generators and
+    /// the artifact loader).
+    ///
+    /// Assignments already strictly increasing in (resource, tag, user)
+    /// order — what every stored artifact holds — are checked in one
+    /// linear pass and kept as they are; any other input is sorted and
+    /// deduplicated first, O(|Y| log |Y|). The by-tag copy is then a
+    /// stable counting sort of the by-resource array on the tag: O(|Y| +
+    /// |T|). Stability keeps each tag's assignments in their (resource,
+    /// user) order, so the result is exactly the (tag, resource, user)
+    /// sort the comparison sort produced, and both arrays and both offset
+    /// tables equal those of sorting each from scratch.
     pub fn from_parts(
         users: Interner,
         tags: Interner,
         resources: Interner,
         mut assignments: Vec<TagAssignment>,
     ) -> Self {
-        assignments.sort_unstable_by_key(|a| (a.resource, a.tag, a.user));
-        assignments.dedup();
+        let key = |a: &TagAssignment| (a.resource, a.tag, a.user);
+        if !assignments.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
+            assignments.sort_unstable_by_key(key);
+            assignments.dedup();
+        }
         let by_resource = assignments;
         let resource_ptr = build_ptr(
             resources.len(),
             by_resource.iter().map(|a| a.resource.index()),
         );
+        let tag_ptr = build_ptr(tags.len(), by_resource.iter().map(|a| a.tag.index()));
+        let mut next = tag_ptr.clone();
+        // Every slot is overwritten below; the copy only sizes the array.
         let mut by_tag = by_resource.clone();
-        by_tag.sort_unstable_by_key(|a| (a.tag, a.resource, a.user));
-        let tag_ptr = build_ptr(tags.len(), by_tag.iter().map(|a| a.tag.index()));
+        for a in &by_resource {
+            let slot = &mut next[a.tag.index()];
+            by_tag[*slot as usize] = *a;
+            *slot += 1;
+        }
         Folksonomy {
             users,
             tags,
@@ -220,7 +240,8 @@ impl Folksonomy {
     }
 }
 
-/// Builds the offset array for a pre-sorted key stream.
+/// Builds the offset array for a key stream: `ptr[k]..ptr[k + 1]` is
+/// where key `k`'s run lies once the stream is grouped by key.
 fn build_ptr(domain: usize, keys: impl Iterator<Item = usize>) -> Vec<u32> {
     let mut ptr = vec![0u32; domain + 1];
     for k in keys {
@@ -310,6 +331,78 @@ pub fn figure2_example() -> Folksonomy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The comparison-sort construction: both orders sorted from scratch,
+    /// deduplicated, offsets counted per key.
+    fn reference(
+        num_tags: usize,
+        num_resources: usize,
+        mut y: Vec<TagAssignment>,
+    ) -> (Vec<TagAssignment>, Vec<u32>, Vec<TagAssignment>, Vec<u32>) {
+        y.sort_by_key(|a| (a.resource, a.tag, a.user));
+        y.dedup();
+        let mut by_tag = y.clone();
+        by_tag.sort_by_key(|a| (a.tag, a.resource, a.user));
+        let ptr = |domain: usize, key: &dyn Fn(&TagAssignment) -> usize| -> Vec<u32> {
+            (0..=domain)
+                .map(|k| y.iter().filter(|a| key(a) < k).count() as u32)
+                .collect()
+        };
+        let resource_ptr = ptr(num_resources, &|a| a.resource.index());
+        let tag_ptr = ptr(num_tags, &|a| a.tag.index());
+        (y, resource_ptr, by_tag, tag_ptr)
+    }
+
+    fn names(prefix: &str, n: usize) -> Interner {
+        Interner::from_names((0..n).map(|i| format!("{prefix}{i}")))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Sorted, unsorted, duplicated and empty inputs, with the last
+        /// `spare` tags never assigned.
+        #[test]
+        fn from_parts_equals_the_comparison_sort(
+            (dims, triples, spare, presort) in (1usize..5, 1usize..7, 1usize..6).prop_flat_map(|(u, t, r)| (
+                Just((u, t, r)),
+                proptest::collection::vec((0..u as u32, 0..t as u32, 0..r as u32), 0..48usize),
+                0usize..3,
+                0u32..3,
+            ))
+        ) {
+            let (users, tags, resources) = dims;
+            let num_tags = tags + spare;
+            let mut y: Vec<TagAssignment> = triples
+                .iter()
+                .map(|&(u, t, r)| TagAssignment {
+                    user: UserId(u),
+                    tag: TagId(t),
+                    resource: ResourceId(r),
+                })
+                .collect();
+            // 0: as drawn (duplicates likely); 1: sorted and distinct, the
+            // linear path; 2: sorted with duplicates kept.
+            if presort > 0 {
+                y.sort_by_key(|a| (a.resource, a.tag, a.user));
+                if presort == 1 {
+                    y.dedup();
+                }
+            }
+            let f = Folksonomy::from_parts(
+                names("u", users),
+                names("t", num_tags),
+                names("r", resources),
+                y.clone(),
+            );
+            let (by_resource, resource_ptr, by_tag, tag_ptr) = reference(num_tags, resources, y);
+            prop_assert_eq!(&f.by_resource, &by_resource);
+            prop_assert_eq!(&f.resource_ptr, &resource_ptr);
+            prop_assert_eq!(&f.by_tag, &by_tag);
+            prop_assert_eq!(&f.tag_ptr, &tag_ptr);
+        }
+    }
 
     #[test]
     fn figure2_statistics_match_paper() {

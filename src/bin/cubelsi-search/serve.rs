@@ -245,22 +245,29 @@ fn drain_line(reader: &mut impl BufRead, cap: usize) -> std::io::Result<()> {
 // xtask:hostile-input:end — below here replies are formatted from
 // trusted engine state.
 
-/// Formats one query reply line: `OK\t<n>` followed by
-/// `\t<name>  (<score>)` per hit — the same per-hit presentation as the
-/// `query` subcommand, so scripted clients can diff the two directly.
-fn format_hits(corpus: &Folksonomy, hits: &[RankedResource]) -> String {
-    use std::fmt::Write as _;
-    let mut line = format!("OK\t{}", hits.len());
+// xtask:no-alloc:begin — reply formatting writes into the connection's
+// reused output buffer, which grows only until it fits the longest reply.
+
+/// Formats one query reply line into `out`, replacing its contents:
+/// `OK\t<n>` followed by `\t<name>  (<score>)` per hit — the same per-hit
+/// presentation as the `query` subcommand, so scripted clients can diff
+/// the two directly. [`Server::send_reply`] adds the newline.
+fn format_hits(out: &mut Vec<u8>, corpus: &Folksonomy, hits: &[RankedResource]) {
+    use std::io::Write as _;
+    out.clear();
+    // Writing into a `Vec<u8>` cannot fail.
+    let _ = write!(out, "OK\t{}", hits.len());
     for hit in hits {
         let _ = write!(
-            line,
+            out,
             "\t{}  ({:.4})",
             corpus.resource_name(hit.resource),
             hit.score
         );
     }
-    line
 }
+
+// xtask:no-alloc:end
 
 /// Deterministic fault knobs for the `serve_faults` suite, read once at
 /// startup. All default to off; a production server never sets them.
@@ -354,13 +361,19 @@ impl Server<'_> {
     // per-connection buffer is the only storage, so a steady-state
     // reply performs no allocation.
 
-    /// Writes `line` plus `\n`, bounded by the per-reply write budget:
-    /// each syscall may block up to the socket write timeout, and the
-    /// whole reply must land within `write_timeout` — a reader stalled
-    /// on a full socket buffer costs one budget, not a handler.
+    /// Writes `line` plus `\n` through `out`; see [`Self::send_reply`].
     fn write_reply(&self, stream: &mut TcpStream, out: &mut Vec<u8>, line: &str) -> bool {
         out.clear();
         out.extend_from_slice(line.as_bytes()); // ALLOC-OK: grow-only reused buffer.
+        self.send_reply(stream, out)
+    }
+
+    /// Sends the reply already in `out` plus `\n`, bounded by the
+    /// per-reply write budget: each syscall may block up to the socket
+    /// write timeout, and the whole reply must land within
+    /// `write_timeout` — a reader stalled on a full socket buffer costs
+    /// one budget, not a handler.
+    fn send_reply(&self, stream: &mut TcpStream, out: &mut Vec<u8>) -> bool {
         out.push(b'\n'); // ALLOC-OK: grow-only reused buffer (at capacity after warmup).
         let start = Instant::now();
         let mut sent = 0usize;
@@ -444,12 +457,12 @@ impl Server<'_> {
         }
         *queries += 1;
         lock(&self.latency).record(elapsed);
-        let mut line = format_hits(set.folksonomy(), hits);
+        format_hits(out, set.folksonomy(), hits);
         if faulted && self.faults.reply_pad > 0 {
-            line.push('\t');
-            line.push_str(&"x".repeat(self.faults.reply_pad));
+            out.push(b'\t'); // ALLOC-OK: fault knob; grow-only reused buffer.
+            out.resize(out.len() + self.faults.reply_pad, b'x'); // ALLOC-OK: as above.
         }
-        self.write_reply(stream, out, &line)
+        self.send_reply(stream, out)
     }
 
     /// Serves one admitted connection: reads line requests, answers
