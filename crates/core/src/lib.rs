@@ -35,8 +35,9 @@
 //!   bit-identical to a single engine) with hot generation-swapped
 //!   artifact reload under live traffic;
 //! * [`exec`] — the query dispatch counters (inline or fanned out)
-//!   surfaced by the `serve` STATS command; query batches and shard
-//!   fan-out fork–join on `cubelsi_linalg::parallel`.
+//!   surfaced by the `serve` STATS command; query batches fork–join on
+//!   `cubelsi_linalg::parallel`, and a single query runs on its caller's
+//!   thread.
 
 pub mod concepts;
 pub mod config;

@@ -334,12 +334,6 @@ impl QuerySession {
     pub(crate) fn terms(&self) -> &[(u32, f64)] {
         &self.terms
     }
-
-    /// Resources the accumulation scratch is sized for (0 until first use).
-    #[cfg(test)]
-    pub(crate) fn resource_slots(&self) -> usize {
-        self.slot_map.len()
-    }
 }
 
 fn bump_epoch(cur: u32, epochs: &mut [u32]) -> u32 {

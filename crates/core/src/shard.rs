@@ -18,8 +18,12 @@
 //!   share are encoded once and written `N` times) plus a versioned
 //!   **shard manifest** listing them with per-shard file checksums;
 //! * [`ShardSet`] is a loaded generation of shards: per-shard
-//!   [`QueryEngine`]s plus the shared corpus/model, answering queries
-//!   through one shared query preparation and an exact k-way merge;
+//!   [`QueryEngine`]s plus the shared corpus/model, answering each query
+//!   on the caller's thread through one shared query preparation and an
+//!   exact k-way merge — or, when the whole index is small, through a
+//!   coalesced single-engine mirror that answers the same bits. A query
+//!   never fans out over threads: only [`ShardSet::search_batch`] forks,
+//!   one chunk of queries per participant;
 //! * [`ShardedEngine`] wraps a [`ShardSet`] in an atomically swappable
 //!   [`Arc`] with a monotonically increasing generation number — the
 //!   **hot reload** primitive: a new manifest replaces the shards under
@@ -477,11 +481,6 @@ pub struct ShardSet {
     /// maxima, bit-identical to the unsharded index's `max_impact` array.
     /// Defines the shared term-processing order (see the module docs).
     global_max_impact: Vec<f64>,
-    /// Per-concept posting count summed across shards — the unit of the
-    /// adaptive-dispatch cost model: summing these over a prepared
-    /// query's terms estimates the total scoring work without touching
-    /// a single posting.
-    postings_per_concept: Vec<u64>,
     /// Coalesced single-engine mirror ([`ConceptIndex::coalesce`]),
     /// built when the whole corpus is small enough
     /// ([`COALESCE_MAX_POSTINGS`]) that an N-way scatter costs more
@@ -491,32 +490,12 @@ pub struct ShardSet {
     coalesced: Option<Box<QueryEngine>>,
 }
 
-/// Adaptive-dispatch threshold: minimum *estimated* postings per shard
-/// before a scatter query is worth fanning out over threads. Below it,
-/// per-shard work is microseconds and starting a thread dominates; the
-/// query runs sequentially on the caller thread instead.
-const FANOUT_MIN_POSTINGS_PER_SHARD: u64 = 8192;
-
 /// Total-posting ceiling under which a [`ShardSet`] additionally builds
 /// a coalesced single-engine mirror at construction (≈ 2 M postings,
 /// tens of MB of SoA arrays — a few milliseconds to build, recouped
 /// within seconds of small-corpus traffic where the per-query scatter
 /// overhead is the dominant cost).
 const COALESCE_MAX_POSTINGS: u64 = 1 << 21;
-
-/// How one scatter query is dispatched (see [`ShardSet::search_shards`]).
-#[derive(Clone, Copy)]
-enum Dispatch {
-    /// Always per-shard sequential on the caller thread — the pure
-    /// scatter-merge reference path.
-    Sequential,
-    /// Always fanned out (when more than one thread and shard exist) —
-    /// pins the fanned path for tests.
-    Scatter,
-    /// Cost-model decision per query: fan out only when the estimated
-    /// per-shard posting work amortizes starting a thread.
-    Auto,
-}
 
 fn shard_err(detail: impl Into<String>) -> PersistError {
     PersistError::Shard {
@@ -587,14 +566,15 @@ impl ShardSet {
             )));
         }
         let mut global_max_impact = vec![0.0f64; num_concepts];
-        let mut postings_per_concept = vec![0u64; num_concepts];
         for e in &engines {
-            for l in 0..num_concepts {
-                global_max_impact[l] = global_max_impact[l].max(e.index().max_impact(l));
-                postings_per_concept[l] += e.index().postings(l).ids.len() as u64;
+            for (l, max) in global_max_impact.iter_mut().enumerate() {
+                *max = max.max(e.index().max_impact(l));
             }
         }
-        let total_postings: u64 = postings_per_concept.iter().sum();
+        let total_postings: u64 = engines
+            .iter()
+            .map(|e| e.index().num_postings() as u64)
+            .sum();
         let coalesced = if engines.len() > 1 && total_postings <= COALESCE_MAX_POSTINGS {
             let shards: Vec<&ConceptIndex> = engines.iter().map(QueryEngine::index).collect();
             Some(Box::new(QueryEngine::with_strategy(
@@ -609,7 +589,6 @@ impl ShardSet {
             folksonomy,
             concepts,
             global_max_impact,
-            postings_per_concept,
             coalesced,
         })
     }
@@ -696,11 +675,11 @@ impl ShardSet {
     }
 
     /// Scatter-gather top-k: prepares the query once, runs every shard's
-    /// pruned top-k sequentially on the session's one prep session, and
-    /// k-way-merges the per-shard rankings. Bit-identical — scores,
-    /// order, tie-breaks — to a single unsharded [`QueryEngine`] over the
-    /// same corpus. Steady-state calls on a warmed session and reused
-    /// `out` buffer perform no heap allocation.
+    /// pruned top-k in turn on the session's one prep session, and
+    /// k-way-merges the per-shard rankings, all on the caller's thread.
+    /// Bit-identical — scores, order, tie-breaks — to a single unsharded
+    /// [`QueryEngine`] over the same corpus. Steady-state calls on a
+    /// warmed session and reused `out` buffer perform no heap allocation.
     pub fn search_tags_with(
         &self,
         session: &mut ShardedSession,
@@ -709,17 +688,34 @@ impl ShardSet {
         top_k: usize,
         out: &mut Vec<RankedResource>,
     ) {
-        self.search_shards(session, concepts, tags, top_k, out, Dispatch::Sequential);
+        out.clear();
+        let ShardedSession {
+            prep,
+            per_shard,
+            terms,
+            cursors,
+        } = session;
+        per_shard.resize_with(self.engines.len(), Vec::new);
+        let Some(norm) = self.engines[0].collect_tag_terms(prep, concepts, tags) else {
+            return;
+        };
+        terms.clear();
+        terms.extend_from_slice(prep.terms());
+        order_terms_with(terms, &self.global_max_impact);
+        // Every shard on the prep session: the terms are already copied
+        // out, and each run begins the session afresh, so one
+        // resource-wide slot map serves them all.
+        for (engine, hits) in self.engines.iter().zip(per_shard.iter_mut()) {
+            engine.run_with_terms(prep, terms, norm, top_k, hits);
+        }
+        merge_ranked(per_shard, cursors, top_k, out);
     }
 
-    /// Adaptive single query: the serving entry point. Small corpora
-    /// (a coalesced mirror exists) answer through one unsharded engine
-    /// on the caller thread; otherwise the per-query cost model picks
-    /// between the sequential scatter and the fan-out. Every route is
-    /// bit-identical to [`Self::search_tags_with`]; the decision is
-    /// counted in `exec`'s inline/fanout counters. Steady-state
-    /// allocation-free on a warmed session, except where it fans out
-    /// (starting a thread allocates).
+    /// The serving entry point: one query on the caller's thread, through
+    /// the coalesced mirror when there is one and the sequential scatter
+    /// ([`Self::search_tags_with`]) otherwise. Bit-identical either way,
+    /// counted as one `inline` decision in `exec`'s counters, and
+    /// allocation-free in steady state on a warmed session.
     pub fn search_tags_auto(
         &self,
         session: &mut ShardedSession,
@@ -728,98 +724,15 @@ impl ShardSet {
         top_k: usize,
         out: &mut Vec<RankedResource>,
     ) {
-        if let Some(co) = &self.coalesced {
-            exec::note_dispatch(1);
-            co.search_tags_with(&mut session.prep, concepts, tags, top_k, out);
-            return;
-        }
-        self.search_shards(session, concepts, tags, top_k, out, Dispatch::Auto);
+        exec::note_dispatch(1);
+        self.answer(session, concepts, tags, top_k, out);
     }
 
-    /// Estimated postings the prepared terms touch, summed across all
-    /// shards — the adaptive-dispatch cost model's input, computed from
-    /// per-concept counts without reading any posting.
-    fn estimate_postings(&self, terms: &[(u32, f64)]) -> u64 {
-        terms
-            .iter()
-            .map(|&(l, _)| self.postings_per_concept[l as usize])
-            .sum()
-    }
-
-    /// Shared scatter body: one preparation, one global term order, then
-    /// per-shard scoring — sequential on the caller, or one shard per
-    /// chunk of `parallel::for_each_chunk`, per `mode` — and the exact
-    /// k-way merge. All modes are bit-identical:
-    /// the per-shard ranking depends only on the broadcast terms, never
-    /// on which thread or session scored the shard.
-    fn search_shards(
-        &self,
-        session: &mut ShardedSession,
-        concepts: &dyn ConceptAssignment,
-        tags: &[TagId],
-        top_k: usize,
-        out: &mut Vec<RankedResource>,
-        mode: Dispatch,
-    ) {
-        out.clear();
-        let n = self.engines.len();
-        session.ensure_shards(n);
-        let ShardedSession {
-            prep,
-            per_shard,
-            terms,
-            cursors,
-        } = session;
-        let Some(norm) = self.engines[0].collect_tag_terms(prep, concepts, tags) else {
-            return;
-        };
-        terms.clear();
-        terms.extend_from_slice(prep.terms());
-        order_terms_with(terms, &self.global_max_impact);
-        let terms = &*terms;
-        let fan_out = match mode {
-            Dispatch::Sequential => false,
-            Dispatch::Scatter => true,
-            Dispatch::Auto => {
-                self.estimate_postings(terms) / n as u64 >= FANOUT_MIN_POSTINGS_PER_SHARD
-            }
-        };
-        if fan_out {
-            // One shard per chunk, each scored on its own session.
-            let participants = parallel::for_each_chunk(
-                per_shard,
-                1,
-                || (),
-                |(), shard, one| {
-                    let ShardScratch { session, hits } = &mut one[0];
-                    self.engines[shard].run_with_terms(session, terms, norm, top_k, hits);
-                },
-            );
-            exec::note_dispatch(participants);
-        } else {
-            // Every shard on the prep session: the terms are already
-            // copied out, and each run begins the session afresh, so one
-            // resource-wide slot map serves them all and the per-shard
-            // sessions stay empty.
-            for (engine, scratch) in self.engines.iter().zip(per_shard.iter_mut()) {
-                engine.run_with_terms(prep, terms, norm, top_k, &mut scratch.hits);
-            }
-            if matches!(mode, Dispatch::Auto) {
-                exec::note_dispatch(1);
-            }
-        }
-        merge_ranked(per_shard, cursors, top_k, out);
-    }
-
-    /// Scatter-gather with the per-shard top-k fanned out: the caller and
-    /// up to `num_threads() - 1` scoped threads claim one shard at a
-    /// time and score it on the session's own scratch for that shard.
-    /// Same preparation and global term order as
-    /// [`Self::search_tags_with`], so results are bit-identical. Under a
-    /// 1-thread cap (or a 1-shard set) everything runs on the caller.
-    /// Worth a thread start only when per-shard work is substantial —
-    /// [`Self::search_tags_auto`] makes that call per query.
-    pub fn search_tags_scatter_with(
+    /// The one route of [`Self::search_tags_auto`] and the batch loop:
+    /// the mirror when there is one, else the sequential scatter. The
+    /// batch loop calls it directly so that a batch counts as one
+    /// dispatch decision, not one a query.
+    fn answer(
         &self,
         session: &mut ShardedSession,
         concepts: &dyn ConceptAssignment,
@@ -827,25 +740,9 @@ impl ShardSet {
         top_k: usize,
         out: &mut Vec<RankedResource>,
     ) {
-        self.search_shards(session, concepts, tags, top_k, out, Dispatch::Scatter);
-    }
-
-    /// One query answered entirely on the current thread: through the
-    /// coalesced mirror when present, else the sequential scatter. The
-    /// per-query unit of the batch path (a batch chunk never fans out
-    /// again underneath itself).
-    fn search_query_inline(
-        &self,
-        session: &mut ShardedSession,
-        concepts: &dyn ConceptAssignment,
-        tags: &[TagId],
-        top_k: usize,
-        out: &mut Vec<RankedResource>,
-    ) {
-        if let Some(co) = &self.coalesced {
-            co.search_tags_with(&mut session.prep, concepts, tags, top_k, out);
-        } else {
-            self.search_shards(session, concepts, tags, top_k, out, Dispatch::Sequential);
+        match &self.coalesced {
+            Some(co) => co.search_tags_with(&mut session.prep, concepts, tags, top_k, out),
+            None => self.search_tags_with(session, concepts, tags, top_k, out),
         }
     }
 
@@ -874,7 +771,7 @@ impl ShardSet {
             ShardedSession::default,
             |session, start, chunk| {
                 for (out, query) in chunk.iter_mut().zip(&queries[start..]) {
-                    self.search_query_inline(session, concepts, query.as_ref(), top_k, out);
+                    self.answer(session, concepts, query.as_ref(), top_k, out);
                 }
             },
         );
@@ -883,42 +780,19 @@ impl ShardSet {
     }
 }
 
-/// Reusable scatter-gather scratch: one prep session for query
-/// construction and the sequential scatter's scoring, one
-/// [`ShardScratch`] per shard, plus term and merge
+/// Reusable scatter-gather scratch for one thread: one [`QuerySession`]
+/// that prepares each query and scores every shard (or the coalesced
+/// mirror) in turn, each shard's top-k list, and the term and merge
 /// buffers. Lazily sized on first use; safe to keep across hot reloads
-/// (per-shard scratch is epoch-tagged and grows on demand, so a swapped
-/// shard set is served correctly without reallocation in steady state).
+/// (the session's scratch is epoch-tagged and grows on demand, so a
+/// swapped shard set is served correctly without reallocation in steady
+/// state).
 #[derive(Debug, Default)]
 pub struct ShardedSession {
     prep: QuerySession,
-    per_shard: Vec<ShardScratch>,
+    per_shard: Vec<Vec<RankedResource>>,
     terms: Vec<(u32, f64)>,
     cursors: Vec<usize>,
-}
-
-/// One shard's part of a [`ShardedSession`]: the session that scores the
-/// shard when a query fans out (the sequential scatter scores every shard
-/// on the prep session, and this one stays empty), and the shard's top-k
-/// list.
-#[derive(Debug, Default)]
-struct ShardScratch {
-    session: QuerySession,
-    hits: Vec<RankedResource>,
-}
-
-impl AsRef<[RankedResource]> for ShardScratch {
-    fn as_ref(&self) -> &[RankedResource] {
-        &self.hits
-    }
-}
-
-impl ShardedSession {
-    fn ensure_shards(&mut self, n: usize) {
-        if self.per_shard.len() != n {
-            self.per_shard.resize_with(n, ShardScratch::default);
-        }
-    }
 }
 
 /// Exact k-way merge of per-shard rankings. Each input list is sorted
@@ -926,19 +800,19 @@ impl ShardedSession {
 /// sets, so repeatedly taking the best head reproduces exactly the
 /// ranking a single engine would emit. `top_k = 0` concatenates and
 /// sorts (the all-matches contract). Allocation-free on warmed buffers.
-fn merge_ranked<L: AsRef<[RankedResource]>>(
-    results: &[L],
+fn merge_ranked(
+    results: &[Vec<RankedResource>],
     cursors: &mut Vec<usize>,
     top_k: usize,
     out: &mut Vec<RankedResource>,
 ) {
     if results.len() == 1 {
-        out.extend_from_slice(results[0].as_ref());
+        out.extend_from_slice(&results[0]);
         return;
     }
     if top_k == 0 {
-        for r in results.iter() {
-            out.extend_from_slice(r.as_ref());
+        for r in results {
+            out.extend_from_slice(r);
         }
         out.sort_unstable_by(|a, b| {
             cmp_ranked(
@@ -955,7 +829,6 @@ fn merge_ranked<L: AsRef<[RankedResource]>>(
     while out.len() < top_k {
         let mut best: Option<(usize, RankedResource)> = None;
         for (i, list) in results.iter().enumerate() {
-            let list = list.as_ref();
             if cursors[i] >= list.len() {
                 continue;
             }
@@ -1184,20 +1057,27 @@ impl ShardedEngine {
     /// the new generation. The generation number is claimed *under* the
     /// write lock, so concurrent installs are serialized: the highest
     /// number is always the last one stored and can never be
-    /// overwritten by a straggler that loaded earlier.
+    /// overwritten by a straggler that loaded earlier. The replaced
+    /// generation is dropped after the lock is released: when this held
+    /// its last reference, freeing a whole [`ShardSet`] must not hold up
+    /// every query's [`Self::current`].
     pub(crate) fn install(&self, mut set: ShardSet) -> Arc<ShardGeneration> {
         set.set_strategy(self.strategy);
-        let mut slot = self
-            .state
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // ORDER: claimed under the `state` write lock, which already
-        // serializes installs; SeqCst keeps the generation counter in a
-        // single total order as belt and braces (reload frequency, so
-        // the fence cost is irrelevant).
-        let number = self.next_generation.fetch_add(1, Ordering::SeqCst);
-        let generation = Arc::new(ShardGeneration { number, set });
-        *slot = generation.clone();
+        let (generation, replaced) = {
+            let mut slot = self
+                .state
+                .write()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            // ORDER: claimed under the `state` write lock, which already
+            // serializes installs; SeqCst keeps the generation counter in a
+            // single total order as belt and braces (reload frequency, so
+            // the fence cost is irrelevant).
+            let number = self.next_generation.fetch_add(1, Ordering::SeqCst);
+            let generation = Arc::new(ShardGeneration { number, set });
+            let replaced = std::mem::replace(&mut *slot, Arc::clone(&generation));
+            (generation, replaced)
+        };
+        drop(replaced);
         generation
     }
 
@@ -1221,10 +1101,9 @@ impl ShardedEngine {
     }
 
     /// Answers a tag-id query against the current generation using its
-    /// own concept model, through the adaptive dispatch path
-    /// ([`ShardSet::search_tags_auto`]): coalesced mirror or sequential
-    /// scatter for cheap queries, fan-out for heavy ones —
-    /// bit-identical either way. Steady-state allocation-free on a
+    /// own concept model, through [`ShardSet::search_tags_auto`]: the
+    /// coalesced mirror or the sequential scatter on the caller's
+    /// thread, bit-identical either way. Steady-state allocation-free on a
     /// warmed session; the session survives generation swaps (its
     /// scratch lazily re-validates against whichever generation's index
     /// it meets).
@@ -1409,7 +1288,7 @@ mod tests {
     }
 
     #[test]
-    fn sequential_scatter_leaves_per_shard_sessions_empty() {
+    fn scatter_and_auto_without_a_mirror_match_the_single_engine() {
         let (f, model, engine, mut set) = sharded(3);
         set.coalesced = None;
         let mut session = set.session();
@@ -1426,26 +1305,6 @@ mod tests {
                 assert_eq!(out, expected, "auto: tag {t} k {top_k}");
             }
         }
-        assert_eq!(session.per_shard.len(), 3);
-        assert!(session.prep.resource_slots() >= set.num_resources());
-        for (i, scratch) in session.per_shard.iter().enumerate() {
-            assert_eq!(
-                scratch.session.resource_slots(),
-                0,
-                "shard {i} session grew"
-            );
-        }
-        // A fan-out scores each shard on its own session. ("beta": every
-        // resource has "alpha", whose concept weighs nothing.)
-        let tags = [f.tag_id("beta").unwrap()];
-        set.search_tags_scatter_with(&mut session, &model, &tags, 5, &mut out);
-        engine.search_tags_with(&mut reference, &model, &tags, 5, &mut expected);
-        assert!(!out.is_empty());
-        assert_eq!(out, expected);
-        assert!(session
-            .per_shard
-            .iter()
-            .all(|s| s.session.resource_slots() >= set.num_resources()));
     }
 
     #[test]
@@ -1473,18 +1332,18 @@ mod tests {
             ],
         ];
         let mut session = set.session();
-        let (mut merged, mut scattered) = (Vec::new(), Vec::new());
+        let (mut merged, mut auto) = (Vec::new(), Vec::new());
         for q in &tags {
             for k in [0usize, 1, 5, 100] {
                 let single = engine.search_tags(&model, q, k);
                 set.search_tags_with(&mut session, &model, q, k, &mut merged);
-                set.search_tags_scatter_with(&mut session, &model, q, k, &mut scattered);
+                set.search_tags_auto(&mut session, &model, q, k, &mut auto);
                 assert_eq!(merged.len(), single.len(), "k={k} q={q:?}");
                 for (m, s) in merged.iter().zip(single.iter()) {
                     assert_eq!(m.resource, s.resource, "k={k}");
                     assert_eq!(m.score.to_bits(), s.score.to_bits(), "k={k}");
                 }
-                assert_eq!(scattered, merged, "scatter k={k}");
+                assert_eq!(auto, merged, "auto k={k}");
             }
         }
     }
@@ -1547,7 +1406,7 @@ mod tests {
             score: s,
         };
         // Equal scores must interleave by ascending resource id.
-        let results = vec![vec![rr(1, 0.5), rr(3, 0.5)], vec![rr(0, 0.5), rr(2, 0.25)]];
+        let results = [vec![rr(1, 0.5), rr(3, 0.5)], vec![rr(0, 0.5), rr(2, 0.25)]];
         let mut cursors = Vec::new();
         let mut out = Vec::new();
         merge_ranked(&results, &mut cursors, 10, &mut out);

@@ -10,10 +10,10 @@
 //! the thread count. Each kernel keeps its own "is this worth a thread?"
 //! threshold and calls its closure directly below it.
 //!
-//! Query batches and shard fan-out use [`for_each_chunk`]: fixed-size
-//! chunks that the participants, each with a scratch built once, claim in
-//! order. In both the caller is a participant, and a thread the OS refuses
-//! costs parallelism, not work.
+//! Query batches use [`for_each_chunk`]: fixed-size chunks that the
+//! participants, each with a scratch built once, claim in order. In both
+//! helpers the caller is a participant, and a thread the OS refuses costs
+//! parallelism, not work.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -38,13 +38,13 @@ options:
                  deadline; `serve` only)
   --write-timeout-ms W  per-reply write budget; a client that cannot
                  absorb a reply within it is dropped instead of wedging
-                 its handler (W >= 1; default 5000; `serve` only)
+                 its connection thread (W >= 1; default 5000; `serve` only)
   --idle-timeout-ms I   close connections idle longer than this
                  (I >= 1; default 300000; `serve` only)
   --seed S       seed for all stochastic components (default 2011)
-  --threads N    worker threads for the offline build and for query
-                 fan-out (N >= 1, at most 256 used; default: all cores;
-                 1 forces sequential serving)
+  --threads N    worker threads for the offline build (N >= 1, at most
+                 256 used; default: all cores); `query` and `serve` accept
+                 it and ignore it: one query runs on one thread
   --no-clean     skip the paper's \u{a7}VI-A cleaning pipeline
 
 serve protocol (one request per line, one reply line per request):
@@ -84,41 +84,25 @@ impl Default for BuildOpts {
     }
 }
 
-/// The serving pipeline's bounds as given on the command line; `None`
-/// means "not set" and falls back to the default in [`resolve_limits`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ServeLimits {
-    pub max_conns: Option<usize>,
-    pub deadline_ms: Option<u64>,
-    pub write_timeout_ms: Option<u64>,
-    pub idle_timeout_ms: Option<u64>,
-}
-
-/// [`ServeLimits`] after flag/default resolution — what the serving
-/// pipeline actually enforces.
+/// The serving pipeline's bounds, as `serve` enforces them: each flag the
+/// command line left unset holds its default, filled in at parse time.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResolvedLimits {
+pub struct ServeLimits {
     pub max_conns: usize,
+    /// No deadline unless `--deadline-ms` sets one.
     pub deadline: Option<Duration>,
     pub write_timeout: Duration,
     pub idle_timeout: Duration,
 }
 
-pub const DEFAULT_MAX_CONNS: usize = 256;
-pub const DEFAULT_WRITE_TIMEOUT_MS: u64 = 5_000;
-pub const DEFAULT_IDLE_TIMEOUT_MS: u64 = 300_000;
-
-/// Fills every serve limit the command line left unset with its default.
-pub fn resolve_limits(limits: &ServeLimits) -> ResolvedLimits {
-    ResolvedLimits {
-        max_conns: limits.max_conns.unwrap_or(DEFAULT_MAX_CONNS),
-        deadline: limits.deadline_ms.map(Duration::from_millis),
-        write_timeout: Duration::from_millis(
-            limits.write_timeout_ms.unwrap_or(DEFAULT_WRITE_TIMEOUT_MS),
-        ),
-        idle_timeout: Duration::from_millis(
-            limits.idle_timeout_ms.unwrap_or(DEFAULT_IDLE_TIMEOUT_MS),
-        ),
+impl Default for ServeLimits {
+    fn default() -> Self {
+        ServeLimits {
+            max_conns: 256,
+            deadline: None,
+            write_timeout: Duration::from_millis(5_000),
+            idle_timeout: Duration::from_millis(300_000),
+        }
     }
 }
 
@@ -138,16 +122,14 @@ pub enum Command {
         tags: Vec<String>,
         top_k: usize,
         repeat: usize,
-        threads: Option<usize>,
     },
     /// Serve an artifact or shard manifest over a TCP line protocol
-    /// (bounded handler pool, hot `RELOAD`, overload shedding,
-    /// per-query deadlines, server-wide stats).
+    /// (one thread per admitted connection, hot `RELOAD`, overload
+    /// shedding, per-query deadlines, server-wide stats).
     Serve {
         index: String,
         top_k: usize,
         listen: String,
-        threads: Option<usize>,
         limits: ServeLimits,
     },
     /// Legacy sugar: build in memory, answer one query, discard.
@@ -384,7 +366,6 @@ pub fn parse_command(args: impl IntoIterator<Item = String>) -> Result<Command, 
                 tags: rest.collect(),
                 top_k,
                 repeat: flags.repeat.unwrap_or(1),
-                threads: flags.threads,
             })
         }
         Some("serve") => {
@@ -394,16 +375,20 @@ pub fn parse_command(args: impl IntoIterator<Item = String>) -> Result<Command, 
             }
             let [_, index] = <[String; 2]>::try_from(positional)
                 .map_err(|_| "serve needs exactly MODEL (artifact or manifest; see --help)")?;
+            let default = ServeLimits::default();
             Ok(Command::Serve {
                 index,
                 top_k,
                 listen: flags.listen.unwrap_or_else(|| "127.0.0.1:7878".to_owned()),
-                threads: flags.threads,
                 limits: ServeLimits {
-                    max_conns: flags.max_conns,
-                    deadline_ms: flags.deadline_ms,
-                    write_timeout_ms: flags.write_timeout_ms,
-                    idle_timeout_ms: flags.idle_timeout_ms,
+                    max_conns: flags.max_conns.unwrap_or(default.max_conns),
+                    deadline: flags.deadline_ms.map(Duration::from_millis),
+                    write_timeout: flags
+                        .write_timeout_ms
+                        .map_or(default.write_timeout, Duration::from_millis),
+                    idle_timeout: flags
+                        .idle_timeout_ms
+                        .map_or(default.idle_timeout, Duration::from_millis),
                 },
             })
         }
@@ -517,7 +502,6 @@ mod tests {
                 tags: vec!["jazz".into(), "piano".into()],
                 top_k: 3,
                 repeat: 1,
-                threads: None,
             }
         );
         assert!(parse(&["query", "m.cubelsi"]).is_err(), "query needs tags");
@@ -527,7 +511,6 @@ mod tests {
                 index: "m.cubelsi".into(),
                 top_k: 10,
                 listen: "127.0.0.1:7878".into(),
-                threads: None,
                 limits: ServeLimits::default(),
             }
         );
@@ -544,7 +527,6 @@ mod tests {
                 tags: vec!["jazz".into()],
                 top_k: 10,
                 repeat: 50,
-                threads: None,
             }
         );
         // Validation: integer >= 1.
@@ -585,10 +567,10 @@ mod tests {
             Command::Serve { limits, .. } => assert_eq!(
                 limits,
                 ServeLimits {
-                    max_conns: Some(4),
-                    deadline_ms: Some(50),
-                    write_timeout_ms: Some(250),
-                    idle_timeout_ms: Some(1000),
+                    max_conns: 4,
+                    deadline: Some(Duration::from_millis(50)),
+                    write_timeout: Duration::from_millis(250),
+                    idle_timeout: Duration::from_millis(1000),
                 }
             ),
             other => panic!("expected serve, got {other:?}"),
@@ -628,31 +610,31 @@ mod tests {
 
     #[test]
     fn resolve_limits_flag_default_chain() {
-        // Defaults when no flag is set.
-        let resolved = resolve_limits(&ServeLimits::default());
-        assert_eq!(resolved.max_conns, DEFAULT_MAX_CONNS);
-        assert_eq!(resolved.deadline, None);
-        assert_eq!(
-            resolved.write_timeout,
-            Duration::from_millis(DEFAULT_WRITE_TIMEOUT_MS)
-        );
-        assert_eq!(
-            resolved.idle_timeout,
-            Duration::from_millis(DEFAULT_IDLE_TIMEOUT_MS)
-        );
-
-        // Explicit flags win over the defaults.
-        let flags = ServeLimits {
-            max_conns: Some(2),
-            deadline_ms: Some(9),
-            write_timeout_ms: Some(30),
-            idle_timeout_ms: Some(40),
-        };
-        let resolved = resolve_limits(&flags);
-        assert_eq!(resolved.max_conns, 2);
-        assert_eq!(resolved.deadline, Some(Duration::from_millis(9)));
-        assert_eq!(resolved.write_timeout, Duration::from_millis(30));
-        assert_eq!(resolved.idle_timeout, Duration::from_millis(40));
+        // The flag/default chain resolves at parse time into one ServeLimits.
+        // Every serve limit left unset holds its default.
+        match parse(&["serve", "m.shards"]).unwrap() {
+            Command::Serve { limits, .. } => assert_eq!(
+                limits,
+                ServeLimits {
+                    max_conns: 256,
+                    deadline: None,
+                    write_timeout: Duration::from_millis(5_000),
+                    idle_timeout: Duration::from_millis(300_000),
+                }
+            ),
+            other => panic!("expected serve, got {other:?}"),
+        }
+        // Each flag replaces its own default only.
+        match parse(&["serve", "--deadline-ms", "9", "m.shards"]).unwrap() {
+            Command::Serve { limits, .. } => assert_eq!(
+                limits,
+                ServeLimits {
+                    deadline: Some(Duration::from_millis(9)),
+                    ..ServeLimits::default()
+                }
+            ),
+            other => panic!("expected serve, got {other:?}"),
+        }
     }
 
     #[test]
@@ -707,17 +689,20 @@ mod tests {
             assert!(err.contains("--threads"), "threads {bad}: {err}");
         }
         assert!(parse(&["build", "--threads"]).is_err(), "missing value");
+        // The serving subcommands accept it, validated the same way, and
+        // ignore it: a query runs on one thread.
+        assert!(matches!(
+            parse(&["query", "--threads", "2", "m.cubelsi", "rock"]).unwrap(),
+            Command::Query { .. }
+        ));
+        assert!(matches!(
+            parse(&["serve", "--threads", "8", "m.shards"]).unwrap(),
+            Command::Serve { .. }
+        ));
+        assert!(parse(&["serve", "--threads", "0", "m.shards"])
+            .unwrap_err()
+            .contains("--threads"));
         // One-shot builds accept it too.
-        // The serving subcommands take --threads too: it sizes query
-        // fan-out (and can force sequential serving with 1).
-        match parse(&["query", "--threads", "2", "m.cubelsi", "rock"]).unwrap() {
-            Command::Query { threads, .. } => assert_eq!(threads, Some(2)),
-            other => panic!("expected query, got {other:?}"),
-        }
-        match parse(&["serve", "--threads", "8", "m.shards"]).unwrap() {
-            Command::Serve { threads, .. } => assert_eq!(threads, Some(8)),
-            other => panic!("expected serve, got {other:?}"),
-        }
         match parse(&["--threads", "2", "d.tsv", "rock"]).unwrap() {
             Command::OneShot { opts, .. } => assert_eq!(opts.threads, Some(2)),
             other => panic!("expected one-shot, got {other:?}"),

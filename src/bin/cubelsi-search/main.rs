@@ -27,8 +27,8 @@
 //! `serve` is a concurrent multi-client TCP line-protocol server (one
 //! request per line, one reply line per request) built as a **bounded
 //! pipeline**: admission capped at `--max-conns` (excess connections are
-//! shed with `ERR BUSY`), a fixed-cap handler pool instead of
-//! thread-per-client, per-query deadlines (`--deadline-ms` →
+//! shed with `ERR BUSY`), one scoped thread per admitted connection,
+//! per-query deadlines (`--deadline-ms` →
 //! `TIMEOUT ...` replies), slow-client write budgets, idle-connection
 //! timeouts, and graceful drain on `SHUTDOWN`. Module layout:
 //!
@@ -210,14 +210,7 @@ fn run_build(opts: &BuildOpts, data: &str, out: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn run_query(
-    index: &str,
-    tags: &[String],
-    top_k: usize,
-    repeat: usize,
-    threads: Option<usize>,
-) -> Result<(), String> {
-    configure_threads(threads);
+fn run_query(index: &str, tags: &[String], top_k: usize, repeat: usize) -> Result<(), String> {
     let set = load_shard_set(index)?;
     let mut session = set.session();
     let mut stats = LatencyStats::default();
@@ -272,15 +265,13 @@ fn main() -> ExitCode {
             tags,
             top_k,
             repeat,
-            threads,
-        }) => run_query(&index, &tags, top_k, repeat, threads),
+        }) => run_query(&index, &tags, top_k, repeat),
         Ok(Command::Serve {
             index,
             top_k,
             listen,
-            threads,
             limits,
-        }) => serve::run_serve(&index, top_k, &listen, threads, &limits),
+        }) => serve::run_serve(&index, top_k, &listen, limits),
         Ok(Command::OneShot {
             opts,
             data,

@@ -8,9 +8,11 @@
 //!   once. The accept loop sheds excess connections with an explicit
 //!   `ERR BUSY` reply and a clean close (`busy_rejected` counter)
 //!   instead of growing threads without bound.
-//! * **Handler pool** — admitted connections go onto a queue drained by
-//!   a pool of handler threads, grown on demand and capped at
-//!   `--max-conns`; nothing in the pipeline spawns per-request threads.
+//! * **One thread per connection** — each admitted connection is served
+//!   by one scoped thread of its own, which ends when the connection
+//!   closes; the thread count is therefore capped by `--max-conns`, and
+//!   nothing spawns per-request threads. A spawn the OS refuses sheds
+//!   that one connection with `ERR BUSY`.
 //! * **Deadlines** — with `--deadline-ms D` each query gets a budget of
 //!   `D` ms. The budget is checked *before* dispatch (so queueing delay
 //!   cannot launch doomed work) and enforced after: a query that misses
@@ -18,16 +20,17 @@
 //!   (`deadline_timeouts`).
 //! * **Write budgets** — every reply must be absorbed within
 //!   `--write-timeout-ms`; a stalled reader is dropped
-//!   (`slow_client_drops`) rather than wedging its handler on a full
+//!   (`slow_client_drops`) rather than wedging its thread on a full
 //!   socket buffer.
 //! * **Idle timeouts** — a connection idle past `--idle-timeout-ms`
 //!   gets `ERR idle timeout` and is closed (`idle_timeouts`).
 //! * **Accept errors** — `accept()` failures (EMFILE under fd
 //!   exhaustion etc.) back off exponentially (1 ms doubling to 1 s)
 //!   instead of spinning hot (`accept_errors`).
-//! * **Drain** — `SHUTDOWN` stops admission, lets handlers finish
-//!   their in-flight requests, answers still-queued connections with
-//!   `ERR server shutting down`, and exits.
+//! * **Drain** — `SHUTDOWN` stops admission; every connection's thread
+//!   finishes its in-flight request, answers `ERR server shutting down`
+//!   at its next request boundary or read poll, and closes; the server
+//!   exits once all of them have.
 //!
 //! # Fault injection
 //!
@@ -41,17 +44,16 @@
 //! `CUBELSI_FAULT_REPLY_PAD` (append N padding bytes to query replies
 //! to exercise the write budget).
 
-use crate::cli::{configure_threads, resolve_limits, ResolvedLimits, ServeLimits};
+use crate::cli::ServeLimits;
 use crate::stats::{prometheus_exposition, LatencyStats, ServerCounters};
 use cubelsi::core::shard::{ShardedEngine, ShardedSession};
 use cubelsi::core::{PruningStrategy, RankedResource};
 use cubelsi::folksonomy::{Folksonomy, TagId};
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Upper bound on one request line. Anything longer gets an `ERR` reply
@@ -69,15 +71,15 @@ const READ_POLL: Duration = Duration::from_millis(200);
 const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
-/// Best-effort write budget for connections that never got a handler
-/// (shed with `ERR BUSY`, or drained at shutdown).
+/// Best-effort write budget for connections shed with `ERR BUSY`.
 const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// One parsed client request.
+/// One parsed client request, borrowing from the request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Request {
-    /// Rank resources for these tag names.
-    Query(Vec<String>),
+enum Request<'a> {
+    /// Rank resources for these tag names: the line's tag words,
+    /// whitespace-separated as they came (empty for a bare `QUERY`).
+    Query(&'a str),
     /// Hot-reload the manifest/artifact from disk and swap generations.
     Reload,
     /// Report the one-line server statistics.
@@ -99,16 +101,14 @@ enum Request {
 /// commands are the exact uppercase words; `QUERY` (or `Q`) prefixes an
 /// explicit tag query, so tags that collide with command names remain
 /// queryable.
-fn parse_request(line: &str) -> Option<Request> {
+fn parse_request(line: &str) -> Option<Request<'_>> {
     let trimmed = line.trim();
     if trimmed.is_empty() {
         return None;
     }
-    let mut words = trimmed.split_whitespace();
-    // Non-empty after trim, so a first word always exists; `?` keeps the
-    // request path panic-free regardless.
-    let head = words.next()?;
-    let rest: Vec<String> = words.map(str::to_owned).collect();
+    let (head, rest) = trimmed
+        .split_once(char::is_whitespace)
+        .map_or((trimmed, ""), |(head, rest)| (head, rest.trim_start()));
     match head {
         "RELOAD" if rest.is_empty() => Some(Request::Reload),
         "STATS" if rest.is_empty() => Some(Request::Stats),
@@ -119,12 +119,7 @@ fn parse_request(line: &str) -> Option<Request> {
         // tag list) — only genuinely blank lines are ignored, so a
         // lockstep client always reads exactly one line per request.
         "QUERY" | "Q" => Some(Request::Query(rest)),
-        _ => {
-            let mut tags = Vec::with_capacity(rest.len() + 1);
-            tags.push(head.to_owned());
-            tags.extend(rest);
-            Some(Request::Query(tags))
-        }
+        _ => Some(Request::Query(trimmed)),
     }
 }
 
@@ -154,8 +149,8 @@ enum RawLine {
 /// expected to carry a read timeout: a timed-out read is not an error
 /// but a poll point — the stop flag and the idle deadline are checked
 /// and the read resumes (partial-line bytes intact), so an idle client
-/// can neither hold a handler thread hostage across a shutdown nor camp
-/// on an admission slot forever.
+/// can neither hold its connection thread across a shutdown nor camp on
+/// an admission slot forever.
 fn read_raw_line(
     reader: &mut impl BufRead,
     buf: &mut Vec<u8>,
@@ -309,10 +304,10 @@ impl FaultPlan {
         self.predispatch_delay.is_some() || self.query_delay.is_some() || self.reply_pad > 0
     }
 
-    /// Whether the delay faults apply to this query's tags.
-    fn applies_to(&self, tags: &[String]) -> bool {
+    /// Whether the delay faults apply to this query's tag words.
+    fn applies_to(&self, tags: &str) -> bool {
         match &self.slow_tag {
-            Some(slow) => tags.iter().any(|t| t == slow),
+            Some(slow) => tags.split_whitespace().any(|t| t == slow),
             None => true,
         }
     }
@@ -324,33 +319,19 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Admitted connections waiting for a handler, and the handlers waiting
-/// for them. One lock guards both, so the accept loop's grow-or-wake
-/// decision compares them at one instant: a parked handler that was
-/// notified and has not woken yet is still counted in `parked` exactly
-/// as long as the connection it will take is still counted in `conns`.
-#[derive(Default)]
-struct ConnQueue {
-    conns: VecDeque<TcpStream>,
-    /// Handlers blocked on `queue_cv`.
-    parked: usize,
-}
-
-/// Everything the accept loop and the handler pool share. Borrowed (not
-/// `Arc`ed) across the scoped threads of [`run_serve`].
+/// Everything the accept loop and the connection threads share. Borrowed
+/// (not `Arc`ed) across the scoped threads of [`run_serve`].
 struct Server<'a> {
     engine: &'a ShardedEngine,
     top_k: usize,
     addr: SocketAddr,
-    limits: ResolvedLimits,
+    limits: ServeLimits,
     faults: FaultPlan,
-    /// Set by `SHUTDOWN`: stops admission, aborts idle reads, and ends
-    /// handler loops once the queue is drained.
+    /// Set by `SHUTDOWN`: stops admission and ends every connection at
+    /// its next request boundary or read poll.
     stop: AtomicBool,
-    queue: Mutex<ConnQueue>,
-    queue_cv: Condvar,
-    /// A handler caught a panic; surfaced as the server's exit error
-    /// after the drain (the pool itself survives).
+    /// A connection thread caught a panic; surfaced as the server's exit
+    /// error after the drain (the other connections are unaffected).
     panicked: AtomicBool,
     latency: Mutex<LatencyStats>,
     counters: ServerCounters,
@@ -362,7 +343,7 @@ impl Server<'_> {
     // reply performs no allocation.
 
     /// Writes `line` plus `\n` through `out`; see [`Self::send_reply`].
-    fn write_reply(&self, stream: &mut TcpStream, out: &mut Vec<u8>, line: &str) -> bool {
+    fn write_reply(&self, stream: &TcpStream, out: &mut Vec<u8>, line: &str) -> bool {
         out.clear();
         out.extend_from_slice(line.as_bytes()); // ALLOC-OK: grow-only reused buffer.
         self.send_reply(stream, out)
@@ -372,8 +353,8 @@ impl Server<'_> {
     /// per-reply write budget: each syscall may block up to the socket
     /// write timeout, and the whole reply must land within
     /// `write_timeout` — a reader stalled on a full socket buffer costs
-    /// one budget, not a handler.
-    fn send_reply(&self, stream: &mut TcpStream, out: &mut Vec<u8>) -> bool {
+    /// one budget, not a stuck thread.
+    fn send_reply(&self, mut stream: &TcpStream, out: &mut Vec<u8>) -> bool {
         out.push(b'\n'); // ALLOC-OK: grow-only reused buffer (at capacity after warmup).
         let start = Instant::now();
         let mut sent = 0usize;
@@ -415,12 +396,13 @@ impl Server<'_> {
     #[allow(clippy::too_many_arguments)]
     fn answer_query(
         &self,
-        stream: &mut TcpStream,
+        stream: &TcpStream,
         out: &mut Vec<u8>,
         session: &mut ShardedSession,
         hits: &mut Vec<RankedResource>,
+        ids: &mut Vec<TagId>,
         queries: &mut u64,
-        tags: &[String],
+        tags: &str,
     ) -> bool {
         let deadline = self.limits.deadline.map(|d| Instant::now() + d);
         let faulted = self.faults.active() && self.faults.applies_to(tags);
@@ -437,17 +419,18 @@ impl Server<'_> {
         }
         let generation = self.engine.current();
         let set = generation.set();
-        let ids: Vec<TagId> = tags
-            .iter()
-            .filter_map(|name| set.folksonomy().tag_id(name))
-            .collect();
+        ids.clear();
+        ids.extend(
+            tags.split_whitespace()
+                .filter_map(|name| set.folksonomy().tag_id(name)),
+        );
         let t0 = Instant::now();
         if faulted {
             if let Some(d) = self.faults.query_delay {
                 std::thread::sleep(d);
             }
         }
-        set.search_tags_auto(session, set.concepts(), &ids, self.top_k, hits);
+        set.search_tags_auto(session, set.concepts(), ids, self.top_k, hits);
         let elapsed = t0.elapsed();
         if deadline.is_some_and(|d| Instant::now() >= d) {
             self.counters
@@ -465,13 +448,13 @@ impl Server<'_> {
         self.send_reply(stream, out)
     }
 
-    /// Serves one admitted connection: reads line requests, answers
-    /// queries on a reused scatter-gather session (adaptive dispatch,
-    /// `ShardSet::search_tags_auto`), and logs this client's query count
+    /// Serves one admitted connection on its own thread: reads line
+    /// requests, answers queries on a reused session
+    /// (`ShardSet::search_tags_auto`), and logs this client's query count
     /// on disconnect. Query latencies feed the one server-wide recorder
     /// behind the `STATS`/`METRICS` replies. Any I/O error (including a
     /// mid-query disconnect) ends this client only — the accept loop
-    /// and the other handlers never see it.
+    /// and the other connections never see it.
     fn handle_client(&self, stream: TcpStream) {
         let peer = stream
             .peer_addr()
@@ -479,23 +462,22 @@ impl Server<'_> {
             .unwrap_or_else(|_| "<unknown>".to_owned());
         stream.set_nodelay(true).ok();
         // Reads poll rather than block indefinitely, so SHUTDOWN and
-        // the idle deadline reach handlers whose clients are silent.
+        // the idle deadline reach connections whose clients are silent.
         stream.set_read_timeout(Some(READ_POLL)).ok();
         // Each write syscall is bounded by the reply budget; the
         // elapsed check in `write_reply` bounds the whole reply.
         stream
             .set_write_timeout(Some(self.limits.write_timeout))
             .ok();
-        let Ok(read_half) = stream.try_clone() else {
-            return;
-        };
-        let mut stream = stream;
-        let mut reader = BufReader::new(read_half);
+        // Reads and writes share the one socket through `&TcpStream`.
+        let stream = &stream;
+        let mut reader = BufReader::new(stream);
         let mut session = self.engine.session();
         let mut queries = 0u64;
         let mut raw = Vec::new();
         let mut out = Vec::new();
         let mut hits: Vec<RankedResource> = Vec::new();
+        let mut ids: Vec<TagId> = Vec::new();
 
         loop {
             // Checked every iteration, not only in the read-timeout
@@ -503,10 +485,10 @@ impl Server<'_> {
             // read buffer full, and without this check such a client
             // could hold the whole drain hostage indefinitely.
             // ORDER: SeqCst shutdown flag — one total order across the
-            // gate, handlers, and drain; request frequency, so the
-            // fence cost is irrelevant.
+            // gate, connection threads, and drain; request frequency, so
+            // the fence cost is irrelevant.
             if self.stop.load(Ordering::SeqCst) {
-                self.write_reply(&mut stream, &mut out, "ERR server shutting down");
+                self.write_reply(stream, &mut out, "ERR server shutting down");
                 break;
             }
             let idle_deadline = Some(Instant::now() + self.limits.idle_timeout);
@@ -523,13 +505,13 @@ impl Server<'_> {
                 }
                 Ok(RawLine::Eof) => break,
                 Ok(RawLine::Aborted) => {
-                    self.write_reply(&mut stream, &mut out, "ERR server shutting down");
+                    self.write_reply(stream, &mut out, "ERR server shutting down");
                     break;
                 }
                 Ok(RawLine::IdleTimeout) => {
                     // ORDER: stats counter; Relaxed default.
                     self.counters.idle_timeouts.fetch_add(1, Ordering::Relaxed);
-                    self.write_reply(&mut stream, &mut out, "ERR idle timeout");
+                    self.write_reply(stream, &mut out, "ERR idle timeout");
                     break;
                 }
                 Ok(RawLine::TooLong) => {
@@ -537,7 +519,7 @@ impl Server<'_> {
                     // reply below reaches the client before the close.
                     drain_line(&mut reader, 8 * 1024 * 1024).ok();
                     self.write_reply(
-                        &mut stream,
+                        stream,
                         &mut out,
                         &format!("ERR request exceeds {MAX_REQUEST_BYTES} bytes"),
                     );
@@ -545,11 +527,7 @@ impl Server<'_> {
                 }
                 Ok(RawLine::Line) => {
                     let Ok(line) = std::str::from_utf8(&raw) else {
-                        if !self.write_reply(
-                            &mut stream,
-                            &mut out,
-                            "ERR request is not valid UTF-8",
-                        ) {
+                        if !self.write_reply(stream, &mut out, "ERR request is not valid UTF-8") {
                             break;
                         }
                         continue;
@@ -559,24 +537,22 @@ impl Server<'_> {
                     };
                     let ok = match request {
                         Request::Quit => {
-                            self.write_reply(&mut stream, &mut out, "OK bye");
+                            self.write_reply(stream, &mut out, "OK bye");
                             break;
                         }
                         Request::Shutdown => {
-                            self.write_reply(&mut stream, &mut out, "OK shutting down");
+                            self.write_reply(stream, &mut out, "OK shutting down");
                             // ORDER: SeqCst shutdown flag; see the
                             // loop-head load above.
                             self.stop.store(true, Ordering::SeqCst);
-                            // Wake parked handlers and nudge the
-                            // blocking accept loop so both observe the
-                            // stop flag promptly.
-                            self.queue_cv.notify_all();
+                            // Nudge the blocking accept loop so it observes
+                            // the stop flag promptly.
                             TcpStream::connect(self.addr).ok();
                             break;
                         }
                         Request::Reload => match self.engine.reload() {
                             Ok(generation) => self.write_reply(
-                                &mut stream,
+                                stream,
                                 &mut out,
                                 &format!(
                                     "OK reloaded generation={} shards={}",
@@ -585,7 +561,7 @@ impl Server<'_> {
                                 ),
                             ),
                             Err(e) => self.write_reply(
-                                &mut stream,
+                                stream,
                                 &mut out,
                                 &format!("ERR reload failed: {e}"),
                             ),
@@ -596,7 +572,7 @@ impl Server<'_> {
                             let exec = cubelsi::core::exec::stats();
                             let pipeline = self.counters.summary();
                             self.write_reply(
-                                &mut stream,
+                                stream,
                                 &mut out,
                                 &format!(
                                     "OK {head} | inline {} | fanout {} | {pipeline}",
@@ -613,20 +589,19 @@ impl Server<'_> {
                                     self.engine.current().number(),
                                 )
                             };
-                            self.write_reply(&mut stream, &mut out, &text)
+                            self.write_reply(stream, &mut out, &text)
                         }
-                        Request::Query(tags) if tags.is_empty() => self.write_reply(
-                            &mut stream,
-                            &mut out,
-                            "ERR QUERY needs at least one tag",
-                        ),
+                        Request::Query("") => {
+                            self.write_reply(stream, &mut out, "ERR QUERY needs at least one tag")
+                        }
                         Request::Query(tags) => self.answer_query(
-                            &mut stream,
+                            stream,
                             &mut out,
                             &mut session,
                             &mut hits,
+                            &mut ids,
                             &mut queries,
-                            &tags,
+                            tags,
                         ),
                     };
                     if !ok {
@@ -636,42 +611,6 @@ impl Server<'_> {
             }
         }
         eprintln!("client {peer}: {queries} queries");
-    }
-
-    /// One handler thread's life: pop admitted connections off the
-    /// queue, serve each to completion, release its admission slot.
-    /// Panics from a client are caught and recorded so one poisoned
-    /// request cannot take down the pool; the stop flag is checked
-    /// before popping so shutdown leaves leftover queued connections to
-    /// the accept loop's drain pass.
-    fn handler_loop(&self) {
-        loop {
-            let conn = {
-                let mut queue = lock(&self.queue);
-                loop {
-                    // ORDER: SeqCst shutdown flag (total order).
-                    if self.stop.load(Ordering::SeqCst) {
-                        break None;
-                    }
-                    if let Some(conn) = queue.conns.pop_front() {
-                        break Some(conn);
-                    }
-                    queue.parked += 1;
-                    queue = self
-                        .queue_cv
-                        .wait(queue) // HOLDS-LOCK: condvar wait releases the guard.
-                        .unwrap_or_else(PoisonError::into_inner);
-                    queue.parked -= 1;
-                }
-            };
-            let Some(conn) = conn else { return };
-            if panic::catch_unwind(AssertUnwindSafe(|| self.handle_client(conn))).is_err() {
-                self.panicked.store(true, Ordering::SeqCst); // ORDER: SeqCst flag, read after scope join.
-            }
-            self.counters
-                .active_connections
-                .fetch_sub(1, Ordering::SeqCst); // ORDER: SeqCst admission gauge; see the gate.
-        }
     }
 
     /// Sheds one connection at the admission gate: an explicit reply,
@@ -690,11 +629,8 @@ pub fn run_serve(
     index: &str,
     top_k: usize,
     listen: &str,
-    threads: Option<usize>,
-    limits: &ServeLimits,
+    limits: ServeLimits,
 ) -> Result<(), String> {
-    configure_threads(threads);
-    let limits = resolve_limits(limits);
     let set = crate::load_shard_set(index)?;
     let engine = ShardedEngine::new(set, PruningStrategy::default()).with_source(index);
     let listener = TcpListener::bind(listen).map_err(|e| format!("binding {listen}: {e}"))?;
@@ -726,14 +662,11 @@ pub fn run_serve(
         limits,
         faults,
         stop: AtomicBool::new(false),
-        queue: Mutex::new(ConnQueue::default()),
-        queue_cv: Condvar::new(),
         panicked: AtomicBool::new(false),
         latency: Mutex::new(LatencyStats::default()),
         counters: ServerCounters::default(),
     };
-    std::thread::scope(|scope| -> Result<(), String> {
-        let mut spawned = 0usize;
+    std::thread::scope(|scope| {
         let mut backoff = ACCEPT_BACKOFF_MIN;
         for stream in listener.incoming() {
             // ORDER: SeqCst shutdown flag (total order).
@@ -757,11 +690,12 @@ pub fn run_serve(
                 }
             };
             // Admission gate: reserve a slot or shed with an explicit
-            // reply. The handler releases the slot on disconnect.
+            // reply. The connection's thread releases the slot when it
+            // ends.
             // ORDER: SeqCst admission gauge — the gate's load, the
-            // reservation below, and the handlers' releases form one
-            // total order, so the cap cannot be overshot by reordered
-            // views; accept-loop frequency, so fence cost is noise.
+            // reservation below, and the releases form one total order,
+            // so the cap cannot be overshot by reordered views;
+            // accept-loop frequency, so fence cost is noise.
             if server.counters.active_connections.load(Ordering::SeqCst) >= server.limits.max_conns
             {
                 server.shed(stream);
@@ -772,55 +706,40 @@ pub fn run_serve(
                 .active_connections
                 .fetch_add(1, Ordering::SeqCst); // ORDER: SeqCst admission gauge; see the gate.
 
-            // Grow the pool when the queued connections outnumber the
-            // parked handlers: each parked handler takes one of them, so
-            // the excess has nobody coming unless a handler is spawned.
-            // Busy handlers are not counted, so the pool can grow to the
-            // number of admitted connections, which the gate already
-            // capped at max_conns.
-            let outnumbered = {
-                let mut queue = lock(&server.queue);
-                queue.conns.push_back(stream);
-                queue.conns.len() > queue.parked
-            };
-            if outnumbered && spawned < server.limits.max_conns {
-                spawned += 1;
-                let srv = &server;
-                if let Err(e) = std::thread::Builder::new()
-                    .name(format!("cubelsi-conn-{spawned}"))
-                    .spawn_scoped(scope, move || srv.handler_loop())
-                {
-                    // Without the spawn the queued connection may have
-                    // no handler; stop cleanly rather than strand it.
-                    // ORDER: SeqCst shutdown flag (total order).
-                    server.stop.store(true, Ordering::SeqCst);
-                    server.queue_cv.notify_all();
-                    return Err(format!("spawning connection handler: {e}"));
+            // A second handle on the socket, so that a refused spawn can
+            // still shed the connection it was meant for.
+            let spare = stream.try_clone();
+            let srv = &server;
+            let spawned = std::thread::Builder::new()
+                .name("cubelsi-conn".to_owned())
+                .spawn_scoped(scope, move || {
+                    if panic::catch_unwind(AssertUnwindSafe(|| srv.handle_client(stream))).is_err()
+                    {
+                        srv.panicked.store(true, Ordering::SeqCst); // ORDER: SeqCst flag, read after scope join.
+                    }
+                    srv.counters
+                        .active_connections
+                        .fetch_sub(1, Ordering::SeqCst); // ORDER: SeqCst admission gauge; see the gate.
+                });
+            if let Err(e) = spawned {
+                eprintln!("spawning a connection thread: {e} (connection shed)");
+                server
+                    .counters
+                    .active_connections
+                    .fetch_sub(1, Ordering::SeqCst); // ORDER: SeqCst admission gauge; see the gate.
+                if let Ok(stream) = spare {
+                    server.shed(stream);
                 }
             }
-            server.queue_cv.notify_one();
         }
-        // Drain: admission has stopped; handlers finish their in-flight
-        // requests (they observe `stop` at their next request boundary)
-        // while connections still queued get an explicit reply instead
-        // of a silent close.
-        server.queue_cv.notify_all();
-        let leftovers: Vec<TcpStream> = lock(&server.queue).conns.drain(..).collect();
-        for mut stream in leftovers {
-            stream.set_write_timeout(Some(SHED_WRITE_TIMEOUT)).ok();
-            stream.write_all(b"ERR server shutting down\n").ok();
-            stream.shutdown(Shutdown::Write).ok();
-            server
-                .counters
-                .active_connections
-                .fetch_sub(1, Ordering::SeqCst); // ORDER: SeqCst admission gauge; see the gate.
-        }
-        Ok(())
-    })?;
+        // Leaving the scope joins every connection thread: each observes
+        // `stop` at its next request boundary or read poll, answers
+        // `ERR server shutting down`, and closes.
+    });
     // ORDER: SeqCst panic flag; the scope join above already ordered
-    // every handler before this read.
+    // every connection thread before this read.
     if server.panicked.load(Ordering::SeqCst) {
-        return Err("a client handler panicked".to_owned());
+        return Err("a connection thread panicked".to_owned());
     }
     eprintln!("server stopped");
     Ok(())
@@ -841,36 +760,36 @@ mod tests {
         assert_eq!(parse_request("SHUTDOWN"), Some(Request::Shutdown));
         assert_eq!(
             parse_request("jazz piano"),
-            Some(Request::Query(vec!["jazz".into(), "piano".into()]))
+            Some(Request::Query("jazz piano"))
         );
         // The explicit form keeps command-named tags queryable.
         assert_eq!(
             parse_request("QUERY RELOAD"),
-            Some(Request::Query(vec!["RELOAD".into()]))
+            Some(Request::Query("RELOAD"))
         );
-        assert_eq!(
-            parse_request("Q jazz"),
-            Some(Request::Query(vec!["jazz".into()]))
-        );
+        assert_eq!(parse_request("Q jazz"), Some(Request::Query("jazz")));
         // A bare QUERY is a request (answered with ERR), not a blank
         // line — every non-blank request line must earn exactly one
         // reply line.
-        assert_eq!(parse_request("QUERY"), Some(Request::Query(Vec::new())));
-        assert_eq!(parse_request("Q"), Some(Request::Query(Vec::new())));
+        assert_eq!(parse_request("QUERY"), Some(Request::Query("")));
+        assert_eq!(parse_request("Q"), Some(Request::Query("")));
         // A command word with trailing tags is a query, not a command —
         // commands are exact single words.
         assert_eq!(
             parse_request("RELOAD now"),
-            Some(Request::Query(vec!["RELOAD".into(), "now".into()]))
+            Some(Request::Query("RELOAD now"))
         );
         assert_eq!(
             parse_request("METRICS now"),
-            Some(Request::Query(vec!["METRICS".into(), "now".into()]))
+            Some(Request::Query("METRICS now"))
         );
         // Lowercase command words are ordinary tags.
+        assert_eq!(parse_request("reload"), Some(Request::Query("reload")));
+        // Any whitespace separates words: the tags after `QUERY` start at
+        // the first word that follows it.
         assert_eq!(
-            parse_request("reload"),
-            Some(Request::Query(vec!["reload".into()]))
+            parse_request("QUERY\t jazz  piano "),
+            Some(Request::Query("jazz  piano"))
         );
     }
 
@@ -970,7 +889,7 @@ mod tests {
     fn fault_plan_parses_env_and_scopes_to_slow_tag() {
         let none = FaultPlan::from_env(|_| None);
         assert!(!none.active());
-        assert!(none.applies_to(&["anything".to_owned()]));
+        assert!(none.applies_to("anything"));
 
         let env = |name: &str| match name {
             "CUBELSI_FAULT_PREDISPATCH_DELAY_MS" => Some("5".to_owned()),
@@ -984,7 +903,9 @@ mod tests {
         assert_eq!(plan.predispatch_delay, Some(Duration::from_millis(5)));
         assert_eq!(plan.query_delay, Some(Duration::from_millis(7)));
         assert_eq!(plan.reply_pad, 1024);
-        assert!(plan.applies_to(&["molasses".to_owned(), "jazz".to_owned()]));
-        assert!(!plan.applies_to(&["jazz".to_owned()]));
+        assert!(plan.applies_to("molasses jazz"));
+        assert!(plan.applies_to("jazz\tmolasses"));
+        assert!(!plan.applies_to("jazz"));
+        assert!(!plan.applies_to("molasses-free"));
     }
 }

@@ -198,6 +198,61 @@ fn back_to_back_connections_all_get_handlers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A connection's thread ends with its connection: once eight
+/// connections have each answered a query and quit, the server runs the
+/// threads it ran before them, read from `/proc/<pid>/status`.
+#[cfg(target_os = "linux")]
+#[test]
+fn connection_threads_end_with_their_connections() {
+    const CONNECTIONS: usize = 8;
+    let dir = scratch_dir("serve-threads");
+    let manifest = build_sharded(&dir, 2);
+    let server = start_server(&manifest);
+    let threads = || -> usize {
+        let status = std::fs::read_to_string(format!("/proc/{}/status", server.child.id()))
+            .expect("reading the server's /proc status");
+        status
+            .lines()
+            .find_map(|line| line.strip_prefix("Threads:"))
+            .expect("a Threads: line")
+            .trim()
+            .parse()
+            .expect("a thread count")
+    };
+    let before = threads();
+
+    let mut conns: Vec<_> = (0..CONNECTIONS).map(|_| connect(&server.addr)).collect();
+    for conn in &mut conns {
+        assert!(roundtrip(conn, "people").starts_with("OK\t"));
+    }
+    // The count sees the threads serving the open connections.
+    let open = threads();
+    assert!(
+        open >= before + CONNECTIONS,
+        "{open} threads with {CONNECTIONS} connections open, {before} before"
+    );
+    for mut conn in conns {
+        conn.write_all(b"QUIT\n").unwrap();
+        read_to_end(&mut conn);
+    }
+    // A thread exits moments after its connection closes; nothing
+    // client-visible marks the moment, so poll.
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    let mut after = threads();
+    while after != before && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+        after = threads();
+    }
+    assert_eq!(
+        after, before,
+        "threads outlived their connections: {before} before, {after} after"
+    );
+
+    let mut last = connect(&server.addr);
+    assert_eq!(roundtrip(&mut last, "SHUTDOWN"), "OK shutting down");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A failed reload (manifest swapped for garbage) must leave the old
 /// generation serving.
 #[test]

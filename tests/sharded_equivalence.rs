@@ -2,9 +2,9 @@
 //! scatter-gather answers must be **bit-identical** — scores, order,
 //! tie-breaks — to a single unsharded [`QueryEngine`] over the same
 //! corpus, for every shard count, every pruning strategy, one concept per
-//! tag and several weighted ones, sequential/scatter/adaptive/batched execution at
-//! pool sizes {1, 2, 8}, artifacts written plain and compressed, and
-//! immediately after a hot reload (including the pooled paths across the
+//! tag and several weighted ones, sequential/adaptive/batched execution at
+//! thread counts {1, 2, 8}, artifacts written plain and compressed, and
+//! immediately after a hot reload (including the adaptive path across the
 //! generation swap). This is what makes sharding a pure scaling move,
 //! never an approximation.
 
@@ -69,7 +69,7 @@ fn assert_identical(sharded: &[RankedResource], single: &[RankedResource], conte
 }
 
 /// Checks one (engine, model) pair across shard counts, k values, and
-/// the sequential + scatter execution modes.
+/// the sequential + adaptive routes.
 fn check_sharded(
     f: &Folksonomy,
     engine: &QueryEngine,
@@ -98,15 +98,8 @@ fn check_sharded(
                     &single,
                     &format!("seed={seed} shards={n} k={k} query#{qi} {q:?}"),
                 );
-                set.search_tags_scatter_with(&mut session, model, q, k, &mut out);
-                assert_identical(
-                    &out,
-                    &single,
-                    &format!("scatter seed={seed} shards={n} k={k} query#{qi}"),
-                );
-                // The adaptive dispatcher may route through the coalesced
-                // mirror, the sequential scatter, or the pooled fan-out —
-                // every route must stay bit-identical.
+                // The adaptive route goes through the coalesced mirror or
+                // the sequential scatter — both must stay bit-identical.
                 set.search_tags_auto(&mut session, model, q, k, &mut out);
                 assert_identical(
                     &out,
@@ -179,18 +172,10 @@ fn sharded_batch_is_thread_count_invariant() {
             for (qi, (got, want)) in batch.iter().zip(single.iter()).enumerate() {
                 assert_identical(got, want, &format!("shards={n} threads={threads} q#{qi}"));
             }
-            // The single-query pooled paths at the same pool sizes: the
-            // forced scatter and the adaptive dispatcher both stay
-            // bit-identical whether the pool or the caller scores shards.
+            // The single-query adaptive route at the same thread counts.
             let mut session = set.session();
             let mut out = Vec::new();
             for (qi, q) in queries.iter().take(24).enumerate() {
-                set.search_tags_scatter_with(&mut session, &model, q, 10, &mut out);
-                assert_identical(
-                    &out,
-                    &single[qi],
-                    &format!("scatter shards={n} threads={threads} q#{qi}"),
-                );
                 set.search_tags_auto(&mut session, &model, q, 10, &mut out);
                 assert_identical(
                     &out,
@@ -323,22 +308,15 @@ fn hot_reload_swaps_models_under_warm_sessions() {
         assert_identical(&out, &model_b.search_ids(q, 5), "generation 2");
     }
 
-    // The pooled paths survive the swap too: the same warmed session
-    // drives the forced scatter and the adaptive dispatcher against the
-    // new generation at several pool sizes — pool workers' cached
-    // sessions re-validate lazily against whatever index they are
-    // handed, so a generation swap needs no pool coordination.
+    // The adaptive route survives the swap too: the same warmed session
+    // drives it against the new generation at several thread counts —
+    // the session re-validates lazily against whatever index it is
+    // handed, so a generation swap needs no coordination.
     let generation = engine.current();
     let new_set = generation.set();
     for threads in [1usize, 2, 8] {
         parallel::set_num_threads(threads);
         for q in &queries {
-            new_set.search_tags_scatter_with(&mut session, new_set.concepts(), q, 5, &mut out);
-            assert_identical(
-                &out,
-                &model_b.search_ids(q, 5),
-                &format!("scatter after reload threads={threads}"),
-            );
             new_set.search_tags_auto(&mut session, new_set.concepts(), q, 5, &mut out);
             assert_identical(
                 &out,
