@@ -1,10 +1,10 @@
 //! Query dispatch counters.
 //!
 //! Query parallelism runs on `cubelsi_linalg::parallel`'s scoped fork–join
-//! like the build's kernels; this module only counts, for the `serve`
-//! STATS and METRICS replies and the benchmark's `exec.*` rows, how each
-//! dispatch decision went: a query or batch answered on the caller thread
-//! alone (`inline`), or by several threads (`fanout`).
+//! like the build's kernels; this module only counts, for the benchmark's
+//! `exec.*` rows, how each dispatch decision went: a query or batch
+//! answered on the caller thread alone (`inline`), or by several threads
+//! (`fanout`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

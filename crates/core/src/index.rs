@@ -351,7 +351,7 @@ fn compress_postings(exact: &IndexArrays) -> CompressedPostings {
     let mut blk_scale = Vec::with_capacity(n_blocks);
     let mut blk_offset = Vec::with_capacity(n_blocks);
     let mut blk_pack_start = Vec::with_capacity(n_blocks + 1);
-    let mut quant = Vec::with_capacity(n_postings);
+    let mut quant = vec![0u8; n_postings];
     let mut packed: Vec<u8> = Vec::new();
     blk_pack_start.push(0u64);
     for range in block_ranges(&exact.post_offsets) {
@@ -363,7 +363,7 @@ fn compress_postings(exact: &IndexArrays) -> CompressedPostings {
         blk_bits.push(bits as u8);
         pack_block_ids(&mut packed, ids, base, bits);
         blk_pack_start.push(packed.len() as u64);
-        let (scale, offset) = quantize_block(&exact.post_scores[range], &mut quant);
+        let (scale, offset) = quantize_block(&exact.post_scores[range.clone()], &mut quant[range]);
         blk_scale.push(scale);
         blk_offset.push(offset);
     }
@@ -412,13 +412,13 @@ fn f32_at_most(x: f64) -> f32 {
 }
 
 /// Quantizes one block of exact impacts to 8-bit per-posting upper
-/// bounds, appending to `quant`; returns the block's `(scale, offset)`.
-/// The contract — `offset + scale · q ≥ score`, evaluated in f64 — is
-/// enforced per posting by construction (and re-checked by
-/// [`CompressedPostings::validate_against`] on load). Non-finite impacts
-/// (possible only from hostile artifacts) saturate harmlessly instead of
-/// panicking.
-fn quantize_block(scores: &[f64], quant: &mut Vec<u8>) -> (f32, f32) {
+/// bounds, written to `quant` (one slot per score); returns the block's
+/// `(scale, offset)`. The contract — `offset + scale · q ≥ score`,
+/// evaluated in f64 — is enforced per posting by construction (and
+/// re-checked by [`CompressedPostings::validate_against`] on load).
+/// Non-finite impacts (possible only from hostile artifacts) saturate
+/// harmlessly instead of panicking.
+fn quantize_block(scores: &[f64], quant: &mut [u8]) -> (f32, f32) {
     // Impact order: the block's max is its first score, min its last.
     let max = scores[0];
     let min = *scores.last().unwrap();
@@ -429,19 +429,23 @@ fn quantize_block(scores: &[f64], quant: &mut Vec<u8>) -> (f32, f32) {
     while (offset as f64) + (scale as f64) * 255.0 < max {
         scale = f32::from_bits(scale.to_bits() + 1);
     }
-    for &s in scores {
-        let mut q = if scale == 0.0 {
-            // Loop exit above proved offset ≥ max, so q = 0 covers all.
-            0u8
-        } else {
-            (((s - offset as f64) / scale as f64).ceil()).clamp(0.0, 255.0) as u8
-        };
-        // The f64 division can still undershoot by an ulp; restore the
-        // per-posting bound exactly as the query path evaluates it.
-        while q < 255 && (offset as f64) + (scale as f64) * (q as f64) < s {
-            q += 1;
+    let (offset_f64, scale_f64) = (offset as f64, scale as f64);
+    if scale == 0.0 {
+        // Loop exit above proved offset ≥ max, so q = 0 covers all.
+        quant.fill(0);
+    } else {
+        for (q, &s) in quant.iter_mut().zip(scores) {
+            *q = ((s - offset_f64) / scale_f64).ceil().clamp(0.0, 255.0) as u8;
         }
-        quant.push(q);
+    }
+    // The f64 division can still undershoot by an ulp; restore the
+    // per-posting bound exactly as the query path evaluates it. A pass
+    // of its own: folded into the one above, this check's branch on the
+    // division's result made the whole loop ≈ 5× slower.
+    for (q, &s) in quant.iter_mut().zip(scores) {
+        while *q < 255 && offset_f64 + scale_f64 * (*q as f64) < s {
+            *q += 1;
+        }
     }
     (scale, offset)
 }
@@ -796,6 +800,88 @@ impl CompressedPostings {
     }
 }
 
+/// Lists shorter than this are ordered by a comparison sort, where the
+/// radix passes' fixed cost (eight 256-entry histograms, a prefix sum
+/// per pass) would outweigh the work per posting.
+const RADIX_MIN_LEN: usize = 256;
+
+/// Orders one posting list — ids strictly ascending on entry — into
+/// [`cmp_ranked`] order: impact descending, ties by ascending id.
+///
+/// For a finite `f64` with its sign bit clear the bit pattern read as a
+/// `u64` orders exactly as the value, so the key `!bits` sorts descending
+/// impacts ascending, and a *stable* sort on it keeps the entry order —
+/// ascending id — among equal impacts. Long lists get an LSD radix sort
+/// that skips every pass whose byte is the same in all keys; short ones
+/// sort the distinct `(key, id)` pairs, the same order. A list holding
+/// a non-finite or negative-signed impact (which a build from a hostile
+/// [`ConceptAssignment`] could make) falls back to sorting by
+/// [`cmp_ranked`] itself. `keys` and `spare` are reused buffers.
+fn sort_by_impact(
+    ids: &mut [u32],
+    scores: &mut [f64],
+    keys: &mut Vec<(u64, u32)>,
+    spare: &mut Vec<(u64, u32)>,
+) {
+    if !scores.iter().all(|s| s.is_finite() && s.is_sign_positive()) {
+        let mut list: Vec<(u32, f64)> = ids.iter().copied().zip(scores.iter().copied()).collect();
+        list.sort_unstable_by(|a, b| cmp_ranked(a.1, a.0, b.1, b.0));
+        for (j, (r, s)) in list.into_iter().enumerate() {
+            ids[j] = r;
+            scores[j] = s;
+        }
+        return;
+    }
+    keys.clear();
+    keys.extend(
+        ids.iter()
+            .zip(scores.iter())
+            .map(|(&r, &s)| (!s.to_bits(), r)),
+    );
+    if keys.len() < RADIX_MIN_LEN {
+        keys.sort_unstable();
+    } else {
+        radix_sort_keys(keys, spare);
+    }
+    for (j, &(key, r)) in keys.iter().enumerate() {
+        ids[j] = r;
+        scores[j] = f64::from_bits(!key);
+    }
+}
+
+/// Stable LSD radix sort of `keys` by their `u64` key, one byte a pass,
+/// skipping the passes whose byte is constant; `spare` is the second
+/// buffer.
+fn radix_sort_keys(keys: &mut Vec<(u64, u32)>, spare: &mut Vec<(u64, u32)>) {
+    let n = keys.len();
+    let mut counts = [[0usize; 256]; 8];
+    for &(key, _) in keys.iter() {
+        for (d, count) in counts.iter_mut().enumerate() {
+            count[(key >> (8 * d)) as u8 as usize] += 1;
+        }
+    }
+    spare.clear();
+    spare.resize(n, (0, 0));
+    for (d, count) in counts.iter().enumerate() {
+        let shift = 8 * d;
+        if count[(keys[0].0 >> shift) as u8 as usize] == n {
+            continue;
+        }
+        let mut next = [0usize; 256];
+        let mut sum = 0;
+        for (slot, &c) in next.iter_mut().zip(count) {
+            *slot = sum;
+            sum += c;
+        }
+        for &entry in keys.iter() {
+            let slot = &mut next[(entry.0 >> shift) as u8 as usize];
+            spare[*slot] = entry;
+            *slot += 1;
+        }
+        std::mem::swap(keys, spare);
+    }
+}
+
 /// Ragged lists in flat SoA form, as [`IndexArrays`] stores them: list
 /// `i` owns `ids/values[offsets[i]..offsets[i + 1]]`.
 struct Ragged {
@@ -813,16 +899,6 @@ impl Ragged {
             ids: Vec::with_capacity(entries),
             values: Vec::with_capacity(entries),
         }
-    }
-
-    fn from_lists(lists: &[Vec<(u32, f64)>]) -> Self {
-        let mut flat = Ragged::with_capacity(lists.len(), lists.iter().map(Vec::len).sum());
-        for list in lists {
-            flat.ids.extend(list.iter().map(|&(id, _)| id));
-            flat.values.extend(list.iter().map(|&(_, v)| v));
-            flat.close();
-        }
-        flat
     }
 
     /// Appends entries to the open (last) list.
@@ -881,39 +957,54 @@ impl ConceptIndex {
     /// `c(t, r)` are aggregated into concept counts `c(l, r)`, normalized
     /// to `tf` (Eq. 2) and weighted by `idf` (Eq. 1). A tag's count is
     /// spread over its concepts by their [`ConceptAssignment`] weights.
+    ///
+    /// Linear passes over flat arrays: counts are written straight into
+    /// the resource-vector arrays, tf-idf rewrites them in place, and
+    /// each posting list is scattered in ascending resource order, then
+    /// ordered by a stable sort on its impacts ([`sort_by_impact`]), so
+    /// equal impacts keep the ascending-id tie-break of [`cmp_ranked`].
     pub fn build(folksonomy: &Folksonomy, concepts: &dyn ConceptAssignment) -> Self {
         let n_resources = folksonomy.num_resources();
         let n_concepts = concepts.num_concepts();
 
-        // Concept counts per resource + document frequencies. One dense
-        // scratch accumulator with a touched-list is reused across all
-        // resources (cleared sparsely), instead of a fresh zeroed
-        // `vec![0.0; n_concepts]` per resource.
+        // Concept counts per resource, ascending concept id, straight into
+        // the resource-vector arrays (the weights array holds counts until
+        // the tf-idf pass), plus document frequencies. One dense scratch
+        // accumulator with a touched-list is reused across all resources
+        // (cleared sparsely).
         let mut doc_freq = vec![0usize; n_concepts];
-        let mut raw_counts: Vec<Vec<(u32, f64)>> = Vec::with_capacity(n_resources);
+        let mut rv_offsets = Vec::with_capacity(n_resources + 1);
+        let mut rv_concepts: Vec<u32> = Vec::with_capacity(folksonomy.num_assignments());
+        let mut rv_weights: Vec<f64> = Vec::with_capacity(folksonomy.num_assignments());
         let mut scratch = vec![0.0f64; n_concepts];
         let mut touched: Vec<u32> = Vec::new();
+        rv_offsets.push(0u64);
         for r in 0..n_resources {
             touched.clear();
-            for (t, c) in folksonomy.resource_tag_counts(ResourceId::from_index(r)) {
-                concepts.for_each_weight(t.index(), &mut |l, w| {
+            // Assignments are sorted by (tag, user): a tag's run length is
+            // its count c(t, r).
+            for run in folksonomy
+                .resource_assignments(ResourceId::from_index(r))
+                .chunk_by(|a, b| a.tag == b.tag)
+            {
+                let c = run.len() as f64;
+                concepts.for_each_weight(run[0].tag.index(), &mut |l, w| {
                     if scratch[l] == 0.0 {
                         touched.push(l as u32);
                     }
-                    scratch[l] += w * c as f64;
+                    scratch[l] += w * c;
                 });
             }
             touched.sort_unstable();
-            let mut sparse: Vec<(u32, f64)> = Vec::with_capacity(touched.len());
             for &l in &touched {
-                let c = scratch[l as usize];
-                scratch[l as usize] = 0.0;
+                let c = std::mem::take(&mut scratch[l as usize]);
                 if c > 0.0 {
-                    sparse.push((l, c));
+                    rv_concepts.push(l);
+                    rv_weights.push(c);
                     doc_freq[l as usize] += 1;
                 }
             }
-            raw_counts.push(sparse);
+            rv_offsets.push(rv_concepts.len() as u64);
         }
 
         let n = n_resources as f64;
@@ -922,43 +1013,98 @@ impl ConceptIndex {
             .map(|&df| if df == 0 { 0.0 } else { (n / df as f64).ln() })
             .collect();
 
-        // tf-idf vectors, norms, impact-ordered inverted index.
-        let mut resource_vectors = Vec::with_capacity(n_resources);
+        // tf-idf in place: each vector is compacted to its nonzero weights
+        // (writes never pass reads) and its norm summed in concept order.
+        // Posting-list lengths are counted on the way.
         let mut resource_norms = Vec::with_capacity(n_resources);
-        let mut postings: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n_concepts];
-        for (r, counts) in raw_counts.into_iter().enumerate() {
-            let total: f64 = counts.iter().map(|&(_, c)| c).sum();
-            let vector: Vec<(u32, f64)> = counts
-                .into_iter()
-                .map(|(l, c)| {
-                    let tf = if total > 0.0 { c / total } else { 0.0 };
-                    (l, tf * idf[l as usize])
-                })
-                .filter(|&(_, w)| w != 0.0)
-                .collect();
-            let norm: f64 = vector.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
-            if norm > 0.0 {
-                for &(l, w) in &vector {
-                    postings[l as usize].push((r as u32, w / norm));
+        let mut post_offsets = vec![0u64; n_concepts + 1];
+        let mut kept = 0usize;
+        for r in 0..n_resources {
+            let (lo, hi) = (rv_offsets[r] as usize, rv_offsets[r + 1] as usize);
+            rv_offsets[r] = kept as u64;
+            let start = kept;
+            let total: f64 = rv_weights[lo..hi].iter().sum();
+            for j in lo..hi {
+                let l = rv_concepts[j];
+                let tf = if total > 0.0 {
+                    rv_weights[j] / total
+                } else {
+                    0.0
+                };
+                let w = tf * idf[l as usize];
+                if w != 0.0 {
+                    rv_concepts[kept] = l;
+                    rv_weights[kept] = w;
+                    kept += 1;
                 }
             }
-            resource_vectors.push(vector);
+            let norm: f64 = rv_weights[start..kept]
+                .iter()
+                .map(|&w| w * w)
+                .sum::<f64>()
+                .sqrt();
+            if norm > 0.0 {
+                for &l in &rv_concepts[start..kept] {
+                    post_offsets[l as usize + 1] += 1;
+                }
+            }
             resource_norms.push(norm);
         }
-        for list in &mut postings {
-            // Impact order; equal impacts fall back to the ranking
-            // tie-break (ascending resource id) so a prefix of a list is
-            // already in final ranked order for single-term queries.
-            list.sort_unstable_by(|a, b| cmp_ranked(a.1, a.0, b.1, b.0));
+        rv_offsets[n_resources] = kept as u64;
+        rv_concepts.truncate(kept);
+        rv_concepts.shrink_to_fit();
+        rv_weights.truncate(kept);
+        rv_weights.shrink_to_fit();
+
+        // Posting lists: offsets from the counts, then every resource's
+        // impacts scattered in ascending resource order.
+        for l in 0..n_concepts {
+            post_offsets[l + 1] += post_offsets[l];
+        }
+        let n_postings = post_offsets[n_concepts] as usize;
+        let mut cursor: Vec<usize> = post_offsets[..n_concepts]
+            .iter()
+            .map(|&o| o as usize)
+            .collect();
+        let mut post_ids = vec![0u32; n_postings];
+        let mut post_scores = vec![0.0f64; n_postings];
+        for (r, &norm) in resource_norms.iter().enumerate() {
+            if norm > 0.0 {
+                let span = rv_offsets[r] as usize..rv_offsets[r + 1] as usize;
+                for (&l, &w) in rv_concepts[span.clone()].iter().zip(&rv_weights[span]) {
+                    let at = &mut cursor[l as usize];
+                    post_ids[*at] = r as u32;
+                    post_scores[*at] = w / norm;
+                    *at += 1;
+                }
+            }
+        }
+        let (mut keys, mut spare) = (Vec::new(), Vec::new());
+        for span in post_offsets.windows(2) {
+            let span = span[0] as usize..span[1] as usize;
+            sort_by_impact(
+                &mut post_ids[span.clone()],
+                &mut post_scores[span],
+                &mut keys,
+                &mut spare,
+            );
         }
 
         Self::from_ragged(
             n_resources,
             n_concepts,
             idf,
-            Ragged::from_lists(&resource_vectors),
+            Ragged {
+                offsets: rv_offsets,
+                ids: rv_concepts,
+                values: rv_weights,
+            },
             resource_norms,
-            Ragged::from_lists(&postings),
+            Ragged {
+                offsets: post_offsets,
+                ids: post_ids,
+                values: post_scores,
+            },
         )
     }
 
@@ -1233,32 +1379,47 @@ impl ConceptIndex {
         assert!(num_shards >= 1, "num_shards must be >= 1");
         assert!(shard < num_shards, "shard {shard} out of {num_shards}");
         let member = |r: usize| r % num_shards == shard;
-        let mut resource_vectors = Vec::with_capacity(self.exact.num_resources);
-        let mut resource_norms = Vec::with_capacity(self.exact.num_resources);
-        for r in 0..self.exact.num_resources {
-            if member(r) {
-                resource_vectors.push(self.resource_vector(r).iter().collect());
-                resource_norms.push(self.resource_norm(r));
-            } else {
-                resource_vectors.push(Vec::new());
-                resource_norms.push(0.0);
-            }
+        let exact = &self.exact;
+        let n_resources = exact.num_resources;
+        let members = (shard..n_resources).step_by(num_shards);
+        let rv_len = members
+            .clone()
+            .map(|r| (exact.rv_offsets[r + 1] - exact.rv_offsets[r]) as usize)
+            .sum();
+        let mut vectors = Ragged::with_capacity(n_resources, rv_len);
+        let mut resource_norms = vec![0.0; n_resources];
+        for r in members {
+            // Non-members before `r` close empty.
+            vectors.offsets.resize(r + 1, vectors.ids.len() as u64);
+            let v = self.resource_vector(r);
+            vectors.extend(v.concepts, v.weights);
+            resource_norms[r] = exact.resource_norms[r];
         }
-        let postings: Vec<Vec<(u32, f64)>> = (0..self.exact.num_concepts)
-            .map(|l| {
-                self.postings(l)
-                    .iter()
-                    .filter(|&(r, _)| member(r as usize))
-                    .collect()
-            })
-            .collect();
+        vectors
+            .offsets
+            .resize(n_resources + 1, vectors.ids.len() as u64);
+        let n_postings = exact
+            .post_ids
+            .iter()
+            .filter(|&&r| member(r as usize))
+            .count();
+        let mut postings = Ragged::with_capacity(exact.num_concepts, n_postings);
+        for l in 0..exact.num_concepts {
+            for (r, s) in self.postings(l).iter() {
+                if member(r as usize) {
+                    postings.ids.push(r);
+                    postings.values.push(s);
+                }
+            }
+            postings.close();
+        }
         Self::from_ragged(
-            self.exact.num_resources,
-            self.exact.num_concepts,
-            self.exact.idf.clone(),
-            Ragged::from_lists(&resource_vectors),
+            n_resources,
+            exact.num_concepts,
+            exact.idf.clone(),
+            vectors,
             resource_norms,
-            Ragged::from_lists(&postings),
+            postings,
         )
     }
 
@@ -1422,6 +1583,135 @@ mod tests {
         (f, concepts)
     }
 
+    /// Lists in the flat form [`ConceptIndex::from_ragged`] takes.
+    fn flatten(lists: &[Vec<(u32, f64)>]) -> Ragged {
+        let mut flat = Ragged::with_capacity(lists.len(), 0);
+        for list in lists {
+            flat.ids.extend(list.iter().map(|&(id, _)| id));
+            flat.values.extend(list.iter().map(|&(_, v)| v));
+            flat.close();
+        }
+        flat
+    }
+
+    /// The reference build [`ConceptIndex::build`] must equal bit for
+    /// bit: a count vector per resource, a tf-idf vector per resource,
+    /// a posting list per concept sorted by [`cmp_ranked`], flattened at
+    /// the end.
+    fn reference_build(folksonomy: &Folksonomy, concepts: &dyn ConceptAssignment) -> ConceptIndex {
+        let n_resources = folksonomy.num_resources();
+        let n_concepts = concepts.num_concepts();
+        let mut doc_freq = vec![0usize; n_concepts];
+        let mut raw_counts: Vec<Vec<(u32, f64)>> = Vec::with_capacity(n_resources);
+        let mut scratch = vec![0.0f64; n_concepts];
+        let mut touched: Vec<u32> = Vec::new();
+        for r in 0..n_resources {
+            touched.clear();
+            let mut tag_counts: Vec<(usize, usize)> = Vec::new();
+            for a in folksonomy.resource_assignments(ResourceId::from_index(r)) {
+                match tag_counts.last_mut() {
+                    Some((t, c)) if *t == a.tag.index() => *c += 1,
+                    _ => tag_counts.push((a.tag.index(), 1)),
+                }
+            }
+            for (t, c) in tag_counts {
+                concepts.for_each_weight(t, &mut |l, w| {
+                    if scratch[l] == 0.0 {
+                        touched.push(l as u32);
+                    }
+                    scratch[l] += w * c as f64;
+                });
+            }
+            touched.sort_unstable();
+            let mut sparse: Vec<(u32, f64)> = Vec::with_capacity(touched.len());
+            for &l in &touched {
+                let c = scratch[l as usize];
+                scratch[l as usize] = 0.0;
+                if c > 0.0 {
+                    sparse.push((l, c));
+                    doc_freq[l as usize] += 1;
+                }
+            }
+            raw_counts.push(sparse);
+        }
+        let n = n_resources as f64;
+        let idf: Vec<f64> = doc_freq
+            .iter()
+            .map(|&df| if df == 0 { 0.0 } else { (n / df as f64).ln() })
+            .collect();
+        let mut resource_vectors = Vec::with_capacity(n_resources);
+        let mut resource_norms = Vec::with_capacity(n_resources);
+        let mut postings: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n_concepts];
+        for (r, counts) in raw_counts.into_iter().enumerate() {
+            let total: f64 = counts.iter().map(|&(_, c)| c).sum();
+            let vector: Vec<(u32, f64)> = counts
+                .into_iter()
+                .map(|(l, c)| {
+                    let tf = if total > 0.0 { c / total } else { 0.0 };
+                    (l, tf * idf[l as usize])
+                })
+                .filter(|&(_, w)| w != 0.0)
+                .collect();
+            let norm: f64 = vector.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
+            if norm > 0.0 {
+                for &(l, w) in &vector {
+                    postings[l as usize].push((r as u32, w / norm));
+                }
+            }
+            resource_vectors.push(vector);
+            resource_norms.push(norm);
+        }
+        for list in &mut postings {
+            list.sort_unstable_by(|a, b| cmp_ranked(a.1, a.0, b.1, b.0));
+        }
+        ConceptIndex::from_ragged(
+            n_resources,
+            n_concepts,
+            idf,
+            flatten(&resource_vectors),
+            resource_norms,
+            flatten(&postings),
+        )
+    }
+
+    /// Shard `shard` of `num_shards` of `index` by filtering its lists —
+    /// the reference [`ConceptIndex::partition_by_resource`] must equal.
+    fn partition_by_filter(index: &ConceptIndex, shard: usize, num_shards: usize) -> ConceptIndex {
+        let member = |r: usize| r % num_shards == shard;
+        let n_resources = index.num_resources();
+        let vectors: Vec<Vec<(u32, f64)>> = (0..n_resources)
+            .map(|r| match member(r) {
+                true => index.resource_vector(r).iter().collect(),
+                false => Vec::new(),
+            })
+            .collect();
+        let postings: Vec<Vec<(u32, f64)>> = (0..index.num_concepts())
+            .map(|l| {
+                index
+                    .postings(l)
+                    .iter()
+                    .filter(|&(r, _)| member(r as usize))
+                    .collect()
+            })
+            .collect();
+        ConceptIndex::from_ragged(
+            n_resources,
+            index.num_concepts(),
+            index.exact.idf.clone(),
+            flatten(&vectors),
+            (0..n_resources)
+                .map(|r| {
+                    if member(r) {
+                        index.resource_norm(r)
+                    } else {
+                        0.0
+                    }
+                })
+                .collect(),
+            flatten(&postings),
+        )
+    }
+
     /// Concatenate-and-sort: the reference [`ConceptIndex::coalesce`]'s
     /// k-way merge must equal.
     fn coalesce_by_sort(shards: &[&ConceptIndex]) -> ConceptIndex {
@@ -1444,22 +1734,21 @@ mod tests {
             num_resources,
             num_concepts,
             shards[0].exact.idf.clone(),
-            Ragged::from_lists(&vectors),
+            flatten(&vectors),
             (0..num_resources)
                 .map(|r| owner(r).resource_norm(r))
                 .collect(),
-            Ragged::from_lists(&postings),
+            flatten(&postings),
         )
     }
 
-    /// Every array of two indexes, floats compared by their bits.
+    /// Every array of two indexes — exact arrays and compressed mirror —
+    /// floats compared by their bits.
     fn assert_same_index(a: &ConceptIndex, b: &ConceptIndex, what: &str) {
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        let (a, b, mirrors) = (
-            &a.exact,
-            &b.exact,
-            [format!("{:?}", a.compressed), format!("{:?}", b.compressed)],
-        );
+        let bits32 = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let (ca, cb) = (&a.compressed, &b.compressed);
+        let (a, b) = (&a.exact, &b.exact);
         assert_eq!(a.num_resources, b.num_resources, "{what}");
         assert_eq!(a.num_concepts, b.num_concepts, "{what}");
         for (x, y) in [
@@ -1476,12 +1765,170 @@ mod tests {
             (&a.rv_offsets, &b.rv_offsets),
             (&a.post_offsets, &b.post_offsets),
             (&a.block_offsets, &b.block_offsets),
+            (&ca.blk_pack_start, &cb.blk_pack_start),
         ] {
             assert_eq!(x, y, "{what}");
         }
         assert_eq!(a.rv_concepts, b.rv_concepts, "{what}");
         assert_eq!(a.post_ids, b.post_ids, "{what}");
-        assert_eq!(mirrors[0], mirrors[1], "{what}");
+        assert_eq!(ca.blk_base, cb.blk_base, "{what}");
+        assert_eq!(ca.blk_bits, cb.blk_bits, "{what}");
+        assert_eq!(bits32(&ca.blk_scale), bits32(&cb.blk_scale), "{what}");
+        assert_eq!(bits32(&ca.blk_offset), bits32(&cb.blk_offset), "{what}");
+        assert_eq!(ca.quant, cb.quant, "{what}");
+        assert_eq!(ca.packed_ids, cb.packed_ids, "{what}");
+    }
+
+    /// Several weighted concepts per tag, weights summing to 1; a zero
+    /// weight now and then (allowed by the contract) leaves its concept
+    /// touched but empty.
+    struct WeightedTags {
+        weights: Vec<Vec<(usize, f64)>>,
+        num_concepts: usize,
+    }
+
+    impl ConceptAssignment for WeightedTags {
+        fn num_concepts(&self) -> usize {
+            self.num_concepts
+        }
+        fn num_tags(&self) -> usize {
+            self.weights.len()
+        }
+        fn for_each_weight(&self, tag: usize, f: &mut dyn FnMut(usize, f64)) {
+            for &(l, w) in &self.weights[tag] {
+                f(l, w);
+            }
+        }
+    }
+
+    #[test]
+    fn build_equals_the_reference_build_bit_for_bit() {
+        let mut state = 0x1d3c_b11d_5eedu64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        let (mut radix_lists, mut zero_norm, mut ties) = (0, 0, 0);
+        for case in 0..48 {
+            // Long lists (past the radix threshold) every fourth case;
+            // few tags and users elsewhere, so many resources share a
+            // vector and impacts tie.
+            let resources = match case {
+                0 => 0,
+                _ if case % 4 == 1 => 300 + next(500),
+                _ => 1 + next(120),
+            };
+            let (tags, users, concepts) = (1 + next(10), 1 + next(4), 1 + next(6));
+            let mut b = FolksonomyBuilder::new();
+            for r in 0..resources {
+                for _ in 0..1 + next(4) {
+                    b.add(
+                        &format!("u{}", next(users)),
+                        &format!("t{}", next(tags)),
+                        &format!("r{r}"),
+                    );
+                }
+                // A tag on every resource: its concept has idf 0, and a
+                // resource holding only it has no postings.
+                if case % 3 == 0 {
+                    b.add("u0", "everywhere", &format!("r{r}"));
+                }
+            }
+            let f = b.build();
+            let hard = ConceptModel::from_parts(
+                (0..f.num_tags()).map(|t| t % concepts).collect(),
+                concepts,
+                1.0,
+            );
+            let weighted = WeightedTags {
+                weights: (0..f.num_tags())
+                    .map(|_| {
+                        let mut ws: Vec<(usize, f64)> = Vec::new();
+                        for l in 0..concepts {
+                            if next(2) == 0 {
+                                ws.push((l, next(4) as f64));
+                            }
+                        }
+                        if ws.is_empty() {
+                            ws.push((next(concepts), 1.0));
+                        }
+                        let sum: f64 = ws.iter().map(|&(_, w)| w).sum();
+                        for (_, w) in &mut ws {
+                            *w = if sum > 0.0 { *w / sum } else { 1.0 };
+                        }
+                        ws
+                    })
+                    .collect(),
+                num_concepts: concepts,
+            };
+            for (assignment, model) in [
+                ("hard", &hard as &dyn ConceptAssignment),
+                ("weighted", &weighted),
+            ] {
+                let what = format!("case {case}, {assignment}");
+                let index = ConceptIndex::build(&f, model);
+                let reference = reference_build(&f, model);
+                assert_same_index(&index, &reference, &what);
+                assert_eq!(
+                    crate::persist::encode_index_soa(&index),
+                    crate::persist::encode_index_soa(&reference),
+                    "{what}"
+                );
+                assert_eq!(
+                    crate::persist::encode_index_compressed(&index),
+                    crate::persist::encode_index_compressed(&reference),
+                    "{what}"
+                );
+                for n in [2, 3] {
+                    for i in 0..n {
+                        assert_same_index(
+                            &index.partition_by_resource(i, n),
+                            &partition_by_filter(&reference, i, n),
+                            &format!("{what}, shard {i} of {n}"),
+                        );
+                    }
+                }
+                zero_norm += (0..index.num_resources())
+                    .filter(|&r| index.resource_norm(r) == 0.0)
+                    .count();
+                for l in 0..index.num_concepts() {
+                    let p = index.postings(l);
+                    radix_lists += usize::from(p.len() >= RADIX_MIN_LEN);
+                    ties += (1..p.len())
+                        .filter(|&j| p.scores[j] == p.scores[j - 1])
+                        .count();
+                }
+            }
+        }
+        assert!(radix_lists > 10, "only {radix_lists} radix-sorted lists");
+        assert!(
+            zero_norm > 100,
+            "only {zero_norm} resources without postings"
+        );
+        assert!(ties > 1000, "only {ties} tied impacts");
+    }
+
+    /// A list with a non-finite impact is ordered by [`cmp_ranked`]
+    /// itself: NaN last, ties by ascending id.
+    #[test]
+    fn impact_sort_falls_back_on_non_finite_impacts() {
+        let mut ids: Vec<u32> = (0..300).collect();
+        let mut scores: Vec<f64> = ids.iter().map(|&r| f64::from(r % 7) / 8.0).collect();
+        scores[5] = f64::NAN;
+        scores[9] = f64::INFINITY;
+        let mut expect: Vec<(u32, f64)> = ids.iter().copied().zip(scores.iter().copied()).collect();
+        expect.sort_unstable_by(|a, b| cmp_ranked(a.1, a.0, b.1, b.0));
+        sort_by_impact(&mut ids, &mut scores, &mut Vec::new(), &mut Vec::new());
+        let got: Vec<(u32, u64)> = ids
+            .iter()
+            .zip(&scores)
+            .map(|(&r, s)| (r, s.to_bits()))
+            .collect();
+        let want: Vec<(u32, u64)> = expect.iter().map(|&(r, s)| (r, s.to_bits())).collect();
+        assert_eq!(got, want);
+        assert_eq!((ids[0], ids[299]), (9, 5));
     }
 
     #[test]

@@ -434,6 +434,57 @@ pub fn crc32(data: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
+/// `a · b` modulo the CRC-32 polynomial, both bit-reflected (bit 31 is
+/// the coefficient of `x⁰`), as zlib's `multmodp`.
+const fn mult_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    let mut k = 0;
+    while k < 32 {
+        if a & (1 << (31 - k)) != 0 {
+            p ^= b;
+        }
+        b = if b & 1 != 0 {
+            0xEDB8_8320 ^ (b >> 1)
+        } else {
+            b >> 1
+        };
+        k += 1;
+    }
+    p
+}
+
+/// `X2N[k]` is `x^(2^k)` modulo the CRC-32 polynomial (zlib's
+/// `x2n_table`); `x¹` is `1 << 30` in the reflected order.
+const X2N: [u32; 32] = {
+    let mut table = [0u32; 32];
+    table[0] = 1 << 30;
+    let mut k = 1;
+    while k < 32 {
+        table[k] = mult_mod_p(table[k - 1], table[k - 1]);
+        k += 1;
+    }
+    table
+};
+
+/// CRC-32 of `A ‖ B` from `crc32(A)`, `crc32(B)` and `B`'s length —
+/// zlib's `crc32_combine`: `crc(A)` shifted past `len_b` zero bytes (a
+/// multiplication by `x^(8·len_b)`, built from the squares in [`X2N`])
+/// plus `crc(B)`. O(log len_b), whatever the lengths.
+pub(crate) fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    // x^(8·n) = Π x^(2^k) over the set bits 2^(k−3) of n. The powers
+    // repeat with period 32 in k, as x has an order dividing 2³² − 1.
+    let mut shift = 1u32 << 31;
+    let (mut n, mut k) = (len_b as u64, 3usize);
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = mult_mod_p(X2N[k & 31], shift);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    mult_mod_p(shift, crc_a) ^ crc_b
+}
+
 // ---------------------------------------------------------------------------
 // Encoding primitives
 // ---------------------------------------------------------------------------
@@ -887,7 +938,7 @@ fn encode_concepts(c: &ConceptModel) -> Vec<u8> {
 /// Encodes the SoA index section: the 6-field header followed by the raw
 /// arrays, each 8-aligned relative to the payload start (which the file
 /// writer in turn places at an 8-aligned file offset).
-fn encode_index_soa(ix: &ConceptIndex) -> Vec<u8> {
+pub(crate) fn encode_index_soa(ix: &ConceptIndex) -> Vec<u8> {
     let a = ix.as_arrays();
     let mut e = Encoder::default();
     e.put_usize(ix.num_resources());
@@ -939,7 +990,7 @@ fn encode_index_soa(ix: &ConceptIndex) -> Vec<u8> {
 
 /// Encodes the compressed posting mirror: the 4-field header followed by
 /// the mirror's arrays, each 8-aligned relative to the payload start.
-fn encode_index_compressed(ix: &ConceptIndex) -> Vec<u8> {
+pub(crate) fn encode_index_compressed(ix: &ConceptIndex) -> Vec<u8> {
     let c = ix.compressed();
     let mut e = Encoder::default();
     e.put_usize(c.num_blocks());
@@ -1117,7 +1168,7 @@ fn compressed_layout(
 /// what a serving load ([`load_serving`]) reads. It is `O(T·J₂)` in the
 /// model: the T×T distances are derived on first use, not here.
 pub fn load_from_bytes(bytes: &[u8]) -> Result<Artifact, PersistError> {
-    let sections = parse_sections(bytes, |_| true)?;
+    let sections = parse_sections(bytes, |_| true, &KnownCrcs::default())?;
     let Serving {
         folksonomy,
         concepts,
@@ -1189,8 +1240,17 @@ pub(crate) struct Serving<'a> {
 /// checksummed and decoded. A damaged byte inside the model payload
 /// therefore does not fail it (it fails [`load_from_bytes`], and under a
 /// manifest the file checksum), and neither does its absence.
-pub(crate) fn load_serving(bytes: &[u8]) -> Result<Serving<'_>, PersistError> {
-    decode_serving(&parse_sections(bytes, |id| SERVING_SECTIONS.contains(&id))?)
+/// `known` carries payload CRCs already computed over `bytes`
+/// ([`file_crc`]).
+pub(crate) fn load_serving<'a>(
+    bytes: &'a [u8],
+    known: &KnownCrcs,
+) -> Result<Serving<'a>, PersistError> {
+    decode_serving(&parse_sections(
+        bytes,
+        |id| SERVING_SECTIONS.contains(&id),
+        known,
+    )?)
 }
 
 /// Loads the index of shard `shard > 0` of a manifest whose shard 0
@@ -1200,10 +1260,11 @@ pub(crate) fn load_serving(bytes: &[u8]) -> Result<Serving<'_>, PersistError> {
 /// under other names.
 pub(crate) fn load_shard_index(
     bytes: &[u8],
+    known: &KnownCrcs,
     first: &Serving<'_>,
     shard: usize,
 ) -> Result<ConceptIndex, PersistError> {
-    let sections = parse_sections(bytes, |id| SHARD_OWN_SECTIONS.contains(&id))?;
+    let sections = parse_sections(bytes, |id| SHARD_OWN_SECTIONS.contains(&id), known)?;
     let meta = decode_meta(sections.payload(SECTION_META)?)?;
     if meta.counts() != first.meta.counts() {
         return Err(PersistError::Shard {
@@ -1301,12 +1362,55 @@ impl<'a> Sections<'a> {
     }
 }
 
+/// The CRC-32 of section payloads already computed over the same bytes,
+/// by section-table row; a row without one is checksummed when read.
+#[derive(Debug, Default)]
+pub(crate) struct KnownCrcs(Vec<Option<u32>>);
+
+/// The CRC-32 of a whole file, computed range by range — header and
+/// table, each section payload in file order, the padding between —
+/// and combined with [`crc32_combine`], so each payload's own CRC comes
+/// out of the same single read of its bytes. [`parse_sections`] then
+/// compares those with the table instead of reading the payloads again.
+/// A file whose table does not parse is checksummed whole; a payload
+/// overlapping one already summed is left to be checksummed when read.
+pub(crate) fn file_crc(bytes: &[u8]) -> (u32, KnownCrcs) {
+    let Ok(Sections(rows)) = parse_sections(bytes, |_| false, &KnownCrcs::default()) else {
+        return (crc32(bytes), KnownCrcs::default());
+    };
+    let mut known = vec![None; rows.len()];
+    let mut in_file_order: Vec<(usize, usize, &[u8])> = rows
+        .iter()
+        .enumerate()
+        .map(|(row, s)| (s.offset, row, s.payload))
+        .collect();
+    in_file_order.sort_unstable_by_key(|&(offset, row, _)| (offset, row));
+    // `crc` is the CRC of `bytes[..done]`.
+    let (mut crc, mut done) = (0u32, 0usize);
+    for (offset, row, payload) in in_file_order {
+        // `None` when this payload starts inside one already summed.
+        let (Some(gap), Some(slot)) = (bytes.get(done..offset), known.get_mut(row)) else {
+            continue;
+        };
+        let own = crc32(payload);
+        crc = crc32_combine(crc, crc32(gap), gap.len());
+        crc = crc32_combine(crc, own, payload.len());
+        *slot = Some(own);
+        done = offset + payload.len();
+    }
+    let tail = bytes.get(done..).unwrap_or_default();
+    let crc = crc32_combine(crc, crc32(tail), tail.len());
+    (crc, KnownCrcs(known))
+}
+
 /// Validates the header, the version and the bounds of **every** table
-/// entry, and checksums the payloads of the sections `wanted` names.
-fn parse_sections(
-    bytes: &[u8],
+/// entry, and checksums the payloads of the sections `wanted` names —
+/// against the CRC `known` holds for the row when there is one.
+fn parse_sections<'a>(
+    bytes: &'a [u8],
     wanted: impl Fn(u32) -> bool,
-) -> Result<Sections<'_>, PersistError> {
+    known: &KnownCrcs,
+) -> Result<Sections<'a>, PersistError> {
     if bytes.len() < HEADER_LEN {
         if bytes.len() >= MAGIC.len() && !bytes.starts_with(&MAGIC) {
             return Err(PersistError::BadMagic);
@@ -1359,7 +1463,12 @@ fn parse_sections(
             })?;
         let verified = wanted(id);
         if verified {
-            let got = crc32(payload);
+            let got = known
+                .0
+                .get(i)
+                .copied()
+                .flatten()
+                .unwrap_or_else(|| crc32(payload));
             if got != expected_crc {
                 return Err(PersistError::ChecksumMismatch {
                     section: id,
@@ -1846,6 +1955,80 @@ mod tests {
         assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
     }
 
+    /// `crc32_combine(crc(A), crc(B), |B|)` is `crc(A ‖ B)`: every split
+    /// of lengths 0..=64 on each side, and a few long second halves
+    /// (the shift's bits reach 2²⁰).
+    #[test]
+    fn crc32_combine_equals_the_crc_of_the_concatenation() {
+        let mut state = 0xc0b1_7e5e_ed01u64;
+        let buf: Vec<u8> = (0..(1 << 20) + 4097)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 56) as u8
+            })
+            .collect();
+        let check = |len_a: usize, len_b: usize| {
+            let (a, b) = buf[..len_a + len_b].split_at(len_a);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), len_b),
+                crc32(&buf[..len_a + len_b]),
+                "lengths {len_a} + {len_b}"
+            );
+        };
+        for len_a in 0..=64 {
+            for len_b in 0..=64 {
+                check(len_a, len_b);
+            }
+        }
+        for len_b in [255, 4096, 65_537, 1 << 20] {
+            check(4097, len_b);
+        }
+    }
+
+    /// `file_crc` is the CRC of the whole file, and each payload CRC it
+    /// hands on is that payload's — for a plain and a compressed
+    /// artifact, for one whose table names a payload twice (the second
+    /// row is left to be checksummed when read), and for one whose table
+    /// does not parse (checksummed whole).
+    #[test]
+    fn file_crc_equals_the_crc_of_the_file_and_its_payloads() {
+        let (f, model) = built();
+        let row = |bytes: &[u8], i: usize| {
+            let e = HEADER_LEN + i * TABLE_ENTRY_LEN;
+            let at = |o: usize| u64::from_le_bytes(bytes[e + o..e + o + 8].try_into().unwrap());
+            (at(4) as usize, at(12) as usize)
+        };
+        let mut cases: Vec<Vec<u8>> = [false, true]
+            .map(|c| save_to_vec_with(&model, &f, c))
+            .into();
+        let mut twice = cases[0].clone();
+        let second = HEADER_LEN + TABLE_ENTRY_LEN;
+        let first_row = twice[HEADER_LEN + 4..HEADER_LEN + 20].to_vec();
+        twice[second + 4..second + 20].copy_from_slice(&first_row);
+        cases.push(twice);
+        let mut short = cases[0].clone();
+        short.truncate(HEADER_LEN + 3);
+        cases.push(short);
+        for (case, bytes) in cases.iter().enumerate() {
+            let (crc, KnownCrcs(known)) = file_crc(bytes);
+            assert_eq!(crc, crc32(bytes), "case {case}");
+            for (i, own) in known.iter().enumerate() {
+                let (offset, len) = row(bytes, i);
+                if let Some(own) = own {
+                    assert_eq!(
+                        *own,
+                        crc32(&bytes[offset..offset + len]),
+                        "case {case} row {i}"
+                    );
+                }
+            }
+            let summed = known.iter().filter(|c| c.is_some()).count();
+            assert_eq!(summed, [5, 6, 4, 0][case], "case {case}");
+        }
+    }
+
     /// The CRCs a fresh table stores are the reference's, for every
     /// section of a plain and a compressed artifact.
     #[test]
@@ -2077,7 +2260,10 @@ mod tests {
         bytes[offset + 19] = b'1';
         let crc = crc32(&bytes[offset..offset + len]);
         bytes[entry + 20..entry + 24].copy_from_slice(&crc.to_le_bytes());
-        for got in [load_from_bytes(&bytes).err(), load_serving(&bytes).err()] {
+        for got in [
+            load_from_bytes(&bytes).err(),
+            load_serving(&bytes, &KnownCrcs::default()).err(),
+        ] {
             match got {
                 Some(PersistError::Malformed { section, detail }) => {
                     assert_eq!(section, SECTION_FOLKSONOMY);

@@ -111,7 +111,8 @@ use crate::concepts::ConceptModel;
 use crate::exec;
 use crate::index::{cmp_ranked, order_terms_with, ConceptAssignment, ConceptIndex, RankedResource};
 use crate::persist::{
-    crc32, load_serving, load_shard_index, widen, ModelSections, PersistError, Serving,
+    crc32, file_crc, load_serving, load_shard_index, widen, KnownCrcs, ModelSections, PersistError,
+    Serving,
 };
 use crate::query::{PruningStrategy, QueryEngine, QuerySession, MIN_QUERIES_PER_TASK};
 
@@ -609,9 +610,10 @@ impl ShardSet {
     /// back in, against ≈ 5 when they are kept.
     fn assemble(
         first_bytes: &[u8],
+        first_crcs: &KnownCrcs,
         rest: impl FnOnce(&Serving<'_>) -> Result<Vec<ConceptIndex>, PersistError>,
     ) -> Result<Self, PersistError> {
-        let first = load_serving(first_bytes)?;
+        let first = load_serving(first_bytes, first_crcs)?;
         let rest = rest(&first)?;
         let engines = std::iter::once(first.index)
             .chain(rest)
@@ -884,7 +886,11 @@ fn merge_ranked(
 pub fn load_source(path: impl AsRef<Path>, _mode: LoadMode) -> Result<ShardSet, PersistError> {
     let path = path.as_ref();
     match sniff_source(path)? {
-        SourceKind::Artifact => ShardSet::assemble(&std::fs::read(path)?, |_| Ok(Vec::new())),
+        SourceKind::Artifact => {
+            ShardSet::assemble(&std::fs::read(path)?, &KnownCrcs::default(), |_| {
+                Ok(Vec::new())
+            })
+        }
         SourceKind::Manifest => {
             let manifest = load_manifest(path)?;
             let dir = path.parent().unwrap_or(Path::new("."));
@@ -898,15 +904,15 @@ pub fn load_source(path: impl AsRef<Path>, _mode: LoadMode) -> Result<ShardSet, 
                 .split_first()
                 .ok_or_else(|| shard_err("no shard artifacts"))?;
             let mut first_bytes = Vec::new();
-            first.read_into(&mut first_bytes)?;
-            ShardSet::assemble(&first_bytes, |serving| {
+            let first_crcs = first.read_into(&mut first_bytes)?;
+            ShardSet::assemble(&first_bytes, &first_crcs, |serving| {
                 let largest = later.iter().map(|file| file.len).max().unwrap_or(0);
                 let mut buf = Vec::with_capacity(largest);
                 later
                     .iter()
                     .map(|file| {
-                        file.read_into(&mut buf)?;
-                        load_shard_index(&buf, serving, widen(file.shard))
+                        let known = file.read_into(&mut buf)?;
+                        load_shard_index(&buf, &known, serving, widen(file.shard))
                     })
                     .collect()
             })
@@ -954,9 +960,11 @@ impl<'m> ShardFile<'m> {
     }
 
     /// Reads the file into `buf`, replacing its contents, and holds it to
-    /// its entry's CRC-32. The read is exact-length, so `buf` grows only
-    /// when the file is longer than its capacity.
-    fn read_into(&self, buf: &mut Vec<u8>) -> Result<(), PersistError> {
+    /// its entry's CRC-32, which is checked before anything in the file
+    /// is. The read is exact-length, so `buf` grows only when the file is
+    /// longer than its capacity. Returns the section payload CRCs the
+    /// file CRC was combined from, so the load checksums each byte once.
+    fn read_into(&self, buf: &mut Vec<u8>) -> Result<KnownCrcs, PersistError> {
         use std::io::Read;
         buf.clear();
         buf.reserve_exact(self.len);
@@ -969,7 +977,7 @@ impl<'m> ShardFile<'m> {
                 context: "shard artifact",
             });
         }
-        let got = crc32(buf);
+        let (got, known) = file_crc(buf);
         if got != self.entry.crc32 {
             return Err(PersistError::ChecksumMismatch {
                 section: self.shard,
@@ -977,7 +985,7 @@ impl<'m> ShardFile<'m> {
                 got,
             });
         }
-        Ok(())
+        Ok(known)
     }
 }
 

@@ -145,19 +145,6 @@ impl Folksonomy {
         &self.by_tag[lo..hi]
     }
 
-    /// `tags(r)` with occurrence counts: each distinct tag of resource `r`
-    /// paired with `c(t, r) = |users(t, r)|` (Eq. 2's raw counts).
-    pub fn resource_tag_counts(&self, r: ResourceId) -> Vec<(TagId, usize)> {
-        let mut out: Vec<(TagId, usize)> = Vec::new();
-        for a in self.resource_assignments(r) {
-            match out.last_mut() {
-                Some((t, c)) if *t == a.tag => *c += 1,
-                _ => out.push((a.tag, 1)),
-            }
-        }
-        out
-    }
-
     /// Posting list of tag `t`: each distinct resource paired with the
     /// number of users who applied `t` to it.
     pub fn tag_resource_counts(&self, t: TagId) -> Vec<(ResourceId, usize)> {
@@ -440,26 +427,6 @@ mod tests {
         let r3 = f.resource_id("r3").unwrap();
         assert_eq!(f.resource_name(r3), "r3");
         assert!(f.tag_id("missing").is_none());
-    }
-
-    #[test]
-    fn resource_tag_counts_aggregate_users() {
-        let f = figure2_example();
-        let r2 = f.resource_id("r2").unwrap();
-        let counts = f.resource_tag_counts(r2);
-        // r2 was tagged "folk" by three users.
-        assert_eq!(counts.len(), 1);
-        assert_eq!(f.tag_name(counts[0].0), "folk");
-        assert_eq!(counts[0].1, 3);
-
-        let r1 = f.resource_id("r1").unwrap();
-        let mut names: Vec<(&str, usize)> = f
-            .resource_tag_counts(r1)
-            .into_iter()
-            .map(|(t, c)| (f.tag_name(t), c))
-            .collect();
-        names.sort();
-        assert_eq!(names, vec![("folk", 1), ("people", 1)]);
     }
 
     #[test]

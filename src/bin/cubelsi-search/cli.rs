@@ -51,7 +51,7 @@ serve protocol (one request per line, one reply line per request):
   tag [tag...]   rank resources (OK\\t<n>\\t<name>  (<score>)...)
   QUERY tag...   same, explicit form (tags named RELOAD etc. stay queryable)
   RELOAD         reload the manifest/artifact from disk, swap under traffic
-  STATS          server-wide latency percentiles + dispatch/server counters
+  STATS          server-wide latency percentiles + server counters
   METRICS        the same counters in Prometheus text format (multi-line
                  reply, terminated by a `# EOF` line)
   QUIT           close this connection        SHUTDOWN   stop the server

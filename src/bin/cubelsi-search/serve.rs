@@ -569,16 +569,8 @@ impl Server<'_> {
                         Request::Stats => {
                             let latency = lock(&self.latency).summary();
                             let head = latency.unwrap_or_else(|| "0 queries".to_owned());
-                            let exec = cubelsi::core::exec::stats();
                             let pipeline = self.counters.summary();
-                            self.write_reply(
-                                stream,
-                                &mut out,
-                                &format!(
-                                    "OK {head} | inline {} | fanout {} | {pipeline}",
-                                    exec.inline, exec.fanout
-                                ),
-                            )
+                            self.write_reply(stream, &mut out, &format!("OK {head} | {pipeline}"))
                         }
                         Request::Metrics => {
                             let text = {

@@ -250,20 +250,6 @@ pub fn prometheus_exposition(
         generation,
     );
 
-    let exec = cubelsi::core::exec::stats();
-    put_counter(
-        &mut out,
-        "cubelsi_exec_inline_total",
-        "Dispatch decisions that stayed on the caller thread.",
-        exec.inline,
-    );
-    put_counter(
-        &mut out,
-        "cubelsi_exec_fanout_total",
-        "Dispatch decisions that ran on more than one thread.",
-        exec.fanout,
-    );
-
     // End-of-reply sentinel (no trailing newline: the reply writer adds
     // the final line terminator).
     out.push_str("# EOF");
