@@ -41,10 +41,9 @@ pub struct CubeLsiConfig {
     pub sigma: Option<f64>,
     /// Seed for all stochastic components.
     pub seed: u64,
-    /// Pruning strategy of the online query engine built by
-    /// [`crate::CubeLsi::build`]. Both strategies are exact and
-    /// bit-identical; `BlockMax` (default) scans the exact id arrays,
-    /// `CompressedBlockMax` the compressed posting mirror.
+    /// Shim for the frozen `perfbench/`, which reads it: ignored, as the
+    /// engine has one posting source ([`PruningStrategy`]).
+    #[doc(hidden)]
     pub pruning: PruningStrategy,
 }
 

@@ -21,19 +21,19 @@
 //! * [`concepts`] — §V concept distillation;
 //! * [`index`] — §III bag-of-concepts tf-idf index and cosine ranking;
 //! * [`query`] — the online top-k engine: one exact block-max pruning
-//!   skeleton over impact-ordered SoA postings (raw or compressed ids),
+//!   skeleton over impact-ordered SoA postings,
 //!   bounded-heap selection, zero-allocation sessions, and parallel
 //!   batched search;
 //! * [`pipeline`] — the [`CubeLsi`] facade wiring everything, with
 //!   per-phase timings for the efficiency experiments (Tables V–VII);
 //! * [`persist`] — versioned, checksummed binary save/load of a complete
-//!   built engine (one load path, one index validator), splitting the
+//!   built engine (one load path; the index is built at load from the
+//!   stored corpus and concept map), splitting the
 //!   expensive offline build from cheap online serving across process
 //!   lifetimes;
-//! * [`shard`] — sharded scatter-gather serving over resource-partitioned
-//!   shard artifacts (versioned manifest + exact k-way merge,
-//!   bit-identical to a single engine) with hot generation-swapped
-//!   artifact reload under live traffic;
+//! * [`shard`] — serving sources (one artifact, or a versioned manifest
+//!   of identical replicas) loaded into one engine, with hot
+//!   generation-swapped reload under live traffic;
 //! * [`exec`] — the query dispatch counters (inline or fanned out)
 //!   surfaced by the `serve` STATS command; query batches fork–join on
 //!   `cubelsi_linalg::parallel`, and a single query runs on its caller's

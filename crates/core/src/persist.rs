@@ -9,9 +9,11 @@
 //! module provides that artifact: a single self-contained binary file
 //! holding the cleaned [`Folksonomy`] (interned name tables + assignment
 //! set), the [`TagModel`] the purified distances derive from (Table VII's
-//! `Y⁽²⁾` and `Σ`), the distilled [`ConceptModel`], the block-structured
-//! SoA [`ConceptIndex`], and the offline [`PhaseTimings`] and
-//! [`BuildTrace`].
+//! `Y⁽²⁾` and `Σ`), the distilled [`ConceptModel`], and the offline
+//! [`PhaseTimings`] and [`BuildTrace`]. The [`ConceptIndex`] is not
+//! stored: it is a pure function of the corpus and the concept map
+//! (Eqs. 1–2), and every load builds it from those two sections with the
+//! build's own [`ConceptIndex::build`].
 //!
 //! # Format (`.cubelsi`)
 //!
@@ -19,7 +21,7 @@
 //!
 //! ```text
 //! header   8 B  magic             = "CUBELSI\0"
-//!          4 B  format version    (u32, 4 — the only version read)
+//!          4 B  format version    (u32, 5 — the only version read)
 //!          4 B  section count     (u32)
 //! table    per section, 24 B:
 //!          4 B  section id        (u32, see SECTION_* constants)
@@ -31,7 +33,7 @@
 //!          recorded lengths exclude the padding)
 //! ```
 //!
-//! Within the classic sections, integers are `u32`/`u64` LE, floats are
+//! Within the sections, integers are `u32`/`u64` LE, floats are
 //! `f64` LE bit patterns (round-tripping exactly, NaN payloads included),
 //! strings are `u32` byte length + UTF-8 bytes, and sequences are a `u64`
 //! count followed by the elements.
@@ -77,85 +79,21 @@
 //! `build_cluster_bound`'s from 1 893 288 to 203 784, and the served
 //! 4-shard manifest from 4 311 260 to 2 220 764.
 //!
-//! ## The SoA index section
-//!
-//! Section [`SECTION_INDEX_SOA`] stores the [`ConceptIndex`] as the exact
-//! flat arrays the query engine scans, so loading is array-granular (a
-//! handful of bounded reads) instead of posting-granular:
-//!
-//! ```text
-//! u64 × 6  num_resources, num_concepts, block_len (= 64),
-//!          rv_nnz, n_postings, n_blocks
-//! then, in order, each array at an 8-byte-aligned offset from the
-//! payload start (u32 arrays are zero-padded up to the next boundary):
-//!   idf             f64 × num_concepts
-//!   resource_norms  f64 × num_resources
-//!   rv_offsets      u64 × (num_resources + 1)
-//!   rv_concepts     u32 × rv_nnz
-//!   rv_weights      f64 × rv_nnz
-//!   post_offsets    u64 × (num_concepts + 1)
-//!   post_ids        u32 × n_postings
-//!   post_scores     f64 × n_postings
-//!   block_offsets   u64 × (num_concepts + 1)
-//!   block_max       f64 × n_blocks
-//!   max_impact      f64 × num_concepts
-//! ```
-//!
-//! Whichever load reads the section (see *What a load reads* below), one
-//! decoder does it: it bulk-copies each array into a `Vec` and hands them
-//! to the index's one checked constructor, which runs the full read-only
-//! semantic validation (offset monotonicity, id ranges, finite non-negative
-//! weights, impact order, block-max consistency, posting ↔ vector
-//! cross-checks; see `crate::index`) before the index is allowed to
-//! serve — a linear scan of the postings, accepted so that a
-//! checksummed-but-hostile file can never misrank. The section payload
-//! starts 8-aligned in the file and so does every array inside it; the
-//! loader still insists on that ([`PersistError::MisalignedSection`]),
-//! which keeps the arrays viewable in place by any reader of the format.
-//!
-//! ## The compressed index section
-//!
-//! [`save_to_vec_with`] with `compress = true` appends
-//! [`SECTION_INDEX_COMPRESSED`]: the bit-packed / 8-bit-quantized mirror
-//! of the posting arrays that the `CompressedBlockMax` strategy streams
-//! (see `crate::index`). Layout:
-//!
-//! ```text
-//! u64 × 4  n_blocks, n_postings, packed_len (incl. 8 guard bytes),
-//!          block_len (= 64)
-//! then, each array 8-aligned from the payload start:
-//!   blk_pack_start  u64 × (n_blocks + 1)
-//!   blk_base        u32 × n_blocks
-//!   blk_scale       f32 × n_blocks
-//!   blk_offset      f32 × n_blocks
-//!   blk_bits        u8  × n_blocks
-//!   quant           u8  × n_postings
-//!   packed_ids      u8  × packed_len
-//! ```
-//!
-//! The section is a *mirror*, not a replacement: the exact SoA section
-//! is always present, and the loader proves the mirror honest against it
-//! — decoded ids must equal `post_ids` bitwise and every dequantized
-//! impact must upper-bound its exact impact — before the index may
-//! serve. Without the section the loader rederives the mirror from the
-//! exact arrays.
-//!
 //! ## What a load reads
 //!
 //! There is one load path with a section selector. Every load validates
 //! the header, the version and the bounds of **every** table entry (an
 //! entry running past the file is [`PersistError::Truncated`] whether or
 //! not its section is wanted); it then checksums and decodes only the
-//! sections its caller names, through the same decoders:
+//! sections its caller names, through the same decoders, and builds the
+//! index from the decoded corpus and concept map:
 //!
-//! | section | `build` writes | full load | serving load | shard *i* > 0 of a manifest |
-//! |---|---|---|---|---|
-//! | 1 meta | yes | CRC + decode | CRC + decode | CRC + decode (counts must equal shard 0's) |
-//! | 2 folksonomy | yes | CRC + decode | CRC + decode | bytes compared with shard 0's |
-//! | 9 model | yes | CRC + decode | — | — |
-//! | 5 concepts | yes | CRC + decode | CRC + decode | bytes compared with shard 0's |
-//! | 7 SoA index | yes | CRC + decode + validate | CRC + decode + validate | CRC + decode + validate |
-//! | 8 compressed mirror | with `--compress` | CRC + decode + prove | CRC + decode + prove | CRC + decode + prove |
+//! | section | full load | serving load |
+//! |---|---|---|
+//! | 1 meta | CRC + decode | CRC + decode |
+//! | 2 folksonomy | CRC + decode | CRC + decode |
+//! | 5 concepts | CRC + decode | CRC + decode |
+//! | 9 model | CRC + decode | — |
 //!
 //! The *full load* is [`load_from_bytes`] / [`load_from_path`]: what a
 //! tool that inspects or re-saves a model wants; it re-saves to the bytes
@@ -166,24 +104,29 @@
 //! `tests/persist_roundtrip.rs`: a damaged byte inside the model payload
 //! of a single artifact does not fail the serving load (it fails the full
 //! load; under a manifest the per-file CRC catches it first), and an
-//! artifact without the section serves. Under a manifest the shards'
-//! shared sections are decoded once, from shard 0, and the other shards'
-//! copies must equal them byte for byte.
+//! artifact without the section serves. Under a manifest every shard file
+//! is a replica of shard 0's, and only shard 0's is decoded
+//! (`crate::shard`).
 //!
-//! Only version 4 is read: anything else — an earlier version (whose
-//! sections 3 and 4 held the whole Tucker decomposition and the T×T
-//! distance matrix), a future one, or a zero-stamped header — is rejected
-//! with [`PersistError::UnsupportedVersion`].
+//! Only version 5 is read: anything else — version 4 (which also stored
+//! the built index, section 7, and optionally a compressed mirror of its
+//! postings, section 8), versions 2 and 3 (whose sections 3 and 4 held the
+//! whole Tucker decomposition and the T×T distance matrix), a future one,
+//! or a zero-stamped header — is rejected with
+//! [`PersistError::UnsupportedVersion`]. On the benchmark's served
+//! corpus, dropping sections 7 and 8 took the file from 740 072 bytes
+//! (770 400 with the mirror) to 424 848.
 //!
 //! # Guarantees
 //!
-//! * **Bit-identical serving.** Every query-relevant structure (postings
-//!   order, block maxima, norms, idf, concept assignment, tag-name
-//!   lookup) is restored verbatim, so a loaded engine's
+//! * **Bit-identical serving.** The corpus and the concept map are
+//!   restored verbatim, and the index is built from them by the same
+//!   function the offline build ran, so a loaded engine's
 //!   [`CubeLsi::search_ids`] output — scores, order, and tie-breaks — is
 //!   bit-for-bit identical to the engine that was saved. Enforced by the
-//!   `persist_roundtrip` integration tests over randomized corpora.
-//! * **No panics on bad input.** Corrupt, truncated, misaligned, or
+//!   `persist_roundtrip` integration tests over randomized corpora, and
+//!   array by array by `derived_index_equals_the_built_one_bit_for_bit`.
+//! * **No panics on bad input.** Corrupt, truncated, or
 //!   version-mismatched files return a typed [`PersistError`]; every
 //!   length is bounds-checked before allocation and every id is validated
 //!   before it can index anything.
@@ -197,7 +140,7 @@ use cubelsi_linalg::Matrix;
 
 use crate::concepts::ConceptModel;
 use crate::distance::TagModel;
-use crate::index::{CompressedPostings, ConceptIndex, IndexArrays, IndexDefect, BLOCK_LEN};
+use crate::index::ConceptIndex;
 use crate::pipeline::{BuildTrace, CubeLsi, HosvdCounts, PhaseTimings};
 use crate::query::QueryEngine;
 
@@ -207,7 +150,7 @@ pub const MAGIC: [u8; 8] = *b"CUBELSI\0";
 /// The artifact format version: the one every save stamps and the only
 /// one a load accepts (anything else is
 /// [`PersistError::UnsupportedVersion`]). Bump on any layout change.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Byte length of the fixed file header (magic + version + count).
 pub const HEADER_LEN: usize = 16;
@@ -218,11 +161,6 @@ pub const TABLE_ENTRY_LEN: usize = 24;
 const SECTION_META: u32 = 1;
 const SECTION_FOLKSONOMY: u32 = 2;
 const SECTION_CONCEPTS: u32 = 5;
-/// The SoA index section.
-pub const SECTION_INDEX_SOA: u32 = 7;
-/// The compressed posting mirror, written when compression is requested
-/// (optional; always accompanied by [`SECTION_INDEX_SOA`]).
-pub const SECTION_INDEX_COMPRESSED: u32 = 8;
 /// The [`TagModel`]: `Y⁽²⁾`, `Λ₂`, and `Σ` under `CoreGram`.
 pub const SECTION_MODEL: u32 = 9;
 
@@ -233,12 +171,6 @@ const SIGMA_CORE_GRAM: u64 = 2;
 /// At most modes 2 and 3 are HOSVD-initialised; a meta section claiming
 /// more is malformed.
 const MAX_HOSVD_MODES: usize = 3;
-
-/// Number of `u64` fields in the SoA index section header.
-const SOA_HEADER_FIELDS: usize = 6;
-
-/// Number of `u64` fields in the compressed index section header.
-const COMPRESSED_HEADER_FIELDS: usize = 4;
 
 /// Errors raised while saving or loading an artifact. Loading never
 /// panics: every failure mode of a hostile or damaged file maps to one of
@@ -273,28 +205,17 @@ pub enum PersistError {
     },
     /// A required section is absent from the section table.
     MissingSection(u32),
-    /// A section that must start at an 8-byte-aligned file offset (the
-    /// index sections, whose arrays the format keeps viewable in place)
-    /// does not.
-    MisalignedSection {
-        /// Section id with the misaligned payload.
-        section: u32,
-        /// The offending file offset.
-        offset: u64,
-    },
     /// A section decoded to structurally invalid data (bad lengths,
-    /// out-of-range ids, broken impact order, inconsistent block maxima,
-    /// non-UTF-8 names, …).
+    /// out-of-range ids, non-finite values, non-UTF-8 names, …).
     Malformed {
         /// Section id that failed to decode.
         section: u32,
         /// Human-readable description of the defect.
         detail: String,
     },
-    /// A shard set is inconsistent: shards disagree on corpus, model, or
-    /// dimensions, a resource is indexed by the wrong shard under the
-    /// declared partition, or the shard count is out of range (see
-    /// `crate::shard`).
+    /// A shard set is inconsistent: a shard file or manifest entry
+    /// differs from shard 0's, a file's length disagrees with its entry,
+    /// or the shard count is out of range (see `crate::shard`).
     Shard {
         /// Human-readable description of the inconsistency.
         detail: String,
@@ -327,10 +248,6 @@ impl std::fmt::Display for PersistError {
             PersistError::MissingSection(id) => {
                 write!(f, "artifact is missing required section {id}")
             }
-            PersistError::MisalignedSection { section, offset } => write!(
-                f,
-                "section {section} payload at offset {offset} is not 8-byte aligned"
-            ),
             PersistError::Malformed { section, detail } => {
                 write!(f, "section {section} malformed: {detail}")
             }
@@ -507,9 +424,6 @@ impl Encoder {
     fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn put_f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
     fn put_str(&mut self, s: &str) {
         self.put_u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
@@ -525,12 +439,6 @@ impl Encoder {
         self.put_usize(m.cols());
         for &x in m.as_slice() {
             self.put_f64(x);
-        }
-    }
-    /// Zero-pads to the next 8-byte boundary (SoA array alignment).
-    fn pad_to_8(&mut self) {
-        while !self.buf.len().is_multiple_of(8) {
-            self.buf.push(0);
         }
     }
 }
@@ -713,16 +621,21 @@ impl<'a> Decoder<'a> {
 // ---------------------------------------------------------------------------
 
 /// Serializes a built engine and its corpus to the `.cubelsi` byte
-/// format, without the compressed posting section.
+/// format.
 pub fn save_to_vec(model: &CubeLsi, folksonomy: &Folksonomy) -> Vec<u8> {
-    save_to_vec_with(model, folksonomy, false)
+    encode_file(model, folksonomy).0
 }
 
-/// Serializes a built engine, optionally appending the compressed
-/// posting mirror ([`SECTION_INDEX_COMPRESSED`]). Either way the file is
-/// stamped [`FORMAT_VERSION`].
-pub fn save_to_vec_with(model: &CubeLsi, folksonomy: &Folksonomy, compress: bool) -> Vec<u8> {
-    ModelSections::encode(model, folksonomy).with_index(model.index(), compress)
+/// The artifact file of a built engine and the CRC-32 of the whole file,
+/// combined from the CRCs the section table records, so each payload is
+/// summed once.
+pub(crate) fn encode_file(model: &CubeLsi, folksonomy: &Folksonomy) -> (Vec<u8>, u32) {
+    assemble_file(&[
+        EncodedSection::new(SECTION_META, encode_meta(model, folksonomy)),
+        EncodedSection::new(SECTION_FOLKSONOMY, encode_folksonomy(folksonomy)),
+        EncodedSection::new(SECTION_MODEL, encode_model(model.tag_model())),
+        EncodedSection::new(SECTION_CONCEPTS, encode_concepts(model.concepts())),
+    ])
 }
 
 /// One encoded section: its payload and the CRC the table records for it.
@@ -739,43 +652,10 @@ impl EncodedSection {
     }
 }
 
-/// The sections of an artifact that do not depend on the index — meta,
-/// folksonomy, model, concepts — encoded and checksummed once. A sharded save writes them into every shard file, next to that
-/// shard's own index sections.
-pub(crate) struct ModelSections(Vec<EncodedSection>);
-
-impl ModelSections {
-    pub(crate) fn encode(model: &CubeLsi, folksonomy: &Folksonomy) -> Self {
-        ModelSections(vec![
-            EncodedSection::new(SECTION_META, encode_meta(model, folksonomy)),
-            EncodedSection::new(SECTION_FOLKSONOMY, encode_folksonomy(folksonomy)),
-            EncodedSection::new(SECTION_MODEL, encode_model(model.tag_model())),
-            EncodedSection::new(SECTION_CONCEPTS, encode_concepts(model.concepts())),
-        ])
-    }
-
-    /// The complete artifact file around `index`: these sections, then
-    /// the SoA index and, with `compress`, its mirror.
-    pub(crate) fn with_index(&self, index: &ConceptIndex, compress: bool) -> Vec<u8> {
-        let mut own = vec![EncodedSection::new(
-            SECTION_INDEX_SOA,
-            encode_index_soa(index),
-        )];
-        if compress {
-            own.push(EncodedSection::new(
-                SECTION_INDEX_COMPRESSED,
-                encode_index_compressed(index),
-            ));
-        }
-        let sections: Vec<&EncodedSection> = self.0.iter().chain(&own).collect();
-        assemble_file(&sections)
-    }
-}
-
 /// Lays out header + table + payloads, starting every payload at an
-/// 8-byte-aligned file offset (zero padding in between), so the index
-/// arrays are aligned in the file as they are in memory.
-fn assemble_file(sections: &[&EncodedSection]) -> Vec<u8> {
+/// 8-byte-aligned file offset (zero padding in between). Returns the file
+/// and its CRC-32.
+fn assemble_file(sections: &[EncodedSection]) -> (Vec<u8>, u32) {
     let table_len = sections.len() * TABLE_ENTRY_LEN;
     let payload_base = HEADER_LEN + table_len;
     // HEADER_LEN = 16 and TABLE_ENTRY_LEN = 24, so payload_base is always
@@ -801,11 +681,15 @@ fn assemble_file(sections: &[&EncodedSection]) -> Vec<u8> {
         out.extend_from_slice(&s.crc.to_le_bytes());
         offset += padded(s.payload.len()) as u64;
     }
+    let mut crc = crc32(&out);
     for s in sections {
+        let pad = padded(s.payload.len()) - s.payload.len();
         out.extend_from_slice(&s.payload);
-        out.resize(padded(out.len() - payload_base) + payload_base, 0);
+        out.resize(out.len() + pad, 0);
+        crc = crc32_combine(crc, s.crc, s.payload.len());
+        crc = crc32_combine(crc, crc32(&[0; 8][..pad]), pad);
     }
-    out
+    (out, crc)
 }
 
 /// Writes the artifact to an arbitrary sink.
@@ -818,32 +702,39 @@ pub fn save(
     Ok(())
 }
 
-/// Writes the artifact to a file path, atomically: the bytes go to a
-/// temporary sibling first and are renamed into place only after a
-/// successful sync, so a crash mid-save can never destroy a previous
-/// good artifact at the same path.
+/// Writes the artifact to a file path atomically ([`write_atomic`]).
 pub fn save_to_path(
     path: impl AsRef<Path>,
     model: &CubeLsi,
     folksonomy: &Folksonomy,
 ) -> Result<(), PersistError> {
-    save_to_path_with(path, model, folksonomy, false)
+    write_atomic(path.as_ref(), &save_to_vec(model, folksonomy))
 }
 
-/// [`save_to_path`] with the compression choice of [`save_to_vec_with`].
+/// Shim for the frozen `perfbench/`, which still passes a compression
+/// choice: there is no compressed posting mirror since format 5, and this
+/// is [`save_to_path`].
+#[doc(hidden)]
 pub fn save_to_path_with(
     path: impl AsRef<Path>,
     model: &CubeLsi,
     folksonomy: &Folksonomy,
-    compress: bool,
+    _compress: bool,
 ) -> Result<(), PersistError> {
-    let path = path.as_ref();
+    save_to_path(path, model, folksonomy)
+}
+
+/// Writes `bytes` to `path` atomically: they go to a temporary sibling
+/// first and are renamed into place only after a successful sync, so a
+/// crash mid-save can never destroy a previous good file at the same
+/// path.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
     let result = (|| {
         let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&save_to_vec_with(model, folksonomy, compress))?;
+        file.write_all(bytes)?;
         file.sync_all()?;
         std::fs::rename(&tmp, path)?;
         Ok(())
@@ -935,232 +826,32 @@ fn encode_concepts(c: &ConceptModel) -> Vec<u8> {
     e.buf
 }
 
-/// Encodes the SoA index section: the 6-field header followed by the raw
-/// arrays, each 8-aligned relative to the payload start (which the file
-/// writer in turn places at an 8-aligned file offset).
-pub(crate) fn encode_index_soa(ix: &ConceptIndex) -> Vec<u8> {
+/// Shim for the frozen `perfbench/`, whose query workloads report it as
+/// `artifact_mb`: the bytes `ix`'s arrays took in format 4's index
+/// section (a 48-byte header, then each array, `u32` arrays zero-padded
+/// to 8 bytes). No artifact stores the index since format 5, and
+/// `_compress`, which added format 4's compressed mirror, is ignored.
+#[doc(hidden)]
+pub fn index_artifact_bytes(ix: &ConceptIndex, _compress: bool) -> usize {
     let a = ix.as_arrays();
-    let mut e = Encoder::default();
-    e.put_usize(ix.num_resources());
-    e.put_usize(ix.num_concepts());
-    e.put_usize(BLOCK_LEN);
-    e.put_usize(a.rv_concepts.len());
-    e.put_usize(a.post_ids.len());
-    e.put_usize(a.block_max.len());
-    for xs in [
-        &a.idf,
-        &a.resource_norms,
-        // rv_offsets interleaves below (u64), keep field order explicit.
-    ] {
-        for &x in xs {
-            e.put_f64(x);
-        }
-    }
-    for &x in &a.rv_offsets {
-        e.put_u64(x);
-    }
-    for &x in &a.rv_concepts {
-        e.put_u32(x);
-    }
-    e.pad_to_8();
-    for &x in &a.rv_weights {
-        e.put_f64(x);
-    }
-    for &x in &a.post_offsets {
-        e.put_u64(x);
-    }
-    for &x in &a.post_ids {
-        e.put_u32(x);
-    }
-    e.pad_to_8();
-    for &x in &a.post_scores {
-        e.put_f64(x);
-    }
-    for &x in &a.block_offsets {
-        e.put_u64(x);
-    }
-    for &x in &a.block_max {
-        e.put_f64(x);
-    }
-    for &x in &a.max_impact {
-        e.put_f64(x);
-    }
-    e.buf
-}
-
-/// Encodes the compressed posting mirror: the 4-field header followed by
-/// the mirror's arrays, each 8-aligned relative to the payload start.
-pub(crate) fn encode_index_compressed(ix: &ConceptIndex) -> Vec<u8> {
-    let c = ix.compressed();
-    let mut e = Encoder::default();
-    e.put_usize(c.num_blocks());
-    e.put_usize(c.quant.len());
-    e.put_usize(c.packed_ids.len());
-    e.put_usize(BLOCK_LEN);
-    for &x in &c.blk_pack_start {
-        e.put_u64(x);
-    }
-    for &x in &c.blk_base {
-        e.put_u32(x);
-    }
-    e.pad_to_8();
-    for &x in &c.blk_scale {
-        e.put_f32(x);
-    }
-    e.pad_to_8();
-    for &x in &c.blk_offset {
-        e.put_f32(x);
-    }
-    e.pad_to_8();
-    e.buf.extend_from_slice(&c.blk_bits);
-    e.pad_to_8();
-    e.buf.extend_from_slice(&c.quant);
-    e.pad_to_8();
-    e.buf.extend_from_slice(&c.packed_ids);
-    e.pad_to_8();
-    e.buf
-}
-
-/// Serialized byte size of the index section(s) an artifact would carry
-/// for this index: the exact SoA section plus, with `compress`, the
-/// compressed mirror. Exposed so the benchmark can report artifact
-/// footprint for synthetic indexes that have no full model around them.
-pub fn index_artifact_bytes(ix: &ConceptIndex, compress: bool) -> usize {
-    let mut n = encode_index_soa(ix).len();
-    if compress {
-        n += encode_index_compressed(ix).len();
-    }
-    n
-}
-
-// ---------------------------------------------------------------------------
-// SoA index section layout
-// ---------------------------------------------------------------------------
-
-// xtask:hostile-input:begin — layout arithmetic and the load path run
-// on untrusted header counts and raw artifact bytes.
-
-/// Byte offset + element count of one array inside an index payload.
-#[derive(Debug, Clone, Copy)]
-struct ArraySpan {
-    offset: usize,
-    len: usize,
-}
-
-/// The computed layout of every array in the SoA index payload. A single
-/// source of truth shared by the encoder (implicitly, via field order) and
-/// the decoder; all arithmetic is checked so hostile header counts cannot
-/// overflow.
-struct SoaLayout {
-    idf: ArraySpan,
-    resource_norms: ArraySpan,
-    rv_offsets: ArraySpan,
-    rv_concepts: ArraySpan,
-    rv_weights: ArraySpan,
-    post_offsets: ArraySpan,
-    post_ids: ArraySpan,
-    post_scores: ArraySpan,
-    block_offsets: ArraySpan,
-    block_max: ArraySpan,
-    max_impact: ArraySpan,
-    /// Total payload length in bytes (including trailing padding of u32
-    /// arrays, excluding nothing else).
-    total_len: usize,
-}
-
-fn soa_layout(
-    num_resources: usize,
-    num_concepts: usize,
-    rv_nnz: usize,
-    n_postings: usize,
-    n_blocks: usize,
-) -> Option<SoaLayout> {
-    let mut cursor = SOA_HEADER_FIELDS.checked_mul(8)?;
-    let mut span = |elem_size: usize, len: usize, pad: bool| -> Option<ArraySpan> {
-        let offset = cursor;
-        let bytes = len.checked_mul(elem_size)?;
-        cursor = cursor.checked_add(bytes)?;
-        if pad {
-            cursor = cursor.checked_add(7)? / 8 * 8;
-        }
-        Some(ArraySpan { offset, len })
-    };
-    let idf = span(8, num_concepts, false)?;
-    let resource_norms = span(8, num_resources, false)?;
-    let rv_offsets = span(8, num_resources.checked_add(1)?, false)?;
-    let rv_concepts = span(4, rv_nnz, true)?;
-    let rv_weights = span(8, rv_nnz, false)?;
-    let post_offsets = span(8, num_concepts.checked_add(1)?, false)?;
-    let post_ids = span(4, n_postings, true)?;
-    let post_scores = span(8, n_postings, false)?;
-    let block_offsets = span(8, num_concepts.checked_add(1)?, false)?;
-    let block_max = span(8, n_blocks, false)?;
-    let max_impact = span(8, num_concepts, false)?;
-    Some(SoaLayout {
-        idf,
-        resource_norms,
-        rv_offsets,
-        rv_concepts,
-        rv_weights,
-        post_offsets,
-        post_ids,
-        post_scores,
-        block_offsets,
-        block_max,
-        max_impact,
-        total_len: cursor,
-    })
-}
-
-/// The computed layout of every array in the compressed index payload;
-/// same contract as [`SoaLayout`] (checked arithmetic, encoder field
-/// order is the source of truth).
-struct CompressedLayout {
-    blk_pack_start: ArraySpan,
-    blk_base: ArraySpan,
-    blk_scale: ArraySpan,
-    blk_offset: ArraySpan,
-    blk_bits: ArraySpan,
-    quant: ArraySpan,
-    packed_ids: ArraySpan,
-    total_len: usize,
-}
-
-fn compressed_layout(
-    n_blocks: usize,
-    n_postings: usize,
-    packed_len: usize,
-) -> Option<CompressedLayout> {
-    let mut cursor = COMPRESSED_HEADER_FIELDS.checked_mul(8)?;
-    let mut span = |elem_size: usize, len: usize| -> Option<ArraySpan> {
-        let offset = cursor;
-        let bytes = len.checked_mul(elem_size)?;
-        cursor = cursor.checked_add(bytes)?;
-        cursor = cursor.checked_add(7)? / 8 * 8;
-        Some(ArraySpan { offset, len })
-    };
-    let blk_pack_start = span(8, n_blocks.checked_add(1)?)?;
-    let blk_base = span(4, n_blocks)?;
-    let blk_scale = span(4, n_blocks)?;
-    let blk_offset = span(4, n_blocks)?;
-    let blk_bits = span(1, n_blocks)?;
-    let quant = span(1, n_postings)?;
-    let packed_ids = span(1, packed_len)?;
-    Some(CompressedLayout {
-        blk_pack_start,
-        blk_base,
-        blk_scale,
-        blk_offset,
-        blk_bits,
-        quant,
-        packed_ids,
-        total_len: cursor,
-    })
+    let u32s = |n: usize| (4 * n).div_ceil(8) * 8;
+    let f64s_and_offsets = a.idf.len()
+        + a.resource_norms.len()
+        + a.rv_offsets.len()
+        + a.rv_weights.len()
+        + a.post_offsets.len()
+        + a.post_scores.len()
+        + a.block_offsets.len()
+        + a.block_max.len()
+        + a.max_impact.len();
+    48 + 8 * f64s_and_offsets + u32s(a.rv_concepts.len()) + u32s(a.post_ids.len())
 }
 
 // ---------------------------------------------------------------------------
 // Load
 // ---------------------------------------------------------------------------
+
+// xtask:hostile-input:begin — the load path runs on raw artifact bytes.
 
 /// Parses an artifact from bytes already in memory; nothing in the
 /// returned artifact borrows from `bytes`. This is the full load: every
@@ -1174,7 +865,6 @@ pub fn load_from_bytes(bytes: &[u8]) -> Result<Artifact, PersistError> {
         concepts,
         index,
         meta,
-        ..
     } = decode_serving(&sections)?;
     let tag_model = decode_model(sections.payload(SECTION_MODEL)?, &meta)?;
     let model = CubeLsi::from_parts(
@@ -1211,28 +901,15 @@ pub fn load_from_path_zero_copy(path: impl AsRef<Path>) -> Result<Artifact, Pers
 
 /// The sections a serving load reads. The model section is the other
 /// one: the offline model, which no query touches.
-const SERVING_SECTIONS: [u32; 5] = [
-    SECTION_META,
-    SECTION_FOLKSONOMY,
-    SECTION_CONCEPTS,
-    SECTION_INDEX_SOA,
-    SECTION_INDEX_COMPRESSED,
-];
+const SERVING_SECTIONS: [u32; 3] = [SECTION_META, SECTION_FOLKSONOMY, SECTION_CONCEPTS];
 
-/// The sections shard `i > 0` of a manifest reads for itself; its
-/// folksonomy and concepts payloads are compared with shard 0's instead.
-const SHARD_OWN_SECTIONS: [u32; 3] = [SECTION_META, SECTION_INDEX_SOA, SECTION_INDEX_COMPRESSED];
-
-/// What serving keeps of an artifact — corpus, concept model, index —
-/// plus what a manifest's later shards are checked against.
-pub(crate) struct Serving<'a> {
+/// What serving keeps of an artifact — corpus, concept model, and the
+/// index built from them — plus the meta the full load reads on.
+pub(crate) struct Serving {
     pub(crate) folksonomy: Folksonomy,
     pub(crate) concepts: ConceptModel,
     pub(crate) index: ConceptIndex,
     meta: Meta,
-    /// The folksonomy and concepts payloads as stored (checksummed).
-    stored_folksonomy: &'a [u8],
-    stored_concepts: &'a [u8],
 }
 
 /// The serving load of one artifact: header, version and every table
@@ -1242,10 +919,7 @@ pub(crate) struct Serving<'a> {
 /// manifest the file checksum), and neither does its absence.
 /// `known` carries payload CRCs already computed over `bytes`
 /// ([`file_crc`]).
-pub(crate) fn load_serving<'a>(
-    bytes: &'a [u8],
-    known: &KnownCrcs,
-) -> Result<Serving<'a>, PersistError> {
+pub(crate) fn load_serving(bytes: &[u8], known: &KnownCrcs) -> Result<Serving, PersistError> {
     decode_serving(&parse_sections(
         bytes,
         |id| SERVING_SECTIONS.contains(&id),
@@ -1253,73 +927,21 @@ pub(crate) fn load_serving<'a>(
     )?)
 }
 
-/// Loads the index of shard `shard > 0` of a manifest whose shard 0
-/// loaded as `first`. The shard's corpus and concept model are not
-/// decoded a second time: their stored bytes must equal shard 0's, which
-/// also catches what comparing decoded counts cannot — the same corpus
-/// under other names.
-pub(crate) fn load_shard_index(
-    bytes: &[u8],
-    known: &KnownCrcs,
-    first: &Serving<'_>,
-    shard: usize,
-) -> Result<ConceptIndex, PersistError> {
-    let sections = parse_sections(bytes, |id| SHARD_OWN_SECTIONS.contains(&id), known)?;
+/// Decodes meta, corpus and concept map, and builds the index from the
+/// last two with [`ConceptIndex::build`] — the same function, over the
+/// same decoded inputs, as the offline build, so the index is the built
+/// one bit for bit.
+fn decode_serving(sections: &Sections<'_>) -> Result<Serving, PersistError> {
     let meta = decode_meta(sections.payload(SECTION_META)?)?;
-    if meta.counts() != first.meta.counts() {
-        return Err(PersistError::Shard {
-            detail: format!(
-                "shard {shard} corpus counts {:?} disagree with shard 0's {:?}",
-                meta.counts(),
-                first.meta.counts()
-            ),
-        });
-    }
-    for (id, what, expected) in [
-        (SECTION_FOLKSONOMY, "folksonomy", first.stored_folksonomy),
-        (SECTION_CONCEPTS, "concept model", first.stored_concepts),
-    ] {
-        if sections.unverified(id)? != expected {
-            return Err(PersistError::Shard {
-                detail: format!("shard {shard}'s {what} section differs from shard 0's"),
-            });
-        }
-    }
-    decode_index(&sections, meta.num_resources, first.concepts.num_concepts())
-}
-
-fn decode_serving<'a>(sections: &Sections<'a>) -> Result<Serving<'a>, PersistError> {
-    let meta = decode_meta(sections.payload(SECTION_META)?)?;
-    let stored_folksonomy = sections.payload(SECTION_FOLKSONOMY)?;
-    let folksonomy = decode_folksonomy(stored_folksonomy, &meta)?;
-    let stored_concepts = sections.payload(SECTION_CONCEPTS)?;
-    let concepts = decode_concepts(stored_concepts, meta.num_tags)?;
-    let index = decode_index(sections, meta.num_resources, concepts.num_concepts())?;
+    let folksonomy = decode_folksonomy(sections.payload(SECTION_FOLKSONOMY)?, &meta)?;
+    let concepts = decode_concepts(sections.payload(SECTION_CONCEPTS)?, meta.num_tags)?;
+    let index = ConceptIndex::build(&folksonomy, &concepts);
     Ok(Serving {
         folksonomy,
         concepts,
         index,
         meta,
-        stored_folksonomy,
-        stored_concepts,
     })
-}
-
-fn decode_index(
-    sections: &Sections<'_>,
-    num_resources: usize,
-    num_concepts: usize,
-) -> Result<ConceptIndex, PersistError> {
-    let (offset, payload) = sections
-        .find(SECTION_INDEX_SOA)
-        .ok_or(PersistError::MissingSection(SECTION_INDEX_SOA))?;
-    decode_index_soa(
-        payload,
-        offset,
-        sections.find(SECTION_INDEX_COMPRESSED),
-        num_resources,
-        num_concepts,
-    )
 }
 
 /// One section-table row whose payload lies inside the file.
@@ -1332,31 +954,16 @@ struct SectionView<'a> {
 }
 
 /// An artifact's section table. Decoders only ever see checksummed
-/// payloads: [`Sections::find`] and [`Sections::payload`] pass over rows
-/// the caller of [`parse_sections`] did not name.
+/// payloads: [`Sections::payload`] passes over rows the caller of
+/// [`parse_sections`] did not name.
 struct Sections<'a>(Vec<SectionView<'a>>);
 
 impl<'a> Sections<'a> {
-    /// `(file offset, payload)` of the first checksummed section `id`.
-    fn find(&self, id: u32) -> Option<(usize, &'a [u8])> {
+    /// The payload of the first checksummed section `id`.
+    fn payload(&self, id: u32) -> Result<&'a [u8], PersistError> {
         self.0
             .iter()
             .find(|s| s.id == id && s.verified)
-            .map(|s| (s.offset, s.payload))
-    }
-
-    fn payload(&self, id: u32) -> Result<&'a [u8], PersistError> {
-        self.find(id)
-            .map(|(_, p)| p)
-            .ok_or(PersistError::MissingSection(id))
-    }
-
-    /// The stored bytes of section `id`, checksummed or not — only for
-    /// comparing with bytes that were.
-    fn unverified(&self, id: u32) -> Result<&'a [u8], PersistError> {
-        self.0
-            .iter()
-            .find(|s| s.id == id)
             .map(|s| s.payload)
             .ok_or(PersistError::MissingSection(id))
     }
@@ -1494,18 +1101,6 @@ struct Meta {
     num_assignments: usize,
     timings: PhaseTimings,
     trace: BuildTrace,
-}
-
-impl Meta {
-    /// Users, tags, resources, assignments.
-    fn counts(&self) -> [usize; 4] {
-        [
-            self.num_users,
-            self.num_tags,
-            self.num_resources,
-            self.num_assignments,
-        ]
-    }
 }
 
 fn decode_meta(payload: &[u8]) -> Result<Meta, PersistError> {
@@ -1690,210 +1285,7 @@ fn decode_concepts(payload: &[u8], num_tags: usize) -> Result<ConceptModel, Pers
     Ok(ConceptModel::from_parts(assignments, num_concepts, sigma))
 }
 
-/// Carves one array out of an index payload, bulk-decoding its LE
-/// elements into a `Vec`.
-fn carve<T: LeScalar>(payload: &[u8], span: ArraySpan) -> Result<Vec<T>, PersistError> {
-    // The decoders check the layout's `total_len == payload.len()`
-    // equality first, but carve with checked arithmetic anyway.
-    let bytes = span
-        .len
-        .checked_mul(std::mem::size_of::<T>())
-        .and_then(|n| span.offset.checked_add(n))
-        .and_then(|end| payload.get(span.offset..end))
-        .ok_or(PersistError::Truncated {
-            context: "index array",
-        })?;
-    Ok(bytes
-        .chunks_exact(std::mem::size_of::<T>())
-        .map(T::from_le_chunk)
-        .collect())
-}
-
-/// LE decoding for the SoA and compressed-mirror scalar shapes.
-trait LeScalar: Sized {
-    fn from_le_chunk(chunk: &[u8]) -> Self;
-}
-// `carve` feeds these via `chunks_exact(size_of::<T>())`, so every
-// chunk is full; the `map_or` defaults keep the parsing layer panic-free
-// without an unreachable unwrap.
-impl LeScalar for u8 {
-    fn from_le_chunk(c: &[u8]) -> Self {
-        c.first().copied().unwrap_or(0)
-    }
-}
-impl LeScalar for f32 {
-    fn from_le_chunk(c: &[u8]) -> Self {
-        c.first_chunk::<4>().map_or(0.0, |c| f32::from_le_bytes(*c))
-    }
-}
-impl LeScalar for u32 {
-    fn from_le_chunk(c: &[u8]) -> Self {
-        c.first_chunk::<4>().map_or(0, |c| u32::from_le_bytes(*c))
-    }
-}
-impl LeScalar for u64 {
-    fn from_le_chunk(c: &[u8]) -> Self {
-        c.first_chunk::<8>().map_or(0, |c| u64::from_le_bytes(*c))
-    }
-}
-impl LeScalar for f64 {
-    fn from_le_chunk(c: &[u8]) -> Self {
-        c.first_chunk::<8>().map_or(0.0, |c| f64::from_le_bytes(*c))
-    }
-}
-
-fn decode_index_soa(
-    payload: &[u8],
-    file_offset: usize,
-    compressed_section: Option<(usize, &[u8])>,
-    num_resources: usize,
-    num_concepts: usize,
-) -> Result<ConceptIndex, PersistError> {
-    let err = |detail: String| PersistError::Malformed {
-        section: SECTION_INDEX_SOA,
-        detail,
-    };
-    if !file_offset.is_multiple_of(8) {
-        return Err(PersistError::MisalignedSection {
-            section: SECTION_INDEX_SOA,
-            offset: file_offset as u64,
-        });
-    }
-    if payload.len() < SOA_HEADER_FIELDS * 8 {
-        return Err(err(format!(
-            "payload of {} bytes is smaller than the {}-byte header",
-            payload.len(),
-            SOA_HEADER_FIELDS * 8
-        )));
-    }
-    let field = |i: usize| le_u64(payload, i * 8).ok_or_else(|| err("header truncated".to_owned()));
-    let to_usize = |v: u64, what: &str| {
-        usize::try_from(v).map_err(|_| err(format!("{what} = {v} exceeds usize")))
-    };
-    let stored_resources = to_usize(field(0)?, "num_resources")?;
-    let stored_concepts = to_usize(field(1)?, "num_concepts")?;
-    let block_len = field(2)?;
-    let rv_nnz = to_usize(field(3)?, "rv_nnz")?;
-    let n_postings = to_usize(field(4)?, "n_postings")?;
-    let n_blocks = to_usize(field(5)?, "n_blocks")?;
-    if stored_resources != num_resources || stored_concepts != num_concepts {
-        return Err(err(format!(
-            "index is {stored_resources}x{stored_concepts}, model is {num_resources}x{num_concepts}"
-        )));
-    }
-    if block_len != BLOCK_LEN as u64 {
-        return Err(err(format!(
-            "block length {block_len} != supported {BLOCK_LEN}"
-        )));
-    }
-    let layout = soa_layout(num_resources, num_concepts, rv_nnz, n_postings, n_blocks)
-        .ok_or_else(|| err("array layout overflows".to_owned()))?;
-    if layout.total_len != payload.len() {
-        return Err(err(format!(
-            "payload is {} bytes, layout requires {}",
-            payload.len(),
-            layout.total_len
-        )));
-    }
-
-    let exact = IndexArrays {
-        num_resources,
-        num_concepts,
-        idf: carve(payload, layout.idf)?,
-        resource_norms: carve(payload, layout.resource_norms)?,
-        rv_offsets: carve(payload, layout.rv_offsets)?,
-        rv_concepts: carve(payload, layout.rv_concepts)?,
-        rv_weights: carve(payload, layout.rv_weights)?,
-        post_offsets: carve(payload, layout.post_offsets)?,
-        post_ids: carve(payload, layout.post_ids)?,
-        post_scores: carve(payload, layout.post_scores)?,
-        block_offsets: carve(payload, layout.block_offsets)?,
-        block_max: carve(payload, layout.block_max)?,
-        max_impact: carve(payload, layout.max_impact)?,
-    };
-    let mirror = compressed_section
-        .map(|(off, p)| decode_index_compressed(p, off))
-        .transpose()?;
-    // The checked constructor validates the exact arrays first, then
-    // proves a restored mirror honest *against* them (decoded ids
-    // bitwise-equal, dequantized impacts upper-bounding) or derives the
-    // missing one from them — so neither hostile arrays nor a hostile
-    // mirror can make any strategy disagree with the exhaustive ranking.
-    ConceptIndex::from_arrays(exact, mirror).map_err(|defect| {
-        let (section, detail) = match defect {
-            IndexDefect::Exact(detail) => (SECTION_INDEX_SOA, detail),
-            IndexDefect::Mirror(detail) => (SECTION_INDEX_COMPRESSED, detail),
-        };
-        PersistError::Malformed { section, detail }
-    })
-}
-
-/// Decodes the compressed posting mirror's header and arrays. Honesty
-/// against the exact posting arrays is checked separately, by
-/// `CompressedPostings::validate_against` inside the index's checked
-/// constructor.
-fn decode_index_compressed(
-    payload: &[u8],
-    file_offset: usize,
-) -> Result<CompressedPostings, PersistError> {
-    let err = |detail: String| PersistError::Malformed {
-        section: SECTION_INDEX_COMPRESSED,
-        detail,
-    };
-    if !file_offset.is_multiple_of(8) {
-        return Err(PersistError::MisalignedSection {
-            section: SECTION_INDEX_COMPRESSED,
-            offset: file_offset as u64,
-        });
-    }
-    if payload.len() < COMPRESSED_HEADER_FIELDS * 8 {
-        return Err(err(format!(
-            "payload of {} bytes is smaller than the {}-byte header",
-            payload.len(),
-            COMPRESSED_HEADER_FIELDS * 8
-        )));
-    }
-    let field = |i: usize| le_u64(payload, i * 8).ok_or_else(|| err("header truncated".to_owned()));
-    let to_usize = |v: u64, what: &str| {
-        usize::try_from(v).map_err(|_| err(format!("{what} = {v} exceeds usize")))
-    };
-    let n_blocks = to_usize(field(0)?, "n_blocks")?;
-    let n_postings = to_usize(field(1)?, "n_postings")?;
-    let packed_len = to_usize(field(2)?, "packed_len")?;
-    let block_len = field(3)?;
-    if block_len != BLOCK_LEN as u64 {
-        return Err(err(format!(
-            "block length {block_len} != supported {BLOCK_LEN}"
-        )));
-    }
-    if packed_len < 8 {
-        return Err(err(format!(
-            "packed id stream of {packed_len} bytes lacks the 8 guard bytes"
-        )));
-    }
-    let layout = compressed_layout(n_blocks, n_postings, packed_len)
-        .ok_or_else(|| err("array layout overflows".to_owned()))?;
-    if layout.total_len != payload.len() {
-        return Err(err(format!(
-            "payload is {} bytes, layout requires {}",
-            payload.len(),
-            layout.total_len
-        )));
-    }
-
-    Ok(CompressedPostings {
-        blk_pack_start: carve(payload, layout.blk_pack_start)?,
-        blk_base: carve(payload, layout.blk_base)?,
-        blk_scale: carve(payload, layout.blk_scale)?,
-        blk_offset: carve(payload, layout.blk_offset)?,
-        blk_bits: carve(payload, layout.blk_bits)?,
-        quant: carve(payload, layout.quant)?,
-        packed_ids: carve(payload, layout.packed_ids)?,
-    })
-}
-
-// xtask:hostile-input:end — from here the bytes are typed arrays, and
-// `crate::index` validates them.
+// xtask:hostile-input:end
 
 #[cfg(test)]
 mod tests {
@@ -1988,10 +1380,10 @@ mod tests {
     }
 
     /// `file_crc` is the CRC of the whole file, and each payload CRC it
-    /// hands on is that payload's — for a plain and a compressed
-    /// artifact, for one whose table names a payload twice (the second
-    /// row is left to be checksummed when read), and for one whose table
-    /// does not parse (checksummed whole).
+    /// hands on is that payload's — for an artifact, for one whose table
+    /// names a payload twice (the second row is left to be checksummed
+    /// when read), and for one whose table does not parse (checksummed
+    /// whole).
     #[test]
     fn file_crc_equals_the_crc_of_the_file_and_its_payloads() {
         let (f, model) = built();
@@ -2000,9 +1392,7 @@ mod tests {
             let at = |o: usize| u64::from_le_bytes(bytes[e + o..e + o + 8].try_into().unwrap());
             (at(4) as usize, at(12) as usize)
         };
-        let mut cases: Vec<Vec<u8>> = [false, true]
-            .map(|c| save_to_vec_with(&model, &f, c))
-            .into();
+        let mut cases = vec![save_to_vec(&model, &f)];
         let mut twice = cases[0].clone();
         let second = HEADER_LEN + TABLE_ENTRY_LEN;
         let first_row = twice[HEADER_LEN + 4..HEADER_LEN + 20].to_vec();
@@ -2025,30 +1415,30 @@ mod tests {
                 }
             }
             let summed = known.iter().filter(|c| c.is_some()).count();
-            assert_eq!(summed, [5, 6, 4, 0][case], "case {case}");
+            assert_eq!(summed, [4, 3, 0][case], "case {case}");
         }
     }
 
     /// The CRCs a fresh table stores are the reference's, for every
-    /// section of a plain and a compressed artifact.
+    /// section, and the file CRC `encode_file` combines from them is the
+    /// reference's over the whole file.
     #[test]
     fn stored_section_crcs_equal_the_bytewise_reference() {
         let (f, model) = built();
-        for compress in [false, true] {
-            let bytes = save_to_vec_with(&model, &f, compress);
-            let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-            assert_eq!(count, 5 + compress as usize);
-            for i in 0..count {
-                let e = HEADER_LEN + i * TABLE_ENTRY_LEN;
-                let offset = u64::from_le_bytes(bytes[e + 4..e + 12].try_into().unwrap()) as usize;
-                let len = u64::from_le_bytes(bytes[e + 12..e + 20].try_into().unwrap()) as usize;
-                let stored = u32::from_le_bytes(bytes[e + 20..e + 24].try_into().unwrap());
-                assert_eq!(
-                    stored,
-                    crc32_bytewise(&bytes[offset..offset + len]),
-                    "compress {compress} table entry {i}"
-                );
-            }
+        let (bytes, file_crc) = encode_file(&model, &f);
+        assert_eq!(file_crc, crc32_bytewise(&bytes));
+        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        assert_eq!(count, 4);
+        for i in 0..count {
+            let e = HEADER_LEN + i * TABLE_ENTRY_LEN;
+            let offset = u64::from_le_bytes(bytes[e + 4..e + 12].try_into().unwrap()) as usize;
+            let len = u64::from_le_bytes(bytes[e + 12..e + 20].try_into().unwrap()) as usize;
+            let stored = u32::from_le_bytes(bytes[e + 20..e + 24].try_into().unwrap());
+            assert_eq!(
+                stored,
+                crc32_bytewise(&bytes[offset..offset + len]),
+                "table entry {i}"
+            );
         }
     }
 
@@ -2092,44 +1482,128 @@ mod tests {
         }
     }
 
+    /// `build --compress` saves through `save_to_path_with(.., true)`,
+    /// which has no mirror to add since format 5: it writes the plain
+    /// artifact, which loads and answers bit-identically.
     #[test]
     fn compressed_artifacts_round_trip_and_stay_bit_identical() {
         let (f, model) = built();
         let plain = save_to_vec(&model, &f);
-        let compressed = save_to_vec_with(&model, &f, true);
-        // Both stamp the one version; only the mirror section differs.
         assert_eq!(
             u32::from_le_bytes(plain[8..12].try_into().unwrap()),
             FORMAT_VERSION
         );
-        assert_eq!(plain, save_to_vec_with(&model, &f, false));
-        assert_eq!(
-            u32::from_le_bytes(compressed[8..12].try_into().unwrap()),
-            FORMAT_VERSION
-        );
-
-        let baseline = load_from_bytes(&plain).unwrap();
-        let owned = load_from_bytes(&compressed).unwrap();
-        // The restored mirror is the same mirror the uncompressed load
-        // derives (compression is deterministic), so every strategy sees
-        // identical bytes regardless of artifact flavor.
-        assert_eq!(
-            owned.model.index().compressed().quant,
-            baseline.model.index().compressed().quant
-        );
-        assert_eq!(
-            owned.model.index().compressed().packed_ids,
-            baseline.model.index().compressed().packed_ids
-        );
+        let path = std::env::temp_dir().join(format!(
+            "cubelsi-persist-compress-{}.cubelsi",
+            std::process::id()
+        ));
+        save_to_path_with(&path, &model, &f, true).unwrap();
+        let compressed = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(compressed, plain);
+        let loaded = load_from_bytes(&compressed).unwrap();
         for name in ["folk", "people", "laptop"] {
-            let a = baseline.model.search(&[name], 0);
-            let b = owned.model.search(&[name], 0);
+            let a = model.search(&[name], 0);
+            let b = loaded.model.search(&[name], 0);
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b.iter()) {
                 assert_eq!(x.resource, y.resource);
                 assert_eq!(x.score.to_bits(), y.score.to_bits());
             }
         }
+    }
+
+    /// The index a serving load derives equals the built model's, every
+    /// array compared by bits, over seeded random corpora under random
+    /// hard concept maps (many resources share a vector, so impacts tie),
+    /// the empty corpus, and one whose concepts each annotate every
+    /// resource (all idf 0, no postings).
+    #[test]
+    fn derived_index_equals_the_built_one_bit_for_bit() {
+        use cubelsi_folksonomy::FolksonomyBuilder;
+        let mut state = 0xde71_7ed5_2011u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        let mut corpora = vec![FolksonomyBuilder::new().build()];
+        let mut everywhere = FolksonomyBuilder::new();
+        for r in 0..6 {
+            for t in ["x", "y"] {
+                everywhere.add("u0", t, &format!("r{r}"));
+            }
+        }
+        corpora.push(everywhere.build());
+        for case in 0..24 {
+            let resources = if case % 4 == 1 {
+                300 + next(300)
+            } else {
+                1 + next(80)
+            };
+            let (tags, users) = (1 + next(12), 1 + next(4));
+            let mut b = FolksonomyBuilder::new();
+            for r in 0..resources {
+                for _ in 0..1 + next(4) {
+                    b.add(
+                        &format!("u{}", next(users)),
+                        &format!("t{}", next(tags)),
+                        &format!("r{r}"),
+                    );
+                }
+            }
+            corpora.push(b.build());
+        }
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let mut postings = 0;
+        for (case, f) in corpora.iter().enumerate() {
+            let num_tags = f.num_tags();
+            let num_concepts = if num_tags == 0 { 0 } else { 1 + next(num_tags) };
+            let concepts = ConceptModel::from_parts(
+                (0..num_tags).map(|_| next(num_concepts)).collect(),
+                num_concepts,
+                1.0,
+            );
+            let tag_model =
+                TagModel::from_parts(Matrix::zeros(num_tags, 1), vec![1.0], None, 1.0, 0).unwrap();
+            let model = CubeLsi::from_parts(
+                tag_model,
+                concepts.clone(),
+                QueryEngine::new(ConceptIndex::build(f, &concepts)),
+                PhaseTimings::default(),
+                BuildTrace::default(),
+                f,
+            );
+            let served = load_serving(&save_to_vec(&model, f), &KnownCrcs::default()).unwrap();
+            let (a, b) = (served.index.as_arrays(), model.index().as_arrays());
+            assert_eq!(
+                (a.num_resources, a.num_concepts),
+                (b.num_resources, b.num_concepts),
+                "case {case}"
+            );
+            for (x, y) in [
+                (&a.idf, &b.idf),
+                (&a.resource_norms, &b.resource_norms),
+                (&a.rv_weights, &b.rv_weights),
+                (&a.post_scores, &b.post_scores),
+                (&a.block_max, &b.block_max),
+                (&a.max_impact, &b.max_impact),
+            ] {
+                assert_eq!(bits(x), bits(y), "case {case}");
+            }
+            for (x, y) in [
+                (&a.rv_offsets, &b.rv_offsets),
+                (&a.post_offsets, &b.post_offsets),
+                (&a.block_offsets, &b.block_offsets),
+            ] {
+                assert_eq!(x, y, "case {case}");
+            }
+            assert_eq!(a.rv_concepts, b.rv_concepts, "case {case}");
+            assert_eq!(a.post_ids, b.post_ids, "case {case}");
+            postings += a.post_ids.len();
+        }
+        assert!(postings > 1000, "only {postings} postings compared");
     }
 
     #[test]
@@ -2206,30 +1680,6 @@ mod tests {
     }
 
     #[test]
-    fn hostile_soa_counts_are_rejected_before_allocation() {
-        // Patch the SoA header's n_postings to 2^50: layout total no
-        // longer matches the payload length → typed error, no allocation.
-        let (f, model) = built();
-        let mut bytes = save_to_vec(&model, &f);
-        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        let entry = (0..count)
-            .map(|i| HEADER_LEN + i * TABLE_ENTRY_LEN)
-            .find(|&e| u32::from_le_bytes(bytes[e..e + 4].try_into().unwrap()) == SECTION_INDEX_SOA)
-            .expect("SoA index section present");
-        let offset = u64::from_le_bytes(bytes[entry + 4..entry + 12].try_into().unwrap()) as usize;
-        let len = u64::from_le_bytes(bytes[entry + 12..entry + 20].try_into().unwrap()) as usize;
-        bytes[offset + 32..offset + 40].copy_from_slice(&(1u64 << 50).to_le_bytes());
-        let crc = crc32(&bytes[offset..offset + len]);
-        bytes[entry + 20..entry + 24].copy_from_slice(&crc.to_le_bytes());
-        match load_from_bytes(&bytes) {
-            Err(PersistError::Malformed { section, .. }) => {
-                assert_eq!(section, SECTION_INDEX_SOA);
-            }
-            other => panic!("expected Malformed, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn stored_names_round_trip_and_a_duplicate_is_malformed() {
         let (f, model) = built();
         let mut bytes = save_to_vec(&model, &f);
@@ -2287,10 +1737,5 @@ mod tests {
             supported: FORMAT_VERSION,
         };
         assert!(e.to_string().contains('9'));
-        let e = PersistError::MisalignedSection {
-            section: SECTION_INDEX_SOA,
-            offset: 1234,
-        };
-        assert!(e.to_string().contains("1234"));
     }
 }

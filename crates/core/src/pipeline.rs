@@ -138,8 +138,7 @@ impl CubeLsi {
         timings.clustering = t0.elapsed();
 
         let t0 = Instant::now();
-        let engine =
-            QueryEngine::with_strategy(ConceptIndex::build(folksonomy, &concepts), config.pruning);
+        let engine = QueryEngine::new(ConceptIndex::build(folksonomy, &concepts));
         timings.indexing = t0.elapsed();
 
         let mut built =

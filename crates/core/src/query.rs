@@ -22,13 +22,13 @@
 //! * **[`QueryEngine::search_batch`]**: fans a slice of queries across
 //!   worker threads (one session per worker), for throughput workloads.
 //!
-//! # One skeleton, two posting sources
+//! # The skeleton
 //!
-//! Every pruned query runs the same accumulation skeleton
-//! (`QueryEngine::accumulate`), generic over a private `PostingSource`
-//! and monomorphised once per [`PruningStrategy`]; the exhaustive
-//! [`ConceptIndex::rank_exact`] is the oracle both are tested against.
-//! The skeleton:
+//! Every pruned query runs one accumulation skeleton
+//! (`QueryEngine::accumulate`) over the exact `u32` id and `f64` impact
+//! arrays; the exhaustive [`ConceptIndex::rank_exact`] is the oracle it is
+//! tested against. Passing blocks run tight loops with **no per-posting
+//! bound checks**. The skeleton:
 //!
 //! * **block-granular bounds**: one admission check per
 //!   [`BLOCK_LEN`]-posting block against the block's own maximum; a
@@ -53,23 +53,6 @@
 //! * **division-filtered selection**: candidates are compared against
 //!   a conservative undivided bound first, so only near-top-k
 //!   candidates pay the `acc/norm` division.
-//!
-//! The two sources differ only in how a block's resource ids are read
-//! and in whether a fresh candidate passes one more gate:
-//!
-//! * [`PruningStrategy::BlockMax`] (default) reads the exact `u32` id
-//!   array; passing blocks run tight loops with **no per-posting bound
-//!   checks**.
-//! * [`PruningStrategy::CompressedBlockMax`] reads the compressed
-//!   posting mirror ([`crate::index`]'s bit-packed frame-of-reference
-//!   ids plus 8-bit block-quantized impact upper bounds, ~4 bytes per
-//!   posting instead of 12): admitted blocks decode their ids on the
-//!   fly, *fresh* candidates are additionally gated per posting by the
-//!   quantized bound, and every accumulated contribution reads the
-//!   exact f64 impact — "quantize to reject, rescore to accept". A
-//!   skipped posting satisfies the same proof obligation as a skipped
-//!   block (its dequantized bound dominates its impact), so results
-//!   stay bit-identical.
 //!
 //! # Pruning invariants (why early termination is exact)
 //!
@@ -96,26 +79,21 @@
 //! therefore never pruned, and a pruned resource is strictly below the
 //! k-th result even after the final division by the query norm.
 //!
-//! The two sources admit slightly different candidate sets: inside a
-//! block whose max passes the bound, the raw source admits every fresh
-//! posting, while the compressed source's quantized per-posting gate
-//! rejects some of them again. Either way a skipped-or-spurious
-//! resource's upper bound is strictly below the final k-th score (the
-//! bound that skipped it — block max or dequantized impact — dominates
-//! its total), so it can never displace a true top-k member in the final
-//! heap. A resource skipped by one term may be admitted by a *later*
-//! term with an incomplete (smaller) accumulator; the same argument
-//! covers it, and every true top-k member keeps a complete accumulator
-//! (its bound can never lose to the threshold). Whenever a threshold
-//! exists, at least `k` touched resources already exist, so spurious or
-//! missing admissions can only occur in the heap-selection regime, never
-//! in the emit-everything regime. Because pruning never changes the
-//! order or the set of additions applied to a resource that reaches the
-//! output, both instantiations return bit-identical scores — and an
-//! identical ranked list, including tie-breaks — to
-//! [`ConceptIndex::rank_exact`]. The three-way equivalence (exhaustive ≡
-//! block-max ≡ compressed) is enforced by the `query_engine_equivalence`
-//! integration test over randomized corpora.
+//! A skipped resource's upper bound is strictly below the final k-th
+//! score (the block maximum that skipped it dominates its total), so it
+//! can never displace a true top-k member in the final heap. A resource
+//! skipped by one term may be admitted by a *later* term with an
+//! incomplete (smaller) accumulator; the same argument covers it, and
+//! every true top-k member keeps a complete accumulator (its bound can
+//! never lose to the threshold). Whenever a threshold exists, at least
+//! `k` touched resources already exist, so missing admissions can only
+//! occur in the heap-selection regime, never in the emit-everything
+//! regime. Because pruning never changes the order or the set of
+//! additions applied to a resource that reaches the output, the engine
+//! returns bit-identical scores — and an identical ranked list, including
+//! tie-breaks — to [`ConceptIndex::rank_exact`]. The equivalence is
+//! enforced by the `query_engine_equivalence` integration test over
+//! randomized corpora.
 //!
 //! Tags are the one way to ask. Every term weight is a sum of
 //! [`ConceptAssignment::for_each_weight`] weights (finite and ≥ 0 by that
@@ -124,9 +102,7 @@
 //! query the engine can be handed.
 
 use crate::exec;
-use crate::index::{
-    CompressedPostings, ConceptAssignment, ConceptIndex, RankedResource, BLOCK_LEN,
-};
+use crate::index::{ConceptAssignment, ConceptIndex, RankedResource, BLOCK_LEN};
 use cubelsi_folksonomy::{ResourceId, TagId};
 use cubelsi_linalg::parallel;
 use std::ops::Range;
@@ -142,20 +118,17 @@ const PRUNE_SLACK: f64 = 1.0 + 1e-9;
 /// small chunks keep the participants busy to the end of the batch.
 pub(crate) const MIN_QUERIES_PER_TASK: usize = 8;
 
-/// Which posting source the block-max skeleton reads. Both return
-/// bit-identical results; the knob lets serving trade the exact id
-/// stream for the compressed mirror.
+/// Shim for the frozen `perfbench/` and [`crate::CubeLsiConfig::pruning`],
+/// from when the skeleton also read a compressed posting mirror: there is
+/// one posting source, and [`QueryEngine::set_strategy`] ignores the
+/// choice. Goes with those callers when the benchmark next changes.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PruningStrategy {
-    /// The exact `u32` id array: per-block admission checks against
-    /// block maxima, tight inner loop (the default).
+    /// The exact `u32` id array (the one source).
     #[default]
     BlockMax,
-    /// The compressed posting mirror: ids decoded per block from the
-    /// bit-packed stream, fresh candidates gated by 8-bit quantized
-    /// impact upper bounds, and every accepted contribution read from
-    /// the exact f64 impact array — "quantize to reject, rescore to
-    /// accept", still bit-identical.
+    /// Formerly the compressed posting mirror; answers as `BlockMax`.
     CompressedBlockMax,
 }
 
@@ -163,7 +136,6 @@ pub enum PruningStrategy {
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
     index: ConceptIndex,
-    strategy: PruningStrategy,
 }
 
 /// Reusable per-thread scratch for query processing. Create one with
@@ -326,14 +298,6 @@ impl QuerySession {
         }
         Ok(())
     }
-
-    /// The terms prepared by the last query on this session (in whatever
-    /// order preparation left them). The sharded engine reads this after
-    /// [`QueryEngine::collect_tag_terms`] to broadcast one prepared query
-    /// to every shard.
-    pub(crate) fn terms(&self) -> &[(u32, f64)] {
-        &self.terms
-    }
 }
 
 fn bump_epoch(cur: u32, epochs: &mut [u32]) -> u32 {
@@ -355,29 +319,22 @@ fn worse(a: (f64, u32), b: (f64, u32)) -> bool {
 }
 
 impl QueryEngine {
-    /// Wraps a built index with the default (block-max) pruning strategy.
+    /// Wraps a built index.
     pub fn new(index: ConceptIndex) -> Self {
-        QueryEngine {
-            index,
-            strategy: PruningStrategy::default(),
-        }
+        QueryEngine { index }
     }
 
-    /// Wraps a built index with an explicit pruning strategy.
-    pub fn with_strategy(index: ConceptIndex, strategy: PruningStrategy) -> Self {
-        QueryEngine { index, strategy }
+    /// Shim for the frozen `perfbench/` ([`PruningStrategy`]): it is
+    /// [`Self::new`].
+    #[doc(hidden)]
+    pub fn with_strategy(index: ConceptIndex, _strategy: PruningStrategy) -> Self {
+        Self::new(index)
     }
 
-    /// The active pruning strategy.
-    pub fn strategy(&self) -> PruningStrategy {
-        self.strategy
-    }
-
-    /// Switches the pruning strategy. Results are bit-identical either
-    /// way; this knob selects the reference path for tests and benches.
-    pub fn set_strategy(&mut self, strategy: PruningStrategy) {
-        self.strategy = strategy;
-    }
+    /// Shim for the frozen `perfbench/` ([`PruningStrategy`]): does
+    /// nothing.
+    #[doc(hidden)]
+    pub fn set_strategy(&mut self, _strategy: PruningStrategy) {}
 
     /// The underlying concept index.
     pub fn index(&self) -> &ConceptIndex {
@@ -416,51 +373,12 @@ impl QueryEngine {
         out: &mut Vec<RankedResource>,
     ) {
         out.clear();
-        let Some(norm) = self.collect_tag_terms(session, concepts, tags) else {
+        session.begin();
+        session.ensure_capacity(&self.index);
+        let Some(norm) = self.build_query(session, concepts, tags) else {
             return;
         };
         self.index.order_terms(&mut session.terms);
-        self.run_pruned(session, norm, top_k, out);
-        debug_assert_eq!(session.check_epochs(), Ok(()));
-    }
-
-    /// Prepares a tag query in `session` *without* applying a term order:
-    /// after this call `session.terms` holds the `(concept, weight)`
-    /// terms in ascending concept order and the returned value is the
-    /// query norm (`None` → empty query). The sharded scatter-gather
-    /// engine uses this to prepare a query exactly once and then replay
-    /// the same terms — in one shared, globally-consistent MaxScore
-    /// order — against every shard, which is what makes the merged
-    /// ranking bit-identical to a single unsharded engine.
-    pub(crate) fn collect_tag_terms(
-        &self,
-        session: &mut QuerySession,
-        concepts: &dyn ConceptAssignment,
-        tags: &[TagId],
-    ) -> Option<f64> {
-        session.begin();
-        session.ensure_capacity(&self.index);
-        self.build_query(session, concepts, tags)
-    }
-
-    /// Runs the pruned engine over externally prepared terms. `terms`
-    /// must be non-negative and already in the processing order the
-    /// caller wants (the pruning bounds are exact under *any* order;
-    /// the order only determines the floating-point accumulation
-    /// sequence, which is why the sharded engine pins one global order
-    /// across shards).
-    pub(crate) fn run_with_terms(
-        &self,
-        session: &mut QuerySession,
-        terms: &[(u32, f64)],
-        norm: f64,
-        top_k: usize,
-        out: &mut Vec<RankedResource>,
-    ) {
-        out.clear();
-        session.begin();
-        session.ensure_capacity(&self.index);
-        session.terms.extend_from_slice(terms);
         self.run_pruned(session, norm, top_k, out);
         debug_assert_eq!(session.check_epochs(), Ok(()));
     }
@@ -538,9 +456,8 @@ impl QueryEngine {
         // (`c / total`, not `c * (1/total)`) as
         // `ConceptIndex::prepare_query`; terms are emitted — and the norm
         // summed — in ascending concept order, so they match it
-        // bit-for-bit. Callers apply a MaxScore processing order
-        // afterwards (the local one via `ConceptIndex::order_terms`, or
-        // a shared global one in the sharded engine).
+        // bit-for-bit. The caller applies the MaxScore processing order
+        // afterwards (`ConceptIndex::order_terms`).
         session.concept_touched.sort_unstable();
         for i in 0..session.concept_touched.len() {
             let l = session.concept_touched[i] as usize;
@@ -567,8 +484,7 @@ impl QueryEngine {
         Some(norm)
     }
 
-    /// Pruned accumulation (per the active [`PruningStrategy`]) +
-    /// bounded-heap selection. Terms must be in MaxScore order with
+    /// Pruned accumulation + bounded-heap selection. Terms must be in MaxScore order with
     /// non-negative weights; `session` must hold the current query's
     /// terms.
     fn run_pruned(
@@ -619,21 +535,13 @@ impl QueryEngine {
             session.suffix[i] = session.suffix[i + 1] + wq * self.index.max_impact(l as usize);
         }
 
-        match self.strategy {
-            PruningStrategy::BlockMax => {
-                self.accumulate(session, top_k, |l| RawIds(self.index.postings(l).ids))
-            }
-            PruningStrategy::CompressedBlockMax => {
-                self.accumulate(session, top_k, |l| PackedIds::open(&self.index, l))
-            }
-        }
+        self.accumulate(session, top_k);
         select_emit(session, norm, top_k, out);
     }
 
-    /// The block-max accumulation skeleton, monomorphised per posting
-    /// source (see the module docs for the full list of refinements
-    /// over a per-posting scan). `open` yields the source for one
-    /// concept's list. A bounded min-heap of the top-k admission
+    /// The block-max accumulation skeleton (see the module docs for the
+    /// full list of refinements over a per-posting scan). A bounded
+    /// min-heap of the top-k admission
     /// contributions provides a threshold that is valid at any instant
     /// (k distinct resources each have a final score at or above the
     /// heap minimum) and improves *while* a list is scanned — in
@@ -643,18 +551,13 @@ impl QueryEngine {
     /// is skipped outright (no earlier term exists whose accumulators
     /// could need the tail).
     ///
-    /// Not inlined: each posting source's scan is a function of its
-    /// own, so editing one source does not move the machine code of the
-    /// other. Inlined into `run_pruned`, a smaller compressed decode cost
-    /// the default `BlockMax` scan 11–16 % in `p50_ms` on `query_single`
-    /// and `query_sharded_batch` (2-vCPU AVX-512F guest).
+    /// Not inlined: the scan keeps the machine code of its own function,
+    /// as it was measured. When a second posting source was inlined
+    /// into `run_pruned` beside it, editing that source cost this scan
+    /// 11–16 % in `p50_ms` on `query_single` and `query_sharded_batch`
+    /// (2-vCPU AVX-512F guest).
     #[inline(never)]
-    fn accumulate<S: PostingSource>(
-        &self,
-        session: &mut QuerySession,
-        top_k: usize,
-        open: impl Fn(usize) -> S,
-    ) {
+    fn accumulate(&self, session: &mut QuerySession, top_k: usize) {
         let m = session.terms.len();
         // The admission heap only pays off when k is small relative to
         // the corpus — when most matches end up in the top k anyway,
@@ -671,11 +574,11 @@ impl QueryEngine {
             let (l, wq) = session.terms[i];
             let l = l as usize;
             let rest = session.suffix[i + 1];
+            let list = self.index.postings(l);
             let term = Term {
-                src: open(l),
-                scores: self.index.postings(l).scores,
+                ids: list.ids,
+                scores: list.scores,
                 wq,
-                rest,
                 heap_k,
             };
             let n = term.scores.len();
@@ -757,13 +660,13 @@ impl QueryEngine {
                 let block = pos..(pos + BLOCK_LEN).min(end);
                 pos = block.end;
                 if candidate_side {
-                    term.scan_block::<false>(session, block, threshold);
+                    term.scan_block::<false>(session, block);
                 } else if start_len == 0 {
                     // First processed term: every posting is a fresh
                     // admission (a resource appears once per list).
                     term.admit_first(session, block);
                 } else {
-                    term.scan_block::<true>(session, block, threshold);
+                    term.scan_block::<true>(session, block);
                 }
             }
         }
@@ -793,13 +696,7 @@ impl QueryEngine {
     /// candidate-side vector lookups. The factor 8 keeps the lookup path
     /// (a handful of binary-search probes plus a division per hit) to
     /// cases where it wins decisively over `len` id reads.
-    fn update_touched<S: PostingSource>(
-        &self,
-        session: &mut QuerySession,
-        l: usize,
-        term: &Term<'_, S>,
-        count: usize,
-    ) {
+    fn update_touched(&self, session: &mut QuerySession, l: usize, term: &Term<'_>, count: usize) {
         if count * 8 < term.scores.len() {
             self.update_candidates(session, l, term.wq, count);
         } else {
@@ -892,116 +789,6 @@ fn accumulate_concept(session: &mut QuerySession, l: usize, w: f64) {
 // xtask:no-alloc:begin — per-query inner-loop helpers: scratch buffers
 // reach steady capacity after warmup; growth here would defeat session
 // reuse. Escapes below are grow-only appends into retained buffers.
-/// How the block-max skeleton reads one concept's posting ids. The exact
-/// f64 impacts are always read from the index's score array; a source
-/// supplies the ids and, optionally, a cheaper per-posting impact bound.
-trait PostingSource: Copy {
-    /// Streams `f(j, id)` over postings `range` of the list, `j` counted
-    /// from `range.start`, which must sit on a block boundary.
-    fn for_each_id(self, range: Range<usize>, f: impl FnMut(usize, u32));
-
-    /// Appends the ids of postings `range` (at most one block, starting
-    /// on a block boundary) to `out`.
-    fn append_ids(self, range: Range<usize>, out: &mut Vec<u32>);
-
-    /// Upper bounds on the impacts of block `range`, indexed like
-    /// [`Self::for_each_id`]'s `j`, for gating *fresh* candidates before
-    /// their exact impact is read; `None` when the source has no bound
-    /// cheaper than the impact itself. Why gating is exact: the bound
-    /// dominates the impact, so a skipped posting satisfies the same
-    /// proof obligation as a skipped block — the resource's best
-    /// possible final score is strictly below the final k-th.
-    fn impact_bounds(self, range: Range<usize>) -> Option<impl Fn(usize) -> f64>;
-}
-
-/// The exact `u32` id array of one list ([`PruningStrategy::BlockMax`]).
-#[derive(Clone, Copy)]
-struct RawIds<'a>(&'a [u32]);
-
-impl PostingSource for RawIds<'_> {
-    #[inline]
-    fn for_each_id(self, range: Range<usize>, mut f: impl FnMut(usize, u32)) {
-        for (j, &r) in self.0[range].iter().enumerate() {
-            f(j, r);
-        }
-    }
-
-    #[inline]
-    fn append_ids(self, range: Range<usize>, out: &mut Vec<u32>) {
-        out.extend_from_slice(&self.0[range]); // ALLOC-OK: grow-only reused scratch.
-    }
-
-    #[inline]
-    fn impact_bounds(self, _: Range<usize>) -> Option<impl Fn(usize) -> f64> {
-        None::<fn(usize) -> f64>
-    }
-}
-
-/// One list of the compressed posting mirror
-/// ([`PruningStrategy::CompressedBlockMax`]): frame-of-reference ids
-/// decoded per block, with the 8-bit quantized impacts as the gate.
-#[derive(Clone, Copy)]
-struct PackedIds<'a> {
-    mirror: &'a CompressedPostings,
-    /// Global index of the list's first block.
-    first_block: usize,
-    /// The list's per-posting quantized impacts.
-    quant: &'a [u8],
-}
-
-impl<'a> PackedIds<'a> {
-    fn open(index: &'a ConceptIndex, l: usize) -> Self {
-        let mirror = index.compressed();
-        let lo = index.posting_start(l);
-        PackedIds {
-            mirror,
-            first_block: index.first_block(l),
-            quant: &mirror.quant[lo..lo + index.postings(l).len()],
-        }
-    }
-}
-
-impl PostingSource for PackedIds<'_> {
-    #[inline]
-    fn for_each_id(self, range: Range<usize>, mut f: impl FnMut(usize, u32)) {
-        debug_assert!(range.start.is_multiple_of(BLOCK_LEN));
-        let mut pos = range.start;
-        while pos < range.end {
-            let block_end = (pos + BLOCK_LEN).min(range.end);
-            let base = pos - range.start;
-            // Bit-packing is sequential from the block start, so
-            // streaming only the first ids of a block works.
-            self.mirror.for_each_block_id(
-                self.first_block + pos / BLOCK_LEN,
-                block_end - pos,
-                |j, r| f(base + j, r),
-            );
-            pos = block_end;
-        }
-    }
-
-    #[inline]
-    fn append_ids(self, range: Range<usize>, out: &mut Vec<u32>) {
-        let at = out.len();
-        out.resize(at + range.len(), 0); // ALLOC-OK: grow-only reused scratch.
-        let dst = &mut out[at..];
-        self.mirror.for_each_block_id(
-            self.first_block + range.start / BLOCK_LEN,
-            range.len(),
-            |j, r| dst[j] = r,
-        );
-    }
-
-    #[inline]
-    fn impact_bounds(self, range: Range<usize>) -> Option<impl Fn(usize) -> f64> {
-        let blk = self.first_block + range.start / BLOCK_LEN;
-        let scale = self.mirror.blk_scale[blk] as f64;
-        let offset = self.mirror.blk_offset[blk] as f64;
-        let quant = &self.quant[range];
-        Some(move |j: usize| offset + scale * quant[j] as f64)
-    }
-}
-
 /// Admits `r` as a fresh candidate with its first contribution, feeding
 /// the bounded threshold heap when enabled.
 #[inline]
@@ -1015,57 +802,38 @@ fn admit(session: &mut QuerySession, r: u32, contribution: f64, heap_k: usize) {
 }
 
 /// One query term as the skeleton's inner loops see it.
-struct Term<'a, S> {
+struct Term<'a> {
     /// The list's resource ids.
-    src: S,
+    ids: &'a [u32],
     /// The list's exact impacts, parallel to the ids.
     scores: &'a [f64],
     /// The term's query weight.
     wq: f64,
-    /// Summed bound of the terms after this one.
-    rest: f64,
     /// Capacity of the admission heap (0 = disabled).
     heap_k: usize,
 }
 
-impl<S: PostingSource> Term<'_, S> {
+impl Term<'_> {
     /// The skeleton's inner loop over one `block` of the list, with no
-    /// block bound check: fresh resources are admitted — after the
-    /// source's per-posting gate, when it has one and a threshold exists
-    /// — and touched ones take the exact update when `UPDATE` (list-scan
-    /// mode) or are skipped (candidate-side mode already settled them
-    /// through their vectors). One random cache line (`slot_map[r]`) per
-    /// posting; the exact impact is read *after* the gate, so rejected
-    /// fresh postings never touch the 8-byte score array.
+    /// block bound check: fresh resources are admitted, and touched ones
+    /// take the exact update when `UPDATE` (list-scan mode) or are
+    /// skipped (candidate-side mode already settled them through their
+    /// vectors). One random cache line (`slot_map[r]`) per posting.
     #[inline]
-    fn scan_block<const UPDATE: bool>(
-        &self,
-        session: &mut QuerySession,
-        block: Range<usize>,
-        threshold: Option<f64>,
-    ) {
-        let (wq, rest, heap_k) = (self.wq, self.rest, self.heap_k);
+    fn scan_block<const UPDATE: bool>(&self, session: &mut QuerySession, block: Range<usize>) {
+        let (wq, heap_k) = (self.wq, self.heap_k);
         let epoch_bits = (session.res_cur as u64) << 32;
         let scores = &self.scores[block.start..block.end];
-        let gate = threshold.and_then(|th| {
-            let bound = self.src.impact_bounds(block.start..block.end)?;
-            Some((th, bound))
-        });
-        self.src.for_each_id(block, |j, r| {
+        for (j, &r) in self.ids[block].iter().enumerate() {
             let word = session.slot_map[r as usize];
             if word & 0xFFFF_FFFF_0000_0000 == epoch_bits {
                 if UPDATE {
                     session.acc_dense[(word & 0xFFFF_FFFF) as usize] += wq * scores[j];
                 }
-                return;
-            }
-            if let Some((th, bound)) = &gate {
-                if (wq * bound(j) + rest) * PRUNE_SLACK < *th {
-                    return;
-                }
+                continue;
             }
             admit(session, r, wq * scores[j], heap_k);
-        });
+        }
     }
 
     /// First-term admission of one `block`: nothing is touched yet, so
@@ -1074,16 +842,13 @@ impl<S: PostingSource> Term<'_, S> {
     /// contribution products vectorize, and only the slot writes need a
     /// scalar pass. Because contributions arrive in descending order the
     /// admission heap is exactly the first `heap_k` of them; later
-    /// postings are at most the heap minimum and are not offered. The
-    /// source's gate is deliberately *not* applied: with every posting
-    /// fresh there is no cold score read to save, and both sources then
-    /// admit the identical set.
+    /// postings are at most the heap minimum and are not offered.
     #[inline]
     fn admit_first(&self, session: &mut QuerySession, block: Range<usize>) {
         let base = session.touched.len();
         debug_assert_eq!(base, session.acc_dense.len());
         let scores = &self.scores[block.start..block.end];
-        self.src.append_ids(block, &mut session.touched);
+        session.touched.extend_from_slice(&self.ids[block]); // ALLOC-OK: grow-only reused scratch.
         let mut j = 0;
         while j < scores.len() && session.cand_heap.len() < self.heap_k {
             offer_admission(&mut session.cand_heap, self.heap_k, self.wq * scores[j]);
@@ -1108,12 +873,12 @@ impl<S: PostingSource> Term<'_, S> {
         let epoch_bits = (session.res_cur as u64) << 32;
         let scores = &self.scores[from..];
         let (slot_map, acc_dense) = (&session.slot_map, &mut session.acc_dense);
-        self.src.for_each_id(from..self.scores.len(), |j, r| {
+        for (j, &r) in self.ids[from..].iter().enumerate() {
             let word = slot_map[r as usize];
             if word & 0xFFFF_FFFF_0000_0000 == epoch_bits {
                 acc_dense[(word & 0xFFFF_FFFF) as usize] += wq * scores[j];
             }
-        });
+        }
     }
 }
 
@@ -1256,20 +1021,24 @@ mod tests {
         (f, concepts, engine)
     }
 
+    /// `PruningStrategy` and `set_strategy` are shims: the default is
+    /// `BlockMax`, and switching leaves every answer as it was.
     #[test]
     fn default_strategy_is_blockmax_and_switchable() {
-        let (_, _, mut engine) = engine();
-        assert_eq!(engine.strategy(), PruningStrategy::BlockMax);
+        let (f, concepts, mut engine) = engine();
+        assert_eq!(PruningStrategy::default(), PruningStrategy::BlockMax);
+        let tags = [f.tag_id("audio").unwrap(), f.tag_id("laptop").unwrap()];
+        let before = engine.search_tags(&concepts, &tags, 2);
         engine.set_strategy(PruningStrategy::CompressedBlockMax);
-        assert_eq!(engine.strategy(), PruningStrategy::CompressedBlockMax);
+        assert_eq!(engine.search_tags(&concepts, &tags, 2), before);
         let e2 =
             QueryEngine::with_strategy(engine.index().clone(), PruningStrategy::CompressedBlockMax);
-        assert_eq!(e2.strategy(), PruningStrategy::CompressedBlockMax);
+        assert_eq!(e2.search_tags(&concepts, &tags, 2), before);
     }
 
     #[test]
     fn pruned_matches_exact_on_toy_corpus() {
-        let (f, concepts, mut engine) = engine();
+        let (f, concepts, engine) = engine();
         let tag_sets: Vec<Vec<TagId>> = vec![
             vec![f.tag_id("audio").unwrap()],
             vec![f.tag_id("laptop").unwrap()],
@@ -1280,24 +1049,14 @@ mod tests {
                 f.tag_id("mp3").unwrap(),
             ],
         ];
-        for strategy in [
-            PruningStrategy::BlockMax,
-            PruningStrategy::CompressedBlockMax,
-        ] {
-            engine.set_strategy(strategy);
-            for tags in &tag_sets {
-                for k in [0usize, 1, 2, 3, 10] {
-                    let exact = engine.search_tags_exact(&concepts, tags, k);
-                    let pruned = engine.search_tags(&concepts, tags, k);
-                    assert_eq!(
-                        pruned.len(),
-                        exact.len(),
-                        "{strategy:?} k={k} tags={tags:?}"
-                    );
-                    for (p, e) in pruned.iter().zip(exact.iter()) {
-                        assert_eq!(p.resource, e.resource, "{strategy:?} k={k} tags={tags:?}");
-                        assert_eq!(p.score.to_bits(), e.score.to_bits(), "{strategy:?} k={k}");
-                    }
+        for tags in &tag_sets {
+            for k in [0usize, 1, 2, 3, 10] {
+                let exact = engine.search_tags_exact(&concepts, tags, k);
+                let pruned = engine.search_tags(&concepts, tags, k);
+                assert_eq!(pruned.len(), exact.len(), "k={k} tags={tags:?}");
+                for (p, e) in pruned.iter().zip(exact.iter()) {
+                    assert_eq!(p.resource, e.resource, "k={k} tags={tags:?}");
+                    assert_eq!(p.score.to_bits(), e.score.to_bits(), "k={k}");
                 }
             }
         }
@@ -1379,8 +1138,7 @@ mod tests {
         // b: 667, neither a multiple of it) and a short one (c: 40), with
         // impacts spread by varying tag counts and a filler concept.
         // Repeating a tag in the query shifts weight between the terms,
-        // which is what steers the skeleton: traced once by hand, for
-        // both sources,
+        // which is what steers the skeleton: traced once by hand,
         //   * `[b, b, b, c, a]` at k ≤ 10 admits c, then takes b in
         //     candidate-side mode (40 touched, cut after 1–3 blocks),
         //     then settles a without admitting;
@@ -1414,7 +1172,7 @@ mod tests {
         }
         let f = b.build();
         let model = ConceptModel::from_assignments(vec![0, 1, 2, 3], 1.0);
-        let mut engine = QueryEngine::new(ConceptIndex::build(&f, &model));
+        let engine = QueryEngine::new(ConceptIndex::build(&f, &model));
         let [a, b, c] = ["a", "b", "c"].map(|t| f.tag_id(t).unwrap());
         let candidate_side = vec![b, b, b, c, a];
         let queries = [
@@ -1428,35 +1186,25 @@ mod tests {
         ];
         let mut session = engine.session();
         let mut pruned = Vec::new();
-        // Candidates the candidate-side query admits at k = 10, per source.
-        let mut admitted = Vec::new();
-        for strategy in [
-            PruningStrategy::BlockMax,
-            PruningStrategy::CompressedBlockMax,
-        ] {
-            engine.set_strategy(strategy);
-            for k in [1usize, 3, 10, 64, 65, 128, 0] {
-                for tags in &queries {
-                    let exact = engine.search_tags_exact(&model, tags, k);
-                    engine.search_tags_with(&mut session, &model, tags, k, &mut pruned);
-                    assert_eq!(pruned.len(), exact.len(), "{strategy:?} k={k}");
-                    for (p, e) in pruned.iter().zip(exact.iter()) {
-                        assert_eq!(p.resource, e.resource, "{strategy:?} k={k}");
-                        assert_eq!(p.score.to_bits(), e.score.to_bits(), "{strategy:?} k={k}");
-                    }
-                    if k == 10 && *tags == candidate_side {
-                        admitted.push(session.touched.len());
-                    }
+        // Candidates the candidate-side query admits at k = 10.
+        let mut admitted = 0;
+        for k in [1usize, 3, 10, 64, 65, 128, 0] {
+            for tags in &queries {
+                let exact = engine.search_tags_exact(&model, tags, k);
+                engine.search_tags_with(&mut session, &model, tags, k, &mut pruned);
+                assert_eq!(pruned.len(), exact.len(), "k={k}");
+                for (p, e) in pruned.iter().zip(exact.iter()) {
+                    assert_eq!(p.resource, e.resource, "k={k}");
+                    assert_eq!(p.score.to_bits(), e.score.to_bits(), "k={k}");
+                }
+                if k == 10 && *tags == candidate_side {
+                    admitted = session.touched.len();
                 }
             }
         }
-        // The cut really skipped postings, and the compressed source's
-        // per-posting gate rejected fresh candidates the raw one admits.
+        // The cut really skipped postings.
         let matches = engine.search_tags_exact(&model, &candidate_side, 0).len();
-        assert!(
-            admitted[1] < admitted[0] && admitted[0] < matches,
-            "{admitted:?} of {matches}"
-        );
+        assert!(admitted < matches, "{admitted} of {matches}");
     }
 
     #[test]
@@ -1487,23 +1235,15 @@ mod tests {
 
     #[test]
     fn epoch_checker_accepts_runs_and_flags_corruption() {
-        let (f, concepts, mut engine) = engine();
+        let (f, concepts, engine) = engine();
         let mut session = engine.session();
         let mut out = Vec::new();
         let tags = [f.tag_id("audio").unwrap(), f.tag_id("laptop").unwrap()];
-        for strategy in [
-            PruningStrategy::BlockMax,
-            PruningStrategy::CompressedBlockMax,
-        ] {
-            engine.set_strategy(strategy);
-            engine.search_tags_with(&mut session, &concepts, &tags, 0, &mut out);
-            assert_eq!(session.check_epochs(), Ok(()), "{strategy:?}");
-        }
+        engine.search_tags_with(&mut session, &concepts, &tags, 0, &mut out);
+        assert_eq!(session.check_epochs(), Ok(()));
 
         // A touched resource whose slot word was lost (e.g. a stray
         // overwrite) must be flagged.
-        engine.set_strategy(PruningStrategy::BlockMax);
-        engine.search_tags_with(&mut session, &concepts, &tags, 0, &mut out);
         let saved = session.slot_map[session.touched[0] as usize];
         session.slot_map[session.touched[0] as usize] = 0;
         let err = session.check_epochs().unwrap_err();

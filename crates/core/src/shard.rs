@@ -1,66 +1,33 @@
-//! Sharded scatter-gather serving with hot artifact reload.
+//! Replicated serving sources with hot artifact reload.
 //!
-//! CubeLSI's per-resource cosine scores make resource-partitioned
-//! sharding embarrassingly parallel with an **exact** merge: every
-//! posting of a resource lives in exactly one shard, so a shard's
-//! ranking over its resources is a disjoint slice of the global ranking
-//! and a k-way merge of per-shard top-k lists *is* the global top-k.
-//! This module turns the `.cubelsi` artifact (`crate::persist`) into
-//! that serving topology:
+//! `--shards N` writes a model as a **shard manifest** plus `N` artifact
+//! files, and serving loads it back as one [`ShardSet`]. The files are
+//! identical replicas: the index is built from the corpus and the concept
+//! map at every load (`crate::persist`), so there is no index to cut into
+//! resource partitions, and a load decodes shard 0's file and checks that
+//! every other file carries the same bytes. A loaded set is one
+//! [`QueryEngine`] plus the corpus and concept model it serves.
 //!
-//! * [`ConceptIndex::partition_by_resource`] splits a built index into
-//!   `N` shard indices under the deterministic modulo partition
-//!   (resource `r` → shard `r % N`), each keeping the global resource-id
-//!   space and the global idf array so per-resource scores are
-//!   bit-identical to the unsharded index;
-//! * [`save_sharded`] writes `N` ordinary `.cubelsi` artifacts (each
-//!   independently loadable and checksummed; the model sections they
-//!   share are encoded once and written `N` times) plus a versioned
-//!   **shard manifest** listing them with per-shard file checksums;
-//! * [`ShardSet`] is a loaded generation of shards: per-shard
-//!   [`QueryEngine`]s plus the shared corpus/model, answering each query
-//!   on the caller's thread through one shared query preparation and an
-//!   exact k-way merge — or, when the whole index is small, through a
-//!   coalesced single-engine mirror that answers the same bits. A query
-//!   never fans out over threads: only [`ShardSet::search_batch`] forks,
+//! * [`save_sharded`] encodes the artifact once, writes it `N` times
+//!   (each file independently loadable and checksummed), and writes the
+//!   versioned manifest last, listing every file with its length and
+//!   CRC-32;
+//! * [`ShardSet`] is a loaded generation: one engine, answering each
+//!   query on the caller's thread. Only [`ShardSet::search_batch`] forks,
 //!   one chunk of queries per participant;
 //! * [`ShardedEngine`] wraps a [`ShardSet`] in an atomically swappable
 //!   [`Arc`] with a monotonically increasing generation number — the
-//!   **hot reload** primitive: a new manifest replaces the shards under
-//!   live traffic without a restart, in-flight queries drain on the old
+//!   **hot reload** primitive: a new source replaces the set under live
+//!   traffic without a restart, in-flight queries drain on the old
 //!   generation (they hold its `Arc`), and steady-state serving stays
 //!   allocation-free because [`QuerySession`] scratch is epoch-tagged
 //!   and grow-only, so a session survives a swap unchanged.
 //!
-//! # Why the merged ranking is bit-identical
-//!
-//! Floating-point addition is order-sensitive, so "same resources, same
-//! postings" is not enough — the *accumulation sequence* per resource
-//! must match the unsharded engine's. Three properties pin it down:
-//!
-//! 1. **Shared query preparation.** The query is prepared once (against
-//!    shard 0, whose idf array is the global one) and the resulting
-//!    terms are broadcast to every shard, so weights and the query norm
-//!    are the same bytes everywhere.
-//! 2. **One global term order.** Terms are sorted by descending
-//!    `weight × max impact` (`order_terms_with`) using
-//!    the *global* per-concept maximum impact — reconstructed exactly as
-//!    `max` over the shards' per-list maxima — and every shard consumes
-//!    them in that order. (Shard-local suffix bounds stay exact: a
-//!    shard's maxima are ≤ the global ones, and the pruning invariants
-//!    hold under any processing order.)
-//! 3. **Verbatim impacts.** A shard keeps its resources' posting
-//!    impacts, vector weights, and norms byte-for-byte, so each
-//!    contribution `wq · impact` is the same multiplication the
-//!    unsharded engine performs.
-//!
-//! Per resource the additions are therefore the same values in the same
-//! order; the merge then only interleaves disjoint, already-sorted
-//! slices under the shared ranking comparator. The
-//! `sharded_equivalence` integration test enforces the end result over
-//! randomized corpora: shard counts ∈ {1, 2, 7}, raw and compressed
-//! posting sources, one and several concepts per tag, artifacts written
-//! plain and compressed, and immediately after a hot reload.
+//! The replicas stay because the manifest layout and the `.shard{i}`
+//! files are what existing deployments and the benchmark read. The
+//! `sharded_equivalence` integration test holds every route —
+//! sequential, adaptive, batched, after a hot reload — bit-identical to a
+//! single engine over the same corpus.
 //!
 //! # Manifest format (`.cubelsi` shard manifest)
 //!
@@ -70,7 +37,7 @@
 //! 8 B   magic            = "CUBELSIM"
 //! 4 B   manifest version (u32, currently 1)
 //! 4 B   shard count N    (u32, 1..=MAX_SHARDS)
-//! 4 B   partition scheme (u32, 1 = modulo by resource id)
+//! 4 B   partition scheme (u32, 1; kept from the partitioned layout)
 //! per shard, in shard order:
 //!   4 B  file-name length (u32) + UTF-8 file name (a sibling of the
 //!        manifest: path separators and ".." are rejected)
@@ -81,40 +48,34 @@
 //!
 //! Loading is all-or-nothing: a truncated manifest, a wrong shard
 //! count, a checksum mismatch (manifest or shard artifact), a missing
-//! artifact file, or shards that disagree on corpus/model/partition all
+//! artifact file, or a file or entry that differs from shard 0's all
 //! yield a typed [`PersistError`] and **never a partial engine** —
 //! enforced by the `shard_manifest_adversarial` integration tests.
 //!
 //! # What a load reads
 //!
-//! [`load_source`] reads what serving uses (the section table is in
-//! `crate::persist`). Every shard file is held to its manifest entry —
-//! the lengths of all files first, then each file's CRC-32 as it is read.
-//! Shard 0 then gets the serving load: meta, folksonomy, concepts and
-//! index sections checksummed and decoded, the model section left alone.
-//! Shard `i > 0` decodes its meta counts and its index; its
-//! folksonomy and concepts sections are not decoded a second time but
-//! compared **byte for byte** with shard 0's, so shards cut from different
-//! corpora — or from the same corpus under other names, which no
-//! comparison of counts can see — are a [`PersistError::Shard`]. The
-//! returned [`ShardSet`] carries shard 0's complete folksonomy,
-//! assignments included.
+//! [`load_source`] holds every file's length to its manifest entry
+//! first. It then reads shard 0's file and holds it to its entry's CRC-32,
+//! requires every later entry to record shard 0's length and CRC, and
+//! compares every later file with shard 0's byte for byte (a memcmp,
+//! where a CRC of a 555 KB file costs 0.39 ms), before it gives shard 0's
+//! bytes the serving load: meta, folksonomy and concepts checksummed and
+//! decoded, the index built from them, the model section left alone.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use cubelsi_folksonomy::{Folksonomy, TagId};
-use cubelsi_linalg::parallel;
 
 use crate::concepts::ConceptModel;
 use crate::exec;
-use crate::index::{cmp_ranked, order_terms_with, ConceptAssignment, ConceptIndex, RankedResource};
+use crate::index::{ConceptAssignment, RankedResource};
 use crate::persist::{
-    crc32, file_crc, load_serving, load_shard_index, widen, KnownCrcs, ModelSections, PersistError,
+    crc32, encode_file, file_crc, load_serving, widen, write_atomic, KnownCrcs, PersistError,
     Serving,
 };
-use crate::query::{PruningStrategy, QueryEngine, QuerySession, MIN_QUERIES_PER_TASK};
+use crate::query::{QueryEngine, QuerySession};
 
 /// Shard-manifest magic bytes (distinct from the artifact magic
 /// `"CUBELSI\0"`, so the two file kinds are sniffable from their first
@@ -125,8 +86,9 @@ pub const MANIFEST_MAGIC: [u8; 8] = *b"CUBELSIM";
 /// [`PersistError::UnsupportedVersion`].
 pub const MANIFEST_VERSION: u32 = 1;
 
-/// The only partition scheme currently defined: resource `r` belongs to
-/// shard `r % N`.
+/// The partition scheme every manifest records. It named the modulo
+/// split of resources the files held until format 5; the files are
+/// replicas now, and the field keeps the manifest layout unchanged.
 pub const PARTITION_MODULO: u32 = 1;
 
 /// Hard cap on the shard count a manifest may declare — far above any
@@ -351,38 +313,15 @@ pub struct ShardedSaveReport {
     pub manifest_path: PathBuf,
     /// Per-shard artifact paths, in shard order.
     pub shard_paths: Vec<PathBuf>,
-    /// Per-shard artifact sizes in bytes.
+    /// Per-shard artifact sizes in bytes (all equal: the files are
+    /// replicas).
     pub shard_bytes: Vec<u64>,
-    /// Per-shard indexed-resource counts (positive-norm members).
-    pub shard_resources: Vec<usize>,
-    /// Per-shard posting counts.
-    pub shard_postings: Vec<usize>,
 }
 
-/// Writes `bytes` to `path` atomically (temp sibling + rename), the same
-/// crash-safety contract as `persist::save_to_path`.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let result = (|| {
-        use std::io::Write;
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    })();
-    if result.is_err() {
-        std::fs::remove_file(&tmp).ok();
-    }
-    result
-}
-
-/// Partitions a built model into `num_shards` resource shards and writes
-/// them next to `manifest_path` as ordinary `.cubelsi` artifacts
-/// (`<manifest file name>.shard<i>`), then writes the manifest itself.
-/// Every file is written atomically; the manifest goes last, so a crash
+/// Writes a built model next to `manifest_path` as `num_shards` identical
+/// `.cubelsi` artifacts (`<manifest file name>.shard<i>`), then writes the
+/// manifest itself. The artifact is encoded and checksummed once. Every
+/// file is written atomically; the manifest goes last, so a crash
 /// mid-save can never leave a manifest pointing at missing or stale
 /// shards.
 pub fn save_sharded(
@@ -390,19 +329,6 @@ pub fn save_sharded(
     model: &crate::pipeline::CubeLsi,
     folksonomy: &Folksonomy,
     num_shards: usize,
-) -> Result<ShardedSaveReport, PersistError> {
-    save_sharded_with(manifest_path, model, folksonomy, num_shards, false)
-}
-
-/// [`save_sharded`] with the compression choice of
-/// [`crate::persist::save_to_vec_with`]: with `compress`, every shard
-/// artifact carries the compressed posting mirror (section 8).
-pub fn save_sharded_with(
-    manifest_path: impl AsRef<Path>,
-    model: &crate::pipeline::CubeLsi,
-    folksonomy: &Folksonomy,
-    num_shards: usize,
-    compress: bool,
 ) -> Result<ShardedSaveReport, PersistError> {
     let manifest_path = manifest_path.as_ref();
     if num_shards == 0 || num_shards > MAX_SHARDS {
@@ -416,87 +342,69 @@ pub fn save_sharded_with(
         .ok_or_else(|| manifest_err("manifest path has no UTF-8 file name"))?;
     let dir = manifest_path.parent().unwrap_or(Path::new("."));
 
-    // Everything but the index is the same in every shard file: encoded
-    // and checksummed once, not once a shard.
-    let shared = ModelSections::encode(model, folksonomy);
+    let (bytes, file_crc) = encode_file(model, folksonomy);
     let mut entries = Vec::with_capacity(num_shards);
-    let mut report = ShardedSaveReport {
-        manifest_path: manifest_path.to_path_buf(),
-        shard_paths: Vec::with_capacity(num_shards),
-        shard_bytes: Vec::with_capacity(num_shards),
-        shard_resources: Vec::with_capacity(num_shards),
-        shard_postings: Vec::with_capacity(num_shards),
-    };
+    let mut shard_paths = Vec::with_capacity(num_shards);
     for shard in 0..num_shards {
-        let index = model.index().partition_by_resource(shard, num_shards);
-        report.shard_postings.push(index.num_postings());
-        report.shard_resources.push(
-            (0..index.num_resources())
-                .filter(|&r| index.resource_norm(r) > 0.0)
-                .count(),
-        );
-        let bytes = shared.with_index(&index, compress);
         let file_name = format!("{manifest_name}.shard{shard}");
         let path = dir.join(&file_name);
         write_atomic(&path, &bytes)?;
         entries.push(ShardEntry {
             file_name,
             file_len: bytes.len() as u64,
-            crc32: crc32(&bytes),
+            crc32: file_crc,
         });
-        report.shard_bytes.push(bytes.len() as u64);
-        report.shard_paths.push(path);
+        shard_paths.push(path);
     }
     write_atomic(manifest_path, &encode_manifest(&ShardManifest { entries }))?;
-    Ok(report)
+    Ok(ShardedSaveReport {
+        manifest_path: manifest_path.to_path_buf(),
+        shard_paths,
+        shard_bytes: vec![bytes.len() as u64; num_shards],
+    })
+}
+
+/// Shim for `build --compress`, which has nothing to add since format 5:
+/// it is [`save_sharded`].
+#[doc(hidden)]
+pub fn save_sharded_with(
+    manifest_path: impl AsRef<Path>,
+    model: &crate::pipeline::CubeLsi,
+    folksonomy: &Folksonomy,
+    num_shards: usize,
+    _compress: bool,
+) -> Result<ShardedSaveReport, PersistError> {
+    save_sharded(manifest_path, model, folksonomy, num_shards)
 }
 
 // ---------------------------------------------------------------------------
-// ShardSet: one loaded generation of shards
+// ShardSet: one loaded generation
 // ---------------------------------------------------------------------------
 
-/// Splits a single engine into `num_shards` partitioned engines (same
-/// pruning strategy), the in-memory counterpart of [`save_sharded`] used
-/// by benches and tests.
-pub fn partition_engines(engine: &QueryEngine, num_shards: usize) -> Vec<QueryEngine> {
-    (0..num_shards)
-        .map(|shard| {
-            QueryEngine::with_strategy(
-                engine.index().partition_by_resource(shard, num_shards),
-                engine.strategy(),
-            )
-        })
-        .collect()
+/// Shim for the frozen `perfbench/`, which assembles a [`ShardSet`] from
+/// this function's output: one clone of `engine`, whatever the count.
+#[doc(hidden)]
+pub fn partition_engines(engine: &QueryEngine, _num_shards: usize) -> Vec<QueryEngine> {
+    vec![engine.clone()]
 }
 
-/// One loaded, validated generation of shards: per-shard engines over
-/// disjoint resource slices of one corpus, plus the shared concept model
-/// and corpus needed to serve name-level queries. Immutable once built —
-/// hot reload swaps whole [`ShardSet`]s via [`ShardedEngine`].
+/// One loaded, validated generation: an engine plus the concept model and
+/// corpus needed to serve name-level queries. Immutable once built — hot
+/// reload swaps whole [`ShardSet`]s via [`ShardedEngine`].
 #[derive(Debug)]
 pub struct ShardSet {
-    engines: Vec<QueryEngine>,
+    engine: QueryEngine,
     folksonomy: Folksonomy,
     concepts: ConceptModel,
-    /// Per-concept global maximum impact: `max` over the shards' per-list
-    /// maxima, bit-identical to the unsharded index's `max_impact` array.
-    /// Defines the shared term-processing order (see the module docs).
-    global_max_impact: Vec<f64>,
-    /// Coalesced single-engine mirror ([`ConceptIndex::coalesce`]),
-    /// built when the whole corpus is small enough
-    /// ([`COALESCE_MAX_POSTINGS`]) that an N-way scatter costs more
-    /// than it saves. Answers bit-identically to the scatter-merge
-    /// path (same invariant the `sharded_equivalence` suite enforces),
-    /// so [`ShardSet::search_tags_auto`] can route through it freely.
-    coalesced: Option<Box<QueryEngine>>,
+    /// Files the source listed: 1 for a single artifact, the manifest's
+    /// entry count for a manifest.
+    num_shards: usize,
 }
 
-/// Total-posting ceiling under which a [`ShardSet`] additionally builds
-/// a coalesced single-engine mirror at construction (≈ 2 M postings,
-/// tens of MB of SoA arrays — a few milliseconds to build, recouped
-/// within seconds of small-corpus traffic where the per-query scatter
-/// overhead is the dominant cost).
-const COALESCE_MAX_POSTINGS: u64 = 1 << 21;
+/// Reusable per-thread scratch for [`ShardSet`] queries: a
+/// [`QuerySession`], which survives hot reloads (its scratch is
+/// epoch-tagged and grow-only).
+pub type ShardedSession = QuerySession;
 
 fn shard_err(detail: impl Into<String>) -> PersistError {
     PersistError::Shard {
@@ -505,183 +413,91 @@ fn shard_err(detail: impl Into<String>) -> PersistError {
 }
 
 impl ShardSet {
-    /// Assembles and validates a shard set from per-shard engines plus
-    /// the shared corpus and concept model. Validation is all-or-nothing:
-    /// mismatched dimensions, divergent idf arrays, or a resource indexed
-    /// by the wrong shard yield a typed error, never a partial set.
+    /// Assembles a set from the one engine [`partition_engines`] returns,
+    /// the corpus and the concept model. More or fewer than one engine, or
+    /// an index whose dimensions are not the corpus's and the model's, is
+    /// a typed error. Kept for the frozen `perfbench/`.
+    #[doc(hidden)]
     pub fn from_parts(
         engines: Vec<QueryEngine>,
         folksonomy: Folksonomy,
         concepts: ConceptModel,
     ) -> Result<Self, PersistError> {
-        let n = engines.len();
-        if n == 0 || n > MAX_SHARDS {
-            return Err(shard_err(format!(
-                "shard count {n} outside 1..={MAX_SHARDS}"
-            )));
-        }
-        let num_resources = engines[0].index().num_resources();
-        let num_concepts = engines[0].index().num_concepts();
-        for (i, e) in engines.iter().enumerate() {
-            let ix = e.index();
-            if ix.num_resources() != num_resources || ix.num_concepts() != num_concepts {
-                return Err(shard_err(format!(
-                    "shard {i} is {}x{}, shard 0 is {num_resources}x{num_concepts}",
-                    ix.num_resources(),
-                    ix.num_concepts()
-                )));
-            }
-            // Query weights are idf-scaled; divergent idf arrays would
-            // mean shards score against different query vectors.
-            for l in 0..num_concepts {
-                if ix.idf(l).to_bits() != engines[0].index().idf(l).to_bits() {
-                    return Err(shard_err(format!(
-                        "shard {i} idf[{l}] = {} disagrees with shard 0's {}",
-                        ix.idf(l),
-                        engines[0].index().idf(l)
-                    )));
-                }
-            }
-            // Modulo-partition membership: a shard may only index its own
-            // resources, or the disjointness the exact merge relies on is
-            // gone.
-            for r in 0..num_resources {
-                if ix.resource_norm(r) > 0.0 && r % n != i {
-                    return Err(shard_err(format!(
-                        "shard {i} of {n} indexes resource {r} (belongs to shard {})",
-                        r % n
-                    )));
-                }
-            }
-        }
-        if concepts.num_concepts() != num_concepts {
-            return Err(shard_err(format!(
-                "concept model has {} concepts, index has {num_concepts}",
-                concepts.num_concepts()
-            )));
-        }
-        if folksonomy.num_resources() != num_resources {
-            return Err(shard_err(format!(
-                "corpus has {} resources, index has {num_resources}",
-                folksonomy.num_resources()
-            )));
-        }
-        let mut global_max_impact = vec![0.0f64; num_concepts];
-        for e in &engines {
-            for (l, max) in global_max_impact.iter_mut().enumerate() {
-                *max = max.max(e.index().max_impact(l));
-            }
-        }
-        let total_postings: u64 = engines
-            .iter()
-            .map(|e| e.index().num_postings() as u64)
-            .sum();
-        let coalesced = if engines.len() > 1 && total_postings <= COALESCE_MAX_POSTINGS {
-            let shards: Vec<&ConceptIndex> = engines.iter().map(QueryEngine::index).collect();
-            Some(Box::new(QueryEngine::with_strategy(
-                ConceptIndex::coalesce(&shards),
-                engines[0].strategy(),
-            )))
-        } else {
-            None
+        let Ok([engine]) = <[QueryEngine; 1]>::try_from(engines) else {
+            return Err(shard_err("a shard set serves exactly one engine"));
         };
+        let ix = engine.index();
+        if concepts.num_concepts() != ix.num_concepts() {
+            return Err(shard_err(format!(
+                "concept model has {} concepts, index has {}",
+                concepts.num_concepts(),
+                ix.num_concepts()
+            )));
+        }
+        if folksonomy.num_resources() != ix.num_resources() {
+            return Err(shard_err(format!(
+                "corpus has {} resources, index has {}",
+                folksonomy.num_resources(),
+                ix.num_resources()
+            )));
+        }
         Ok(ShardSet {
-            engines,
+            engine,
             folksonomy,
             concepts,
-            global_max_impact,
-            coalesced,
+            num_shards: 1,
         })
     }
 
-    /// Assembles a shard set from shard 0's artifact bytes and the later
-    /// shards' indexes, which `rest` loads against shard 0 (under a
-    /// manifest, each file already checked against its entry's length and
-    /// CRC). Shard 0 gets the serving load — meta, folksonomy, concepts,
-    /// index — and supplies the set's corpus and concept model. Every later
-    /// shard decodes its meta counts and its index only: its folksonomy and
-    /// concepts sections must equal shard 0's byte for byte, which is how
-    /// shards cut from different corpora or models are told apart.
-    ///
-    /// The caller keeps shard 0's bytes until the set is built. Freeing them
-    /// before [`Self::from_parts`] did not lower a server's peak (the
-    /// reused read buffer is what does), and in a loop of reloads under
-    /// glibc it made every load fault ≈ 300 pages — about one shard file —
-    /// back in, against ≈ 5 when they are kept.
-    fn assemble(
-        first_bytes: &[u8],
-        first_crcs: &KnownCrcs,
-        rest: impl FnOnce(&Serving<'_>) -> Result<Vec<ConceptIndex>, PersistError>,
-    ) -> Result<Self, PersistError> {
-        let first = load_serving(first_bytes, first_crcs)?;
-        let rest = rest(&first)?;
-        let engines = std::iter::once(first.index)
-            .chain(rest)
-            .map(QueryEngine::new)
-            .collect();
-        Self::from_parts(engines, first.folksonomy, first.concepts)
+    fn from_serving(serving: Serving, num_shards: usize) -> Self {
+        ShardSet {
+            engine: QueryEngine::new(serving.index),
+            folksonomy: serving.folksonomy,
+            concepts: serving.concepts,
+            num_shards,
+        }
     }
 
-    /// Number of shards in the set.
+    /// Number of files the source listed (1 for a single artifact).
     pub fn num_shards(&self) -> usize {
-        self.engines.len()
+        self.num_shards
     }
 
-    /// Number of resources in the (global) id space.
+    /// Number of resources in the id space.
     pub fn num_resources(&self) -> usize {
-        self.engines[0].index().num_resources()
+        self.engine.index().num_resources()
     }
 
-    /// Number of concepts in the shared space.
+    /// Number of concepts in the space.
     pub fn num_concepts(&self) -> usize {
-        self.engines[0].index().num_concepts()
+        self.engine.index().num_concepts()
     }
 
-    /// The shared corpus (name tables for query/result resolution).
+    /// The corpus (name tables for query/result resolution).
     pub fn folksonomy(&self) -> &Folksonomy {
         &self.folksonomy
     }
 
-    /// The shared hard concept model the shards were indexed under.
+    /// The hard concept model the index was built under.
     pub fn concepts(&self) -> &ConceptModel {
         &self.concepts
     }
 
-    /// The per-shard engines, in shard order.
+    /// The set's engine, as a one-element slice (the frozen `perfbench/`
+    /// reads engines through this).
     pub fn engines(&self) -> &[QueryEngine] {
-        &self.engines
+        std::slice::from_ref(&self.engine)
     }
 
-    /// The active pruning strategy (uniform across shards).
-    pub fn strategy(&self) -> PruningStrategy {
-        self.engines[0].strategy()
-    }
-
-    /// Switches the pruning strategy on every shard (and on the
-    /// coalesced mirror, when present). Results are bit-identical
-    /// either way.
-    pub fn set_strategy(&mut self, strategy: PruningStrategy) {
-        for e in &mut self.engines {
-            e.set_strategy(strategy);
-        }
-        if let Some(co) = &mut self.coalesced {
-            co.set_strategy(strategy);
-        }
-    }
-
-    /// Creates a reusable scatter-gather scratch session. The session
-    /// sizes itself lazily on first use and survives hot reloads (shard
-    /// scratch is epoch-tagged and grow-only).
+    /// Creates a reusable scratch session. The session sizes itself
+    /// lazily on first use and survives hot reloads.
     pub fn session(&self) -> ShardedSession {
         ShardedSession::default()
     }
 
-    /// Scatter-gather top-k: prepares the query once, runs every shard's
-    /// pruned top-k in turn on the session's one prep session, and
-    /// k-way-merges the per-shard rankings, all on the caller's thread.
-    /// Bit-identical — scores, order, tie-breaks — to a single unsharded
-    /// [`QueryEngine`] over the same corpus. Steady-state calls on a
-    /// warmed session and reused `out` buffer perform no heap allocation.
+    /// Top-k on the caller's thread: the engine's pruned search.
+    /// Steady-state calls on a warmed session and reused `out` buffer
+    /// perform no heap allocation.
     pub fn search_tags_with(
         &self,
         session: &mut ShardedSession,
@@ -690,34 +506,12 @@ impl ShardSet {
         top_k: usize,
         out: &mut Vec<RankedResource>,
     ) {
-        out.clear();
-        let ShardedSession {
-            prep,
-            per_shard,
-            terms,
-            cursors,
-        } = session;
-        per_shard.resize_with(self.engines.len(), Vec::new);
-        let Some(norm) = self.engines[0].collect_tag_terms(prep, concepts, tags) else {
-            return;
-        };
-        terms.clear();
-        terms.extend_from_slice(prep.terms());
-        order_terms_with(terms, &self.global_max_impact);
-        // Every shard on the prep session: the terms are already copied
-        // out, and each run begins the session afresh, so one
-        // resource-wide slot map serves them all.
-        for (engine, hits) in self.engines.iter().zip(per_shard.iter_mut()) {
-            engine.run_with_terms(prep, terms, norm, top_k, hits);
-        }
-        merge_ranked(per_shard, cursors, top_k, out);
+        self.engine
+            .search_tags_with(session, concepts, tags, top_k, out);
     }
 
-    /// The serving entry point: one query on the caller's thread, through
-    /// the coalesced mirror when there is one and the sequential scatter
-    /// ([`Self::search_tags_with`]) otherwise. Bit-identical either way,
-    /// counted as one `inline` decision in `exec`'s counters, and
-    /// allocation-free in steady state on a warmed session.
+    /// The serving entry point: [`Self::search_tags_with`], counted as one
+    /// `inline` decision in `exec`'s counters.
     pub fn search_tags_auto(
         &self,
         session: &mut ShardedSession,
@@ -727,35 +521,11 @@ impl ShardSet {
         out: &mut Vec<RankedResource>,
     ) {
         exec::note_dispatch(1);
-        self.answer(session, concepts, tags, top_k, out);
+        self.search_tags_with(session, concepts, tags, top_k, out);
     }
 
-    /// The one route of [`Self::search_tags_auto`] and the batch loop:
-    /// the mirror when there is one, else the sequential scatter. The
-    /// batch loop calls it directly so that a batch counts as one
-    /// dispatch decision, not one a query.
-    fn answer(
-        &self,
-        session: &mut ShardedSession,
-        concepts: &dyn ConceptAssignment,
-        tags: &[TagId],
-        top_k: usize,
-        out: &mut Vec<RankedResource>,
-    ) {
-        match &self.coalesced {
-            Some(co) => co.search_tags_with(&mut session.prep, concepts, tags, top_k, out),
-            None => self.search_tags_with(session, concepts, tags, top_k, out),
-        }
-    }
-
-    /// Answers a batch of queries in chunks of [`MIN_QUERIES_PER_TASK`],
-    /// which the caller and up to `num_threads() - 1` scoped threads claim
-    /// in order (`cubelsi_linalg::parallel::for_each_chunk`). Each
-    /// participant answers its chunks on one [`ShardedSession`] of its
-    /// own, through the coalesced mirror when there is one and the
-    /// sequential scatter otherwise, and writes straight into each query's
-    /// result slot. Results come back in query order and are bit-identical
-    /// at any thread count.
+    /// Answers a batch of queries through [`QueryEngine::search_batch`]:
+    /// results in query order, bit-identical at any thread count.
     pub fn search_batch<Q>(
         &self,
         concepts: &dyn ConceptAssignment,
@@ -765,98 +535,7 @@ impl ShardSet {
     where
         Q: AsRef<[TagId]> + Sync,
     {
-        let mut results: Vec<Vec<RankedResource>> = Vec::new();
-        results.resize_with(queries.len(), Vec::new);
-        let participants = parallel::for_each_chunk(
-            &mut results,
-            MIN_QUERIES_PER_TASK,
-            ShardedSession::default,
-            |session, start, chunk| {
-                for (out, query) in chunk.iter_mut().zip(&queries[start..]) {
-                    self.answer(session, concepts, query.as_ref(), top_k, out);
-                }
-            },
-        );
-        exec::note_dispatch(participants);
-        results
-    }
-}
-
-/// Reusable scatter-gather scratch for one thread: one [`QuerySession`]
-/// that prepares each query and scores every shard (or the coalesced
-/// mirror) in turn, each shard's top-k list, and the term and merge
-/// buffers. Lazily sized on first use; safe to keep across hot reloads
-/// (the session's scratch is epoch-tagged and grows on demand, so a
-/// swapped shard set is served correctly without reallocation in steady
-/// state).
-#[derive(Debug, Default)]
-pub struct ShardedSession {
-    prep: QuerySession,
-    per_shard: Vec<Vec<RankedResource>>,
-    terms: Vec<(u32, f64)>,
-    cursors: Vec<usize>,
-}
-
-/// Exact k-way merge of per-shard rankings. Each input list is sorted
-/// under the shared ranking order and the lists cover disjoint resource
-/// sets, so repeatedly taking the best head reproduces exactly the
-/// ranking a single engine would emit. `top_k = 0` concatenates and
-/// sorts (the all-matches contract). Allocation-free on warmed buffers.
-fn merge_ranked(
-    results: &[Vec<RankedResource>],
-    cursors: &mut Vec<usize>,
-    top_k: usize,
-    out: &mut Vec<RankedResource>,
-) {
-    if results.len() == 1 {
-        out.extend_from_slice(&results[0]);
-        return;
-    }
-    if top_k == 0 {
-        for r in results {
-            out.extend_from_slice(r);
-        }
-        out.sort_unstable_by(|a, b| {
-            cmp_ranked(
-                a.score,
-                a.resource.index() as u32,
-                b.score,
-                b.resource.index() as u32,
-            )
-        });
-        return;
-    }
-    cursors.clear();
-    cursors.resize(results.len(), 0);
-    while out.len() < top_k {
-        let mut best: Option<(usize, RankedResource)> = None;
-        for (i, list) in results.iter().enumerate() {
-            if cursors[i] >= list.len() {
-                continue;
-            }
-            let cand = list[cursors[i]];
-            let better = match best {
-                None => true,
-                Some((_, b)) => {
-                    cmp_ranked(
-                        cand.score,
-                        cand.resource.index() as u32,
-                        b.score,
-                        b.resource.index() as u32,
-                    ) == std::cmp::Ordering::Less
-                }
-            };
-            if better {
-                best = Some((i, cand));
-            }
-        }
-        match best {
-            Some((i, cand)) => {
-                cursors[i] += 1;
-                out.push(cand);
-            }
-            None => break,
-        }
+        self.engine.search_batch(concepts, queries, top_k)
     }
 }
 
@@ -866,58 +545,53 @@ fn merge_ranked(
 
 /// Loads a serving source — a single `.cubelsi` artifact **or** a shard
 /// manifest, sniffed from the magic bytes — into a validated
-/// [`ShardSet`] (a single artifact becomes a one-shard set). This is the
-/// one function behind `query`, `serve` start-up and `RELOAD`, and it
-/// reads what serving uses: the model section is neither checksummed nor
-/// decoded (see the module docs). For a manifest,
-/// every referenced artifact's length and CRC-32 are verified against the
-/// manifest entry before parsing, so a swapped or damaged shard file is
-/// rejected with [`PersistError::ChecksumMismatch`] (`section` = the shard
-/// ordinal) and can never serve.
+/// [`ShardSet`]. This is the one function behind `query`, `serve`
+/// start-up and `RELOAD`, and it reads what serving uses: the model
+/// section is neither checksummed nor decoded, and the index is built
+/// from the corpus and concept map (see the module docs).
 ///
-/// Every shard file's length is held to its entry before any file is
-/// read, so a missing, short or long file is reported ahead of a CRC
-/// mismatch in an earlier shard. Shard 0 is then read into a buffer of its
-/// own, which lives until the set is built; shards 1.. are read one after
-/// the other into **one** reused buffer, sized once for the largest of
-/// them. A load therefore makes two file-sized allocations whatever the
-/// shard count, and the allocator's state after it does not depend on how
-/// many shards there were or on the order their sizes came in.
+/// For a manifest, every file's length is held to its entry before any
+/// file is read, so a missing, short or long file is reported ahead of a
+/// CRC mismatch. Shard 0's file is read into a buffer that lives until
+/// the set is built, and held to its entry's CRC-32 (a
+/// [`PersistError::ChecksumMismatch`] whose `section` is the shard
+/// ordinal). Every later entry must record shard 0's length and CRC, and
+/// every later file, read in turn into **one** reused buffer, must equal
+/// shard 0's byte for byte; a file that does not is reported as its
+/// checksum mismatch. A load therefore makes two file-sized allocations
+/// whatever the shard count.
 pub fn load_source(path: impl AsRef<Path>, _mode: LoadMode) -> Result<ShardSet, PersistError> {
     let path = path.as_ref();
-    match sniff_source(path)? {
-        SourceKind::Artifact => {
-            ShardSet::assemble(&std::fs::read(path)?, &KnownCrcs::default(), |_| {
-                Ok(Vec::new())
-            })
-        }
-        SourceKind::Manifest => {
-            let manifest = load_manifest(path)?;
-            let dir = path.parent().unwrap_or(Path::new("."));
-            let files = manifest
-                .entries
-                .iter()
-                .zip(0u32..)
-                .map(|(entry, shard)| ShardFile::check(dir, entry, shard))
-                .collect::<Result<Vec<_>, _>>()?;
-            let (first, later) = files
-                .split_first()
-                .ok_or_else(|| shard_err("no shard artifacts"))?;
-            let mut first_bytes = Vec::new();
-            let first_crcs = first.read_into(&mut first_bytes)?;
-            ShardSet::assemble(&first_bytes, &first_crcs, |serving| {
-                let largest = later.iter().map(|file| file.len).max().unwrap_or(0);
-                let mut buf = Vec::with_capacity(largest);
-                later
-                    .iter()
-                    .map(|file| {
-                        let known = file.read_into(&mut buf)?;
-                        load_shard_index(&buf, &known, serving, widen(file.shard))
-                    })
-                    .collect()
-            })
-        }
+    if sniff_source(path)? == SourceKind::Artifact {
+        return load_artifact_bytes(&std::fs::read(path)?);
     }
+    let manifest = load_manifest(path)?;
+    let dir = path.parent().unwrap_or(Path::new("."));
+    let files = manifest
+        .entries
+        .iter()
+        .zip(0u32..)
+        .map(|(entry, shard)| ShardFile::check(dir, entry, shard))
+        .collect::<Result<Vec<_>, _>>()?;
+    let (first, later) = files
+        .split_first()
+        .ok_or_else(|| shard_err("no shard artifacts"))?;
+    let mut bytes = Vec::new();
+    let known = first.read_into(&mut bytes)?;
+    first.check_replicas(later, &bytes)?;
+    Ok(ShardSet::from_serving(
+        load_serving(&bytes, &known)?,
+        files.len(),
+    ))
+}
+
+/// What [`load_source`] runs on a single artifact once its bytes are
+/// read: the serving load, into a one-file set.
+pub fn load_artifact_bytes(bytes: &[u8]) -> Result<ShardSet, PersistError> {
+    Ok(ShardSet::from_serving(
+        load_serving(bytes, &KnownCrcs::default())?,
+        1,
+    ))
 }
 
 // xtask:hostile-input:begin — a shard file is as untrusted as the
@@ -959,12 +633,10 @@ impl<'m> ShardFile<'m> {
         })
     }
 
-    /// Reads the file into `buf`, replacing its contents, and holds it to
-    /// its entry's CRC-32, which is checked before anything in the file
-    /// is. The read is exact-length, so `buf` grows only when the file is
-    /// longer than its capacity. Returns the section payload CRCs the
-    /// file CRC was combined from, so the load checksums each byte once.
-    fn read_into(&self, buf: &mut Vec<u8>) -> Result<KnownCrcs, PersistError> {
+    /// Reads the file into `buf`, replacing its contents. The read is
+    /// exact-length, so `buf` grows only when the file is longer than its
+    /// capacity.
+    fn read(&self, buf: &mut Vec<u8>) -> Result<(), PersistError> {
         use std::io::Read;
         buf.clear();
         buf.reserve_exact(self.len);
@@ -977,15 +649,56 @@ impl<'m> ShardFile<'m> {
                 context: "shard artifact",
             });
         }
+        Ok(())
+    }
+
+    /// The checksum mismatch of this file, whose CRC-32 is `got`.
+    fn mismatch(&self, got: u32) -> PersistError {
+        PersistError::ChecksumMismatch {
+            section: self.shard,
+            expected: self.entry.crc32,
+            got,
+        }
+    }
+
+    /// Reads the file into `buf` and holds it to its entry's CRC-32,
+    /// which is checked before anything in the file is. Returns the
+    /// section payload CRCs the file CRC was combined from, so the load
+    /// checksums each byte once.
+    fn read_into(&self, buf: &mut Vec<u8>) -> Result<KnownCrcs, PersistError> {
+        self.read(buf)?;
         let (got, known) = file_crc(buf);
         if got != self.entry.crc32 {
-            return Err(PersistError::ChecksumMismatch {
-                section: self.shard,
-                expected: self.entry.crc32,
-                got,
-            });
+            return Err(self.mismatch(got));
         }
         Ok(known)
+    }
+
+    /// Holds the `later` files to this one, shard 0, whose checked bytes
+    /// are `first`: each entry must record shard 0's length and CRC, and
+    /// each file must equal `first` byte for byte.
+    fn check_replicas(&self, later: &[ShardFile<'_>], first: &[u8]) -> Result<(), PersistError> {
+        for file in later {
+            if (file.entry.file_len, file.entry.crc32) != (self.entry.file_len, self.entry.crc32) {
+                return Err(shard_err(format!(
+                    "shard {}'s manifest entry (length {}, CRC {:#010x}) differs from \
+                     shard 0's (length {}, CRC {:#010x}); every shard is a replica",
+                    file.shard,
+                    file.entry.file_len,
+                    file.entry.crc32,
+                    self.entry.file_len,
+                    self.entry.crc32
+                )));
+            }
+        }
+        let mut buf = Vec::new();
+        for file in later {
+            file.read(&mut buf)?;
+            if buf != first {
+                return Err(file.mismatch(crc32(&buf)));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -996,9 +709,9 @@ impl<'m> ShardFile<'m> {
 // ---------------------------------------------------------------------------
 
 /// One installed generation: a generation number (monotonic per
-/// [`ShardedEngine`]) plus the shard set serving it. Handed out as an
-/// [`Arc`], so in-flight queries keep serving the generation they
-/// started on even while a reload installs a successor.
+/// [`ShardedEngine`]) plus the set serving it. Handed out as an [`Arc`],
+/// so in-flight queries keep serving the generation they started on even
+/// while a reload installs a successor.
 #[derive(Debug)]
 pub struct ShardGeneration {
     number: u64,
@@ -1011,13 +724,13 @@ impl ShardGeneration {
         self.number
     }
 
-    /// The shard set serving this generation.
+    /// The set serving this generation.
     pub fn set(&self) -> &ShardSet {
         &self.set
     }
 }
 
-/// A hot-reloadable sharded engine: an atomically swappable
+/// A hot-reloadable engine: an atomically swappable
 /// [`Arc<ShardGeneration>`]. Readers take a cheap `Arc` clone per query
 /// (no allocation), a reload builds a complete new [`ShardSet`] off to
 /// the side and swaps it in with one pointer store under a short write
@@ -1028,19 +741,15 @@ impl ShardGeneration {
 pub struct ShardedEngine {
     state: RwLock<Arc<ShardGeneration>>,
     next_generation: AtomicU64,
-    strategy: PruningStrategy,
     source: Option<PathBuf>,
 }
 
 impl ShardedEngine {
-    /// Wraps a shard set as generation 1, forcing `strategy` onto it
-    /// (and onto every later installed generation).
-    pub fn new(mut set: ShardSet, strategy: PruningStrategy) -> Self {
-        set.set_strategy(strategy);
+    /// Wraps a set as generation 1.
+    pub fn new(set: ShardSet) -> Self {
         ShardedEngine {
             state: RwLock::new(Arc::new(ShardGeneration { number: 1, set })),
             next_generation: AtomicU64::new(2),
-            strategy,
             source: None,
         }
     }
@@ -1069,8 +778,7 @@ impl ShardedEngine {
     /// generation is dropped after the lock is released: when this held
     /// its last reference, freeing a whole [`ShardSet`] must not hold up
     /// every query's [`Self::current`].
-    pub(crate) fn install(&self, mut set: ShardSet) -> Arc<ShardGeneration> {
-        set.set_strategy(self.strategy);
+    pub(crate) fn install(&self, set: ShardSet) -> Arc<ShardGeneration> {
         let (generation, replaced) = {
             let mut slot = self
                 .state
@@ -1102,19 +810,17 @@ impl ShardedEngine {
         Ok(self.install(set))
     }
 
-    /// Creates a reusable scatter-gather session (lazily sized; valid
-    /// across generations).
+    /// Creates a reusable session (lazily sized; valid across
+    /// generations).
     pub fn session(&self) -> ShardedSession {
         ShardedSession::default()
     }
 
     /// Answers a tag-id query against the current generation using its
-    /// own concept model, through [`ShardSet::search_tags_auto`]: the
-    /// coalesced mirror or the sequential scatter on the caller's
-    /// thread, bit-identical either way. Steady-state allocation-free on a
-    /// warmed session; the session survives generation swaps (its
-    /// scratch lazily re-validates against whichever generation's index
-    /// it meets).
+    /// own concept model, through [`ShardSet::search_tags_auto`] on the
+    /// caller's thread. Steady-state allocation-free on a warmed session;
+    /// the session survives generation swaps (its scratch lazily
+    /// re-validates against whichever generation's index it meets).
     pub fn search_tags_with(
         &self,
         session: &mut ShardedSession,
@@ -1196,10 +902,9 @@ mod tests {
         }
     }
 
-    /// `save_sharded_with` encodes the model sections once and varies the
-    /// index per shard; every file must still be what a whole save of
-    /// that shard's model — the composition it used to clone its way to —
-    /// writes.
+    /// `save_sharded` writes every shard file as the whole artifact
+    /// `save_to_vec` writes, and every manifest entry records the length
+    /// and CRC-32 of the file written.
     #[test]
     fn shard_files_equal_whole_saves_of_the_per_shard_models() {
         use crate::pipeline::CubeLsi;
@@ -1214,91 +919,45 @@ mod tests {
         let model = CubeLsi::build(&f, &cfg).unwrap();
         let dir = std::env::temp_dir().join(format!("cubelsi-shard-bytes-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let n = 3;
-        for compress in [false, true] {
-            let manifest = dir.join(format!("m{}.shards", compress as u8));
-            let report = save_sharded_with(&manifest, &model, &f, n, compress).unwrap();
-            for (shard, path) in report.shard_paths.iter().enumerate() {
-                let shard_model = CubeLsi::from_parts(
-                    model.tag_model().clone(),
-                    model.concepts().clone(),
-                    QueryEngine::new(model.index().partition_by_resource(shard, n)),
-                    *model.timings(),
-                    model.trace().clone(),
-                    &f,
-                );
-                assert_eq!(
-                    std::fs::read(path).unwrap(),
-                    crate::persist::save_to_vec_with(&shard_model, &f, compress),
-                    "compress {compress} shard {shard}"
-                );
-            }
+        let manifest = dir.join("m.shards");
+        let report = save_sharded(&manifest, &model, &f, 3).unwrap();
+        let entries = load_manifest(&manifest).unwrap().entries;
+        assert_eq!(entries.len(), 3);
+        let whole = crate::persist::save_to_vec(&model, &f);
+        for (shard, (path, entry)) in report.shard_paths.iter().zip(&entries).enumerate() {
+            let bytes = std::fs::read(path).unwrap();
+            assert_eq!(bytes, whole, "shard {shard}");
+            assert_eq!(entry.file_len, bytes.len() as u64, "shard {shard}");
+            assert_eq!(entry.crc32, crc32(&bytes), "shard {shard}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `partition_engines` is a shim: one engine, which holds every
+    /// resource of the index once, whatever the count asked for.
     #[test]
     fn partition_covers_each_resource_once() {
         let (f, model) = corpus();
-        let index = ConceptIndex::build(&f, &model);
-        let n = 3;
-        let shards: Vec<ConceptIndex> = (0..n).map(|i| index.partition_by_resource(i, n)).collect();
-        let mut postings = 0usize;
-        for (i, s) in shards.iter().enumerate() {
-            assert_eq!(s.num_resources(), index.num_resources());
-            assert_eq!(s.num_concepts(), index.num_concepts());
-            postings += s.num_postings();
-            for r in 0..s.num_resources() {
-                if r % n != i {
-                    assert_eq!(s.resource_norm(r), 0.0, "shard {i} holds foreign r{r}");
-                    assert!(s.resource_vector(r).is_empty());
-                } else {
-                    assert_eq!(
-                        s.resource_norm(r).to_bits(),
-                        index.resource_norm(r).to_bits()
-                    );
-                }
+        let engine = QueryEngine::new(ConceptIndex::build(&f, &model));
+        for n in [1, 3] {
+            let parts = partition_engines(&engine, n);
+            assert_eq!(parts.len(), 1);
+            let (s, index) = (parts[0].index(), engine.index());
+            assert_eq!(s.num_postings(), index.num_postings());
+            for r in 0..index.num_resources() {
+                assert_eq!(
+                    s.resource_norm(r).to_bits(),
+                    index.resource_norm(r).to_bits()
+                );
             }
-            for l in 0..s.num_concepts() {
-                assert_eq!(s.idf(l).to_bits(), index.idf(l).to_bits());
-            }
-        }
-        assert_eq!(postings, index.num_postings());
-    }
-
-    #[test]
-    fn coalesced_index_matches_unsharded_build() {
-        let (f, model) = corpus();
-        let index = ConceptIndex::build(&f, &model);
-        let n = 3;
-        let shards: Vec<ConceptIndex> = (0..n).map(|i| index.partition_by_resource(i, n)).collect();
-        let refs: Vec<&ConceptIndex> = shards.iter().collect();
-        let merged = ConceptIndex::coalesce(&refs);
-        assert_eq!(merged.num_resources(), index.num_resources());
-        assert_eq!(merged.num_concepts(), index.num_concepts());
-        assert_eq!(merged.num_postings(), index.num_postings());
-        for l in 0..index.num_concepts() {
-            assert_eq!(merged.idf(l).to_bits(), index.idf(l).to_bits());
-            let (a, b) = (merged.postings(l), index.postings(l));
-            assert_eq!(a.ids, b.ids, "concept {l} ids diverge");
-            let (sa, sb): (Vec<u64>, Vec<u64>) = (
-                a.scores.iter().map(|s| s.to_bits()).collect(),
-                b.scores.iter().map(|s| s.to_bits()).collect(),
-            );
-            assert_eq!(sa, sb, "concept {l} scores diverge");
-        }
-        for r in 0..index.num_resources() {
-            assert_eq!(
-                merged.resource_norm(r).to_bits(),
-                index.resource_norm(r).to_bits()
-            );
         }
     }
 
+    /// Without a coalesced mirror or a scatter, both query routes of a
+    /// set are the single engine's.
     #[test]
     fn scatter_and_auto_without_a_mirror_match_the_single_engine() {
-        let (f, model, engine, mut set) = sharded(3);
-        set.coalesced = None;
+        let (f, model, engine, set) = sharded(3);
         let mut session = set.session();
         let mut out = Vec::new();
         let mut reference = engine.session();
@@ -1312,18 +971,6 @@ mod tests {
                 set.search_tags_auto(&mut session, &model, &tags, top_k, &mut out);
                 assert_eq!(out, expected, "auto: tag {t} k {top_k}");
             }
-        }
-    }
-
-    #[test]
-    fn global_max_impact_matches_unsharded() {
-        let (_, _, engine, set) = sharded(3);
-        for l in 0..set.num_concepts() {
-            assert_eq!(
-                set.global_max_impact[l].to_bits(),
-                engine.index().max_impact(l).to_bits(),
-                "concept {l}"
-            );
         }
     }
 
@@ -1357,26 +1004,10 @@ mod tests {
     }
 
     #[test]
-    fn wrong_shard_membership_is_rejected() {
-        let (f, model) = corpus();
-        let engine = QueryEngine::new(ConceptIndex::build(&f, &model));
-        // Shard 1's index installed at position 0 of a 2-shard set:
-        // every resource it serves belongs to the other shard.
-        let wrong = vec![
-            QueryEngine::new(engine.index().partition_by_resource(1, 2)),
-            QueryEngine::new(engine.index().partition_by_resource(1, 2)),
-        ];
-        assert!(matches!(
-            ShardSet::from_parts(wrong, f, model),
-            Err(PersistError::Shard { .. })
-        ));
-    }
-
-    #[test]
     fn hot_reload_swaps_generation_and_old_arc_survives() {
-        let (_, _, _, set2) = sharded(2);
-        let (f, model, single, set3) = sharded(3);
-        let engine = ShardedEngine::new(set2, PruningStrategy::BlockMax);
+        let (_, _, _, first) = sharded(2);
+        let (f, model, single, second) = sharded(3);
+        let engine = ShardedEngine::new(first);
         let mut session = engine.session();
         let mut out = Vec::new();
         let q = vec![f.tag_id("alpha").unwrap(), f.tag_id("gamma").unwrap()];
@@ -1385,11 +1016,10 @@ mod tests {
         assert_eq!(out, want);
 
         let old = engine.current();
-        let installed = engine.install(set3);
+        let installed = engine.install(second);
         assert_eq!(old.number() + 1, installed.number());
         // The drained generation still answers (in-flight queries hold
         // its Arc)...
-        assert_eq!(old.set().num_shards(), 2);
         let mut old_session = old.set().session();
         old.set()
             .search_tags_with(&mut old_session, &model, &q, 5, &mut out);
@@ -1397,31 +1027,13 @@ mod tests {
         // ...while the same warmed session now serves the new one.
         engine.search_tags_with(&mut session, &q, 5, &mut out);
         assert_eq!(out, want);
-        assert_eq!(engine.current().set().num_shards(), 3);
+        assert!(Arc::ptr_eq(&engine.current(), &installed));
     }
 
     #[test]
     fn reload_without_source_is_typed_error() {
         let (_, _, _, set) = sharded(2);
-        let engine = ShardedEngine::new(set, PruningStrategy::BlockMax);
+        let engine = ShardedEngine::new(set);
         assert!(matches!(engine.reload(), Err(PersistError::Shard { .. })));
-    }
-
-    #[test]
-    fn merge_handles_ties_and_exhaustion() {
-        let rr = |r: usize, s: f64| RankedResource {
-            resource: cubelsi_folksonomy::ResourceId::from_index(r),
-            score: s,
-        };
-        // Equal scores must interleave by ascending resource id.
-        let results = [vec![rr(1, 0.5), rr(3, 0.5)], vec![rr(0, 0.5), rr(2, 0.25)]];
-        let mut cursors = Vec::new();
-        let mut out = Vec::new();
-        merge_ranked(&results, &mut cursors, 10, &mut out);
-        let got: Vec<usize> = out.iter().map(|h| h.resource.index()).collect();
-        assert_eq!(got, vec![0, 1, 3, 2]);
-        out.clear();
-        merge_ranked(&results, &mut cursors, 2, &mut out);
-        assert_eq!(out.len(), 2);
     }
 }

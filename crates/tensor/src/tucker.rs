@@ -249,6 +249,12 @@ fn tucker_als_with(
     hosvd_solve: HosvdSolve,
 ) -> Result<TuckerDecomposition, LinAlgError> {
     let dims = f.dims();
+    if dims.0 == 0 || dims.1 == 0 || dims.2 == 0 {
+        return Err(LinAlgError::InvalidArgument(format!(
+            "Tucker decomposition of an empty {}x{}x{} tensor",
+            dims.0, dims.1, dims.2
+        )));
+    }
     let mut j1 = config.core_dims.0.clamp(1, dims.0);
     let mut j2 = config.core_dims.1.clamp(1, dims.1);
     let mut j3 = config.core_dims.2.clamp(1, dims.2);

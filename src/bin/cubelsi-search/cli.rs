@@ -20,11 +20,10 @@ MODEL is a single .cubelsi artifact or a shard manifest (build --shards).
 options:
   --concepts K   fix the number of concepts (K >= 1; default: 95%-variance rule)
   --ratio C      Tucker reduction ratio (finite, > 0; default 50)
-  --shards N     partition the index across N shard artifacts and write a
-                 shard manifest at OUT (N >= 1; `build` only)
-  --compress     also store the bit-packed/quantized posting mirror in the
-                 artifact (section 8; `build` only — `query`/`serve` pick
-                 it up transparently, results stay bit-identical)
+  --shards N     write N identical replicas of the artifact and a shard
+                 manifest listing them at OUT (N >= 1; `build` only)
+  --compress     accepted and ignored (`build` only): format-5 artifacts
+                 hold no compressed posting mirror
   --top N        results per query (N >= 1; default 10)
   --repeat N     run the query N times on the warm session and report
                  latency stats (N >= 1; default 1; `query` only)
@@ -67,7 +66,6 @@ pub struct BuildOpts {
     pub seed: u64,
     pub threads: Option<usize>,
     pub shards: Option<usize>,
-    pub compress: bool,
 }
 
 impl Default for BuildOpts {
@@ -79,7 +77,6 @@ impl Default for BuildOpts {
             seed: 2011,
             threads: None,
             shards: None,
-            compress: false,
         }
     }
 }
@@ -277,7 +274,6 @@ pub fn parse_command(args: impl IntoIterator<Item = String>) -> Result<Command, 
         seed: flags.seed.unwrap_or(2011),
         threads: flags.threads,
         shards: flags.shards,
-        compress: flags.compress,
     };
     let top_k = flags.top.unwrap_or(10);
     // Build-only flags must not be silently ignored on the serving
@@ -482,7 +478,6 @@ mod tests {
                     seed: 2011,
                     threads: None,
                     shards: None,
-                    compress: true,
                 },
                 data: "d.tsv".into(),
                 out: "m.cubelsi".into(),

@@ -8,7 +8,7 @@
 //! ```sh
 //! # data.tsv: one "user<TAB>tag<TAB>resource" line per assignment
 //! cubelsi-search build data.tsv model.cubelsi            # offline, once
-//! cubelsi-search build --shards 4 data.tsv model.shards  # manifest + 4 shard artifacts
+//! cubelsi-search build --shards 4 data.tsv model.shards  # manifest + 4 replicas
 //! cubelsi-search query model.cubelsi music audio         # online, instant
 //! cubelsi-search query model.shards music audio          # sharded, same answers
 //! cubelsi-search serve --listen 127.0.0.1:7878 model.shards   # TCP server
@@ -18,8 +18,8 @@
 //! ```
 //!
 //! `build` accepts `--concepts K`, `--ratio C`, `--seed S`, `--no-clean`,
-//! and `--shards N` (emit a shard manifest plus `N` resource-partitioned
-//! artifacts instead of one file); `query`/`serve` accept a single
+//! and `--shards N` (emit a shard manifest plus `N` identical replicas of
+//! the artifact instead of one file); `query`/`serve` accept a single
 //! artifact **or** a shard manifest (sniffed from the magic bytes) and
 //! `--top N`; `query` additionally accepts `--repeat N` for quick
 //! micro-measurement.
@@ -183,7 +183,7 @@ fn run_build(opts: &BuildOpts, data: &str, out: &str) -> Result<(), String> {
     let t0 = Instant::now();
     match opts.shards {
         None => {
-            persist::save_to_path_with(out, &model, &corpus, opts.compress)
+            persist::save_to_path(out, &model, &corpus)
                 .map_err(|e| format!("saving {out}: {e}"))?;
             let size = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
             eprintln!(
@@ -193,16 +193,10 @@ fn run_build(opts: &BuildOpts, data: &str, out: &str) -> Result<(), String> {
             );
         }
         Some(n) => {
-            let report = shard::save_sharded_with(out, &model, &corpus, n, opts.compress)
+            let report = shard::save_sharded(out, &model, &corpus, n)
                 .map_err(|e| format!("saving sharded {out}: {e}"))?;
-            for shard_id in 0..n {
-                eprintln!(
-                    "shard   {} ({} resources, {} postings, {} bytes)",
-                    report.shard_paths[shard_id].display(),
-                    report.shard_resources[shard_id],
-                    report.shard_postings[shard_id],
-                    report.shard_bytes[shard_id],
-                );
+            for (path, bytes) in report.shard_paths.iter().zip(&report.shard_bytes) {
+                eprintln!("shard   {} ({bytes} bytes)", path.display());
             }
             eprintln!("saved   {out} (manifest, {n} shards) in {:?}", t0.elapsed());
         }

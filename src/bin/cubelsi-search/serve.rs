@@ -47,7 +47,7 @@
 use crate::cli::ServeLimits;
 use crate::stats::{prometheus_exposition, LatencyStats, ServerCounters};
 use cubelsi::core::shard::{ShardedEngine, ShardedSession};
-use cubelsi::core::{PruningStrategy, RankedResource};
+use cubelsi::core::RankedResource;
 use cubelsi::folksonomy::{Folksonomy, TagId};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -624,7 +624,7 @@ pub fn run_serve(
     limits: ServeLimits,
 ) -> Result<(), String> {
     let set = crate::load_shard_set(index)?;
-    let engine = ShardedEngine::new(set, PruningStrategy::default()).with_source(index);
+    let engine = ShardedEngine::new(set).with_source(index);
     let listener = TcpListener::bind(listen).map_err(|e| format!("binding {listen}: {e}"))?;
     let addr = listener
         .local_addr()

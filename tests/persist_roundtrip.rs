@@ -6,18 +6,14 @@
 //!    This is what makes `build` + `query` a pure deployment split, never
 //!    an approximation.
 //! 2. **Adversarial robustness** — truncated files, flipped bytes (CRC
-//!    failure), CRC-repaired semantic corruption inside the SoA index
-//!    section (broken impact order, falsified block maxima), inside the
-//!    compressed mirror (flipped bit widths, out-of-range quantization
-//!    scales, understated impact bounds) and inside the model section
-//!    (shapes that disagree with the corpus or with each other, non-finite
-//!    values, unknown tags, trailing bytes), negative or non-finite term
-//!    weights, misaligned sections, wrong magic, and any format version
-//!    but the current one each yield a descriptive typed [`PersistError`],
-//!    never a panic or a silent misranking.
+//!    failure), CRC-repaired corruption inside the model section (shapes
+//!    that disagree with the corpus or with each other, non-finite
+//!    values, unknown tags, trailing bytes), wrong magic, and any format
+//!    version but the current one each yield a descriptive typed
+//!    [`PersistError`], never a panic or a silent misranking.
 //! 3. **The serving load reads what serving uses** — `shard::load_source`
-//!    checksums and decodes meta, folksonomy, concepts and the index
-//!    sections only: damage inside the model payload (or its absence)
+//!    checksums and decodes meta, folksonomy and concepts only, and
+//!    builds the index from them: damage inside the model payload (or its absence)
 //!    does not fail it, damage anywhere it reads does, an entry of the
 //!    model's running past the file still does, and whatever it accepts
 //!    answers bit-identically to the undamaged artifact.
@@ -25,15 +21,16 @@
 //!    distances from the model section bit-identically to the built
 //!    engine's, at any thread count and under either Σ source, and
 //!    re-saves to the bytes it read.
-//! 5. **Degenerate corpora** — a single assignment, all-zero idf, more
-//!    shards than resources, more concepts requested than tags: a typed
-//!    error or an artifact that reloads and answers like the engine it
-//!    was saved from.
+//! 5. **Degenerate corpora** — the empty corpus, one whose tags all clean
+//!    away, a single assignment, all-zero idf, more shards than
+//!    resources, more concepts requested than tags: a typed error or an
+//!    artifact that reloads and answers like the engine it was saved
+//!    from.
 
 use cubelsi::core::shard::{self, LoadMode};
 use cubelsi::core::{persist, CubeLsi, CubeLsiConfig, PersistError, RankedResource, SigmaSource};
 use cubelsi::datagen::{generate, GeneratorConfig};
-use cubelsi::folksonomy::{Folksonomy, FolksonomyBuilder, TagId};
+use cubelsi::folksonomy::{clean, CleaningConfig, Folksonomy, FolksonomyBuilder, TagId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -168,7 +165,7 @@ fn truncated_files_error_at_every_length() {
 }
 
 // ---------------------------------------------------------------------------
-// SoA index section adversaries
+// Section surgery
 // ---------------------------------------------------------------------------
 
 /// Locates a section's table entry; returns
@@ -186,281 +183,35 @@ fn find_section(bytes: &[u8], id: u32) -> (usize, usize, usize) {
     panic!("section {id} not found");
 }
 
-/// Re-records a section's CRC after deliberate payload surgery, so the
-/// corruption reaches the semantic validators instead of the checksum.
-fn refresh_crc(bytes: &mut [u8], entry: usize, off: usize, len: usize) {
-    let crc = persist::crc32(&bytes[off..off + len]);
-    bytes[entry + 20..entry + 24].copy_from_slice(&crc.to_le_bytes());
-}
-
-/// The byte offsets (relative to the SoA payload start) of every array
-/// boundary, recomputed from the documented layout: 6-field u64
-/// header, then idf, norms, rv_offsets, rv_concepts (padded), rv_weights,
-/// post_offsets, post_ids (padded), post_scores, block_offsets,
-/// block_max, max_impact.
-struct SoaOffsets {
-    boundaries: Vec<usize>,
-    post_scores: usize,
-    block_max: usize,
-    n_blocks: usize,
-}
-
-fn soa_offsets(payload: &[u8]) -> SoaOffsets {
-    let field =
-        |i: usize| u64::from_le_bytes(payload[i * 8..(i + 1) * 8].try_into().unwrap()) as usize;
-    let (r, c, rv_nnz, n_post, n_blocks) = (field(0), field(1), field(3), field(4), field(5));
-    assert_eq!(field(2), cubelsi::core::BLOCK_LEN, "block length field");
-    // (array byte length, pad-to-8 afterwards) in on-disk order.
-    let arrays: [(usize, bool); 11] = [
-        (c * 8, false),        // idf
-        (r * 8, false),        // resource_norms
-        ((r + 1) * 8, false),  // rv_offsets
-        (rv_nnz * 4, true),    // rv_concepts
-        (rv_nnz * 8, false),   // rv_weights
-        ((c + 1) * 8, false),  // post_offsets
-        (n_post * 4, true),    // post_ids
-        (n_post * 8, false),   // post_scores
-        ((c + 1) * 8, false),  // block_offsets
-        (n_blocks * 8, false), // block_max
-        (c * 8, false),        // max_impact
-    ];
-    let mut cursor = 48usize;
-    let mut boundaries = vec![cursor];
-    for (bytes, pad) in arrays {
-        cursor += bytes;
-        if pad {
-            cursor = cursor.div_ceil(8) * 8;
-        }
-        boundaries.push(cursor);
-    }
-    assert_eq!(cursor, payload.len(), "layout must cover the payload");
-    SoaOffsets {
-        // boundaries[i] = start of array i (0-based); boundaries[7] is
-        // post_scores, boundaries[9] is block_max.
-        post_scores: boundaries[7],
-        block_max: boundaries[9],
-        boundaries,
-        n_blocks,
-    }
-}
-
 fn assert_load_rejects(bytes: &[u8], what: &str) -> PersistError {
     persist::load_from_bytes(bytes)
         .err()
         .unwrap_or_else(|| panic!("{what}: load must fail"))
 }
 
-/// Truncating the file at (and just past) every SoA array boundary must
-/// produce a typed error — never a panic.
-#[test]
-fn truncation_at_every_soa_array_boundary_errors() {
-    let (folksonomy, model) = build_random(31);
-    let bytes = persist::save_to_vec(&model, &folksonomy);
-    let (_, off, len) = find_section(&bytes, persist::SECTION_INDEX_SOA);
-    let offsets = soa_offsets(&bytes[off..off + len]);
-    for &b in &offsets.boundaries {
-        // A cut at or past the end of the recorded payload is not a
-        // truncation (trailing file padding is not covered by the length),
-        // so only strictly-inside cuts are adversarial.
-        for cut in [off + b, off + b + 4] {
-            if cut >= off + len {
-                continue;
-            }
-            let err = assert_load_rejects(&bytes[..cut], &format!("cut at {cut}"));
-            assert!(
-                matches!(
-                    err,
-                    PersistError::Truncated { .. } | PersistError::ChecksumMismatch { .. }
-                ),
-                "cut {cut}: unexpected error {err}"
-            );
-        }
-    }
-}
-
-/// A flipped byte inside the block-max array is caught by the CRC; the
-/// same flip with a freshly recorded CRC is caught by the semantic
-/// validator (block max must equal its block's head impact). Either way:
-/// a typed error, never a silent misranking.
-#[test]
-fn flipped_block_max_bytes_are_detected() {
-    let (folksonomy, model) = build_random(32);
-    let bytes = persist::save_to_vec(&model, &folksonomy);
-    let (entry, off, len) = find_section(&bytes, persist::SECTION_INDEX_SOA);
-    let offsets = soa_offsets(&bytes[off..off + len]);
-    assert!(offsets.n_blocks > 0, "corpus must produce posting blocks");
-
-    for block in 0..offsets.n_blocks {
-        let pos = off + offsets.block_max + block * 8 + 3;
-        // CRC catches the raw flip.
-        let mut bad = bytes.clone();
-        bad[pos] ^= 0x5A;
-        match assert_load_rejects(&bad, &format!("block {block} flip")) {
-            PersistError::ChecksumMismatch { section, .. } => {
-                assert_eq!(section, persist::SECTION_INDEX_SOA);
-            }
-            other => panic!("block {block}: expected ChecksumMismatch, got {other}"),
-        }
-        // The semantic validator catches the CRC-repaired flip.
-        refresh_crc(&mut bad, entry, off, len);
-        match assert_load_rejects(&bad, &format!("block {block} flip + CRC fix")) {
-            PersistError::Malformed { section, detail } => {
-                assert_eq!(section, persist::SECTION_INDEX_SOA);
-                assert!(!detail.is_empty());
-            }
-            other => panic!("block {block}: expected Malformed, got {other}"),
-        }
-    }
-}
-
-/// CRC-repaired corruption of the impact order itself (a zeroed head
-/// score) must be rejected by the order/consistency validation — this is
-/// the "never misrank" guarantee for hostile-but-checksummed files.
-#[test]
-fn broken_impact_order_is_rejected_after_crc_repair() {
-    let (folksonomy, model) = build_random(33);
-    let mut bytes = persist::save_to_vec(&model, &folksonomy);
-    let (entry, off, len) = find_section(&bytes, persist::SECTION_INDEX_SOA);
-    let offsets = soa_offsets(&bytes[off..off + len]);
-    // Zero the first posting score: its list is no longer descending (or,
-    // for a single-posting list, disagrees with block max / max impact).
-    let pos = off + offsets.post_scores;
-    bytes[pos..pos + 8].copy_from_slice(&0.0f64.to_le_bytes());
-    refresh_crc(&mut bytes, entry, off, len);
-    match assert_load_rejects(&bytes, "zeroed head score") {
-        PersistError::Malformed { section, .. } => {
-            assert_eq!(section, persist::SECTION_INDEX_SOA);
-        }
-        other => panic!("expected Malformed, got {other}"),
-    }
-}
-
-/// CRC-repaired corruption of the `idf` array (the first array of the SoA
-/// payload, right after the 48-byte header): negated, NaN or infinite
-/// term weights break the non-negative-weight premise of the pruned
-/// engine's bounds — negated, the pruned path returns negative-score hits
-/// the exhaustive path drops; non-finite, both emit NaN scores — so the
-/// validator must refuse them.
-#[test]
-fn hostile_idf_is_rejected_after_crc_repair() {
-    let (folksonomy, model) = build_random(39);
-    let bytes = persist::save_to_vec(&model, &folksonomy);
-    let (entry, off, len) = find_section(&bytes, persist::SECTION_INDEX_SOA);
-    let idf = off + 48;
-    let num_concepts = model.index().num_concepts();
-    assert!((0..num_concepts).any(|l| model.index().idf(l) > 0.0));
-
-    let mut negated = bytes.clone();
-    for l in 0..num_concepts {
-        negated[idf + l * 8 + 7] ^= 0x80;
-    }
-    let mut patched = vec![("negated idf", negated)];
-    for (what, value) in [("NaN idf", f64::NAN), ("infinite idf", f64::INFINITY)] {
-        let mut bad = bytes.clone();
-        bad[idf..idf + 8].copy_from_slice(&value.to_le_bytes());
-        patched.push((what, bad));
-    }
-    for (what, mut bad) in patched {
-        refresh_crc(&mut bad, entry, off, len);
-        match assert_load_rejects(&bad, what) {
-            PersistError::Malformed { section, detail } => {
-                assert_eq!(section, persist::SECTION_INDEX_SOA, "{what}");
-                assert!(detail.contains("idf"), "{what}: {detail}");
-            }
-            other => panic!("{what}: expected Malformed, got {other}"),
-        }
-    }
-}
-
-/// A section table pointing the SoA payload at a non-8-aligned offset is
-/// a typed [`PersistError::MisalignedSection`]: the format promises
-/// arrays viewable in place, and the loader holds writers to it.
-#[test]
-fn misaligned_soa_section_is_a_typed_error() {
-    let (folksonomy, model) = build_random(34);
-    let mut bytes = persist::save_to_vec(&model, &folksonomy);
-    let (entry, off, len) = find_section(&bytes, persist::SECTION_INDEX_SOA);
-    // Shift the recorded payload offset back by 4: same length, CRC
-    // re-recorded over the shifted window, so the only defect left is the
-    // alignment.
-    let new_off = off - 4;
-    bytes[entry + 4..entry + 12].copy_from_slice(&(new_off as u64).to_le_bytes());
-    refresh_crc(&mut bytes, entry, new_off, len);
-    match assert_load_rejects(&bytes, "shifted section offset") {
-        PersistError::MisalignedSection { section, offset } => {
-            assert_eq!(section, persist::SECTION_INDEX_SOA);
-            assert_eq!(offset as usize, new_off);
-        }
-        other => panic!("expected MisalignedSection, got {other}"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Compressed index section adversaries
-// ---------------------------------------------------------------------------
-
-/// The byte offsets (relative to the compressed payload start) of every
-/// array boundary, recomputed from the documented layout: 4-field u64
-/// header, then blk_pack_start, blk_base, blk_scale, blk_offset,
-/// blk_bits, quant, packed_ids — every array padded to 8 bytes.
-struct CompressedOffsets {
-    boundaries: Vec<usize>,
-    blk_scale: usize,
-    blk_bits: usize,
-    quant: usize,
-    n_blocks: usize,
-    n_postings: usize,
-}
-
-fn compressed_offsets(payload: &[u8]) -> CompressedOffsets {
-    let field =
-        |i: usize| u64::from_le_bytes(payload[i * 8..(i + 1) * 8].try_into().unwrap()) as usize;
-    let (n_blocks, n_postings, packed_len) = (field(0), field(1), field(2));
-    assert_eq!(field(3), cubelsi::core::BLOCK_LEN, "block length field");
-    let arrays: [usize; 7] = [
-        (n_blocks + 1) * 8, // blk_pack_start
-        n_blocks * 4,       // blk_base
-        n_blocks * 4,       // blk_scale
-        n_blocks * 4,       // blk_offset
-        n_blocks,           // blk_bits
-        n_postings,         // quant
-        packed_len,         // packed_ids
-    ];
-    let mut cursor = 32usize;
-    let mut boundaries = vec![cursor];
-    for bytes in arrays {
-        cursor = (cursor + bytes).div_ceil(8) * 8;
-        boundaries.push(cursor);
-    }
-    assert_eq!(cursor, payload.len(), "layout must cover the payload");
-    CompressedOffsets {
-        blk_scale: boundaries[2],
-        blk_bits: boundaries[4],
-        quant: boundaries[5],
-        boundaries,
-        n_blocks,
-        n_postings,
-    }
-}
-
-/// Compressed artifacts round-trip deterministically and
-/// byte-stably, and the loaded engine answers bit-identically to the
-/// built one over random corpora.
+/// `build --compress` saves through `save_to_path_with(.., true)`: over
+/// random corpora its artifact is the plain one, loads bit-identically,
+/// and re-saves to the same bytes.
 #[test]
 fn compressed_round_trip_is_bit_identical_and_byte_stable() {
+    let path = std::env::temp_dir().join(format!(
+        "cubelsi-roundtrip-compress-{}.cubelsi",
+        std::process::id()
+    ));
     for seed in [13u64, 14, 15] {
         let (folksonomy, built) = build_random(seed);
-        let bytes = persist::save_to_vec_with(&built, &folksonomy, true);
+        persist::save_to_path_with(&path, &built, &folksonomy, true).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
         assert_eq!(
             bytes,
-            persist::save_to_vec_with(&built, &folksonomy, true),
-            "seed {seed}: compressed save must be deterministic"
+            persist::save_to_vec(&built, &folksonomy),
+            "seed {seed}: the compress request must not change the file"
         );
         let loaded = persist::load_from_bytes(&bytes).unwrap();
         assert_eq!(
             bytes,
-            persist::save_to_vec_with(&loaded.model, &loaded.folksonomy, true),
-            "seed {seed}: compressed double round-trip must be byte-stable"
+            persist::save_to_vec(&loaded.model, &loaded.folksonomy),
+            "seed {seed}: double round-trip must be byte-stable"
         );
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC0_FFEE);
         for _ in 0..15 {
@@ -476,160 +227,7 @@ fn compressed_round_trip_is_bit_identical_and_byte_stable() {
             }
         }
     }
-}
-
-/// Truncating the file at (and just past) every compressed-array boundary
-/// must produce a typed error — never a panic or an OOM-sized
-/// allocation.
-#[test]
-fn truncation_at_every_compressed_array_boundary_errors() {
-    let (folksonomy, model) = build_random(35);
-    let bytes = persist::save_to_vec_with(&model, &folksonomy, true);
-    let (_, off, len) = find_section(&bytes, persist::SECTION_INDEX_COMPRESSED);
-    let offsets = compressed_offsets(&bytes[off..off + len]);
-    for &b in &offsets.boundaries {
-        for cut in [off + b, off + b + 4] {
-            if cut >= off + len {
-                continue;
-            }
-            let err = assert_load_rejects(&bytes[..cut], &format!("cut at {cut}"));
-            assert!(
-                matches!(
-                    err,
-                    PersistError::Truncated { .. } | PersistError::ChecksumMismatch { .. }
-                ),
-                "cut {cut}: unexpected error {err}"
-            );
-        }
-    }
-}
-
-/// A flipped bit-width byte is caught by the CRC; the same flip with a
-/// freshly recorded CRC is caught by the mirror validator (the packed-run
-/// chain no longer matches, or the width exceeds 32) — it can never make
-/// the compressed strategy decode different ids than the exact arrays.
-#[test]
-fn flipped_bit_width_byte_is_rejected() {
-    let (folksonomy, model) = build_random(36);
-    let bytes = persist::save_to_vec_with(&model, &folksonomy, true);
-    let (entry, off, len) = find_section(&bytes, persist::SECTION_INDEX_COMPRESSED);
-    let offsets = compressed_offsets(&bytes[off..off + len]);
-    assert!(offsets.n_blocks > 0, "corpus must produce posting blocks");
-
-    let pos = off + offsets.blk_bits;
-    let orig = bytes[pos];
-    for (what, patch) in [
-        // A width over 32 bits can never be honest.
-        ("width 33 > 32", 33u8),
-        // Shifting the width by 8 moves this block's packed-run length by
-        // exactly its posting count, so the recorded run chain must break.
-        (
-            "width shifted by 8",
-            if orig < 25 { orig + 8 } else { orig - 8 },
-        ),
-    ] {
-        let mut bad = bytes.clone();
-        bad[pos] = patch;
-        match assert_load_rejects(&bad, what) {
-            PersistError::ChecksumMismatch { section, .. } => {
-                assert_eq!(section, persist::SECTION_INDEX_COMPRESSED, "{what}");
-            }
-            other => panic!("{what}: expected ChecksumMismatch, got {other}"),
-        }
-        refresh_crc(&mut bad, entry, off, len);
-        match assert_load_rejects(&bad, &format!("{what} + CRC fix")) {
-            PersistError::Malformed { section, detail } => {
-                assert_eq!(section, persist::SECTION_INDEX_COMPRESSED, "{what}");
-                assert!(!detail.is_empty());
-            }
-            other => panic!("{what}: expected Malformed, got {other}"),
-        }
-    }
-}
-
-/// CRC-repaired corruption of the quantization constants and the
-/// per-posting quantized impacts: a non-finite or negative scale, and a
-/// quantized value whose dequantized bound understates the exact impact,
-/// are each rejected — the "quantize to reject" side can therefore never
-/// skip a posting the exact engine would keep.
-#[test]
-fn out_of_range_quantization_is_rejected_after_crc_repair() {
-    // The first random build with a posting that quantizes above 0 (the
-    // understated-impact case below needs one); which seed that is depends
-    // on how the build clusters, so it is searched for, not pinned.
-    let (bytes, entry, off, len, offsets) = (37..)
-        .map(|seed| {
-            let (folksonomy, model) = build_random(seed);
-            let bytes = persist::save_to_vec_with(&model, &folksonomy, true);
-            let (entry, off, len) = find_section(&bytes, persist::SECTION_INDEX_COMPRESSED);
-            let offsets = compressed_offsets(&bytes[off..off + len]);
-            (bytes, entry, off, len, offsets)
-        })
-        .take(50)
-        .find(|(bytes, _, off, _, offsets)| {
-            let quant = off + offsets.quant;
-            bytes[quant..quant + offsets.n_postings]
-                .iter()
-                .any(|&q| q > 0)
-        })
-        .expect("some build in 50 has a posting that quantizes above 0");
-    assert!(offsets.n_blocks > 0 && offsets.n_postings > 0);
-
-    for (what, pos, patch) in [
-        ("NaN scale", off + offsets.blk_scale, f32::NAN.to_le_bytes()),
-        (
-            "negative scale",
-            off + offsets.blk_scale,
-            (-1.0f32).to_le_bytes(),
-        ),
-    ] {
-        let mut bad = bytes.clone();
-        bad[pos..pos + 4].copy_from_slice(&patch);
-        refresh_crc(&mut bad, entry, off, len);
-        match assert_load_rejects(&bad, what) {
-            PersistError::Malformed { section, detail } => {
-                assert_eq!(section, persist::SECTION_INDEX_COMPRESSED, "{what}");
-                assert!(!detail.is_empty());
-            }
-            other => panic!("{what}: expected Malformed, got {other}"),
-        }
-    }
-
-    // Understate one quantized impact (quant values are upper bounds, so
-    // lowering a nonzero one below its exact impact must be caught).
-    let quant_start = off + offsets.quant;
-    let pos = (0..offsets.n_postings)
-        .map(|j| quant_start + j)
-        .find(|&p| bytes[p] > 0)
-        .expect("some posting quantizes above 0");
-    let mut bad = bytes.clone();
-    bad[pos] = 0;
-    refresh_crc(&mut bad, entry, off, len);
-    match assert_load_rejects(&bad, "understated quantized impact") {
-        PersistError::Malformed { section, detail } => {
-            assert_eq!(section, persist::SECTION_INDEX_COMPRESSED);
-            assert!(detail.contains("bound"), "detail: {detail}");
-        }
-        other => panic!("expected Malformed, got {other}"),
-    }
-}
-
-/// The every-flipped-byte sweep over a compressed artifact: same contract
-/// as the uncompressed sweep — typed error or consistent load, no panic.
-#[test]
-fn every_flipped_byte_is_detected_in_compressed_artifacts() {
-    let (folksonomy, model) = build_random(38);
-    let bytes = persist::save_to_vec_with(&model, &folksonomy, true);
-    for pos in (0..bytes.len()).step_by(131) {
-        let mut bad = bytes.clone();
-        bad[pos] ^= 0x40;
-        match persist::load_from_bytes(&bad) {
-            Err(e) => assert!(!e.to_string().is_empty(), "pos {pos}: empty error message"),
-            Ok(loaded) => {
-                assert_eq!(loaded.folksonomy.stats(), folksonomy.stats(), "pos {pos}");
-            }
-        }
-    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -659,7 +257,7 @@ fn every_flipped_byte_is_detected() {
 
 /// The *exhaustive* hostile-byte sweep: over a deliberately tiny corpus
 /// (so the O(len²) total work stays fast), flip one byte at **every**
-/// offset of a plain and a compressed artifact, under both Σ sources, and
+/// offset of an artifact, under both Σ sources, and
 /// feed the mutant to the loader under `catch_unwind`. Each mutant must
 /// either return a typed error with a non-empty message, or — possible
 /// only where the flip lands in bytes the format does not interpret, such
@@ -684,10 +282,9 @@ fn exhaustive_single_byte_flips_never_panic_either_loader() {
     let queries: Vec<Vec<TagId>> = (0..4usize)
         .map(|t| vec![TagId::from_index(t % folksonomy.num_tags())])
         .collect();
-    for (format, compress, sigma_source) in [
-        ("plain", false, SigmaSource::Lambda2),
-        ("compressed", true, SigmaSource::Lambda2),
-        ("plain CoreGram", false, SigmaSource::CoreGram),
+    for (format, sigma_source) in [
+        ("Lambda2", SigmaSource::Lambda2),
+        ("CoreGram", SigmaSource::CoreGram),
     ] {
         let config = CubeLsiConfig {
             core_dims: Some((3, 3, 3)),
@@ -699,7 +296,7 @@ fn exhaustive_single_byte_flips_never_panic_either_loader() {
         };
         let model = CubeLsi::build(folksonomy, &config).unwrap();
         let expect: Vec<_> = queries.iter().map(|q| model.search_ids(q, 5)).collect();
-        let bytes = persist::save_to_vec_with(&model, folksonomy, compress);
+        let bytes = persist::save_to_vec(&model, folksonomy);
         let (_, off, len) = find_section(&bytes, persist::SECTION_MODEL);
         for pos in 0..bytes.len() {
             let mut bad = bytes.clone();
@@ -784,16 +381,17 @@ fn wrong_magic_is_rejected() {
     ));
 }
 
-/// Only version 4 is read. A future stamp, a zeroed one, and every
+/// Only version 5 is read. A future stamp, a zeroed one, and every
 /// earlier one — v1's per-posting pairs, v2 and v3's Tucker and distances
-/// sections — must be refused at the header, before any section is looked
-/// at, with the found and the supported version named.
+/// sections, v4's stored index — must be refused at the header, before
+/// any section is looked at, with the found and the supported version
+/// named.
 #[test]
 fn future_version_is_rejected_with_both_versions_named() {
     let (folksonomy, model) = build_random(8);
     let mut bytes = persist::save_to_vec(&model, &folksonomy);
-    assert_eq!(persist::FORMAT_VERSION, 4);
-    for stamp in [5u32, 0, 1, 2, 3] {
+    assert_eq!(persist::FORMAT_VERSION, 5);
+    for stamp in [6u32, 0, 1, 2, 3, 4] {
         // The version field is bytes 8..12 (after the 8-byte magic).
         bytes[8..12].copy_from_slice(&stamp.to_le_bytes());
         match assert_load_rejects(&bytes, &format!("version {stamp}")) {
@@ -868,29 +466,26 @@ fn full_load_distances_equal_the_built_engines_bit_for_bit() {
 }
 
 /// A full load is the engine that was saved: re-saved — through the path
-/// API, before and after its distances are derived, plain and compressed,
-/// under either Σ source — it writes the file it was read from.
+/// API, before and after its distances are derived, under either Σ
+/// source — it writes the file it was read from.
 #[test]
 fn full_load_resaves_to_the_same_bytes() {
     let dir = std::env::temp_dir().join(format!("cubelsi-resave-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     for sigma_source in [SigmaSource::Lambda2, SigmaSource::CoreGram] {
         let (folksonomy, built) = build_with(52, sigma_source);
-        for compress in [false, true] {
-            let (original, resaved) = (dir.join("original"), dir.join("resaved"));
-            persist::save_to_path_with(&original, &built, &folksonomy, compress).unwrap();
-            let bytes = std::fs::read(&original).unwrap();
-            let loaded = persist::load_from_path(&original).unwrap();
-            for when in ["before distances", "after distances"] {
-                persist::save_to_path_with(&resaved, &loaded.model, &loaded.folksonomy, compress)
-                    .unwrap();
-                assert_eq!(
-                    std::fs::read(&resaved).unwrap(),
-                    bytes,
-                    "{sigma_source:?} compress {compress}, {when}"
-                );
-                loaded.model.distances();
-            }
+        let (original, resaved) = (dir.join("original"), dir.join("resaved"));
+        persist::save_to_path(&original, &built, &folksonomy).unwrap();
+        let bytes = std::fs::read(&original).unwrap();
+        let loaded = persist::load_from_path(&original).unwrap();
+        for when in ["before distances", "after distances"] {
+            persist::save_to_path(&resaved, &loaded.model, &loaded.folksonomy).unwrap();
+            assert_eq!(
+                std::fs::read(&resaved).unwrap(),
+                bytes,
+                "{sigma_source:?}, {when}"
+            );
+            loaded.model.distances();
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -941,11 +536,13 @@ fn hostile_model_sections_are_malformed() {
     // Y2 cols (J2) @32, Y2 data @40, then Λ₂'s length, Λ₂, Σ's shape, Σ.
     let field = |p: &[u8], at: usize| u64::from_le_bytes(p[at..at + 8].try_into().unwrap());
     let put = |p: &mut Vec<u8>, at: usize, v: u64| p[at..at + 8].copy_from_slice(&v.to_le_bytes());
-    let file = ServedFile::new("hostile-model");
     for sigma_source in [SigmaSource::Lambda2, SigmaSource::CoreGram] {
         let (folksonomy, built) = build_with(53, sigma_source);
         let bytes = persist::save_to_vec(&built, &folksonomy);
-        let served = answers(&file.load(&bytes).unwrap(), &[vec![TagId::from_index(0)]]);
+        let served = answers(
+            &shard::load_artifact_bytes(&bytes).unwrap(),
+            &[vec![TagId::from_index(0)]],
+        );
         let (_, off, len) = find_section(&bytes, persist::SECTION_MODEL);
         let model = bytes[off..off + len].to_vec();
         let (tags, j2) = (field(&model, 24) as usize, field(&model, 32) as usize);
@@ -1030,7 +627,7 @@ fn hostile_model_sections_are_malformed() {
                     other.map(|_| ())
                 ),
             }
-            let set = file.load(&bad).unwrap();
+            let set = shard::load_artifact_bytes(&bad).unwrap();
             assert_eq!(
                 answers(&set, &[vec![TagId::from_index(0)]]),
                 served,
@@ -1119,70 +716,86 @@ fn answers(set: &shard::ShardSet, queries: &[Vec<TagId>]) -> Vec<Vec<(usize, u64
 }
 
 /// The fault sweep of the exhaustive test above, through the serving
-/// load: cut a plain and a compressed artifact at every length and flip
-/// one bit at every offset. A cut is always a typed error. A flip is a
-/// typed error or — where it lands in bytes the serving load does not
-/// read: the model payload, its table row, padding — a set that answers
-/// the query mix exactly as the undamaged artifact does. Never a panic,
-/// never another ranking. And the flips it tolerates inside the model
-/// payload are exactly the ones the full load still refuses.
+/// load: cut the artifact at every length and flip one bit at every
+/// offset. A cut is always a typed error. A flip is a typed error or —
+/// where it lands in bytes the serving load does not read: the model
+/// payload, its table row, padding — a set that answers the query mix
+/// exactly as the undamaged artifact does. Never a panic, never another
+/// ranking. And the flips it tolerates inside the model payload are
+/// exactly the ones the full load still refuses. The cases run on bytes
+/// (`shard::load_artifact_bytes`, what `load_source` runs once a file is
+/// read); one flip also goes through a file, so the read path is covered.
 #[test]
 fn serving_load_fault_sweep() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     let (folksonomy, model, queries) = tiny_model();
-    let file = ServedFile::new("sweep");
-    for (format, compress) in [("plain", false), ("compressed", true)] {
-        let bytes = persist::save_to_vec_with(&model, &folksonomy, compress);
-        let expect = answers(&file.load(&bytes).unwrap(), &queries);
-        assert!(expect.iter().any(|hits| !hits.is_empty()));
-        let guarded = |bad: &[u8], what: &str| {
-            catch_unwind(AssertUnwindSafe(|| file.load(bad)))
-                .unwrap_or_else(|_| panic!("{format}: serving load panicked, {what}"))
-        };
+    let bytes = persist::save_to_vec(&model, &folksonomy);
+    let expect = answers(&shard::load_artifact_bytes(&bytes).unwrap(), &queries);
+    assert!(expect.iter().any(|hits| !hits.is_empty()));
+    let guarded = |bad: &[u8], what: &str| {
+        catch_unwind(AssertUnwindSafe(|| shard::load_artifact_bytes(bad)))
+            .unwrap_or_else(|_| panic!("serving load panicked, {what}"))
+    };
 
-        for cut in 0..bytes.len() {
-            match guarded(&bytes[..cut], &format!("cut at {cut}")) {
-                Err(e) => assert!(!e.to_string().is_empty(), "{format} cut {cut}"),
-                Ok(_) => panic!("{format}: a prefix of {cut} bytes must not load"),
-            }
+    for cut in 0..bytes.len() {
+        match guarded(&bytes[..cut], &format!("cut at {cut}")) {
+            Err(e) => assert!(!e.to_string().is_empty(), "cut {cut}"),
+            Ok(_) => panic!("a prefix of {cut} bytes must not load"),
         }
+    }
 
-        let (_, off, len) = find_section(&bytes, persist::SECTION_MODEL);
-        let unread = off..off + len;
-        for pos in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 1u8 << (pos % 8);
-            let in_unread_payload = unread.contains(&pos);
-            match guarded(&bad, &format!("flip at {pos}")) {
-                Err(e) => {
-                    assert!(!e.to_string().is_empty(), "{format} offset {pos}");
-                    assert!(
-                        !in_unread_payload,
-                        "{format} offset {pos}: the serving load read a model payload: {e}"
-                    );
-                }
-                Ok(set) => {
-                    assert_eq!(
-                        answers(&set, &queries),
-                        expect,
-                        "{format} offset {pos}: ranking diverged"
-                    );
-                    if in_unread_payload {
-                        match persist::load_from_bytes(&bad) {
-                            Err(PersistError::ChecksumMismatch { section, .. }) => {
-                                assert_eq!(section, persist::SECTION_MODEL, "{format} offset {pos}")
-                            }
-                            other => panic!(
-                                "{format} offset {pos}: the full load must refuse, got {:?}",
-                                other.map(|_| ())
-                            ),
+    let (_, off, len) = find_section(&bytes, persist::SECTION_MODEL);
+    let unread = off..off + len;
+    let flipped = |pos: usize| {
+        let mut bad = bytes.clone();
+        bad[pos] ^= 1u8 << (pos % 8);
+        bad
+    };
+    for pos in 0..bytes.len() {
+        let bad = flipped(pos);
+        let in_unread_payload = unread.contains(&pos);
+        match guarded(&bad, &format!("flip at {pos}")) {
+            Err(e) => {
+                assert!(!e.to_string().is_empty(), "offset {pos}");
+                assert!(
+                    !in_unread_payload,
+                    "offset {pos}: the serving load read a model payload: {e}"
+                );
+            }
+            Ok(set) => {
+                assert_eq!(
+                    answers(&set, &queries),
+                    expect,
+                    "offset {pos}: ranking diverged"
+                );
+                if in_unread_payload {
+                    match persist::load_from_bytes(&bad) {
+                        Err(PersistError::ChecksumMismatch { section, .. }) => {
+                            assert_eq!(section, persist::SECTION_MODEL, "offset {pos}")
                         }
+                        other => panic!(
+                            "offset {pos}: the full load must refuse, got {:?}",
+                            other.map(|_| ())
+                        ),
                     }
                 }
             }
         }
     }
+
+    // Through a file: a flip in the model payload serves, one in the
+    // corpus fails its checksum.
+    let file = ServedFile::new("sweep");
+    assert_eq!(
+        answers(&file.load(&flipped(off + len / 2)).unwrap(), &queries),
+        expect
+    );
+    let (_, corpus, _) = find_section(&bytes, 2);
+    assert!(matches!(
+        file.load(&flipped(corpus)),
+        Err(PersistError::ChecksumMismatch { section: 2, .. })
+    ));
 }
 
 /// A table entry is bounds-checked whether or not its section is read:
@@ -1191,21 +804,18 @@ fn serving_load_fault_sweep() {
 #[test]
 fn unread_section_running_past_eof_is_truncated_in_both_loads() {
     let (folksonomy, model, _) = tiny_model();
-    let file = ServedFile::new("past-eof");
-    for compress in [false, true] {
-        let mut bytes = persist::save_to_vec_with(&model, &folksonomy, compress);
-        let (entry, _, _) = find_section(&bytes, persist::SECTION_MODEL);
-        let file_len = bytes.len() as u64;
-        bytes[entry + 12..entry + 20].copy_from_slice(&file_len.to_le_bytes());
-        for (load, got) in [
-            ("serving", file.load(&bytes).map(|_| ())),
-            ("full", persist::load_from_bytes(&bytes).map(|_| ())),
-        ] {
-            assert!(
-                matches!(got, Err(PersistError::Truncated { .. })),
-                "{load} load, compress {compress}: got {got:?}"
-            );
-        }
+    let mut bytes = persist::save_to_vec(&model, &folksonomy);
+    let (entry, _, _) = find_section(&bytes, persist::SECTION_MODEL);
+    let file_len = bytes.len() as u64;
+    bytes[entry + 12..entry + 20].copy_from_slice(&file_len.to_le_bytes());
+    for (load, got) in [
+        ("serving", shard::load_artifact_bytes(&bytes).map(|_| ())),
+        ("full", persist::load_from_bytes(&bytes).map(|_| ())),
+    ] {
+        assert!(
+            matches!(got, Err(PersistError::Truncated { .. })),
+            "{load} load: got {got:?}"
+        );
     }
 }
 
@@ -1216,37 +826,34 @@ fn unread_section_running_past_eof_is_truncated_in_both_loads() {
 #[test]
 fn serving_load_does_not_need_the_model_sections() {
     let (folksonomy, model, queries) = tiny_model();
-    let file = ServedFile::new("no-model");
-    for compress in [false, true] {
-        let bytes = persist::save_to_vec_with(&model, &folksonomy, compress);
-        let expect = answers(&file.load(&bytes).unwrap(), &queries);
+    let bytes = persist::save_to_vec(&model, &folksonomy);
+    let expect = answers(&shard::load_artifact_bytes(&bytes).unwrap(), &queries);
 
-        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        let table_end = persist::HEADER_LEN + count * persist::TABLE_ENTRY_LEN;
-        let mut cut = bytes[..persist::HEADER_LEN].to_vec();
-        let mut kept = 0u32;
-        for row in bytes[persist::HEADER_LEN..table_end].chunks(persist::TABLE_ENTRY_LEN) {
-            let id = u32::from_le_bytes(row[..4].try_into().unwrap());
-            if id != persist::SECTION_MODEL {
-                cut.extend_from_slice(row);
-                kept += 1;
-            }
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let table_end = persist::HEADER_LEN + count * persist::TABLE_ENTRY_LEN;
+    let mut cut = bytes[..persist::HEADER_LEN].to_vec();
+    let mut kept = 0u32;
+    for row in bytes[persist::HEADER_LEN..table_end].chunks(persist::TABLE_ENTRY_LEN) {
+        let id = u32::from_le_bytes(row[..4].try_into().unwrap());
+        if id != persist::SECTION_MODEL {
+            cut.extend_from_slice(row);
+            kept += 1;
         }
-        assert_eq!(kept as usize, count - 1);
-        cut[12..16].copy_from_slice(&kept.to_le_bytes());
-        // The vacated row becomes slack in front of the payloads, whose
-        // absolute offsets therefore still hold.
-        cut.resize(table_end, 0);
-        cut.extend_from_slice(&bytes[table_end..]);
-
-        let set = file.load(&cut).unwrap();
-        assert_eq!(answers(&set, &queries), expect, "compress {compress}");
-        assert_eq!(set.folksonomy().assignments(), folksonomy.assignments());
-        assert!(matches!(
-            persist::load_from_bytes(&cut),
-            Err(PersistError::MissingSection(persist::SECTION_MODEL))
-        ));
     }
+    assert_eq!(kept as usize, count - 1);
+    cut[12..16].copy_from_slice(&kept.to_le_bytes());
+    // The vacated row becomes slack in front of the payloads, whose
+    // absolute offsets therefore still hold.
+    cut.resize(table_end, 0);
+    cut.extend_from_slice(&bytes[table_end..]);
+
+    let set = shard::load_artifact_bytes(&cut).unwrap();
+    assert_eq!(answers(&set, &queries), expect);
+    assert_eq!(set.folksonomy().assignments(), folksonomy.assignments());
+    assert!(matches!(
+        persist::load_from_bytes(&cut),
+        Err(PersistError::MissingSection(persist::SECTION_MODEL))
+    ));
 }
 
 // ---------------------------------------------------------------------------
@@ -1254,8 +861,8 @@ fn serving_load_does_not_need_the_model_sections() {
 // ---------------------------------------------------------------------------
 
 /// Corpora at the edges of the model: each must either fail to build with
-/// a typed error or produce an artifact — plain, compressed, and sharded
-/// across more shards than it has resources — that reloads and answers
+/// a typed error or produce an artifact — single, and a manifest of more
+/// shards than it has resources — that reloads and answers
 /// bit-identically to the in-memory engine. Never a panic or a NaN score.
 #[test]
 fn degenerate_corpora_round_trip_or_fail_typed() {
@@ -1277,7 +884,26 @@ fn degenerate_corpora_round_trip_or_fail_typed() {
         ("u1", "b", "r2"),
         ("u2", "c", "r2"),
     ];
-    let cases: [(&str, Folksonomy, Option<usize>); 5] = [
+    // Only system tags: cleaning removes every tag, then every user and
+    // resource left without assignments.
+    let system_tags: Vec<(String, String, String)> = (0..30)
+        .map(|i| {
+            (
+                format!("u{}", i % 6),
+                format!("system:t{}", i % 3),
+                format!("r{}", i % 5),
+            )
+        })
+        .collect();
+    let system_tags: Vec<(&str, &str, &str)> = system_tags
+        .iter()
+        .map(|(u, t, r)| (u.as_str(), t.as_str(), r.as_str()))
+        .collect();
+    let (cleaned_away, _) = clean(&corpus(&system_tags), &CleaningConfig::default());
+    assert_eq!(cleaned_away.num_tags(), 0);
+    let cases: [(&str, Folksonomy, Option<usize>); 7] = [
+        ("empty corpus", corpus(&[]), None),
+        ("tags all cleaned away", cleaned_away, None),
         ("single assignment", corpus(&[("u", "t", "r")]), None),
         (
             "one assignment repeated",
@@ -1325,31 +951,28 @@ fn degenerate_corpora_round_trip_or_fail_typed() {
             }
         };
 
-        for compress in [false, true] {
-            let how = if compress { "compressed" } else { "plain" };
-            let bytes = persist::save_to_vec_with(&built, &folksonomy, compress);
-            let loaded = persist::load_from_bytes(&bytes)
-                .unwrap_or_else(|e| panic!("{what} {how}: load failed: {e}"));
-            for q in &queries {
-                for k in [0usize, 1, 10] {
-                    check(&loaded.model.search_ids(q, k), q, k, how);
-                }
+        let bytes = persist::save_to_vec(&built, &folksonomy);
+        let loaded =
+            persist::load_from_bytes(&bytes).unwrap_or_else(|e| panic!("{what}: load failed: {e}"));
+        for q in &queries {
+            for k in [0usize, 1, 10] {
+                check(&loaded.model.search_ids(q, k), q, k, "single");
             }
+        }
 
-            // More shards than resources: some shards index nothing.
-            let shards = folksonomy.num_resources() + 3;
-            let manifest = dir.join(format!("{}-{how}.shards", what.replace(' ', "-")));
-            shard::save_sharded_with(&manifest, &built, &folksonomy, shards, compress).unwrap();
-            let set = shard::load_source(&manifest, LoadMode::Owned)
-                .unwrap_or_else(|e| panic!("{what} {how}: sharded load failed: {e}"));
-            assert_eq!(set.num_shards(), shards);
-            let mut session = set.session();
-            let mut out = Vec::new();
-            for q in &queries {
-                for k in [0usize, 1, 10] {
-                    set.search_tags_with(&mut session, set.concepts(), q, k, &mut out);
-                    check(&out, q, k, &format!("{how} {shards} shards"));
-                }
+        // More shards than resources.
+        let shards = folksonomy.num_resources() + 3;
+        let manifest = dir.join(format!("{}.shards", what.replace(' ', "-")));
+        shard::save_sharded(&manifest, &built, &folksonomy, shards).unwrap();
+        let set = shard::load_source(&manifest, LoadMode::Owned)
+            .unwrap_or_else(|e| panic!("{what}: sharded load failed: {e}"));
+        assert_eq!(set.num_shards(), shards);
+        let mut session = set.session();
+        let mut out = Vec::new();
+        for q in &queries {
+            for k in [0usize, 1, 10] {
+                set.search_tags_with(&mut session, set.concepts(), q, k, &mut out);
+                check(&out, q, k, &format!("{shards} shards"));
             }
         }
     }

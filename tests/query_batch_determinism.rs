@@ -1,6 +1,6 @@
 //! Pins the determinism claim of `search_batch`: rankings — resources,
 //! bit-exact scores, and tie-breaks — are identical at every worker
-//! pool size, for both pruning strategies. Batching splits the query
+//! pool size. Batching splits the query
 //! slice into contiguous index ranges fanned across the persistent
 //! executor, each participant runs the same sequential per-query code
 //! on its own pool-cached session, and every query writes into its own
@@ -9,7 +9,7 @@
 //! pool engages at most one task per query. This file holds exactly one
 //! test because it mutates the process-global worker-pool size.
 
-use cubelsi::core::{ConceptIndex, ConceptModel, PruningStrategy, QueryEngine, RankedResource};
+use cubelsi::core::{ConceptIndex, ConceptModel, QueryEngine, RankedResource};
 use cubelsi::datagen::{generate, GeneratorConfig};
 use cubelsi::folksonomy::TagId;
 use cubelsi::linalg::parallel;
@@ -47,7 +47,7 @@ fn search_batch_is_bit_identical_across_thread_counts() {
             .map(|_| rng.gen_range(0..num_concepts))
             .collect();
         let model = ConceptModel::from_assignments(model_assignments, 1.0);
-        let mut engine = QueryEngine::new(ConceptIndex::build(f, &model));
+        let engine = QueryEngine::new(ConceptIndex::build(f, &model));
 
         // Enough queries that 8 workers actually engage (the batcher
         // wants >= 32 queries per worker before it fans out).
@@ -60,40 +60,30 @@ fn search_batch_is_bit_identical_across_thread_counts() {
             })
             .collect();
 
-        for strategy in [
-            PruningStrategy::BlockMax,
-            PruningStrategy::CompressedBlockMax,
-        ] {
-            engine.set_strategy(strategy);
-            for &k in &[1usize, 10, 0] {
-                parallel::set_num_threads(1);
-                let baseline = engine.search_batch(&model, &queries, k);
-                // The single-thread batch must match the plain sequential
-                // session loop, query for query.
-                let mut session = engine.session();
-                let mut out = Vec::new();
-                for (qi, q) in queries.iter().enumerate() {
-                    engine.search_tags_with(&mut session, &model, q, k, &mut out);
-                    assert_identical(
-                        &out,
-                        &baseline[qi],
-                        &format!("{strategy:?} seed={seed} k={k} q#{qi} sequential-vs-batch(1)"),
-                    );
-                }
-                for threads in [2usize, 8] {
-                    parallel::set_num_threads(threads);
-                    let got = engine.search_batch(&model, &queries, k);
-                    assert_eq!(got.len(), baseline.len());
-                    for (qi, (g, b)) in got.iter().zip(baseline.iter()).enumerate() {
-                        assert_identical(
-                            g,
-                            b,
-                            &format!("{strategy:?} seed={seed} k={k} q#{qi} threads={threads}"),
-                        );
-                    }
-                }
-                parallel::set_num_threads(0);
+        for &k in &[1usize, 10, 0] {
+            parallel::set_num_threads(1);
+            let baseline = engine.search_batch(&model, &queries, k);
+            // The single-thread batch must match the plain sequential
+            // session loop, query for query.
+            let mut session = engine.session();
+            let mut out = Vec::new();
+            for (qi, q) in queries.iter().enumerate() {
+                engine.search_tags_with(&mut session, &model, q, k, &mut out);
+                assert_identical(
+                    &out,
+                    &baseline[qi],
+                    &format!("seed={seed} k={k} q#{qi} sequential-vs-batch(1)"),
+                );
             }
+            for threads in [2usize, 8] {
+                parallel::set_num_threads(threads);
+                let got = engine.search_batch(&model, &queries, k);
+                assert_eq!(got.len(), baseline.len());
+                for (qi, (g, b)) in got.iter().zip(baseline.iter()).enumerate() {
+                    assert_identical(g, b, &format!("seed={seed} k={k} q#{qi} threads={threads}"));
+                }
+            }
+            parallel::set_num_threads(0);
         }
 
         // Oversubscription regression: a batch smaller than the pool

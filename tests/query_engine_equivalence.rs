@@ -1,12 +1,9 @@
 //! Property-style equivalence tests for the pruned top-k query engine:
-//! over randomized corpora (via `cubelsi-datagen`), a **three-way**
-//! bitwise equivalence must hold — the exhaustive reference path and the
-//! two instantiations of the block-max skeleton, over the exact id
-//! arrays ([`PruningStrategy::BlockMax`], the default) and over the
-//! compressed mirror ([`PruningStrategy::CompressedBlockMax`]), must
-//! return *exactly* the same ranked list — scores (bit-for-bit), order,
-//! and tie-breaks — for one concept per tag and for several weighted
-//! concepts per tag, and k ∈ {1, 5, all}.
+//! over randomized corpora (via `cubelsi-datagen`), the exhaustive
+//! reference path and the block-max skeleton must return *exactly* the
+//! same ranked list — scores (bit-for-bit), order, and tie-breaks — for
+//! one concept per tag and for several weighted concepts per tag, and
+//! k ∈ {1, 5, all}, on the sequential and the batched path.
 //!
 //! This is the correctness contract that makes the pruning optimizations
 //! deployable: they are pure speedups, never approximations.
@@ -14,19 +11,11 @@
 mod common;
 
 use common::membership::RandomMembership;
-use cubelsi::core::{
-    ConceptAssignment, ConceptIndex, ConceptModel, PruningStrategy, QueryEngine, RankedResource,
-};
+use cubelsi::core::{ConceptAssignment, ConceptIndex, ConceptModel, QueryEngine, RankedResource};
 use cubelsi::datagen::{generate, GeneratorConfig};
 use cubelsi::folksonomy::{Folksonomy, TagId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Every pruned strategy, checked against the exhaustive path in turn.
-const STRATEGIES: [PruningStrategy; 2] = [
-    PruningStrategy::BlockMax,
-    PruningStrategy::CompressedBlockMax,
-];
 
 fn random_corpus(seed: u64, users: usize, resources: usize, assignments: usize) -> Folksonomy {
     generate(&GeneratorConfig {
@@ -77,45 +66,36 @@ fn assert_identical(pruned: &[RankedResource], exact: &[RankedResource], context
     }
 }
 
-/// Three-way check: exhaustive ≡ block-max ≡ compressed, for every query
-/// and k, on the sequential and the batched path.
-fn check_engine(
-    engine: &mut QueryEngine,
-    model: &dyn ConceptAssignment,
-    seed: u64,
-    num_tags: usize,
-) {
+/// Exhaustive ≡ block-max, for every query and k, on the sequential and
+/// the batched path.
+fn check_engine(engine: &QueryEngine, model: &dyn ConceptAssignment, seed: u64, num_tags: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let num_resources = engine.index().num_resources();
     let queries: Vec<Vec<TagId>> = (0..40).map(|_| random_query(&mut rng, num_tags)).collect();
     // k = 1, 5, all-matches (0), and a k larger than the corpus.
     for &k in &[1usize, 5, 0, num_resources + 7] {
-        // The exhaustive ground truth is strategy-independent.
         let exact: Vec<Vec<RankedResource>> = queries
             .iter()
             .map(|q| engine.search_tags_exact(model, q, k))
             .collect();
-        for strategy in STRATEGIES {
-            engine.set_strategy(strategy);
-            let mut session = engine.session();
-            let mut out = Vec::new();
-            for (qi, q) in queries.iter().enumerate() {
-                engine.search_tags_with(&mut session, model, q, k, &mut out);
-                assert_identical(
-                    &out,
-                    &exact[qi],
-                    &format!("{strategy:?} seed={seed} k={k} query#{qi} {q:?}"),
-                );
-            }
-            // The batched path must agree query-for-query as well.
-            let batch = engine.search_batch(model, &queries, k);
-            for (qi, _) in queries.iter().enumerate() {
-                assert_identical(
-                    &batch[qi],
-                    &exact[qi],
-                    &format!("batch {strategy:?} seed={seed} k={k} query#{qi}"),
-                );
-            }
+        let mut session = engine.session();
+        let mut out = Vec::new();
+        for (qi, q) in queries.iter().enumerate() {
+            engine.search_tags_with(&mut session, model, q, k, &mut out);
+            assert_identical(
+                &out,
+                &exact[qi],
+                &format!("seed={seed} k={k} query#{qi} {q:?}"),
+            );
+        }
+        // The batched path must agree query-for-query as well.
+        let batch = engine.search_batch(model, &queries, k);
+        for (qi, _) in queries.iter().enumerate() {
+            assert_identical(
+                &batch[qi],
+                &exact[qi],
+                &format!("batch seed={seed} k={k} query#{qi}"),
+            );
         }
     }
 }
@@ -132,9 +112,9 @@ fn pruned_paths_equal_exact_path_hard_assignments() {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
         for num_concepts in [2usize, 6, 16] {
             let model = random_hard_model(&mut rng, f.num_tags(), num_concepts);
-            let mut engine = QueryEngine::new(ConceptIndex::build(&f, &model));
+            let engine = QueryEngine::new(ConceptIndex::build(&f, &model));
             check_engine(
-                &mut engine,
+                &engine,
                 &model,
                 seed * 31 + num_concepts as u64,
                 f.num_tags(),
@@ -154,9 +134,9 @@ fn pruned_paths_equal_exact_path_multi_membership() {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
         for num_concepts in [3usize, 8] {
             let model = RandomMembership::new(&mut rng, f.num_tags(), num_concepts);
-            let mut engine = QueryEngine::new(ConceptIndex::build(&f, &model));
+            let engine = QueryEngine::new(ConceptIndex::build(&f, &model));
             check_engine(
-                &mut engine,
+                &engine,
                 &model,
                 seed * 17 + num_concepts as u64,
                 f.num_tags(),
@@ -176,9 +156,9 @@ fn pruned_paths_equal_exact_on_long_multi_block_lists() {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xB10C);
         for num_concepts in [2usize, 4] {
             let model = random_hard_model(&mut rng, f.num_tags(), num_concepts);
-            let mut engine = QueryEngine::new(ConceptIndex::build(&f, &model));
+            let engine = QueryEngine::new(ConceptIndex::build(&f, &model));
             check_engine(
-                &mut engine,
+                &engine,
                 &model,
                 seed * 13 + num_concepts as u64,
                 f.num_tags(),
@@ -201,14 +181,11 @@ fn single_term_fast_path_handles_impact_ties() {
     b.add("u2", "other", "r7");
     let f = b.build();
     let model = ConceptModel::from_assignments(vec![0, 1], 1.0);
-    let mut engine = QueryEngine::new(ConceptIndex::build(&f, &model));
+    let engine = QueryEngine::new(ConceptIndex::build(&f, &model));
     let tag = f.tag_id("same").unwrap();
-    for strategy in STRATEGIES {
-        engine.set_strategy(strategy);
-        for k in 1..=21 {
-            let exact = engine.search_tags_exact(&model, &[tag], k);
-            let pruned = engine.search_tags(&model, &[tag], k);
-            assert_identical(&pruned, &exact, &format!("{strategy:?} tie corpus k={k}"));
-        }
+    for k in 1..=21 {
+        let exact = engine.search_tags_exact(&model, &[tag], k);
+        let pruned = engine.search_tags(&model, &[tag], k);
+        assert_identical(&pruned, &exact, &format!("tie corpus k={k}"));
     }
 }

@@ -1,19 +1,15 @@
 //! Proves the steady-state serving claim: once a [`QuerySession`] and the
 //! output buffer are warmed, `search_tags_with` performs **zero heap
-//! allocations** per query — under both pruning strategies (the
-//! block-max skeleton over the exact id arrays and over the compressed
-//! mirror).
+//! allocations** per query.
 //!
 //! A counting global allocator (`tests/common/counting_alloc.rs`) wraps the
 //! system allocator; the test warms the session over the query set,
 //! snapshots the allocation counter, runs every query again, and asserts
-//! the counter did not move. The same contract is then proven for the
-//! sequential sharded scatter-gather. (A query fanned out over shards
-//! starts scoped threads, and starting a thread allocates, so that path
-//! makes no such claim.) This file holds exactly one test so no
-//! concurrent test pollutes the counter.
+//! the counter did not move. The same contract is then proven for a
+//! [`ShardSet`](cubelsi::core::shard::ShardSet)'s query route. This file
+//! holds exactly one test so no concurrent test pollutes the counter.
 
-use cubelsi::core::{ConceptIndex, ConceptModel, PruningStrategy, QueryEngine};
+use cubelsi::core::{ConceptIndex, ConceptModel, QueryEngine};
 use cubelsi::datagen::{generate, GeneratorConfig};
 use cubelsi::folksonomy::TagId;
 use std::sync::atomic::Ordering;
@@ -45,8 +41,7 @@ fn assert_steady_state_alloc_free(
     assert_eq!(
         after - before,
         0,
-        "steady-state search_tags_with must not allocate ({:?})",
-        engine.strategy()
+        "steady-state search_tags_with must not allocate"
     );
 }
 
@@ -65,7 +60,7 @@ fn steady_state_search_allocates_nothing() {
     // not care where the model came from).
     let assignments: Vec<usize> = (0..f.num_tags()).map(|t| t % 8).collect();
     let model = ConceptModel::from_assignments(assignments, 1.0);
-    let mut engine = QueryEngine::new(ConceptIndex::build(f, &model));
+    let engine = QueryEngine::new(ConceptIndex::build(f, &model));
 
     // A mix of single- and multi-term queries at several k.
     let queries: Vec<(Vec<TagId>, usize)> = (0..f.num_tags().min(40))
@@ -77,20 +72,10 @@ fn steady_state_search_allocates_nothing() {
         })
         .collect();
 
-    // Both pruning strategies on the freshly built engine.
-    for strategy in [
-        PruningStrategy::BlockMax,
-        PruningStrategy::CompressedBlockMax,
-    ] {
-        engine.set_strategy(strategy);
-        assert_steady_state_alloc_free(&engine, &model, &queries);
-    }
+    assert_steady_state_alloc_free(&engine, &model, &queries);
 
-    // Sharded scatter-gather steady state: after warm-up, per-shard
-    // sessions, the shared term buffer, the per-shard result buffers,
-    // and the k-way merge must all reuse their capacity — hot-reloadable
-    // sharded serving keeps the zero-alloc contract.
-    engine.set_strategy(PruningStrategy::BlockMax);
+    // The shard set's steady state: after warm-up its session reuses its
+    // capacity — hot-reloadable serving keeps the zero-alloc contract.
     let set = cubelsi::core::shard::ShardSet::from_parts(
         cubelsi::core::shard::partition_engines(&engine, 3),
         f.clone(),

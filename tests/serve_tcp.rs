@@ -281,3 +281,51 @@ fn failed_reload_keeps_serving() {
     assert_eq!(roundtrip(&mut a, "SHUTDOWN"), "OK shutting down");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Degenerate corpora through the CLI. An empty corpus, and one whose
+/// tags all clean away, are refused at `build` with a message (exit 1,
+/// never a panic). A corpus whose every concept annotates every resource
+/// (all idf 0, no postings) builds, serves, and answers every `QUERY`
+/// with an empty reply.
+#[test]
+fn degenerate_corpora_are_refused_or_served_empty() {
+    use std::process::Command;
+    let dir = scratch_dir("serve-degenerate");
+    let tsv = dir.join("corpus.tsv");
+    for (what, rows) in [
+        ("empty corpus", ""),
+        ("tags all cleaned away", "u0\tx\tr0\nu1\ty\tr0\n"),
+    ] {
+        std::fs::write(&tsv, rows).unwrap();
+        let out = Command::new(BIN)
+            .arg("build")
+            .arg(&tsv)
+            .arg(dir.join("refused.cubelsi"))
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+        assert!(stderr.contains("error: "), "{what}: {stderr}");
+    }
+
+    let rows: String = (0..6)
+        .flat_map(|r| ["x", "y"].map(|t| format!("u{}\t{t}\tr{r}\n", r % 2)))
+        .collect();
+    std::fs::write(&tsv, rows).unwrap();
+    let manifest = dir.join("idf0.shards");
+    let status = Command::new(BIN)
+        .args(["build", "--no-clean", "--concepts", "2", "--shards", "2"])
+        .arg(&tsv)
+        .arg(&manifest)
+        .status()
+        .unwrap();
+    assert!(status.success(), "build of the all-idf-0 corpus failed");
+    let mut server = start_server(&manifest);
+    let mut a = connect(&server.addr);
+    for request in ["x", "QUERY y", "x y", "no-such-tag"] {
+        assert_eq!(roundtrip(&mut a, request), "OK\t0", "{request}");
+    }
+    assert_eq!(roundtrip(&mut a, "SHUTDOWN"), "OK shutting down");
+    server.wait_for_clean_exit(Duration::from_secs(20));
+    std::fs::remove_dir_all(&dir).ok();
+}

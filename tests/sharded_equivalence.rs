@@ -1,20 +1,18 @@
-//! The sharded-serving correctness contract: a [`ShardSet`]'s
-//! scatter-gather answers must be **bit-identical** — scores, order,
-//! tie-breaks — to a single unsharded [`QueryEngine`] over the same
-//! corpus, for every shard count, every pruning strategy, one concept per
-//! tag and several weighted ones, sequential/adaptive/batched execution at
-//! thread counts {1, 2, 8}, artifacts written plain and compressed, and
-//! immediately after a hot reload (including the adaptive path across the
-//! generation swap). This is what makes sharding a pure scaling move,
-//! never an approximation.
+//! The serving-source correctness contract: a [`ShardSet`]'s answers must
+//! be **bit-identical** — scores, order, tie-breaks — to a single
+//! [`QueryEngine`] over the same corpus, for every shard count, one
+//! concept per tag and several weighted ones, sequential/adaptive/batched
+//! execution at thread counts {1, 2, 8}, manifests loaded from disk (whose
+//! index is built at load), and immediately after a hot reload (including
+//! the adaptive path across the generation swap).
 
 mod common;
 
 use common::membership::RandomMembership;
 use cubelsi::core::shard::{self, LoadMode, ShardSet, ShardedEngine};
 use cubelsi::core::{
-    persist, ConceptAssignment, ConceptIndex, ConceptModel, CubeLsi, CubeLsiConfig,
-    PruningStrategy, QueryEngine, RankedResource,
+    persist, ConceptAssignment, ConceptIndex, ConceptModel, CubeLsi, CubeLsiConfig, QueryEngine,
+    RankedResource,
 };
 use cubelsi::datagen::{generate, GeneratorConfig};
 use cubelsi::folksonomy::{Folksonomy, TagId};
@@ -22,10 +20,6 @@ use cubelsi::linalg::parallel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const STRATEGIES: [PruningStrategy; 2] = [
-    PruningStrategy::BlockMax,
-    PruningStrategy::CompressedBlockMax,
-];
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
 
 fn random_corpus(seed: u64, users: usize, resources: usize, assignments: usize) -> Folksonomy {
@@ -98,8 +92,8 @@ fn check_sharded(
                     &single,
                     &format!("seed={seed} shards={n} k={k} query#{qi} {q:?}"),
                 );
-                // The adaptive route goes through the coalesced mirror or
-                // the sequential scatter — both must stay bit-identical.
+                // The adaptive route counts a dispatch and must answer
+                // the same bits.
                 set.search_tags_auto(&mut session, model, q, k, &mut out);
                 assert_identical(
                     &out,
@@ -121,10 +115,8 @@ fn sharded_equals_single_engine_hard_assignments() {
         let f = random_corpus(seed, users, resources, assignments);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
         let model = random_hard_model(&mut rng, f.num_tags(), 6);
-        for strategy in STRATEGIES {
-            let engine = QueryEngine::with_strategy(ConceptIndex::build(&f, &model), strategy);
-            check_sharded(&f, &engine, &model, &model, seed);
-        }
+        let engine = QueryEngine::new(ConceptIndex::build(&f, &model));
+        check_sharded(&f, &engine, &model, &model, seed);
     }
 }
 
@@ -136,10 +128,8 @@ fn sharded_equals_single_engine_multi_membership() {
     // The set's own (hard) model only has to span the same concept space;
     // every query below names `multi`.
     let hard = random_hard_model(&mut rng, f.num_tags(), 5);
-    for strategy in STRATEGIES {
-        let engine = QueryEngine::with_strategy(ConceptIndex::build(&f, &multi), strategy);
-        check_sharded(&f, &engine, &hard, &multi, 21);
-    }
+    let engine = QueryEngine::new(ConceptIndex::build(&f, &multi));
+    check_sharded(&f, &engine, &hard, &multi, 21);
 }
 
 /// `search_batch` over a sharded set must be bit-identical to the single
@@ -212,8 +202,8 @@ fn build_small_model(seed: u64) -> (Folksonomy, CubeLsi) {
 }
 
 /// End-to-end through the persistence layer: `save_sharded` manifests —
-/// plain and compressed (shards with section 8) — answer bit-identically to
-/// the unsharded artifact, under every strategy.
+/// also as `build --compress` writes them — answer bit-identically to the
+/// built engine.
 #[test]
 fn sharded_artifacts_round_trip() {
     let (f, model) = build_small_model(41);
@@ -232,26 +222,18 @@ fn sharded_artifacts_round_trip() {
             let manifest_path = dir.join(format!("model-{n}-c{}.shards", compress as u8));
             let report = shard::save_sharded_with(&manifest_path, &model, &f, n, compress).unwrap();
             assert_eq!(report.shard_paths.len(), n);
-            assert_eq!(
-                report.shard_postings.iter().sum::<usize>(),
-                model.index().num_postings(),
-                "shards must partition the postings exactly"
-            );
-            let mut set = shard::load_source(&manifest_path, LoadMode::Owned).unwrap();
+            let set = shard::load_source(&manifest_path, LoadMode::Owned).unwrap();
             assert_eq!(set.num_shards(), n);
-            for strategy in STRATEGIES {
-                set.set_strategy(strategy);
-                let mut session = set.session();
-                let mut out = Vec::new();
-                for (qi, q) in queries.iter().enumerate() {
-                    let single = model.search_ids(q, 10);
-                    set.search_tags_with(&mut session, set.concepts(), q, 10, &mut out);
-                    assert_identical(
-                        &out,
-                        &single,
-                        &format!("persist shards={n} compress={compress} {strategy:?} q#{qi}"),
-                    );
-                }
+            let mut session = set.session();
+            let mut out = Vec::new();
+            for (qi, q) in queries.iter().enumerate() {
+                let single = model.search_ids(q, 10);
+                set.search_tags_with(&mut session, set.concepts(), q, 10, &mut out);
+                assert_identical(
+                    &out,
+                    &single,
+                    &format!("persist shards={n} compress={compress} q#{qi}"),
+                );
             }
         }
     }
@@ -273,7 +255,7 @@ fn hot_reload_swaps_models_under_warm_sessions() {
 
     shard::save_sharded(&manifest_path, &model_a, &f_a, 2).unwrap();
     let set = shard::load_source(&manifest_path, LoadMode::Owned).unwrap();
-    let engine = ShardedEngine::new(set, PruningStrategy::BlockMax).with_source(&manifest_path);
+    let engine = ShardedEngine::new(set).with_source(&manifest_path);
 
     let mut rng = StdRng::seed_from_u64(51);
     let queries: Vec<Vec<TagId>> = (0..10)
