@@ -117,7 +117,7 @@ impl CubeSim {
                 ..Default::default()
             },
         };
-        let concepts = ConceptModel::distill(&distances, &spectral)?;
+        let concepts = ConceptModel::distill(distances.clone(), &spectral)?;
         let index = ConceptIndex::build(f, &concepts);
         Ok(CubeSim {
             distances,

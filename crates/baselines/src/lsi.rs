@@ -76,7 +76,7 @@ impl LsiRanker {
                 ..Default::default()
             },
         };
-        let concepts = ConceptModel::distill(&distances, &spectral)?;
+        let concepts = ConceptModel::distill(distances.clone(), &spectral)?;
         let index = ConceptIndex::build(f, &concepts);
         Ok(LsiRanker {
             distances,

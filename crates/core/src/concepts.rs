@@ -21,9 +21,11 @@ pub struct ConceptModel {
 }
 
 impl ConceptModel {
-    /// Runs §V steps 1–4 on a purified distance matrix.
-    pub fn distill(distances: &TagDistances, config: &SpectralConfig) -> Result<Self, LinAlgError> {
-        let result = spectral_clustering(distances.matrix(), config)?;
+    /// Runs §V steps 1–4 on a purified distance matrix, which it consumes:
+    /// the clustering turns it into the normalised affinity in place
+    /// ([`spectral_clustering`]), so the build holds one `T × T` buffer.
+    pub fn distill(distances: TagDistances, config: &SpectralConfig) -> Result<Self, LinAlgError> {
+        let result = spectral_clustering(distances.into_matrix(), config)?;
         Ok(Self::from_assignments(result.assignments, result.sigma))
     }
 
@@ -155,7 +157,7 @@ mod tests {
 
     #[test]
     fn distill_recovers_block_structure() {
-        let model = ConceptModel::distill(&block_distances(), &fixed_config(2)).unwrap();
+        let model = ConceptModel::distill(block_distances(), &fixed_config(2)).unwrap();
         assert_eq!(model.num_concepts(), 2);
         assert_eq!(model.num_tags(), 5);
         assert!(model.same_concept(0, 1));
@@ -166,7 +168,7 @@ mod tests {
 
     #[test]
     fn clusters_partition_tags() {
-        let model = ConceptModel::distill(&block_distances(), &fixed_config(2)).unwrap();
+        let model = ConceptModel::distill(block_distances(), &fixed_config(2)).unwrap();
         let mut seen = vec![false; model.num_tags()];
         for c in 0..model.num_concepts() {
             for &t in model.tags_of(c) {

@@ -48,9 +48,14 @@ impl TagDistances {
         self.matrix[(i, j)]
     }
 
-    /// The full matrix (input to spectral clustering).
+    /// The full matrix.
     pub fn matrix(&self) -> &Matrix {
         &self.matrix
+    }
+
+    /// The full matrix, as the buffer spectral clustering works in.
+    pub fn into_matrix(self) -> Matrix {
+        self.matrix
     }
 
     /// The most similar other tag to `i` — the `t_sim` of the paper's

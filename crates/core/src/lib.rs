@@ -61,7 +61,7 @@ pub use index::{
     BLOCK_LEN,
 };
 pub use persist::{Artifact, PersistError};
-pub use pipeline::{BuildTrace, CubeLsi, HosvdCounts, PhaseTimings};
+pub use pipeline::{BuildReport, BuildTrace, CubeLsi, HosvdCounts, PhasePeaks, PhaseTimings};
 pub use query::{PruningStrategy, QueryEngine, QuerySession};
 pub use shard::{
     ShardEntry, ShardGeneration, ShardManifest, ShardSet, ShardedEngine, ShardedSession, SourceKind,

@@ -222,6 +222,15 @@ pub enum PersistError {
     },
 }
 
+/// `section 9`, or `shard manifest` for [`crate::shard::SECTION_MANIFEST`].
+fn section_name(section: u32) -> String {
+    if section == crate::shard::SECTION_MANIFEST {
+        "shard manifest".to_owned()
+    } else {
+        format!("section {section}")
+    }
+}
+
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -243,13 +252,14 @@ impl std::fmt::Display for PersistError {
                 got,
             } => write!(
                 f,
-                "section {section} corrupt: CRC-32 {got:#010x} != recorded {expected:#010x}"
+                "{} corrupt: CRC-32 {got:#010x} != recorded {expected:#010x}",
+                section_name(*section)
             ),
             PersistError::MissingSection(id) => {
                 write!(f, "artifact is missing required section {id}")
             }
             PersistError::Malformed { section, detail } => {
-                write!(f, "section {section} malformed: {detail}")
+                write!(f, "{} malformed: {detail}", section_name(*section))
             }
             PersistError::Shard { detail } => {
                 write!(f, "shard set inconsistent: {detail}")

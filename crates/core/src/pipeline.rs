@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use cubelsi_folksonomy::{Folksonomy, TagId};
 use cubelsi_linalg::LinAlgError;
-use cubelsi_tensor::{tucker_als, TuckerTrace};
+use cubelsi_tensor::{peak_rss_bytes, tucker_als, TuckerTrace};
 
 use crate::concepts::ConceptModel;
 use crate::config::CubeLsiConfig;
@@ -36,6 +36,60 @@ impl PhaseTimings {
     pub fn total(&self) -> Duration {
         self.tensor_build + self.tucker + self.distances + self.clustering + self.indexing
     }
+}
+
+/// The peak resident set of the building process (`VmHWM`, through
+/// [`peak_rss_bytes`]) at the end of each offline phase, in bytes — the
+/// Tucker phase read twice, after the HOSVD initialisation and after the
+/// sweeps. `VmHWM` can read a few hundred kB lower after a phase than
+/// after the one before (Linux 6.18 read 6.6 MB after the distances and
+/// 6.4 MB after the clustering of one build); the peak so far cannot
+/// fall, so each reading is raised to the one before it and the values
+/// never decrease. `None` where the OS does not report it. Diagnostics
+/// of the run that built, like the times; never persisted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhasePeaks {
+    /// After building the sparse tensor.
+    pub tensor_build: Option<u64>,
+    /// After the HOSVD initialisation of the Tucker factors.
+    pub tucker_init: Option<u64>,
+    /// After the HOOI sweeps (the whole Tucker phase).
+    pub tucker_sweeps: Option<u64>,
+    /// After the pairwise distances.
+    pub distances: Option<u64>,
+    /// After spectral clustering.
+    pub clustering: Option<u64>,
+    /// After building the index.
+    pub indexing: Option<u64>,
+}
+
+impl PhasePeaks {
+    /// `tensor 10.3 MB | init 22.9 MB | … | indexing 23.4 MB` (MB of 10⁶
+    /// bytes), or `None` when a reading is missing.
+    pub fn line(&self) -> Option<String> {
+        let phases = [
+            ("tensor", self.tensor_build),
+            ("init", self.tucker_init),
+            ("sweeps", self.tucker_sweeps),
+            ("distances", self.distances),
+            ("clustering", self.clustering),
+            ("indexing", self.indexing),
+        ];
+        let parts = phases
+            .iter()
+            .map(|&(name, bytes)| Some(format!("{name} {:.1} MB", bytes? as f64 / 1e6)))
+            .collect::<Option<Vec<_>>>()?;
+        Some(parts.join(" | "))
+    }
+}
+
+/// What [`CubeLsi::build_traced`] reports of the run beside the engine.
+#[derive(Debug, Clone, Default)]
+pub struct BuildReport {
+    /// The Tucker phase's full trace.
+    pub tucker: TuckerTrace,
+    /// The peak resident set after each phase.
+    pub peaks: PhasePeaks,
 }
 
 /// Where a build's Tucker iterations went: work counts only, so the same
@@ -87,7 +141,8 @@ impl From<&TuckerTrace> for BuildTrace {
 /// holds what an artifact stores — the [`TagModel`], the concepts, the
 /// index, the timings and the trace — so a built engine and one loaded
 /// from its artifact are the same value; the purified distances are
-/// derived from the model, and held once derived.
+/// derived from the model on first use, and held once derived (the build
+/// consumes the ones it clusters).
 #[derive(Debug, Clone)]
 pub struct CubeLsi {
     tag_model: TagModel,
@@ -108,22 +163,34 @@ impl CubeLsi {
     }
 
     /// [`CubeLsi::build`], also handing back the Tucker phase's full
-    /// trace: per-mode times, filter degrees, unfolding widths and sweep
-    /// times on top of the counts the engine keeps in [`CubeLsi::trace`].
+    /// trace (per-mode times, filter degrees, unfolding widths and sweep
+    /// times on top of the counts the engine keeps in [`CubeLsi::trace`])
+    /// and the peak resident set after each phase.
     pub fn build_traced(
         folksonomy: &Folksonomy,
         config: &CubeLsiConfig,
-    ) -> Result<(Self, TuckerTrace), LinAlgError> {
+    ) -> Result<(Self, BuildReport), LinAlgError> {
         let mut timings = PhaseTimings::default();
+        let mut peaks = PhasePeaks::default();
+        let mut high = 0;
+        let mut mark = |reading: Option<u64>| {
+            reading.map(|bytes: u64| {
+                high = bytes.max(high);
+                high
+            })
+        };
 
         let t0 = Instant::now();
         let tensor = build_tensor(folksonomy)?;
         timings.tensor_build = t0.elapsed();
+        peaks.tensor_build = mark(peak_rss_bytes());
 
         let t0 = Instant::now();
         let tucker_cfg = config.tucker_config(tensor.dims())?;
         let decomposition = tucker_als(&tensor, &tucker_cfg)?;
         timings.tucker = t0.elapsed();
+        peaks.tucker_init = mark(decomposition.trace.init_peak_rss);
+        peaks.tucker_sweeps = mark(peak_rss_bytes());
         let trace = BuildTrace::from(&decomposition.trace);
         let tucker_trace = decomposition.trace.clone();
 
@@ -132,19 +199,26 @@ impl CubeLsi {
         drop(decomposition);
         let distances = tag_model.distances();
         timings.distances = t0.elapsed();
+        peaks.distances = mark(peak_rss_bytes());
 
+        // The clustering consumes the distances; `Self::distances` derives
+        // them again for whoever asks.
         let t0 = Instant::now();
-        let concepts = ConceptModel::distill(&distances, &config.spectral_config())?;
+        let concepts = ConceptModel::distill(distances, &config.spectral_config())?;
         timings.clustering = t0.elapsed();
+        peaks.clustering = mark(peak_rss_bytes());
 
         let t0 = Instant::now();
         let engine = QueryEngine::new(ConceptIndex::build(folksonomy, &concepts));
         timings.indexing = t0.elapsed();
+        peaks.indexing = mark(peak_rss_bytes());
 
-        let mut built =
-            CubeLsi::from_parts(tag_model, concepts, engine, timings, trace, folksonomy);
-        built.distances = OnceLock::from(distances);
-        Ok((built, tucker_trace))
+        let built = CubeLsi::from_parts(tag_model, concepts, engine, timings, trace, folksonomy);
+        let report = BuildReport {
+            tucker: tucker_trace,
+            peaks,
+        };
+        Ok((built, report))
     }
 
     /// Assembles an engine from what an artifact stores (the
@@ -239,9 +313,9 @@ impl CubeLsi {
         &self.tag_model
     }
 
-    /// Purified tag distance matrix. A built engine holds the one its
-    /// build clustered; a loaded one derives it from [`Self::tag_model`]
-    /// on the first call, through the same arithmetic, to the same bits.
+    /// Purified tag distance matrix, derived from [`Self::tag_model`] on
+    /// the first call — by a built engine and a loaded one alike — through
+    /// the arithmetic the build clustered, to the same bits.
     pub fn distances(&self) -> &TagDistances {
         self.distances.get_or_init(|| self.tag_model.distances())
     }
@@ -401,6 +475,32 @@ mod tests {
         assert!(t.tucker > Duration::ZERO);
         assert!(t.distances > Duration::ZERO);
         assert!(t.total() >= t.tucker);
+    }
+
+    #[test]
+    fn phase_peaks_never_fall() {
+        let ds = small_dataset();
+        let (_, report) = CubeLsi::build_traced(&ds.folksonomy, &small_config()).unwrap();
+        let p = report.peaks;
+        let readings = [
+            p.tensor_build,
+            p.tucker_init,
+            p.tucker_sweeps,
+            p.distances,
+            p.clustering,
+            p.indexing,
+        ];
+        if cfg!(target_os = "linux") {
+            let bytes: Vec<u64> = readings.iter().map(|r| r.expect("VmHWM")).collect();
+            assert!(bytes.windows(2).all(|w| w[0] <= w[1]), "{bytes:?}");
+            let line = p.line().unwrap();
+            assert!(
+                line.starts_with("tensor ") && line.contains(" | init "),
+                "{line}"
+            );
+            assert_eq!(line.matches(" MB").count(), 6, "{line}");
+        }
+        assert_eq!(PhasePeaks::default().line(), None);
     }
 
     #[test]

@@ -97,8 +97,12 @@ pub const PARTITION_MODULO: u32 = 1;
 pub const MAX_SHARDS: usize = 1024;
 
 /// Pseudo section id used in [`PersistError`]s raised by the manifest
-/// itself (the artifact section ids 1–7 are taken by `persist`).
-pub const SECTION_MANIFEST: u32 = 9;
+/// itself. It must name nothing else an error can carry: an artifact's
+/// sections are 1, 2, 5 and 9 (`persist`; 3, 4 and 6–8 were used by
+/// older formats), and a shard file that fails its manifest CRC reports
+/// the shard's ordinal, below [`MAX_SHARDS`], in the same field — so not
+/// 0 either.
+pub const SECTION_MANIFEST: u32 = u32::MAX;
 
 /// Shim for the frozen `perfbench/`, which passes `LoadMode::Owned` as
 /// [`load_source`]'s second argument in its `shard.load_source_ms` row;

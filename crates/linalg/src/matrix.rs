@@ -285,6 +285,21 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Resizes to `rows x cols` (reusing the allocation when possible) for
+    /// a caller that then writes every element: the contents are left
+    /// unspecified — what the allocation held, zeros past it — which
+    /// spares [`Self::reset`]'s zero-fill pass.
+    pub(crate) fn resize_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Gives back the allocation's capacity beyond `rows × cols`.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.data.shrink_to_fit();
+    }
+
     /// Rows `rows` of `self * other` into `band` (those rows of the zeroed
     /// output, row-major), one register tile at a time: each tile runs
     /// through all of `k`.
@@ -605,6 +620,14 @@ fn padded<const N: usize>(v: &[f64]) -> [f64; N] {
     let mut out = [0.0; N];
     out[..v.len()].copy_from_slice(v);
     out
+}
+
+/// A copy, so that a function taking `impl Into<Matrix>` (a buffer it
+/// will overwrite) accepts a borrowed matrix too.
+impl From<&Matrix> for Matrix {
+    fn from(m: &Matrix) -> Self {
+        m.clone()
+    }
 }
 
 impl Index<(usize, usize)> for Matrix {

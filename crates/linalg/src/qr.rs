@@ -40,6 +40,15 @@ const PAR_UPDATE_THRESHOLD: usize = 1 << 18;
 /// from the seed in column order, so the result is bit-identical to that
 /// loop at any thread count and at every [`dispatch`] level.
 pub fn orthonormalize_columns(a: &mut Matrix) {
+    orthonormalize_columns_in(a, &mut Matrix::zeros(0, 0));
+}
+
+/// [`orthonormalize_columns`] working in the storage of `scratch`, a
+/// matrix whose contents the caller no longer needs: its shape and
+/// contents are left unspecified, and its allocation is reused when it
+/// holds [`panel_scratch`]`(a.rows(), a.cols())`'s elements. The result
+/// is the same bits.
+pub fn orthonormalize_columns_in(a: &mut Matrix, scratch: &mut Matrix) {
     let (m, n) = a.shape();
     debug_assert!(m >= n, "cannot orthonormalize more columns than rows");
     if m == 0 || n == 0 {
@@ -48,7 +57,8 @@ pub fn orthonormalize_columns(a: &mut Matrix) {
     let blocks = n.div_ceil(LANES);
     // Block `b` is rows `b·m..(b+1)·m`; its row `t`, lane `l` holds
     // `a[(t, b·LANES + l)]`. Lanes past the last column stay unused.
-    let mut cols = vec![[0.0; LANES]; blocks * m];
+    scratch.reset(blocks * m, LANES);
+    let (cols, _) = scratch.as_mut_slice().as_chunks_mut::<LANES>();
     for (t, a_row) in a.as_slice().chunks_exact(n).enumerate() {
         for (b, chunk) in a_row.chunks(LANES).enumerate() {
             cols[b * m + t][..chunk.len()].copy_from_slice(chunk);
@@ -95,6 +105,13 @@ pub fn orthonormalize_columns(a: &mut Matrix) {
             chunk.copy_from_slice(&cols[b * m + t][..chunk.len()]);
         }
     }
+}
+
+/// A zeroed matrix with the elements [`orthonormalize_columns_in`] needs
+/// to orthonormalize `m × n` without allocating: `n` rounded up to whole
+/// panels of eight columns, times `m`.
+pub fn panel_scratch(m: usize, n: usize) -> Matrix {
+    Matrix::zeros(m, n.div_ceil(LANES) * LANES)
 }
 
 /// Finishes the first `width` lanes of `panel`, whose columns hold every
@@ -387,6 +404,49 @@ mod tests {
                     .all(|(x, y)| x.to_bits() == y.to_bits());
                 assert!(same_bits, "case {i} ({:?}) at {threads} threads", a.shape());
                 assert!(orthonormality_error(&got) < 1e-8, "case {i}");
+            }
+        }
+        set_num_threads(0);
+    }
+
+    /// Gram–Schmidt in borrowed storage against [`orthonormalize_columns`],
+    /// bit for bit, at 1 and 2 threads: column counts off the panel
+    /// width, rank deficiency (a zero and a duplicated column, refilled),
+    /// and scratch that is empty, too small, of another shape with stale
+    /// values, or [`panel_scratch`]-sized — which is used without being
+    /// reallocated.
+    #[test]
+    fn borrowed_storage_is_bit_identical_and_not_reallocated() {
+        let mut cases: Vec<Matrix> = [1, 7, 8, 17, 33, 72]
+            .iter()
+            .map(|&n| seeded(1100, n, 400 + n as u64))
+            .collect();
+        let mut deficient = seeded(900, 21, 11);
+        for t in 0..900 {
+            deficient[(t, 4)] = 0.0;
+            deficient[(t, 13)] = deficient[(t, 9)];
+        }
+        cases.push(deficient);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let _guard = TEST_THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for threads in [1, 2] {
+            set_num_threads(threads);
+            for (i, a) in cases.iter().enumerate() {
+                let (m, n) = a.shape();
+                let mut want = a.clone();
+                orthonormalize_columns(&mut want);
+                let stale = Matrix::from_fn(m / 2 + 1, n + 3, |r, c| (r * c) as f64 - 1e3);
+                for mut scratch in [Matrix::zeros(0, 0), stale, panel_scratch(m, n)] {
+                    let sized = scratch.as_slice().len() >= m * n.div_ceil(LANES) * LANES;
+                    let storage = scratch.as_slice().as_ptr();
+                    let mut got = a.clone();
+                    orthonormalize_columns_in(&mut got, &mut scratch);
+                    let at = format!("case {i} ({m}x{n}), {threads} threads");
+                    assert_eq!(bits(&got), bits(&want), "{at}");
+                    if sized {
+                        assert_eq!(scratch.as_slice().as_ptr(), storage, "{at}: reallocated");
+                    }
+                }
             }
         }
         set_num_threads(0);

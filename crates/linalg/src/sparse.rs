@@ -226,42 +226,139 @@ impl CsrMatrix {
             });
         }
         let n = b.cols();
-        out.reset(self.rows, n);
-        if n == 0 {
-            return Ok(());
+        // Every element is written: a row's sums start from +0.0.
+        out.resize_for_overwrite(self.rows, n);
+        let whole = Window {
+            stride: n,
+            start: 0,
+        };
+        self.gather_window(
+            b.as_slice(),
+            whole,
+            out.as_mut_slice(),
+            whole,
+            n,
+            self.nnz() * n >= PAR_APPLY_THRESHOLD,
+        );
+        Ok(())
+    }
+
+    /// `self · (t · x)` into `out` (resized and overwritten), for `t`
+    /// the stored transpose of `self`: the outer Gram apply `A (Aᵀ X)`.
+    /// It runs one column panel of `x` at a time, both products through
+    /// `panel`, so the intermediate is `t.rows()` by a panel's width, not
+    /// by `x`'s. Panels are `GATHER_COLS` wide, and the last one also takes
+    /// the columns left over (up to `2·GATHER_COLS − 1` in all): a narrow
+    /// tail panel would pay two fork–joins for little work. Each output
+    /// element is the sum [`Self::matmul_dense_into`] forms, over the same
+    /// terms in the same order, so the result is bit-identical to the two
+    /// materialised products at any thread count. Whether the gathers
+    /// split into row bands is decided once, for the whole apply, as the
+    /// two products would decide it.
+    pub(crate) fn gram_apply_into(
+        &self,
+        t: &CsrMatrix,
+        x: &Matrix,
+        panel: &mut Matrix,
+        out: &mut Matrix,
+    ) {
+        debug_assert!(
+            t.rows == self.cols && t.cols == self.rows && t.nnz() == self.nnz(),
+            "gram_apply_into: t must be the transpose of self"
+        );
+        assert_eq!(x.rows(), self.rows, "gram_apply_into: x must have A's rows");
+        let n = x.cols();
+        // The panels cover every column of every row of both products.
+        out.resize_for_overwrite(self.rows, n);
+        let parallel = self.nnz() * n >= PAR_APPLY_THRESHOLD;
+        let panels = (n / GATHER_COLS).max(1);
+        for p in 0..panels {
+            let j0 = p * GATHER_COLS;
+            let width = if p + 1 == panels { n - j0 } else { GATHER_COLS };
+            let cut = Window {
+                stride: n,
+                start: j0,
+            };
+            let own = Window {
+                stride: width,
+                start: 0,
+            };
+            panel.resize_for_overwrite(t.rows, width);
+            t.gather_window(
+                x.as_slice(),
+                cut,
+                panel.as_mut_slice(),
+                own,
+                width,
+                parallel,
+            );
+            self.gather_window(
+                panel.as_slice(),
+                own,
+                out.as_mut_slice(),
+                cut,
+                width,
+                parallel,
+            );
+        }
+    }
+
+    /// `width` columns of `self * b` from column window `from` of `b` into
+    /// window `to` of `out` (both row-major), by row bands when
+    /// `parallel`.
+    fn gather_window(
+        &self,
+        b: &[f64],
+        from: Window,
+        out: &mut [f64],
+        to: Window,
+        width: usize,
+        parallel: bool,
+    ) {
+        if width == 0 {
+            return;
         }
         let kernel = |rows: Range<usize>, band: &mut [f64]| {
             dispatch::run(
                 #[inline(always)]
-                || self.gather_band(b.as_slice(), n, rows, band),
+                || self.gather_band(b, from, rows, band, to, width),
             )
         };
-        if self.nnz() * n < PAR_APPLY_THRESHOLD {
-            kernel(0..self.rows, out.as_mut_slice());
+        if parallel {
+            parallel::for_each_band(self.rows, |i| i * to.stride, out, kernel);
         } else {
-            parallel::for_each_band(self.rows, |i| i * n, out.as_mut_slice(), kernel);
+            kernel(0..self.rows, out);
         }
-        Ok(())
     }
 
-    /// Rows `rows` of `self * b` (`b` row-major with `n` columns) into
-    /// `band`: per row, `GATHER_COLS` columns at a time, then 8, then 1.
+    /// Rows `rows` of `self * b`, `width` columns from window `from` of
+    /// `b`, into window `to` of `band` (those rows of the output): per
+    /// row, `GATHER_COLS` columns at a time, then 8, then 1.
     #[inline(always)]
-    fn gather_band(&self, b: &[f64], n: usize, rows: Range<usize>, band: &mut [f64]) {
-        for (i, out_row) in rows.zip(band.chunks_exact_mut(n)) {
+    fn gather_band(
+        &self,
+        b: &[f64],
+        from: Window,
+        rows: Range<usize>,
+        band: &mut [f64],
+        to: Window,
+        width: usize,
+    ) {
+        for (i, out_row) in rows.zip(band.chunks_mut(to.stride)) {
             let nz = self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize;
             let (cols, vals) = (&self.col_idx[nz.clone()], &self.values[nz]);
+            let out_row = &mut out_row[to.start..to.start + width];
             let mut j0 = 0;
-            while j0 + GATHER_COLS <= n {
-                gather::<GATHER_COLS>(cols, vals, b, n, j0, out_row);
+            while j0 + GATHER_COLS <= width {
+                gather::<GATHER_COLS>(cols, vals, b, from, j0, out_row);
                 j0 += GATHER_COLS;
             }
-            while j0 + 8 <= n {
-                gather::<8>(cols, vals, b, n, j0, out_row);
+            while j0 + 8 <= width {
+                gather::<8>(cols, vals, b, from, j0, out_row);
                 j0 += 8;
             }
-            for j in j0..n {
-                gather::<1>(cols, vals, b, n, j, out_row);
+            for j in j0..width {
+                gather::<1>(cols, vals, b, from, j, out_row);
             }
         }
     }
@@ -395,20 +492,30 @@ impl CsrMatrix {
     }
 }
 
-/// Writes columns `j0..j0 + W` of one output row: `Σ vals[e] · b[cols[e]]`
-/// over the row's non-zeros in order, from +0.0, held in registers.
+/// A window of columns of a row-major buffer: rows `stride` elements
+/// apart, the window's first column at `start`.
+#[derive(Clone, Copy)]
+struct Window {
+    stride: usize,
+    start: usize,
+}
+
+/// Writes columns `j0..j0 + W` of one output row (`out_row` is the
+/// window's part of it): `Σ vals[e] · b[cols[e]]` over the row's non-zeros
+/// in order, from +0.0, held in registers; `b`'s rows are read through
+/// window `from`.
 #[inline(always)]
 fn gather<const W: usize>(
     cols: &[u32],
     vals: &[f64],
     b: &[f64],
-    n: usize,
+    from: Window,
     j0: usize,
     out_row: &mut [f64],
 ) {
     let mut sums = [0.0; W];
     for (&c, &v) in cols.iter().zip(vals) {
-        let x = &b[c as usize * n + j0..][..W];
+        let x = &b[c as usize * from.stride + from.start + j0..][..W];
         for (s, &x) in sums.iter_mut().zip(x) {
             *s += v * x;
         }
@@ -574,6 +681,62 @@ mod tests {
                     }
                 }
             });
+        }
+        parallel::set_num_threads(0);
+    }
+
+    /// The panelled Gram apply against the two products it replaces, each
+    /// by the row-at-a-time loop, bit for bit: block widths inside one
+    /// panel (1, 7, 8, 17), a merged tail (33 = 32 + 1, 72 = 32 + 40), two
+    /// whole panels (64); at 1 and 2 threads, the wider blocks above the
+    /// banding threshold; into output and panel buffers that hold stale
+    /// values of another shape.
+    #[test]
+    fn panelled_gram_apply_is_bit_identical_to_the_two_products() {
+        let mut state = 0x6a09_e667u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let (rows, cols) = (900, 700);
+        let triples: Vec<(usize, usize, f64)> = (0..30_000)
+            .map(|_| {
+                let r = next() as usize % rows;
+                let c = next() as usize % cols;
+                (r, c, next() as f64 / (1u64 << 53) as f64 - 0.5)
+            })
+            // Empty rows and columns, as a compacted unfolding never has
+            // but a caller's matrix may.
+            .filter(|&(r, c, _)| r % 11 != 4 && c % 13 != 6)
+            .collect();
+        let a = CsrMatrix::from_triples(rows, cols, &triples).unwrap();
+        let t = a.transpose();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let _guard = parallel::TEST_THREAD_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        for width in [1usize, 7, 8, 17, 33, 64, 72] {
+            let x = Matrix::from_fn(rows, width, |_, _| {
+                next() as f64 / (1u64 << 53) as f64 - 0.5
+            });
+            let want = matmul_dense_reference(&a, &matmul_dense_reference(&t, &x));
+            for threads in [1, 2] {
+                parallel::set_num_threads(threads);
+                let mut panel = Matrix::from_fn(cols + 3, 40, |i, j| (i * j) as f64 - 7.5);
+                let mut out = Matrix::from_fn(rows, width + 5, |i, j| f64::from((i + j) as u32));
+                a.gram_apply_into(&t, &x, &mut panel, &mut out);
+                assert_eq!(out.shape(), (rows, width));
+                assert_eq!(bits(&out), bits(&want), "width {width}, {threads} threads");
+                // Reused as they are left.
+                a.gram_apply_into(&t, &x, &mut panel, &mut out);
+                assert_eq!(
+                    bits(&out),
+                    bits(&want),
+                    "width {width} again, {threads} threads"
+                );
+            }
         }
         parallel::set_num_threads(0);
     }

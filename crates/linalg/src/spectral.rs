@@ -74,10 +74,18 @@ pub struct SpectralResult {
 /// Runs Ng–Jordan–Weiss spectral clustering on a symmetric distance matrix.
 ///
 /// `distances` must be square with a zero diagonal; entry `(i, j)` is the
-/// (purified) distance `D̂ᵢⱼ` between items `i` and `j`.
-pub fn spectral_clustering(distances: &Matrix, config: &SpectralConfig) -> Result<SpectralResult> {
-    let n = distances.rows();
-    if distances.cols() != n {
+/// (purified) distance `D̂ᵢⱼ` between items `i` and `j`. It is taken by
+/// value and is the one `n × n` buffer the clustering holds: the median
+/// for σ is selected inside it, it becomes the affinity `A` and then `L`
+/// in place, and the eigensolve consumes it. A borrowed matrix is cloned
+/// into that buffer.
+pub fn spectral_clustering(
+    distances: impl Into<Matrix>,
+    config: &SpectralConfig,
+) -> Result<SpectralResult> {
+    let mut buf = distances.into();
+    let n = buf.rows();
+    if buf.cols() != n {
         return Err(LinAlgError::InvalidArgument(
             "distance matrix must be square".into(),
         ));
@@ -103,23 +111,25 @@ pub fn spectral_clustering(distances: &Matrix, config: &SpectralConfig) -> Resul
                 "sigma must be positive".into(),
             ));
         }
-        None => median_offdiag(distances).max(1e-12),
+        None => median_upper_in_place(&mut buf).max(1e-12),
     };
 
-    // Step 1: affinity matrix, from the upper triangle and mirrored, so
-    // it — and L below — is exactly symmetric.
+    // Step 1: affinity, in place, from the upper triangle and mirrored —
+    // which also restores the lower triangle the median permuted — so it,
+    // and L below, is exactly symmetric. The distances stay square roots
+    // and are squared here, as the two-buffer pipeline did.
     let inv_sigma_sq = 1.0 / (sigma * sigma);
-    let mut affinity = Matrix::zeros(n, n);
     for i in 0..n {
+        buf[(i, i)] = 0.0;
         for j in i + 1..n {
-            let d = distances[(i, j)];
+            let d = buf[(i, j)];
             let a = (-d * d * inv_sigma_sq).exp();
-            affinity[(i, j)] = a;
-            affinity[(j, i)] = a;
+            buf[(i, j)] = a;
+            buf[(j, i)] = a;
         }
     }
 
-    // Step 2: normalized affinity L = M^{-1/2} A M^{-1/2}.
+    // Step 2: normalized affinity L = M^{-1/2} A M^{-1/2}, in place.
     // Rows whose degree underflows to (near-)zero are isolated points with
     // no meaningful affinities; their 1/√deg would overflow, so they are
     // zeroed instead. The two inverse factors are applied one at a time —
@@ -128,20 +138,19 @@ pub fn spectral_clustering(distances: &Matrix, config: &SpectralConfig) -> Resul
     const DEG_FLOOR: f64 = 1e-100;
     let mut inv_sqrt_deg = vec![0.0; n];
     for (i, slot) in inv_sqrt_deg.iter_mut().enumerate() {
-        let deg: f64 = affinity.row(i).iter().sum();
+        let deg: f64 = buf.row(i).iter().sum();
         *slot = if deg > DEG_FLOOR {
             1.0 / deg.sqrt()
         } else {
             0.0
         };
     }
-    let mut l = affinity; // reuse the allocation
     for i in 0..n {
         let di = inv_sqrt_deg[i];
         for j in i + 1..n {
-            let x = (l[(i, j)] * di) * inv_sqrt_deg[j];
-            l[(i, j)] = x;
-            l[(j, i)] = x;
+            let x = (buf[(i, j)] * di) * inv_sqrt_deg[j];
+            buf[(i, j)] = x;
+            buf[(j, i)] = x;
         }
     }
 
@@ -152,7 +161,7 @@ pub fn spectral_clustering(distances: &Matrix, config: &SpectralConfig) -> Resul
         KSelection::VarianceCovered { max_k, .. } => max_k,
     }
     .clamp(1, n);
-    let eigs = top_eigenpairs(l, max_k)?;
+    let eigs = top_eigenpairs(buf, max_k)?;
     let k = match config.k {
         KSelection::Fixed(k) => k.clamp(1, n),
         KSelection::VarianceCovered { fraction, .. } => {
@@ -185,23 +194,43 @@ pub fn spectral_clustering(distances: &Matrix, config: &SpectralConfig) -> Resul
     })
 }
 
-/// Median of the strictly-upper-triangular entries: the element a full
-/// sort would put at index `len / 2`, found by quickselect in `O(n²)`
-/// expected time.
-fn median_offdiag(d: &Matrix) -> f64 {
+/// Median of the strictly-upper-triangular entries of the square `d`
+/// (`n ≥ 2`): the element a full sort would put at index `len / 2`, found
+/// by quickselect in `O(n²)` expected time without a second buffer. The
+/// upper triangle is packed, row after row, into the end of `d`'s storage
+/// (each row's part moves right, into space the lower triangle and the
+/// diagonal held), copied from there to the front, selected on there, and
+/// moved back. The upper triangle comes out as it went in; the strict
+/// lower triangle and the diagonal come out unspecified. The select sees
+/// the upper triangle in row-major order, the order a copy of it into a
+/// vector of its own would have, so it picks the same bits.
+fn median_upper_in_place(d: &mut Matrix) -> f64 {
     let n = d.rows();
-    let mut vals: Vec<f64> = Vec::with_capacity(n * (n - 1) / 2);
-    for i in 0..n {
-        vals.extend_from_slice(&d.row(i)[i + 1..]);
+    let upper = n * (n - 1) / 2;
+    let v = d.as_mut_slice();
+    let row_len = |i: usize| n - 1 - i;
+    // Row i's part, `i·n + i + 1 .. (i + 1)·n`, moves to the right of where
+    // it starts (and of every earlier row's part), last row first.
+    let mut end = n * n;
+    for i in (0..n).rev() {
+        let from = i * n + i + 1;
+        end -= row_len(i);
+        v.copy_within(from..from + row_len(i), end);
     }
-    if vals.is_empty() {
-        return 1.0;
-    }
-    let mid = vals.len() / 2;
-    let (_, median, _) = vals.select_nth_unstable_by(mid, |a, b| {
+    let packed = end;
+    v.copy_within(packed.., 0);
+    let mid = upper / 2;
+    let (_, &mut median, _) = v[..upper].select_nth_unstable_by(mid, |a, b| {
         a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
     });
-    *median
+    // Back, first row first: each part moves left, past nothing unread.
+    let mut at = packed;
+    for i in 0..n {
+        let to = i * n + i + 1;
+        v.copy_within(at..at + row_len(i), to);
+        at += row_len(i);
+    }
+    median
 }
 
 /// Smallest `k` such that the top-`k` eigenvalues cover `fraction` of the
@@ -445,12 +474,154 @@ mod tests {
             let d = raw.add(&raw.transpose()).unwrap();
             let mut sorted: Vec<f64> = (0..n).flat_map(|i| d.row(i)[i + 1..].to_vec()).collect();
             sorted.sort_by(f64::total_cmp);
-            let median = median_offdiag(&d);
+            let mut selected = d.clone();
+            let median = median_upper_in_place(&mut selected);
             assert_eq!(
                 median.to_bits(),
                 sorted[sorted.len() / 2].to_bits(),
                 "n={n}"
             );
+            assert_eq!(median.to_bits(), two_buffer_median(&d).to_bits(), "n={n}");
+            for i in 0..n {
+                assert_eq!(
+                    selected.row(i)[i + 1..],
+                    d.row(i)[i + 1..],
+                    "n={n}, row {i}"
+                );
+            }
         }
+    }
+
+    /// The median the two-buffer pipeline took: the upper triangle copied
+    /// into a vector of its own, then selected on.
+    fn two_buffer_median(d: &Matrix) -> f64 {
+        let n = d.rows();
+        let mut vals: Vec<f64> = (0..n).flat_map(|i| d.row(i)[i + 1..].to_vec()).collect();
+        let mid = vals.len() / 2;
+        let (_, median, _) = vals.select_nth_unstable_by(mid, |a, b| {
+            a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        *median
+    }
+
+    /// [`spectral_clustering`] as it was with two `n × n` buffers: the
+    /// distances borrowed and left intact, the median selected on a copy
+    /// of their upper triangle, a fresh affinity matrix turned into `L`.
+    fn two_buffer_clustering(distances: &Matrix, config: &SpectralConfig) -> SpectralResult {
+        let n = distances.rows();
+        let sigma = config
+            .sigma
+            .unwrap_or_else(|| two_buffer_median(distances).max(1e-12));
+        let inv_sigma_sq = 1.0 / (sigma * sigma);
+        let mut affinity = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in i + 1..n {
+                let d = distances[(i, j)];
+                let a = (-d * d * inv_sigma_sq).exp();
+                affinity[(i, j)] = a;
+                affinity[(j, i)] = a;
+            }
+        }
+        let inv_sqrt_deg: Vec<f64> = (0..n)
+            .map(|i| {
+                let deg: f64 = affinity.row(i).iter().sum();
+                if deg > 1e-100 {
+                    1.0 / deg.sqrt()
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let mut l = affinity;
+        for i in 0..n {
+            for j in i + 1..n {
+                let x = (l[(i, j)] * inv_sqrt_deg[i]) * inv_sqrt_deg[j];
+                l[(i, j)] = x;
+                l[(j, i)] = x;
+            }
+        }
+        let max_k = match config.k {
+            KSelection::Fixed(k) => k,
+            KSelection::VarianceCovered { max_k, .. } => max_k,
+        }
+        .clamp(1, n);
+        let eigs = top_eigenpairs(l, max_k).unwrap();
+        let k = match config.k {
+            KSelection::Fixed(k) => k.clamp(1, n),
+            KSelection::VarianceCovered { fraction, .. } => {
+                choose_k_by_variance(&eigs.values, fraction).clamp(1, max_k)
+            }
+        };
+        let mut embedding = eigs.vectors.truncate_cols(k).unwrap();
+        for i in 0..n {
+            let row = embedding.row_mut(i);
+            let nrm: f64 = row.iter().map(|x| x * x).sum::<f64>().sqrt();
+            if nrm > 1e-300 {
+                for x in row.iter_mut() {
+                    *x /= nrm;
+                }
+            }
+        }
+        let mut km_cfg = config.kmeans.clone();
+        km_cfg.k = k.min(n);
+        let km = kmeans(&embedding, &km_cfg).unwrap();
+        SpectralResult {
+            assignments: km.assignments,
+            k: km_cfg.k,
+            sigma,
+            embedding,
+        }
+    }
+
+    #[test]
+    fn one_buffer_clustering_is_bit_identical_to_two_buffers() {
+        // Euclidean distances between random points (no ties), the tight
+        // components (ties, affinities that underflow to 0) and the small
+        // hand-made matrices; σ from the median and fixed.
+        let mut cases = vec![
+            two_group_distances(),
+            component_distances(4, 12),
+            component_distances(6, 5),
+        ];
+        for (n, dims, seed) in [(37usize, 5usize, 11u64), (90, 8, 12)] {
+            let mut next = draws(seed);
+            let z = Matrix::from_fn(n, dims, |_, _| next() - 0.5);
+            cases.push(Matrix::from_fn(n, n, |i, j| {
+                let d2: f64 = z
+                    .row(i)
+                    .iter()
+                    .zip(z.row(j))
+                    .map(|(a, b)| (a - b) * (a - b))
+                    .sum();
+                d2.sqrt()
+            }));
+        }
+        let configs = [
+            SpectralConfig::default(),
+            SpectralConfig {
+                sigma: Some(0.7),
+                k: KSelection::Fixed(3),
+                ..Default::default()
+            },
+        ];
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let _lock = crate::parallel::TEST_THREAD_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        for threads in [1, 2] {
+            crate::parallel::set_num_threads(threads);
+            for (c, d) in cases.iter().enumerate() {
+                for (k, cfg) in configs.iter().enumerate() {
+                    let want = two_buffer_clustering(d, cfg);
+                    let got = spectral_clustering(d.clone(), cfg).unwrap();
+                    let at = format!("case {c}, config {k}, {threads} threads");
+                    assert_eq!(got.sigma.to_bits(), want.sigma.to_bits(), "{at}");
+                    assert_eq!(got.k, want.k, "{at}");
+                    assert_eq!(bits(&got.embedding), bits(&want.embedding), "{at}");
+                    assert_eq!(got.assignments, want.assignments, "{at}");
+                }
+            }
+        }
+        crate::parallel::set_num_threads(0);
     }
 }

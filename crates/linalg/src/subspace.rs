@@ -56,12 +56,18 @@
 //!   applied block: exactly the three `n × b` buffers the projection owns
 //!   (block, applied block, Ritz-rotation target), so filtering allocates
 //!   nothing.
+//!
+//! Those three blocks are all the solve holds at that size. Every
+//! orthonormalisation runs in the storage of the rotation target, whose
+//! contents are dead there ([`orthonormalize_columns_in`]), the closing
+//! rotation writes into it, and [`GramOp`] applies through an
+//! intermediate one column panel wide (at most 63 columns), not `b` wide.
 
 use crate::dispatch;
 use crate::eigen::{top_eigenpairs, EigenDecomposition};
 use crate::error::LinAlgError;
 use crate::matrix::Matrix;
-use crate::qr::orthonormalize_columns;
+use crate::qr::{orthonormalize_columns_in, panel_scratch};
 use crate::sparse::CsrMatrix;
 use crate::Result;
 use rand::rngs::StdRng;
@@ -88,17 +94,19 @@ pub trait SymOp {
 /// The outer Gram operator `A Aᵀ` of a sparse matrix, applied implicitly
 /// so the Gram matrix itself is never formed (the HOSVD's operator).
 ///
-/// It keeps `Aᵀ` as a CSR matrix of its own and computes `A (Aᵀ X)` as two
-/// row-banded gathers through one reused scratch matrix (a row of `Aᵀ`
-/// lists `A`'s rows in ascending order). Every output element accumulates
-/// in exactly the order of the two materialized sparse–dense products, so
-/// the result is **bit-identical** to them at any thread count — the tests
-/// hold it there.
+/// It keeps `Aᵀ` as a CSR matrix of its own and computes `A (Aᵀ X)` one
+/// column panel of `X` at a time (32 columns, the last panel up to 63),
+/// as two row-banded gathers through one reused `cols × panel` scratch
+/// matrix (a row of `Aᵀ` lists `A`'s rows in ascending order;
+/// [`CsrMatrix::gram_apply_into`]).
+/// Every output element accumulates in exactly the order of the two
+/// materialized sparse–dense products, so the result is **bit-identical**
+/// to them at any thread count — the tests hold it there.
 pub struct GramOp<'a> {
     matrix: &'a CsrMatrix,
     /// `Aᵀ`, stored.
     transpose: CsrMatrix,
-    /// Reused intermediate `Aᵀ X`.
+    /// Reused intermediate: one column panel of `Aᵀ X`.
     scratch: std::cell::RefCell<Matrix>,
 }
 
@@ -119,13 +127,8 @@ impl SymOp for GramOp<'_> {
     }
 
     fn apply_block_into(&self, x: &Matrix, out: &mut Matrix) {
-        let mut atx = self.scratch.borrow_mut();
-        self.transpose
-            .matmul_dense_into(x, &mut atx)
-            .expect("GramOp: Aᵀ*X");
         self.matrix
-            .matmul_dense_into(&atx, out)
-            .expect("GramOp: A*(AᵀX)");
+            .gram_apply_into(&self.transpose, x, &mut self.scratch.borrow_mut(), out);
     }
 }
 
@@ -265,7 +268,8 @@ fn plan_filter(ritz: &[f64], k: usize) -> (usize, f64) {
 /// `q ← T_m((2/c)·A − I) q`, `m = degree ≥ 2`, by the three-term recurrence
 /// `Y₁ = L Y₀`, `Yⱼ₊₁ = 2 L Yⱼ − Yⱼ₋₁` with `L = (2/c)·A − I`. `z` receives
 /// every applied block and `prev` holds `Yⱼ₋₁` (overwritten in place by
-/// `Yⱼ₊₁`, then swapped with `q`); both are left with unspecified contents.
+/// `Yⱼ₊₁`, then swapped with `q`); both are left with unspecified contents,
+/// and `prev` need not have `q`'s shape on entry.
 fn chebyshev_filter(
     op: &dyn SymOp,
     degree: usize,
@@ -275,7 +279,7 @@ fn chebyshev_filter(
     prev: &mut Matrix,
 ) {
     let s = 2.0 / cut;
-    debug_assert_eq!(prev.shape(), q.shape());
+    prev.resize_for_overwrite(q.rows(), q.cols());
     op.apply_block_into(q, z);
     for ((y1, &az), &y0) in prev
         .as_mut_slice()
@@ -323,13 +327,18 @@ fn subspace_iterate(
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut q = Matrix::from_fn(n, block, |_, _| rng.gen::<f64>() - 0.5);
     let mut times = SolveTimes::default();
-    timed(&mut times.orth, || orthonormalize_columns(&mut q));
 
-    // Scratch reused across every iteration: the applied block, the Ritz
-    // rotation target (between projections, the filter's third block), and
-    // the small projected matrix.
+    // The solve's three `n × block` blocks, reused across every iteration:
+    // the iterate `q`, the applied block `z`, and `zu` — the Ritz rotation
+    // target, between projections the filter's third block, and at every
+    // orthonormalisation (where its contents are dead) Gram–Schmidt's
+    // panel-major storage, which is why its capacity is rounded up to whole
+    // panels. Plus the small projected matrix.
+    let mut zu = panel_scratch(n, block);
+    timed(&mut times.orth, || {
+        orthonormalize_columns_in(&mut q, &mut zu)
+    });
     let mut z = Matrix::zeros(n, block);
-    let mut zu = Matrix::zeros(n, block);
     let mut b = Matrix::zeros(block, block);
 
     let mut prev_ritz = vec![f64::INFINITY; k];
@@ -372,7 +381,9 @@ fn subspace_iterate(
             }
         }
         if !q_orthonormal {
-            timed(&mut times.orth, || orthonormalize_columns(&mut q));
+            timed(&mut times.orth, || {
+                orthonormalize_columns_in(&mut q, &mut zu)
+            });
         }
         timed(&mut times.apply, || op.apply_block_into(&q, &mut z));
         // Rayleigh–Ritz on the current subspace: B = Qᵀ Z = Qᵀ A Q; rotate
@@ -413,7 +424,7 @@ fn subspace_iterate(
         q_orthonormal = converged || steps == 0;
         timed(&mut times.orth, || {
             if q_orthonormal {
-                orthonormalize_columns(&mut q);
+                orthonormalize_columns_in(&mut q, &mut zu);
             } else {
                 normalize_columns(&mut q);
             }
@@ -424,16 +435,24 @@ fn subspace_iterate(
     }
 
     // Final Rayleigh–Ritz to extract clean eigenpairs from the converged
-    // subspace.
+    // subspace, rotated into the dead `zu`.
     if !q_orthonormal {
-        timed(&mut times.orth, || orthonormalize_columns(&mut q));
+        timed(&mut times.orth, || {
+            orthonormalize_columns_in(&mut q, &mut zu)
+        });
     }
     timed(&mut times.apply, || op.apply_block_into(&q, &mut z));
-    let (values, vectors) = timed(&mut times.project, || -> Result<(Vec<f64>, Matrix)> {
+    let values = timed(&mut times.project, || -> Result<Vec<f64>> {
         q.matmul_tn_into(&z, &mut b)?;
         let eig = ritz_pairs(&b, k)?;
-        Ok((eig.values, q.matmul(&eig.vectors)?))
+        q.matmul_into(&eig.vectors, &mut zu)?;
+        Ok(eig.values)
     })?;
+    // The result keeps `k` of the rounded-up capacity's columns; the other
+    // two blocks go before it gives the rest back.
+    drop((q, z));
+    let mut vectors = zu;
+    vectors.shrink_to_fit();
     Ok(TopkEigen {
         values,
         vectors,

@@ -25,5 +25,6 @@ pub mod tucker;
 pub use dense::DenseTensor3;
 pub use sparse::SparseTensor3;
 pub use tucker::{
-    tucker_als, ModeInit, SweepTrace, TuckerConfig, TuckerDecomposition, TuckerTrace,
+    peak_rss_bytes, tucker_als, ModeInit, SweepTrace, TuckerConfig, TuckerDecomposition,
+    TuckerTrace,
 };

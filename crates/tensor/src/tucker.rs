@@ -119,8 +119,21 @@ pub struct TuckerDecomposition {
 pub struct TuckerTrace {
     /// HOSVD initialisation of modes 2 and 3, in that order.
     pub init: Vec<ModeInit>,
+    /// The process's [`peak_rss_bytes`] once the initialisation is done,
+    /// before the first sweep.
+    pub init_peak_rss: Option<u64>,
     /// Each HOOI sweep, in order.
     pub sweeps: Vec<SweepTrace>,
+}
+
+/// The peak resident set of this process so far, in bytes: `VmHWM` of
+/// `/proc/self/status`. `None` where that file cannot be read or holds no
+/// such line (any OS but Linux). Diagnostics only.
+pub fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: u64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb * 1024)
 }
 
 /// One HOOI sweep, as [`TuckerTrace`] records it.
@@ -288,6 +301,7 @@ fn tucker_als_with(
         hosvd_factor(f, 2, j2, config, hosvd_solve, &mut trace)?,
         hosvd_factor(f, 3, j3, config, hosvd_solve, &mut trace)?,
     ];
+    trace.init_peak_rss = peak_rss_bytes();
 
     let norm_f_sq = f.frobenius_norm_sq();
     let fit_terms = f.nnz() + j1 * j2 * j3;
@@ -317,6 +331,10 @@ fn tucker_als_with(
                 3 => (0, 1),
                 _ => unreachable!(),
             };
+            // Neither the product nor its SVD reads the factor they
+            // replace: it goes first, so the old and the new are never
+            // held together.
+            factors[mode - 1] = Matrix::zeros(0, 0);
             let w = &mut w_scratch[mode - 1];
             f.ttm_except_unfolded_into(mode, &factors[ai], &factors[bi], w)?;
             let (svd, route) = dense_truncated_svd(w, jn, &config.subspace)?;

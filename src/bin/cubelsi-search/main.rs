@@ -99,8 +99,9 @@ fn build_model(corpus: &Folksonomy, opts: &BuildOpts) -> Result<CubeLsi, String>
         seed: opts.seed,
         ..Default::default()
     };
-    let (model, trace) =
+    let (model, report) =
         CubeLsi::build_traced(corpus, &config).map_err(|e| format!("building CubeLSI: {e}"))?;
+    let trace = &report.tucker;
     let t = model.timings();
     eprintln!(
         "built   fit {:.3}, {} concepts",
@@ -118,6 +119,10 @@ fn build_model(corpus: &Folksonomy, opts: &BuildOpts) -> Result<CubeLsi, String>
         cubelsi::linalg::dispatch::level().name()
     );
     eprintln!("tucker  {trace}");
+    // The peak resident set after each phase, where the OS reports it.
+    if let Some(line) = report.peaks.line() {
+        eprintln!("memory  {line} (VmHWM)");
+    }
     // An HOSVD eigensolve that ran out of iterations still returns its best
     // subspace; the model is usable, but whoever rebuilds should know.
     for m in trace.init.iter().filter(|m| !m.eig_converged) {

@@ -1,14 +1,19 @@
-//! Pins two memory shapes with the counting global allocator of
+//! Pins three memory shapes with the counting global allocator of
 //! `tests/common/counting_alloc.rs`, each as the peak of live bytes above
 //! the level at entry.
 //!
 //! **Tucker initialisation**: the most `tucker_als` holds at once scales
-//! with the non-zeros, `O(nnz · block)`, and not with the width of a mode
-//! unfolding. The HOSVD eigensolve of mode n applies `Aₙ(AₙᵀX)` through a
-//! `cols × block` intermediate. Over the full Kolda–Bader unfolding that is
-//! `∏ₘ≠ₙ Iₘ × block` doubles — 40·4 000·16·8 B = 20 MB for mode 2 of the
-//! tensor below, 300 MB on the benchmark's corpus — whatever the data holds;
-//! over the compacted unfolding it is at most `nnz × block`.
+//! with the non-zeros and the solver's block, not with the width of a mode
+//! unfolding. The HOSVD eigensolve of mode n keeps three `Iₙ × block`
+//! blocks (the iterate, the applied block, and the rotation target that
+//! Gram–Schmidt also works in) and applies `Aₙ(AₙᵀX)` through a
+//! `cols × panel` intermediate (a column panel of at most 63). Over the
+//! full Kolda–Bader unfolding that intermediate would be `∏ₘ≠ₙ Iₘ × block`
+//! doubles — 40·4 000·16·8 B = 20 MB for mode 2 of the tensor below,
+//! 300 MB on the benchmark's corpus — whatever the data holds.
+//!
+//! **Spectral clustering**: the distances, the affinity and `L` are one
+//! `T × T` buffer, which the eigensolve consumes; the rest is `O(T·k)`.
 //!
 //! **Sharded load**: every shard file carries the whole folksonomy and
 //! model, and `load_source` keeps one copy, not one a shard — its peak is a
@@ -19,9 +24,12 @@
 //! The counters are global to the process, so the tests take turns under
 //! a lock.
 
+use cubelsi::core::distance::pairwise_distances_from_embedding;
 use cubelsi::core::shard::{self, LoadMode};
 use cubelsi::core::{CubeLsi, CubeLsiConfig};
 use cubelsi::datagen::{generate, GeneratorConfig};
+use cubelsi::linalg::spectral::{spectral_clustering, KSelection, SpectralConfig};
+use cubelsi::linalg::Matrix;
 use cubelsi::tensor::{tucker_als, SparseTensor3, TuckerConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -47,28 +55,66 @@ fn tucker_peak_memory_scales_with_nnz_not_unfolding_width() {
         .map(|_| (next(dims.0), next(dims.1), next(dims.2), 1.0))
         .collect();
     let f = SparseTensor3::from_entries(dims, &quads).unwrap();
+    // J₁J₂ = J₃ = 8: HOOI's mode-3 product is I₃ × 8, a third of one of
+    // the eigensolve's I₃ × 16 blocks, so the HOSVD is the peak.
     let config = TuckerConfig {
-        core_dims: (8, 8, 8),
+        core_dims: (2, 4, 8),
         max_iters: 3,
         ..Default::default()
     };
     let block = 8 + config.subspace.oversample;
+    let cols = f.unfold_csr_compact(3).cols();
 
     let (d, peak) = peak_of(|| tucker_als(&f, &config).unwrap());
     assert_eq!(d.factors[2].shape(), (dims.2, 8));
 
-    // The solver's own blocks are `I₃ × block` (I₃ ≤ nnz; the iterate, the
-    // applied block, the rotation target and Gram–Schmidt's transposes) and
-    // HOOI's product matrix is `I₃ × J₁J₂`: 3.4 MB at the peak. 8 · nnz ·
-    // block doubles (5.1 MB) covers them and stays a factor of four under
-    // what the full-width mode-2 intermediate alone would take.
-    let bound = 8 * f.nnz() * block * 8;
+    // Three I₃ × block blocks (1 536 000 B), one cols × block panel of
+    // `Aᵀ X` (cols = 1 175: 150 400 B), and 64 B a non-zero for the
+    // unfolding, its transpose and the rest: 2 006 272 B. This peaks at
+    // 1 836 659 B; the five-block solve it replaced (Gram–Schmidt's own
+    // panel-major copy and a fresh `n × k` for the closing rotation on
+    // top) peaked at 2 345 076 B.
+    let bound = (3 * dims.2 * block + cols * block.min(63)) * 8 + 64 * f.nnz();
     let wide = dims.0 * dims.2 * block * 8;
-    assert!(bound * 2 < wide, "the bound must tell the two shapes apart");
+    assert!(bound * 8 < wide, "the bound must tell the two shapes apart");
     assert!(
-        peak < bound,
-        "tucker_als peaked at {peak} B, over {bound} B = 8·nnz·block·8 \
-         (a full-width intermediate would be {wide} B)"
+        peak <= bound,
+        "tucker_als peaked at {peak} B, over {bound} B = (3·I₃·block + \
+         cols·block)·8 + 64·nnz (a full-width intermediate would be {wide} B)"
+    );
+}
+
+#[test]
+fn spectral_clustering_holds_one_t_by_t_buffer() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let (tags, dims, k) = (600usize, 8usize, 6usize);
+    let mut state = 0x5bd1_e995u64;
+    let z = Matrix::from_fn(tags, dims, |_, _| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+    });
+    let config = SpectralConfig {
+        k: KSelection::Fixed(k),
+        ..Default::default()
+    };
+    // The distances are made inside, as the build makes them: D̂, A and L
+    // share their buffer, and σ's median is selected inside it.
+    let (result, peak) = peak_of(|| {
+        let distances = pairwise_distances_from_embedding(&z);
+        spectral_clustering(distances.into_matrix(), &config).unwrap()
+    });
+    assert_eq!(result.assignments.len(), tags);
+    // One T × T (2 880 000 B) and 16 doubles per tag and cluster
+    // (460 800 B): 3 340 800 B. This peaks at 2 972 039 B; with the
+    // distances borrowed and a second T × T for A → L it peaked at
+    // 5 852 039 B.
+    let t_by_t = tags * tags * 8;
+    let bound = t_by_t + 16 * tags * k * 8;
+    assert!(
+        peak <= bound,
+        "spectral clustering peaked at {peak} B, over {bound} B = T²·8 + 16·T·k·8"
     );
 }
 

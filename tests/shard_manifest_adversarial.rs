@@ -261,3 +261,52 @@ fn unsupported_manifest_version_is_typed_error() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The section id a damaged load reports.
+fn reported_section(result: Result<impl std::fmt::Debug, PersistError>) -> u32 {
+    match result {
+        Err(PersistError::ChecksumMismatch { section, .. })
+        | Err(PersistError::Malformed { section, .. }) => section,
+        other => panic!("expected ChecksumMismatch or Malformed, got {other:?}"),
+    }
+}
+
+#[test]
+fn manifest_and_model_section_faults_report_different_sections() {
+    let (dir, manifest) = sharded_fixture("ids");
+    // A byte of the manifest body (shard 0's recorded file length) flipped.
+    let mut bytes = std::fs::read(&manifest).unwrap();
+    let name_len = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
+    bytes[20 + 4 + name_len] ^= 0x01;
+    std::fs::write(&manifest, &bytes).unwrap();
+    let manifest_section = reported_section(shard::load_manifest(&manifest));
+    // A byte in the middle of the model section's payload flipped.
+    let mut artifact = std::fs::read(dir.join("model.shards.shard0")).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let count = u32::from_le_bytes(artifact[12..16].try_into().unwrap()) as usize;
+    let entry = (0..count)
+        .map(|i| persist::HEADER_LEN + i * persist::TABLE_ENTRY_LEN)
+        .find(|&e| {
+            u32::from_le_bytes(artifact[e..e + 4].try_into().unwrap()) == persist::SECTION_MODEL
+        })
+        .expect("the artifact has a model section");
+    let offset = u64::from_le_bytes(artifact[entry + 4..entry + 12].try_into().unwrap()) as usize;
+    let len = u64::from_le_bytes(artifact[entry + 12..entry + 20].try_into().unwrap()) as usize;
+    artifact[offset + len / 2] ^= 0x01;
+    let model_section = reported_section(persist::load_from_bytes(&artifact));
+
+    assert_eq!(manifest_section, shard::SECTION_MANIFEST);
+    assert_eq!(model_section, persist::SECTION_MODEL);
+    assert_ne!(manifest_section, model_section);
+    // No artifact section and no shard ordinal uses the manifest's id.
+    assert!(shard::SECTION_MANIFEST as usize >= shard::MAX_SHARDS);
+    let shown = PersistError::ChecksumMismatch {
+        section: manifest_section,
+        expected: 0,
+        got: 1,
+    };
+    assert!(
+        shown.to_string().starts_with("shard manifest corrupt"),
+        "{shown}"
+    );
+}
