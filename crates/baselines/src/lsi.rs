@@ -17,6 +17,7 @@ use cubelsi_linalg::spectral::{KSelection, SpectralConfig};
 use cubelsi_linalg::subspace::SubspaceOptions;
 use cubelsi_linalg::svd::truncated_svd;
 use cubelsi_linalg::{CsrMatrix, LinAlgError, Matrix};
+use std::sync::OnceLock;
 
 /// Configuration of the LSI baseline.
 #[derive(Debug, Clone)]
@@ -50,8 +51,12 @@ impl Default for LsiConfig {
 }
 
 /// The LSI ranker: SVD-purified tag distances + shared concept retrieval.
+///
+/// It keeps the `T × rank` tag embedding, not the `T × T` distances it
+/// was distilled from: [`Self::distances`] derives them on first use.
 pub struct LsiRanker {
-    distances: TagDistances,
+    embedding: Matrix,
+    distances: OnceLock<TagDistances>,
     concepts: ConceptModel,
     index: ConceptIndex,
     singular_values: Vec<f64>,
@@ -60,8 +65,7 @@ pub struct LsiRanker {
 impl LsiRanker {
     /// Builds the LSI pipeline on the user-aggregated tag×resource matrix.
     pub fn build(f: &Folksonomy, config: &LsiConfig) -> Result<Self, LinAlgError> {
-        let distances = Self::distances_only(f, config)?;
-        let (distances, singular_values) = distances;
+        let (embedding, singular_values) = Self::embedding(f, config)?;
         let spectral = SpectralConfig {
             sigma: config.sigma,
             k: match config.num_concepts {
@@ -76,10 +80,12 @@ impl LsiRanker {
                 ..Default::default()
             },
         };
-        let concepts = ConceptModel::distill(distances.clone(), &spectral)?;
+        let concepts =
+            ConceptModel::distill(pairwise_distances_from_embedding(&embedding), &spectral)?;
         let index = ConceptIndex::build(f, &concepts);
         Ok(LsiRanker {
-            distances,
+            embedding,
+            distances: OnceLock::new(),
             concepts,
             index,
             singular_values,
@@ -93,6 +99,13 @@ impl LsiRanker {
         f: &Folksonomy,
         config: &LsiConfig,
     ) -> Result<(TagDistances, Vec<f64>), LinAlgError> {
+        let (z, singular_values) = Self::embedding(f, config)?;
+        Ok((pairwise_distances_from_embedding(&z), singular_values))
+    }
+
+    /// The tag embedding in latent space (`T × rank`) and the singular
+    /// values.
+    fn embedding(f: &Folksonomy, config: &LsiConfig) -> Result<(Matrix, Vec<f64>), LinAlgError> {
         let t = f.num_tags();
         let r = f.num_resources();
         let matrix = CsrMatrix::from_triples(t, r, &f.tag_resource_triples())?;
@@ -118,12 +131,14 @@ impl LsiRanker {
                 *x *= s;
             }
         }
-        Ok((pairwise_distances_from_embedding(&z), svd.singular_values))
+        Ok((z, svd.singular_values))
     }
 
-    /// The purified tag distance matrix.
+    /// The purified tag distance matrix, derived from the embedding on
+    /// first use.
     pub fn distances(&self) -> &TagDistances {
-        &self.distances
+        self.distances
+            .get_or_init(|| pairwise_distances_from_embedding(&self.embedding))
     }
 
     /// The distilled concept model.

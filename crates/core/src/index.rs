@@ -15,18 +15,21 @@
 //!   scan that only needs ids (the update-only tail of a list) touches
 //!   4 bytes per posting instead of a padded 16-byte `(u32, f64)` pair.
 //! * **Impact order** — each list is sorted by descending impact (ties by
-//!   ascending resource id, the ranking tie-break), so a prefix of a list
-//!   is already in final ranked order for single-term queries and the
-//!   per-list maximum is simply the first impact.
+//!   ascending resource id, the ranking tie-break), so the per-list
+//!   maximum is simply the first impact.
 //! * **Block maxima** — every list is carved into fixed [`BLOCK_LEN`]
 //!   posting blocks, each carrying its maximum impact in a separate dense
 //!   array. The block-max query path checks one bound per block instead of
 //!   one per posting, and skips whole blocks that cannot beat the current
-//!   top-k threshold. Per-list maxima (`max_impact`) remain as the
-//!   MaxScore term-ordering metadata.
+//!   top-k threshold. A list's maximum ([`ConceptIndex::max_impact`], the
+//!   MaxScore term-ordering key) is its first block's maximum.
 //!
-//! All arrays are plain `Vec`s, and [`ConceptIndex::build`] is the one
-//! way to make them: an artifact stores the corpus and the concept map,
+//! The index holds these posting arrays, the `idf` table and nothing
+//! else: the resources' tf-idf vectors (Eq. 3) and norms exist only
+//! inside [`ConceptIndex::build`], which forms the impacts from them and
+//! drops them. All arrays are plain `Vec`s, and [`ConceptIndex::build`]
+//! is the one way to make them: an artifact stores the corpus and the
+//! concept map,
 //! and every load builds the index from those, so a loaded index is the
 //! built one bit for bit. Debug builds check every assembled index with
 //! `IndexArrays::validate`. The actual pruned query engine lives in
@@ -150,36 +153,6 @@ impl<'a> PostingsRef<'a> {
     }
 }
 
-/// A borrowed view of one resource's sparse tf-idf vector: parallel
-/// concept-id/weight slices, ascending concept id.
-#[derive(Debug, Clone, Copy)]
-pub struct ResourceVectorRef<'a> {
-    /// Concept ids, ascending.
-    pub concepts: &'a [u32],
-    /// tf-idf weights (Eq. 3).
-    pub weights: &'a [f64],
-}
-
-impl<'a> ResourceVectorRef<'a> {
-    /// Number of nonzero concepts.
-    pub fn len(&self) -> usize {
-        self.concepts.len()
-    }
-
-    /// Whether the vector is empty.
-    pub fn is_empty(&self) -> bool {
-        self.concepts.is_empty()
-    }
-
-    /// Iterates `(concept, weight)` pairs in ascending concept order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, f64)> + 'a {
-        self.concepts
-            .iter()
-            .copied()
-            .zip(self.weights.iter().copied())
-    }
-}
-
 /// The SoA arrays of an index: what a build assembles and what
 /// [`Self::validate`] guards.
 #[derive(Debug, Clone)]
@@ -188,14 +161,6 @@ pub(crate) struct IndexArrays {
     pub num_concepts: usize,
     /// `idf[l] = log(N / n_l)`; 0 for unseen concepts (Eq. 1).
     pub idf: Vec<f64>,
-    /// Per-resource vector L2 norms (denominator of Eq. 4).
-    pub resource_norms: Vec<f64>,
-    /// Resource tf-idf vectors, ragged SoA: resource `r` owns
-    /// `rv_concepts/rv_weights[rv_offsets[r]..rv_offsets[r+1]]`,
-    /// ascending concept id.
-    pub rv_offsets: Vec<u64>,
-    pub rv_concepts: Vec<u32>,
-    pub rv_weights: Vec<f64>,
     /// Inverted index, ragged SoA: concept `l` owns
     /// `post_ids/post_scores[post_offsets[l]..post_offsets[l+1]]`,
     /// descending impact (ties by ascending resource id).
@@ -209,38 +174,27 @@ pub(crate) struct IndexArrays {
     /// block's first posting.
     pub block_offsets: Vec<u64>,
     pub block_max: Vec<f64>,
-    /// Per-posting-list maximum impact (upper-bound metadata and the
-    /// term-ordering key); 0 for empty lists.
-    pub max_impact: Vec<f64>,
 }
 
 impl IndexArrays {
     /// The structural validator debug builds run on every assembled
     /// index: shape coherence (checked first, so every index after it is
-    /// in bounds), offset monotonicity, id ranges, finite
-    /// non-negative idf / weights / norms (the pruned engine's bounds
-    /// assume non-negative term weights), per-list impact order (the
-    /// pruning loops' exactness relies on it), block geometry, block-max
-    /// / max-impact consistency with the score arrays, and posting ↔
-    /// resource-vector cross-consistency (the block-max engine's
-    /// candidate-side updates recompute `w/‖r‖` from the vectors, so the
-    /// two representations must agree bit for bit). Returns a
+    /// in bounds), offset monotonicity, id ranges, finite non-negative
+    /// idf (the pruned engine's bounds assume non-negative term weights),
+    /// finite impacts with a clear sign bit, per-list impact order (the
+    /// pruning loops' exactness relies on both), and block geometry and
+    /// block maxima consistent with the score arrays. Returns a
     /// description of the first violation.
     pub(crate) fn validate(&self) -> Result<(), String> {
         let IndexArrays {
             num_resources,
             num_concepts,
             idf,
-            resource_norms,
-            rv_offsets,
-            rv_concepts,
-            rv_weights,
             post_offsets,
             post_ids,
             post_scores,
             block_offsets,
             block_max,
-            max_impact,
         } = self;
         let (num_resources, num_concepts) = (*num_resources, *num_concepts);
 
@@ -248,18 +202,11 @@ impl IndexArrays {
         // strength of it. (A count that equals a `Vec` length cannot
         // overflow the `+ 1` after it.)
         if idf.len() != num_concepts
-            || max_impact.len() != num_concepts
             || post_offsets.len() != num_concepts + 1
             || block_offsets.len() != num_concepts + 1
             || post_ids.len() != post_scores.len()
         {
             return Err("posting arrays out of shape".to_owned());
-        }
-        if resource_norms.len() != num_resources
-            || rv_offsets.len() != num_resources + 1
-            || rv_concepts.len() != rv_weights.len()
-        {
-            return Err("resource-vector arrays out of shape".to_owned());
         }
         let check_offsets = |offsets: &[u64], total: usize, what: &str| -> Result<(), String> {
             if offsets.first() != Some(&0) {
@@ -278,58 +225,23 @@ impl IndexArrays {
             }
             Ok(())
         };
-        check_offsets(rv_offsets, rv_concepts.len(), "resource-vector")?;
         check_offsets(post_offsets, post_ids.len(), "posting")?;
         check_offsets(block_offsets, block_max.len(), "block")?;
 
-        if let Some(&l) = rv_concepts.iter().find(|&&l| l as usize >= num_concepts) {
-            return Err(format!(
-                "resource vector references unknown concept {l} of {num_concepts}"
-            ));
-        }
         if let Some(&r) = post_ids.iter().find(|&&r| r as usize >= num_resources) {
             return Err(format!(
                 "posting references unknown resource {r} of {num_resources}"
             ));
         }
-        for (what, xs) in [
-            ("idf", idf),
-            ("resource-vector weight", rv_weights),
-            ("resource norm", resource_norms),
-        ] {
-            if let Some(x) = xs.iter().find(|x| !x.is_finite() || **x < 0.0) {
-                return Err(format!("{what} {x} is negative or not finite"));
-            }
+        if let Some(x) = idf.iter().find(|x| !x.is_finite() || **x < 0.0) {
+            return Err(format!("idf {x} is negative or not finite"));
         }
-
-        // Resource vectors must be strictly ascending in concept id: the
-        // candidate-side update path binary-searches them.
-        for r in 0..num_resources {
-            let lo = rv_offsets[r] as usize;
-            let hi = rv_offsets[r + 1] as usize;
-            for j in lo + 1..hi {
-                if rv_concepts[j - 1] >= rv_concepts[j] {
-                    return Err(format!(
-                        "resource {r} vector concepts not strictly ascending"
-                    ));
-                }
-            }
-        }
-        // Every posting of a resource must correspond to one of its
-        // vector entries with the bitwise-identical normalized impact;
-        // together with the count equality below this makes postings ↔
-        // vector entries a bijection for resources with a positive norm,
-        // so candidate-side updates and posting-list scans are
-        // interchangeable.
-        let expected_postings: u64 = (0..num_resources)
-            .filter(|&r| resource_norms[r] > 0.0)
-            .map(|r| rv_offsets[r + 1] - rv_offsets[r])
-            .sum();
-        if expected_postings != post_ids.len() as u64 {
-            return Err(format!(
-                "{} postings for {expected_postings} vector entries of positive-norm resources",
-                post_ids.len()
-            ));
+        // The pruning bounds add impacts as non-negative numbers.
+        if let Some(x) = post_scores
+            .iter()
+            .find(|x| !x.is_finite() || x.is_sign_negative())
+        {
+            return Err(format!("impact {x} is not finite with a clear sign bit"));
         }
 
         for l in 0..num_concepts {
@@ -345,8 +257,7 @@ impl IndexArrays {
                 ));
             }
             // Impact order: score descending, ties by ascending resource
-            // id (the shared ranking tie-break). NaN scores fail both
-            // branches.
+            // id (the shared ranking tie-break).
             for j in lo + 1..hi {
                 let ordered = post_scores[j - 1] > post_scores[j]
                     || (post_scores[j - 1] == post_scores[j] && post_ids[j - 1] < post_ids[j]);
@@ -358,44 +269,13 @@ impl IndexArrays {
                 }
             }
             // Block maxima must equal the head impact of their block
-            // (lists are descending), and the list max must equal the
-            // first impact.
+            // (lists are descending).
             for (bi, b) in (blo..bhi).enumerate() {
                 let head = post_scores[lo + bi * BLOCK_LEN];
                 if block_max[b].to_bits() != head.to_bits() {
                     return Err(format!(
                         "concept {l} block {bi} max {} disagrees with head impact {head}",
                         block_max[b]
-                    ));
-                }
-            }
-            let expect_max = if hi > lo { post_scores[lo] } else { 0.0 };
-            if max_impact[l].to_bits() != expect_max.to_bits() {
-                return Err(format!(
-                    "concept {l} max impact {} disagrees with list head {expect_max}",
-                    max_impact[l]
-                ));
-            }
-            // Posting ↔ vector cross-check (see above).
-            for j in lo..hi {
-                let r = post_ids[j] as usize;
-                let rlo = rv_offsets[r] as usize;
-                let rhi = rv_offsets[r + 1] as usize;
-                let Ok(p) = rv_concepts[rlo..rhi].binary_search(&(l as u32)) else {
-                    return Err(format!(
-                        "concept {l} posts resource {r} whose vector lacks the concept"
-                    ));
-                };
-                let norm = resource_norms[r];
-                if norm <= 0.0 {
-                    return Err(format!("posted resource {r} has non-positive norm {norm}"));
-                }
-                let recomputed = rv_weights[rlo + p] / norm;
-                if recomputed.to_bits() != post_scores[j].to_bits() {
-                    return Err(format!(
-                        "concept {l} posting for resource {r}: impact {} disagrees with \
-                         vector-derived {recomputed}",
-                        post_scores[j]
                     ));
                 }
             }
@@ -486,8 +366,8 @@ fn radix_sort_keys(keys: &mut Vec<(u64, u32)>, spare: &mut Vec<(u64, u32)>) {
     }
 }
 
-/// The offline concept index: tf-idf resource vectors plus a
-/// block-structured SoA inverted index from concepts to resources.
+/// The offline concept index: a block-structured SoA inverted index from
+/// concepts to resources, with the concepts' `idf`.
 #[derive(Debug, Clone)]
 pub struct ConceptIndex {
     arrays: IndexArrays,
@@ -500,10 +380,12 @@ impl ConceptIndex {
     /// spread over its concepts by their [`ConceptAssignment`] weights.
     ///
     /// Linear passes over flat arrays: counts are written straight into
-    /// the resource-vector arrays, tf-idf rewrites them in place, and
-    /// each posting list is scattered in ascending resource order, then
-    /// ordered by a stable sort on its impacts ([`sort_by_impact`]), so
-    /// equal impacts keep the ascending-id tie-break of [`cmp_ranked`].
+    /// local resource-vector arrays, tf-idf rewrites them in place, and
+    /// each resource's impacts `w / ‖r‖` are scattered into its concepts'
+    /// posting lists in ascending resource order, after which the vectors
+    /// are dropped. Each list is then ordered by a stable sort on its
+    /// impacts ([`sort_by_impact`]), so equal impacts keep the
+    /// ascending-id tie-break of [`cmp_ranked`].
     pub fn build(folksonomy: &Folksonomy, concepts: &dyn ConceptAssignment) -> Self {
         let n_resources = folksonomy.num_resources();
         let n_concepts = concepts.num_concepts();
@@ -592,10 +474,6 @@ impl ConceptIndex {
             resource_norms.push(norm);
         }
         rv_offsets[n_resources] = kept as u64;
-        rv_concepts.truncate(kept);
-        rv_concepts.shrink_to_fit();
-        rv_weights.truncate(kept);
-        rv_weights.shrink_to_fit();
 
         // Posting lists: offsets from the counts, then every resource's
         // impacts scattered in ascending resource order.
@@ -620,6 +498,9 @@ impl ConceptIndex {
                 }
             }
         }
+        // The vectors served only to form the impacts: free them before
+        // the sort's buffers grow.
+        drop((rv_offsets, rv_concepts, rv_weights, resource_norms));
         let (mut keys, mut spare) = (Vec::new(), Vec::new());
         for span in post_offsets.windows(2) {
             let span = span[0] as usize..span[1] as usize;
@@ -635,25 +516,27 @@ impl ConceptIndex {
             num_resources: n_resources,
             num_concepts: n_concepts,
             idf,
-            resource_norms,
-            rv_offsets,
-            rv_concepts,
-            rv_weights,
             post_offsets,
             post_ids,
             post_scores,
             block_offsets: Vec::new(),
             block_max: Vec::new(),
-            max_impact: Vec::new(),
         })
     }
 
-    /// Derives the block structure of impact-ordered posting lists: block
-    /// maxima and per-list maxima are the first impact of each block /
-    /// list. `arrays` arrives with its three block arrays empty.
+    /// Derives the block structure of impact-ordered posting lists: a
+    /// block's maximum is its first impact. `arrays` arrives with its two
+    /// block arrays empty.
     fn with_blocks(mut arrays: IndexArrays) -> Self {
+        // Exact capacity: the index holds its element bytes and no more
+        // (`tests/peak_memory.rs`).
+        let blocks = arrays
+            .post_offsets
+            .windows(2)
+            .map(|span| ((span[1] - span[0]) as usize).div_ceil(BLOCK_LEN))
+            .sum();
+        arrays.block_max.reserve_exact(blocks);
         arrays.block_offsets.reserve_exact(arrays.num_concepts + 1);
-        arrays.max_impact.reserve_exact(arrays.num_concepts);
         arrays.block_offsets.push(0u64);
         for span in arrays.post_offsets.windows(2) {
             let scores = &arrays.post_scores[span[0] as usize..span[1] as usize];
@@ -661,9 +544,6 @@ impl ConceptIndex {
             // its maximum.
             arrays.block_max.extend(scores.iter().step_by(BLOCK_LEN));
             arrays.block_offsets.push(arrays.block_max.len() as u64);
-            arrays
-                .max_impact
-                .push(scores.first().copied().unwrap_or(0.0));
         }
         debug_assert_eq!(arrays.validate(), Ok(()));
         ConceptIndex { arrays }
@@ -694,22 +574,6 @@ impl ConceptIndex {
         self.arrays.idf[concept]
     }
 
-    /// The sparse tf-idf vector of a resource (Eq. 3), ascending concept
-    /// id.
-    pub fn resource_vector(&self, r: usize) -> ResourceVectorRef<'_> {
-        let lo = self.arrays.rv_offsets[r] as usize;
-        let hi = self.arrays.rv_offsets[r + 1] as usize;
-        ResourceVectorRef {
-            concepts: &self.arrays.rv_concepts[lo..hi],
-            weights: &self.arrays.rv_weights[lo..hi],
-        }
-    }
-
-    /// L2 norm of a resource's tf-idf vector.
-    pub fn resource_norm(&self, r: usize) -> f64 {
-        self.arrays.resource_norms[r]
-    }
-
     /// The impact-ordered posting list of a concept: parallel
     /// `(resource, impact)` arrays with `impact = w(l, r) / ‖r‖`,
     /// descending.
@@ -731,9 +595,10 @@ impl ConceptIndex {
         &self.arrays.block_max[lo..hi]
     }
 
-    /// Maximum impact in a concept's posting list (0 if empty).
+    /// Maximum impact in a concept's posting list (0 if empty): its
+    /// first block's maximum.
     pub fn max_impact(&self, concept: usize) -> f64 {
-        self.arrays.max_impact[concept]
+        self.block_maxima(concept).first().copied().unwrap_or(0.0)
     }
 
     /// Shim for the frozen benchmark's `index.hot_bytes_per_posting` row,
@@ -753,7 +618,7 @@ impl ConceptIndex {
 
     /// Maps query tags to a [`PreparedQuery`]: each tag occurrence counts
     /// 1, spread over its concept memberships, normalized and idf-weighted
-    /// exactly like resource vectors. Returns `None` when
+    /// exactly like the build's resource vectors. Returns `None` when
     /// no known tag or no positively-weighted concept survives.
     pub fn prepare_query(
         &self,
@@ -798,10 +663,9 @@ impl ConceptIndex {
     /// and hence scores — identical for every surviving resource. NaN
     /// products sort last, keeping the comparator total.
     pub(crate) fn order_terms(&self, terms: &mut [(u32, f64)]) {
-        let max_impact = &self.arrays.max_impact;
         terms.sort_unstable_by(|a, b| {
-            let ba = a.1 * max_impact[a.0 as usize];
-            let bb = b.1 * max_impact[b.0 as usize];
+            let ba = a.1 * self.max_impact(a.0 as usize);
+            let bb = b.1 * self.max_impact(b.0 as usize);
             bb.partial_cmp(&ba)
                 .unwrap_or_else(|| cmp_nan_last(ba, bb))
                 .then(a.0.cmp(&b.0))
@@ -901,7 +765,7 @@ mod tests {
     /// The reference build [`ConceptIndex::build`] must equal bit for
     /// bit: a count vector per resource, a tf-idf vector per resource,
     /// a posting list per concept sorted by [`cmp_ranked`], flattened at
-    /// the end.
+    /// the end. The vectors stay local, as in the build.
     fn reference_build(folksonomy: &Folksonomy, concepts: &dyn ConceptAssignment) -> ConceptIndex {
         let n_resources = folksonomy.num_resources();
         let n_concepts = concepts.num_concepts();
@@ -943,8 +807,6 @@ mod tests {
             .iter()
             .map(|&df| if df == 0 { 0.0 } else { (n / df as f64).ln() })
             .collect();
-        let mut resource_vectors = Vec::with_capacity(n_resources);
-        let mut resource_norms = Vec::with_capacity(n_resources);
         let mut postings: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n_concepts];
         for (r, counts) in raw_counts.into_iter().enumerate() {
             let total: f64 = counts.iter().map(|&(_, c)| c).sum();
@@ -962,28 +824,20 @@ mod tests {
                     postings[l as usize].push((r as u32, w / norm));
                 }
             }
-            resource_vectors.push(vector);
-            resource_norms.push(norm);
         }
         for list in &mut postings {
             list.sort_unstable_by(|a, b| cmp_ranked(a.1, a.0, b.1, b.0));
         }
-        let (rv_offsets, rv_concepts, rv_weights) = flatten(&resource_vectors);
         let (post_offsets, post_ids, post_scores) = flatten(&postings);
         ConceptIndex::with_blocks(IndexArrays {
             num_resources: n_resources,
             num_concepts: n_concepts,
             idf,
-            resource_norms,
-            rv_offsets,
-            rv_concepts,
-            rv_weights,
             post_offsets,
             post_ids,
             post_scores,
             block_offsets: Vec::new(),
             block_max: Vec::new(),
-            max_impact: Vec::new(),
         })
     }
 
@@ -995,22 +849,17 @@ mod tests {
         assert_eq!(a.num_concepts, b.num_concepts, "{what}");
         for (x, y) in [
             (&a.idf, &b.idf),
-            (&a.resource_norms, &b.resource_norms),
-            (&a.rv_weights, &b.rv_weights),
             (&a.post_scores, &b.post_scores),
             (&a.block_max, &b.block_max),
-            (&a.max_impact, &b.max_impact),
         ] {
             assert_eq!(bits(x), bits(y), "{what}");
         }
         for (x, y) in [
-            (&a.rv_offsets, &b.rv_offsets),
             (&a.post_offsets, &b.post_offsets),
             (&a.block_offsets, &b.block_offsets),
         ] {
             assert_eq!(x, y, "{what}");
         }
-        assert_eq!(a.rv_concepts, b.rv_concepts, "{what}");
         assert_eq!(a.post_ids, b.post_ids, "{what}");
     }
 
@@ -1106,9 +955,11 @@ mod tests {
                 let index = ConceptIndex::build(&f, model);
                 let reference = reference_build(&f, model);
                 assert_same_index(&index, &reference, &what);
-                zero_norm += (0..index.num_resources())
-                    .filter(|&r| index.resource_norm(r) == 0.0)
-                    .count();
+                let mut posted = vec![false; index.num_resources()];
+                for &r in &index.arrays.post_ids {
+                    posted[r as usize] = true;
+                }
+                zero_norm += posted.iter().filter(|&&p| !p).count();
                 for l in 0..index.num_concepts() {
                     let p = index.postings(l);
                     radix_lists += usize::from(p.len() >= RADIX_MIN_LEN);
@@ -1155,17 +1006,23 @@ mod tests {
         assert!((index.idf(0) - (3.0f64 / 2.0).ln()).abs() < 1e-12);
         // Concept 1 (tech) appears in r2, r3 → same idf.
         assert!((index.idf(1) - (3.0f64 / 2.0).ln()).abs() < 1e-12);
-        // r1: 3 music occurrences, 0 tech → tf(music) = 1.
-        let r1 = f.resource_id("r1").unwrap().index();
-        let v1 = index.resource_vector(r1);
-        assert_eq!(v1.len(), 1);
-        assert_eq!(v1.concepts[0], 0);
-        assert!((v1.weights[0] - 1.0 * (1.5f64).ln()).abs() < 1e-12);
-        // r2: 1 music + 1 tech → tf = 0.5 each.
-        let r2 = f.resource_id("r2").unwrap().index();
-        let v2 = index.resource_vector(r2);
-        assert_eq!(v2.len(), 2);
-        assert!((v2.weights[0] - 0.5 * (1.5f64).ln()).abs() < 1e-12);
+        // Impacts are w / ‖r‖. r1: 3 music occurrences, 0 tech → its
+        // vector is (ln 1.5, 0), impact 1 in the music list only.
+        let impact = |l: usize, name: &str| {
+            let r = f.resource_id(name).unwrap().index() as u32;
+            index
+                .postings(l)
+                .iter()
+                .find(|&(id, _)| id == r)
+                .map(|(_, w)| w)
+        };
+        assert!((impact(0, "r1").unwrap() - 1.0).abs() < 1e-12);
+        assert_eq!(impact(1, "r1"), None);
+        // r2: 1 music + 1 tech → tf = 0.5 each, so equal weights and an
+        // impact of 1/√2 in both lists.
+        for l in [0, 1] {
+            assert!((impact(l, "r2").unwrap() - 0.5f64.sqrt()).abs() < 1e-12);
+        }
     }
 
     #[test]
@@ -1255,10 +1112,8 @@ mod tests {
             let expected_max = list.scores.first().copied().unwrap_or(0.0);
             assert_eq!(index.max_impact(l), expected_max);
             // Every impact is a normalized weight: within (0, 1].
-            for (r, w) in list.iter() {
+            for (_, w) in list.iter() {
                 assert!(w > 0.0 && w <= 1.0 + 1e-12, "impact out of range");
-                let norm = index.resource_norm(r as usize);
-                assert!(norm > 0.0);
             }
         }
     }
@@ -1349,12 +1204,6 @@ mod tests {
         let err = exact_err(&bad);
         assert!(err.contains("disagrees with head impact"), "{err}");
 
-        // Stale per-concept bound.
-        let mut bad = index.clone();
-        bad.arrays.max_impact[0] *= 0.5;
-        let err = exact_err(&bad);
-        assert!(err.contains("disagrees with list head"), "{err}");
-
         // Impact order broken: reverse one posting list in place.
         let mut bad = index.clone();
         let (lo, hi) = (
@@ -1379,6 +1228,22 @@ mod tests {
             bad.arrays.idf[0] = hostile;
             let err = exact_err(&bad);
             assert!(err.contains("idf"), "{err}");
+        }
+
+        // An impact the bounds cannot add at the head of a list, with
+        // the block maximum — and so the list maximum — set to match, so
+        // only the impact check can catch it.
+        for hostile in [f64::NAN, -1.0, -0.0] {
+            let mut bad = index.clone();
+            let (lo, blo) = (
+                bad.arrays.post_offsets[0] as usize,
+                bad.arrays.block_offsets[0] as usize,
+            );
+            bad.arrays.post_scores[lo] = hostile;
+            bad.arrays.block_max[blo] = hostile;
+            assert_eq!(bad.max_impact(0).to_bits(), hostile.to_bits());
+            let err = exact_err(&bad);
+            assert!(err.contains("clear sign bit"), "{err}");
         }
     }
 }

@@ -57,8 +57,7 @@ pub use distance::{
 };
 pub use exec::ExecutorStats;
 pub use index::{
-    ConceptAssignment, ConceptIndex, PostingsRef, PreparedQuery, RankedResource, ResourceVectorRef,
-    BLOCK_LEN,
+    ConceptAssignment, ConceptIndex, PostingsRef, PreparedQuery, RankedResource, BLOCK_LEN,
 };
 pub use persist::{Artifact, PersistError};
 pub use pipeline::{BuildReport, BuildTrace, CubeLsi, HosvdCounts, PhasePeaks, PhaseTimings};

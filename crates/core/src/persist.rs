@@ -837,24 +837,23 @@ fn encode_concepts(c: &ConceptModel) -> Vec<u8> {
 }
 
 /// Shim for the frozen `perfbench/`, whose query workloads report it as
-/// `artifact_mb`: the bytes `ix`'s arrays took in format 4's index
-/// section (a 48-byte header, then each array, `u32` arrays zero-padded
-/// to 8 bytes). No artifact stores the index since format 5, and
+/// `artifact_mb`: the bytes `ix` took in format 4's index section, a
+/// 48-byte header, then each array, `u32` arrays zero-padded to 8 bytes.
+/// That section held per-resource tf-idf vectors and norms and a
+/// per-list maximum beside today's arrays, so the size is computed from
+/// the counts: R + 1 offsets and R norms for R resources; one vector
+/// entry (a `u32` concept and an `f64` weight) per posting, as every
+/// nonzero entry of a positive-norm vector is one; C + 1 offsets of
+/// each ragged array, C idf values and C maxima for C concepts; one
+/// `f64` per block. No artifact stores the index since format 5, and
 /// `_compress`, which added format 4's compressed mirror, is ignored.
 #[doc(hidden)]
 pub fn index_artifact_bytes(ix: &ConceptIndex, _compress: bool) -> usize {
-    let a = ix.as_arrays();
-    let u32s = |n: usize| (4 * n).div_ceil(8) * 8;
-    let f64s_and_offsets = a.idf.len()
-        + a.resource_norms.len()
-        + a.rv_offsets.len()
-        + a.rv_weights.len()
-        + a.post_offsets.len()
-        + a.post_scores.len()
-        + a.block_offsets.len()
-        + a.block_max.len()
-        + a.max_impact.len();
-    48 + 8 * f64s_and_offsets + u32s(a.rv_concepts.len()) + u32s(a.post_ids.len())
+    let (r, c, p) = (ix.num_resources(), ix.num_concepts(), ix.num_postings());
+    let blocks = ix.as_arrays().block_max.len();
+    let u32s = (4 * p).div_ceil(8) * 8;
+    let f64s_and_offsets = (2 * r + 1) + 2 * p + (4 * c + 2) + blocks;
+    48 + 8 * f64s_and_offsets + 2 * u32s
 }
 
 // ---------------------------------------------------------------------------
@@ -1594,22 +1593,17 @@ mod tests {
             );
             for (x, y) in [
                 (&a.idf, &b.idf),
-                (&a.resource_norms, &b.resource_norms),
-                (&a.rv_weights, &b.rv_weights),
                 (&a.post_scores, &b.post_scores),
                 (&a.block_max, &b.block_max),
-                (&a.max_impact, &b.max_impact),
             ] {
                 assert_eq!(bits(x), bits(y), "case {case}");
             }
             for (x, y) in [
-                (&a.rv_offsets, &b.rv_offsets),
                 (&a.post_offsets, &b.post_offsets),
                 (&a.block_offsets, &b.block_offsets),
             ] {
                 assert_eq!(x, y, "case {case}");
             }
-            assert_eq!(a.rv_concepts, b.rv_concepts, "case {case}");
             assert_eq!(a.post_ids, b.post_ids, "case {case}");
             postings += a.post_ids.len();
         }

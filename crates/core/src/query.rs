@@ -45,11 +45,6 @@
 //!   remaining admissions are bulk copies with vectorized products,
 //!   and at the second term the heap minimum *is* the exact k-th
 //!   partial, replacing the O(touched) selection;
-//! * **candidate-side updates**: a term that can no longer admit
-//!   anything updates the touched set through per-resource vector
-//!   lookups instead of scanning its posting list when the touched set
-//!   is far smaller (`w/‖r‖` recomputed from the stored vector is the
-//!   bitwise-identical division the index build performed);
 //! * **division-filtered selection**: candidates are compared against
 //!   a conservative undivided bound first, so only near-top-k
 //!   candidates pay the `acc/norm` division.
@@ -498,35 +493,6 @@ impl QueryEngine {
         if m == 0 {
             return;
         }
-        // Single-term queries: the impact-ordered list *is* the ranking
-        // (postings sort ties by ascending resource id, matching the
-        // result tie-break); emit the prefix directly. Equal impacts can
-        // collapse to equal scores after multiplication, so extend the cut
-        // across the boundary tie-group before re-sorting by final score.
-        if m == 1 && top_k > 0 {
-            let (l, wq) = session.terms[0];
-            let list = self.index.postings(l as usize);
-            let mut take = top_k.min(list.len());
-            if take > 0 && take < list.len() {
-                let boundary = wq * list.scores[take - 1] / norm;
-                while take < list.len() && wq * list.scores[take] / norm == boundary {
-                    take += 1;
-                }
-            }
-            out.extend(
-                list.ids[..take]
-                    .iter()
-                    .zip(&list.scores[..take])
-                    .map(|(&r, &w)| RankedResource {
-                        resource: ResourceId::from_index(r as usize),
-                        score: wq * w / norm,
-                    }),
-            );
-            sort_ranked(out);
-            out.truncate(top_k);
-            return;
-        }
-
         // Suffix bounds: suffix[i] = Σ_{j ≥ i} wq_j · max_impact_j.
         session.suffix.clear();
         session.suffix.resize(m + 1, 0.0);
@@ -605,102 +571,33 @@ impl QueryEngine {
             }
             let start_len = session.touched.len();
             if !admitting {
-                self.update_touched(session, l, &term, start_len);
+                term.update_only(session, 0);
                 continue;
             }
-            let blocks = self.index.block_maxima(l);
-
-            // Conservative admission cut under the start-of-term
-            // threshold: postings past `cut` can never admit (block
-            // maxima and the bound only decrease down the list; the
-            // improving threshold can only move the real cut earlier).
-            let cut = match threshold {
-                None => n,
-                Some(th) => {
-                    let mut c = 0usize;
-                    for &bm in blocks {
-                        if (wq * bm + rest) * PRUNE_SLACK < th {
-                            break;
-                        }
-                        c = (c + BLOCK_LEN).min(n);
-                    }
-                    c
-                }
-            };
-
-            // Candidate-side mode: the admitting prefix plus the touched
-            // set is far smaller than the list. Settle every
-            // previously-touched resource through its concept vector
-            // (covers its posting wherever it sits in the list), then
-            // scan only the prefix for *fresh* admissions — touched
-            // resources are skipped there, and the dead tail is never
-            // read at all. List-scan mode otherwise: admit + update in
-            // one pass over the whole list.
-            let candidate_side = start_len * 8 + cut < n;
-            let end = if candidate_side {
-                self.update_candidates(session, l, wq, start_len);
-                cut
-            } else {
-                n
-            };
             let mut pos = 0usize;
-            for &bm in &blocks[..end.div_ceil(BLOCK_LEN)] {
+            for &bm in self.index.block_maxima(l) {
                 raise_to_heap_threshold(session, heap_k, &mut threshold);
                 if threshold.is_some_and(|th| (wq * bm + rest) * PRUNE_SLACK < th) {
-                    // No posting from here on can admit. In list-scan
-                    // mode the touched set still needs the tail — except
-                    // resources admitted earlier in *this* list, which
-                    // cannot reappear in it, so with no earlier touched
-                    // resources the tail is dead weight.
-                    if !candidate_side && start_len > 0 {
+                    // No posting from here on can admit. The touched set
+                    // still needs the tail — except resources admitted
+                    // earlier in *this* list, which cannot reappear in
+                    // it, so with no earlier touched resources the tail
+                    // is dead weight.
+                    if start_len > 0 {
                         term.update_only(session, pos);
                     }
                     break;
                 }
-                let block = pos..(pos + BLOCK_LEN).min(end);
+                let block = pos..(pos + BLOCK_LEN).min(n);
                 pos = block.end;
-                if candidate_side {
-                    term.scan_block::<false>(session, block);
-                } else if start_len == 0 {
+                if start_len == 0 {
                     // First processed term: every posting is a fresh
                     // admission (a resource appears once per list).
                     term.admit_first(session, block);
                 } else {
-                    term.scan_block::<true>(session, block);
+                    term.scan_block(session, block);
                 }
             }
-        }
-    }
-
-    /// Adds term `l`'s contribution to the first `count` touched
-    /// resources by binary-searching each one's tf-idf vector (their
-    /// accumulator slot is their admission index, so no slot lookup is
-    /// needed). The recomputed `w / ‖r‖` is the same division (same
-    /// operand bits) the index build performed, so the contribution is
-    /// bit-identical to the stored posting impact.
-    fn update_candidates(&self, session: &mut QuerySession, l: usize, wq: f64, count: usize) {
-        let concept = l as u32;
-        for idx in 0..count {
-            let r = session.touched[idx] as usize;
-            let rv = self.index.resource_vector(r);
-            if let Ok(p) = rv.concepts.binary_search(&concept) {
-                let impact = rv.weights[p] / self.index.resource_norm(r);
-                session.acc_dense[idx] += wq * impact;
-            }
-        }
-    }
-
-    /// Applies one term's contributions to already-touched resources only
-    /// (no admissions possible), choosing the cheaper side: scan the
-    /// term's posting list, or — when the touched set is far smaller —
-    /// candidate-side vector lookups. The factor 8 keeps the lookup path
-    /// (a handful of binary-search probes plus a division per hit) to
-    /// cases where it wins decisively over `len` id reads.
-    fn update_touched(&self, session: &mut QuerySession, l: usize, term: &Term<'_>, count: usize) {
-        if count * 8 < term.scores.len() {
-            self.update_candidates(session, l, term.wq, count);
-        } else {
-            term.update_only(session, 0);
         }
     }
 }
@@ -816,20 +713,17 @@ struct Term<'a> {
 impl Term<'_> {
     /// The skeleton's inner loop over one `block` of the list, with no
     /// block bound check: fresh resources are admitted, and touched ones
-    /// take the exact update when `UPDATE` (list-scan mode) or are
-    /// skipped (candidate-side mode already settled them through their
-    /// vectors). One random cache line (`slot_map[r]`) per posting.
+    /// take the exact update. One random cache line (`slot_map[r]`) per
+    /// posting.
     #[inline]
-    fn scan_block<const UPDATE: bool>(&self, session: &mut QuerySession, block: Range<usize>) {
+    fn scan_block(&self, session: &mut QuerySession, block: Range<usize>) {
         let (wq, heap_k) = (self.wq, self.heap_k);
         let epoch_bits = (session.res_cur as u64) << 32;
         let scores = &self.scores[block.start..block.end];
         for (j, &r) in self.ids[block].iter().enumerate() {
             let word = session.slot_map[r as usize];
             if word & 0xFFFF_FFFF_0000_0000 == epoch_bits {
-                if UPDATE {
-                    session.acc_dense[(word & 0xFFFF_FFFF) as usize] += wq * scores[j];
-                }
+                session.acc_dense[(word & 0xFFFF_FFFF) as usize] += wq * scores[j];
                 continue;
             }
             admit(session, r, wq * scores[j], heap_k);
@@ -1138,17 +1032,19 @@ mod tests {
         // b: 667, neither a multiple of it) and a short one (c: 40), with
         // impacts spread by varying tag counts and a filler concept.
         // Repeating a tag in the query shifts weight between the terms,
-        // which is what steers the skeleton: traced once by hand,
-        //   * `[b, b, b, c, a]` at k ≤ 10 admits c, then takes b in
-        //     candidate-side mode (40 touched, cut after 1–3 blocks),
-        //     then settles a without admitting;
+        // which is what steers the skeleton: traced once with probes,
+        //   * `[b, b, b, c, a]` at k = 10 admits c, then list-scans b
+        //     until the admission bound fails after 3 of its 11 blocks
+        //     and b's tail is update-only, then settles a without
+        //     admitting: 232 of the query's 1 333 matches are admitted;
         //   * `[a, b, c]` / `[c, a]` / `[b, c]` at k = 65 admit c, then
         //     list-scan the next term until the admission heap — which
         //     fills part-way through a block — ends admission mid-list
         //     (after 10, 9 and 1 blocks) and the tail is update-only;
-        //   * `[a, b]` breaks off the *first* term's list the same way,
-        //     and `[a, b, c]` at small k settles both long lists through
-        //     candidate vectors without admitting anything.
+        //   * `[a, b]` and `[a]` break off the *first* term's list the
+        //     same way and skip its tail, and `[a, b, c]` at small k
+        //     settles both long lists with update-only scans, admitting
+        //     nothing from them.
         let mut b = FolksonomyBuilder::new();
         for r in 0..2000usize {
             let name = format!("r{r}");
@@ -1174,19 +1070,19 @@ mod tests {
         let model = ConceptModel::from_assignments(vec![0, 1, 2, 3], 1.0);
         let engine = QueryEngine::new(ConceptIndex::build(&f, &model));
         let [a, b, c] = ["a", "b", "c"].map(|t| f.tag_id(t).unwrap());
-        let candidate_side = vec![b, b, b, c, a];
+        let mid_list = vec![b, b, b, c, a];
         let queries = [
             vec![a, b],
             vec![a, b, c],
             vec![c, a],
             vec![b, c],
             vec![b, b, b, b, c, a],
-            candidate_side.clone(),
+            mid_list.clone(),
             vec![a],
         ];
         let mut session = engine.session();
         let mut pruned = Vec::new();
-        // Candidates the candidate-side query admits at k = 10.
+        // Candidates the mid-list query admits at k = 10.
         let mut admitted = 0;
         for k in [1usize, 3, 10, 64, 65, 128, 0] {
             for tags in &queries {
@@ -1197,13 +1093,13 @@ mod tests {
                     assert_eq!(p.resource, e.resource, "k={k}");
                     assert_eq!(p.score.to_bits(), e.score.to_bits(), "k={k}");
                 }
-                if k == 10 && *tags == candidate_side {
+                if k == 10 && *tags == mid_list {
                     admitted = session.touched.len();
                 }
             }
         }
-        // The cut really skipped postings.
-        let matches = engine.search_tags_exact(&model, &candidate_side, 0).len();
+        // Admission really ended mid-list.
+        let matches = engine.search_tags_exact(&model, &mid_list, 0).len();
         assert!(admitted < matches, "{admitted} of {matches}");
     }
 

@@ -1,7 +1,8 @@
 //! A counting global allocator for the test binaries that prove an
 //! allocation claim: it wraps the system allocator and counts allocations
-//! (`tests/query_zero_alloc.rs`), live bytes with their peak and
-//! allocations above a size (`tests/peak_memory.rs`). Included per binary with
+//! (`tests/query_zero_alloc.rs`), live bytes with their peak, the bytes
+//! a call leaves allocated and allocations above a size
+//! (`tests/peak_memory.rs`). Included per binary with
 //! `#[path = "common/counting_alloc.rs"] mod counting_alloc;`, which also
 //! installs it. The counters are global to the process: such a binary runs
 //! one measurement at a time (one test, or tests that take turns).
@@ -79,6 +80,14 @@ pub fn peak_of<T>(work: impl FnOnce() -> T) -> (T, usize) {
     PEAK.store(at_entry, Ordering::Relaxed); // ORDER: same counters.
     let out = work();
     (out, PEAK.load(Ordering::Relaxed) - at_entry) // ORDER: same counters.
+}
+
+/// Runs `work` and returns its result with the bytes it left allocated
+/// (live at its end less live at its start): what the result holds.
+pub fn retained_by<T>(work: impl FnOnce() -> T) -> (T, usize) {
+    let at_entry = LIVE.load(Ordering::Relaxed); // ORDER: same counters.
+    let out = work();
+    (out, LIVE.load(Ordering::Relaxed) - at_entry) // ORDER: same counters.
 }
 
 /// Runs `work` and returns its result with the number of allocations of

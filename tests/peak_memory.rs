@@ -1,6 +1,5 @@
-//! Pins three memory shapes with the counting global allocator of
-//! `tests/common/counting_alloc.rs`, each as the peak of live bytes above
-//! the level at entry.
+//! Pins four memory shapes with the counting global allocator of
+//! `tests/common/counting_alloc.rs`.
 //!
 //! **Tucker initialisation**: the most `tucker_als` holds at once scales
 //! with the non-zeros and the solver's block, not with the width of a mode
@@ -15,18 +14,23 @@
 //! **Spectral clustering**: the distances, the affinity and `L` are one
 //! `T × T` buffer, which the eigensolve consumes; the rest is `O(T·k)`.
 //!
+//! **Concept index**: a built `ConceptIndex` keeps its posting arrays,
+//! block maxima and idf, and nothing else; the resources' tf-idf vectors
+//! it is formed from live only inside the build.
+//!
 //! **Sharded load**: every shard file carries the whole folksonomy and
 //! model, and `load_source` keeps one copy, not one a shard — its peak is a
 //! server's peak. It also reads the files into two buffers whatever the
 //! shard count, so what the allocator is left holding does not depend on
 //! it either.
 //!
-//! The counters are global to the process, so the tests take turns under
-//! a lock.
+//! The first three are peaks of live bytes above the level at entry; the
+//! index's is the live bytes the build leaves behind. The counters are
+//! global to the process, so the tests take turns under a lock.
 
 use cubelsi::core::distance::pairwise_distances_from_embedding;
 use cubelsi::core::shard::{self, LoadMode};
-use cubelsi::core::{CubeLsi, CubeLsiConfig};
+use cubelsi::core::{ConceptIndex, ConceptModel, CubeLsi, CubeLsiConfig};
 use cubelsi::datagen::{generate, GeneratorConfig};
 use cubelsi::linalg::spectral::{spectral_clustering, KSelection, SpectralConfig};
 use cubelsi::linalg::Matrix;
@@ -36,7 +40,7 @@ use std::sync::Mutex;
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::{large_allocations_of, peak_of};
+use counting_alloc::{large_allocations_of, peak_of, retained_by};
 
 static TURN: Mutex<()> = Mutex::new(());
 
@@ -115,6 +119,48 @@ fn spectral_clustering_holds_one_t_by_t_buffer() {
     assert!(
         peak <= bound,
         "spectral clustering peaked at {peak} B, over {bound} B = T²·8 + 16·T·k·8"
+    );
+}
+
+#[test]
+fn concept_index_retains_its_posting_arrays_only() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let ds = generate(&GeneratorConfig {
+        users: 80,
+        resources: 3_000,
+        concepts: 8,
+        assignments: 30_000,
+        seed: 7,
+        ..Default::default()
+    });
+    let f = &ds.folksonomy;
+    let concepts = 8;
+    let model = ConceptModel::from_parts(
+        (0..f.num_tags()).map(|t| t % concepts).collect(),
+        concepts,
+        1.0,
+    );
+    let (index, retained) = retained_by(|| ConceptIndex::build(f, &model));
+    let (postings, blocks) = (
+        index.num_postings(),
+        (0..concepts)
+            .map(|l| index.block_maxima(l).len())
+            .sum::<usize>(),
+    );
+    // A `u32` id and an `f64` impact a posting, an `f64` maximum a block,
+    // and an idf and two offsets a concept; the constant covers the two
+    // offset arrays' closing entries, and every array is allocated at its
+    // exact length. Here P = 8 109, B = 130, C = 8 (R = 3 000
+    // resources): the bound is 98 604 B, and the build retains 98 556 B.
+    // With the per-resource tf-idf vectors and norms and a per-list
+    // maximum array beside the postings it retained 244 240 B: 12 B more
+    // a vector entry (one a posting), 16 B more a resource, 8 B more a
+    // concept, and 304 B of block-maxima capacity slack.
+    let bound = 12 * postings + 8 * blocks + 24 * concepts + 64;
+    assert!(
+        retained <= bound,
+        "a built index retains {retained} B, over {bound} B = 12·P + 8·B + 24·C + 64 \
+         (P = {postings} postings, B = {blocks} blocks, C = {concepts} concepts)"
     );
 }
 
