@@ -56,7 +56,6 @@ pub struct CubeSimReport {
 
 /// The CubeSim ranker.
 pub struct CubeSim {
-    distances: TagDistances,
     concepts: ConceptModel,
     index: ConceptIndex,
     report: CubeSimReport,
@@ -117,10 +116,9 @@ impl CubeSim {
                 ..Default::default()
             },
         };
-        let concepts = ConceptModel::distill(distances.clone(), &spectral)?;
+        let concepts = ConceptModel::distill(distances, &spectral)?;
         let index = ConceptIndex::build(f, &concepts);
         Ok(CubeSim {
-            distances,
             concepts,
             index,
             report,
@@ -219,11 +217,6 @@ impl CubeSim {
                 estimated_total,
             },
         )
-    }
-
-    /// The distance matrix.
-    pub fn distances(&self) -> &TagDistances {
-        &self.distances
     }
 
     /// The concept model.
@@ -336,6 +329,7 @@ mod tests {
         // Raw distances give D12 = D23 = √3 (Eq. 13): CubeSim cannot tell
         // that people is closer to folk than to laptop — record the
         // ambiguity that CubeLSI resolves.
-        assert_eq!(cs.distances().get(0, 1), cs.distances().get(1, 2));
+        let (dist, _) = CubeSim::distances_with_report(&figure2_tensor(), cfg.mode);
+        assert_eq!(dist.get(0, 1), dist.get(1, 2));
     }
 }

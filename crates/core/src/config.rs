@@ -1,4 +1,5 @@
-//! Configuration of the CubeLSI pipeline.
+//! Configuration of the CubeLSI pipeline. Nothing here chooses the
+//! distances' `Σ`: there is one, `diag(Λ₂²)` ([`crate::TagModel`]).
 
 use crate::query::PruningStrategy;
 use cubelsi_linalg::kmeans::KMeansConfig;
@@ -7,15 +8,12 @@ use cubelsi_linalg::subspace::SubspaceOptions;
 use cubelsi_linalg::LinAlgError;
 use cubelsi_tensor::TuckerConfig;
 
-/// Which matrix is used as `Σ` in the Theorem-1 distance formula
-/// `D̂ᵢⱼ = √((Y⁽²⁾ᵢ − Y⁽²⁾ⱼ) Σ (Y⁽²⁾ᵢ − Y⁽²⁾ⱼ)ᵀ)`.
+/// Shim for the frozen `perfbench/`, which passes
+/// [`CubeLsiConfig::sigma_source`] to [`crate::tag_embedding`]: it selects
+/// nothing. The distances use one `Σ`, `diag(Λ₂²)` ([`crate::TagModel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SigmaSource {
-    /// `Σ = S₍₂₎S₍₂₎ᵀ` from the core tensor — exact for any factor set
-    /// (Theorem 1's construction).
-    CoreGram,
-    /// `Σ = ((Λ₂)₁:J₂,₁:J₂)²` from the ALS by-product — Theorem 2's
-    /// shortcut; exact at an ALS fixed point, cheaper (diagonal).
+    /// `Σ = ((Λ₂)₁:J₂,₁:J₂)²`, Theorem 2's diagonal.
     Lambda2,
 }
 
@@ -31,7 +29,9 @@ pub struct CubeLsiConfig {
     pub max_als_iters: usize,
     /// ALS fit tolerance.
     pub als_fit_tol: f64,
-    /// Σ source for the distance shortcut.
+    /// Shim for the frozen `perfbench/`, which reads it: selects nothing
+    /// ([`SigmaSource`]).
+    #[doc(hidden)]
     pub sigma_source: SigmaSource,
     /// Number of concepts. `None` → 95 %-variance rule of §V step 3.
     pub num_concepts: Option<usize>,

@@ -7,17 +7,19 @@
 //! `Σ = S₍₂₎S₍₂₎ᵀ`, and Theorem 2 further collapses `Σ` to the diagonal
 //! `Λ₂²` at the ALS fixed point.
 //!
-//! This module adds one more (mathematically equivalent) step the paper
-//! leaves implicit: factor the PSD matrix `Σ = C Cᵀ` once, embed tags as
-//! rows of `Z = Y⁽²⁾ C`, and every `D̂ᵢⱼ` becomes a plain Euclidean distance
-//! in `J₂` dimensions — `O(J₂)` per pair after an `O(J₂³)` factorization,
-//! versus the `O(J₂²)` per pair of evaluating Eq. 21 literally. Both paths
-//! are provided and cross-checked; the brute-force Eq. 17 reference exists
-//! for test-scale validation.
+//! Here `Σ = diag(Λ₂²)` holds by construction, converged or not:
+//! `tucker_als` ends by taking `Y⁽²⁾` as the top-`J₂` left singular vectors
+//! of the final `W₍₂₎` and contracting the core as `S₍₂₎ = Y⁽²⁾ᵀW₍₂₎`, so
+//! `S₍₂₎S₍₂₎ᵀ = Λ₂²`. The model therefore keeps `Y⁽²⁾` and `Λ₂` only, and
+//! embeds tags as the rows of `Z = Y⁽²⁾ diag(Λ₂)`: every `D̂ᵢⱼ` is a plain
+//! Euclidean distance in `J₂` dimensions, `O(J₂)` per pair against the
+//! `O(J₂²)` of evaluating Eq. 21 literally. The literal formula with
+//! `Σ = S₍₂₎S₍₂₎ᵀ` ([`distance_pair_literal`]) and the brute-force Eq. 17
+//! ([`brute_force_distances`]) are kept as test oracles.
 
 use crate::config::SigmaSource;
 use cubelsi_linalg::parallel;
-use cubelsi_linalg::{top_eigenpairs, LinAlgError, Matrix};
+use cubelsi_linalg::{LinAlgError, Matrix};
 use cubelsi_tensor::TuckerDecomposition;
 
 /// A symmetric matrix of pairwise tag distances with zero diagonal.
@@ -99,56 +101,35 @@ impl TagDistances {
 }
 
 /// What the purified distances need of a Tucker decomposition (Theorems
-/// 1–2): the tag factor `Y⁽²⁾` (`T × J₂`), the mode-2 singular values
-/// `Λ₂`, and — under [`SigmaSource::CoreGram`] only — `Σ = S₍₂₎S₍₂₎ᵀ`
-/// (`J₂ × J₂`), plus the fit and sweep count of the run it came from.
-/// `O(T·J₂)` values: the core and the user and resource factors are not
-/// kept. This is Table VII's model, and what an artifact stores of the
-/// decomposition.
+/// 1–2): the tag factor `Y⁽²⁾` (`T × J₂`) and the mode-2 singular values
+/// `Λ₂`, whose squares are `Σ`, plus the fit and sweep count of the run it
+/// came from. `O(T·J₂)` values: the core and the user and resource factors
+/// are not kept. This is Table VII's model, and what an artifact stores of
+/// the decomposition.
 #[derive(Debug, Clone)]
 pub struct TagModel {
     y2: Matrix,
     lambda2: Vec<f64>,
-    core_gram: Option<CoreGram>,
     fit: f64,
     sweeps: usize,
 }
 
-/// `Σ` as stored, with the factor `C = V·√Λ` (`Σ = C Cᵀ`) the embedding
-/// multiplies by, computed once when the model is assembled.
-#[derive(Debug, Clone)]
-struct CoreGram {
-    sigma: Matrix,
-    factor: Matrix,
-}
-
 impl TagModel {
-    /// Cuts the model out of a decomposition; `Σ` is formed from the core
-    /// only under [`SigmaSource::CoreGram`].
-    pub(crate) fn from_decomposition(
-        decomp: &TuckerDecomposition,
-        source: SigmaSource,
-    ) -> Result<Self, LinAlgError> {
-        let sigma = match source {
-            SigmaSource::Lambda2 => None,
-            SigmaSource::CoreGram => Some(decomp.sigma_from_core()?),
-        };
+    /// Cuts the model out of a decomposition.
+    pub(crate) fn from_decomposition(decomp: &TuckerDecomposition) -> Result<Self, LinAlgError> {
         Self::from_parts(
             decomp.factors[1].clone(),
             decomp.lambda2.clone(),
-            sigma,
             decomp.fit,
             decomp.iterations,
         )
     }
 
-    /// Assembles a model from its stored parts: `Σ` present means
-    /// [`SigmaSource::CoreGram`]. Fails when `Λ₂` or `Σ` does not match
-    /// `Y⁽²⁾`'s `J₂` columns, or when `Σ` cannot be eigen-factored.
+    /// Assembles a model from its stored parts. Fails when `Λ₂` does not
+    /// match `Y⁽²⁾`'s `J₂` columns.
     pub(crate) fn from_parts(
         y2: Matrix,
         lambda2: Vec<f64>,
-        sigma: Option<Matrix>,
         fit: f64,
         sweeps: usize,
     ) -> Result<Self, LinAlgError> {
@@ -159,32 +140,9 @@ impl TagModel {
                 lambda2.len()
             )));
         }
-        let core_gram = match sigma {
-            None => None,
-            Some(sigma) if sigma.shape() == (j2, j2) => {
-                let eig = top_eigenpairs(sigma.clone(), j2)?;
-                // C = V √Λ (clamping tiny negative round-off eigenvalues).
-                let mut factor = eig.vectors;
-                for j in 0..factor.cols() {
-                    let s = eig.values[j].max(0.0).sqrt();
-                    for i in 0..factor.rows() {
-                        factor[(i, j)] *= s;
-                    }
-                }
-                Some(CoreGram { sigma, factor })
-            }
-            Some(sigma) => {
-                return Err(LinAlgError::InvalidArgument(format!(
-                    "Sigma is {}x{} for J2 = {j2}",
-                    sigma.rows(),
-                    sigma.cols()
-                )))
-            }
-        };
         Ok(TagModel {
             y2,
             lambda2,
-            core_gram,
             fit,
             sweeps,
         })
@@ -205,20 +163,6 @@ impl TagModel {
         &self.lambda2
     }
 
-    /// `Σ = S₍₂₎S₍₂₎ᵀ` under [`SigmaSource::CoreGram`], `None` under
-    /// [`SigmaSource::Lambda2`].
-    pub fn sigma(&self) -> Option<&Matrix> {
-        self.core_gram.as_ref().map(|c| &c.sigma)
-    }
-
-    /// Which `Σ` the distances use.
-    pub fn sigma_source(&self) -> SigmaSource {
-        match self.core_gram {
-            Some(_) => SigmaSource::CoreGram,
-            None => SigmaSource::Lambda2,
-        }
-    }
-
     /// Fit `1 − ‖F − F̂‖ / ‖F‖` of the decomposition.
     pub fn fit(&self) -> f64 {
         self.fit
@@ -229,30 +173,18 @@ impl TagModel {
         self.sweeps
     }
 
-    /// Embeds tags as rows of `Z = Y⁽²⁾ C` where `Σ = C Cᵀ`, so that
+    /// Embeds tags as rows of `Z = Y⁽²⁾ diag(Λ₂)` — `Y⁽²⁾` with its columns
+    /// scaled by the mode-2 singular values — so that `Σ = diag(Λ₂²)` and
     /// `D̂ᵢⱼ = ‖Zᵢ − Zⱼ‖₂`.
-    ///
-    /// * [`SigmaSource::Lambda2`] — `C = diag(Λ₂)`: `Z` is `Y⁽²⁾` with
-    ///   columns scaled by the mode-2 singular values (Theorem 2).
-    /// * [`SigmaSource::CoreGram`] — `Σ` is eigen-factored (`J₂ × J₂`,
-    ///   small) into `C = V·√Λ` (Theorem 1).
     pub fn embedding(&self) -> Matrix {
-        match &self.core_gram {
-            None => {
-                let mut z = self.y2.clone();
-                for i in 0..z.rows() {
-                    let row = z.row_mut(i);
-                    for (x, &l) in row.iter_mut().zip(self.lambda2.iter()) {
-                        *x *= l;
-                    }
-                }
-                z
+        let mut z = self.y2.clone();
+        for i in 0..z.rows() {
+            let row = z.row_mut(i);
+            for (x, &l) in row.iter_mut().zip(self.lambda2.iter()) {
+                *x *= l;
             }
-            Some(c) => self
-                .y2
-                .matmul(&c.factor)
-                .expect("C is J2 x J2 by construction"),
         }
+        z
     }
 
     /// All purified tag distances, `‖Zᵢ − Zⱼ‖` over [`Self::embedding`].
@@ -261,12 +193,14 @@ impl TagModel {
     }
 }
 
-/// [`TagModel::embedding`] of the model cut from `decomp`.
+/// [`TagModel::embedding`] of the model cut from `decomp`. The second
+/// argument is a shim for the frozen `perfbench/`, which passes it: it
+/// selects nothing ([`SigmaSource`]).
 pub fn tag_embedding(
     decomp: &TuckerDecomposition,
-    source: SigmaSource,
+    _source: SigmaSource,
 ) -> Result<Matrix, LinAlgError> {
-    Ok(TagModel::from_decomposition(decomp, source)?.embedding())
+    Ok(TagModel::from_decomposition(decomp)?.embedding())
 }
 
 /// All-pairs Euclidean distances between the rows of `z`, parallelized over
@@ -330,8 +264,9 @@ fn row_distance(zi: &[f64], zj: &[f64]) -> f64 {
 /// Literal evaluation of the Theorem-1 / Algorithm-1 formula (Eq. 20/21)
 /// for one pair: `√(X Σ Xᵀ)` with `X = Y⁽²⁾ᵢ − Y⁽²⁾ⱼ`.
 ///
-/// Used in tests to pin the optimized embedding path to the paper's
-/// formula; `O(J₂²)` per call.
+/// A test oracle: with `Σ = S₍₂₎S₍₂₎ᵀ`
+/// ([`TuckerDecomposition::sigma_from_core`]) it pins the embedding path
+/// to the paper's formula; `O(J₂²)` per call.
 pub fn distance_pair_literal(
     decomp: &TuckerDecomposition,
     sigma: &Matrix,
@@ -397,14 +332,32 @@ mod tests {
         tucker_als(&f, &cfg).unwrap()
     }
 
+    /// The product's distances: the embedding `Y⁽²⁾ diag(Λ₂)`.
+    fn product_distances(d: &TuckerDecomposition) -> TagDistances {
+        pairwise_distances_from_embedding(&tag_embedding(d, SigmaSource::Lambda2).unwrap())
+    }
+
+    /// Theorem 1's literal `√(XΣXᵀ)` for every pair, `Σ = S₍₂₎S₍₂₎ᵀ`.
+    fn literal_distances(d: &TuckerDecomposition) -> Matrix {
+        let sigma = d.sigma_from_core().unwrap();
+        let t = d.factors[1].rows();
+        Matrix::from_fn(t, t, |i, j| distance_pair_literal(d, &sigma, i, j))
+    }
+
     #[test]
     fn theorem1_matches_brute_force() {
-        // The central correctness claim: the shortcut distances equal the
-        // Eq. 17 distances on the materialized F̂.
+        // The central correctness claim: Theorem 1's formula, and the
+        // product's embedding, equal the Eq. 17 distances on the
+        // materialized F̂.
         let d = figure2_decomposition((3, 3, 2));
         let brute = brute_force_distances(&d).unwrap();
-        let z = tag_embedding(&d, SigmaSource::CoreGram).unwrap();
-        let fast = pairwise_distances_from_embedding(&z);
+        let literal = literal_distances(&d);
+        assert!(
+            literal.approx_eq(brute.matrix(), 1e-8),
+            "Theorem 1 violated:\nliteral {literal:?}\nbrute {:?}",
+            brute.matrix()
+        );
+        let fast = product_distances(&d);
         assert!(
             fast.matrix().approx_eq(brute.matrix(), 1e-8),
             "Theorem 1 violated:\nfast {:?}\nbrute {:?}",
@@ -416,19 +369,16 @@ mod tests {
     #[test]
     fn theorem2_matches_theorem1_at_convergence() {
         let d = figure2_decomposition((3, 3, 2));
-        let z1 = tag_embedding(&d, SigmaSource::CoreGram).unwrap();
-        let z2 = tag_embedding(&d, SigmaSource::Lambda2).unwrap();
-        let d1 = pairwise_distances_from_embedding(&z1);
-        let d2 = pairwise_distances_from_embedding(&z2);
-        assert!(d1.matrix().approx_eq(d2.matrix(), 1e-7));
+        let d1 = literal_distances(&d);
+        let d2 = product_distances(&d);
+        assert!(d1.approx_eq(d2.matrix(), 1e-7));
     }
 
     #[test]
     fn literal_formula_matches_embedding_path() {
         let d = figure2_decomposition((2, 3, 2));
         let sigma = d.sigma_from_core().unwrap();
-        let z = tag_embedding(&d, SigmaSource::CoreGram).unwrap();
-        let fast = pairwise_distances_from_embedding(&z);
+        let fast = product_distances(&d);
         for i in 0..3 {
             for j in 0..3 {
                 if i == j {
@@ -450,8 +400,7 @@ mod tests {
         // and D̂(folk, people) < D̂(folk, laptop) — the inequality the raw
         // distances get wrong. Tag ids: 0 = folk, 1 = people, 2 = laptop.
         let d = figure2_decomposition((3, 3, 2));
-        let z = tag_embedding(&d, SigmaSource::CoreGram).unwrap();
-        let dist = pairwise_distances_from_embedding(&z);
+        let dist = product_distances(&d);
         let d12 = dist.get(0, 1);
         let d13 = dist.get(0, 2);
         let d23 = dist.get(1, 2);
@@ -485,8 +434,7 @@ mod tests {
     #[test]
     fn nearest_and_median() {
         let d = figure2_decomposition((3, 3, 2));
-        let z = tag_embedding(&d, SigmaSource::CoreGram).unwrap();
-        let dist = pairwise_distances_from_embedding(&z);
+        let dist = product_distances(&d);
         // folk's nearest tag is people (they share resources and users).
         let (nearest, _) = dist.nearest(0).unwrap();
         assert_eq!(nearest, 1);
@@ -509,8 +457,7 @@ mod tests {
         // to the raw Frobenius distances of §IV-A: D12 = √3, D13 = √6,
         // D23 = √3 (Eqs. 9, 12, 13).
         let d = figure2_decomposition((3, 3, 3));
-        let z = tag_embedding(&d, SigmaSource::CoreGram).unwrap();
-        let dist = pairwise_distances_from_embedding(&z);
+        let dist = product_distances(&d);
         assert!((dist.get(0, 1) - 3.0f64.sqrt()).abs() < 1e-6);
         assert!((dist.get(0, 2) - 6.0f64.sqrt()).abs() < 1e-6);
         assert!((dist.get(1, 2) - 3.0f64.sqrt()).abs() < 1e-6);

@@ -9,8 +9,8 @@
 //! module provides that artifact: a single self-contained binary file
 //! holding the cleaned [`Folksonomy`] (interned name tables + assignment
 //! set), the [`TagModel`] the purified distances derive from (Table VII's
-//! `Y⁽²⁾` and `Σ`), the distilled [`ConceptModel`], and the offline
-//! [`PhaseTimings`] and [`BuildTrace`]. The [`ConceptIndex`] is not
+//! `Y⁽²⁾` and `Σ`, kept as `Λ₂`), the distilled [`ConceptModel`], and the
+//! offline [`PhaseTimings`] and [`BuildTrace`]. The [`ConceptIndex`] is not
 //! stored: it is a pure function of the corpus and the concept map
 //! (Eqs. 1–2), and every load builds it from those two sections with the
 //! build's own [`ConceptIndex::build`].
@@ -57,14 +57,19 @@
 //! core tensor, no user or resource factor, no T×T matrix):
 //!
 //! ```text
-//! u64      Σ source: 1 = Lambda2, 2 = CoreGram
+//! u64      Σ-source tag, always 1
 //! f64      fit
 //! u64      HOOI sweeps
 //! u64 × 2  rows (= num_tags), J₂; then f64 × rows·J₂   Y⁽²⁾, row-major
 //! u64      length (= J₂); then f64 × J₂                Λ₂
-//! u64 × 2  rows, cols (J₂, J₂ under CoreGram, 0, 0 under Lambda2);
-//!          then f64 × rows·cols                        Σ, row-major
+//! u64 × 2  Σ's shape, always 0, 0
 //! ```
+//!
+//! `Σ` is `diag(Λ₂²)` and is not stored: the Tucker build makes
+//! `S₍₂₎S₍₂₎ᵀ = Λ₂²` hold by construction ([`crate::distance`]). The
+//! source tag and the empty shape keep format 5's layout from when a full
+//! `J₂ × J₂` Σ could follow under tag 2; a reader accepts exactly tag 1
+//! and shape `0, 0`, and anything else is [`PersistError::Malformed`].
 //!
 //! The distances are not stored: a full load derives them from this
 //! section, on the first `CubeLsi::distances` call, through the
@@ -161,12 +166,12 @@ pub const TABLE_ENTRY_LEN: usize = 24;
 const SECTION_META: u32 = 1;
 const SECTION_FOLKSONOMY: u32 = 2;
 const SECTION_CONCEPTS: u32 = 5;
-/// The [`TagModel`]: `Y⁽²⁾`, `Λ₂`, and `Σ` under `CoreGram`.
+/// The [`TagModel`]: `Y⁽²⁾` and `Λ₂`.
 pub const SECTION_MODEL: u32 = 9;
 
-/// The model section's Σ-source tags.
+/// The model section's Σ-source tag, the one a writer stamps and a reader
+/// accepts.
 const SIGMA_LAMBDA2: u64 = 1;
-const SIGMA_CORE_GRAM: u64 = 2;
 
 /// At most modes 2 and 3 are HOSVD-initialised; a meta section claiming
 /// more is malformed.
@@ -808,15 +813,14 @@ fn encode_folksonomy(f: &Folksonomy) -> Vec<u8> {
 
 fn encode_model(m: &TagModel) -> Vec<u8> {
     let mut e = Encoder::default();
-    e.put_u64(match m.sigma() {
-        None => SIGMA_LAMBDA2,
-        Some(_) => SIGMA_CORE_GRAM,
-    });
+    e.put_u64(SIGMA_LAMBDA2);
     e.put_f64(m.fit());
     e.put_usize(m.sweeps());
     e.put_matrix(m.y2());
     e.put_f64_slice(m.lambda2());
-    e.put_matrix(m.sigma().unwrap_or(&Matrix::zeros(0, 0)));
+    // Σ's empty shape.
+    e.put_usize(0);
+    e.put_usize(0);
     e.buf
 }
 
@@ -1228,11 +1232,10 @@ fn decode_folksonomy(payload: &[u8], meta: &Meta) -> Result<Folksonomy, PersistE
 fn decode_model(payload: &[u8], meta: &Meta) -> Result<TagModel, PersistError> {
     let num_tags = meta.num_tags;
     let mut d = Decoder::new(payload, SECTION_MODEL);
-    let core_gram = match d.u64()? {
-        SIGMA_LAMBDA2 => false,
-        SIGMA_CORE_GRAM => true,
-        tag => return Err(d.err(format!("unknown sigma source {tag}"))),
-    };
+    let tag = d.u64()?;
+    if tag != SIGMA_LAMBDA2 {
+        return Err(d.err(format!("unknown sigma source {tag}")));
+    }
     let fit = d.finite_f64("fit")?;
     let sweeps = d.usize()?;
     if sweeps != meta.trace.sweeps {
@@ -1254,15 +1257,12 @@ fn decode_model(payload: &[u8], meta: &Meta) -> Result<TagModel, PersistError> {
         return Err(d.err(format!("{n} singular values for J2 = {j2}")));
     }
     let lambda2 = d.finite_f64s(n, "lambda2")?;
-    let shape = (d.usize()?, d.usize()?);
-    let sigma = match (core_gram, shape) {
-        (false, (0, 0)) => None,
-        (false, (r, c)) => return Err(d.err(format!("{r}x{c} Sigma under Lambda2"))),
-        (true, (r, c)) if (r, c) == (j2, j2) => Some(d.finite_matrix(r, c, "Sigma")?),
-        (true, (r, c)) => return Err(d.err(format!("{r}x{c} Sigma for J2 = {j2}"))),
-    };
+    let (r, c) = (d.usize()?, d.usize()?);
+    if (r, c) != (0, 0) {
+        return Err(d.err(format!("{r}x{c} Sigma stored")));
+    }
     d.finish()?;
-    TagModel::from_parts(y2, lambda2, sigma, fit, sweeps).map_err(|e| d.err(e.to_string()))
+    TagModel::from_parts(y2, lambda2, fit, sweeps).map_err(|e| d.err(e.to_string()))
 }
 
 fn decode_concepts(payload: &[u8], num_tags: usize) -> Result<ConceptModel, PersistError> {
@@ -1468,7 +1468,6 @@ mod tests {
         assert_eq!(a.sweeps(), b.sweeps());
         assert_eq!(a.lambda2(), b.lambda2());
         assert_eq!(a.y2().as_slice(), b.y2().as_slice());
-        assert_eq!(a.sigma_source(), b.sigma_source());
         assert!(loaded
             .model
             .distances()
@@ -1575,7 +1574,7 @@ mod tests {
                 1.0,
             );
             let tag_model =
-                TagModel::from_parts(Matrix::zeros(num_tags, 1), vec![1.0], None, 1.0, 0).unwrap();
+                TagModel::from_parts(Matrix::zeros(num_tags, 1), vec![1.0], 1.0, 0).unwrap();
             let model = CubeLsi::from_parts(
                 tag_model,
                 concepts.clone(),

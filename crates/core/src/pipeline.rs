@@ -195,7 +195,7 @@ impl CubeLsi {
         let tucker_trace = decomposition.trace.clone();
 
         let t0 = Instant::now();
-        let tag_model = TagModel::from_decomposition(&decomposition, config.sigma_source)?;
+        let tag_model = TagModel::from_decomposition(&decomposition)?;
         drop(decomposition);
         let distances = tag_model.distances();
         timings.distances = t0.elapsed();
@@ -341,7 +341,7 @@ impl CubeLsi {
     }
 
     /// Bytes of the model section an artifact of this engine carries
-    /// (`Y⁽²⁾`, `Λ₂`, and `Σ` under `CoreGram`) — the "CubeLSI memory"
+    /// (`Y⁽²⁾` and `Λ₂`, whose squares are `Σ`) — the "CubeLSI memory"
     /// column of Table VII, as written.
     pub fn compressed_bytes(&self) -> usize {
         crate::persist::model_section_len(&self.tag_model)
@@ -369,7 +369,6 @@ fn tag_lookup(folksonomy: &Folksonomy) -> HashMap<String, TagId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SigmaSource;
     use cubelsi_datagen::{generate, GeneratorConfig};
     use cubelsi_folksonomy::store::figure2_example;
 
@@ -509,25 +508,6 @@ mod tests {
         let engine = CubeLsi::build(&ds.folksonomy, &small_config()).unwrap();
         // Compressed representation must be far below dense F̂.
         assert!(engine.compressed_bytes() * 10 < engine.dense_purified_bytes());
-    }
-
-    #[test]
-    fn sigma_sources_agree_on_search_results() {
-        let ds = small_dataset();
-        let mut cfg = small_config();
-        cfg.sigma_source = SigmaSource::CoreGram;
-        let a = CubeLsi::build(&ds.folksonomy, &cfg).unwrap();
-        cfg.sigma_source = SigmaSource::Lambda2;
-        let b = CubeLsi::build(&ds.folksonomy, &cfg).unwrap();
-        let tag = TagId::from_index(1);
-        let ha = a.search_ids(&[tag], 5);
-        let hb = b.search_ids(&[tag], 5);
-        // Theorem 2 ⇒ identical distances at convergence ⇒ identical
-        // clusters and rankings (modulo k-means label permutation, which
-        // does not affect the ranked resources).
-        let ra: Vec<_> = ha.iter().map(|h| h.resource).collect();
-        let rb: Vec<_> = hb.iter().map(|h| h.resource).collect();
-        assert_eq!(ra, rb);
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //!    answers bit-identically to the undamaged artifact.
 //! 4. **The model is the distances** — a full load derives the purified
 //!    distances from the model section bit-identically to the built
-//!    engine's, at any thread count and under either Σ source, and
-//!    re-saves to the bytes it read.
+//!    engine's, at any thread count, and re-saves to the bytes it read.
 //! 5. **Degenerate corpora** — the empty corpus, one whose tags all clean
 //!    away, a single assignment, all-zero idf, more shards than
 //!    resources, more concepts requested than tags: a typed error or an
@@ -28,7 +27,7 @@
 //!    from.
 
 use cubelsi::core::shard::{self, LoadMode};
-use cubelsi::core::{persist, CubeLsi, CubeLsiConfig, PersistError, RankedResource, SigmaSource};
+use cubelsi::core::{persist, CubeLsi, CubeLsiConfig, PersistError, RankedResource};
 use cubelsi::datagen::{generate, GeneratorConfig};
 use cubelsi::folksonomy::{clean, CleaningConfig, Folksonomy, FolksonomyBuilder, TagId};
 use rand::rngs::StdRng;
@@ -257,15 +256,15 @@ fn every_flipped_byte_is_detected() {
 
 /// The *exhaustive* hostile-byte sweep: over a deliberately tiny corpus
 /// (so the O(len²) total work stays fast), flip one byte at **every**
-/// offset of an artifact, under both Σ sources, and
-/// feed the mutant to the loader under `catch_unwind`. Each mutant must
-/// either return a typed error with a non-empty message, or — possible
-/// only where the flip lands in bytes the format does not interpret, such
-/// as inter-section padding not covered by a section CRC — load an engine
-/// whose `search_ids` output and purified distances are bit-for-bit
-/// identical to the pristine build's. A flip inside the model payload is
-/// always that section's checksum mismatch. A panic at any offset fails
-/// the sweep with the offset named.
+/// offset of an artifact, and feed the mutant to the loader under
+/// `catch_unwind`. Each mutant must either return a typed error with a
+/// non-empty message, or — possible only where the flip lands in bytes
+/// the format does not interpret, such as inter-section padding not
+/// covered by a section CRC — load an engine whose `search_ids` output
+/// and purified distances are bit-for-bit identical to the pristine
+/// build's. A flip inside the model payload is always that section's
+/// checksum mismatch. A panic at any offset fails the sweep with the
+/// offset named.
 #[test]
 fn exhaustive_single_byte_flips_never_panic_either_loader() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -282,66 +281,60 @@ fn exhaustive_single_byte_flips_never_panic_either_loader() {
     let queries: Vec<Vec<TagId>> = (0..4usize)
         .map(|t| vec![TagId::from_index(t % folksonomy.num_tags())])
         .collect();
-    for (format, sigma_source) in [
-        ("Lambda2", SigmaSource::Lambda2),
-        ("CoreGram", SigmaSource::CoreGram),
-    ] {
-        let config = CubeLsiConfig {
-            core_dims: Some((3, 3, 3)),
-            num_concepts: Some(3),
-            max_als_iters: 3,
-            seed: 41,
-            sigma_source,
-            ..Default::default()
-        };
-        let model = CubeLsi::build(folksonomy, &config).unwrap();
-        let expect: Vec<_> = queries.iter().map(|q| model.search_ids(q, 5)).collect();
-        let bytes = persist::save_to_vec(&model, folksonomy);
-        let (_, off, len) = find_section(&bytes, persist::SECTION_MODEL);
-        for pos in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            // Rotate the flipped bit with the offset so the sweep probes
-            // every bit lane, not just one mask.
-            bad[pos] ^= 1u8 << (pos % 8);
-            let outcome = catch_unwind(AssertUnwindSafe(|| persist::load_from_bytes(&bad)))
-                .unwrap_or_else(|_| panic!("{format}: loader panicked at offset {pos}"));
-            if (off..off + len).contains(&pos) {
-                assert!(
-                    matches!(
-                        outcome,
-                        Err(PersistError::ChecksumMismatch {
-                            section: persist::SECTION_MODEL,
-                            ..
-                        })
-                    ),
-                    "{format} offset {pos}: a flip in the model payload must fail its CRC"
-                );
-            }
-            match outcome {
-                Err(e) => assert!(
-                    !e.to_string().is_empty(),
-                    "{format} offset {pos}: empty error message"
+    let config = CubeLsiConfig {
+        core_dims: Some((3, 3, 3)),
+        num_concepts: Some(3),
+        max_als_iters: 3,
+        seed: 41,
+        ..Default::default()
+    };
+    let model = CubeLsi::build(folksonomy, &config).unwrap();
+    let expect: Vec<_> = queries.iter().map(|q| model.search_ids(q, 5)).collect();
+    let bytes = persist::save_to_vec(&model, folksonomy);
+    let (_, off, len) = find_section(&bytes, persist::SECTION_MODEL);
+    for pos in 0..bytes.len() {
+        let mut bad = bytes.clone();
+        // Rotate the flipped bit with the offset so the sweep probes
+        // every bit lane, not just one mask.
+        bad[pos] ^= 1u8 << (pos % 8);
+        let outcome = catch_unwind(AssertUnwindSafe(|| persist::load_from_bytes(&bad)))
+            .unwrap_or_else(|_| panic!("loader panicked at offset {pos}"));
+        if (off..off + len).contains(&pos) {
+            assert!(
+                matches!(
+                    outcome,
+                    Err(PersistError::ChecksumMismatch {
+                        section: persist::SECTION_MODEL,
+                        ..
+                    })
                 ),
-                Ok(loaded) => {
+                "offset {pos}: a flip in the model payload must fail its CRC"
+            );
+        }
+        match outcome {
+            Err(e) => assert!(
+                !e.to_string().is_empty(),
+                "offset {pos}: empty error message"
+            ),
+            Ok(loaded) => {
+                assert_eq!(
+                    distance_bits(&loaded.model),
+                    distance_bits(&model),
+                    "offset {pos}: distances diverged"
+                );
+                for (query, expect) in queries.iter().zip(&expect) {
+                    let got = loaded.model.search_ids(query, 5);
                     assert_eq!(
-                        distance_bits(&loaded.model),
-                        distance_bits(&model),
-                        "{format} offset {pos}: distances diverged"
+                        got.len(),
+                        expect.len(),
+                        "offset {pos}: result count diverged"
                     );
-                    for (query, expect) in queries.iter().zip(&expect) {
-                        let got = loaded.model.search_ids(query, 5);
+                    for (g, e) in got.iter().zip(expect.iter()) {
                         assert_eq!(
-                            got.len(),
-                            expect.len(),
-                            "{format} offset {pos}: result count diverged"
+                            (g.resource, g.score.to_bits()),
+                            (e.resource, e.score.to_bits()),
+                            "offset {pos}: ranking diverged"
                         );
-                        for (g, e) in got.iter().zip(expect.iter()) {
-                            assert_eq!(
-                                (g.resource, g.score.to_bits()),
-                                (e.resource, e.score.to_bits()),
-                                "{format} offset {pos}: ranking diverged"
-                            );
-                        }
                     }
                 }
             }
@@ -429,15 +422,14 @@ fn file_round_trip_through_disk() {
 // The model section
 // ---------------------------------------------------------------------------
 
-/// `build_random(seed)`'s corpus and configuration under a chosen Σ source.
-fn build_with(seed: u64, sigma_source: SigmaSource) -> (Folksonomy, CubeLsi) {
+/// `build_random(seed)`'s corpus under a fixed configuration.
+fn build_with(seed: u64) -> (Folksonomy, CubeLsi) {
     let (folksonomy, _) = build_random(seed);
     let config = CubeLsiConfig {
         core_dims: Some((6, 6, 6)),
         num_concepts: Some(4),
         max_als_iters: 6,
         seed,
-        sigma_source,
         ..Default::default()
     };
     let model = CubeLsi::build(&folksonomy, &config).unwrap();
@@ -445,48 +437,39 @@ fn build_with(seed: u64, sigma_source: SigmaSource) -> (Folksonomy, CubeLsi) {
 }
 
 /// D̂ is not stored: a full load derives it from the model section. At one
-/// thread and at two (the serial and the banded kernel), under either Σ
-/// source, it equals the matrix the build clustered, bit for bit.
+/// thread and at two (the serial and the banded kernel) it equals the
+/// matrix the build clustered, bit for bit.
 #[test]
 fn full_load_distances_equal_the_built_engines_bit_for_bit() {
     use cubelsi::linalg::parallel;
-    for sigma_source in [SigmaSource::Lambda2, SigmaSource::CoreGram] {
-        let (folksonomy, built) = build_with(51, sigma_source);
-        assert_eq!(built.tag_model().sigma_source(), sigma_source);
-        let bytes = persist::save_to_vec(&built, &folksonomy);
-        let expect = distance_bits(&built);
-        for threads in [1, 2] {
-            let loaded = persist::load_from_bytes(&bytes).unwrap();
-            parallel::set_num_threads(threads);
-            let got = distance_bits(&loaded.model);
-            parallel::set_num_threads(0);
-            assert_eq!(got, expect, "{sigma_source:?} at {threads} thread(s)");
-        }
+    let (folksonomy, built) = build_with(51);
+    let bytes = persist::save_to_vec(&built, &folksonomy);
+    let expect = distance_bits(&built);
+    for threads in [1, 2] {
+        let loaded = persist::load_from_bytes(&bytes).unwrap();
+        parallel::set_num_threads(threads);
+        let got = distance_bits(&loaded.model);
+        parallel::set_num_threads(0);
+        assert_eq!(got, expect, "at {threads} thread(s)");
     }
 }
 
 /// A full load is the engine that was saved: re-saved — through the path
-/// API, before and after its distances are derived, under either Σ
-/// source — it writes the file it was read from.
+/// API, before and after its distances are derived — it writes the file
+/// it was read from.
 #[test]
 fn full_load_resaves_to_the_same_bytes() {
     let dir = std::env::temp_dir().join(format!("cubelsi-resave-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for sigma_source in [SigmaSource::Lambda2, SigmaSource::CoreGram] {
-        let (folksonomy, built) = build_with(52, sigma_source);
-        let (original, resaved) = (dir.join("original"), dir.join("resaved"));
-        persist::save_to_path(&original, &built, &folksonomy).unwrap();
-        let bytes = std::fs::read(&original).unwrap();
-        let loaded = persist::load_from_path(&original).unwrap();
-        for when in ["before distances", "after distances"] {
-            persist::save_to_path(&resaved, &loaded.model, &loaded.folksonomy).unwrap();
-            assert_eq!(
-                std::fs::read(&resaved).unwrap(),
-                bytes,
-                "{sigma_source:?}, {when}"
-            );
-            loaded.model.distances();
-        }
+    let (folksonomy, built) = build_with(52);
+    let (original, resaved) = (dir.join("original"), dir.join("resaved"));
+    persist::save_to_path(&original, &built, &folksonomy).unwrap();
+    let bytes = std::fs::read(&original).unwrap();
+    let loaded = persist::load_from_path(&original).unwrap();
+    for when in ["before distances", "after distances"] {
+        persist::save_to_path(&resaved, &loaded.model, &loaded.folksonomy).unwrap();
+        assert_eq!(std::fs::read(&resaved).unwrap(), bytes, "{when}");
+        loaded.model.distances();
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -533,111 +516,94 @@ fn with_section(bytes: &[u8], id: u32, payload: &[u8]) -> Vec<u8> {
 #[test]
 fn hostile_model_sections_are_malformed() {
     // Model payload fields: source tag @0, fit @8, sweeps @16, Y2 rows @24,
-    // Y2 cols (J2) @32, Y2 data @40, then Λ₂'s length, Λ₂, Σ's shape, Σ.
+    // Y2 cols (J2) @32, Y2 data @40, then Λ₂'s length, Λ₂, Σ's shape.
     let field = |p: &[u8], at: usize| u64::from_le_bytes(p[at..at + 8].try_into().unwrap());
     let put = |p: &mut Vec<u8>, at: usize, v: u64| p[at..at + 8].copy_from_slice(&v.to_le_bytes());
-    for sigma_source in [SigmaSource::Lambda2, SigmaSource::CoreGram] {
-        let (folksonomy, built) = build_with(53, sigma_source);
-        let bytes = persist::save_to_vec(&built, &folksonomy);
-        let served = answers(
-            &shard::load_artifact_bytes(&bytes).unwrap(),
-            &[vec![TagId::from_index(0)]],
-        );
-        let (_, off, len) = find_section(&bytes, persist::SECTION_MODEL);
-        let model = bytes[off..off + len].to_vec();
-        let (tags, j2) = (field(&model, 24) as usize, field(&model, 32) as usize);
-        assert_eq!(tags, folksonomy.num_tags());
-        let lambda_at = 40 + 8 * tags * j2;
-        let sigma_at = lambda_at + 8 + 8 * j2;
-        assert_eq!(field(&model, lambda_at) as usize, j2);
-        let core_gram = sigma_source == SigmaSource::CoreGram;
-        assert_eq!(
-            (field(&model, sigma_at), field(&model, sigma_at + 8)),
-            if core_gram {
-                (j2 as u64, j2 as u64)
-            } else {
-                (0, 0)
-            }
-        );
+    let (folksonomy, built) = build_with(53);
+    let bytes = persist::save_to_vec(&built, &folksonomy);
+    let served = answers(
+        &shard::load_artifact_bytes(&bytes).unwrap(),
+        &[vec![TagId::from_index(0)]],
+    );
+    let (_, off, len) = find_section(&bytes, persist::SECTION_MODEL);
+    let model = bytes[off..off + len].to_vec();
+    let (tags, j2) = (field(&model, 24) as usize, field(&model, 32) as usize);
+    assert_eq!(tags, folksonomy.num_tags());
+    let lambda_at = 40 + 8 * tags * j2;
+    let sigma_at = lambda_at + 8 + 8 * j2;
+    assert_eq!(field(&model, lambda_at) as usize, j2);
+    assert_eq!(field(&model, 0), 1);
+    assert_eq!(
+        (field(&model, sigma_at), field(&model, sigma_at + 8)),
+        (0, 0)
+    );
+    assert_eq!(model.len(), sigma_at + 16);
 
-        let mut cases: Vec<(String, Vec<u8>)> = Vec::new();
-        let mut patched = |what: &str, f: &dyn Fn(&mut Vec<u8>)| {
-            let mut p = model.clone();
-            f(&mut p);
-            cases.push((what.to_owned(), p));
-        };
-        patched("Y2 rows = tags + 1", &|p| put(p, 24, tags as u64 + 1));
-        patched("Y2 rows = tags - 1", &|p| put(p, 24, tags as u64 - 1));
-        patched("Y2 rows = 2^40", &|p| put(p, 24, 1 << 40));
-        patched("J2 = 0", &|p| put(p, 32, 0));
-        patched("J2 = tags + 1", &|p| put(p, 32, tags as u64 + 1));
-        patched("J2 = 2^50", &|p| put(p, 32, 1 << 50));
-        patched("Λ₂ length J2 - 1", &|p| put(p, lambda_at, j2 as u64 - 1));
-        patched("Λ₂ length J2 + 1", &|p| put(p, lambda_at, j2 as u64 + 1));
-        patched("Λ₂ length 2^61", &|p| put(p, lambda_at, 1 << 61));
-        patched("unknown sigma source 0", &|p| put(p, 0, 0));
-        patched("unknown sigma source 7", &|p| put(p, 0, 7));
-        patched("the other sigma source", &|p| {
-            put(p, 0, if core_gram { 1 } else { 2 })
-        });
-        patched("sweeps disagree with meta", &|p| {
-            put(p, 16, field(p, 16) + 1)
-        });
-        patched("Σ rows 2^40", &|p| put(p, sigma_at, 1 << 40));
-        patched("Σ J2 x (J2 + 1)", &|p| put(p, sigma_at + 8, j2 as u64 + 1));
-        for (what, at) in [
-            ("fit", 8),
-            ("Y2[0][0]", 40),
-            ("last Y2", lambda_at - 8),
-            ("Λ₂[0]", lambda_at + 8),
-        ] {
-            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-                patched(&format!("{what} = {bad}"), &|p| put(p, at, bad.to_bits()));
-            }
+    let mut cases: Vec<(String, Vec<u8>)> = Vec::new();
+    let mut patched = |what: &str, f: &dyn Fn(&mut Vec<u8>)| {
+        let mut p = model.clone();
+        f(&mut p);
+        cases.push((what.to_owned(), p));
+    };
+    patched("Y2 rows = tags + 1", &|p| put(p, 24, tags as u64 + 1));
+    patched("Y2 rows = tags - 1", &|p| put(p, 24, tags as u64 - 1));
+    patched("Y2 rows = 2^40", &|p| put(p, 24, 1 << 40));
+    patched("J2 = 0", &|p| put(p, 32, 0));
+    patched("J2 = tags + 1", &|p| put(p, 32, tags as u64 + 1));
+    patched("J2 = 2^50", &|p| put(p, 32, 1 << 50));
+    patched("Λ₂ length J2 - 1", &|p| put(p, lambda_at, j2 as u64 - 1));
+    patched("Λ₂ length J2 + 1", &|p| put(p, lambda_at, j2 as u64 + 1));
+    patched("Λ₂ length 2^61", &|p| put(p, lambda_at, 1 << 61));
+    patched("unknown sigma source 0", &|p| put(p, 0, 0));
+    patched("unknown sigma source 7", &|p| put(p, 0, 7));
+    patched("sigma source 2 (core-Gram Σ, removed)", &|p| put(p, 0, 2));
+    patched("sweeps disagree with meta", &|p| {
+        put(p, 16, field(p, 16) + 1)
+    });
+    patched("Σ rows 2^40", &|p| put(p, sigma_at, 1 << 40));
+    patched("Σ J2 x (J2 + 1)", &|p| put(p, sigma_at + 8, j2 as u64 + 1));
+    for (what, at) in [
+        ("fit", 8),
+        ("Y2[0][0]", 40),
+        ("last Y2", lambda_at - 8),
+        ("Λ₂[0]", lambda_at + 8),
+    ] {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            patched(&format!("{what} = {bad}"), &|p| put(p, at, bad.to_bits()));
         }
-        if core_gram {
-            patched("Σ[0][1] = NaN", &|p| {
-                put(p, sigma_at + 24, f64::NAN.to_bits())
-            });
-        }
-        let mut trailing = model.clone();
-        trailing.extend_from_slice(&[0; 8]);
-        cases.push(("8 trailing bytes".to_owned(), trailing));
-        cases.push(("truncated".to_owned(), model[..model.len() - 8].to_vec()));
-        if !core_gram {
-            // A real J2 × J2 Σ appended after the empty one's shape.
-            let mut present = model[..sigma_at].to_vec();
-            present.extend_from_slice(&(j2 as u64).to_le_bytes());
-            present.extend_from_slice(&(j2 as u64).to_le_bytes());
-            for i in 0..j2 * j2 {
-                present.extend_from_slice(&((i % (j2 + 1) == 0) as u8 as f64).to_le_bytes());
-            }
-            cases.push(("Σ present under Lambda2".to_owned(), present));
-        }
-
-        for (what, payload) in cases {
-            let bad = with_section(&bytes, persist::SECTION_MODEL, &payload);
-            match persist::load_from_bytes(&bad) {
-                Err(PersistError::Malformed { section, detail }) => {
-                    assert_eq!(section, persist::SECTION_MODEL, "{sigma_source:?} {what}");
-                    assert!(!detail.is_empty(), "{sigma_source:?} {what}");
-                }
-                other => panic!(
-                    "{sigma_source:?} {what}: expected Malformed, got {:?}",
-                    other.map(|_| ())
-                ),
-            }
-            let set = shard::load_artifact_bytes(&bad).unwrap();
-            assert_eq!(
-                answers(&set, &[vec![TagId::from_index(0)]]),
-                served,
-                "{sigma_source:?} {what}"
-            );
-        }
-        // The reassembly itself is sound: an untouched payload loads.
-        let same = with_section(&bytes, persist::SECTION_MODEL, &model);
-        assert_eq!(same, bytes);
     }
+    let mut trailing = model.clone();
+    trailing.extend_from_slice(&[0; 8]);
+    cases.push(("8 trailing bytes".to_owned(), trailing));
+    cases.push(("truncated".to_owned(), model[..model.len() - 8].to_vec()));
+    // A real J2 × J2 Σ appended after the empty one's shape.
+    let mut present = model[..sigma_at].to_vec();
+    present.extend_from_slice(&(j2 as u64).to_le_bytes());
+    present.extend_from_slice(&(j2 as u64).to_le_bytes());
+    for i in 0..j2 * j2 {
+        present.extend_from_slice(&((i % (j2 + 1) == 0) as u8 as f64).to_le_bytes());
+    }
+    cases.push(("Σ present under Lambda2".to_owned(), present));
+
+    for (what, payload) in cases {
+        let bad = with_section(&bytes, persist::SECTION_MODEL, &payload);
+        match persist::load_from_bytes(&bad) {
+            Err(PersistError::Malformed { section, detail }) => {
+                assert_eq!(section, persist::SECTION_MODEL, "{what}");
+                assert!(!detail.is_empty(), "{what}");
+            }
+            other => panic!("{what}: expected Malformed, got {:?}", other.map(|_| ())),
+        }
+        let set = shard::load_artifact_bytes(&bad).unwrap();
+        assert_eq!(
+            answers(&set, &[vec![TagId::from_index(0)]]),
+            served,
+            "{what}"
+        );
+    }
+    // The reassembly itself is sound: an untouched payload loads.
+    let same = with_section(&bytes, persist::SECTION_MODEL, &model);
+    assert_eq!(same, bytes);
 }
 
 // ---------------------------------------------------------------------------

@@ -243,7 +243,7 @@ fn query_by_synonym_reaches_untagged_resources() {
 
 /// Table VII's CubeLSI memory is the model section as written: exactly
 /// the length of section 9 in the engine's artifact, which is `Y⁽²⁾` and
-/// `Λ₂` (plus `Σ` under `CoreGram`) and their shape fields, nothing more.
+/// `Λ₂` and their shape fields (with `Σ`'s empty one), nothing more.
 #[test]
 fn memory_accounting_is_the_written_model_section() {
     let ds = corpus();
@@ -262,11 +262,7 @@ fn memory_accounting_is_the_written_model_section() {
     let y2 = engine.tag_model().y2();
     let (t, j2) = (y2.rows(), y2.cols());
     assert_eq!(t, ds.folksonomy.num_tags());
-    let sigma = engine
-        .tag_model()
-        .sigma()
-        .map_or(0, |s| s.rows() * s.cols());
     // Source tag, fit, sweeps; three shape pairs less Λ₂'s single length.
-    assert_eq!(written, 8 * (3 + 5 + t * j2 + j2 + sigma));
+    assert_eq!(written, 8 * (3 + 5 + t * j2 + j2));
     assert!(engine.dense_purified_bytes() > engine.compressed_bytes());
 }

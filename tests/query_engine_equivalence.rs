@@ -169,8 +169,10 @@ fn pruned_paths_equal_exact_on_long_multi_block_lists() {
 
 #[test]
 fn single_term_fast_path_handles_impact_ties() {
-    // Many resources tagged identically produce equal impacts — the
-    // single-term prefix cut must break ties exactly like the full sort.
+    // Many resources tagged identically produce equal impacts. A one-term
+    // query runs the one query skeleton, whose admission heap ends the
+    // list early; at every k it must break equal-impact ties exactly like
+    // the exhaustive sort.
     use cubelsi::folksonomy::FolksonomyBuilder;
     let mut b = FolksonomyBuilder::new();
     for r in 0..20 {
